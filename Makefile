@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benchdiff servesmoke clustersmoke experiments examples fmt fmt-check vet clean
+.PHONY: all check build test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke experiments examples fmt fmt-check vet clean
 
 all: check
 
@@ -13,11 +13,14 @@ all: check
 # datapath benchmark so the zero-copy partition/aggregate path can't regress
 # silently, the planning-overhead benchmark so plan-cache replay keeps paying
 # for itself, the staging-overlap benchmark so async input prefetch keeps
-# beating dispatch-time staging, the serving smoke test so shmtserved's
-# coalescing/drain path stays live, and the cluster smoke test so the router
-# tier's failover/re-admission path stays live. CI (.github/workflows/ci.yml)
-# runs exactly these stages.
-check: fmt-check build vet test race benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve servesmoke clustersmoke
+# beating dispatch-time staging, a short fuzz of the /v1/execute decoder
+# against encoding/json, the end-to-end harness's own vet and tests (a nested
+# module that imports internal/ packages, so the root `go test ./...` cannot
+# see it break), the serving smoke test so shmtserved's coalescing/drain path
+# stays live, and the cluster smoke test so the router tier's
+# failover/re-admission path stays live. CI (.github/workflows/ci.yml) runs
+# exactly these stages.
+check: fmt-check build vet test race fuzzsmoke benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e servesmoke clustersmoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +34,13 @@ test:
 
 race:
 	$(GO) test -race $(TESTFLAGS) ./...
+
+# fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
+# against encoding/json, and the router's peek against the decoder. (go test
+# takes one -fuzz target per run.)
+fuzzsmoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -79,6 +89,13 @@ benchoverlap:
 benchserve:
 	$(GO) test -run='^$$' -bench=BenchmarkServeTraceOverhead -benchmem \
 		-benchtime=0.3s ./internal/serve/
+
+# benche2e vets and smoke-tests the repo benchmark's harness (BENCHMARK.json,
+# benchmarks/): every workload untraced twice and traced once at tiny counts,
+# outputs verified. It is the only place an internal/ API change that breaks
+# the harness shows up before the benchmark itself is run.
+benche2e:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
 # servesmoke boots shmtserved on a free port, fires concurrent request
 # volleys, and asserts every request succeeds, the micro-batcher coalesced

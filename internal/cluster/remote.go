@@ -14,33 +14,8 @@ import (
 	"shmt/internal/serve"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
+	"shmt/internal/wire"
 )
-
-// The cluster wire format mirrors internal/serve's /v1/execute JSON: dense
-// row-major matrices, opcode by name, optional scalar attrs.
-type wireMatrix struct {
-	Rows int       `json:"rows"`
-	Cols int       `json:"cols"`
-	Data []float64 `json:"data"`
-}
-
-type wireExecuteRequest struct {
-	Op        string             `json:"op"`
-	Inputs    []wireMatrix       `json:"inputs"`
-	Attrs     map[string]float64 `json:"attrs,omitempty"`
-	TimeoutMs int                `json:"timeout_ms,omitempty"`
-}
-
-type wireExecuteResponse struct {
-	Output          wireMatrix `json:"output"`
-	HLOPs           int        `json:"hlops"`
-	MakespanSeconds float64    `json:"makespan_seconds"`
-	BatchSize       int        `json:"batch_size"`
-}
-
-type wireError struct {
-	Error string `json:"error"`
-}
 
 // RemoteExecutor presents one shmtserved backend as a device.Device: a
 // network-attached executor whose interconnect link is the cluster network.
@@ -109,7 +84,7 @@ func (r *RemoteExecutor) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst
 // X-SHMT-Trace-Id, so a scattered request's partitions share the parent's
 // trace across nodes.
 func (r *RemoteExecutor) Do(ctx context.Context, traceID string, op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	req := wireExecuteRequest{Op: op.String(), Attrs: attrs}
+	req := wire.Request{Op: op.String(), Attrs: attrs, Inputs: make([]wire.Matrix, len(inputs))}
 	// The effective round-trip bound is the tighter of the adapter's
 	// configured timeout and whatever deadline the caller's context already
 	// carries (a client's timeout_ms on the scatter path). Both sides see
@@ -135,14 +110,10 @@ func (r *RemoteExecutor) Do(ctx context.Context, traceID string, op vop.Opcode, 
 		ctx, cancel = context.WithTimeout(ctx, to)
 		defer cancel()
 	}
-	req.Inputs = make([]wireMatrix, len(inputs))
 	for i, m := range inputs {
-		if !m.IsContiguous() {
-			m = m.Clone()
-		}
-		req.Inputs[i] = wireMatrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data[:m.Len()]}
+		req.Inputs[i] = wire.FromTensor(m)
 	}
-	body, err := json.Marshal(req)
+	body, err := wire.EncodeRequest(&req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: marshal %s for %s: %w", op, r.backend.addr, err)
 	}
@@ -160,7 +131,7 @@ func (r *RemoteExecutor) Do(ctx context.Context, traceID string, op vop.Opcode, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var we wireError
+		var we wire.Error
 		msg := ""
 		if b, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
 			if json.Unmarshal(b, &we) == nil {
@@ -171,8 +142,8 @@ func (r *RemoteExecutor) Do(ctx context.Context, traceID string, op vop.Opcode, 
 		}
 		return nil, &RemoteError{Backend: r.backend.addr, Status: resp.StatusCode, Msg: msg}
 	}
-	var out wireExecuteResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	out, err := wire.ReadResponse(resp)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: decode %s response from %s: %w", op, r.backend.addr, err)
 	}
 	m, err := tensor.FromSlice(out.Output.Rows, out.Output.Cols, out.Output.Data)

@@ -16,8 +16,8 @@ import (
 
 	"shmt/internal/serve"
 	"shmt/internal/telemetry"
-	"shmt/internal/tensor"
 	"shmt/internal/vop"
+	"shmt/internal/wire"
 )
 
 // TenantHeader carries the client's tenant identity; it is the first
@@ -202,12 +202,12 @@ type registerResponse struct {
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<12)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "bad register body: " + err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, "bad register body: "+err.Error())
 		return
 	}
 	host, port, err := net.SplitHostPort(req.Addr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "addr must be host:port: " + err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, "addr must be host:port: "+err.Error())
 		return
 	}
 	if host == "" || host == "0.0.0.0" || host == "::" {
@@ -218,13 +218,13 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	addr := net.JoinHostPort(host, port)
 	added, err := rt.pool.Add(addr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if added && rt.cfg.Logger != nil {
 		rt.cfg.Logger.Info("backend self-registered", "backend", addr)
 	}
-	writeJSON(w, http.StatusOK, registerResponse{OK: true, Addr: addr, Backends: rt.pool.Len()})
+	wire.WriteJSON(w, http.StatusOK, registerResponse{OK: true, Addr: addr, Backends: rt.pool.Len()})
 }
 
 type routerHealth struct {
@@ -239,7 +239,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// Same contract as the execute path's draining 503 (and shmtserved's
 		// healthz): tell pollers when to come back.
 		w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, routerHealth{Status: "draining"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, routerHealth{Status: "draining"})
 		return
 	}
 	total := rt.pool.Len()
@@ -251,13 +251,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// Nothing can serve: unlike a degraded node, the router really is
 		// down for work, so load balancers should route away.
 		h.Status = "unavailable"
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		wire.WriteJSON(w, http.StatusServiceUnavailable, h)
 	case len(quar) > 0:
 		h.Status = "degraded"
-		writeJSON(w, http.StatusOK, h)
+		wire.WriteJSON(w, http.StatusOK, h)
 	default:
 		h.Status = "ok"
-		writeJSON(w, http.StatusOK, h)
+		wire.WriteJSON(w, http.StatusOK, h)
 	}
 }
 
@@ -274,7 +274,7 @@ type routerStatus struct {
 }
 
 func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, routerStatus{
+	wire.WriteJSON(w, http.StatusOK, routerStatus{
 		Service:       "shmtrouterd",
 		UptimeSeconds: time.Since(rt.started).Seconds(),
 		Draining:      rt.draining.Load(),
@@ -304,7 +304,7 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
 		outcome = "draining"
 		w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, wireError{Error: "router draining"})
+		wire.WriteError(w, http.StatusServiceUnavailable, "router draining")
 		return
 	}
 
@@ -320,8 +320,8 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 			outcome = "shed"
 			telemetry.RouterTenantShed.With(tenantLabel).Inc()
 			w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
-			writeJSON(w, http.StatusTooManyRequests, wireError{
-				Error: fmt.Sprintf("tenant %q over in-flight limit %d", tenantLabel, rt.cfg.TenantLimits[tenantLabel])})
+			wire.WriteError(w, http.StatusTooManyRequests,
+				fmt.Sprintf("tenant %q over in-flight limit %d", tenantLabel, rt.cfg.TenantLimits[tenantLabel]))
 			return
 		}
 		// handleExecute is synchronous through response relay, so the
@@ -329,29 +329,25 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 		defer inflight.Add(-1)
 	}
 
-	body, err := io.ReadAll(r.Body)
+	// Placement needs the opcode and the first input's shape: a peek validates
+	// the whole body and converts none of its numbers.
+	var req *wire.Request
+	body, err := wire.ReadBody(w, r)
+	if err == nil {
+		req, err = wire.PeekRequest(body)
+	}
 	if err != nil {
 		outcome = "invalid"
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "read body: " + err.Error()})
+		wire.WriteError(w, wire.StatusOf(err), "bad request body: "+err.Error())
 		return
 	}
-	var req wireExecuteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	op, err := req.Opcode()
+	if err != nil {
 		outcome = "invalid"
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "bad request body: " + err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	op, ok := vop.Parse(req.Op)
-	if !ok {
-		outcome = "invalid"
-		writeJSON(w, http.StatusBadRequest, wireError{Error: fmt.Sprintf("unknown op %q", req.Op)})
-		return
-	}
-	if len(req.Inputs) == 0 {
-		outcome = "invalid"
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "no inputs"})
-		return
-	}
+	peek := time.Since(start) // reading the body included
 	key := Key{
 		Tenant: r.Header.Get(TenantHeader),
 		Op:     op.String(),
@@ -360,18 +356,18 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if rt.shouldScatter(op, key.Rows, key.Cols) {
-		if done := rt.executeScatter(w, r, &req, op, traceID, &outcome); done {
-			rt.logRequest(r.Context(), traceID, key, "scatter", outcome, start)
+		if done := rt.executeScatter(w, r, body, traceID, &outcome); done {
+			rt.logRequest(r.Context(), traceID, key, "scatter", outcome, start, peek)
 			return
 		}
 		// Scatter declined late (e.g. inputs failed VOP validation in a way
 		// the backend should report): fall through to the proxy path.
 	}
 	rt.executeProxy(w, r, body, key, traceID, &outcome)
-	rt.logRequest(r.Context(), traceID, key, "proxy", outcome, start)
+	rt.logRequest(r.Context(), traceID, key, "proxy", outcome, start, peek)
 }
 
-func (rt *Router) logRequest(ctx context.Context, traceID string, key Key, path, outcome string, start time.Time) {
+func (rt *Router) logRequest(ctx context.Context, traceID string, key Key, path, outcome string, start time.Time, peek time.Duration) {
 	if rt.cfg.Logger == nil {
 		return
 	}
@@ -380,6 +376,7 @@ func (rt *Router) logRequest(ctx context.Context, traceID string, key Key, path,
 		slog.String("key", key.String()),
 		slog.String("path", path),
 		slog.String("outcome", outcome),
+		slog.Float64("peek_ms", peek.Seconds()*1e3),
 		slog.Float64("total_ms", time.Since(start).Seconds()*1e3),
 	)
 }
@@ -414,22 +411,20 @@ func (rt *Router) shouldScatter(op vop.Opcode, rows, cols int) bool {
 	return len(rt.pool.Healthy()) >= 2
 }
 
-// executeScatter runs the scatter-gather path; it reports whether it wrote a
-// response (false = caller should fall back to proxying).
-func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, req *wireExecuteRequest, op vop.Opcode, traceID string, outcome *string) bool {
-	inputs := make([]*tensor.Matrix, len(req.Inputs))
-	for i, m := range req.Inputs {
-		mat, err := tensor.FromSlice(m.Rows, m.Cols, m.Data)
-		if err != nil {
-			// Let the backend produce the canonical 400; proxy it whole.
-			return false
-		}
-		inputs[i] = mat
-	}
-	v := &vop.VOP{Op: op, Inputs: inputs, Attrs: req.Attrs, TraceID: traceID}
-	if err := v.Validate(); err != nil {
+// executeScatter runs the scatter-gather path — the only one on which the
+// router decodes tensors; it reports whether it wrote a response (false =
+// caller should fall back to proxying, so that the backend produces the
+// canonical 400).
+func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []byte, traceID string, outcome *string) bool {
+	req, err := wire.DecodeRequest(body)
+	if err != nil {
 		return false
 	}
+	v, err := req.VOP()
+	if err != nil {
+		return false
+	}
+	v.TraceID = traceID
 	fanout := rt.cfg.MaxFanout
 	if n := len(rt.pool.Healthy()); fanout > n {
 		fanout = n
@@ -440,43 +435,50 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, req *wi
 	}
 	// Honor the client's timeout_ms exactly as the single-node path does:
 	// it bounds the whole scatter (the context) and tightens the per-
-	// partition dispatch timeout forwarded to backends.
+	// partition dispatch timeout forwarded to backends. Without one only the
+	// dispatches are bounded, so a partition whose backend hangs still has
+	// time to fail over; with one, it is clamped to the longest the proxy
+	// path would wait (every attempt timing out).
 	ctx := r.Context()
-	timeout := rt.cfg.BackendTimeout
 	if req.TimeoutMs > 0 {
-		ct := time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout <= 0 || ct < timeout {
-			timeout = ct
-		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, ct)
+		ctx, cancel = context.WithTimeout(ctx,
+			wire.Timeout(req.TimeoutMs, time.Duration(rt.cfg.MaxAttempts)*rt.cfg.BackendTimeout))
 		defer cancel()
 	}
+	timeout := wire.Timeout(req.TimeoutMs, rt.cfg.BackendTimeout)
 	out, oc, err := scatterExecute(ctx, rt.pool, plan, v, traceID, timeout)
-	switch {
-	case err == nil:
-	case errors.Is(err, errNoBackends):
-		*outcome = "unavailable"
-		w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, wireError{Error: err.Error()})
-		return true
-	case errors.Is(err, context.DeadlineExceeded):
+	if err != nil {
 		*outcome = "error"
-		writeJSON(w, http.StatusGatewayTimeout, wireError{Error: err.Error()})
-		return true
-	default:
-		*outcome = "error"
-		writeJSON(w, http.StatusBadGateway, wireError{Error: err.Error()})
+		code := http.StatusBadGateway
+		var refused *RemoteError
+		switch {
+		case errors.As(err, &refused) && refused.Status/100 == 4 && refused.Status != http.StatusTooManyRequests:
+			// A partition refused as the whole request would have been (a
+			// result JSON cannot carry, say): the client's error, relayed.
+			*outcome = "invalid"
+			code = refused.Status
+		case errors.Is(err, errNoBackends):
+			*outcome = "unavailable"
+			code = http.StatusServiceUnavailable
+			w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
+		case errors.Is(err, context.DeadlineExceeded):
+			code = http.StatusGatewayTimeout
+		}
+		wire.WriteError(w, code, err.Error())
 		return true
 	}
 	*outcome = "ok"
 	w.Header().Set(ScatterHeader, strconv.Itoa(oc.partitions))
-	writeJSON(w, http.StatusOK, wireExecuteResponse{
-		Output:          wireMatrix{Rows: out.Rows, Cols: out.Cols, Data: out.Data},
+	err = wire.WriteResponse(w, req.Op, &wire.Response{
+		Output:          wire.FromTensor(out),
 		HLOPs:           oc.partitions,
 		MakespanSeconds: oc.makespan.Seconds(),
 		BatchSize:       1,
 	})
+	if err != nil { // a non-finite result, answered 422
+		*outcome = "invalid"
+	}
 	return true
 }
 
@@ -487,7 +489,7 @@ func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body []by
 	if primary == nil {
 		*outcome = "unavailable"
 		w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, wireError{Error: "no healthy backend"})
+		wire.WriteError(w, http.StatusServiceUnavailable, "no healthy backend")
 		return
 	}
 	if rehashed {
@@ -523,7 +525,7 @@ func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body []by
 			lastErr = err
 			if errors.Is(err, context.Canceled) {
 				*outcome = "error"
-				writeJSON(w, 499, wireError{Error: err.Error()})
+				wire.WriteError(w, 499, err.Error())
 				return
 			}
 			rt.pool.NoteFailure(b)
@@ -556,7 +558,7 @@ func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body []by
 	if lastErr != nil {
 		msg = fmt.Sprintf("all backends failed: %v", lastErr)
 	}
-	writeJSON(w, http.StatusServiceUnavailable, wireError{Error: msg})
+	wire.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
 // proxyOnce sends one dispatch attempt to b. The caller owns resp.Body.
@@ -624,7 +626,7 @@ func outcomeForStatus(code int) string {
 func relayResponse(w http.ResponseWriter, resp *http.Response, backend, traceID string) {
 	defer resp.Body.Close()
 	for _, h := range []string{
-		"Content-Type", "Retry-After", TenantHeader,
+		"Content-Type", "Content-Length", "Retry-After", TenantHeader,
 		"X-SHMT-Batch-Size", "X-SHMT-Degraded", "X-SHMT-Quarantined",
 	} {
 		if v := resp.Header.Get(h); v != "" {
@@ -635,10 +637,4 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, backend, traceID 
 	w.Header().Set(BackendHeader, backend)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"shmt/internal/serve"
+	"shmt/internal/wire"
 )
 
 // fakeBackend is a minimal shmtserved stand-in: /v1/execute computes "add"
@@ -32,30 +33,30 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	mux.HandleFunc("POST /v1/execute", func(w http.ResponseWriter, r *http.Request) {
 		fb.requests.Add(1)
 		if fb.fail.Load() {
-			writeJSON(w, http.StatusInternalServerError, wireError{Error: "injected failure"})
+			wire.WriteError(w, http.StatusInternalServerError, "injected failure")
 			return
 		}
-		var req wireExecuteRequest
+		var req wire.Request
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Op != "add" || len(req.Inputs) != 2 {
-			writeJSON(w, http.StatusBadRequest, wireError{Error: "fake backend only adds"})
+			wire.WriteError(w, http.StatusBadRequest, "fake backend only adds")
 			return
 		}
 		a, b := req.Inputs[0], req.Inputs[1]
-		out := wireMatrix{Rows: a.Rows, Cols: a.Cols, Data: make([]float64, len(a.Data))}
+		out := wire.Matrix{Rows: a.Rows, Cols: a.Cols, Data: make([]float64, len(a.Data))}
 		for i := range a.Data {
 			out.Data[i] = a.Data[i] + b.Data[i]
 		}
 		if id := r.Header.Get(serve.TraceHeader); id != "" {
 			w.Header().Set(serve.TraceHeader, id)
 		}
-		writeJSON(w, http.StatusOK, wireExecuteResponse{Output: out, HLOPs: 1, BatchSize: 1})
+		wire.WriteJSON(w, http.StatusOK, wire.Response{Output: out, HLOPs: 1, BatchSize: 1})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if fb.sick.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+			wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	fb.ts = httptest.NewServer(mux)
 	t.Cleanup(fb.ts.Close)
@@ -141,7 +142,7 @@ func TestRouterProxyAffinity(t *testing.T) {
 		} else if served != be {
 			t.Fatalf("same key moved backends: %s then %s", served, be)
 		}
-		var out wireExecuteResponse
+		var out wire.Response
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"shmt/internal/serve"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
+	"shmt/internal/wire"
 )
 
 func TestScatterEligibleSet(t *testing.T) {
@@ -246,7 +247,7 @@ func TestRouterScatterEndToEnd(t *testing.T) {
 	if err != nil || parts < 2 {
 		t.Fatalf("scatter header %q, want >= 2 partitions", resp.Header.Get(ScatterHeader))
 	}
-	var out wireExecuteResponse
+	var out wire.Response
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
+	"shmt/internal/wire"
 )
 
 // slowBackend is a backend stand-in that records each execute request's wire
@@ -33,9 +34,9 @@ func newSlowBackend(t *testing.T, delay time.Duration) *slowBackend {
 	sb := &slowBackend{delay: delay}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/execute", func(w http.ResponseWriter, r *http.Request) {
-		var req wireExecuteRequest
+		var req wire.Request
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, wireError{Error: err.Error()})
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		sb.mu.Lock()
@@ -48,10 +49,10 @@ func newSlowBackend(t *testing.T, delay time.Duration) *slowBackend {
 			return
 		}
 		out := req.Inputs[0]
-		writeJSON(w, http.StatusOK, wireExecuteResponse{Output: out, HLOPs: 1, BatchSize: 1})
+		wire.WriteJSON(w, http.StatusOK, wire.Response{Output: out, HLOPs: 1, BatchSize: 1})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	sb.ts = httptest.NewServer(mux)
 	t.Cleanup(sb.ts.Close)
@@ -158,6 +159,38 @@ func TestScatterHonorsClientTimeout(t *testing.T) {
 	for i, ms := range wire {
 		if ms < 1 || ms > 100 {
 			t.Fatalf("partition %d forwarded timeout_ms %d, want in (0, 100]", i, ms)
+		}
+	}
+}
+
+// TestScatterFailsOverFromHungBackend: BackendTimeout bounds one dispatch, not
+// the scatter, so a partition whose backend hangs times out there and still
+// has time to land on a healthy one — when the client names no timeout and
+// when it names one longer than a dispatch. The expired dispatch indicts only
+// the backend that hung.
+func TestScatterFailsOverFromHungBackend(t *testing.T) {
+	for name, field := range map[string]string{
+		"no timeout_ms":         "",
+		"timeout_ms above ours": `,"timeout_ms":5000`,
+	} {
+		hung, good := newSlowBackend(t, time.Minute), newFakeBackend(t)
+		rt, ts := newTestRouter(t, RouterConfig{
+			Seeds:            []string{hung.addr(), good.addr()},
+			ScatterThreshold: 1024,
+			MaxFanout:        2,
+			BackendTimeout:   300 * time.Millisecond,
+			Pool:             PoolConfig{ProbeInterval: time.Hour, Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Minute}},
+		})
+		body := strings.Replace(addBody(64), `{"op":"add"`, `{"op":"add"`+field, 1)
+		resp, out := postExecute(t, ts.URL, body, nil)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(ScatterHeader) != "2" {
+			t.Fatalf("%s: status %d, scatter %q: %.200s", name, resp.StatusCode, resp.Header.Get(ScatterHeader), out)
+		}
+		if len(hung.wireTimeouts()) == 0 {
+			t.Fatalf("%s: the hung backend was never tried", name)
+		}
+		if quar := rt.pool.Quarantined(); len(quar) != 1 || quar[0] != hung.addr() {
+			t.Fatalf("%s: quarantined %v, want only the hung backend %s", name, quar, hung.addr())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -16,71 +15,20 @@ import (
 
 	"shmt"
 	"shmt/internal/telemetry"
+	"shmt/internal/wire"
 )
-
-// The wire format. A request is one VOP: opcode by name, dense row-major
-// inputs, optional scalar attrs and deadline.
-//
-//	POST /v1/execute
-//	{"op":"add","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]},
-//	                      {"rows":2,"cols":2,"data":[5,6,7,8]}],
-//	 "attrs":{},"timeout_ms":1000}
-//
-// Responses carry the output matrix plus the round's accounting, and the
-// degradation headers X-SHMT-Batch-Size, X-SHMT-Degraded and (when breakers
-// are open) X-SHMT-Quarantined.
-type matrixJSON struct {
-	Rows int       `json:"rows"`
-	Cols int       `json:"cols"`
-	Data []float64 `json:"data"`
-}
-
-type executeRequest struct {
-	Op        string             `json:"op"`
-	Inputs    []matrixJSON       `json:"inputs"`
-	Attrs     map[string]float64 `json:"attrs,omitempty"`
-	TimeoutMs int                `json:"timeout_ms,omitempty"`
-}
-
-type executeResponse struct {
-	Output          matrixJSON     `json:"output"`
-	HLOPs           int            `json:"hlops"`
-	MakespanSeconds float64        `json:"makespan_seconds"`
-	BatchSize       int            `json:"batch_size"`
-	Degraded        *shmt.Degraded `json:"degraded,omitempty"`
-	// Trace carries the request's ID and stage breakdown when tracing is
-	// enabled (Config.Tracing); absent otherwise.
-	Trace *traceBlock `json:"trace,omitempty"`
-}
-
-// traceBlock is the response's optional tracing annex.
-type traceBlock struct {
-	TraceID      string                   `json:"trace_id"`
-	Tenant       string                   `json:"tenant,omitempty"`
-	TotalSeconds float64                  `json:"total_seconds"`
-	Stages       telemetry.StageBreakdown `json:"stages"`
-	// DeadlinePressure is the QAWS criticality boost the request's deadline
-	// earned (0 when Config.CriticalDeadline is off or the deadline is
-	// loose); CriticalHLOPs/DeviceHLOPs show where its partitions actually
-	// ran, so a tight-deadline request can verify it kept accurate devices.
-	DeadlinePressure float64        `json:"deadline_pressure,omitempty"`
-	CriticalHLOPs    int            `json:"critical_hlops"`
-	DeviceHLOPs      map[string]int `json:"device_hlops,omitempty"`
-}
 
 type healthResponse struct {
 	Status      string   `json:"status"` // "ok" | "degraded" | "draining"
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // Server ties the batcher to an HTTP listener: POST /v1/execute for work,
 // GET /healthz for health (degraded while breakers are open, draining — and
 // 503 — during shutdown), GET /metrics for Prometheus exposition of the
-// process registry.
+// process registry. The execute schema is internal/wire's; responses add the
+// headers X-SHMT-Batch-Size, X-SHMT-Degraded and (when breakers are open)
+// X-SHMT-Quarantined.
 type Server struct {
 	cfg      Config
 	be       Backend
@@ -286,50 +234,47 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 				slog.String("outcome", outcome),
 				slog.Int("batch_size", batchSize),
 				slog.Float64("total_ms", total*1e3),
+				slog.Float64("decode_ms", stages.Decode*1e3),
 				slog.Float64("queue_wait_ms", stages.QueueWait*1e3),
 				slog.Float64("batch_linger_ms", stages.BatchLinger*1e3),
 				slog.Float64("plan_ms", stages.Plan*1e3),
 				slog.Float64("quantize_transfer_ms", stages.Transfer*1e3),
 				slog.Float64("execute_ms", stages.Execute*1e3),
 				slog.Float64("aggregate_ms", stages.Aggregate*1e3),
+				slog.Float64("encode_ms", stages.Encode*1e3),
 				slog.String("err", errMsg),
 			)
 		}
 	}()
 
-	var req executeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		outcome, errMsg = "invalid", err.Error()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	// fail answers a request that ends without a result.
+	fail := func(code int, label, msg string) {
+		outcome, errMsg = label, msg
+		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+		}
+		wire.WriteError(w, code, msg)
+	}
+
+	req, err := wire.ReadRequest(w, r)
+	if err != nil {
+		fail(wire.StatusOf(err), "invalid", "bad request body: "+err.Error())
 		return
 	}
 	opName = req.Op
-	op, ok := shmt.ParseOp(req.Op)
-	if !ok {
-		outcome, errMsg = "invalid", "unknown op"
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown op %q", req.Op))
+	// Arity and shapes are checked here with the engine's own rule: a VOP
+	// the engine would refuse must fail alone, not take down the batch round
+	// (other tenants' requests included) it would have been coalesced into.
+	v, err := req.VOP()
+	if err != nil {
+		fail(http.StatusBadRequest, "invalid", err.Error())
 		return
 	}
-	if len(req.Inputs) == 0 {
-		outcome, errMsg = "invalid", "no inputs"
-		writeError(w, http.StatusBadRequest, errors.New("no inputs"))
-		return
-	}
-	inputs := make([]*shmt.Matrix, len(req.Inputs))
-	for i, m := range req.Inputs {
-		mat, err := shmt.FromSlice(m.Rows, m.Cols, m.Data)
-		if err != nil {
-			outcome, errMsg = "invalid", err.Error()
-			writeError(w, http.StatusBadRequest, fmt.Errorf("input %d: %w", i, err))
-			return
-		}
-		inputs[i] = mat
+	if s.cfg.Tracing {
+		stages.Decode = time.Since(start).Seconds()
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
+	timeout := wire.Timeout(req.TimeoutMs, s.cfg.DefaultTimeout)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
@@ -343,36 +288,30 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := s.batcher.Submit(ctx, shmt.BatchRequest{
-		Op: op, Inputs: inputs, Attrs: req.Attrs,
+		Op: v.Op, Inputs: v.Inputs, Attrs: req.Attrs,
 		TraceID: traceID, Tenant: tenantLabel, DeadlinePressure: pressure,
 	})
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrQueueFull):
-		outcome, errMsg = "shed", err.Error()
-		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, err)
+		fail(http.StatusTooManyRequests, "shed", err.Error())
 		return
 	case errors.Is(err, ErrDraining), errors.Is(err, shmt.ErrSessionClosed):
-		outcome, errMsg = "draining", err.Error()
-		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusServiceUnavailable, err)
+		fail(http.StatusServiceUnavailable, "draining", err.Error())
 		return
 	case errors.Is(err, context.DeadlineExceeded):
-		outcome, errMsg = "timeout", err.Error()
-		writeError(w, http.StatusGatewayTimeout, err)
+		fail(http.StatusGatewayTimeout, "timeout", err.Error())
 		return
 	case errors.Is(err, context.Canceled):
-		outcome, errMsg = "canceled", err.Error()
 		// Client went away; 499 matches the common reverse-proxy convention.
-		writeError(w, 499, err)
+		fail(499, "canceled", err.Error())
 		return
 	default:
-		errMsg = err.Error()
-		writeError(w, http.StatusInternalServerError, err)
+		fail(http.StatusInternalServerError, "error", err.Error())
 		return
 	}
 	outcome = "ok"
+	res.Stages.Decode = stages.Decode
 	batchSize, stages = res.BatchSize, res.Stages
 
 	w.Header().Set("X-SHMT-Batch-Size", strconv.Itoa(res.BatchSize))
@@ -380,28 +319,35 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if quar := s.be.QuarantinedDevices(); len(quar) > 0 {
 		w.Header().Set("X-SHMT-Quarantined", strings.Join(quar, ","))
 	}
-	out := res.Report.Output
-	resp := executeResponse{
+	resp := wire.Response{
 		HLOPs:           res.Report.HLOPs,
 		MakespanSeconds: res.Report.Makespan,
 		BatchSize:       res.BatchSize,
 		Degraded:        res.Degraded,
 	}
+	if out := res.Report.Output; out != nil {
+		resp.Output = wire.FromTensor(out)
+	}
+	var encodeStart time.Time
 	if s.cfg.Tracing {
-		resp.Trace = &traceBlock{
+		encodeStart = time.Now()
+		resp.Trace = &wire.Trace{
 			TraceID:          traceID,
 			Tenant:           tenantLabel,
-			TotalSeconds:     time.Since(start).Seconds(),
-			Stages:           res.Stages,
+			TotalSeconds:     encodeStart.Sub(start).Seconds(),
+			Stages:           stages,
 			DeadlinePressure: pressure,
 			CriticalHLOPs:    res.Report.CriticalHLOPs,
 			DeviceHLOPs:      res.Report.DeviceHLOPs,
 		}
 	}
-	if out != nil {
-		resp.Output = matrixJSON{Rows: out.Rows, Cols: out.Cols, Data: out.Data}
+	// A result JSON cannot carry (NaN, ±Inf) has been answered 422.
+	if err := wire.WriteResponse(w, req.Op, &resp); err != nil {
+		outcome, errMsg = "invalid", err.Error()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if s.cfg.Tracing {
+		stages.Encode = time.Since(encodeStart).Seconds()
+	}
 }
 
 // logLevel maps a request outcome to its log severity: client-side endings
@@ -419,7 +365,7 @@ func logLevel(outcome string) slog.Level {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "draining"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "draining"})
 		return
 	}
 	if quar := s.be.QuarantinedDevices(); len(quar) > 0 {
@@ -427,20 +373,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// stays 200 — load balancers should keep routing — but the body and
 		// header flag the degradation for operators and smart clients.
 		w.Header().Set("X-SHMT-Quarantined", strings.Join(quar, ","))
-		writeJSON(w, http.StatusOK, healthResponse{Status: "degraded", Quarantined: quar})
+		wire.WriteJSON(w, http.StatusOK, healthResponse{Status: "degraded", Quarantined: quar})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthResponse{Status: "ok"})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+	wire.WriteJSON(w, http.StatusOK, healthResponse{Status: "ok"})
 }
 
 // RetryAfterSeconds renders a Retry-After hint as whole seconds, rounding

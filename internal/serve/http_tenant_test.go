@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"shmt"
+	"shmt/internal/wire"
 )
 
 // TestHTTPTenantRoundTrip: the X-SHMT-Tenant header is parsed at admission,
@@ -41,7 +42,7 @@ func TestHTTPTenantRoundTrip(t *testing.T) {
 	if got := resp.Header.Get(TenantHeader); got != "acme" {
 		t.Fatalf("tenant header echo %q, want \"acme\"", got)
 	}
-	var body executeResponse
+	var body wire.Response
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestHTTPDeadlinePressureRaisesCriticality(t *testing.T) {
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
-	post := func(body string) executeResponse {
+	post := func(body string) wire.Response {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/execute", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -131,7 +132,7 @@ func TestHTTPDeadlinePressureRaisesCriticality(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d, want 200", resp.StatusCode)
 		}
-		var out executeResponse
+		var out wire.Response
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"shmt"
+	"shmt/internal/wire"
 )
 
 func execBody(a, b []float64) string {
@@ -40,7 +41,7 @@ func TestHTTPExecuteEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	type reply struct {
 		status int
-		body   executeResponse
+		body   wire.Response
 		batch  string
 	}
 	replies := make([]reply, n)

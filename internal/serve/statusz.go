@@ -10,6 +10,7 @@ import (
 	"shmt"
 	"shmt/internal/parallel"
 	"shmt/internal/telemetry"
+	"shmt/internal/wire"
 )
 
 // Optional backend introspection. The serving layer only requires Backend,
@@ -138,7 +139,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	wantHTML := r.URL.Query().Get("format") == "html" ||
 		strings.Contains(r.Header.Get("Accept"), "text/html")
 	if !wantHTML {
-		writeJSON(w, http.StatusOK, st)
+		wire.WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -163,7 +164,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	}
 	slowOnly := r.URL.Query().Get("slow") == "1"
 	traces := s.flight.Snapshot(slowOnly)
-	writeJSON(w, http.StatusOK, debugRequestsResponse{
+	wire.WriteJSON(w, http.StatusOK, debugRequestsResponse{
 		SLOMillis: float64(s.flight.SLO()) / float64(time.Millisecond),
 		SlowOnly:  slowOnly,
 		Count:     len(traces),

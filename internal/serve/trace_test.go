@@ -15,6 +15,7 @@ import (
 
 	"shmt"
 	"shmt/internal/telemetry"
+	"shmt/internal/wire"
 )
 
 // tracedSession builds a real session with telemetry enabled plus a traced
@@ -59,7 +60,7 @@ func TestHTTPTraceRoundTrip(t *testing.T) {
 	if got := resp.Header.Get(TraceHeader); got != inbound {
 		t.Fatalf("trace header = %q, want round-tripped %q", got, inbound)
 	}
-	var body executeResponse
+	var body wire.Response
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,10 @@ func TestHTTPTraceRoundTrip(t *testing.T) {
 	}
 	if body.Trace.Stages.Execute <= 0 {
 		t.Fatalf("request that executed reports no execute stage: %+v", body.Trace.Stages)
+	}
+	// Decode is timed; encode cannot be inside the body it times.
+	if body.Trace.Stages.Decode <= 0 || body.Trace.Stages.Encode != 0 {
+		t.Fatalf("decode %g / encode %g in the response's trace block", body.Trace.Stages.Decode, body.Trace.Stages.Encode)
 	}
 
 	// The flight recorder has it, newest first, with the same breakdown shape.
@@ -110,6 +115,9 @@ func TestHTTPTraceRoundTrip(t *testing.T) {
 	}
 	if s := found.Stages.Sum(); s <= 0 || s > found.TotalSeconds {
 		t.Fatalf("retained stage sum %g vs total %g", s, found.TotalSeconds)
+	}
+	if found.Stages.Decode <= 0 || found.Stages.Encode <= 0 {
+		t.Fatalf("retained trace lacks decode/encode: %+v", found.Stages)
 	}
 }
 
@@ -164,7 +172,7 @@ func TestTracingDisabledOmitsEverything(t *testing.T) {
 	if got := resp.Header.Get(TraceHeader); got != "" {
 		t.Fatalf("tracing disabled but trace header %q present", got)
 	}
-	var body executeResponse
+	var body wire.Response
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +467,7 @@ func TestRequestLogLine(t *testing.T) {
 	if line == nil {
 		t.Fatalf("no request log line in:\n%s", buf.String())
 	}
-	for _, k := range []string{"trace_id", "op", "outcome", "batch_size", "total_ms", "queue_wait_ms", "execute_ms"} {
+	for _, k := range []string{"trace_id", "op", "outcome", "batch_size", "total_ms", "decode_ms", "queue_wait_ms", "execute_ms", "encode_ms"} {
 		if _, ok := line[k]; !ok {
 			t.Fatalf("request line missing %q: %v", k, line)
 		}

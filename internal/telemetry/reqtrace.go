@@ -22,9 +22,12 @@ import (
 // StageBreakdown attributes one request's wall-clock latency to the serving
 // pipeline's stages. All values are seconds; a stage the request never
 // entered is zero. The stages are disjoint and consecutive, so their sum
-// approximates the request's total latency (the remainder is handler
-// overhead: JSON decode/encode and goroutine wakeup).
+// approximates the request's total latency (the remainder is goroutine
+// wakeup and the HTTP stack).
 type StageBreakdown struct {
+	// Decode is admission: reading the request body off the socket, decoding
+	// it and validating the VOP.
+	Decode float64 `json:"decode_seconds"`
 	// QueueWait is time spent in the admission queue before the dispatcher
 	// picked the request up.
 	QueueWait float64 `json:"queue_wait_seconds"`
@@ -40,11 +43,15 @@ type StageBreakdown struct {
 	Execute float64 `json:"execute_seconds"`
 	// Aggregate is the round's result-aggregation time.
 	Aggregate float64 `json:"aggregate_seconds"`
+	// Encode is encoding the response and writing it to the socket. It ends
+	// after the body that carries the breakdown is complete, so a response's
+	// trace block never has it; the flight recorder and the log line do.
+	Encode float64 `json:"encode_seconds,omitempty"`
 }
 
 // Sum returns the total attributed seconds across all stages.
 func (s StageBreakdown) Sum() float64 {
-	return s.QueueWait + s.BatchLinger + s.Plan + s.Transfer + s.Execute + s.Aggregate
+	return s.Decode + s.QueueWait + s.BatchLinger + s.Plan + s.Transfer + s.Execute + s.Aggregate + s.Encode
 }
 
 // RequestTrace is one request's end-to-end record.

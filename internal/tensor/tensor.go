@@ -44,9 +44,22 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data as a rows×cols matrix without copying.
-// len(data) must equal rows*cols.
+// Elements returns rows×cols, refusing negative dimensions and a product that
+// overflows int.
+func Elements(rows, cols int) (int, error) {
+	if rows < 0 || cols < 0 || (cols != 0 && rows > math.MaxInt/cols) {
+		return 0, fmt.Errorf("tensor: invalid dimensions %dx%d", rows, cols)
+	}
+	return rows * cols, nil
+}
+
+// FromSlice wraps data as a rows×cols matrix without copying. The dimensions
+// must be valid (two negative ones, or a product that wraps around, could
+// otherwise match len(data)) and len(data) must equal rows*cols.
 func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
+	if _, err := Elements(rows, cols); err != nil {
+		return nil, err
+	}
 	if rows*cols != len(data) {
 		return nil, fmt.Errorf("tensor: %dx%d needs %d elements, got %d", rows, cols, rows*cols, len(data))
 	}

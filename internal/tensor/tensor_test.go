@@ -39,6 +39,20 @@ func TestFromSlice(t *testing.T) {
 	if _, err := FromSlice(2, 3, []float64{1}); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
+	// Dimensions whose product happens to match len(data): two negatives, and
+	// a product that wraps around to it.
+	if m, err := FromSlice(-2, -2, []float64{1, 2, 3, 4}); err == nil {
+		t.Fatalf("accepted negative dimensions as %dx%d", m.Rows, m.Cols)
+	}
+	if m, err := FromSlice(math.MinInt, 2, nil); err == nil {
+		t.Fatalf("accepted negative dimensions as %dx%d", m.Rows, m.Cols)
+	}
+	if m, err := FromSlice(1<<62, 4, nil); err == nil {
+		t.Fatalf("accepted overflowing dimensions as %dx%d", m.Rows, m.Cols)
+	}
+	if _, err := FromSlice(0, 5, nil); err != nil {
+		t.Fatalf("0x5 of nothing: %v", err)
+	}
 }
 
 func TestAtSet(t *testing.T) {

@@ -1,0 +1,62 @@
+package wire
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// benchBody is a two-input side×side request as encoding/json writes it:
+// full-precision values, the shape serve_wire sends.
+func benchBody(tb testing.TB, side int) []byte {
+	rng := rand.New(rand.NewSource(1))
+	req := Request{Op: "add"}
+	for k := 0; k < 2; k++ {
+		m := Matrix{Rows: side, Cols: side, Data: make([]float64, side*side)}
+		for i := range m.Data {
+			m.Data[i] = math.Sin(rng.Float64() * 100)
+		}
+		req.Inputs = append(req.Inputs, m)
+	}
+	body, err := EncodeRequest(&req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkDecodeRequest compares the three ways a tier can read a 2×256²
+// request: encoding/json (what both tiers did), DecodeRequest (the backend
+// now) and PeekRequest (the router now).
+func BenchmarkDecodeRequest(b *testing.B) {
+	body := benchBody(b, 256)
+	b.Run("encoding_json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var req legacyRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeRequest(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("peek", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := PeekRequest(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

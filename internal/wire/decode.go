@@ -1,0 +1,577 @@
+package wire
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strconv"
+	"unicode/utf8"
+
+	"shmt/internal/tensor"
+)
+
+// The decoder's contract, pinned by the differential fuzz targets: for every
+// body in which no object names a schema field twice, DecodeRequest accepts
+// exactly what json.Unmarshal into Request accepts and yields the same values
+// — unknown keys skipped, keys matched case-insensitively, null leaving a
+// field zero, string escapes honoured, 2.0 and 1e2 refused for the integer
+// fields, 1e999 refused everywhere — provided every input's rows×cols is
+// non-negative and equals its element count (what tensor.FromSlice would
+// refuse one step later is refused here, before anything is allocated for
+// it). It is narrower than the handlers it replaces in two documented ways:
+// a schema field named twice in one object is an error (json.Unmarshal keeps
+// the last), and so is any byte but whitespace after the closing brace (the
+// backend's json.Decoder used to let it through).
+
+// ErrDuplicateKey is wrapped by the error for a schema field named twice.
+var ErrDuplicateKey = errors.New("duplicate key")
+
+// maxDepth is encoding/json's nesting limit, kept so that the two accept the
+// same bodies (and so that skipping an unknown key's value cannot recurse
+// without bound).
+const maxDepth = 10000
+
+var (
+	requestFields  = []string{"op", "inputs", "attrs", "timeout_ms"}
+	matrixFields   = []string{"rows", "cols", "data"}
+	responseFields = []string{"output", "hlops", "makespan_seconds", "batch_size"}
+)
+
+// DecodeRequest decodes a /v1/execute request body. Nothing in the result
+// aliases body.
+func DecodeRequest(body []byte) (*Request, error) {
+	return decodeRequest(body, false)
+}
+
+// PeekRequest validates body exactly as DecodeRequest does, except that it
+// converts no number of any data array — so it cannot see a literal that is
+// out of float64's range — and returns the request with every Data nil: the
+// opcode, the input count and shapes, attrs and timeout_ms, which is what
+// placing a request takes.
+func PeekRequest(body []byte) (*Request, error) {
+	return decodeRequest(body, true)
+}
+
+func decodeRequest(body []byte, peek bool) (*Request, error) {
+	s := scanner{b: body, peek: peek}
+	req := new(Request)
+	err := s.document(requestFields, func(field string) (err error) {
+		switch field {
+		case "op":
+			req.Op, err = s.stringValue()
+		case "inputs":
+			req.Inputs, err = s.matrices()
+		case "attrs":
+			req.Attrs, err = s.attrs()
+		case "timeout_ms":
+			req.TimeoutMs, err = s.intValue()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// DecodeResponse decodes the output matrix and the accounting fields of a
+// /v1/execute reply; the degraded and trace annexes are validated and
+// skipped, as a partition reply's always were.
+func DecodeResponse(body []byte) (*Response, error) {
+	s := scanner{b: body}
+	resp := new(Response)
+	err := s.document(responseFields, func(field string) (err error) {
+		switch field {
+		case "output":
+			err = s.matrix(&resp.Output)
+		case "hlops":
+			resp.HLOPs, err = s.intValue()
+		case "makespan_seconds":
+			resp.MakespanSeconds, err = s.floatValue()
+		case "batch_size":
+			resp.BatchSize, err = s.intValue()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// scanner walks one JSON document. Every method leaves i on the first byte it
+// did not consume.
+type scanner struct {
+	b     []byte
+	i     int
+	depth int
+	peek  bool // validate data arrays without converting them
+}
+
+func (s *scanner) errf(format string, args ...any) error {
+	return fmt.Errorf("wire: offset %d: "+format, append([]any{s.i}, args...)...)
+}
+
+func (s *scanner) ws() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\r', '\n':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c if it is the next byte.
+func (s *scanner) eat(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// literal consumes word if the input continues with it.
+func (s *scanner) literal(word string) bool {
+	if len(s.b)-s.i >= len(word) && string(s.b[s.i:s.i+len(word)]) == word {
+		s.i += len(word)
+		return true
+	}
+	return false
+}
+
+// open consumes c, which starts an object or an array.
+func (s *scanner) open(c byte, what string) error {
+	if !s.eat(c) {
+		return s.errf("%s: expected %q", what, c)
+	}
+	if s.depth++; s.depth > maxDepth {
+		return s.errf("exceeded max depth")
+	}
+	return nil
+}
+
+// more is called after an element of a container closed by end: it reports
+// whether another element follows.
+func (s *scanner) more(end byte) (bool, error) {
+	s.ws()
+	if s.eat(',') {
+		s.ws()
+		return true, nil
+	}
+	if s.eat(end) {
+		s.depth--
+		return false, nil
+	}
+	return false, s.errf("expected ',' or %q", end)
+}
+
+// document parses the whole body as one object of the given fields (or
+// null), with nothing but whitespace around it.
+func (s *scanner) document(fields []string, value func(field string) error) error {
+	s.ws()
+	if !s.literal("null") {
+		if err := s.object(fields, value); err != nil {
+			return err
+		}
+	}
+	if s.ws(); s.i < len(s.b) {
+		return s.errf("unexpected %q after the top-level value", s.b[s.i])
+	}
+	return nil
+}
+
+// object parses an object, calling value(field) with the scanner on the value
+// of each key that names one of fields and skipping the values of all other
+// keys.
+func (s *scanner) object(fields []string, value func(field string) error) error {
+	var seen uint
+	return s.objectOf(func(key string) error {
+		f := fieldIndex(key, fields)
+		if f < 0 {
+			return s.skipValue()
+		}
+		if seen&(1<<f) != 0 {
+			return s.errf("%w %q", ErrDuplicateKey, fields[f])
+		}
+		seen |= 1 << f
+		return value(fields[f])
+	})
+}
+
+// objectOf parses an object of arbitrary keys, calling value(key) with the
+// scanner on each key's value.
+func (s *scanner) objectOf(value func(key string) error) error {
+	if err := s.open('{', "object"); err != nil {
+		return err
+	}
+	if s.ws(); s.eat('}') {
+		s.depth--
+		return nil
+	}
+	for {
+		key, err := s.str()
+		if err != nil {
+			return err
+		}
+		if s.ws(); !s.eat(':') {
+			return s.errf("expected ':' after key %q", key)
+		}
+		s.ws()
+		if err := value(key); err != nil {
+			return err
+		}
+		if more, err := s.more('}'); !more {
+			return err
+		}
+	}
+}
+
+// fieldIndex matches key against the field names as encoding/json does: an
+// exact match, else a match under simple case folding, where the Kelvin sign
+// folds to k and the long s to s.
+func fieldIndex(key string, fields []string) int {
+	for f, name := range fields {
+		if key == name {
+			return f
+		}
+	}
+	for f, name := range fields {
+		if foldEqual(key, name) {
+			return f
+		}
+	}
+	return -1
+}
+
+// foldEqual reports whether key folds to name, which is lower-case ASCII.
+func foldEqual(key, name string) bool {
+	n := 0
+	for _, r := range key {
+		switch {
+		case 'A' <= r && r <= 'Z':
+			r += 'a' - 'A'
+		case r == '\u212a': // Kelvin sign
+			r = 'k'
+		case r == '\u017f': // long s
+			r = 's'
+		}
+		if n >= len(name) || rune(name[n]) != r {
+			return false
+		}
+		n++
+	}
+	return n == len(name)
+}
+
+// stringValue parses a string field: a string, or null as "".
+func (s *scanner) stringValue() (string, error) {
+	if s.literal("null") {
+		return "", nil
+	}
+	return s.str()
+}
+
+// str parses a string.
+func (s *scanner) str() (string, error) {
+	start := s.i
+	plain, err := s.skipString()
+	if err != nil {
+		return "", err
+	}
+	if plain {
+		return string(s.b[start+1 : s.i-1]), nil
+	}
+	// Escapes and non-ASCII bytes are rare enough in an opcode or a key to
+	// leave to encoding/json, which also replaces invalid UTF-8 as it always
+	// did.
+	var out string
+	if err := json.Unmarshal(s.b[start:s.i], &out); err != nil {
+		return "", err
+	}
+	return out, nil
+}
+
+// skipString validates and consumes a string; plain reports that it holds
+// neither an escape nor a non-ASCII byte.
+func (s *scanner) skipString() (plain bool, err error) {
+	if !s.eat('"') {
+		return false, s.errf("expected a string")
+	}
+	plain = true
+	for s.i < len(s.b) {
+		c := s.b[s.i]
+		s.i++
+		switch {
+		case c == '"':
+			return plain, nil
+		case c < 0x20:
+			s.i--
+			return false, s.errf("control character in string")
+		case c >= utf8.RuneSelf:
+			plain = false
+		case c == '\\':
+			plain = false
+			if s.i >= len(s.b) {
+				return false, s.errf("unterminated string")
+			}
+			esc := s.b[s.i]
+			s.i++
+			switch esc {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				for k := 0; k < 4; k++ {
+					if s.i >= len(s.b) || !isHex(s.b[s.i]) {
+						return false, s.errf("bad \\u escape")
+					}
+					s.i++
+				}
+			default:
+				s.i--
+				return false, s.errf("bad escape %q", esc)
+			}
+		}
+	}
+	return false, s.errf("unterminated string")
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// skipNumber validates and consumes one token of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
+func (s *scanner) skipNumber() ([]byte, error) {
+	b, i := s.b, s.i
+	start := i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		for i++; i < len(b) && isDigit(b[i]); i++ {
+		}
+	default:
+		s.i = i
+		return nil, s.errf("expected a number")
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if i >= len(b) || !isDigit(b[i]) {
+			s.i = i
+			return nil, s.errf("expected a digit after the decimal point")
+		}
+		for i++; i < len(b) && isDigit(b[i]); i++ {
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i >= len(b) || !isDigit(b[i]) {
+			s.i = i
+			return nil, s.errf("expected a digit in the exponent")
+		}
+		for i++; i < len(b) && isDigit(b[i]); i++ {
+		}
+	}
+	s.i = i
+	return b[start:i], nil
+}
+
+// skipValue validates and consumes one JSON value of any shape.
+func (s *scanner) skipValue() error {
+	if s.i >= len(s.b) {
+		return s.errf("unexpected end of input")
+	}
+	switch c := s.b[s.i]; c {
+	case '{':
+		return s.object(nil, nil)
+	case '[':
+		return s.array(s.skipValue)
+	case '"':
+		_, err := s.skipString()
+		return err
+	case 't', 'f', 'n':
+		if s.literal("true") || s.literal("false") || s.literal("null") {
+			return nil
+		}
+		return s.errf("invalid literal")
+	default:
+		_, err := s.skipNumber()
+		return err
+	}
+}
+
+// array parses an array, calling element with the scanner on each element.
+func (s *scanner) array(element func() error) error {
+	if err := s.open('[', "array"); err != nil {
+		return err
+	}
+	if s.ws(); s.eat(']') {
+		s.depth--
+		return nil
+	}
+	for {
+		if err := element(); err != nil {
+			return err
+		}
+		if more, err := s.more(']'); !more {
+			return err
+		}
+	}
+}
+
+// intValue parses an integer field: a number token that strconv reads as an
+// int (so 2.0 and 1e2 are refused, as encoding/json refuses them), or null.
+func (s *scanner) intValue() (int, error) {
+	if s.literal("null") {
+		return 0, nil
+	}
+	tok, err := s.skipNumber()
+	if err != nil {
+		return 0, err
+	}
+	n, err := strconv.Atoi(string(tok))
+	if err != nil {
+		return 0, s.errf("%q is not an integer", tok)
+	}
+	return n, nil
+}
+
+// floatValue parses a number with strconv.ParseFloat — the conversion
+// encoding/json uses, so values are bit-identical to what it produced — or
+// null as 0.
+func (s *scanner) floatValue() (float64, error) {
+	if s.literal("null") {
+		return 0, nil
+	}
+	tok, err := s.skipNumber()
+	if err != nil {
+		return 0, err
+	}
+	x, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, s.errf("%q: %w", tok, strconv.ErrRange)
+	}
+	return x, nil
+}
+
+// skipFloat validates one element of a data array without converting it.
+func (s *scanner) skipFloat() error {
+	if s.literal("null") {
+		return nil
+	}
+	_, err := s.skipNumber()
+	return err
+}
+
+// attrs parses the attrs object (or null): string keys, number values.
+func (s *scanner) attrs() (map[string]float64, error) {
+	if s.literal("null") {
+		return nil, nil
+	}
+	m := map[string]float64{}
+	return m, s.objectOf(func(key string) error {
+		if _, dup := m[key]; dup {
+			return s.errf("%w %q", ErrDuplicateKey, key)
+		}
+		x, err := s.floatValue()
+		m[key] = x
+		return err
+	})
+}
+
+// matrices parses the inputs array (or null).
+func (s *scanner) matrices() ([]Matrix, error) {
+	if s.literal("null") {
+		return nil, nil
+	}
+	ms := []Matrix{}
+	return ms, s.array(func() error {
+		ms = append(ms, Matrix{})
+		return s.matrix(&ms[len(ms)-1])
+	})
+}
+
+// matrix parses one matrix object (or null, the zero matrix) and checks its
+// shape: rows and cols non-negative, rows×cols equal to the element count.
+// Data is allocated once, at rows×cols, and only when that many elements can
+// fit in the bytes that remain.
+func (s *scanner) matrix(m *Matrix) error {
+	if s.literal("null") {
+		return nil
+	}
+	n := 0        // elements of data
+	dataAt := -1  // offset of a data array that came before rows and cols
+	haveDims := 0 // rows and cols seen so far
+	err := s.object(matrixFields, func(field string) (err error) {
+		switch field {
+		case "rows":
+			m.Rows, err = s.intValue()
+			haveDims++
+		case "cols":
+			m.Cols, err = s.intValue()
+			haveDims++
+		case "data":
+			if s.literal("null") {
+				return nil
+			}
+			if haveDims == 2 && !s.peek {
+				if n, err = tensor.Elements(m.Rows, m.Cols); err != nil {
+					return s.errf("%v", err)
+				}
+				m.Data, err = s.floats(n)
+				return err
+			}
+			dataAt = s.i
+			err = s.array(func() error { n++; return s.skipFloat() })
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if want, err := tensor.Elements(m.Rows, m.Cols); err != nil || want != n {
+		if err == nil {
+			err = fmt.Errorf("%dx%d needs %d elements, got %d", m.Rows, m.Cols, want, n)
+		}
+		return s.errf("%v", err)
+	}
+	if dataAt >= 0 && !s.peek {
+		end := s.i
+		s.i = dataAt
+		m.Data, err = s.floats(n)
+		s.i = end
+	}
+	return err
+}
+
+// floats parses a data array that must hold exactly n numbers into a slice
+// allocated once. n elements take at least 2n+1 bytes ("[0,0]"), so a
+// declared shape the rest of the body cannot hold is refused before the
+// allocation.
+func (s *scanner) floats(n int) ([]float64, error) {
+	if n > (len(s.b)-s.i)/2 {
+		return nil, s.errf("%d elements declared, %d bytes left", n, len(s.b)-s.i)
+	}
+	data := make([]float64, 0, n)
+	err := s.array(func() error {
+		if len(data) == n {
+			return s.errf("more than the %d elements rows and cols declare", n)
+		}
+		x, err := s.floatValue()
+		data = append(data, x)
+		return err
+	})
+	if err == nil && len(data) != n {
+		err = s.errf("%d elements declared, got %d", n, len(data))
+	}
+	return data, err
+}

@@ -1,0 +1,140 @@
+// Package wire is the single definition of the POST /v1/execute schema —
+// request, response, matrix, error — shared by the backend tier
+// (internal/serve) and the router tier (internal/cluster).
+//
+//	POST /v1/execute
+//	{"op":"add","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]},
+//	                      {"rows":2,"cols":2,"data":[5,6,7,8]}],
+//	 "attrs":{},"timeout_ms":1000}
+//
+// A request is one VOP: opcode by name, dense row-major inputs, optional
+// scalar attrs and deadline. A response carries the output matrix plus the
+// round's accounting.
+//
+// Decoding is a hand-written strict-JSON scanner for exactly this schema
+// (decode.go): tensors are the whole cost of the serving path, and a scanner
+// that knows where the number arrays are converts them straight into a slice
+// allocated once at rows×cols, or — PeekRequest — validates them without
+// converting anything, which is all a router needs to place a request.
+// Encoding stays on encoding/json: shortest-float formatting in strconv is
+// its cost, and a hand-written encoder pays the same.
+// http.go holds what both tiers do around the codec: the body limit, the
+// recycled buffers, the status of a refusal, the JSON replies.
+package wire
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"time"
+
+	"shmt/internal/core"
+	"shmt/internal/telemetry"
+	"shmt/internal/tensor"
+	"shmt/internal/vop"
+)
+
+// MaxBodyBytes caps a /v1/execute body on both tiers (413 beyond it). It sits
+// above the two 2²¹-element JSON inputs the router's default scatter
+// threshold implies, so every request the cluster is sized for fits.
+const MaxBodyBytes = 256 << 20
+
+// Matrix is a dense row-major tensor on the wire.
+type Matrix struct {
+	Rows int       `json:"rows"`
+	Cols int       `json:"cols"`
+	Data []float64 `json:"data"`
+}
+
+// Request is the /v1/execute request body.
+type Request struct {
+	Op        string             `json:"op"`
+	Inputs    []Matrix           `json:"inputs"`
+	Attrs     map[string]float64 `json:"attrs,omitempty"`
+	TimeoutMs int                `json:"timeout_ms,omitempty"`
+}
+
+// Response is the /v1/execute response body. Clients may rely on the key
+// order: trace, when present, is the last key.
+type Response struct {
+	Output          Matrix         `json:"output"`
+	HLOPs           int            `json:"hlops"`
+	MakespanSeconds float64        `json:"makespan_seconds"`
+	BatchSize       int            `json:"batch_size"`
+	Degraded        *core.Degraded `json:"degraded,omitempty"`
+	// Trace carries the request's ID and stage breakdown when the backend
+	// traces requests; absent otherwise.
+	Trace *Trace `json:"trace,omitempty"`
+}
+
+// Trace is the response's optional tracing annex.
+type Trace struct {
+	TraceID      string                   `json:"trace_id"`
+	Tenant       string                   `json:"tenant,omitempty"`
+	TotalSeconds float64                  `json:"total_seconds"`
+	Stages       telemetry.StageBreakdown `json:"stages"`
+	// DeadlinePressure is the QAWS criticality boost the request's deadline
+	// earned (0 when the backend's critical deadline is off or the deadline
+	// is loose); CriticalHLOPs/DeviceHLOPs show where its partitions actually
+	// ran, so a tight-deadline request can verify it kept accurate devices.
+	DeadlinePressure float64        `json:"deadline_pressure,omitempty"`
+	CriticalHLOPs    int            `json:"critical_hlops"`
+	DeviceHLOPs      map[string]int `json:"device_hlops,omitempty"`
+}
+
+// Error is the body of every non-2xx reply.
+type Error struct {
+	Error string `json:"error"`
+}
+
+// FromTensor wraps m for the wire, copying only when m is a strided view.
+func FromTensor(m *tensor.Matrix) Matrix {
+	if !m.IsContiguous() {
+		m = m.Clone()
+	}
+	return Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data[:m.Len()]}
+}
+
+// Opcode resolves the request's opcode and refuses a request with no inputs;
+// it is all the validation a peeked request supports.
+func (r *Request) Opcode() (vop.Opcode, error) {
+	op, ok := vop.Parse(r.Op)
+	if !ok {
+		return 0, fmt.Errorf("unknown op %q", r.Op)
+	}
+	if len(r.Inputs) == 0 {
+		return 0, errors.New("no inputs")
+	}
+	return op, nil
+}
+
+// VOP builds the request's VOP, checking arity and shapes with the engine's
+// own vop.Validate — so a request the engine would refuse is refused at
+// admission, alone, instead of failing the batch round it was coalesced into.
+func (r *Request) VOP() (*vop.VOP, error) {
+	op, err := r.Opcode()
+	if err != nil {
+		return nil, err
+	}
+	inputs := make([]*tensor.Matrix, len(r.Inputs))
+	for i, m := range r.Inputs {
+		if inputs[i], err = tensor.FromSlice(m.Rows, m.Cols, m.Data); err != nil {
+			return nil, fmt.Errorf("input %d: %w", i, err)
+		}
+	}
+	v := &vop.VOP{Op: op, Inputs: inputs, Attrs: r.Attrs}
+	return v, v.Validate()
+}
+
+// EncodeRequest is the body DecodeRequest reads back: what the router sends a
+// backend for one partition of a scattered VOP.
+func EncodeRequest(r *Request) ([]byte, error) { return json.Marshal(r) }
+
+// Timeout turns a request's timeout_ms into its deadline: the tier's maximum
+// wait when the client sent none, a negative one, or one beyond that maximum.
+func Timeout(ms int, max time.Duration) time.Duration {
+	if ms <= 0 || int64(ms) > int64(max/time.Millisecond) {
+		return max
+	}
+	return time.Duration(ms) * time.Millisecond
+}
