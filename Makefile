@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke experiments examples fmt fmt-check vet clean
+.PHONY: all check build test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet clean
 
 all: check
 
@@ -117,6 +117,15 @@ clustersmoke:
 # regressions beyond the tolerance; CI runs it as a non-blocking job.
 benchdiff:
 	$(GO) run ./cmd/benchdiff
+
+# figures-check is the paper-fidelity gate: it regenerates the committed
+# results_all.txt (-exp all) and results_fig9_abl.txt (-exp
+# fig9,ablation,stability) into a temp dir and requires a byte-identical
+# result, with the prefetch ablation's measured "wall ms" column masked. A
+# blocking CI job, but not part of `make check`: about five minutes on two
+# CPUs is too slow for the pre-merge loop.
+figures-check:
+	GO="$(GO)" sh scripts/figurescheck.sh
 
 # Regenerate every table and figure of the paper's evaluation (plus the
 # ablations and the seed-stability study). Takes several minutes.

@@ -2,6 +2,7 @@ package shmt_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"shmt"
@@ -103,5 +104,89 @@ func TestExecuteBatchQAWS(t *testing.T) {
 	}
 	if math.IsNaN(res.Makespan) || res.Makespan <= 0 {
 		t.Fatal("QAWS batch degenerate")
+	}
+}
+
+// TestExecuteIsExecuteBatchOfOne pins the engine's single pipeline from the
+// public surface: Execute and a one-request ExecuteBatch are the same run, so
+// they agree bit for bit on the output and exactly on every accounting field.
+// Double buffering follows the policy at this surface — gpu-baseline and
+// even-distribution run without it, work-stealing and QAWS-TS with it. Each
+// side gets a fresh session so neither replays the other's cached plan.
+func TestExecuteIsExecuteBatchOfOne(t *testing.T) {
+	a := workload.Mixed(256, 256, workload.Profile{TileSize: 32}, 90)
+	b := workload.Uniform(256, 256, 0.1, 1, 91)
+	ops := []struct {
+		op     shmt.Op
+		inputs []*shmt.Matrix
+	}{
+		{shmt.OpSobel, []*shmt.Matrix{a}},
+		{shmt.OpGEMM, []*shmt.Matrix{a, b}},
+		{shmt.OpAdd, []*shmt.Matrix{a, b}},
+		{shmt.OpFFT, []*shmt.Matrix{a}},
+		{shmt.OpReduceHist256, []*shmt.Matrix{b}},
+		{shmt.OpReduceSum, []*shmt.Matrix{b}},
+	}
+	policies := []shmt.PolicyName{shmt.PolicyGPUBaseline, shmt.PolicyEven,
+		shmt.PolicyWorkStealing, shmt.PolicyQAWSTS}
+	for _, pol := range policies {
+		for _, o := range ops {
+			cfg := shmt.Config{Policy: pol, TargetPartitions: 16}
+			rep, err := newSession(t, cfg).Execute(o.op, o.inputs, nil)
+			if err != nil {
+				t.Fatalf("%s/%v Execute: %v", pol, o.op, err)
+			}
+			res, err := newSession(t, cfg).ExecuteBatch([]shmt.BatchRequest{{Op: o.op, Inputs: o.inputs}})
+			if err != nil {
+				t.Fatalf("%s/%v ExecuteBatch: %v", pol, o.op, err)
+			}
+			one := res.Reports[0]
+			for i, x := range rep.Output.Data {
+				if math.Float64bits(x) != math.Float64bits(one.Output.Data[i]) {
+					t.Fatalf("%s/%v: output[%d] differs: %g vs %g", pol, o.op, i, x, one.Output.Data[i])
+				}
+			}
+			if rep.Makespan != one.Makespan || rep.Makespan != res.Makespan {
+				t.Fatalf("%s/%v: Makespan Execute %.17g, batch report %.17g, batch %.17g",
+					pol, o.op, rep.Makespan, one.Makespan, res.Makespan)
+			}
+			if !reflect.DeepEqual(rep.Busy, res.Busy) || rep.Comm != res.Comm || rep.Energy != res.Energy {
+				t.Fatalf("%s/%v: Busy/Comm/Energy differ:\n%v %+v %+v\n%v %+v %+v",
+					pol, o.op, rep.Busy, rep.Comm, rep.Energy, res.Busy, res.Comm, res.Energy)
+			}
+			if rep.HLOPs != one.HLOPs || rep.CriticalHLOPs != one.CriticalHLOPs ||
+				!reflect.DeepEqual(rep.DeviceHLOPs, one.DeviceHLOPs) {
+				t.Fatalf("%s/%v: HLOPs %d/%d critical %d/%d devices %v/%v", pol, o.op,
+					rep.HLOPs, one.HLOPs, rep.CriticalHLOPs, one.CriticalHLOPs, rep.DeviceHLOPs, one.DeviceHLOPs)
+			}
+		}
+	}
+}
+
+// TestExecuteBatchHonoursRecordTrace: the batch entry point publishes the
+// per-HLOP trace exactly as Execute does — one event per executed HLOP when
+// RecordTrace is set, no trace at all otherwise.
+func TestExecuteBatchHonoursRecordTrace(t *testing.T) {
+	s := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8, RecordTrace: true})
+	res, err := s.ExecuteBatch(batchRequests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlops := 0
+	for _, rep := range res.Reports {
+		hlops += rep.HLOPs
+	}
+	if res.Trace == nil || res.Trace.Len() != hlops {
+		t.Fatalf("trace = %v, want %d events (one per executed HLOP)", res.Trace, hlops)
+	}
+	if res.PeakBytes < res.Trace.BaseBytes() || res.PeakBytes == 0 {
+		t.Fatalf("PeakBytes = %d with base buffers %d", res.PeakBytes, res.Trace.BaseBytes())
+	}
+	res, err = newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8}).ExecuteBatch(batchRequests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace != nil {
+		t.Fatal("trace recorded without opting in")
 	}
 }

@@ -18,9 +18,10 @@ import (
 // the same device queues.
 type BatchResult struct {
 	// Reports holds one report per submitted VOP, in submission order. Each
-	// report's Makespan is that VOP's own completion time; Busy, Comm,
-	// Energy and PeakBytes on the individual reports describe only that
-	// VOP's HLOPs.
+	// report carries that VOP's own Output, HLOPs, Makespan (its completion
+	// on the shared timeline) and execution profile; the accounting the VOPs
+	// share — Busy, Comm, Energy, PeakBytes, Trace, Degraded — is batch-wide
+	// and lives on the fields below.
 	Reports []*Report
 	// Makespan is the batch's end-to-end virtual latency.
 	Makespan float64
@@ -30,6 +31,10 @@ type BatchResult struct {
 	Energy energy.Breakdown
 	// Comm is the batch-wide data-movement accounting.
 	Comm interconnect.Tracker
+	// PeakBytes is the batch's peak host-memory footprint (Fig. 11).
+	PeakBytes int64
+	// Trace holds the batch's per-HLOP events when RecordTrace was set.
+	Trace *trace.Trace
 	// Degraded quantifies batch-wide fault handling (quarantines, reroutes,
 	// quality impact); nil when the batch saw no device failures.
 	Degraded *Degraded
@@ -61,7 +66,8 @@ type StageWall struct {
 // VOP's partitions aggregate into its own output. This is the
 // oversubscription §5.6 leans on — "the amount of HLOPs from each
 // application allows the SHMT runtime system to easily oversubscribe
-// available processing resources".
+// available processing resources". It is also the engine's one pipeline:
+// Run is RunBatch of one VOP.
 func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	if e.Reg == nil {
 		return nil, errors.New("core: engine has no device registry")
@@ -74,7 +80,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		pol = sched.WorkStealing{}
 	}
 	fx := e.newFaultState()
-	ctx := &sched.Context{Reg: e.Reg, Seed: e.Seed, HostScale: maxf(e.HostScale, 1),
+	ctx := &sched.Context{Reg: e.Reg, Seed: e.Seed, HostScale: max(e.HostScale, 1),
 		Quarantined: fx.quarantined}
 	rt := e.newRunTel(pol.Name())
 	var phaseT, planStart float64
@@ -85,19 +91,27 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	var sw StageWall
 
 	// Partition and assign per VOP (window semantics stay per VOP), then
-	// interleave into one pool with globally unique IDs.
+	// interleave into one pool with globally unique IDs. A lone VOP's
+	// partitioning is a phase of its own; a batch's partitioning and
+	// assignment interleave per VOP, so they are one scheduling phase.
+	planRT := rt
+	if len(vops) > 1 {
+		planRT = nil
+	}
 	perVOP := make([][]*hlop.HLOP, len(vops))
-	owner := map[*hlop.HLOP]int{}
+	parentIdx := make(map[*vop.VOP]int, len(vops))
 	var overhead float64
 	nextID := 0
 	for i, v := range vops {
-		// Plan (or replay a cached plan) per VOP; phase telemetry stays
-		// lumped into the batch-level schedule phase below, so no runTel is
-		// passed down.
-		hs, ovh, _, err := e.planVOP(ctx, pol, v, nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch vop %d: %w", i, err)
+		if _, dup := parentIdx[v]; dup {
+			return nil, fmt.Errorf("core: vop %d submitted twice in one batch", i)
 		}
+		parentIdx[v] = i
+		hs, ovh, t, err := e.planVOP(ctx, pol, v, planRT, phaseT)
+		if err != nil {
+			return nil, fmt.Errorf("core: vop %d: %w", i, err)
+		}
+		phaseT = t
 		overhead += ovh
 		if rt != nil {
 			rt.noteAssignments(hs)
@@ -105,28 +119,31 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		for _, h := range hs {
 			h.ID = nextID
 			nextID++
-			owner[h] = i
 		}
 		perVOP[i] = hs
 	}
-	pool := interleave(perVOP)
+	pool := perVOP[0]
+	if len(vops) > 1 {
+		pool = interleave(perVOP)
+	}
 	if rt != nil {
-		// Batch partitioning and assignment interleave per VOP; account them
-		// as one scheduling phase.
 		phaseT = rt.phase(telemetry.PhaseSchedule, phaseT)
 		sw.Plan = phaseT - planStart
 	}
 
+	// Pre-allocate each output and hand every halo-free partition a strided
+	// view into it. Shared-memory devices write results through the view, so
+	// aggregation has nothing left to scatter for them.
 	tr := trace.New()
 	outs := make([]*tensor.Matrix, len(vops))
 	for i, v := range vops {
-		e.accountFootprint(tr, v, perVOP[i])
+		e.accountFootprint(tr, v)
 		if !v.Op.IsReduction() {
 			rows, cols := v.OutputShape()
 			outs[i] = tensor.NewMatrix(rows, cols)
 			if v.HaloWidth() == 0 && !e.Spec.ForceCopy {
 				if err := bindOutputViews(outs[i], perVOP[i]); err != nil {
-					return nil, fmt.Errorf("core: batch vop %d: %w", i, err)
+					return nil, fmt.Errorf("core: vop %d: %w", i, err)
 				}
 			}
 		}
@@ -141,83 +158,67 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		sw.Transfer = xferEnd - phaseT
 	}
 
-	var res *runResult
+	r := e.newRound(ctx, pol, pool, overhead, tr, rt, fx)
 	var err error
 	if e.Concurrent {
-		res, err = e.runConcurrent(ctx, pol, pool, overhead, tr, rt, fx)
+		err = r.runConcurrent(pool)
 	} else {
-		res, err = e.runDeterministic(ctx, pol, pool, overhead, tr, rt, fx)
+		err = r.runDeterministic(pool)
 	}
+	r.pf.drain()
 	if err != nil {
 		return nil, err
 	}
+	busy, deviceMakespan := r.finish()
 	if rt != nil {
 		phaseT = rt.phase(telemetry.PhaseExecute, phaseT)
 		sw.Execute = phaseT - xferEnd
 	}
 
-	// Split completions by owning VOP. Splits inherit their parent pointer,
-	// so ownership resolves through Parent when the HLOP was re-created.
-	parentIdx := map[*vop.VOP]int{}
-	for i, v := range vops {
-		parentIdx[v] = i
-	}
+	// Aggregation timeline: the host drains completion queues while devices
+	// still run (§3.3.1), so on the one host timeline each copy starts at
+	// max(previous copy end, HLOP completion), and only the tail beyond
+	// device completion is exposed. Results that aliased the output through a
+	// view have no copy to charge. A VOP is complete at its last HLOP's
+	// finish or, if anything of it was copied, when its last copy ends.
+	// (Computed before aggregate, which releases the per-HLOP buffers the
+	// aliased-output check reads. Splits inherit their parent pointer, so
+	// ownership resolves through Parent.)
+	copyBw := interconnect.HostDRAM.BandwidthBps
 	doneBy := make([][]doneHLOP, len(vops))
-	for _, d := range res.done {
-		i, ok := owner[d.h]
-		if !ok {
-			i, ok = parentIdx[d.h.Parent]
-			if !ok {
-				return nil, fmt.Errorf("core: completed HLOP %d has no owning VOP", d.h.ID)
-			}
-		}
+	ends := make([]float64, len(vops))
+	aggT := overhead
+	for _, d := range r.done {
+		i := parentIdx[d.h.Parent]
 		doneBy[i] = append(doneBy[i], d)
+		aggT = max(aggT, d.h.Finish)
+		if d.h.Out == nil || d.h.Result != d.h.Out {
+			aggT += float64(d.h.OutputBytes(tensor.ElemSize)) / copyBw
+			ends[i] = aggT
+		} else {
+			ends[i] = max(ends[i], d.h.Finish)
+		}
 	}
 
-	batch := &BatchResult{Busy: res.busy, Comm: res.comm,
-		Degraded: fx.deg.finish(e.Reg, res.done)}
-	copyBw := interconnect.HostDRAM.BandwidthBps
-	aggT := overhead
-	var aggBusy float64
+	batch := &BatchResult{Busy: busy, Comm: r.comm, PeakBytes: tr.PeakBytes(),
+		Degraded: fx.deg.finish(e.Reg, r.done), Makespan: max(deviceMakespan, aggT),
+		Reports: make([]*Report, len(vops))}
+	if e.RecordTrace {
+		batch.Trace = tr
+	}
+	var aggBytes int64
 	for i, v := range vops {
-		// Timeline first: aggregate releases the per-HLOP buffers, and the
-		// aliased-output check needs Result/Out intact.
-		var finish float64
-		for _, d := range doneBy[i] {
-			if d.finish > finish {
-				finish = d.finish
-			}
-			if aggT < d.finish {
-				aggT = d.finish
-			}
-			if d.h.Out == nil || d.h.Result != d.h.Out {
-				aggT += float64(d.h.OutputBytes(tensor.ElemSize)) / copyBw
-			}
-		}
-		out, aggBytes, err := aggregate(v, doneBy[i], outs[i])
+		out, n, err := aggregate(v, doneBy[i], outs[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: batch vop %d: %w", i, err)
+			return nil, fmt.Errorf("core: vop %d: %w", i, err)
 		}
-		aggBusy += float64(aggBytes) / copyBw
-		rep := &Report{
-			Output:        out,
-			HLOPs:         len(doneBy[i]),
-			Makespan:      finish + float64(aggBytes)/copyBw,
-			SchedOverhead: overhead,
-		}
+		aggBytes += n
+		rep := &Report{Output: out, HLOPs: len(doneBy[i]), Makespan: ends[i], SchedOverhead: overhead}
 		rep.CriticalHLOPs, rep.DeviceHLOPs = e.execProfile(doneBy[i])
-		batch.Reports = append(batch.Reports, rep)
+		batch.Reports[i] = rep
 	}
-	batch.Makespan = res.deviceMakespan
-	if aggT > batch.Makespan {
-		batch.Makespan = aggT
-	}
-	for _, rep := range batch.Reports {
-		if rep.Makespan > batch.Makespan {
-			batch.Makespan = rep.Makespan
-		}
-	}
-	batch.Busy["cpu"] += overhead + aggBusy
+	// The host is busy for sampling and aggregation.
+	batch.Busy["cpu"] += overhead + float64(aggBytes)/copyBw
 	batch.Energy = energy.DefaultModel().Energy(energy.Usage{Makespan: batch.Makespan, Busy: batch.Busy})
 	if rt != nil {
 		aggEnd := rt.phase(telemetry.PhaseAggregate, phaseT)
@@ -243,11 +244,4 @@ func interleave(groups [][]*hlop.HLOP) []*hlop.HLOP {
 			return out
 		}
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,6 +9,7 @@ import (
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
 	"shmt/internal/sched"
+	"shmt/internal/telemetry"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
 )
@@ -109,6 +110,48 @@ func TestRunBatchConcurrent(t *testing.T) {
 	}
 	if len(res.Reports) != 3 {
 		t.Fatalf("reports = %d", len(res.Reports))
+	}
+}
+
+// TestRunBatchAggregationTimeline pins the one aggregation timeline: no VOP
+// outlives its batch, and a VOP whose every result aliased its output through
+// a view — nothing for the host to copy — is complete the instant its last
+// HLOP finishes, however long the host spends copying the other VOPs' data.
+func TestRunBatchAggregationTimeline(t *testing.T) {
+	// CPU + GPU share host memory, so halo-free partitions write in place.
+	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}))
+	rec := telemetry.NewRecorder()
+	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, DoubleBuffer: true, Telemetry: rec,
+		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}}
+	vops := batchVOPs(t) // Sobel (halo: copied), sqrt (aliased), reduce-sum (partials copied)
+	for i, v := range vops {
+		v.TraceID = string(rune('a' + i))
+	}
+	res, err := e.RunBatch(vops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each HLOP's finish is the end of its outbound transfer span, or of its
+	// compute span when nothing moved.
+	lastFinish := map[string]float64{}
+	for _, s := range rec.Spans() {
+		if s.Clock == telemetry.ClockVirtual {
+			lastFinish[s.TraceID] = max(lastFinish[s.TraceID], s.End)
+		}
+	}
+	for i, rep := range res.Reports {
+		if rep.Makespan > res.Makespan {
+			t.Fatalf("vop %d makespan %g outlives the batch (%g)", i, rep.Makespan, res.Makespan)
+		}
+		if rep.Makespan < lastFinish[vops[i].TraceID] {
+			t.Fatalf("vop %d makespan %g precedes its last HLOP finish %g", i, rep.Makespan, lastFinish[vops[i].TraceID])
+		}
+	}
+	if got, want := res.Reports[1].Makespan, lastFinish["b"]; got != want {
+		t.Fatalf("all-aliased vop makespan = %g, want its last HLOP finish %g", got, want)
+	}
+	if res.Reports[0].Makespan == lastFinish["a"] {
+		t.Fatal("a VOP with copied results must also wait for its last copy")
 	}
 }
 

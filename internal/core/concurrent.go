@@ -1,293 +1,110 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"shmt/internal/device"
 	"shmt/internal/hlop"
-	"shmt/internal/interconnect"
-	"shmt/internal/sched"
 	"shmt/internal/telemetry"
-	"shmt/internal/trace"
 )
 
-// runConcurrent is the goroutine engine: one worker per device drains its
+// runConcurrent is the goroutine pick loop: one worker per device drains its
 // TaskQueue — the paper's "thread monitoring the queue will work with the
 // target device's kernel module and execute the HLOP implementation whenever
 // the device is available" (§3.3.1). Idle workers steal from the most-loaded
 // permitted victim. Virtual time is still used for cost accounting (each
-// worker owns its device clock), but scheduling order is decided by real
-// concurrent execution, so this engine validates that the runtime's
-// invariants do not depend on the deterministic event ordering.
-func (e *Engine) runConcurrent(ctx *sched.Context, pol sched.Policy,
-	hs []*hlop.HLOP, overhead float64, tr *trace.Trace, rt *runTel, fx *faultState) (*runResult, error) {
-
-	n := e.Reg.Len()
-	queues := make([]*device.TaskQueue[*hlop.HLOP], n)
-	for i := 0; i < n; i++ {
-		queues[i] = device.NewTaskQueue[*hlop.HLOP]()
-	}
-	if rt != nil {
-		rt.instrumentQueues(queues)
+// worker owns its device's lane), but scheduling order is decided by real
+// concurrent execution, so this loop validates that the step's invariants do
+// not depend on the deterministic event ordering.
+func (r *round) runConcurrent(hs []*hlop.HLOP) error {
+	n := len(r.devs)
+	skips := make([]bool, n*n)
+	for i := range r.devs {
+		d := &r.devs[i]
+		d.tq = device.NewTaskQueue[*hlop.HLOP]()
+		if r.rt != nil {
+			d.tq.Instrument(r.rt.depth[i], r.rt.wait[i])
+		}
+		d.etc = device.NewExecTimeCacheSized(r.e.ExecTimeCacheEntries) // per worker: the cache is not concurrency-safe
+		d.skip = skips[i*n : (i+1)*n]
 	}
 	for _, h := range hs {
-		h.ReadyAt = overhead
-		queues[h.AssignedQueue].Push(h)
-	}
-	pf := e.newPrefetcher(hs)
-	defer pf.drain()
-
-	var outstanding atomic.Int64
-	outstanding.Store(int64(len(hs)))
-	var nextID atomic.Int64
-	nextID.Store(int64(len(hs)))
-
-	var mu sync.Mutex // guards retries, firstErr (the trace locks internally)
-	retries := map[*hlop.HLOP]int{}
-	var firstErr error
-
-	// aborted makes failure terminal for every worker. Draining the queues
-	// alone is not enough: a worker holding a popped-but-unfinished HLOP
-	// keeps outstanding above zero after the queues empty, and the surviving
-	// workers would spin on outstanding.Load() forever.
-	var aborted atomic.Bool
-
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		aborted.Store(true)
+		r.devs[h.AssignedQueue].push(h)
 	}
 
-	type workerState struct {
-		lane interconnect.Lane
-		busy float64
-		ran  bool
-		comm struct {
-			bytes         int64
-			xfer, exposed float64
-		}
-	}
-	states := make([]*workerState, n)
+	// failed holds the first terminal error and makes it terminal for every
+	// worker. Draining the queues alone is not enough: a worker holding a
+	// popped-but-unfinished HLOP keeps outstanding above zero after the
+	// queues empty, and the surviving workers would spin on it forever.
+	var failed atomic.Pointer[error]
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		st := &workerState{}
-		st.lane.Reset(overhead)
-		states[i] = st
+	for i := range r.devs {
 		wg.Add(1)
-		go func(qi int, st *workerState) {
+		go func(d *devState) {
 			defer wg.Done()
-			dev := e.Reg.Get(qi)
-			br := fx.brs[qi]
-			etc := device.NewExecTimeCacheSized(e.ExecTimeCacheEntries) // per-worker: the cache is not concurrency-safe
-			for outstanding.Load() > 0 && !aborted.Load() {
-				// A quarantined worker serves only its own queue: whatever the
-				// open-time redistribution could not place stays behind as
-				// probe fodder, so no HLOP is ever stranded.
-				var h *hlop.HLOP
-				victim := -1
-				if br.quarantined() {
-					h, _ = queues[qi].Pop()
-				} else {
-					h, victim = e.obtainConcurrent(ctx, pol, queues, qi)
-				}
+			for r.outstanding.Load() > 0 && failed.Load() == nil {
+				h, victim := r.obtainConcurrent(d)
 				if h == nil {
 					runtime.Gosched()
 					continue
 				}
-				stolen := victim >= 0
-				wasProbe := !stolen && br.beginProbe()
-				// Stage ahead for the HLOPs still queued behind h (a stolen h
-				// left this worker's own queue empty).
-				if d := pf.peekDepth(); d > 0 && !stolen {
-					for _, nh := range queues[qi].Peek(d) {
-						pf.issue(qi, dev, nh)
-					}
+				if err := r.dispatch(d, victim, h); err != nil {
+					failed.CompareAndSwap(nil, &err)
+					return
 				}
-				result, execErr := e.executeHLOP(pf, qi, dev, h)
-				if execErr != nil {
-					pf.cancel(h)
-					if errors.Is(execErr, device.ErrTooLarge) {
-						a, b, splitErr := hlop.Split(h, int(nextID.Add(1)-1))
-						if splitErr != nil {
-							fail(fmt.Errorf("core: HLOP %d overflows %s and cannot split: %w", h.ID, dev.Name(), splitErr))
-							return
-						}
-						telemetry.HLOPSplits.Inc()
-						st.lane.Compute += splitCost
-						a.ReadyAt, b.ReadyAt = st.lane.Compute, st.lane.Compute
-						outstanding.Add(1)
-						queues[qi].PushFront(b)
-						queues[qi].PushFront(a)
-						continue
-					}
-					mu.Lock()
-					retries[h]++
-					r := retries[h]
-					mu.Unlock()
-					busy, idle, opened := e.noteFault(fx.rz, br, fx.deg, rt, qi, dev, h, st.lane.Compute, wasProbe)
-					st.lane.Compute += busy
-					st.busy += busy
-					if r >= fx.rz.MaxRetries {
-						fail(fmt.Errorf("core: HLOP %d failed on %s after retries: %w", h.ID, dev.Name(), execErr))
-						return
-					}
-					if opened {
-						openAt := st.lane.Compute
-						st.lane.Compute += idle // quarantine is idle virtual time
-						moved, kept := 0, 0
-						backlog := queues[qi].DrainPending()
-						for bi, b := range backlog {
-							// Hold the last backlog item back as the
-							// re-admission probe (see runDeterministic).
-							if bi == len(backlog)-1 && kept == 0 {
-								queues[qi].Push(b)
-								continue
-							}
-							alt := e.fallbackQueue(ctx, qi, b)
-							if alt < 0 {
-								queues[qi].Push(b) // probe fodder
-								kept++
-								continue
-							}
-							pf.cancel(b) // its prestage will never be consumed here
-							fx.deg.noteReroute(b, b.AssignedQueue)
-							telemetry.HLOPsRerouted.With(dev.Name()).Inc()
-							b.AssignedQueue = alt
-							b.ReadyAt = openAt
-							queues[alt].Push(b)
-							moved++
-						}
-						fx.deg.noteQuarantine(Quarantine{Device: dev.Name(), At: openAt, Cooldown: idle, Rerouted: moved})
-					}
-					if alt := e.fallbackQueue(ctx, qi, h); alt >= 0 {
-						fx.deg.noteReroute(h, h.AssignedQueue)
-						telemetry.HLOPsRerouted.With(dev.Name()).Inc()
-						h.AssignedQueue = alt
-						h.ReadyAt = st.lane.Compute
-						queues[alt].Push(h)
-					} else {
-						// No healthy fallback: keep it ours and let the retry
-						// bound decide between recovery and surfacing.
-						h.ReadyAt = st.lane.Compute
-						queues[qi].PushFront(h)
-					}
-					continue
-				}
-				e.noteRecovery(br, fx.deg, rt, qi, dev)
-
-				exec, inT, outT, bytes := e.hlopParts(dev, h, etc)
-				exec += takeInjectedDelay(dev)
-				ready := h.ReadyAt
-				if stolen {
-					// The prefetched input belonged to the victim's queue: the
-					// thief's transfer cannot predate its steal decision.
-					ready = st.lane.Compute
-				}
-				adm := st.lane.Admit(ready, dev.DispatchOverhead(), inT, exec, outT, e.DoubleBuffer)
-				st.busy += adm.End - adm.Start
-				st.ran = true
-				st.comm.bytes += bytes
-				st.comm.xfer += inT + outT
-				st.comm.exposed += adm.Exposed
-
-				h.Result = result
-				h.ExecQueue = qi
-				// Finished HLOPs move to the device's completion queue, which
-				// the runtime drains for aggregation (§3.3.1).
-				h.Finish = adm.OutEnd
-				queues[qi].Complete(h)
-				if rt != nil {
-					rt.hlopDone(qi, victim, h, adm.Start, adm.End)
-					rt.hlopXfer(qi, h, adm)
-				}
-				tr.Record(trace.Event{
-					HLOP: h.ID, Device: dev.Name(), Op: h.Op.String(),
-					Start: adm.Start, End: adm.End,
-					BytesIn: h.InputBytes(dev.ElemBytes()), BytesOut: h.OutputBytes(dev.ElemBytes()),
-					Stolen: stolen || h.AssignedQueue != qi, Critical: h.Critical,
-				})
-				outstanding.Add(-1)
 			}
-		}(i, st)
+		}(&r.devs[i])
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := failed.Load(); err != nil {
+		return *err
 	}
-
-	res := &runResult{busy: map[string]float64{}}
-	for _, q := range queues {
-		for _, h := range q.DrainCompleted() {
-			res.done = append(res.done, doneHLOP{h: h, finish: h.Finish})
-		}
-	}
-	for i, st := range states {
-		name := e.Reg.Get(i).Name()
-		if st.busy > 0 {
-			res.busy[name] += st.busy
-		}
-		if st.ran {
-			// The outbound tail no compute follows is the one transfer cost
-			// the pipeline cannot hide.
-			st.comm.exposed += st.lane.Drain()
-			if m := st.lane.Makespan(); m > res.deviceMakespan {
-				res.deviceMakespan = m
-			}
-		}
-		res.comm.Add(st.comm.bytes, st.comm.xfer, st.comm.exposed)
-	}
-	if res.deviceMakespan == 0 {
-		res.deviceMakespan = overhead
-	}
-	return res, nil
+	return nil
 }
 
 // obtainConcurrent pops from the worker's own queue, then steals from the
-// most-loaded permitted victim. The second return is the victim queue index
-// for a stolen HLOP, -1 when the worker's own queue supplied the work.
-func (e *Engine) obtainConcurrent(ctx *sched.Context, pol sched.Policy,
-	queues []*device.TaskQueue[*hlop.HLOP], qi int) (*hlop.HLOP, int) {
-
-	if h, ok := queues[qi].Pop(); ok {
+// deepest permitted victim. The second return is the victim queue index for
+// a stolen HLOP, -1 when the worker's own queue supplied the work. A
+// quarantined worker serves only its own queue: whatever the open-time
+// redistribution could not place stays behind as probe fodder, so no HLOP is
+// ever stranded.
+func (r *round) obtainConcurrent(d *devState) (*hlop.HLOP, int) {
+	if h, ok := d.tq.Pop(); ok {
 		return h, -1
 	}
-	if !pol.StealingEnabled() {
+	if !r.pol.StealingEnabled() || d.br.quarantined() {
 		return nil, -1
 	}
 	telemetry.StealAttempts.Inc()
-	// Try victims in descending queue-depth order; re-check CanSteal on the
-	// actually stolen item (the depth snapshot races with other workers, so
-	// validate after the fact and put forbidden items back).
-	type cand struct{ q, depth int }
-	var cands []cand
-	for vq := range queues {
-		if vq == qi || !ctx.StealableVictim(vq) {
-			continue
+	clear(d.skip)
+	for {
+		best, depth := -1, 0
+		for vq := range r.devs {
+			if vq == d.qi || d.skip[vq] || !r.ctx.StealableVictim(vq) {
+				continue
+			}
+			if l := r.devs[vq].tq.Pending(); l > depth {
+				best, depth = vq, l
+			}
 		}
-		if l := queues[vq].Pending(); l > 0 {
-			cands = append(cands, cand{vq, l})
+		if best < 0 {
+			return nil, -1
 		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].depth > cands[b].depth })
-	for _, c := range cands {
-		h, ok := queues[c.q].Steal()
+		// The depth scan races with the other workers: a victim emptied in
+		// between is a lost race (rescan), and CanSteal can only be checked on
+		// the item actually stolen — a forbidden one goes back and its queue
+		// is skipped for the rest of this attempt.
+		h, ok := r.devs[best].tq.Steal()
 		if !ok {
 			continue
 		}
-		if !pol.CanSteal(ctx, qi, c.q, h) || !ctx.StealableVictim(c.q) {
-			telemetry.StealRejected.Inc()
-			queues[c.q].Push(h) // put it back; not ours to take
-			continue
+		if r.pol.CanSteal(r.ctx, d.qi, best, h) && r.ctx.StealableVictim(best) {
+			return h, best
 		}
-		return h, c.q
+		telemetry.StealRejected.Inc()
+		r.devs[best].tq.Push(h)
+		d.skip[best] = true
 	}
-	return nil, -1
 }

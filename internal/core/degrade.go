@@ -9,7 +9,7 @@ import (
 	"shmt/internal/telemetry"
 )
 
-// This file is the engines' graceful-degradation layer: instead of "retry
+// This file is the engine's graceful-degradation layer: instead of "retry
 // then abort", a device that keeps failing is quarantined behind a per-device
 // circuit breaker, its backlog is redistributed to healthy devices, transient
 // errors are retried under exponential backoff, and the whole episode is
@@ -45,7 +45,7 @@ type Resilience struct {
 	// BackoffCap bounds the exponential backoff (default 20ms).
 	BackoffCap float64
 	// MaxRetries bounds how many dispatches one HLOP may fail before the
-	// run errors out (default 4, the historical maxExecuteRetries).
+	// run errors out (default 4).
 	MaxRetries int
 }
 
@@ -66,7 +66,7 @@ func (r Resilience) withDefaults() Resilience {
 		r.BackoffCap = 20e-3
 	}
 	if r.MaxRetries <= 0 {
-		r.MaxRetries = maxExecuteRetries
+		r.MaxRetries = 4
 	}
 	return r
 }
@@ -326,58 +326,56 @@ func takeInjectedDelay(dev device.Device) float64 {
 	return 0
 }
 
-// noteFault centralizes both engines' failed-dispatch bookkeeping so the
-// accounting cannot drift between them again: the returned busy charge is the
-// dispatch overhead plus exponential backoff (charged to the device's clock
-// AND its busy time), idle is the quarantine cooldown to advance the clock by
-// when the breaker opened, and the telemetry counters and device-lane fault
-// span are recorded here.
-func (e *Engine) noteFault(rz Resilience, br *breaker, deg *degTracker, rt *runTel,
-	qi int, dev device.Device, h *hlop.HLOP, now float64, wasProbe bool) (busy, idle float64, opened bool) {
-
+// noteFault is the step's failed-dispatch bookkeeping: the returned busy
+// charge is the dispatch overhead plus exponential backoff (charged to the
+// device's clock AND its busy time), idle is the quarantine cooldown to
+// advance the clock by when the breaker opened, and the telemetry counters
+// and device-lane fault span are recorded here.
+func (r *round) noteFault(d *devState, h *hlop.HLOP, wasProbe bool) (busy, idle float64, opened bool) {
+	name := d.dev.Name()
 	telemetry.HLOPRetries.Inc()
-	telemetry.FailedDispatches.With(dev.Name()).Inc()
-	backoff, opened, cooldown := br.onFailure(rz)
-	busy = dev.DispatchOverhead() + backoff
+	telemetry.FailedDispatches.With(name).Inc()
+	backoff, opened, cooldown := d.br.onFailure(r.fx.rz)
+	busy = d.dev.DispatchOverhead() + backoff
 	telemetry.FailedDispatchVirtualNanos.Add(int64(busy * 1e9))
 	telemetry.Backoffs.Inc()
 	telemetry.BackoffVirtualNanos.Add(int64(backoff * 1e9))
-	deg.noteFailure(busy, backoff)
+	r.fx.deg.noteFailure(busy, backoff)
 	if wasProbe {
-		deg.noteProbe(false)
+		r.fx.deg.noteProbe(false)
 		telemetry.BreakerProbeFailure.Inc()
 	}
 	if opened {
 		idle = cooldown
-		telemetry.BreakerOpens.With(dev.Name()).Inc()
+		telemetry.BreakerOpens.With(name).Inc()
 		// The eligible device set shrank: cached execution plans may route
 		// work to the quarantined device, so invalidate them all.
-		e.planEpoch.Add(1)
-		e.notifyBreaker(dev.Name(), "open")
+		r.e.planEpoch.Add(1)
+		r.e.notifyBreaker(name, "open")
 	}
-	if rt != nil {
-		rt.dispatchFailed(qi, h, now, now+busy)
+	if r.rt != nil {
+		now := d.lane.Compute
+		r.rt.dispatchFailed(d.qi, h, now, now+busy)
 		if opened {
-			rt.breakerState(qi, int64(brOpen))
+			r.rt.breakerState(d.qi, int64(brOpen))
 		}
 	}
 	return busy, idle, opened
 }
 
-// noteRecovery records a successful dispatch's breaker bookkeeping; true when
-// the device was just re-admitted from quarantine.
-func (e *Engine) noteRecovery(br *breaker, deg *degTracker, rt *runTel, qi int, dev device.Device) bool {
-	if !br.onSuccess() {
-		return false
+// noteRecovery records a successful dispatch's breaker bookkeeping,
+// re-admitting the device when the dispatch was its half-open probe.
+func (r *round) noteRecovery(d *devState) {
+	if !d.br.onSuccess() {
+		return
 	}
-	deg.noteProbe(true)
+	r.fx.deg.noteProbe(true)
 	telemetry.BreakerProbeSuccess.Inc()
 	// The re-admitted device widens the eligible set; plans captured while it
 	// was quarantined would keep routing around it, so invalidate them.
-	e.planEpoch.Add(1)
-	e.notifyBreaker(dev.Name(), "readmitted")
-	if rt != nil {
-		rt.breakerState(qi, int64(brClosed))
+	r.e.planEpoch.Add(1)
+	r.e.notifyBreaker(d.dev.Name(), "readmitted")
+	if r.rt != nil {
+		r.rt.breakerState(d.qi, int64(brClosed))
 	}
-	return true
 }

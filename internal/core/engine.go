@@ -5,18 +5,23 @@
 // constraints, moves and casts data, and aggregates completed partitions
 // back into the application's result.
 //
-// Two engines share this logic:
+// Every entry point is one pipeline (RunBatch: plan → bind → run → aggregate
+// → report; Run is a batch of one) and every HLOP goes through one step
+// (step.go: dispatch, split, fault handling, lane admission, accounting).
+// Virtual time is each device's interconnect.Lane. What comes in two
+// versions is only the pick loop — who obtains the next HLOP:
 //
-//   - the deterministic engine (this file): a sequential discrete-event loop
-//     over virtual time, used by every experiment so results are exactly
-//     reproducible;
-//   - the concurrent engine (concurrent.go): one worker goroutine per
-//     device draining real queue pairs — the paper's "thread monitoring the
-//     queue" structure — validated against the same invariants.
+//   - runDeterministic (this file) owns a sequential discrete-event choice:
+//     the device with the earliest lane clock goes next, over plain slices.
+//     Every experiment uses it, so results are exactly reproducible;
+//   - runConcurrent (concurrent.go) owns one worker goroutine per device
+//     popping and stealing from real queue pairs — the paper's "thread
+//     monitoring the queue" structure — so order is decided by real
+//     execution and the step's invariants are checked without the
+//     deterministic event ordering.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -60,7 +65,8 @@ type Engine struct {
 	// constant costs (sampling touches); the devices carry their own
 	// slowdown. Default 1.
 	HostScale float64
-	// RecordTrace keeps per-HLOP events in the report's Trace.
+	// RecordTrace records per-HLOP events and publishes them as the
+	// report's (or batch result's) Trace.
 	RecordTrace bool
 	// Concurrent switches to the goroutine engine.
 	Concurrent bool
@@ -172,330 +178,66 @@ func (e *Engine) execProfile(done []doneHLOP) (critical int, byDevice map[string
 	return critical, byDevice
 }
 
-// maxExecuteRetries bounds how many devices one HLOP may fail on before the
-// run errors out.
-const maxExecuteRetries = 4
-
-// splitCost is the host-side cost of re-partitioning an HLOP that
-// overflowed a device's memory.
-const splitCost = 50e-6
-
-// Run executes one VOP end-to-end and reports the result and accounting.
+// Run executes one VOP end-to-end: a batch of one, with the batch-wide
+// accounting folded onto the VOP's own report.
 func (e *Engine) Run(v *vop.VOP) (*Report, error) {
-	if e.Reg == nil {
-		return nil, errors.New("core: engine has no device registry")
-	}
-	pol := e.Policy
-	if pol == nil {
-		pol = sched.WorkStealing{}
-	}
-	rt := e.newRunTel(pol.Name())
-	var phaseT float64
-	if rt != nil {
-		phaseT = rt.now()
-	}
-	hostScale := e.HostScale
-	if hostScale < 1 {
-		hostScale = 1
-	}
-	fx := e.newFaultState()
-	ctx := &sched.Context{Reg: e.Reg, Seed: e.Seed, HostScale: hostScale,
-		Quarantined: fx.quarantined}
-	hs, overhead, phaseT, err := e.planVOP(ctx, pol, v, rt, phaseT)
+	batch, err := e.RunBatch([]*vop.VOP{v})
 	if err != nil {
 		return nil, err
 	}
-	if rt != nil {
-		rt.noteAssignments(hs)
-		phaseT = rt.phase(telemetry.PhaseSchedule, phaseT)
-	}
-	tr := trace.New()
-	e.accountFootprint(tr, v, hs)
-
-	// Pre-allocate the output and hand each halo-free partition a strided
-	// view into it. Shared-memory devices write results through the view, so
-	// aggregation has nothing left to scatter for them.
-	var out *tensor.Matrix
-	if !v.Op.IsReduction() {
-		rows, cols := v.OutputShape()
-		out = tensor.NewMatrix(rows, cols)
-		if v.HaloWidth() == 0 && !e.Spec.ForceCopy {
-			if err := bindOutputViews(out, hs); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	var res *runResult
-	if e.Concurrent {
-		res, err = e.runConcurrent(ctx, pol, hs, overhead, tr, rt, fx)
-	} else {
-		res, err = e.runDeterministic(ctx, pol, hs, overhead, tr, rt, fx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if rt != nil {
-		phaseT = rt.phase(telemetry.PhaseExecute, phaseT)
-	}
-
-	// Aggregation timeline: the host drains completion queues while devices
-	// still run (§3.3.1), so each copy starts at max(previous copy end,
-	// HLOP completion). Only the tail beyond device completion is exposed.
-	// Results that aliased the output through a view have no copy to charge.
-	// (Computed before aggregate, which releases the per-HLOP buffers.)
-	aggT := overhead
-	copyBw := interconnect.HostDRAM.BandwidthBps
-	for _, d := range res.done {
-		if d.finish > aggT {
-			aggT = d.finish
-		}
-		if d.h.Out == nil || d.h.Result != d.h.Out {
-			aggT += float64(d.h.OutputBytes(tensor.ElemSize)) / copyBw
-		}
-	}
-
-	var aggBytes int64
-	out, aggBytes, err = aggregate(v, res.done, out)
-	if err != nil {
-		return nil, err
-	}
-	if rt != nil {
-		rt.phase(telemetry.PhaseAggregate, phaseT)
-		rt.runs.Inc()
-	}
-
-	makespan := res.deviceMakespan
-	if aggT > makespan {
-		makespan = aggT
-	}
-
-	rep := &Report{
-		Output:        out,
-		HLOPs:         len(res.done),
-		Makespan:      makespan,
-		SchedOverhead: overhead,
-		Busy:          res.busy,
-		Comm:          res.comm,
-		PeakBytes:     tr.PeakBytes(),
-		Degraded:      fx.deg.finish(e.Reg, res.done),
-	}
-	rep.CriticalHLOPs, rep.DeviceHLOPs = e.execProfile(res.done)
-	// The host is busy for sampling and aggregation.
-	rep.Busy["cpu"] += overhead + float64(aggBytes)/copyBw
-	rep.Energy = energy.DefaultModel().Energy(energy.Usage{Makespan: makespan, Busy: rep.Busy})
-	if e.RecordTrace {
-		rep.Trace = tr
-	}
+	rep := batch.Reports[0]
+	rep.Makespan = batch.Makespan
+	rep.Busy, rep.Comm, rep.Energy = batch.Busy, batch.Comm, batch.Energy
+	rep.Degraded, rep.PeakBytes, rep.Trace = batch.Degraded, batch.PeakBytes, batch.Trace
 	return rep, nil
 }
 
-// doneHLOP pairs an executed HLOP with its virtual completion time.
-type doneHLOP struct {
-	h      *hlop.HLOP
-	finish float64
-}
-
-// runResult is what either engine hands back to Run.
-type runResult struct {
-	done           []doneHLOP
-	busy           map[string]float64
-	comm           interconnect.Tracker
-	deviceMakespan float64
-}
-
-// runDeterministic is the sequential discrete-event loop: repeatedly pick
-// the device with the earliest virtual clock that can obtain work (own
-// queue, then stealing under the policy), execute the HLOP for real, and
-// advance that device's clock by the modelled dispatch, exposed transfer,
-// and execution costs.
-//
-// Failure handling (see degrade.go): a failed dispatch charges dispatch
-// overhead plus exponential backoff, then reroutes the HLOP to the best
-// healthy fallback (or requeues it locally when there is none). Crossing the
-// breaker threshold quarantines the device — its clock jumps past the
-// cooldown and its backlog is redistributed — and its next own-queue HLOP
-// after the cooldown runs as the re-admission probe.
-func (e *Engine) runDeterministic(ctx *sched.Context, pol sched.Policy,
-	hs []*hlop.HLOP, overhead float64, tr *trace.Trace, rt *runTel, fx *faultState) (*runResult, error) {
-
-	n := e.Reg.Len()
-	queues := make([][]*hlop.HLOP, n)
+// runDeterministic is the sequential discrete-event pick loop: repeatedly
+// choose the device with the earliest virtual clock that can obtain work (own
+// queue, then stealing under the policy) and hand it that HLOP. Every
+// experiment runs on this loop, so results are exactly reproducible.
+func (r *round) runDeterministic(hs []*hlop.HLOP) error {
+	devs := r.devs
+	etc := device.NewExecTimeCacheSized(r.e.ExecTimeCacheEntries)
+	for i := range devs {
+		devs[i].etc = etc
+	}
 	for _, h := range hs {
-		h.ReadyAt = overhead
-		queues[h.AssignedQueue] = append(queues[h.AssignedQueue], h)
+		devs[h.AssignedQueue].push(h)
 	}
-	lanes := make([]interconnect.Lane, n)
-	ran := make([]bool, n)
-	for i := range lanes {
-		lanes[i].Reset(overhead)
-	}
-	pf := e.newPrefetcher(hs)
-	defer pf.drain()
-	nextID := len(hs)
-	remaining := len(hs)
-	res := &runResult{busy: map[string]float64{}}
-	retries := make(map[*hlop.HLOP]int)
-	etc := device.NewExecTimeCacheSized(e.ExecTimeCacheEntries)
-
-	for remaining > 0 {
-		// Choose the earliest device that can obtain work. A quarantined
-		// device serves only its own queue (the probe path); it neither
-		// steals nor is handed new work.
+	for r.outstanding.Load() > 0 {
+		// A quarantined device serves only its own queue (the probe path);
+		// it neither steals nor is handed new work.
 		pick, victim := -1, -1
-		for i := 0; i < n; i++ {
+		for i := range devs {
 			var ok bool
 			var vict int
-			if len(queues[i]) > 0 {
+			if len(devs[i].q) > 0 {
 				ok, vict = true, -1
-			} else if pol.StealingEnabled() && !fx.brs[i].quarantined() {
-				vict = e.pickVictim(ctx, pol, queues, i, etc)
+			} else if r.pol.StealingEnabled() && !devs[i].br.quarantined() {
+				vict = r.pickVictim(i)
 				ok = vict >= 0
 			}
-			if ok && (pick < 0 || lanes[i].Makespan() < lanes[pick].Makespan()) {
+			if ok && (pick < 0 || devs[i].lane.Makespan() < devs[pick].lane.Makespan()) {
 				pick, victim = i, vict
 			}
 		}
 		if pick < 0 {
-			return nil, fmt.Errorf("core: %d HLOPs unschedulable (no device may take them)", remaining)
+			return fmt.Errorf("core: %d HLOPs unschedulable (no device may take them)", r.outstanding.Load())
 		}
-
 		var h *hlop.HLOP
-		stolen := false
 		if victim < 0 {
-			h, queues[pick] = queues[pick][0], queues[pick][1:]
+			q := devs[pick].q
+			h, devs[pick].q = q[0], q[1:]
 		} else {
-			last := len(queues[victim]) - 1
-			h = queues[victim][last]
-			queues[victim] = queues[victim][:last]
-			stolen = true
+			q := devs[victim].q
+			h, devs[victim].q = q[len(q)-1], q[:len(q)-1]
 		}
-
-		dev := e.Reg.Get(pick)
-		wasProbe := victim < 0 && fx.brs[pick].beginProbe()
-		// Stage ahead: while h executes, the pool pre-quantizes the operands
-		// of the next HLOPs still queued behind it (a stolen h left the
-		// thief's queue empty, so there is nothing to stage for).
-		for i := 0; i < pf.peekDepth() && i < len(queues[pick]); i++ {
-			pf.issue(pick, dev, queues[pick][i])
-		}
-		result, execErr := e.executeHLOP(pf, pick, dev, h)
-		if execErr != nil {
-			pf.cancel(h)
-			if errors.Is(execErr, device.ErrTooLarge) {
-				a, b, splitErr := hlop.Split(h, nextID)
-				if splitErr != nil {
-					return nil, fmt.Errorf("core: HLOP %d overflows %s and cannot split: %w", h.ID, dev.Name(), splitErr)
-				}
-				telemetry.HLOPSplits.Inc()
-				nextID++
-				remaining++ // one HLOP became two
-				lanes[pick].Compute += splitCost
-				a.ReadyAt, b.ReadyAt = lanes[pick].Compute, lanes[pick].Compute
-				queues[pick] = append([]*hlop.HLOP{a, b}, queues[pick]...)
-				continue
-			}
-			retries[h]++
-			busy, idle, opened := e.noteFault(fx.rz, fx.brs[pick], fx.deg, rt, pick, dev, h, lanes[pick].Compute, wasProbe)
-			lanes[pick].Compute += busy
-			res.busy[dev.Name()] += busy
-			if retries[h] >= fx.rz.MaxRetries {
-				return nil, fmt.Errorf("core: HLOP %d failed on %s after retries: %w", h.ID, dev.Name(), execErr)
-			}
-			if opened {
-				openAt := lanes[pick].Compute
-				lanes[pick].Compute += idle // quarantine is idle virtual time
-				moved, kept := 0, 0
-				backlog := queues[pick]
-				queues[pick] = nil
-				for bi, b := range backlog {
-					// Hold the last backlog item back as the re-admission
-					// probe: an emptied queue would leave a recovered
-					// device quarantined forever with nothing to probe.
-					if bi == len(backlog)-1 && kept == 0 {
-						queues[pick] = append(queues[pick], b)
-						continue
-					}
-					alt := e.fallbackQueue(ctx, pick, b)
-					if alt < 0 {
-						queues[pick] = append(queues[pick], b) // probe fodder
-						kept++
-						continue
-					}
-					pf.cancel(b) // a prestage for this queue will never be consumed
-					fx.deg.noteReroute(b, b.AssignedQueue)
-					telemetry.HLOPsRerouted.With(dev.Name()).Inc()
-					b.AssignedQueue = alt
-					b.ReadyAt = openAt
-					queues[alt] = append(queues[alt], b)
-					moved++
-				}
-				fx.deg.noteQuarantine(Quarantine{Device: dev.Name(), At: openAt, Cooldown: idle, Rerouted: moved})
-			}
-			// Reroute the failed HLOP to the best healthy fallback; with no
-			// fallback it stays at the front of the owner's queue and the
-			// retry bound decides between recovery and surfacing the error.
-			if alt := e.fallbackQueue(ctx, pick, h); alt >= 0 {
-				fx.deg.noteReroute(h, h.AssignedQueue)
-				telemetry.HLOPsRerouted.With(dev.Name()).Inc()
-				h.AssignedQueue = alt
-				h.ReadyAt = lanes[pick].Compute
-				queues[alt] = append(queues[alt], h)
-			} else {
-				h.ReadyAt = lanes[pick].Compute
-				queues[pick] = append([]*hlop.HLOP{h}, queues[pick]...)
-			}
-			continue
-		}
-		e.noteRecovery(fx.brs[pick], fx.deg, rt, pick, dev)
-
-		stageB := e.stagingBytes(dev, h)
-		tr.AllocStaging(stageB)
-		exec, inT, outT, bytes := e.hlopParts(dev, h, etc)
-		exec += takeInjectedDelay(dev)
-		ready := h.ReadyAt
-		if stolen {
-			// The prefetched input belonged to the victim's queue: the
-			// thief's transfer cannot predate its steal decision.
-			ready = lanes[pick].Compute
-		}
-		adm := lanes[pick].Admit(ready, dev.DispatchOverhead(), inT, exec, outT, e.DoubleBuffer)
-		ran[pick] = true
-		res.busy[dev.Name()] += adm.End - adm.Start
-		res.comm.Add(bytes, inT+outT, adm.Exposed)
-
-		h.Result = result
-		h.ExecQueue = pick
-		res.done = append(res.done, doneHLOP{h: h, finish: adm.OutEnd})
-		remaining--
-		if rt != nil {
-			rt.hlopDone(pick, victim, h, adm.Start, adm.End)
-			rt.hlopXfer(pick, h, adm)
-		}
-		tr.Record(trace.Event{
-			HLOP: h.ID, Device: dev.Name(), Op: h.Op.String(),
-			Start: adm.Start, End: adm.End,
-			BytesIn: h.InputBytes(dev.ElemBytes()), BytesOut: h.OutputBytes(dev.ElemBytes()),
-			Stolen: stolen || h.AssignedQueue != pick, Critical: h.Critical,
-		})
-		tr.FreeStaging(stageB)
-	}
-
-	for i := 0; i < n; i++ {
-		if !ran[i] {
-			continue
-		}
-		// The outbound tail no compute follows is the one transfer cost the
-		// pipeline cannot hide.
-		res.comm.Add(0, 0, lanes[i].Drain())
-		if m := lanes[i].Makespan(); m > res.deviceMakespan {
-			res.deviceMakespan = m
+		if err := r.dispatch(&devs[pick], victim, h); err != nil {
+			return err
 		}
 	}
-	if res.deviceMakespan == 0 {
-		res.deviceMakespan = overhead
-	}
-	return res, nil
+	return nil
 }
 
 // pickVictim returns the queue index the thief should steal from. Victims
@@ -504,63 +246,30 @@ func (e *Engine) runDeterministic(ctx *sched.Context, pol sched.Policy,
 // mixed-opcode pools (ExecuteBatch) a device gravitates toward work it is
 // relatively fast at. For single-opcode runs every victim scores equally and
 // this reduces to the paper's steal-from-the-deepest-queue rule.
-func (e *Engine) pickVictim(ctx *sched.Context, pol sched.Policy, queues [][]*hlop.HLOP, thief int, etc *device.ExecTimeCache) int {
+func (r *round) pickVictim(thief int) int {
 	telemetry.StealAttempts.Inc()
-	thiefDev := e.Reg.Get(thief)
+	thiefDev, etc := r.devs[thief].dev, r.devs[thief].etc
 	best, bestLen := -1, 0
 	bestScore := 0.0
-	for vq := range queues {
-		if vq == thief || len(queues[vq]) == 0 || !ctx.StealableVictim(vq) {
+	for vq := range r.devs {
+		q := r.devs[vq].q
+		if vq == thief || len(q) == 0 || !r.ctx.StealableVictim(vq) {
 			continue
 		}
-		tail := queues[vq][len(queues[vq])-1]
-		if !pol.CanSteal(ctx, thief, vq, tail) {
+		tail := q[len(q)-1]
+		if !r.pol.CanSteal(r.ctx, thief, vq, tail) {
 			telemetry.StealRejected.Inc()
 			continue
 		}
 		// Relative affinity: how much faster the thief runs this opcode
 		// than the queue's owner would.
-		score := etc.ExecTime(e.Reg.Get(vq), tail.Op, tail.Elems) / etc.ExecTime(thiefDev, tail.Op, tail.Elems)
+		score := etc.ExecTime(r.devs[vq].dev, tail.Op, tail.Elems) / etc.ExecTime(thiefDev, tail.Op, tail.Elems)
 		if best < 0 || score > bestScore*1.001 ||
-			(score > bestScore*0.999 && len(queues[vq]) > bestLen) {
-			best, bestLen, bestScore = vq, len(queues[vq]), score
+			(score > bestScore*0.999 && len(q) > bestLen) {
+			best, bestLen, bestScore = vq, len(q), score
 		}
 	}
 	return best
-}
-
-// fallbackQueue picks the most accurate other eligible device for a failed
-// HLOP.
-func (e *Engine) fallbackQueue(ctx *sched.Context, failed int, h *hlop.HLOP) int {
-	best := -1
-	for _, i := range ctx.Eligible() {
-		if i == failed || !e.Reg.Get(i).Supports(h.Op) {
-			continue
-		}
-		if best < 0 || e.Reg.Get(i).AccuracyRank() < e.Reg.Get(best).AccuracyRank() {
-			best = i
-		}
-	}
-	return best
-}
-
-// hlopParts models one HLOP's cost components on a device: execution time
-// plus the input and output transfer times the two-stage lane schedules.
-// Devices with private memory (Edge TPU) move raw payload over their link;
-// host-memory devices (CPU, GPU) stage the opcode's calibrated traffic
-// through LPDDR4. How much of the transfer time is exposed is no longer
-// decided here — interconnect.Lane.Admit serializes the transfer stage
-// against the compute stage and reports the true stall.
-func (e *Engine) hlopParts(dev device.Device, h *hlop.HLOP, etc *device.ExecTimeCache) (exec, inT, outT float64, bytes int64) {
-	exec = etc.ExecTime(dev, h.Op, h.Elems)
-	inB := h.InputBytes(dev.ElemBytes())
-	outB := h.OutputBytes(dev.ElemBytes())
-	if dev.MemoryBytes() == 0 {
-		inB = device.StageBytes(h.Op, inB)
-		outB = device.StageBytes(h.Op, outB)
-	}
-	link := dev.Link()
-	return exec, link.TransferTime(inB), link.TransferTime(outB), inB + outB
 }
 
 // accountFootprint registers the run's long-lived memory: application input
@@ -569,7 +278,7 @@ func (e *Engine) hlopParts(dev device.Device, h *hlop.HLOP, etc *device.ExecTime
 // what is actually resident at once — Edge TPU HLOPs stage INT8 copies, a
 // quarter of the FP32 the GPU keeps, which is how SHMT's footprint stays
 // near (or below) the baseline despite the extra buffers (Fig. 11).
-func (e *Engine) accountFootprint(tr *trace.Trace, v *vop.VOP, hs []*hlop.HLOP) {
+func (e *Engine) accountFootprint(tr *trace.Trace, v *vop.VOP) {
 	for _, in := range v.Inputs {
 		tr.AddBase(in.Bytes(tensor.ElemSize))
 	}
@@ -589,29 +298,4 @@ func bindOutputViews(out *tensor.Matrix, hs []*hlop.HLOP) error {
 		h.Out = vw
 	}
 	return nil
-}
-
-// stagingBytes returns the transient host bytes an HLOP pins while executing
-// on dev: the device-precision input and output copies, doubled when double
-// buffering prefetches the next partition, plus the kernel's intermediate
-// stage buffers. On shared-memory devices, inputs aliased through views and
-// results written through the output view pin nothing beyond the base
-// tensors, so they drop out of the staging footprint.
-func (e *Engine) stagingBytes(dev device.Device, h *hlop.HLOP) int64 {
-	elem := dev.ElemBytes()
-	shared := dev.MemoryBytes() == 0
-	var stage int64
-	for _, in := range h.Inputs {
-		if shared && in.IsView() {
-			continue // reads the parent tensor in place
-		}
-		stage += in.Bytes(elem)
-	}
-	if !shared || h.Out == nil {
-		stage += h.OutputBytes(elem)
-	}
-	if e.DoubleBuffer {
-		stage *= 2
-	}
-	return stage
 }

@@ -415,3 +415,38 @@ func TestEngineMultiStepStencilExact(t *testing.T) {
 		t.Fatal("multi-step partitioned stencil differs from whole-matrix run")
 	}
 }
+
+// TestConcurrentEngineChargesStagingFootprint: per-HLOP staging counts
+// toward Report.PeakBytes (Fig. 11) under the goroutine engine too — it used
+// to report the base buffers alone — and with a single device, where there is
+// no real concurrency, the two engines report the same peak.
+func TestConcurrentEngineChargesStagingFootprint(t *testing.T) {
+	// Even distribution never steals, so the TPU is sure to run its share.
+	e := &Engine{Reg: stdRegistry(t), Policy: sched.EvenDistribution{},
+		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true,
+		Concurrent: true, RecordTrace: true}
+	rep, err := e.Run(sobelVOP(t, 128, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeviceHLOPs["tpu"] == 0 {
+		t.Fatal("test needs the TPU to execute something")
+	}
+	if base := rep.Trace.BaseBytes(); rep.PeakBytes <= base {
+		t.Fatalf("PeakBytes = %d, base buffers = %d: staging was not charged", rep.PeakBytes, base)
+	}
+
+	peak := func(concurrent bool) int64 {
+		reg, _ := device.NewRegistry(tpu.New(tpu.Config{}))
+		e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
+			Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true, Concurrent: concurrent}
+		rep, err := e.Run(sobelVOP(t, 128, 41))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.PeakBytes
+	}
+	if det, conc := peak(false), peak(true); det != conc {
+		t.Fatalf("single-device PeakBytes: deterministic %d, concurrent %d", det, conc)
+	}
+}

@@ -218,8 +218,8 @@ func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
 // a cached plan captured in the current device-health epoch when one exists,
 // and plans from scratch (then caches the outcome) otherwise. A replay
 // charges zero scheduling overhead — that is the point. The partition phase
-// span is observed here (rt may be nil; RunBatch lumps its planning into one
-// schedule phase and passes nil); the caller observes the schedule phase.
+// span is observed here (rt is nil for a multi-VOP batch, whose planning is
+// one lumped schedule phase); the caller observes the schedule phase.
 func (e *Engine) planVOP(ctx *sched.Context, pol sched.Policy, v *vop.VOP,
 	rt *runTel, phaseT float64) ([]*hlop.HLOP, float64, float64, error) {
 

@@ -197,12 +197,11 @@ func (pf *prefetcher) residentFor(ps device.Prestager, qi int, op vop.Opcode, in
 	return m
 }
 
-// take claims h's prestaged operand set for the device at queue index qi.
-// It returns nil on a miss; a set staged for a different device — the HLOP
-// was stolen or rerouted after the prestage was issued — is cancelled and
-// released, since the new device quantizes (or doesn't) differently.
-// Nil-safe.
-func (pf *prefetcher) take(qi int, h *hlop.HLOP) *device.Staged {
+// claim removes h's prestage job, if any, waits for an in-flight staging to
+// finish (staging is short and arena buffers must not leak) and settles the
+// depth and buffer accounting; the caller consumes or releases the staged
+// set. Nil-safe; nil when h has no prestage.
+func (pf *prefetcher) claim(h *hlop.HLOP) *prestageJob {
 	if pf == nil {
 		return nil
 	}
@@ -219,6 +218,18 @@ func (pf *prefetcher) take(qi int, h *hlop.HLOP) *device.Staged {
 	pf.inflight[job.qi]--
 	pf.mu.Unlock()
 	telemetry.PrefetchBufferBytes.Add(-job.st.Bytes)
+	return job
+}
+
+// take claims h's prestaged operand set for the device at queue index qi.
+// It returns nil on a miss; a set staged for a different device — the HLOP
+// was stolen or rerouted after the prestage was issued — is cancelled and
+// released, since the new device quantizes (or doesn't) differently.
+func (pf *prefetcher) take(qi int, h *hlop.HLOP) *device.Staged {
+	job := pf.claim(h)
+	if job == nil {
+		return nil
+	}
 	if job.qi != qi {
 		job.st.Release()
 		telemetry.PrefetchCancelled.Inc()
@@ -230,27 +241,12 @@ func (pf *prefetcher) take(qi int, h *hlop.HLOP) *device.Staged {
 
 // cancel invalidates h's prestage, if any: a breaker-open redistribution or
 // failure reroute moved the HLOP, so the staged set will never be consumed
-// where it was staged. Waits for an in-flight staging to finish (staging is
-// short and arena buffers must not leak). Nil-safe.
+// where it was staged.
 func (pf *prefetcher) cancel(h *hlop.HLOP) {
-	if pf == nil {
-		return
+	if job := pf.claim(h); job != nil {
+		job.st.Release()
+		telemetry.PrefetchCancelled.Inc()
 	}
-	pf.mu.Lock()
-	job, ok := pf.jobs[h]
-	if !ok {
-		pf.mu.Unlock()
-		return
-	}
-	delete(pf.jobs, h)
-	pf.mu.Unlock()
-	<-job.done
-	pf.mu.Lock()
-	pf.inflight[job.qi]--
-	pf.mu.Unlock()
-	telemetry.PrefetchBufferBytes.Add(-job.st.Bytes)
-	job.st.Release()
-	telemetry.PrefetchCancelled.Inc()
 }
 
 // drain releases every unconsumed prestage and the resident-operand cache.

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"shmt/internal/device"
 	"shmt/internal/hlop"
 	"shmt/internal/interconnect"
 	"shmt/internal/telemetry"
@@ -152,32 +151,26 @@ func traceID(h *hlop.HLOP) string {
 }
 
 // hlopDone records one HLOP execution: the per-device counter, the steal
-// counter when the HLOP was taken from another queue, and a virtual-clock
-// device-lane span carrying the originating request's trace ID.
-func (rt *runTel) hlopDone(qi, victim int, h *hlop.HLOP, start, end float64) {
+// counter when the HLOP was taken from another queue, a virtual-clock
+// device-lane span carrying the originating request's trace ID, and the
+// transfer-stage spans on the device's "xfer" sub-lane — the inbound staging
+// window and the outbound result transfer. Zero-length transfers (devices
+// sharing host memory over the zero-copy datapath) draw nothing.
+func (rt *runTel) hlopDone(qi, victim int, h *hlop.HLOP, adm interconnect.Admission) {
 	rt.executed[qi].Inc()
 	stealFrom := ""
 	if victim >= 0 && victim != qi {
 		rt.steals[qi].Inc()
 		stealFrom = rt.names[victim]
 	}
-	if rt.rec != nil {
-		rt.rec.RecordSpan(telemetry.Span{
-			Track: rt.names[qi], Name: h.Op.String(), Clock: telemetry.ClockVirtual,
-			Start: start, End: end, ID: h.ID,
-			StealFrom: stealFrom, Critical: h.Critical, TraceID: traceID(h),
-		})
-	}
-}
-
-// hlopXfer records the HLOP's transfer-stage spans on the device's "xfer"
-// sub-lane: the inbound staging window and the outbound result transfer.
-// Zero-length transfers (devices sharing host memory over the zero-copy
-// datapath) draw nothing.
-func (rt *runTel) hlopXfer(qi int, h *hlop.HLOP, adm interconnect.Admission) {
 	if rt.rec == nil {
 		return
 	}
+	rt.rec.RecordSpan(telemetry.Span{
+		Track: rt.names[qi], Name: h.Op.String(), Clock: telemetry.ClockVirtual,
+		Start: adm.Start, End: adm.End, ID: h.ID,
+		StealFrom: stealFrom, Critical: h.Critical, TraceID: traceID(h),
+	})
 	track := rt.names[qi] + " xfer"
 	if adm.XferEnd > adm.XferStart {
 		rt.rec.RecordSpan(telemetry.Span{
@@ -208,12 +201,4 @@ func (rt *runTel) dispatchFailed(qi int, h *hlop.HLOP, start, end float64) {
 // breakerState publishes a device's circuit-breaker state transition.
 func (rt *runTel) breakerState(qi int, state int64) {
 	rt.breaker[qi].Set(state)
-}
-
-// instrumentQueues attaches depth gauges and wait histograms to the
-// concurrent engine's task queues.
-func (rt *runTel) instrumentQueues(queues []*device.TaskQueue[*hlop.HLOP]) {
-	for i, q := range queues {
-		q.Instrument(rt.depth[i], rt.wait[i])
-	}
 }

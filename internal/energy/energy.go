@@ -12,6 +12,8 @@
 // window during which anything draws power at all.
 package energy
 
+import "sort"
+
 // Watts is power in watts.
 type Watts = float64
 
@@ -66,16 +68,24 @@ type Breakdown struct {
 // Total returns Active+Idle.
 func (b Breakdown) Total() Joules { return b.Active + b.Idle }
 
-// Energy integrates the model over a run.
+// Energy integrates the model over a run. Devices are summed in name order:
+// float addition does not associate, so ranging over the Busy map would let
+// Go's map order decide the last bit of the result.
 func (m Model) Energy(u Usage) Breakdown {
 	var b Breakdown
 	b.Idle = m.BoardIdle * u.Makespan
-	for name, busy := range u.Busy {
+	var buf [8]string // keeps the usual handful of devices off the heap
+	names := buf[:0]
+	for name := range u.Busy {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		p, ok := m.Devices[name]
 		if !ok {
 			continue
 		}
-		b.Active += p.Active * busy
+		b.Active += p.Active * u.Busy[name]
 		b.Idle += p.Idle * u.Makespan
 	}
 	return b

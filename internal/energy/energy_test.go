@@ -65,3 +65,17 @@ func TestEDP(t *testing.T) {
 		t.Fatalf("EDP = %g", got)
 	}
 }
+
+// TestEnergyIsOrderIndependent: the sum over devices must not depend on Go's
+// map iteration order — two identical runs must report identical energy to
+// the last bit.
+func TestEnergyIsOrderIndependent(t *testing.T) {
+	m := DefaultModel()
+	u := Usage{Makespan: 0.0123, Busy: map[string]float64{"cpu": 0.003553, "gpu": 0.017101, "tpu": 0.015512}}
+	want := math.Float64bits(m.Energy(u).Active)
+	for i := 0; i < 1000; i++ {
+		if got := math.Float64bits(m.Energy(u).Active); got != want {
+			t.Fatalf("call %d: active energy bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
