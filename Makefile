@@ -32,8 +32,13 @@ TESTFLAGS ?=
 test:
 	$(GO) test $(TESTFLAGS) ./...
 
+# The second pass reruns the engine and the pool at 1, 2 and 4 procs: the
+# deterministic loop computes admitted HLOPs as pool tasks, kernels call
+# parallel.For inside those tasks, and the hangs that nesting can produce
+# need at least two procs to show.
 race:
 	$(GO) test -race $(TESTFLAGS) ./...
+	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/
 
 # fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
 # against encoding/json, and the router's peek against the decoder. (go test
@@ -74,10 +79,13 @@ benchplan:
 	$(GO) test -run='^$$' -bench='BenchmarkPlanningOverhead/plan' -benchmem \
 		-benchtime=0.3s ./internal/core/
 
-# benchoverlap compares the Edge TPU staging path with asynchronous input
-# prefetch off (staged) vs on (prefetched); BENCH_overlap.json snapshots the
-# result. The prefetched row must stay faster: it is the wall-clock half of
-# the double-buffer story (the virtual-time half lives in the lane model).
+# benchoverlap measures the Edge TPU staging path under both pick loops with
+# input prefetch off (staged) and on: on the default loop "resident" is the
+# shared-operand cache alone (whole HLOPs already run on the host pool), on
+# the concurrent loop "prefetched" adds asynchronous prestaging;
+# BENCH_overlap.json snapshots the result. Each on row must stay faster than
+# its staged row: it is the wall-clock half of the double-buffer story (the
+# virtual-time half lives in the lane model).
 benchoverlap:
 	$(GO) test -run='^$$' -bench=BenchmarkOverlap -benchmem \
 		-benchtime=0.3s ./internal/core/

@@ -133,10 +133,14 @@ func AblationDatacenter(o Options) ([]AblationDatacenterRow, error) {
 	return rows, nil
 }
 
-// AblationPrefetchRow is one async-input-prefetch depth setting on the
-// Edge-TPU staging path.
+// AblationPrefetchRow is one input-prefetch depth setting on the Edge-TPU
+// staging path, under one pick loop.
 type AblationPrefetchRow struct {
-	Depth int
+	// Concurrent selects the goroutine pick loop, the only one that prestages
+	// asynchronously; the default loop computes whole HLOPs on the host pool
+	// and keeps only the resident shared-operand cache (on at any depth ≥ 1).
+	Concurrent bool
+	Depth      int
 	// WallMS is the measured wall-clock time of the run in milliseconds —
 	// prefetch is a wall-clock optimization; the virtual timeline is
 	// untouched by construction.
@@ -148,10 +152,15 @@ type AblationPrefetchRow struct {
 	Identical bool
 }
 
-// AblationPrefetch sweeps the asynchronous input-prefetch depth on a
+// AblationPrefetch measures both halves of the input prefetcher on a
 // staging-heavy workload: a banded GEMM on the Edge TPU, whose shared
 // right-hand matrix is re-quantized per HLOP without prefetch and staged
-// once (device-resident) with it. Depth 0 is the synchronous reference.
+// once (device-resident) with it. The depth sweep runs under both pick
+// loops. On the default one depth 0 against any depth ≥ 1 is that resident
+// cache off and on — nothing is prestaged there, so hits stay 0, deeper
+// settings change nothing and the gain is in the wall time; on the
+// concurrent one asynchronous prestaging is included. Depth 0 on the default
+// loop is the reference output.
 func AblationPrefetch(o Options, depths []int) ([]AblationPrefetchRow, error) {
 	o = o.withDefaults()
 	if len(depths) == 0 {
@@ -179,7 +188,7 @@ func AblationPrefetch(o Options, depths []int) ([]AblationPrefetchRow, error) {
 		}
 	}()
 
-	run := func(depth int) (*core.Report, float64, telemetry.Snapshot, error) {
+	run := func(concurrent bool, depth int) (*core.Report, float64, telemetry.Snapshot, error) {
 		reg, err := device.NewRegistry(cpu.New(1), tpu.New(tpu.Config{}))
 		if err != nil {
 			return nil, 0, nil, err
@@ -194,6 +203,7 @@ func AblationPrefetch(o Options, depths []int) ([]AblationPrefetchRow, error) {
 			Spec:         hlop.Spec{TargetPartitions: o.Partitions},
 			DoubleBuffer: true,
 			Prefetch:     depth,
+			Concurrent:   concurrent,
 			Seed:         o.Seed,
 		}
 		base := telemetry.Default.Snapshot()
@@ -206,23 +216,26 @@ func AblationPrefetch(o Options, depths []int) ([]AblationPrefetchRow, error) {
 		return rep, float64(wall.Microseconds()) / 1e3, telemetry.Default.Snapshot().Delta(base), nil
 	}
 
-	ref, _, _, err := run(0)
+	ref, _, _, err := run(false, 0)
 	if err != nil {
 		return nil, fmt.Errorf("bench: prefetch-off reference: %w", err)
 	}
 	var rows []AblationPrefetchRow
-	for _, d := range depths {
-		rep, wall, delta, err := run(d)
-		if err != nil {
-			return nil, fmt.Errorf("bench: prefetch depth %d: %w", d, err)
+	for _, concurrent := range []bool{false, true} {
+		for _, d := range depths {
+			rep, wall, delta, err := run(concurrent, d)
+			if err != nil {
+				return nil, fmt.Errorf("bench: prefetch depth %d (concurrent=%v): %w", d, concurrent, err)
+			}
+			rows = append(rows, AblationPrefetchRow{
+				Concurrent: concurrent,
+				Depth:      d,
+				WallMS:     wall,
+				Hits:       delta["shmt_prefetch_hits_total"],
+				Cancelled:  delta["shmt_prefetch_cancelled_total"],
+				Identical:  rep.Output.Equal(ref.Output),
+			})
 		}
-		rows = append(rows, AblationPrefetchRow{
-			Depth:     d,
-			WallMS:    wall,
-			Hits:      delta["shmt_prefetch_hits_total"],
-			Cancelled: delta["shmt_prefetch_cancelled_total"],
-			Identical: rep.Output.Equal(ref.Output),
-		})
 	}
 	return rows, nil
 }
@@ -230,15 +243,19 @@ func AblationPrefetch(o Options, depths []int) ([]AblationPrefetchRow, error) {
 // AblationPrefetchTable renders the prefetch-depth sweep.
 func AblationPrefetchTable(rows []AblationPrefetchRow) *Table {
 	t := &Table{
-		Title:  "Ablation — async input prefetch depth (Edge TPU staging path, banded GEMM)",
-		Header: []string{"depth", "wall ms", "hits", "cancelled", "bit-identical"},
+		Title:  "Ablation — input prefetch depth (Edge TPU staging path, banded GEMM; default loop: resident operand cache, concurrent loop: + async prestage)",
+		Header: []string{"depth", "wall ms", "hits", "cancelled", "bit-identical", "pick loop"},
 	}
 	for _, r := range rows {
 		ident := "yes"
 		if !r.Identical {
 			ident = "NO"
 		}
-		t.AddRow(f0(r.Depth), f2(r.WallMS), f0(int(r.Hits)), f0(int(r.Cancelled)), ident)
+		loop := "deterministic"
+		if r.Concurrent {
+			loop = "concurrent"
+		}
+		t.AddRow(f0(r.Depth), f2(r.WallMS), f0(int(r.Hits)), f0(int(r.Cancelled)), ident, loop)
 	}
 	return t
 }

@@ -59,19 +59,18 @@ func TestAblationPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	// Both depths on the default loop, then both on the concurrent one.
+	if len(rows) != 4 || rows[1].Concurrent || !rows[2].Concurrent {
+		t.Fatalf("rows = %+v", rows)
 	}
 	for _, r := range rows {
 		if !r.Identical {
-			t.Fatalf("depth %d: prefetch changed the output", r.Depth)
+			t.Fatalf("%+v: prefetch changed the output", r)
 		}
-	}
-	if rows[0].Hits != 0 {
-		t.Fatalf("depth 0 should never hit: %+v", rows[0])
-	}
-	if rows[1].Hits == 0 {
-		t.Fatalf("depth 2 never consumed a prestage: %+v", rows[1])
+		// Only the concurrent loop prestages, and only at depth > 0.
+		if want := r.Concurrent && r.Depth > 0; (r.Hits > 0) != want {
+			t.Fatalf("%+v: prestage hits, want any = %v", r, want)
+		}
 	}
 	var sb strings.Builder
 	AblationPrefetchTable(rows).Render(&sb)

@@ -18,11 +18,13 @@
 //     exercising the quality path without any device erroring.
 //
 // Determinism: every decision is a pure function of (Seed, fault mode, op
-// index). Op indices are assigned atomically per wrapped device, so the fault
-// schedule — which dispatch indices fail, spike, or corrupt — is identical
-// for a given seed regardless of which engine runs or how goroutines
-// interleave. Under the deterministic engine the whole run is bit-for-bit
-// reproducible.
+// index). Op indices are assigned atomically per wrapped device at admission
+// (Device.Admit), so the fault schedule — which dispatch indices fail, spike,
+// or corrupt — is identical for a given seed regardless of which engine runs
+// or how goroutines interleave. Errors, death and spikes are admission
+// outcomes; corruption is applied by the compute half (Device.Compute) from
+// the op index its ticket carries. Under the deterministic engine the whole
+// run is bit-for-bit reproducible, at any host pool width.
 package chaos
 
 import (
@@ -155,20 +157,28 @@ func (c *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[strin
 	return c.ExecuteInto(op, inputs, nil, attrs)
 }
 
-// ExecuteInto draws this dispatch's fault decisions from the seeded schedule
-// and then delegates. Order of evaluation: death, deterministic outage,
-// transient error, latency spike, execution, output corruption.
+// ExecuteInto is admission followed by compute, so fault decisions see every
+// dispatch whichever way it arrives.
 func (c *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	return device.Dispatch(c, op, inputs, dst, attrs)
+}
+
+// Admit takes the next op index and draws every decision the engines act on
+// from the seeded schedule, in this order: death, deterministic outage,
+// transient error, latency spike, then the inner device's own admission. The
+// ticket carries the op index to Compute, which draws corruption from it.
+// Wrap is applied to leaf devices, whose own tickets carry nothing.
+func (c *Device) Admit(op vop.Opcode, inputs []*tensor.Matrix) (device.Ticket, error) {
 	k := c.ops.Add(1) - 1
 	if c.cfg.DieAfterOps > 0 && k >= int64(c.cfg.DieAfterOps) {
 		c.dead.Store(true)
 		telemetry.ChaosInjected.With("dead").Inc()
-		return nil, fmt.Errorf("%s op %d: %w", c.Name(), k, ErrDead)
+		return device.Ticket{}, fmt.Errorf("%s op %d: %w", c.Name(), k, ErrDead)
 	}
 	if k < int64(c.cfg.FailFirstOps) ||
 		(c.cfg.TransientRate > 0 && roll(c.cfg.Seed, streamTransient, k) < c.cfg.TransientRate) {
 		telemetry.ChaosInjected.With("transient").Inc()
-		return nil, fmt.Errorf("%s op %d: %w", c.Name(), k, ErrTransient)
+		return device.Ticket{}, fmt.Errorf("%s op %d: %w", c.Name(), k, ErrTransient)
 	}
 	if c.cfg.SpikeRate > 0 && roll(c.cfg.Seed, streamSpike, k) < c.cfg.SpikeRate {
 		n := 0
@@ -181,10 +191,19 @@ func (c *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor
 		c.mu.Unlock()
 		telemetry.ChaosInjected.With("spike").Inc()
 	}
-	res, err := c.inner.ExecuteInto(op, inputs, dst, attrs)
+	_, err := c.inner.Admit(op, inputs)
+	return device.Ticket{Seq: k}, err
+}
+
+// Compute delegates the arithmetic and then applies the output corruption
+// drawn for op index t.Seq — a function of the seed and that index alone, so
+// it does not matter when, or on which goroutine, the dispatch is computed.
+func (c *Device) Compute(t device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	res, err := c.inner.Compute(device.Ticket{}, op, inputs, dst, attrs)
 	if err != nil {
 		return res, err
 	}
+	k := t.Seq
 	if c.cfg.CorruptRate > 0 && roll(c.cfg.Seed, streamCorrupt, k) < c.cfg.CorruptRate {
 		corrupt(res, c.cfg.Seed, k, c.cfg.CorruptMagnitude)
 		telemetry.ChaosInjected.With("corrupt").Inc()
@@ -194,7 +213,7 @@ func (c *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor
 
 // TakeInjectedDelay drains the accumulated spike delay in virtual seconds.
 // The engines call it (through an interface assertion, so core never imports
-// chaos) after each successful dispatch and charge the delay to the device's
+// chaos) after each admitted dispatch and charge the delay to the device's
 // clock.
 func (c *Device) TakeInjectedDelay() float64 {
 	c.mu.Lock()

@@ -63,14 +63,25 @@ func (r *RemoteExecutor) Supports(op vop.Opcode) bool {
 
 // Execute round-trips the VOP through the backend.
 func (r *RemoteExecutor) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	return r.Do(context.Background(), "", op, inputs, attrs)
+	return r.ExecuteInto(op, inputs, nil, attrs)
 }
 
-// ExecuteInto is Execute with an optional destination; the result always
-// arrives in a fresh buffer off the wire, so when dst is non-nil the adapter
-// copies through it (the caller's result != dst fallback also works).
+// ExecuteInto is Execute with an optional destination.
 func (r *RemoteExecutor) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	out, err := r.Execute(op, inputs, attrs)
+	return device.Dispatch(r, op, inputs, dst, attrs)
+}
+
+// Admit implements device.Device: whether the backend takes the request is
+// only known once it has answered, so nothing is refused up front.
+func (r *RemoteExecutor) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
+	return device.Ticket{}, nil
+}
+
+// Compute is the round trip; the result always arrives in a fresh buffer off
+// the wire, so when dst is non-nil the adapter copies through it (the
+// caller's result != dst fallback also works).
+func (r *RemoteExecutor) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	out, err := r.Do(context.Background(), "", op, inputs, attrs)
 	if err != nil || dst == nil {
 		return out, err
 	}

@@ -167,6 +167,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	}
 	r.pf.drain()
 	if err != nil {
+		r.release()
 		return nil, err
 	}
 	busy, deviceMakespan := r.finish()

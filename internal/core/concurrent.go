@@ -14,8 +14,9 @@ import (
 // TaskQueue — the paper's "thread monitoring the queue will work with the
 // target device's kernel module and execute the HLOP implementation whenever
 // the device is available" (§3.3.1). Idle workers steal from the most-loaded
-// permitted victim. Virtual time is still used for cost accounting (each
-// worker owns its device's lane), but scheduling order is decided by real
+// permitted victim, and every worker computes an HLOP as soon as it has
+// admitted it. Virtual time is still used for cost accounting (each worker
+// owns its device's lane), but scheduling order is decided by real
 // concurrent execution, so this loop validates that the step's invariants do
 // not depend on the deterministic event ordering.
 func (r *round) runConcurrent(hs []*hlop.HLOP) error {
@@ -50,8 +51,13 @@ func (r *round) runConcurrent(hs []*hlop.HLOP) error {
 					runtime.Gosched()
 					continue
 				}
-				if err := r.dispatch(d, victim, h); err != nil {
-					failed.CompareAndSwap(nil, &err)
+				dn, admitted, err := r.admit(d, victim, h)
+				if admitted {
+					err = r.compute(dn)
+				}
+				if err != nil {
+					first := err // only the failing iteration's error moves to the heap
+					failed.CompareAndSwap(nil, &first)
 					return
 				}
 			}
@@ -92,19 +98,21 @@ func (r *round) obtainConcurrent(d *devState) (*hlop.HLOP, int) {
 		if best < 0 {
 			return nil, -1
 		}
-		// The depth scan races with the other workers: a victim emptied in
-		// between is a lost race (rescan), and CanSteal can only be checked on
-		// the item actually stolen — a forbidden one goes back and its queue
-		// is skipped for the rest of this attempt.
-		h, ok := r.devs[best].tq.Steal()
-		if !ok {
-			continue
-		}
-		if r.pol.CanSteal(r.ctx, d.qi, best, h) && r.ctx.StealableVictim(best) {
+		// The policy is asked about the tail under the victim's queue lock, so
+		// a forbidden item never leaves the queue — a breaker-open drain racing
+		// with this thief sees the whole backlog. A refused victim, or one the
+		// other workers emptied since the depth scan, is skipped for the rest
+		// of this attempt.
+		h, ok := r.devs[best].tq.StealIf(func(h *hlop.HLOP) bool {
+			if r.pol.CanSteal(r.ctx, d.qi, best, h) && r.ctx.StealableVictim(best) {
+				return true
+			}
+			telemetry.StealRejected.Inc()
+			return false
+		})
+		if ok {
 			return h, best
 		}
-		telemetry.StealRejected.Inc()
-		r.devs[best].tq.Push(h)
 		d.skip[best] = true
 	}
 }

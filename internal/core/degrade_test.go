@@ -210,11 +210,11 @@ func TestFailedDispatchAccountingSymmetry(t *testing.T) {
 					}
 				}
 			}},
-		// A non-stealing policy: the concurrent loop's thief takes an item
-		// before it can ask CanSteal and puts a refused one back, so an idle
-		// CPU probing the TPU's queue could hide one backlog item from the
-		// drain at the instant the breaker opens.
-		{name: "breaker opens and drains the backlog", pol: sched.EvenDistribution{},
+		// A stealing policy on purpose: the idle CPU (ineligible while an
+		// accelerator is healthy) keeps probing the TPU's queue, and
+		// TaskQueue.StealIf must never let it hold a backlog item while the
+		// breaker-open drain runs.
+		{name: "breaker opens and drains the backlog", pol: sched.WorkStealing{},
 			failures: 3, // the default threshold
 			check: func(t *testing.T, det, conc *Report) {
 				a, b := det.Degraded, conc.Degraded

@@ -6,19 +6,25 @@
 // back into the application's result.
 //
 // Every entry point is one pipeline (RunBatch: plan → bind → run → aggregate
-// → report; Run is a batch of one) and every HLOP goes through one step
-// (step.go: dispatch, split, fault handling, lane admission, accounting).
-// Virtual time is each device's interconnect.Lane. What comes in two
-// versions is only the pick loop — who obtains the next HLOP:
+// → report; Run is a batch of one) and every HLOP goes through one step in
+// two halves (step.go). admit decides: the device's admission, split, fault
+// handling, lane admission, accounting — all from shapes, the cost model and
+// the fault schedule, never from tensor values. compute is the arithmetic,
+// whose only output is the HLOP's result. Virtual time is each device's
+// interconnect.Lane. What comes in two versions is only the pick loop — who
+// obtains the next HLOP, and when its arithmetic runs:
 //
 //   - runDeterministic (this file) owns a sequential discrete-event choice:
 //     the device with the earliest lane clock goes next, over plain slices.
-//     Every experiment uses it, so results are exactly reproducible;
+//     It admits the whole round that way and then computes the admitted
+//     HLOPs on the host pool (internal/parallel), one task each: decisions
+//     in virtual time, execution on every core. Every experiment uses it, so
+//     results are exactly reproducible, at any pool width;
 //   - runConcurrent (concurrent.go) owns one worker goroutine per device
-//     popping and stealing from real queue pairs — the paper's "thread
-//     monitoring the queue" structure — so order is decided by real
-//     execution and the step's invariants are checked without the
-//     deterministic event ordering.
+//     popping and stealing from real queues — the paper's "thread
+//     monitoring the queue" structure — and computes each HLOP as soon as
+//     it is admitted, so order is decided by real execution and the step's
+//     invariants are checked without the deterministic event ordering.
 package core
 
 import (
@@ -51,12 +57,14 @@ type Engine struct {
 	// each device lane splits into a transfer stage and a compute stage
 	// (interconnect.Lane); without DoubleBuffer the stages serialize.
 	DoubleBuffer bool
-	// Prefetch is the wall-clock side of double buffering: the per-device
-	// depth of asynchronous input prestaging for private-memory devices
-	// (TPU/NPU modes) — while HLOP k executes, up to Prefetch queued HLOPs
-	// have their operands pre-materialized and pre-quantized on the worker
-	// pool, and operands shared across HLOPs stay device-resident. Results
-	// are bit-identical at any depth; 0 disables.
+	// Prefetch is the wall-clock side of double buffering for private-memory
+	// devices (TPU/NPU modes). At any depth > 0, operands shared across a
+	// round's HLOPs are staged once and stay device-resident. Under
+	// Concurrent it is also the per-device depth of asynchronous input
+	// prestaging — while HLOP k computes, up to Prefetch queued HLOPs have
+	// their operands pre-materialized and pre-quantized on the worker pool;
+	// the deterministic loop computes whole HLOPs on the pool instead.
+	// Results are bit-identical at any depth; 0 disables.
 	Prefetch int
 	// Seed drives every randomized component (sampling, concurrent
 	// validation).
@@ -194,8 +202,9 @@ func (e *Engine) Run(v *vop.VOP) (*Report, error) {
 
 // runDeterministic is the sequential discrete-event pick loop: repeatedly
 // choose the device with the earliest virtual clock that can obtain work (own
-// queue, then stealing under the policy) and hand it that HLOP. Every
-// experiment runs on this loop, so results are exactly reproducible.
+// queue, then stealing under the policy) and admit that HLOP there. Once the
+// round is decided, its arithmetic runs on the host pool. Every experiment
+// runs on this loop, so results are exactly reproducible.
 func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 	devs := r.devs
 	etc := device.NewExecTimeCacheSized(r.e.ExecTimeCacheEntries)
@@ -233,11 +242,11 @@ func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 			q := devs[victim].q
 			h, devs[victim].q = q[len(q)-1], q[:len(q)-1]
 		}
-		if err := r.dispatch(&devs[pick], victim, h); err != nil {
+		if _, _, err := r.admit(&devs[pick], victim, h); err != nil {
 			return err
 		}
 	}
-	return nil
+	return r.computeAdmitted()
 }
 
 // pickVictim returns the queue index the thief should steal from. Victims

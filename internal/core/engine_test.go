@@ -192,7 +192,9 @@ func TestEngineSplitsOversizedHLOPs(t *testing.T) {
 	}
 }
 
-// flakyDevice wraps a Device and fails the first N Execute calls.
+// flakyDevice wraps a Device and refuses the first N dispatches at
+// admission, the way a real device fault shows up; after that the inner
+// device decides (a small-memory TPU still answers ErrTooLarge).
 type flakyDevice struct {
 	device.Device
 	failures atomic.Int32
@@ -200,15 +202,11 @@ type flakyDevice struct {
 
 var errInjected = errors.New("injected device failure")
 
-func (f *flakyDevice) Execute(op vop.Opcode, in []*tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
-	return f.ExecuteInto(op, in, nil, at)
-}
-
-func (f *flakyDevice) ExecuteInto(op vop.Opcode, in []*tensor.Matrix, dst *tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
+func (f *flakyDevice) Admit(op vop.Opcode, in []*tensor.Matrix) (device.Ticket, error) {
 	if f.failures.Add(-1) >= 0 {
-		return nil, errInjected
+		return device.Ticket{}, errInjected
 	}
-	return f.Device.ExecuteInto(op, in, dst, at)
+	return f.Device.Admit(op, in)
 }
 
 func TestEngineFailureFallback(t *testing.T) {

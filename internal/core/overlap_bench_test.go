@@ -14,14 +14,16 @@ import (
 )
 
 // BenchmarkOverlap measures the wall-clock cost of the Edge TPU's
-// private-memory staging path with the asynchronous input prefetcher off
-// ("staged": every operand materialized and quantized at dispatch) versus on
-// ("prefetched": HLOP k+1's operands prestaged on the worker pool while HLOP
-// k executes, with shared operands held device-resident). The banded GEMM
-// partitioning gives every HLOP the same right-hand matrix, so the
-// prefetched path quantizes it once per run instead of once per HLOP —
-// that resident reuse plus the overlapped staging is the wall-clock win;
-// outputs are bit-identical either way (TestPropertyPrefetchBitIdentity).
+// private-memory staging path with the input prefetcher off ("staged": every
+// operand materialized and quantized at dispatch) versus on, under both pick
+// loops. The banded GEMM partitioning gives every HLOP the same right-hand
+// matrix, so with the prefetcher on it is quantized once per run instead of
+// once per HLOP. On the default loop that resident reuse is the prefetcher's
+// whole contribution ("resident"): whole HLOPs run on the host pool, which
+// already overlaps one HLOP's staging with another's kernel. On the
+// concurrent loop ("concurrent/prefetched") HLOP k+1's operands are also
+// prestaged on the worker pool while HLOP k executes. Outputs are
+// bit-identical every way (TestPropertyPrefetchBitIdentity).
 func BenchmarkOverlap(b *testing.B) {
 	const side = 512
 	r := rand.New(rand.NewSource(42))
@@ -35,11 +37,14 @@ func BenchmarkOverlap(b *testing.B) {
 	}
 
 	for _, bc := range []struct {
-		name  string
-		depth int
+		name       string
+		depth      int
+		concurrent bool
 	}{
-		{"staged", 0},
-		{"prefetched", 2},
+		{"staged", 0, false},
+		{"resident", 2, false},
+		{"concurrent/staged", 0, true},
+		{"concurrent/prefetched", 2, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			reg, err := device.NewRegistry(cpu.New(1), tpu.New(tpu.Config{}))
@@ -48,7 +53,7 @@ func BenchmarkOverlap(b *testing.B) {
 			}
 			e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
 				Spec:         hlop.Spec{TargetPartitions: 16, MinTile: 8},
-				DoubleBuffer: true, Prefetch: bc.depth}
+				DoubleBuffer: true, Prefetch: bc.depth, Concurrent: bc.concurrent}
 			b.SetBytes(2 * side * side * 8)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -19,6 +19,12 @@ import (
 // pool, so it needs no goroutines of its own and can never deadlock against
 // kernel fan-out.
 //
+// Only the concurrent loop issues prestage jobs (issue / take / cancel). The
+// deterministic loop puts whole HLOPs on the pool, which overlaps staging
+// with kernels by itself, and uses only the resident shared-operand cache
+// below (wantsStaged / stageSet / residentFor); see round.admit for why an
+// asynchronous job there could deadlock on itself.
+//
 // Two rules keep results bit-identical with prefetch off:
 //
 //   - staging goes through the exact dispatch path (device.Prestager is
@@ -278,21 +284,22 @@ func (pf *prefetcher) drain() {
 	telemetry.PrefetchBufferBytes.Add(-resBytes)
 }
 
-// executeHLOP dispatches h on dev, consuming a prestaged operand set when
-// one is ready for this device, staging through the resident-operand cache
-// when a shared operand makes that worthwhile, and falling back to the
-// device's plain dispatch path otherwise. All three paths are bit-identical
-// by construction (see device.Prestager).
-func (e *Engine) executeHLOP(pf *prefetcher, qi int, dev device.Device, h *hlop.HLOP) (*tensor.Matrix, error) {
+// executeHLOP computes h, which dev admitted under t, consuming a prestaged
+// operand set when one is ready for this device, staging through the
+// resident-operand cache when a shared operand makes that worthwhile, and
+// falling back to the device's plain compute half otherwise. All three paths
+// are bit-identical by construction (see device.Prestager).
+func (e *Engine) executeHLOP(pf *prefetcher, qi int, dev device.Device, h *hlop.HLOP, t device.Ticket) (*tensor.Matrix, error) {
 	if st := pf.take(qi, h); st != nil {
 		// take only returns sets staged for this queue's device, which
 		// therefore implements Prestager.
 		return dev.(device.Prestager).ExecuteStaged(h.Op, st, h.Attrs)
 	}
 	if pf.wantsStaged(h) {
-		if ps, ok := dev.(device.Prestager); ok && ps.CanStage(h.Op, h.Inputs) {
+		// Admission already established that the operand set fits.
+		if ps, ok := dev.(device.Prestager); ok {
 			return ps.ExecuteStaged(h.Op, pf.stageSet(ps, qi, h), h.Attrs)
 		}
 	}
-	return dev.ExecuteInto(h.Op, h.Inputs, h.Out, h.Attrs)
+	return dev.Compute(t, h.Op, h.Inputs, h.Out, h.Attrs)
 }

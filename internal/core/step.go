@@ -9,17 +9,28 @@ import (
 	"shmt/internal/device"
 	"shmt/internal/hlop"
 	"shmt/internal/interconnect"
+	"shmt/internal/parallel"
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/trace"
 )
 
 // This file is the per-HLOP step both pick loops share: everything that
-// happens after "this device obtained this HLOP" — prefetch issue, dispatch,
-// the ErrTooLarge split, fault accounting and rerouting, the lane admission
-// that advances virtual time, and the completion bookkeeping. The loops
-// (runDeterministic in engine.go, runConcurrent in concurrent.go) differ only
-// in who picks next.
+// happens after "this device obtained this HLOP", in two halves.
+//
+// admit is everything a pick loop branches on or accounts: the device's
+// admission (device.Device.Admit), the ErrTooLarge split, fault accounting and
+// rerouting, the lane admission that advances virtual time, and the
+// completion bookkeeping. All of it is a function of shapes, the cost model
+// and the fault schedule — never of tensor values.
+//
+// compute is the arithmetic of an admitted HLOP (executeHLOP); h.Result is
+// its only output.
+//
+// The loops (runDeterministic in engine.go, runConcurrent in concurrent.go)
+// differ in who picks next and in when compute runs: the concurrent workers
+// compute each HLOP as soon as they admitted it, the deterministic loop
+// admits the whole round one by one and then computes it on the host pool.
 
 // splitCost is the host-side cost of re-partitioning an HLOP that
 // overflowed a device's memory.
@@ -43,8 +54,8 @@ type devState struct {
 	q  []*hlop.HLOP
 	tq *device.TaskQueue[*hlop.HLOP]
 
-	// skip is obtainConcurrent's scratch: victims whose tail the policy
-	// refused during the current attempt.
+	// skip is obtainConcurrent's scratch: victims already tried during the
+	// current attempt.
 	skip []bool
 }
 
@@ -106,11 +117,17 @@ type round struct {
 	retries map[*hlop.HLOP]int
 	done    []doneHLOP // completion order: the host's aggregation order
 	comm    interconnect.Tracker
+	// The compute pass's failure, if any: the error of the earliest-admitted
+	// HLOP that failed, at its index in done.
+	computeErr   error
+	computeErrAt int
 }
 
-// doneHLOP is an executed HLOP; its virtual completion time is h.Finish.
+// doneHLOP is an admitted HLOP — its device is h.ExecQueue, its virtual
+// completion time h.Finish — and the ticket its compute half runs under.
 type doneHLOP struct {
 	h *hlop.HLOP
+	t device.Ticket
 }
 
 // newRound readies the device lanes at the scheduling overhead and stamps
@@ -133,28 +150,34 @@ func (e *Engine) newRound(ctx *sched.Context, pol sched.Policy, hs []*hlop.HLOP,
 	return r
 }
 
-// dispatch runs h on d's device. victim is the queue h was stolen from, -1
-// when d's own queue supplied it. A nil return means the round goes on: h
-// completed, or it was split, rerouted or requeued and will come round again.
-func (r *round) dispatch(d *devState, victim int, h *hlop.HLOP) error {
+// admit offers h to d's device and, if the device takes it, books its
+// completion on d's lane and appends it to r.done. victim is the queue h was
+// stolen from, -1 when d's own queue supplied it. admitted reports whether h
+// now awaits only its compute half (dn); otherwise a nil error means the
+// round goes on — h was split, rerouted or requeued and will come round again.
+func (r *round) admit(d *devState, victim int, h *hlop.HLOP) (dn doneHLOP, admitted bool, err error) {
 	e, dev := r.e, d.dev
 	stolen := victim >= 0
 	wasProbe := !stolen && d.br.beginProbe()
-	// Stage ahead: while h executes, the pool pre-quantizes the operands of
-	// the next HLOPs still queued behind it (a stolen h left the thief's own
-	// queue empty, so there is nothing to stage for).
-	if n := r.pf.peekDepth(); n > 0 && !stolen {
+	// Stage ahead (concurrent loop only): while h computes, the pool
+	// pre-quantizes the operands of the next HLOPs still queued behind it (a
+	// stolen h left the thief's own queue empty, so there is nothing to stage
+	// for). The deterministic loop computes whole HLOPs on the pool instead,
+	// which already overlaps one HLOP's staging with another's kernel — and a
+	// prestage job there could pick up, from parallel.For's helping wait, the
+	// compute of the very HLOP it stages and wait on itself forever.
+	if n := r.pf.peekDepth(); n > 0 && !stolen && e.Concurrent {
 		for _, nh := range d.peek(n) {
 			r.pf.issue(d.qi, dev, nh)
 		}
 	}
-	result, err := e.executeHLOP(r.pf, d.qi, dev, h)
+	t, err := dev.Admit(h.Op, h.Inputs)
 	if err != nil {
 		r.pf.cancel(h)
 		if errors.Is(err, device.ErrTooLarge) {
-			return r.split(d, h)
+			return dn, false, r.split(d, h)
 		}
-		return r.fault(d, h, err, wasProbe)
+		return dn, false, r.fault(d, h, err, wasProbe)
 	}
 	r.noteRecovery(d)
 
@@ -172,10 +195,11 @@ func (r *round) dispatch(d *devState, victim int, h *hlop.HLOP) error {
 	d.ran = true
 	d.busy += adm.End - adm.Start
 
-	h.Result, h.ExecQueue, h.Finish = result, d.qi, adm.OutEnd
+	h.ExecQueue, h.Finish = d.qi, adm.OutEnd
 	r.mu.Lock()
 	r.comm.Add(bytes, inT+outT, adm.Exposed)
-	r.done = append(r.done, doneHLOP{h: h})
+	dn = doneHLOP{h: h, t: t}
+	r.done = append(r.done, dn)
 	r.mu.Unlock()
 	if r.rt != nil {
 		r.rt.hlopDone(d.qi, victim, h, adm)
@@ -190,7 +214,49 @@ func (r *round) dispatch(d *devState, victim int, h *hlop.HLOP) error {
 	}
 	r.tr.FreeStaging(stageB)
 	r.outstanding.Add(-1)
+	return dn, true, nil
+}
+
+// compute runs an admitted HLOP's arithmetic on the device that admitted it.
+// An error here is the HLOP's own (a kernel shape error): no other device
+// would compute it differently, so it fails the round instead of being
+// retried.
+func (r *round) compute(d doneHLOP) error {
+	dev := r.devs[d.h.ExecQueue].dev
+	res, err := r.e.executeHLOP(r.pf, d.h.ExecQueue, dev, d.h, d.t)
+	if err != nil {
+		return fmt.Errorf("core: HLOP %d failed on %s: %w", d.h.ID, dev.Name(), err)
+	}
+	d.h.Result = res
 	return nil
+}
+
+// computeAdmitted is the deterministic loop's compute pass: every HLOP the
+// round admitted, one task each, on the host pool (inline, in admission
+// order, when the pool is one worker wide or the round one HLOP long). Of
+// several failures the one admitted first is reported, whichever worker
+// reached it first.
+func (r *round) computeAdmitted() error {
+	parallel.For(len(r.done), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := r.compute(r.done[i]); err != nil {
+				r.mu.Lock()
+				if r.computeErr == nil || i < r.computeErrAt {
+					r.computeErr, r.computeErrAt = err, i
+				}
+				r.mu.Unlock()
+			}
+		}
+	})
+	return r.computeErr
+}
+
+// release returns to the arena what a failed round computed before it
+// failed; a round that succeeds hands its buffers to aggregate instead.
+func (r *round) release() {
+	for _, d := range r.done {
+		releaseHLOPBuffers(d.h.Parent, d.h)
+	}
 }
 
 // split halves an HLOP that overflowed d's device memory and requeues both

@@ -55,10 +55,20 @@ func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[strin
 	return d.ExecuteInto(op, inputs, nil, attrs)
 }
 
-// ExecuteInto implements device.Device. The CPU works directly out of shared
+// ExecuteInto implements device.Device.
+func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	return device.Dispatch(d, op, inputs, dst, attrs)
+}
+
+// Admit implements device.Device: the CPU refuses nothing.
+func (d *Device) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
+	return device.Ticket{}, nil
+}
+
+// Compute implements device.Device. The CPU works directly out of shared
 // host memory: strided input views are read in place and, when dst is given,
 // the result is written through it — no staging copies on either side.
-func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	return kernels.ExecInto(op, inputs, dst, attrs, kernels.Exact{})
 }
 

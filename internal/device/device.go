@@ -81,7 +81,23 @@ type Device interface {
 	// aggregate scatter copy. Devices with private memory or quantized
 	// output staging (the TPU) may ignore dst and return a fresh buffer; the
 	// caller detects that by result != dst and falls back to the copy path.
+	//
+	// ExecuteInto is Admit followed by Compute (see Dispatch); callers that
+	// need the decision apart from the arithmetic call the halves themselves.
 	ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error)
+	// Admit is the admission half of a dispatch: it accepts or refuses the
+	// HLOP from the opcode, the operand shapes and the device's own state,
+	// never from tensor values. Everything a retry, a split or a reroute can
+	// cure is refused here — a working set that overflows private memory
+	// (ErrTooLarge), an injected fault, a dead device — so a scheduler knows
+	// a dispatch's fate, and can account it, before any arithmetic runs.
+	Admit(op vop.Opcode, inputs []*tensor.Matrix) (Ticket, error)
+	// Compute is the compute half: the arithmetic of a dispatch Admit
+	// accepted, under the ticket Admit returned. Its result is its only
+	// output, so admitted dispatches may be computed in any order, on any
+	// goroutine. An error here is a defect of the HLOP (a kernel shape
+	// error), not of the device: dispatching it again cannot help.
+	Compute(t Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error)
 	// ExecTime returns the modelled execution latency for n elements of the
 	// opcode, excluding dispatch and transfers.
 	ExecTime(op vop.Opcode, n int) float64
@@ -95,6 +111,24 @@ type Device interface {
 	// MemoryBytes is the private device memory capacity; 0 means the device
 	// works out of shared host memory.
 	MemoryBytes() int64
+}
+
+// Ticket is what a device's admission half hands its compute half. Devices
+// that keep no per-dispatch state return the zero Ticket.
+type Ticket struct {
+	// Seq is the dispatch's index on the device that admitted it. The chaos
+	// wrapper keys output corruption on it, so a dispatch computed later, or
+	// on another goroutine, is still corrupted exactly as it was drawn.
+	Seq int64
+}
+
+// Dispatch is ExecuteInto for any device: admission, then compute.
+func Dispatch(d Device, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	t, err := d.Admit(op, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return d.Compute(t, op, inputs, dst, attrs)
 }
 
 // MaxPartitionElems returns how many input elements of the given opcode fit

@@ -33,6 +33,10 @@ func (f *fakeDevice) Execute(vop.Opcode, []*tensor.Matrix, map[string]float64) (
 func (f *fakeDevice) ExecuteInto(op vop.Opcode, in []*tensor.Matrix, _ *tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
 	return f.Execute(op, in, at)
 }
+func (f *fakeDevice) Admit(vop.Opcode, []*tensor.Matrix) (Ticket, error) { return Ticket{}, nil }
+func (f *fakeDevice) Compute(_ Ticket, op vop.Opcode, in []*tensor.Matrix, _ *tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
+	return f.Execute(op, in, at)
+}
 func (f *fakeDevice) ExecTime(vop.Opcode, int) float64 { return 1 }
 func (f *fakeDevice) DispatchOverhead() float64        { return 0 }
 func (f *fakeDevice) Link() interconnect.Link          { return interconnect.HostDRAM }
@@ -122,7 +126,10 @@ func TestTaskQueueFIFOAndSteal(t *testing.T) {
 	if v, ok := q.Pop(); !ok || v != 1 {
 		t.Fatalf("pop = %d,%v", v, ok)
 	}
-	if v, ok := q.Steal(); !ok || v != 3 {
+	if _, ok := q.StealIf(func(v int) bool { return v != 3 }); ok || q.Pending() != 2 {
+		t.Fatalf("refused steal took the tail anyway (pending %d)", q.Pending())
+	}
+	if v, ok := q.StealIf(anyTask); !ok || v != 3 {
 		t.Fatalf("steal = %d,%v (must take the tail)", v, ok)
 	}
 	if v, ok := q.Pop(); !ok || v != 2 {
@@ -131,10 +138,12 @@ func TestTaskQueueFIFOAndSteal(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("empty pop should fail")
 	}
-	if _, ok := q.Steal(); ok {
+	if _, ok := q.StealIf(anyTask); ok {
 		t.Fatal("empty steal should fail")
 	}
 }
+
+func anyTask(int) bool { return true }
 
 func TestTaskQueuePushFront(t *testing.T) {
 	q := NewTaskQueue[int]()
@@ -167,30 +176,6 @@ func TestTaskQueueDrainPending(t *testing.T) {
 	}
 }
 
-func TestTaskQueueCompletion(t *testing.T) {
-	q := NewTaskQueue[string]()
-	q.Complete("a")
-	q.Complete("b")
-	got := q.DrainCompleted()
-	if len(got) != 2 || got[0] != "a" {
-		t.Fatalf("drained = %v", got)
-	}
-	if len(q.DrainCompleted()) != 0 {
-		t.Fatal("drain should empty the completion queue")
-	}
-}
-
-func TestTaskQueueClose(t *testing.T) {
-	q := NewTaskQueue[int]()
-	if q.Closed() {
-		t.Fatal("fresh queue closed")
-	}
-	q.Close()
-	if !q.Closed() {
-		t.Fatal("Close did not stick")
-	}
-}
-
 func TestTaskQueueConcurrentSafety(t *testing.T) {
 	q := NewTaskQueue[int]()
 	const n = 1000
@@ -214,7 +199,7 @@ func TestTaskQueueConcurrentSafety(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			if _, ok := q.Steal(); ok {
+			if _, ok := q.StealIf(anyTask); ok {
 				stolen++
 			}
 		}

@@ -101,12 +101,22 @@ func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[strin
 	return d.ExecuteInto(op, inputs, nil, attrs)
 }
 
-// ExecuteInto implements device.Device. The on-SoC DSP shares host memory,
-// so when dst is given the fixed-point result is written through it. Note
+// ExecuteInto implements device.Device.
+func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	return device.Dispatch(d, op, inputs, dst, attrs)
+}
+
+// Admit implements device.Device: the DSP refuses nothing.
+func (d *Device) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
+	return device.Ticket{}, nil
+}
+
+// Compute implements device.Device. The on-SoC DSP shares host memory, so
+// when dst is given the fixed-point result is written through it. Note
 // Fixed24 calibrates per stage, so it is deliberately not an
 // ElementwiseRounder: kernels gather strided destinations before the final
 // requant to keep calibration identical to the copy path.
-func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	var r kernels.Rounder = Fixed24{}
 	cast := make([]*tensor.Matrix, len(inputs))
 	for i, in := range inputs {

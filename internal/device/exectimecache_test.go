@@ -124,7 +124,7 @@ func TestTaskQueueInstrumentation(t *testing.T) {
 	if v, ok := q.Pop(); !ok || v != 1 {
 		t.Fatalf("Pop = %d, %v", v, ok)
 	}
-	if v, ok := q.Steal(); !ok || v != 3 {
+	if v, ok := q.StealIf(anyTask); !ok || v != 3 {
 		t.Fatalf("Steal = %d, %v (steals take the tail)", v, ok)
 	}
 	if depth.Value() != 1 {

@@ -85,11 +85,21 @@ func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[strin
 	return d.ExecuteInto(op, inputs, nil, attrs)
 }
 
-// ExecuteInto implements device.Device. The integrated GPU shares host
-// memory, so when dst is given the FP32/FP16 result lands directly in it
-// (the precision cast of the inputs is a modelled device behaviour and is
-// kept — stride-aware — even for views).
+// ExecuteInto implements device.Device.
 func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	return device.Dispatch(d, op, inputs, dst, attrs)
+}
+
+// Admit implements device.Device: the GPU refuses nothing.
+func (d *Device) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
+	return device.Ticket{}, nil
+}
+
+// Compute implements device.Device. The integrated GPU shares host memory,
+// so when dst is given the FP32/FP16 result lands directly in it (the
+// precision cast of the inputs is a modelled device behaviour and is kept —
+// stride-aware — even for views).
+func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	var r kernels.Rounder = kernels.F32{}
 	if d.cfg.HalfPrecision {
 		r = kernels.F16{}

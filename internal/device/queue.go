@@ -7,10 +7,11 @@ import (
 	"shmt/internal/telemetry"
 )
 
-// TaskQueue is the incoming/outgoing queue pair the SHMT kernel driver
-// maintains per hardware resource (§3.3: "a pair of queues for each
-// SHMT-compatible hardware resource; one serves as the incoming queue and
-// the other as the completion queue").
+// TaskQueue is the incoming queue the SHMT kernel driver maintains per
+// hardware resource (§3.3: "a pair of queues for each SHMT-compatible
+// hardware resource; one serves as the incoming queue and the other as the
+// completion queue" — the completion side is the round's done list in
+// internal/core, which every device appends to in completion order).
 //
 // It is a mutex-guarded deque rather than a channel because work stealing
 // needs to remove items from the *tail* of a victim's queue while the owner
@@ -23,14 +24,12 @@ type TaskQueue[T any] struct {
 	mu       sync.Mutex
 	incoming []T
 	enqueued []int64 // per-item Push wall ns, parallel to incoming; nil unless wait != nil
-	complete []T
-	closed   bool
 
 	depth *telemetry.Gauge
 	wait  *telemetry.Histogram
 }
 
-// NewTaskQueue returns an empty queue pair.
+// NewTaskQueue returns an empty queue.
 func NewTaskQueue[T any]() *TaskQueue[T] { return &TaskQueue[T]{} }
 
 // Instrument attaches a depth gauge and/or wait-time histogram. Call before
@@ -104,8 +103,12 @@ func (q *TaskQueue[T]) Pop() (T, bool) {
 	return t, true
 }
 
-// Steal removes the tail of the incoming queue (thief side).
-func (q *TaskQueue[T]) Steal() (T, bool) {
+// StealIf removes the tail of the incoming queue if may accepts it (thief
+// side). The policy check and the removal are one critical section: a tail
+// the thief may not take never leaves the queue, so a concurrent
+// DrainPending sees every pending item. may runs under the queue lock and
+// must not touch the queue.
+func (q *TaskQueue[T]) StealIf(may func(T) bool) (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var zero T
@@ -114,6 +117,9 @@ func (q *TaskQueue[T]) Steal() (T, bool) {
 	}
 	last := len(q.incoming) - 1
 	t := q.incoming[last]
+	if !may(t) {
+		return zero, false
+	}
 	q.observeWaitLocked(last)
 	q.incoming = q.incoming[:last]
 	if len(q.enqueued) > last {
@@ -160,36 +166,4 @@ func (q *TaskQueue[T]) Pending() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.incoming)
-}
-
-// Complete appends a finished task to the completion queue.
-func (q *TaskQueue[T]) Complete(t T) {
-	q.mu.Lock()
-	q.complete = append(q.complete, t)
-	q.mu.Unlock()
-}
-
-// DrainCompleted empties and returns the completion queue (the runtime
-// dequeues it "for data aggregation and synchronization purposes").
-func (q *TaskQueue[T]) DrainCompleted() []T {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := q.complete
-	q.complete = nil
-	return out
-}
-
-// Close marks the queue closed; Closed lets workers distinguish "empty for
-// now" from "no more work will arrive".
-func (q *TaskQueue[T]) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-}
-
-// Closed reports whether Close was called.
-func (q *TaskQueue[T]) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
 }

@@ -132,17 +132,25 @@ func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[strin
 	return d.ExecuteInto(op, inputs, nil, attrs)
 }
 
-// ExecuteInto implements device.Device. The TPU sits behind PCIe with
-// private memory and quantized staging, so it ignores dst and always
-// returns a fresh materialized buffer; the runtime detects result != dst
-// and scatters it into the VOP output on the copy path.
+// ExecuteInto implements device.Device.
+func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	return device.Dispatch(d, op, inputs, dst, attrs)
+}
+
+// Admit implements device.Device: a working set that overflows device
+// memory is refused with ErrTooLarge, which drives the runtime's split.
+func (d *Device) Admit(op vop.Opcode, inputs []*tensor.Matrix) (device.Ticket, error) {
+	return device.Ticket{}, d.checkFits(op, inputs)
+}
+
+// Compute implements device.Device. The TPU sits behind PCIe with private
+// memory and quantized staging, so it ignores dst and always returns a fresh
+// materialized buffer; the runtime detects result != dst and scatters it
+// into the VOP output on the copy path.
 //
-// Dispatch is staging followed by ExecuteStaged — the same path the input
+// Compute is staging followed by ExecuteStaged — the same path the input
 // prefetcher takes, which is what makes prefetched runs bit-identical.
-func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, _ *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	if err := d.checkFits(op, inputs); err != nil {
-		return nil, err
-	}
+func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, _ *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	st := &device.Staged{Inputs: make([]*tensor.Matrix, len(inputs))}
 	for i, in := range inputs {
 		st.Inputs[i] = d.StageInput(op, in)

@@ -200,69 +200,29 @@ func For(n, grain int, fn func(lo, hi int)) {
 		return
 	}
 
-	var (
-		next      atomic.Int64
-		panicked  atomic.Bool
-		panicOnce sync.Once
-		panicVal  any
-	)
-	work := func() {
-		// Worker-utilization accounting: one timestamp pair per drained
-		// worker, not per chunk, so the enabled cost stays off the inner loop.
-		var t0 time.Time
-		var done int64
-		if telemetry.On() {
-			t0 = time.Now()
-		}
-		defer func() {
-			if !t0.IsZero() {
-				telemetry.WorkerBusyNanos.Add(time.Since(t0).Nanoseconds())
-				telemetry.WorkerChunks.Add(done)
-			}
-			if r := recover(); r != nil {
-				panicOnce.Do(func() {
-					panicVal = r
-					panicked.Store(true)
-				})
-			}
-		}()
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks || panicked.Load() {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-			done++
-		}
-	}
-
-	var pending atomic.Int64
+	// One heap object carries the call's shared state and one method value
+	// is every helper, so a parallel For costs two allocations however wide
+	// it fans out.
+	j := &forJob{n: n, grain: grain, chunks: chunks, fn: fn}
+	help := j.help
 	for i := 1; i < w; i++ {
-		pending.Add(1)
-		if !submit(func() {
-			defer pending.Add(-1)
-			work()
-		}) {
-			pending.Add(-1)
+		j.pending.Add(1)
+		if !submit(help) {
+			j.pending.Add(-1)
 			break // pool saturated: the caller drains the counter alone
 		}
 	}
-	work()
+	j.work()
 	// Wait for the submitted helpers — by helping. A helper that is still
 	// queued may never start on its own: when this caller *is* a pool worker
-	// (nested For, e.g. a kernel inside a prefetch task), or when every
+	// (nested For, e.g. a kernel inside a pooled HLOP), or when every
 	// worker is blocked in this same wait, the queue has no one to drain it
 	// and a plain WaitGroup.Wait deadlocks. Executing queued tasks here
 	// breaks that cycle — our own helpers run inline (and find the chunk
 	// counter drained, exiting immediately), and foreign tasks make forward
 	// progress for whoever is waiting on them. Tasks never block except in
 	// this same helping wait, so the recursion terminates.
-	for pending.Load() > 0 {
+	for j.pending.Load() > 0 {
 		select {
 		case f := <-tasks:
 			f()
@@ -271,9 +231,88 @@ func For(n, grain int, fn func(lo, hi int)) {
 			runtime.Gosched()
 		}
 	}
-	if panicked.Load() {
-		panic(panicVal)
+	if j.panicked.Load() {
+		panic(j.panicVal)
 	}
+}
+
+// forJob is the state one parallel For call shares with its helpers.
+type forJob struct {
+	n, grain, chunks int
+	fn               func(lo, hi int)
+
+	next      atomic.Int64 // next unclaimed chunk
+	pending   atomic.Int64 // helpers submitted and not yet finished
+	panicked  atomic.Bool
+	panicOnce sync.Once
+	panicVal  any
+}
+
+// help is a submitted helper: it drains chunks like the caller does.
+func (j *forJob) help() {
+	defer j.pending.Add(-1)
+	j.work()
+}
+
+// work claims and runs chunks until none are left.
+func (j *forJob) work() {
+	// Worker-utilization accounting: one timestamp pair per drained worker,
+	// not per chunk, so the enabled cost stays off the inner loop. A worker is
+	// busy once: when a chunk of an enclosing For is already open on this
+	// goroutine (a kernel's For inside a pooled HLOP), that frame's interval
+	// covers this one and only the chunks are counted.
+	var t0 time.Time
+	var done int64
+	counting := telemetry.On()
+	if counting && !reentered() {
+		t0 = time.Now()
+	}
+	defer func() {
+		if counting {
+			telemetry.WorkerChunks.Add(done)
+		}
+		if !t0.IsZero() {
+			telemetry.WorkerBusyNanos.Add(time.Since(t0).Nanoseconds())
+		}
+		if r := recover(); r != nil {
+			j.panicOnce.Do(func() {
+				j.panicVal = r
+				j.panicked.Store(true)
+			})
+		}
+	}()
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks || j.panicked.Load() {
+			return
+		}
+		lo := c * j.grain
+		hi := min(lo+j.grain, j.n)
+		j.fn(lo, hi)
+		done++
+	}
+}
+
+// reentered reports whether the function calling it already has a frame
+// further up this goroutine's stack. Go has no goroutine-local storage to
+// keep a nesting depth in; the stack is the one thing that is per goroutine.
+// A nested For is at most a kernel's call chain below the chunk that called
+// it, so 32 frames reach the enclosing frame whenever there is one.
+//
+//go:noinline
+func reentered() bool {
+	var pcs [32]uintptr
+	n := runtime.Callers(2, pcs[:]) // pcs[0] is in the calling function
+	if n == 0 {
+		return false
+	}
+	self := runtime.FuncForPC(pcs[0] - 1).Entry()
+	for _, pc := range pcs[1:n] {
+		if runtime.FuncForPC(pc-1).Entry() == self {
+			return true
+		}
+	}
+	return false
 }
 
 // targetChunkElems is the per-chunk work For aims at when a caller sizes

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"shmt/internal/telemetry"
 )
 
 func TestForCoversRangeOnce(t *testing.T) {
@@ -155,5 +157,46 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	})
 	if total.Load() != 800 {
 		t.Fatalf("nested total = %d, want 800", total.Load())
+	}
+}
+
+// TestWorkerBusyCountsEachGoroutineOnce: a For nested in another For's chunk
+// (a kernel fanning out inside a pooled HLOP) must not add its interval on top
+// of the chunk's own. Only GOMAXPROCS pool workers and the caller can be
+// inside For at once, so busy time over wall × (GOMAXPROCS + 1) is a share
+// that cannot exceed 1 unless some goroutine was counted twice.
+func TestWorkerBusyCountsEachGoroutineOnce(t *testing.T) {
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	telemetry.Enable()
+	defer telemetry.Disable()
+
+	var sink atomic.Int64
+	spin := func(lo, hi int) {
+		x := int64(lo)
+		for i := 0; i < 20_000*(hi-lo); i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+		sink.Add(x)
+	}
+	busy0, chunks0 := telemetry.WorkerBusyNanos.Value(), telemetry.WorkerChunks.Value()
+	start := time.Now()
+	For(16, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			For(64, 8, spin)
+		}
+	})
+	wall := time.Since(start)
+	busy := telemetry.WorkerBusyNanos.Value() - busy0
+	if busy == 0 {
+		t.Fatal("no busy time recorded on the parallel path")
+	}
+	if share := float64(busy) / (float64(wall.Nanoseconds()) * float64(runtime.GOMAXPROCS(0)+1)); share > 1 {
+		t.Fatalf("worker busy share = %.2f > 1: %v busy in %v wall on %d procs — nested For counted twice",
+			share, time.Duration(busy), wall, runtime.GOMAXPROCS(0))
+	}
+	// Chunks are work done, not time: nested ones still count, each once.
+	if got, want := telemetry.WorkerChunks.Value()-chunks0, int64(16+16*8); got != want {
+		t.Fatalf("chunks = %d, want %d", got, want)
 	}
 }

@@ -91,10 +91,13 @@ type Config struct {
 	// — same HLOP count, same per-HLOP costs, same overhead ratios — while
 	// quality is measured on the smaller (size-invariant) data. Default 1.
 	VirtualScale float64
-	// Workers caps the host worker-pool size kernels fan out over (see
-	// internal/parallel). 0 keeps the current setting — GOMAXPROCS, or the
-	// SHMT_WORKERS environment variable when set. 1 forces sequential
-	// execution. Results are bit-identical at every setting. The pool itself
+	// Workers caps the host worker pool (see internal/parallel) that runs the
+	// arithmetic: the default engine decides a whole round in virtual time,
+	// one HLOP after another, and then computes the admitted HLOPs on the
+	// pool, one task each, and kernels fan their own loops out over it too.
+	// 0 keeps the current setting — GOMAXPROCS, or the SHMT_WORKERS
+	// environment variable when set. 1 forces sequential execution. Results
+	// and every virtual-time figure are identical at every setting. The pool itself
 	// is process-wide, but the setting is scoped to the session: it acquires
 	// a cap released by Close, and with several live sessions the strictest
 	// cap wins, so concurrent sessions compose deterministically instead of
@@ -121,11 +124,13 @@ type Config struct {
 	// device.ExecTimeCache); on overflow the memo is flushed wholesale. 0
 	// keeps the default (device.DefaultExecTimeEntries = 4096).
 	ExecTimeCacheEntries int
-	// Prefetch configures asynchronous input prefetch for private-memory
-	// devices (TPU/NPU): while one HLOP executes, the host worker pool
-	// pre-quantizes and pre-materializes the next HLOPs' operands. The zero
-	// value enables it at DefaultPrefetchDepth whenever the policy double
-	// buffers. Results are bit-identical at every depth.
+	// Prefetch configures input staging ahead of execution for
+	// private-memory devices (TPU/NPU): operands shared across a round's
+	// HLOPs are quantized once and kept device-resident, and under
+	// Concurrent the host worker pool also pre-quantizes the next queued
+	// HLOPs' operands while one executes. The zero value enables it at
+	// DefaultPrefetchDepth whenever the policy double buffers. Results are
+	// bit-identical at every depth.
 	Prefetch PrefetchConfig
 }
 
@@ -134,18 +139,24 @@ type Config struct {
 // double-buffer slot count (interconnect.BufferDepth).
 const DefaultPrefetchDepth = 2
 
-// PrefetchConfig configures the asynchronous input-prefetch stage of
-// double-buffered HLOP pipelining. Prefetch only changes *when* operands are
-// staged, never *how*: staging runs the exact dispatch-path quantization, a
+// PrefetchConfig configures the input-prefetch stage of double-buffered HLOP
+// pipelining. It has two halves. The resident operand cache — operands
+// shared across a run's HLOPs are staged once and kept device-resident —
+// works under both engines and is all the default engine uses: it computes
+// whole HLOPs on the host pool, which already overlaps one HLOP's staging
+// with another's kernel. Asynchronous prestaging of the next Depth queued
+// HLOPs runs only under Config.Concurrent, whose per-device workers compute
+// one HLOP at a time. Prefetch only changes *when* operands are staged,
+// never *how*: staging runs the exact dispatch-path quantization, and a
 // staged set is cancelled (not reused) when a steal or breaker-open reroutes
-// its HLOP, and operands shared across a run's HLOPs are staged once and
-// kept device-resident. Outputs are therefore bit-identical with prefetch
-// on or off, at any depth.
+// its HLOP. Outputs are therefore bit-identical with prefetch on or off, at
+// any depth.
 type PrefetchConfig struct {
-	// Disabled turns prefetch off: every dispatch stages synchronously.
+	// Disabled turns both halves off: every dispatch stages synchronously.
 	Disabled bool
-	// Depth is the per-device staged-ahead bound; ≤ 0 means
-	// DefaultPrefetchDepth.
+	// Depth is the per-device staged-ahead bound under Config.Concurrent;
+	// ≤ 0 means DefaultPrefetchDepth. The default engine only distinguishes
+	// off from on.
 	Depth int
 }
 
