@@ -14,9 +14,9 @@ all: check
 # silently, the planning-overhead benchmark so plan-cache replay keeps paying
 # for itself, the staging-overlap benchmark so async input prefetch keeps
 # beating dispatch-time staging, a short fuzz of the /v1/execute decoder
-# against encoding/json, the end-to-end harness's own vet and tests (a nested
-# module that imports internal/ packages, so the root `go test ./...` cannot
-# see it break), the serving smoke test so shmtserved's coalescing/drain path
+# against encoding/json and of the header sanitisers, the end-to-end
+# harness's own vet and tests (a nested module that imports internal/
+# packages, so the root `go test ./...` cannot see it break), the serving smoke test so shmtserved's coalescing/drain path
 # stays live, and the cluster smoke test so the router tier's
 # failover/re-admission path stays live. CI (.github/workflows/ci.yml) runs
 # exactly these stages.
@@ -41,11 +41,14 @@ race:
 	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/
 
 # fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
-# against encoding/json, and the router's peek against the decoder. (go test
+# against encoding/json, the router's peek against the decoder, and the two
+# header sanitisers (tenant, trace ID) both tiers apply at admission. (go test
 # takes one -fuzz target per run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTenant$$' -fuzztime=10s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTraceID$$' -fuzztime=10s ./internal/serve/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -106,9 +109,10 @@ benche2e:
 	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
 # servesmoke boots shmtserved on a free port, fires concurrent request
-# volleys, and asserts every request succeeds, the micro-batcher coalesced
-# (batch_size_sum > batch_size_count in the exposition), /healthz is ok, and
-# SIGTERM drains to a clean exit.
+# volleys, and asserts every request succeeds, the micro-batcher coalesces
+# what queues up behind a busy dispatcher (batch_size_sum grows by more than
+# batch_size_count while GEMM wedges run), /healthz is ok, and SIGTERM drains
+# to a clean exit.
 servesmoke:
 	sh scripts/servesmoke.sh
 

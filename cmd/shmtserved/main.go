@@ -1,8 +1,11 @@
 // Command shmtserved serves a shmt.Session over HTTP/JSON: concurrent VOP
 // requests are admitted into a bounded queue, coalesced by the dynamic
-// micro-batcher (flush on max batch size or max linger, whichever first) and
-// executed as ExecuteBatch rounds, so simultaneous clients share one
-// scheduling round the way §5.6's oversubscribed multi-tenant batches do.
+// micro-batcher and executed as ExecuteBatch rounds, so simultaneous clients
+// share one scheduling round the way §5.6's oversubscribed multi-tenant
+// batches do. The batcher takes whatever is queued, up to -max-batch, and
+// goes: a lone request never waits. A round is held open only while another
+// request is known to be arriving (its handler has been entered and its body
+// is still being read), and for at most -max-linger.
 //
 // Usage:
 //
@@ -99,7 +102,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "host worker-pool cap (0 = GOMAXPROCS/SHMT_WORKERS)")
 		concurrent   = flag.Bool("concurrent", false, "use the goroutine engine")
 		maxBatch     = flag.Int("max-batch", 16, "max requests coalesced per micro-batch round")
-		maxLinger    = flag.Duration("max-linger", 2*time.Millisecond, "max wait for a round to fill before flushing")
+		maxLinger    = flag.Duration("max-linger", 2*time.Millisecond, "ceiling on how long a round waits for a request whose body is still arriving; an idle server never waits")
 		queueDepth   = flag.Int("queue-depth", 0, "admission queue bound (0 = 4x max-batch); overflow answers 429")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "default per-request deadline (overridable via timeout_ms)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound after SIGTERM")

@@ -177,6 +177,12 @@ func SanitizeTraceID(id string) string {
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := "error"
+	// Announced before the body is read: reading and decoding it is where an
+	// arriving request spends its time, and that is the window in which the
+	// dispatcher should hold a round open for it. Submit retires the
+	// announcement; every path that never reaches Submit releases it.
+	arrival := s.batcher.Announce()
+	defer arrival.Release()
 
 	tenant := SanitizeTenant(r.Header.Get(TenantHeader))
 	tenantLabel := tenant
@@ -249,6 +255,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 	// fail answers a request that ends without a result.
 	fail := func(code int, label, msg string) {
+		arrival.Release() // before the reply is written: a round may be waiting
 		outcome, errMsg = label, msg
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
@@ -287,7 +294,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		pressure = 1 - float64(timeout)/float64(cd)
 	}
 
-	res, err := s.batcher.Submit(ctx, shmt.BatchRequest{
+	res, err := arrival.Submit(ctx, shmt.BatchRequest{
 		Op: v.Op, Inputs: v.Inputs, Attrs: req.Attrs,
 		TraceID: traceID, Tenant: tenantLabel, DeadlinePressure: pressure,
 	})

@@ -8,12 +8,18 @@
 // letting any tenant's queue grow without bound). A single dispatcher
 // goroutine gathers a round: it drains the tenant queues by deficit-weighted
 // round-robin — each tenant earns quantum proportional to its configured
-// Weight, so a bursting tenant cannot starve the others — then keeps
-// gathering until either MaxBatch requests are in hand or the first request
-// has lingered MaxLinger, whichever comes first. Under load rounds fill to
-// MaxBatch back-to-back, and a lone request never waits more than the
-// linger. With a single tenant (or no Tenants config) the deficit rotation
-// degenerates to exactly the old shared FIFO: one queue, popped in arrival
+// Weight, so a bursting tenant cannot starve the others — until MaxBatch
+// requests are in hand or the queues are empty. It is work-conserving: with
+// the queues empty the round is flushed at once, unless a request is on its
+// way. The front-end announces a request (Batcher.Announce) the moment its
+// handler is entered — before the body is read, because reading and decoding
+// the body is most of the time a request spends arriving — and the dispatcher
+// waits for company only while an announced request has not yet been queued
+// or released, and never longer than MaxLinger. So a lone request never
+// waits, two overlapping requests share a round after waiting only for the
+// slower decode, and a backlog that built up behind a running round coalesces
+// up to MaxBatch. With a single tenant (or no Tenants config) the deficit
+// rotation degenerates to exactly a shared FIFO: one queue, popped in arrival
 // order. Each round becomes one Session.ExecuteBatch call, so the engine
 // co-schedules the requests' HLOPs over shared device queues — the
 // oversubscription §5.6 of the paper credits for hiding data-exchange
@@ -50,7 +56,8 @@ var (
 )
 
 // Backend is the slice of shmt.Session the serving layer needs; the
-// indirection keeps the batcher testable against fakes.
+// indirection keeps the batcher testable against fakes. ExecuteBatch must not
+// retain reqs: the dispatcher reuses the slice for the next round.
 type Backend interface {
 	ExecuteBatch(reqs []shmt.BatchRequest) (*shmt.BatchResult, error)
 	QuarantinedDevices() []string
@@ -76,8 +83,12 @@ type Config struct {
 	// MaxBatch is the most requests one micro-batch round may coalesce
 	// (default 16).
 	MaxBatch int
-	// MaxLinger is the longest the dispatcher holds an admitted request
-	// open for company before flushing a partial round (default 2ms).
+	// MaxLinger is a ceiling, not a timer: the longest the dispatcher holds
+	// a partial round open for a request that has been announced
+	// (Batcher.Announce) but not yet queued (default 2ms). With nothing
+	// announced a round never waits, so a lone request pays none of it; a
+	// client that trickles its body in delays other requests' rounds by at
+	// most this much.
 	MaxLinger time.Duration
 	// QueueDepth bounds each tenant's admission queue (per tenant, not
 	// shared); requests beyond it are shed with ErrQueueFull (default
@@ -227,9 +238,16 @@ type Batcher struct {
 	order    []*tenantQueue // rotation order = first-submission order
 	rrIdx    int            // current rotation position in order
 	queued   int            // total requests across all tenant queues
+	arriving int            // announced requests not yet queued or released
 
-	// notify wakes the dispatcher after an enqueue (buffered 1: concurrent
-	// submits coalesce into one token; the dispatcher re-pops until empty).
+	// batch and reqs are the dispatcher's round buffers, reused round after
+	// round and cleared after each flush so finished requests are not pinned.
+	batch []*pending
+	reqs  []shmt.BatchRequest
+
+	// notify wakes the dispatcher after an enqueue or a retired announcement
+	// (buffered 1: concurrent wake-ups coalesce into one token; the
+	// dispatcher re-reads the queues and the arriving count under mu).
 	notify chan struct{}
 	// drainCh is closed by the first Close, unblocking the dispatcher's
 	// waits so it drains the queues and exits.
@@ -321,11 +339,73 @@ func (b *Batcher) popLocked() *pending {
 	}
 }
 
+// Arrival is a request the front-end has accepted but not yet queued: while
+// one is outstanding the dispatcher holds a partial round open for it (at
+// most MaxLinger). Exactly one of Submit or Release ends it; both may be
+// called, in any order, and only the first counts. An Arrival belongs to the
+// goroutine that announced it and must not be copied once used; it is a value
+// so that announcing costs the request path no allocation.
+type Arrival struct {
+	b       *Batcher
+	retired bool
+}
+
+// Announce tells the dispatcher a request is on its way. The caller must end
+// the Arrival on every path — `defer a.Release()` is the idiom.
+func (b *Batcher) Announce() Arrival {
+	b.mu.Lock()
+	b.arriving++
+	b.mu.Unlock()
+	return Arrival{b: b}
+}
+
+// retireLocked takes a's announcement off the arriving count, once. A nil
+// Arrival (an unannounced Submit) retires nothing. Caller holds b.mu.
+func (a *Arrival) retireLocked() {
+	if a != nil && !a.retired {
+		a.retired = true
+		a.b.arriving--
+	}
+}
+
+// Release withdraws the announcement without submitting (the request was
+// refused, or its client went away) and wakes the dispatcher, so a round
+// waiting for it is freed immediately. A no-op after Submit or Release.
+func (a *Arrival) Release() {
+	if a.retired {
+		return
+	}
+	a.b.mu.Lock()
+	a.retireLocked()
+	a.b.mu.Unlock()
+	a.b.wake()
+}
+
+// Submit is Batcher.Submit for the announced request: the announcement is
+// retired in the same critical section that queues (or refuses) it, so the
+// dispatcher never sees the request as neither arriving nor queued.
+func (a *Arrival) Submit(ctx context.Context, req shmt.BatchRequest) (Result, error) {
+	return a.b.submit(ctx, req, a)
+}
+
+// wake nudges the dispatcher to re-read the queues and the arriving count.
+func (b *Batcher) wake() {
+	select {
+	case b.notify <- struct{}{}:
+	default:
+	}
+}
+
 // Submit admits one request and blocks until its round completes or ctx
 // expires. It never blocks on admission: a full tenant queue sheds
 // immediately with ErrQueueFull (wrapped with the tenant name), and after
-// Close it refuses with ErrDraining.
+// Close it refuses with ErrDraining. A request submitted without an
+// announcement is simply dispatched as soon as the dispatcher is free.
 func (b *Batcher) Submit(ctx context.Context, req shmt.BatchRequest) (Result, error) {
+	return b.submit(ctx, req, nil)
+}
+
+func (b *Batcher) submit(ctx context.Context, req shmt.BatchRequest, a *Arrival) (Result, error) {
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -339,26 +419,26 @@ func (b *Batcher) Submit(ctx context.Context, req shmt.BatchRequest) (Result, er
 	}
 
 	b.mu.Lock()
+	a.retireLocked()
 	if b.draining {
 		b.mu.Unlock()
+		b.wake()
 		return Result{}, ErrDraining
 	}
 	tq := b.tenantQueueLocked(tenant)
 	if len(tq.q) >= tq.depth {
 		tq.shed++
 		b.mu.Unlock()
+		b.wake()
 		telemetry.ServeTenantShed.With(tenant).Inc()
 		return Result{}, fmt.Errorf("%w: tenant %q at queue depth %d", ErrQueueFull, tenant, tq.depth)
 	}
 	tq.q = append(tq.q, p)
 	b.queued++
 	b.mu.Unlock()
+	b.wake()
 	telemetry.ServeQueueDepth.Add(1)
 	telemetry.ServeTenantQueueDepth.With(tenant).Add(1)
-	select {
-	case b.notify <- struct{}{}:
-	default:
-	}
 
 	select {
 	case out := <-p.done:
@@ -404,6 +484,8 @@ func (b *Batcher) run() {
 			first.gathered = time.Now()
 		}
 		b.flush(b.gather(first))
+		clear(b.batch)
+		clear(b.reqs)
 	}
 }
 
@@ -438,6 +520,15 @@ func (b *Batcher) QueueLen() int {
 // QueueCap returns the default per-tenant admission queue bound.
 func (b *Batcher) QueueCap() int { return b.cfg.QueueDepth }
 
+// Arriving returns how many announced requests have been neither queued nor
+// released. It returns to zero whenever no handler is mid-request; a value
+// that stays up is a leaked announcement.
+func (b *Batcher) Arriving() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.arriving
+}
+
 // InFlight returns how many micro-batch rounds are currently executing.
 func (b *Batcher) InFlight() int64 { return b.inflight.Load() }
 
@@ -461,48 +552,43 @@ func (b *Batcher) Tenants() []TenantStatus {
 }
 
 // gather assembles one round: the first request plus whatever the deficit
-// rotation yields until MaxBatch is reached or the first request has
-// lingered MaxLinger.
+// rotation yields, up to MaxBatch. With the queues empty it waits only while
+// an announced request is still on its way, and for at most MaxLinger over
+// the whole round; otherwise the round goes as it is.
 func (b *Batcher) gather(first *pending) []*pending {
-	batch := []*pending{first}
-	if b.cfg.MaxBatch == 1 {
-		return batch
-	}
-	linger := time.NewTimer(b.cfg.MaxLinger)
-	defer linger.Stop()
-	for len(batch) < b.cfg.MaxBatch {
+	b.batch = append(b.batch[:0], first)
+	var linger *time.Timer // created on the round's first wait: most rounds never wait
+round:
+	for len(b.batch) < b.cfg.MaxBatch {
 		b.mu.Lock()
 		p := b.popLocked()
+		// Draining freezes the backlog: take what is queued and go.
+		wait := p == nil && b.arriving > 0 && !b.draining
 		b.mu.Unlock()
 		if p != nil {
 			if b.cfg.Tracing {
 				p.gathered = time.Now()
 			}
-			batch = append(batch, p)
+			b.batch = append(b.batch, p)
 			continue
+		}
+		if !wait {
+			break
+		}
+		if linger == nil {
+			linger = time.NewTimer(b.cfg.MaxLinger)
 		}
 		select {
 		case <-b.notify:
-		case <-linger.C:
-			return batch
 		case <-b.drainCh:
-			// Draining: take what is queued (the backlog is frozen) and go.
-			for len(batch) < b.cfg.MaxBatch {
-				b.mu.Lock()
-				p := b.popLocked()
-				b.mu.Unlock()
-				if p == nil {
-					return batch
-				}
-				if b.cfg.Tracing {
-					p.gathered = time.Now()
-				}
-				batch = append(batch, p)
-			}
-			return batch
+		case <-linger.C:
+			break round
 		}
 	}
-	return batch
+	if linger != nil {
+		linger.Stop()
+	}
+	return b.batch
 }
 
 // flush runs one round: expired requests are answered without occupying a
@@ -521,10 +607,11 @@ func (b *Batcher) flush(batch []*pending) {
 		return
 	}
 
-	reqs := make([]shmt.BatchRequest, len(live))
-	for i, p := range live {
-		reqs[i] = p.req
+	reqs := b.reqs[:0]
+	for _, p := range live {
+		reqs = append(reqs, p.req)
 	}
+	b.reqs = reqs
 	var start float64
 	if b.cfg.Spans != nil {
 		start = b.cfg.Spans.Now()

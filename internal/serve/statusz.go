@@ -39,9 +39,13 @@ type statuszResponse struct {
 
 	PlanCache *shmt.PlanCacheStats `json:"plan_cache,omitempty"`
 
-	// Admission queue and micro-batcher.
+	// Admission queue and micro-batcher. Arriving counts requests whose
+	// handler has been entered but which are not yet queued (still reading
+	// their body): 0 on an idle server; a value that stays up is a leaked
+	// announcement, and every round would then wait out MaxLinger.
 	QueueLen       int     `json:"queue_len"`
 	QueueCap       int     `json:"queue_cap"`
+	Arriving       int     `json:"arriving"`
 	InFlightRounds int64   `json:"inflight_rounds"`
 	MaxBatch       int     `json:"max_batch"`
 	MaxLingerMs    float64 `json:"max_linger_ms"`
@@ -71,6 +75,7 @@ func (s *Server) statusSnapshot() statuszResponse {
 		Quarantined:    s.be.QuarantinedDevices(),
 		QueueLen:       s.batcher.QueueLen(),
 		QueueCap:       s.batcher.QueueCap(),
+		Arriving:       s.batcher.Arriving(),
 		InFlightRounds: s.batcher.InFlight(),
 		Tenants:        s.batcher.Tenants(),
 		MaxBatch:       s.cfg.MaxBatch,
@@ -118,6 +123,7 @@ td,th{border:1px solid #999;padding:4px 10px;text-align:left}
 <tr><th>devices</th><td>{{range .Devices}}{{.}} {{end}}</td></tr>
 <tr><th>quarantined</th><td>{{range .Quarantined}}{{.}} {{end}}</td></tr>
 <tr><th>queue</th><td>{{.QueueLen}} / {{.QueueCap}}</td></tr>
+<tr><th>arriving</th><td>{{.Arriving}}</td></tr>
 {{range .Tenants}}<tr><th>tenant {{.Name}}</th><td>w{{.Weight}} &mdash; {{.Queued}}/{{.QueueDepth}} queued, {{.Dispatched}} dispatched, {{.Shed}} shed</td></tr>
 {{end}}
 <tr><th>in-flight rounds</th><td>{{.InFlightRounds}}</td></tr>

@@ -222,9 +222,12 @@ func TestSlowSLOFlightRecorder(t *testing.T) {
 }
 
 // TestStatusz checks the JSON snapshot against a real session (topology
-// fields present) and the HTML rendering.
+// fields present) and the HTML rendering; both show an outstanding
+// announcement.
 func TestStatusz(t *testing.T) {
-	_, _, ts := tracedSession(t, Config{MaxBatch: 4, MaxLinger: time.Millisecond})
+	_, srv, ts := tracedSession(t, Config{MaxBatch: 4, MaxLinger: time.Millisecond})
+	midBody := srv.batcher.Announce()
+	defer midBody.Release()
 
 	resp, err := http.Get(ts.URL + "/statusz")
 	if err != nil {
@@ -244,7 +247,7 @@ func TestStatusz(t *testing.T) {
 	if st.PlanCache == nil {
 		t.Fatal("missing plan-cache stats for a real session")
 	}
-	if st.QueueCap < 1 || st.MaxBatch != 4 {
+	if st.QueueCap < 1 || st.MaxBatch != 4 || st.Arriving != 1 {
 		t.Fatalf("queue/batch config: %+v", st)
 	}
 	if !st.Tracing || st.FlightRecorder == nil {
@@ -263,7 +266,7 @@ func TestStatusz(t *testing.T) {
 	if ct := html.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Fatalf("html content-type = %q", ct)
 	}
-	for _, want := range []string{"<html", "shmt serving status", "flight recorder", "/debug/requests"} {
+	for _, want := range []string{"<html", "shmt serving status", "<th>arriving</th><td>1</td>", "flight recorder", "/debug/requests"} {
 		if !strings.Contains(string(page), want) {
 			t.Fatalf("html page missing %q:\n%s", want, page)
 		}

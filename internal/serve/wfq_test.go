@@ -30,20 +30,8 @@ func wedge(t *testing.T, b *Batcher) chan error {
 	}()
 	// Wait until the dispatcher has popped the request (it then blocks at
 	// the backend's gate; with MaxBatch 1 it cannot pop another).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		total := uint64(0)
-		for _, ts := range b.Tenants() {
-			total += ts.Dispatched
-		}
-		if total >= 1 {
-			return done
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never picked up the wedge request")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDispatched(t, b, 1)
+	return done
 }
 
 // waitQueued polls until the batcher's total backlog reaches n.

@@ -31,8 +31,9 @@ type StageBreakdown struct {
 	// QueueWait is time spent in the admission queue before the dispatcher
 	// picked the request up.
 	QueueWait float64 `json:"queue_wait_seconds"`
-	// BatchLinger is time spent gathered into a round but waiting for the
-	// round to fill (or its linger window to expire) plus dispatch overhead.
+	// BatchLinger is time spent gathered into a round before it was flushed:
+	// popping the rest of the backlog, any wait for a request announced but
+	// not yet queued (at most MaxLinger), and dispatch overhead.
 	BatchLinger float64 `json:"batch_linger_seconds"`
 	// Plan is the round's partition + assignment (or plan-cache replay) time.
 	Plan float64 `json:"plan_seconds"`

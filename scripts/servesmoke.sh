@@ -1,11 +1,12 @@
 #!/bin/sh
 # servesmoke drives shmtserved end to end: boot on a free port, fire
 # concurrent requests, and assert (1) every request got a 200 with a sane
-# output, (2) the micro-batcher actually coalesced — some round held more
-# than one request, proven from the Prometheus exposition alone
-# (shmt_serve_batch_size_sum > shmt_serve_batch_size_count, since every
-# round's size is >= 1), (3) /healthz answers ok, (4) SIGTERM drains to a
-# clean exit.
+# output, (2) the micro-batcher coalesces the backlog that builds up behind a
+# running round — requests fired while a GEMM wedge keeps the dispatcher busy
+# share rounds, proven from the Prometheus exposition alone (over that phase
+# shmt_serve_batch_size_sum grows by more than shmt_serve_batch_size_count,
+# since every round's size is >= 1), (3) /healthz answers ok, (4) SIGTERM
+# drains to a clean exit.
 #
 # With tracing on (the default) it additionally asserts (5) an inbound
 # X-SHMT-Trace-Id round-trips onto the response and into a non-empty stage
@@ -41,12 +42,11 @@ STATUSZ_OUT="$ARTIFACT_DIR/servesmoke-statusz.json"
 mkdir -p "$ARTIFACT_DIR"
 go build -o "$BIN" ./cmd/shmtserved
 
-# A generous linger so one volley of concurrent curls lands in one round even
-# on a slow CI runner. Two tenants exercise the weighted-fair queues: burst is
-# quota-limited (weight 1, queue depth 1, so overload sheds), premium gets
-# weight 4. A 2s critical-deadline lets the criticality check below drive QAWS
-# with a tight timeout_ms.
-"$BIN" -addr "$ADDR_FLAG" -max-batch 8 -max-linger 150ms \
+# Two tenants exercise the weighted-fair queues: burst is quota-limited
+# (weight 1, queue depth 1, so overload sheds), premium gets weight 4. A 2s
+# critical-deadline lets the criticality check below drive QAWS with a tight
+# timeout_ms.
+"$BIN" -addr "$ADDR_FLAG" -max-batch 8 \
     -tenant burst:1:1 -tenant premium:4 -critical-deadline 2s \
     -log-format json -trace-out "$TRACE_OUT" >"$LOG" 2>&1 &
 PID=$!
@@ -65,11 +65,10 @@ echo "shmtserved up on $ADDR"
 
 BODY='{"op":"add","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]},{"rows":2,"cols":2,"data":[5,6,7,8]}]}'
 
-# Several volleys of concurrent requests; each volley fires CONCURRENCY curls
-# at once so the linger window can coalesce them.
-v=0
-while [ "$v" -lt "$VOLLEYS" ]; do
-    v=$((v + 1))
+# fire_volley launches CONCURRENCY requests at once and leaves their pids in
+# CURL_PIDS, bodies in resp.N and status codes in code.N; check_volley NAME
+# waits for them and fails unless every one answered 200 with an output.
+fire_volley() {
     i=0
     CURL_PIDS=""
     while [ "$i" -lt "$CONCURRENCY" ]; do
@@ -78,6 +77,8 @@ while [ "$v" -lt "$VOLLEYS" ]; do
             -d "$BODY" "http://$ADDR/v1/execute" >"$WORKDIR/code.$i" &
         CURL_PIDS="$CURL_PIDS $!"
     done
+}
+check_volley() {
     for cp in $CURL_PIDS; do
         wait "$cp" || true
     done
@@ -86,26 +87,32 @@ while [ "$v" -lt "$VOLLEYS" ]; do
         i=$((i + 1))
         code=$(cat "$WORKDIR/code.$i")
         if [ "$code" != "200" ]; then
-            echo "FAIL: volley $v request $i: HTTP $code"
+            echo "FAIL: $1 request $i: HTTP $code"
             cat "$WORKDIR/resp.$i"; echo
             exit 1
         fi
         grep -q '"output"' "$WORKDIR/resp.$i" || {
-            echo "FAIL: volley $v request $i: no output in response"
+            echo "FAIL: $1 request $i: no output in response"
             cat "$WORKDIR/resp.$i"; echo
             exit 1
         }
     done
+}
+
+# Several volleys of concurrent requests. On an idle server these mostly run
+# in rounds of one: the dispatcher is work-conserving and a curl takes longer
+# to start than a 2x2 add takes to run, so they rarely overlap.
+v=0
+while [ "$v" -lt "$VOLLEYS" ]; do
+    v=$((v + 1))
+    fire_volley
+    check_volley "volley $v"
 done
 rm -f "$WORKDIR"/resp.* "$WORKDIR"/code.*
 echo "all $((VOLLEYS * CONCURRENCY)) requests answered 200"
 
-# Tenant QoS: the burst tenant (queue depth 1) must shed under concurrent
-# overload while every premium request in the same volley still answers 200.
-# Shedding needs the dispatcher busy with a burst request already queued, so
-# premium's wedge requests are 256x256 GEMMs — heavy enough (~50ms rounds)
-# that the burst volley piles into its one-slot queue. Retry a few times to
-# absorb timing variance on slow runners.
+# A 256x256 GEMM is heavy enough (tens of ms per round) to keep the
+# dispatcher busy while other requests arrive.
 GEMM_BODY="$WORKDIR/gemm.json"
 awk 'BEGIN{
     printf "{\"op\":\"gemm\",\"inputs\":["
@@ -116,6 +123,71 @@ awk 'BEGIN{
     }
     printf "]}"
 }' >"$GEMM_BODY"
+
+# batch_totals prints "rounds requests" from the exposition.
+batch_totals() {
+    curl -s "http://$ADDR/metrics" | awk '
+        /^shmt_serve_batch_size_sum/   { sum = $2 }
+        /^shmt_serve_batch_size_count/ { count = $2 }
+        END { printf "%d %d\n", count, sum }'
+}
+
+# Coalescing: four GEMM wedges go in together; once /statusz shows a round in
+# flight, a volley of small requests is fired behind it. Whatever queues up
+# while a round runs must share the next round, so over this phase more
+# requests than rounds are batched. If the wedges finish before a poll sees
+# them running (a very fast host), the phase is tried again.
+COALESCED=0
+attempt=0
+while [ "$attempt" -lt 5 ] && [ "$COALESCED" -eq 0 ]; do
+    attempt=$((attempt + 1))
+    set -- $(batch_totals); ROUNDS0=$1; REQS0=$2
+    WEDGE_PIDS=""
+    i=0
+    while [ "$i" -lt 4 ]; do
+        i=$((i + 1))
+        curl -s -o /dev/null -w '%{http_code}\n' \
+            -d @"$GEMM_BODY" "http://$ADDR/v1/execute" >"$WORKDIR/wcode.$i" &
+        WEDGE_PIDS="$WEDGE_PIDS $!"
+    done
+    busy=0
+    for _ in $(seq 1 50); do
+        if curl -s "http://$ADDR/statusz" | grep -q '"inflight_rounds":1'; then
+            busy=1
+            break
+        fi
+    done
+    if [ "$busy" -eq 1 ]; then
+        fire_volley
+        check_volley "coalescing volley"
+    fi
+    for wp in $WEDGE_PIDS; do
+        wait "$wp" || true
+    done
+    i=0
+    while [ "$i" -lt 4 ]; do
+        i=$((i + 1))
+        wc=$(cat "$WORKDIR/wcode.$i")
+        [ "$wc" = "200" ] || { echo "FAIL: GEMM wedge $i got HTTP $wc"; exit 1; }
+    done
+    [ "$busy" -eq 1 ] || continue
+    set -- $(batch_totals); ROUNDS=$(($1 - ROUNDS0)); REQS=$(($2 - REQS0))
+    [ "$REQS" -eq $((CONCURRENCY + 4)) ] || {
+        echo "FAIL: $REQS requests batched behind the wedge, want $((CONCURRENCY + 4))"; exit 1; }
+    [ "$REQS" -gt "$ROUNDS" ] || {
+        echo "FAIL: $REQS requests queued behind a busy dispatcher ran in $ROUNDS rounds: nothing coalesced"; exit 1; }
+    COALESCED=1
+done
+rm -f "$WORKDIR"/resp.* "$WORKDIR"/code.* "$WORKDIR"/wcode.*
+[ "$COALESCED" -eq 1 ] || {
+    echo "FAIL: never caught the dispatcher busy in $attempt attempts"; exit 1; }
+echo "coalescing: $REQS requests behind a busy dispatcher ran in $ROUNDS rounds (attempt $attempt)"
+
+# Tenant QoS: the burst tenant (queue depth 1) must shed under concurrent
+# overload while every premium request in the same volley still answers 200.
+# Shedding needs the dispatcher busy with a burst request already queued, so
+# premium's wedge requests are the GEMMs and the burst volley piles into its
+# one-slot queue. Retry a few times to absorb timing variance on slow runners.
 BURST_SHED=0
 qos_round=0
 while [ "$qos_round" -lt 10 ]; do
@@ -208,7 +280,6 @@ echo "$EXPO" | awk '
     END {
         if (count == "" || sum == "") { print "FAIL: batch-size series missing"; exit 1 }
         printf "batch rounds: %d, requests batched: %d (mean %.2f)\n", count, sum, sum / count
-        if (sum + 0 <= count + 0) { print "FAIL: no round coalesced more than one request"; exit 1 }
     }'
 
 # Tenant accounting must reconcile with the volley outcomes above: burst's
