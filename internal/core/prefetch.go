@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"shmt/internal/device"
@@ -11,30 +12,30 @@ import (
 	"shmt/internal/vop"
 )
 
-// prefetcher is the wall-clock half of double-buffered HLOP pipelining:
-// while HLOP k executes, it pre-quantizes and pre-materializes HLOP k+1's
-// operands for private-memory devices (the boundary-staging cost the
-// zero-copy datapath could not eliminate), bounded to Engine.Prefetch
-// staged-ahead HLOPs per device. Staging runs on internal/parallel's worker
-// pool, so it needs no goroutines of its own and can never deadlock against
-// kernel fan-out.
+// prefetcher is the wall-clock half of double-buffered HLOP pipelining, for
+// every device that casts its operands (device.Prestager). It has two jobs.
 //
-// Only the concurrent loop issues prestage jobs (issue / take / cancel). The
-// deterministic loop puts whole HLOPs on the pool, which overlaps staging
-// with kernels by itself, and uses only the resident shared-operand cache
-// below (wantsStaged / stageSet / residentFor); see round.admit for why an
-// asynchronous job there could deadlock on itself.
+// The resident shared-operand cache (wantsStaged / stageSet / residentFor)
+// serves both pick loops and every casting device: an operand several HLOPs
+// of a round share (a GEMM right-hand matrix, a convolution kernel) is cast
+// once per device — quantized for the TPU, rounded to FP32 for the GPU — and
+// kept resident for every consumer, instead of being re-cast per HLOP.
+//
+// Asynchronous prestaging (issue / take / cancel) serves private-memory
+// devices under the concurrent loop only: while HLOP k executes, HLOP k+1's
+// operands are materialized and quantized on internal/parallel's worker
+// pool (so it needs no goroutines of its own and can never deadlock against
+// kernel fan-out), bounded to Engine.Prefetch staged-ahead HLOPs per device.
+// The deterministic loop puts whole HLOPs on the pool, which overlaps
+// staging with kernels by itself; see round.admit for why an asynchronous
+// job there could deadlock on itself.
 //
 // Two rules keep results bit-identical with prefetch off:
 //
-//   - staging goes through the exact dispatch path (device.Prestager is
-//     implemented as the first half of ExecuteInto), and
+//   - staging goes through the exact dispatch path (a Prestager's Compute is
+//     StageInput on each operand, then ExecuteStaged), and
 //   - a staged set is only consumed by the device it was staged for — a
 //     steal or reroute that moves the HLOP cancels the prestage instead.
-//
-// Operands shared by several HLOPs of a run (a GEMM right-hand matrix, a
-// convolution kernel) are staged once and kept device-resident for every
-// consumer, instead of being re-quantized per HLOP.
 type prefetcher struct {
 	depth int
 
@@ -100,15 +101,17 @@ func (pf *prefetcher) peekDepth() int {
 }
 
 // issue starts staging h's operands for the device at queue index qi, if the
-// device prestages, the per-device depth allows it, and the operand set fits
-// device memory (oversized HLOPs are left for the dispatch path, whose
-// ErrTooLarge drives the split logic). Idempotent per HLOP. Nil-safe.
+// device stages into private memory (a shared-memory cast is part of the
+// HLOP's own compute; there is no transfer to run ahead of), the per-device
+// depth allows it, and the operand set fits device memory (oversized HLOPs
+// are left for the dispatch path, whose ErrTooLarge drives the split logic).
+// Idempotent per HLOP. Nil-safe.
 func (pf *prefetcher) issue(qi int, dev device.Device, h *hlop.HLOP) {
 	if pf == nil {
 		return
 	}
 	ps, ok := dev.(device.Prestager)
-	if !ok {
+	if !ok || dev.MemoryBytes() == 0 {
 		return
 	}
 	pf.mu.Lock()
@@ -136,10 +139,7 @@ func (pf *prefetcher) issue(qi int, dev device.Device, h *hlop.HLOP) {
 // come from (or populate) the resident cache, the rest are staged fresh and
 // owned by the returned set.
 func (pf *prefetcher) stageSet(ps device.Prestager, qi int, h *hlop.HLOP) *device.Staged {
-	st := &device.Staged{
-		Inputs: make([]*tensor.Matrix, len(h.Inputs)),
-		Keep:   make([]bool, len(h.Inputs)),
-	}
+	st := device.NewStaged(len(h.Inputs))
 	for i, in := range h.Inputs {
 		if pf.isShared(in) {
 			st.Inputs[i] = pf.residentFor(ps, qi, h.Op, in)
@@ -177,9 +177,38 @@ func (pf *prefetcher) wantsStaged(h *hlop.HLOP) bool {
 	return false
 }
 
+// warm casts the shared operands the admitted HLOPs are about to ask the
+// resident cache for, one pool task per (device, operand), so that the
+// compute fan-out that follows only ever hits: each is cast exactly once per
+// device and round, where simultaneous first uses would each cast a copy and
+// throw all but one away. Nil-safe.
+func (pf *prefetcher) warm(r *round) {
+	if pf == nil || len(pf.shared) == 0 {
+		return
+	}
+	var keys []residentKey
+	for _, d := range r.done {
+		if _, ok := r.devs[d.h.ExecQueue].dev.(device.Prestager); !ok {
+			continue
+		}
+		for _, in := range d.h.Inputs {
+			key := residentKey{qi: d.h.ExecQueue, op: d.h.Op, in: in}
+			if pf.shared[in] && !slices.Contains(keys, key) {
+				keys = append(keys, key)
+			}
+		}
+	}
+	parallel.For(len(keys), 1, func(lo, hi int) {
+		for _, k := range keys[lo:hi] {
+			pf.residentFor(r.devs[k.qi].dev.(device.Prestager), k.qi, k.op, k.in)
+		}
+	})
+}
+
 // residentFor returns the device-resident staging of a shared operand,
-// staging and installing it on first use. Concurrent first uses may stage
-// twice; the loser's copy is released and the winner is shared.
+// staging and installing it on first use. Concurrent first uses (the
+// concurrent loop's prestage jobs) may stage twice; the loser's copy is
+// released and the winner is shared.
 func (pf *prefetcher) residentFor(ps device.Prestager, qi int, op vop.Opcode, in *tensor.Matrix) *tensor.Matrix {
 	key := residentKey{qi: qi, op: op, in: in}
 	pf.mu.Lock()
@@ -293,12 +322,12 @@ func (e *Engine) executeHLOP(pf *prefetcher, qi int, dev device.Device, h *hlop.
 	if st := pf.take(qi, h); st != nil {
 		// take only returns sets staged for this queue's device, which
 		// therefore implements Prestager.
-		return dev.(device.Prestager).ExecuteStaged(h.Op, st, h.Attrs)
+		return dev.(device.Prestager).ExecuteStaged(h.Op, st, h.Out, h.Attrs)
 	}
 	if pf.wantsStaged(h) {
 		// Admission already established that the operand set fits.
 		if ps, ok := dev.(device.Prestager); ok {
-			return ps.ExecuteStaged(h.Op, pf.stageSet(ps, qi, h), h.Attrs)
+			return ps.ExecuteStaged(h.Op, pf.stageSet(ps, qi, h), h.Out, h.Attrs)
 		}
 	}
 	return dev.Compute(t, h.Op, h.Inputs, h.Out, h.Attrs)

@@ -233,10 +233,12 @@ func (r *round) compute(d doneHLOP) error {
 
 // computeAdmitted is the deterministic loop's compute pass: every HLOP the
 // round admitted, one task each, on the host pool (inline, in admission
-// order, when the pool is one worker wide or the round one HLOP long). Of
-// several failures the one admitted first is reported, whichever worker
-// reached it first.
+// order, when the pool is one worker wide or the round one HLOP long), after
+// the operands they share have been cast once per device. Of several
+// failures the one admitted first is reported, whichever worker reached it
+// first.
 func (r *round) computeAdmitted() error {
+	r.pf.warm(r)
 	parallel.For(len(r.done), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if err := r.compute(r.done[i]); err != nil {

@@ -15,7 +15,6 @@ package dsp
 import (
 	"shmt/internal/device"
 	"shmt/internal/interconnect"
-	"shmt/internal/kernels"
 	"shmt/internal/parallel"
 	"shmt/internal/quant"
 	"shmt/internal/tensor"
@@ -30,10 +29,12 @@ type Config struct {
 	Slowdown float64
 }
 
-// Device is the simulated 24-bit image DSP.
+// Device is the simulated 24-bit image DSP. The embedded HostCast is its two
+// compute halves: cast one operand to Fixed24, execute over cast operands.
 type Device struct {
 	name string
 	cfg  Config
+	device.HostCast
 }
 
 // New returns a DSP device named "dsp".
@@ -44,10 +45,13 @@ func New(cfg Config) *Device {
 	if cfg.Slowdown < 1 {
 		cfg.Slowdown = 1
 	}
-	return &Device{name: "dsp", cfg: cfg}
+	return &Device{name: "dsp", cfg: cfg, HostCast: device.HostCast{Rounder: Fixed24{}}}
 }
 
-var _ device.Device = (*Device)(nil)
+var (
+	_ device.Device    = (*Device)(nil)
+	_ device.Prestager = (*Device)(nil)
+)
 
 // Name implements device.Device.
 func (d *Device) Name() string { return d.name }
@@ -111,24 +115,14 @@ func (d *Device) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
 	return device.Ticket{}, nil
 }
 
-// Compute implements device.Device. The on-SoC DSP shares host memory, so
-// when dst is given the fixed-point result is written through it. Note
-// Fixed24 calibrates per stage, so it is deliberately not an
-// ElementwiseRounder: kernels gather strided destinations before the final
-// requant to keep calibration identical to the copy path.
+// Compute implements device.Device: cast each input, then execute over the
+// cast operands. The on-SoC DSP shares host memory, so when dst is given the
+// fixed-point result is written through it. Note Fixed24 calibrates per
+// stage, so it is deliberately not an ElementwiseRounder: kernels gather
+// strided destinations before the final requant to keep calibration
+// identical to the copy path.
 func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	var r kernels.Rounder = Fixed24{}
-	cast := make([]*tensor.Matrix, len(inputs))
-	for i, in := range inputs {
-		c := tensor.Materialize(in) // stride-aware gather: inputs may be views
-		r.Round(c.Data)
-		cast[i] = c
-	}
-	out, err := kernels.ExecInto(op, cast, dst, attrs, r)
-	for _, c := range cast {
-		tensor.PutMatrix(c) // kernels never retain or return their inputs
-	}
-	return out, err
+	return device.ComputeStaged(d, op, inputs, dst, attrs)
 }
 
 // dspRatio scales the GPU throughput: dedicated filter pipelines make the

@@ -32,10 +32,13 @@ type Config struct {
 	Slowdown float64
 }
 
-// Device is the simulated GPU.
+// Device is the simulated GPU. The embedded HostCast is its two compute
+// halves — cast one operand to FP32 (or FP16), execute over cast operands —
+// which is what lets the engine keep a shared operand cast once per round.
 type Device struct {
 	name string
 	cfg  Config
+	device.HostCast
 }
 
 // New returns a GPU device named "gpu".
@@ -46,10 +49,17 @@ func New(cfg Config) *Device {
 	if cfg.Slowdown < 1 {
 		cfg.Slowdown = 1
 	}
-	return &Device{name: "gpu", cfg: cfg}
+	var r kernels.Rounder = kernels.F32{}
+	if cfg.HalfPrecision {
+		r = kernels.F16{}
+	}
+	return &Device{name: "gpu", cfg: cfg, HostCast: device.HostCast{Rounder: r}}
 }
 
-var _ device.Device = (*Device)(nil)
+var (
+	_ device.Device    = (*Device)(nil)
+	_ device.Prestager = (*Device)(nil)
+)
 
 // Name implements device.Device.
 func (d *Device) Name() string { return d.name }
@@ -95,26 +105,13 @@ func (d *Device) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
 	return device.Ticket{}, nil
 }
 
-// Compute implements device.Device. The integrated GPU shares host memory,
-// so when dst is given the FP32/FP16 result lands directly in it (the
-// precision cast of the inputs is a modelled device behaviour and is kept —
-// stride-aware — even for views).
+// Compute implements device.Device: cast each input, then execute over the
+// cast operands. The integrated GPU shares host memory, so when dst is given
+// the FP32/FP16 result lands directly in it (the precision cast of the inputs
+// is a modelled device behaviour and is kept — stride-aware — even for
+// views).
 func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	var r kernels.Rounder = kernels.F32{}
-	if d.cfg.HalfPrecision {
-		r = kernels.F16{}
-	}
-	cast := make([]*tensor.Matrix, len(inputs))
-	for i, in := range inputs {
-		c := tensor.Materialize(in) // stride-aware gather: inputs may be views
-		r.Round(c.Data)
-		cast[i] = c
-	}
-	out, err := kernels.ExecInto(op, cast, dst, attrs, r)
-	for _, c := range cast {
-		tensor.PutMatrix(c) // kernels never retain or return their inputs
-	}
-	return out, err
+	return device.ComputeStaged(d, op, inputs, dst, attrs)
 }
 
 // ExecTime implements device.Device.

@@ -1,14 +1,16 @@
 package device
 
 import (
+	"shmt/internal/kernels"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
 
-// Staged is a prestaged input set for a private-memory device: every operand
-// already materialized into a dense buffer and quantized to the device's
-// arithmetic, exactly as the device's dispatch path would have staged it —
-// which is what keeps prefetched and unprefetched executions bit-identical.
+// Staged is a prestaged input set for a device that casts its operands:
+// every operand already materialized into a dense buffer and converted to
+// the device's arithmetic, exactly as the device's dispatch path would have
+// staged it — which is what keeps prefetched and unprefetched executions
+// bit-identical.
 type Staged struct {
 	// Inputs are the device-precision operand buffers, parallel to the
 	// HLOP's inputs.
@@ -21,6 +23,23 @@ type Staged struct {
 	// Bytes is the footprint of the buffers this Staged owns (Keep=false
 	// entries), as accounted by the prefetch-buffer gauge.
 	Bytes int64
+
+	// Backing for Inputs and Keep at the arity every VOP has (one or two
+	// operands), so a staged set is one allocation.
+	in   [2]*tensor.Matrix
+	keep [2]bool
+}
+
+// NewStaged returns an empty staged set for n operands, none of them marked
+// Keep.
+func NewStaged(n int) *Staged {
+	s := &Staged{}
+	if n <= len(s.in) {
+		s.Inputs, s.Keep = s.in[:n], s.keep[:n]
+	} else {
+		s.Inputs, s.Keep = make([]*tensor.Matrix, n), make([]bool, n)
+	}
+	return s
 }
 
 // Release returns every owned buffer to the arena. Safe to call after a
@@ -35,21 +54,60 @@ func (s *Staged) Release() {
 	s.Inputs = nil
 }
 
-// Prestager is implemented by devices whose boundary staging (materialize +
-// quantize into private memory) can run ahead of execution. The engines'
-// input prefetcher stages HLOP k+1's operands on the worker pool while HLOP
-// k executes, then dispatches through ExecuteStaged; devices that stage
-// nothing (shared-memory CPU/GPU/DSP) simply don't implement it.
+// Prestager is implemented by every device whose compute half is "cast each
+// operand to the device's number format, then execute over the cast
+// operands" — the Edge TPU (quantize into private memory) and the GPU and DSP
+// (FP32 / FP16 / fixed-point cast in shared memory) alike. Splitting the two
+// lets the engine keep an operand many HLOPs share (a GEMM right-hand
+// matrix, a convolution kernel) cast once per round in its resident cache
+// and, for private-memory devices under the concurrent loop, stage HLOP
+// k+1's operands on the worker pool while HLOP k executes. The CPU computes
+// on the operands as they are and does not implement it.
 type Prestager interface {
 	// CanStage reports whether the operand set fits the device (the staging
 	// analogue of the ErrTooLarge check): oversized HLOPs are left for the
 	// dispatch path, whose error drives the runtime's split logic.
 	CanStage(op vop.Opcode, inputs []*tensor.Matrix) bool
-	// StageInput materializes and quantizes one operand exactly as the
-	// dispatch path would.
+	// StageInput materializes and casts one operand exactly as the dispatch
+	// path would.
 	StageInput(op vop.Opcode, in *tensor.Matrix) *tensor.Matrix
-	// ExecuteStaged runs the opcode over a fully prestaged operand set. It
-	// consumes st: owned buffers are released, Keep operands are left
-	// untouched.
-	ExecuteStaged(op vop.Opcode, st *Staged, attrs map[string]float64) (*tensor.Matrix, error)
+	// ExecuteStaged runs the opcode over a fully prestaged operand set; dst
+	// is Compute's. It consumes st: owned buffers are released, Keep
+	// operands are left untouched.
+	ExecuteStaged(op vop.Opcode, st *Staged, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error)
+}
+
+// ComputeStaged is the compute half of any Prestager: stage each operand,
+// then execute over the staged set.
+func ComputeStaged(p Prestager, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	st := NewStaged(len(inputs))
+	for i, in := range inputs {
+		st.Inputs[i] = p.StageInput(op, in)
+	}
+	return p.ExecuteStaged(op, st, dst, attrs)
+}
+
+// HostCast is the Prestager of a device that computes out of shared host
+// memory at a precision of its own: operands are cast with the device's
+// rounder, every kernel stage rounds with it too, and the result is written
+// through dst when there is one.
+type HostCast struct{ Rounder kernels.Rounder }
+
+// CanStage implements Prestager: shared memory holds any operand set.
+func (HostCast) CanStage(vop.Opcode, []*tensor.Matrix) bool { return true }
+
+// StageInput implements Prestager: a stride-aware gather (inputs may be
+// views) followed by the precision cast — the runtime's data-type casting of
+// §3.3.2.
+func (c HostCast) StageInput(_ vop.Opcode, in *tensor.Matrix) *tensor.Matrix {
+	m := tensor.Materialize(in)
+	c.Rounder.Round(m.Data)
+	return m
+}
+
+// ExecuteStaged implements Prestager.
+func (c HostCast) ExecuteStaged(op vop.Opcode, st *Staged, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	out, err := kernels.ExecInto(op, st.Inputs, dst, attrs, c.Rounder)
+	st.Release() // kernels never retain or return their inputs
+	return out, err
 }

@@ -150,12 +150,8 @@ func (d *Device) Admit(op vop.Opcode, inputs []*tensor.Matrix) (device.Ticket, e
 //
 // Compute is staging followed by ExecuteStaged — the same path the input
 // prefetcher takes, which is what makes prefetched runs bit-identical.
-func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, _ *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	st := &device.Staged{Inputs: make([]*tensor.Matrix, len(inputs))}
-	for i, in := range inputs {
-		st.Inputs[i] = d.StageInput(op, in)
-	}
-	return d.ExecuteStaged(op, st, attrs)
+func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	return device.ComputeStaged(d, op, inputs, dst, attrs)
 }
 
 var _ device.Prestager = (*Device)(nil)
@@ -182,8 +178,9 @@ func (d *Device) StageInput(op vop.Opcode, in *tensor.Matrix) *tensor.Matrix {
 }
 
 // ExecuteStaged implements device.Prestager: runs the opcode over operands
-// already staged by StageInput, releasing the staged set's owned buffers.
-func (d *Device) ExecuteStaged(op vop.Opcode, st *device.Staged, attrs map[string]float64) (*tensor.Matrix, error) {
+// already staged by StageInput, releasing the staged set's owned buffers. The
+// result comes back over PCIe into a buffer of its own; dst is ignored.
+func (d *Device) ExecuteStaged(op vop.Opcode, st *device.Staged, _ *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	var out *tensor.Matrix
 	var err error
 	if matrixMode(op) {
@@ -209,44 +206,39 @@ func requantOutput(op vop.Opcode, out *tensor.Matrix) {
 	switch op {
 	case vop.OpDCT8x8:
 		// One channel per 8×8 coefficient position.
-		requantChannels(out, func(i, j int) int { return (i%8)*8 + j%8 }, 64)
+		for r := 0; r < 8; r++ {
+			for c := 0; c < 8; c++ {
+				requantChannel(out, r, out.Rows, 8, c, out.Cols, 8)
+			}
+		}
 	case vop.OpFDWT97:
 		// One channel per wavelet quadrant (LL/HL/LH/HH).
-		requantChannels(out, func(i, j int) int {
-			ch := 0
-			if i >= (out.Rows+1)/2 {
-				ch += 2
-			}
-			if j >= (out.Cols+1)/2 {
-				ch++
-			}
-			return ch
-		}, 4)
+		h, w := (out.Rows+1)/2, (out.Cols+1)/2
+		requantChannel(out, 0, h, 1, 0, w, 1)
+		requantChannel(out, 0, h, 1, w, out.Cols, 1)
+		requantChannel(out, h, out.Rows, 1, 0, w, 1)
+		requantChannel(out, h, out.Rows, 1, w, out.Cols, 1)
 	default:
-		r := kernels.Int8{}
-		r.Round(out.Data)
+		kernels.Int8{}.Round(out.Data)
 	}
 }
 
-// requantChannels groups elements by channel, calibrates an affine INT8
-// quantization per channel, and round-trips the data through it.
-func requantChannels(out *tensor.Matrix, channel func(i, j int) int, n int) {
-	groups := make([][]float64, n)
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < out.Cols; j++ {
-			ch := channel(i, j)
-			groups[ch] = append(groups[ch], out.Data[i*out.Cols+j])
+// requantChannel calibrates an affine INT8 quantization over one channel of
+// out — rows r0, r0+rs, … below r1 crossed with columns c0, c0+cs, … below c1
+// — and round-trips those elements through it, in place.
+func requantChannel(out *tensor.Matrix, r0, r1, rs, c0, c1, cs int) {
+	rng := quant.EmptyRange()
+	for i := r0; i < r1; i += rs {
+		row := out.Row(i)
+		for j := c0; j < c1; j += cs {
+			rng.Add(row[j])
 		}
 	}
-	params := make([]quant.AffineParams, n)
-	for ch, g := range groups {
-		params[ch] = quant.CalibrateAffine(g)
-	}
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < out.Cols; j++ {
-			p := params[channel(i, j)]
-			idx := i*out.Cols + j
-			out.Data[idx] = p.DequantizeOne(p.QuantizeOne(out.Data[idx]))
+	p := quant.AffineFromRange(rng.Lo, rng.Hi)
+	for i := r0; i < r1; i += rs {
+		row := out.Row(i)
+		for j := c0; j < c1; j += cs {
+			row[j] = p.RoundTripOne(row[j])
 		}
 	}
 }

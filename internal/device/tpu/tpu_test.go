@@ -9,6 +9,7 @@ import (
 	"shmt/internal/device/cpu"
 	"shmt/internal/kernels"
 	"shmt/internal/npu"
+	"shmt/internal/quant"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
@@ -160,5 +161,65 @@ func TestReduceSumRunsMatrixMode(t *testing.T) {
 	}
 	if rel == 0 {
 		t.Fatal("INT8 input quantization should leave a trace")
+	}
+}
+
+// refRequantChannels is the per-channel requantiser as it was before it
+// walked channels in place: gather every channel into its own slice,
+// calibrate, then round-trip element by element through the int8 codes.
+func refRequantChannels(out *tensor.Matrix, channel func(i, j int) int, n int) {
+	groups := make([][]float64, n)
+	for i := 0; i < out.Rows; i++ {
+		for j := 0; j < out.Cols; j++ {
+			ch := channel(i, j)
+			groups[ch] = append(groups[ch], out.Data[i*out.Cols+j])
+		}
+	}
+	params := make([]quant.AffineParams, n)
+	for ch, g := range groups {
+		params[ch] = quant.CalibrateAffine(g)
+	}
+	for i := 0; i < out.Rows; i++ {
+		for j := 0; j < out.Cols; j++ {
+			p := params[channel(i, j)]
+			idx := i*out.Cols + j
+			out.Data[idx] = p.DequantizeOne(p.QuantizeOne(out.Data[idx]))
+		}
+	}
+}
+
+// The in-place strided walk calibrates every channel to the same parameters
+// as the gathered groups did (min and max do not depend on order) and lands
+// on the same bits, without allocating.
+func TestRequantOutputMatchesGroupedReference(t *testing.T) {
+	for _, sh := range [][2]int{{8, 8}, {16, 24}, {80, 80}, {7, 9}, {1, 1}, {2, 5}} {
+		in := workload.Uniform(sh[0], sh[1], -40, 90, int64(sh[0]*sh[1]))
+		in.Data[0] = math.NaN() // a non-finite value must not poison its channel
+		for _, op := range []vop.Opcode{vop.OpDCT8x8, vop.OpFDWT97} {
+			got, want := in.Clone(), in.Clone()
+			requantOutput(op, got)
+			if op == vop.OpDCT8x8 {
+				refRequantChannels(want, func(i, j int) int { return (i%8)*8 + j%8 }, 64)
+			} else {
+				refRequantChannels(want, func(i, j int) int {
+					ch := 0
+					if i >= (want.Rows+1)/2 {
+						ch += 2
+					}
+					if j >= (want.Cols+1)/2 {
+						ch++
+					}
+					return ch
+				}, 4)
+			}
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s %dx%d: elem %d = %v, grouped reference %v", op, sh[0], sh[1], i, got.Data[i], want.Data[i])
+				}
+			}
+			if n := testing.AllocsPerRun(10, func() { requantOutput(op, got) }); n != 0 {
+				t.Fatalf("%s %dx%d: requantOutput allocates %v times per call", op, sh[0], sh[1], n)
+			}
+		}
 	}
 }

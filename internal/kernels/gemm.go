@@ -8,13 +8,17 @@ import (
 	"shmt/internal/vop"
 )
 
-// execGEMM computes C = A·B with a cache-blocked triple loop, row-blocks
-// fanned out over the host worker pool. Every output row is produced
-// entirely by one worker with the same kk/k accumulation order as the
-// sequential loop, so the product is bit-identical at any worker count. The
-// single stage boundary is the completed product (Edge TPUs execute GEMM
-// natively in one systolic pass, so the INT8 path quantizes inputs and the
-// final accumulator only — accumulation itself is wide, as in real TPUs).
+// execGEMM computes C = A·B, row-blocks fanned out over the host worker
+// pool. Every output element is accumulated from its value in C in ascending
+// k, whether a tile or the leftover-row loop computes it, so the product is bit-identical at any
+// worker count and to the scalar triple loop (oracle_test.go). The single
+// stage boundary is the completed product (Edge TPUs execute GEMM natively
+// in one systolic pass, so the INT8 path quantizes inputs and the final
+// accumulator only — accumulation itself is wide, as in real TPUs).
+//
+// Every element of A is multiplied, zeros included: for finite B a ±0
+// product leaves the accumulator (never −0) unchanged, and 0 × Inf or
+// 0 × NaN in B gives the IEEE NaN a scalar loop that skips zeros would hide.
 func execGEMM(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(vop.OpGEMM, inputs, 2); err != nil {
 		return nil, err
@@ -32,7 +36,7 @@ func execGEMM(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 		if err != nil {
 			return nil, err
 		}
-		// The blocked loop accumulates, so a caller-provided destination —
+		// The tiles accumulate from C, so a caller-provided destination —
 		// possibly a strided view — must start zeroed too.
 		for i := 0; i < out.Rows; i++ {
 			row := out.Row(i)
@@ -41,27 +45,17 @@ func execGEMM(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 			}
 		}
 	}
-	const blk = 64
-	rowBlocks := (a.Rows + blk - 1) / blk
-	parallel.For(rowBlocks, 1, func(lo, hi int) {
-		for rb := lo; rb < hi; rb++ {
-			ii := rb * blk
-			iMax := min(ii+blk, a.Rows)
-			for kk := 0; kk < a.Cols; kk += blk {
-				kMax := min(kk+blk, a.Cols)
-				for i := ii; i < iMax; i++ {
-					arow := a.Row(i)
-					crow := out.Row(i)
-					for k := kk; k < kMax; k++ {
-						av := arow[k]
-						if av == 0 {
-							continue
-						}
-						brow := b.Row(k)
-						for j := range brow {
-							crow[j] += av * brow[j]
-						}
-					}
+	const blk = 64 // rows per pool task; a multiple of the 4-row tile
+	parallel.For((a.Rows+blk-1)/blk, 1, func(lo, hi int) {
+		i, iMax := lo*blk, min(hi*blk, a.Rows)
+		for ; i+4 <= iMax; i += 4 {
+			gemmTile4(a, b, out, i)
+		}
+		for ; i < iMax; i++ { // leftover rows, one at a time
+			c := out.Row(i)
+			for k, v := range a.Row(i) {
+				for j, p := range b.Row(k)[:len(c)] {
+					c[j] += v * p
 				}
 			}
 		}
@@ -70,9 +64,36 @@ func execGEMM(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 	return out, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// gemmTile4 accumulates rows i..i+3 of out. The register tile is 4 rows by 4
+// steps of k: each pass over j loads four C elements, adds sixteen products
+// in ascending k and stores them back, reading each row of B once for the
+// four rows of A. Re-slicing every row to len(c0) lets the compiler drop the
+// bounds checks from the j loop.
+func gemmTile4(a, b, out *tensor.Matrix, i int) {
+	a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+	c0 := out.Row(i)
+	n := len(c0)
+	c1, c2, c3 := out.Row(i + 1)[:n], out.Row(i + 2)[:n], out.Row(i + 3)[:n]
+	k := 0
+	for ; k+4 <= a.Cols; k += 4 {
+		b0, b1, b2, b3 := b.Row(k)[:n], b.Row(k + 1)[:n], b.Row(k + 2)[:n], b.Row(k + 3)[:n]
+		x0, x1, x2, x3 := a0[k:k+4], a1[k:k+4], a2[k:k+4], a3[k:k+4]
+		for j := range c0 {
+			p, q, s, t := b0[j], b1[j], b2[j], b3[j]
+			c0[j] = c0[j] + x0[0]*p + x0[1]*q + x0[2]*s + x0[3]*t
+			c1[j] = c1[j] + x1[0]*p + x1[1]*q + x1[2]*s + x1[3]*t
+			c2[j] = c2[j] + x2[0]*p + x2[1]*q + x2[2]*s + x2[3]*t
+			c3[j] = c3[j] + x3[0]*p + x3[1]*q + x3[2]*s + x3[3]*t
+		}
 	}
-	return b
+	for ; k < a.Cols; k++ {
+		bk := b.Row(k)[:n]
+		v0, v1, v2, v3 := a0[k], a1[k], a2[k], a3[k]
+		for j, p := range bk {
+			c0[j] += v0 * p
+			c1[j] += v1 * p
+			c2[j] += v2 * p
+			c3[j] += v3 * p
+		}
+	}
 }

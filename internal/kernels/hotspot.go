@@ -52,13 +52,14 @@ func execHotspot(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder
 		src := cur // capture for the closure; cur is reassigned below
 		parallel.For(rows, parallel.RowGrain(cols), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				for j := 0; j < cols; j++ {
-					t := src.At(i, j)
-					d := power.At(i, j) +
-						(atClamp(src, i-1, j)+atClamp(src, i+1, j)-2*t)/ry +
-						(atClamp(src, i, j-1)+atClamp(src, i, j+1)-2*t)/rx +
+				up, mid, dn := rows3(src, i)
+				pRow, dRow := power.Row(i)[:len(mid)], delta.Row(i)[:len(mid)]
+				for j, t := range mid {
+					l, r := cols3(j, len(mid))
+					dRow[j] = pRow[j] +
+						(up[j]+dn[j]-2*t)/ry +
+						(mid[l]+mid[r]-2*t)/rx +
 						(tamb-t)/rz
-					delta.Set(i, j, d)
 				}
 			}
 		})

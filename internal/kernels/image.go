@@ -13,6 +13,29 @@ import (
 // baselines. Each has a single stage boundary. Rows are independent (inputs
 // are read-only, each output row written by exactly one chunk), so the
 // row-parallel sweeps are bit-identical to the sequential loops.
+//
+// Every stencil sweep takes its neighbour rows as slices once per output row
+// (rows3) and clamps the two neighbour columns per pixel, instead of
+// clamping and indexing the matrix per tap; the expressions read the same
+// values in the same order as the per-pixel oracles in oracle_test.go.
+
+// clampRow returns row i of m with replicate boundary handling.
+func clampRow(m *tensor.Matrix, i int) []float64 {
+	return m.Row(max(0, min(i, m.Rows-1)))
+}
+
+// rows3 returns rows i-1, i and i+1 of m, the outer two clamped to the
+// matrix and re-sliced to the middle one's length so indexing any of them by
+// a column of mid needs no bounds check the compiler cannot drop.
+func rows3(m *tensor.Matrix, i int) (up, mid, dn []float64) {
+	mid = m.Row(i)
+	return clampRow(m, i-1)[:len(mid)], mid, clampRow(m, i+1)[:len(mid)]
+}
+
+// cols3 returns the replicate-clamped neighbour columns of j in a row of n.
+func cols3(j, n int) (l, r int) {
+	return max(0, j-1), min(j+1, n-1)
+}
 
 func execLaplacian(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(vop.OpLaplacian, inputs, 1); err != nil {
@@ -25,10 +48,11 @@ func execLaplacian(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*ten
 	}
 	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			for j := 0; j < in.Cols; j++ {
-				c := in.At(i, j)
-				out.Set(i, j, atClamp(in, i-1, j)+atClamp(in, i+1, j)+
-					atClamp(in, i, j-1)+atClamp(in, i, j+1)-4*c)
+			up, mid, dn := rows3(in, i)
+			o := out.Row(i)[:len(mid)]
+			for j, c := range mid {
+				l, r := cols3(j, len(mid))
+				o[j] = up[j] + dn[j] + mid[l] + mid[r] - 4*c
 			}
 		}
 	})
@@ -47,13 +71,16 @@ func execSobel(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.
 	}
 	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			for j := 0; j < in.Cols; j++ {
-				gx := -atClamp(in, i-1, j-1) + atClamp(in, i-1, j+1) +
-					-2*atClamp(in, i, j-1) + 2*atClamp(in, i, j+1) +
-					-atClamp(in, i+1, j-1) + atClamp(in, i+1, j+1)
-				gy := -atClamp(in, i-1, j-1) - 2*atClamp(in, i-1, j) - atClamp(in, i-1, j+1) +
-					atClamp(in, i+1, j-1) + 2*atClamp(in, i+1, j) + atClamp(in, i+1, j+1)
-				out.Set(i, j, math.Hypot(gx, gy))
+			up, mid, dn := rows3(in, i)
+			o := out.Row(i)[:len(mid)]
+			for j := range mid {
+				l, r := cols3(j, len(mid))
+				gx := -up[l] + up[r] +
+					-2*mid[l] + 2*mid[r] +
+					-dn[l] + dn[r]
+				gy := -up[l] - 2*up[j] - up[r] +
+					dn[l] + 2*dn[j] + dn[r]
+				o[j] = math.Hypot(gx, gy)
 			}
 		}
 	})
@@ -72,14 +99,21 @@ func execMeanFilter(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*te
 	}
 	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			for j := 0; j < in.Cols; j++ {
+			up, mid, dn := rows3(in, i)
+			o := out.Row(i)[:len(mid)]
+			for j := range mid {
+				l, r := cols3(j, len(mid))
 				var s float64
-				for di := -1; di <= 1; di++ {
-					for dj := -1; dj <= 1; dj++ {
-						s += atClamp(in, i+di, j+dj)
-					}
-				}
-				out.Set(i, j, s/9)
+				s += up[l]
+				s += up[j]
+				s += up[r]
+				s += mid[l]
+				s += mid[j]
+				s += mid[r]
+				s += dn[l]
+				s += dn[j]
+				s += dn[r]
+				o[j] = s / 9
 			}
 		}
 	})
@@ -100,35 +134,25 @@ func execConv(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 		return nil, err
 	}
 	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
+		// The window's input rows, clamped, taken once per output row.
+		win := make([][]float64, 2*rad+1)
 		for i := lo; i < hi; i++ {
-			for j := 0; j < in.Cols; j++ {
+			for d := range win {
+				win[d] = clampRow(in, i+d-rad)
+			}
+			o := out.Row(i)
+			for j := range o {
 				var s float64
-				for di := -rad; di <= rad; di++ {
+				for d, row := range win {
+					krow := k.Row(d)
 					for dj := -rad; dj <= rad; dj++ {
-						s += atClamp(in, i+di, j+dj) * k.At(di+rad, dj+rad)
+						s += row[max(0, min(j+dj, len(row)-1))] * krow[dj+rad]
 					}
 				}
-				out.Set(i, j, s)
+				o[j] = s
 			}
 		}
 	})
 	RoundMatrix(r, out)
 	return out, nil
-}
-
-// atClamp reads in[i,j] with replicate boundary handling.
-func atClamp(in *tensor.Matrix, i, j int) float64 {
-	if i < 0 {
-		i = 0
-	}
-	if i >= in.Rows {
-		i = in.Rows - 1
-	}
-	if j < 0 {
-		j = 0
-	}
-	if j >= in.Cols {
-		j = in.Cols - 1
-	}
-	return in.Data[i*in.RowStride()+j]
 }

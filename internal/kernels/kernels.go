@@ -81,8 +81,9 @@ type F32 struct{}
 // Round implements Rounder.
 func (F32) Round(data []float64) {
 	parallel.For(len(data), parGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = float64(float32(data[i]))
+		chunk := data[lo:hi]
+		for i, v := range chunk {
+			chunk[i] = float64(float32(v))
 		}
 	})
 }
@@ -123,9 +124,7 @@ func (Int8) Round(data []float64) {
 	// order-independent); the per-element round-trip parallelizes.
 	p := quant.CalibrateAffine(data)
 	parallel.For(len(data), parGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = p.DequantizeOne(p.QuantizeOne(data[i]))
-		}
+		p.RoundTripInPlace(data[lo:hi])
 	})
 }
 

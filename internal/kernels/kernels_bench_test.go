@@ -63,3 +63,37 @@ func BenchmarkGEMM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelsHLOP measures the kernels at the shapes the engine runs
+// them: one HLOP of the benchmark's lib_compute mix (a few thousand
+// elements, halo included), at each device precision. BenchmarkKernelsParallel
+// is the 1024² view; tile, unroll and grain choices are judged here, where
+// loop overheads and edge handling are not amortised away.
+func BenchmarkKernelsHLOP(b *testing.B) {
+	cases := []struct {
+		name   string
+		op     vop.Opcode
+		inputs []*tensor.Matrix
+	}{
+		{"GEMM/4x256x256", vop.OpGEMM, []*tensor.Matrix{randMatrix(4, 256, 1, -1, 1), randMatrix(256, 256, 2, -1, 1)}},
+		{"Sobel/82x82", vop.OpSobel, []*tensor.Matrix{randMatrix(82, 82, 3, 0.1, 1)}},
+		{"SRAD/66x66", vop.OpSRAD, []*tensor.Matrix{randMatrix(66, 66, 4, 0.1, 1)}},
+		{"FFT/12x512", vop.OpFFT, []*tensor.Matrix{randMatrix(12, 512, 5, 0.1, 1)}},
+		{"DCT8x8/80x80", vop.OpDCT8x8, []*tensor.Matrix{randMatrix(80, 80, 6, 0.1, 1)}},
+		{"ParabolicPDE/8x512", vop.OpParabolicPDE, []*tensor.Matrix{randMatrix(8, 512, 7, 0.5, 1.5), randMatrix(8, 512, 8, 0.5, 1.5)}},
+	}
+	for _, c := range cases {
+		for _, r := range []Rounder{Exact{}, F32{}, Int8{}} {
+			b.Run(fmt.Sprintf("%s/%s", c.name, r.Name()), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := Exec(c.op, c.inputs, nil, r)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tensor.PutMatrix(out)
+				}
+			})
+		}
+	}
+}

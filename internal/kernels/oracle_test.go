@@ -1,0 +1,526 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"shmt/internal/quant"
+	"shmt/internal/tensor"
+	"shmt/internal/vop"
+)
+
+// Scalar oracles: the per-pixel loops the kernels ran before they were
+// register-tiled and row-sliced, kept verbatim (minus the worker fan-out) as
+// the reference the tiled kernels must match bit for bit. They read through
+// At / atClamp, write a dense result and round it with the reference
+// rounders below.
+
+// atClamp reads in[i,j] with replicate boundary handling.
+func atClamp(in *tensor.Matrix, i, j int) float64 {
+	if i < 0 {
+		i = 0
+	}
+	if i >= in.Rows {
+		i = in.Rows - 1
+	}
+	if j < 0 {
+		j = 0
+	}
+	if j >= in.Cols {
+		j = in.Cols - 1
+	}
+	return in.Data[i*in.RowStride()+j]
+}
+
+// refF32 is the FP32 cast one element at a time.
+type refF32 struct{}
+
+func (refF32) Round(data []float64) {
+	for i := range data {
+		data[i] = float64(float32(data[i]))
+	}
+}
+func (refF32) Name() string { return "fp32" }
+
+// refInt8 is the affine INT8 requantisation through the int8 codes.
+type refInt8 struct{}
+
+func (refInt8) Round(data []float64) { refInt8Round(data) }
+func (refInt8) Name() string         { return "int8" }
+
+func refInt8Round(data []float64) {
+	p := quant.CalibrateAffine(data)
+	for i := range data {
+		data[i] = p.DequantizeOne(p.QuantizeOne(data[i]))
+	}
+}
+
+func refGEMM(a, b *tensor.Matrix, r Rounder) *tensor.Matrix {
+	out := tensor.NewMatrix(a.Rows, b.Cols)
+	const blk = 64
+	for ii := 0; ii < a.Rows; ii += blk {
+		iMax := min(ii+blk, a.Rows)
+		for kk := 0; kk < a.Cols; kk += blk {
+			kMax := min(kk+blk, a.Cols)
+			for i := ii; i < iMax; i++ {
+				arow := a.Row(i)
+				crow := out.Row(i)
+				for k := kk; k < kMax; k++ {
+					av := arow[k]
+					if av == 0 {
+						continue
+					}
+					brow := b.Row(k)
+					for j := range brow {
+						crow[j] += av * brow[j]
+					}
+				}
+			}
+		}
+	}
+	r.Round(out.Data)
+	return out
+}
+
+func refLaplacian(in *tensor.Matrix, r Rounder) *tensor.Matrix {
+	out := tensor.NewMatrix(in.Rows, in.Cols)
+	for i := 0; i < in.Rows; i++ {
+		for j := 0; j < in.Cols; j++ {
+			c := in.At(i, j)
+			out.Set(i, j, atClamp(in, i-1, j)+atClamp(in, i+1, j)+
+				atClamp(in, i, j-1)+atClamp(in, i, j+1)-4*c)
+		}
+	}
+	r.Round(out.Data)
+	return out
+}
+
+func refSobel(in *tensor.Matrix, r Rounder) *tensor.Matrix {
+	out := tensor.NewMatrix(in.Rows, in.Cols)
+	for i := 0; i < in.Rows; i++ {
+		for j := 0; j < in.Cols; j++ {
+			gx := -atClamp(in, i-1, j-1) + atClamp(in, i-1, j+1) +
+				-2*atClamp(in, i, j-1) + 2*atClamp(in, i, j+1) +
+				-atClamp(in, i+1, j-1) + atClamp(in, i+1, j+1)
+			gy := -atClamp(in, i-1, j-1) - 2*atClamp(in, i-1, j) - atClamp(in, i-1, j+1) +
+				atClamp(in, i+1, j-1) + 2*atClamp(in, i+1, j) + atClamp(in, i+1, j+1)
+			out.Set(i, j, math.Hypot(gx, gy))
+		}
+	}
+	r.Round(out.Data)
+	return out
+}
+
+func refMeanFilter(in *tensor.Matrix, r Rounder) *tensor.Matrix {
+	out := tensor.NewMatrix(in.Rows, in.Cols)
+	for i := 0; i < in.Rows; i++ {
+		for j := 0; j < in.Cols; j++ {
+			var s float64
+			for di := -1; di <= 1; di++ {
+				for dj := -1; dj <= 1; dj++ {
+					s += atClamp(in, i+di, j+dj)
+				}
+			}
+			out.Set(i, j, s/9)
+		}
+	}
+	r.Round(out.Data)
+	return out
+}
+
+func refConv(in, k *tensor.Matrix, r Rounder) *tensor.Matrix {
+	rad := k.Rows / 2
+	out := tensor.NewMatrix(in.Rows, in.Cols)
+	for i := 0; i < in.Rows; i++ {
+		for j := 0; j < in.Cols; j++ {
+			var s float64
+			for di := -rad; di <= rad; di++ {
+				for dj := -rad; dj <= rad; dj++ {
+					s += atClamp(in, i+di, j+dj) * k.At(di+rad, dj+rad)
+				}
+			}
+			out.Set(i, j, s)
+		}
+	}
+	r.Round(out.Data)
+	return out
+}
+
+func refSRAD(in *tensor.Matrix, lambda, q0sqr float64, r Rounder) *tensor.Matrix {
+	rows, cols := in.Rows, in.Cols
+	c := tensor.NewMatrix(rows, cols)
+	dN := tensor.NewMatrix(rows, cols)
+	dS := tensor.NewMatrix(rows, cols)
+	dW := tensor.NewMatrix(rows, cols)
+	dE := tensor.NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			jc := in.At(i, j)
+			if jc == 0 {
+				jc = 1e-12
+			}
+			n := atClamp(in, i-1, j) - jc
+			s := atClamp(in, i+1, j) - jc
+			w := atClamp(in, i, j-1) - jc
+			e := atClamp(in, i, j+1) - jc
+			dN.Set(i, j, n)
+			dS.Set(i, j, s)
+			dW.Set(i, j, w)
+			dE.Set(i, j, e)
+
+			g2 := (n*n + s*s + w*w + e*e) / (jc * jc)
+			l := (n + s + w + e) / jc
+			num := 0.5*g2 - 0.0625*l*l
+			den := 1 + 0.25*l
+			qsqr := num / (den * den)
+			cv := 1 / (1 + (qsqr-q0sqr)/(q0sqr*(1+q0sqr)))
+			if cv < 0 {
+				cv = 0
+			}
+			if cv > 1 {
+				cv = 1
+			}
+			c.Set(i, j, cv)
+		}
+	}
+	r.Round(c.Data)
+
+	div := tensor.NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			cN := c.At(i, j)
+			cW := c.At(i, j)
+			cS := atClamp(c, i+1, j)
+			cE := atClamp(c, i, j+1)
+			div.Set(i, j, cN*dN.At(i, j)+cS*dS.At(i, j)+cW*dW.At(i, j)+cE*dE.At(i, j))
+		}
+	}
+	r.Round(div.Data)
+
+	out := tensor.NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			out.Set(i, j, in.At(i, j)+0.25*lambda*div.At(i, j))
+		}
+	}
+	r.Round(out.Data)
+	return out
+}
+
+func refHotspot(temp, power *tensor.Matrix, steps int, r Rounder) *tensor.Matrix {
+	const dtCap, rx, ry, rz, tamb = 0.1, 1.0, 1.0, 4.0, 80.0
+	// The divisors are variables in the kernel; keep them so here, or the
+	// compiler folds x/1 away.
+	vrx, vry, vrz, vtamb, vdt := rx, ry, rz, tamb, dtCap
+	rows, cols := temp.Rows, temp.Cols
+	src := temp
+	for s := 0; s < steps; s++ {
+		delta := tensor.NewMatrix(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				t := src.At(i, j)
+				d := power.At(i, j) +
+					(atClamp(src, i-1, j)+atClamp(src, i+1, j)-2*t)/vry +
+					(atClamp(src, i, j-1)+atClamp(src, i, j+1)-2*t)/vrx +
+					(vtamb-t)/vrz
+				delta.Set(i, j, d)
+			}
+		}
+		r.Round(delta.Data)
+		next := tensor.NewMatrix(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				next.Set(i, j, src.At(i, j)+vdt*delta.At(i, j))
+			}
+		}
+		r.Round(next.Data)
+		src = next
+	}
+	return src
+}
+
+func refDCT8x8(in *tensor.Matrix, r Rounder) *tensor.Matrix {
+	inS := in.RowStride()
+	tmp := tensor.NewMatrix(in.Rows, in.Cols)
+	for row := 0; row < in.Rows; row++ {
+		baseIn := row * inS
+		baseT := row * in.Cols
+		for bc := 0; bc < in.Cols; bc += 8 {
+			for k := 0; k < 8; k++ {
+				var s float64
+				for x := 0; x < 8; x++ {
+					s += dct8Basis[k][x] * in.Data[baseIn+bc+x]
+				}
+				tmp.Data[baseT+bc+k] = s
+			}
+		}
+	}
+	r.Round(tmp.Data)
+	out := tensor.NewMatrix(in.Rows, in.Cols)
+	for blk := 0; blk < in.Rows/8; blk++ {
+		br := blk * 8
+		for col := 0; col < in.Cols; col++ {
+			for k := 0; k < 8; k++ {
+				var s float64
+				for y := 0; y < 8; y++ {
+					s += dct8Basis[k][y] * tmp.Data[(br+y)*in.Cols+col]
+				}
+				out.Data[(br+k)*in.Cols+col] = s
+			}
+		}
+	}
+	r.Round(out.Data)
+	return out
+}
+
+// oracleRounders pairs each production rounder with its scalar reference.
+var oracleRounders = []struct {
+	got, ref Rounder
+}{
+	{Exact{}, Exact{}},
+	{F32{}, refF32{}},
+	{Int8{}, refInt8{}},
+}
+
+// oracleFill draws values that exercise the expression edges: mostly a
+// smooth positive field, with exact zeros, negative zeros and sign changes
+// sprinkled in (a zero accumulator start, SRAD's jc == 0 guard, GEMM's
+// dropped zero skip).
+func oracleFill(rows, cols int, rng *rand.Rand) *tensor.Matrix {
+	m := tensor.NewMatrix(rows, cols)
+	for i := range m.Data {
+		switch rng.Intn(12) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = math.Copysign(0, -1)
+		case 2:
+			m.Data[i] = -3 * rng.Float64()
+		default:
+			m.Data[i] = 0.1 + 2*rng.Float64()
+		}
+	}
+	return m
+}
+
+// strided returns a view of m's values sitting inside a larger tensor whose
+// other cells hold sentinel, plus that tensor.
+func strided(t *testing.T, m *tensor.Matrix, sentinel float64) (view, base *tensor.Matrix) {
+	t.Helper()
+	base = tensor.NewMatrix(m.Rows+3, m.Cols+5)
+	for i := range base.Data {
+		base.Data[i] = sentinel
+	}
+	view, err := base.View(tensor.Region{Row: 1, Col: 2, Height: m.Rows, Width: m.Cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := view.CopyFrom(m); err != nil {
+		t.Fatal(err)
+	}
+	return view, base
+}
+
+func assertSameBits(t *testing.T, name string, got, want *tensor.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := 0; i < got.Rows; i++ {
+		g, w := got.Row(i), want.Row(i)
+		for j := range g {
+			if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+				t.Fatalf("%s: [%d,%d] = %v (%#x), oracle %v (%#x)", name, i, j,
+					g[j], math.Float64bits(g[j]), w[j], math.Float64bits(w[j]))
+			}
+		}
+	}
+}
+
+// checkOracle runs op three ways — dense inputs into a fresh result, strided
+// inputs into a fresh result, strided inputs into a strided dst — and
+// requires each to equal want bit for bit, with dst's surroundings untouched.
+func checkOracle(t *testing.T, name string, op vop.Opcode, inputs []*tensor.Matrix, at map[string]float64, r Rounder, want *tensor.Matrix) {
+	t.Helper()
+	got, err := Exec(op, inputs, at, r)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	assertSameBits(t, name+" dense", got, want)
+
+	views := make([]*tensor.Matrix, len(inputs))
+	for i, in := range inputs {
+		views[i], _ = strided(t, in, math.NaN())
+	}
+	got, err = Exec(op, views, at, r)
+	if err != nil {
+		t.Fatalf("%s views: %v", name, err)
+	}
+	assertSameBits(t, name+" views", got, want)
+
+	const sentinel = -12345.5
+	dst, base := strided(t, tensor.NewMatrix(want.Rows, want.Cols), sentinel)
+	for i := 0; i < dst.Rows; i++ {
+		row := dst.Row(i)
+		for j := range row {
+			row[j] = math.NaN() // a kernel must not read what dst held
+		}
+	}
+	got, err = ExecInto(op, views, dst, at, r)
+	if err != nil {
+		t.Fatalf("%s into view: %v", name, err)
+	}
+	if got != dst {
+		t.Fatalf("%s into view: result is not dst", name)
+	}
+	assertSameBits(t, name+" into view", dst, want)
+	for i := 0; i < base.Rows; i++ {
+		for j := 0; j < base.Cols; j++ {
+			inside := i >= 1 && i < 1+dst.Rows && j >= 2 && j < 2+dst.Cols
+			if !inside && base.At(i, j) != sentinel {
+				t.Fatalf("%s into view: wrote outside dst at [%d,%d]", name, i, j)
+			}
+		}
+	}
+}
+
+// stencilShapes hit every edge of the row/column clamping: single row,
+// single column, smaller than a 3×3 window, odd sizes, and one large enough
+// for interior rows to dominate.
+var stencilShapes = [][2]int{{1, 9}, {9, 1}, {1, 1}, {2, 2}, {3, 5}, {5, 7}, {67, 129}}
+
+func TestStencilKernelsMatchScalarOracle(t *testing.T) {
+	for _, sh := range stencilShapes {
+		for ri, rr := range oracleRounders {
+			rng := rand.New(rand.NewSource(int64(100*sh[0] + sh[1])))
+			in := oracleFill(sh[0], sh[1], rng)
+			in2 := oracleFill(sh[0], sh[1], rng)
+			k3 := oracleFill(3, 3, rng)
+			k5 := oracleFill(5, 5, rng)
+			name := func(op string) string { return fmt.Sprintf("%s/%dx%d/%s", op, sh[0], sh[1], rr.got.Name()) }
+			one := []*tensor.Matrix{in}
+
+			checkOracle(t, name("Laplacian"), vop.OpLaplacian, one, nil, rr.got, refLaplacian(in, rr.ref))
+			checkOracle(t, name("Sobel"), vop.OpSobel, one, nil, rr.got, refSobel(in, rr.ref))
+			checkOracle(t, name("MeanFilter"), vop.OpMeanFilter, one, nil, rr.got, refMeanFilter(in, rr.ref))
+			checkOracle(t, name("Conv3"), vop.OpConv, []*tensor.Matrix{in, k3}, nil, rr.got, refConv(in, k3, rr.ref))
+			checkOracle(t, name("Conv5"), vop.OpConv, []*tensor.Matrix{in, k5}, nil, rr.got, refConv(in, k5, rr.ref))
+			sradAt := map[string]float64{"lambda": 0.4, "q0sqr": 0.07}
+			checkOracle(t, name("SRAD"), vop.OpSRAD, one, sradAt, rr.got, refSRAD(in, 0.4, 0.07, rr.ref))
+			steps := 1 + ri // one, two and three steps across the rounders
+			hotAt := map[string]float64{"steps": float64(steps)}
+			checkOracle(t, name("Hotspot"), vop.OpStencil, []*tensor.Matrix{in, in2}, hotAt, rr.got, refHotspot(in, in2, steps, rr.ref))
+		}
+	}
+}
+
+func TestDCT8x8MatchesScalarOracle(t *testing.T) {
+	for _, sh := range [][2]int{{8, 8}, {8, 24}, {24, 8}, {16, 40}, {80, 80}} {
+		for _, rr := range oracleRounders {
+			in := oracleFill(sh[0], sh[1], rand.New(rand.NewSource(int64(sh[0]+sh[1]))))
+			name := fmt.Sprintf("DCT8x8/%dx%d/%s", sh[0], sh[1], rr.got.Name())
+			checkOracle(t, name, vop.OpDCT8x8, []*tensor.Matrix{in}, nil, rr.got, refDCT8x8(in, rr.ref))
+		}
+	}
+}
+
+// gemmShapes are m, k, n: every remainder of the 4-row × 4-k register tile in both
+// directions, degenerate vectors, the shape the engine's row bands run
+// (4×256 · 256×256) and the parallel-identity suite's 96×80 · 80×64.
+var gemmShapes = [][3]int{
+	{1, 7, 1}, {1, 1, 9}, {9, 1, 1}, {1, 9, 6}, {6, 9, 1},
+	{2, 2, 2}, {3, 5, 5}, {5, 7, 3}, {4, 3, 2}, {7, 4, 7}, {67, 70, 129},
+	{4, 256, 256}, {96, 80, 64},
+}
+
+func TestGEMMMatchesScalarOracle(t *testing.T) {
+	for _, sh := range gemmShapes {
+		for _, rr := range oracleRounders {
+			rng := rand.New(rand.NewSource(int64(sh[0]*10000 + sh[1]*100 + sh[2])))
+			a := oracleFill(sh[0], sh[1], rng) // exact zeros in A: the dropped skip
+			b := oracleFill(sh[1], sh[2], rng)
+			name := fmt.Sprintf("GEMM/%dx%d·%dx%d/%s", sh[0], sh[1], sh[1], sh[2], rr.got.Name())
+			checkOracle(t, name, vop.OpGEMM, []*tensor.Matrix{a, b}, nil, rr.got, refGEMM(a, b, rr.ref))
+		}
+	}
+}
+
+// The scalar loop skipped a zero element of A without reading B's row, so a
+// non-finite value in that row never reached the sum. The tiled loop
+// multiplies every pair: 0 × Inf and 0 × NaN are NaN, as IEEE 754 (and any
+// BLAS) has it. For finite B the two agree bit for bit (the accumulator is
+// never −0, so adding a ±0 product is the identity) — that is what
+// TestGEMMMatchesScalarOracle pins; this pins the one case that differs.
+func TestGEMMZeroTimesNonFiniteIsNaN(t *testing.T) {
+	a, _ := tensor.FromSlice(1, 2, []float64{0, 1})
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		b, _ := tensor.FromSlice(2, 2, []float64{bad, 2, 3, 4})
+		got, err := Exec(vop.OpGEMM, []*tensor.Matrix{a, b}, nil, Exact{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsNaN(got.Data[0]) || got.Data[1] != 4 {
+			t.Fatalf("0·%v: got %v, want [NaN 4]", bad, got.Data)
+		}
+		if ref := refGEMM(a, b, Exact{}); ref.Data[0] != 3 {
+			t.Fatalf("oracle should have skipped the zero: %v", ref.Data)
+		}
+	}
+}
+
+// TestRoundersMatchScalarOracle compares the chunked rounders with the
+// element-at-a-time references on data that includes every special value.
+func TestRoundersMatchScalarOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1e-320, 0.5, -0.5, 1.5, 2.5, -2.5}
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 4095, 4096, 4097, 10000} {
+		for _, scale := range []float64{1, 1e-3, 1e6} {
+			data := make([]float64, n)
+			for i := range data {
+				if rng.Intn(10) == 0 {
+					data[i] = specials[rng.Intn(len(specials))]
+				} else {
+					data[i] = scale * rng.NormFloat64()
+				}
+			}
+			for _, rr := range oracleRounders {
+				got := append([]float64(nil), data...)
+				want := append([]float64(nil), data...)
+				rr.got.Round(got)
+				rr.ref.Round(want)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s n=%d scale=%g: [%d] %v → %v (%#x), oracle %v (%#x)", rr.got.Name(), n, scale,
+							i, data[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzInt8Round: the fused float-only round trip equals calibration followed
+// by QuantizeOne / DequantizeOne through the int8 codes, on arbitrary bit
+// patterns.
+func FuzzInt8Round(f *testing.F) {
+	f.Add(math.Float64bits(1), math.Float64bits(2), math.Float64bits(-3), math.Float64bits(0.5))
+	f.Add(math.Float64bits(math.NaN()), math.Float64bits(1), math.Float64bits(2), math.Float64bits(3))
+	f.Add(math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)), math.Float64bits(1e308), math.Float64bits(-1e308))
+	f.Add(math.Float64bits(math.Copysign(0, -1)), uint64(1), uint64(0x7ff0000000000001), math.Float64bits(127.5))
+	f.Fuzz(func(t *testing.T, a, b, c, d uint64) {
+		data := []float64{math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c), math.Float64frombits(d)}
+		got := append([]float64(nil), data...)
+		want := append([]float64(nil), data...)
+		Int8{}.Round(got)
+		refInt8Round(want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: [%d] = %v (%#x), reference %v (%#x)", data, i,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	})
+}

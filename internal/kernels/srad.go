@@ -36,19 +36,20 @@ func execSRAD(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder) (
 	dE := tensor.GetMatrixUninit(rows, cols)
 	parallel.For(rows, parallel.RowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			for j := 0; j < cols; j++ {
-				jc := in.At(i, j)
+			up, mid, dn := rows3(in, i)
+			cRow := c.Row(i)[:len(mid)]
+			nRow, sRow := dN.Row(i)[:len(mid)], dS.Row(i)[:len(mid)]
+			wRow, eRow := dW.Row(i)[:len(mid)], dE.Row(i)[:len(mid)]
+			for j, jc := range mid {
 				if jc == 0 {
 					jc = 1e-12 // guard the division; SRAD inputs are positive intensities
 				}
-				n := atClamp(in, i-1, j) - jc
-				s := atClamp(in, i+1, j) - jc
-				w := atClamp(in, i, j-1) - jc
-				e := atClamp(in, i, j+1) - jc
-				dN.Set(i, j, n)
-				dS.Set(i, j, s)
-				dW.Set(i, j, w)
-				dE.Set(i, j, e)
+				jl, jr := cols3(j, len(mid))
+				n := up[j] - jc
+				s := dn[j] - jc
+				w := mid[jl] - jc
+				e := mid[jr] - jc
+				nRow[j], sRow[j], wRow[j], eRow[j] = n, s, w, e
 
 				g2 := (n*n + s*s + w*w + e*e) / (jc * jc)
 				l := (n + s + w + e) / jc
@@ -63,7 +64,7 @@ func execSRAD(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder) (
 				if cv > 1 {
 					cv = 1
 				}
-				c.Set(i, j, cv)
+				cRow[j] = cv
 			}
 		}
 	})
@@ -73,12 +74,15 @@ func execSRAD(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder) (
 	div := tensor.GetMatrixUninit(rows, cols)
 	parallel.For(rows, parallel.RowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			for j := 0; j < cols; j++ {
-				cN := c.At(i, j)
-				cW := c.At(i, j)
-				cS := atClamp(c, i+1, j)
-				cE := atClamp(c, i, j+1)
-				div.Set(i, j, cN*dN.At(i, j)+cS*dS.At(i, j)+cW*dW.At(i, j)+cE*dE.At(i, j))
+			cMid := c.Row(i)
+			cDn := clampRow(c, i+1)[:len(cMid)]
+			nRow, sRow := dN.Row(i)[:len(cMid)], dS.Row(i)[:len(cMid)]
+			wRow, eRow := dW.Row(i)[:len(cMid)], dE.Row(i)[:len(cMid)]
+			dRow := div.Row(i)[:len(cMid)]
+			for j, cNW := range cMid { // the north and west coefficients are the pixel's own
+				cS := cDn[j]
+				cE := cMid[min(j+1, len(cMid)-1)]
+				dRow[j] = cNW*nRow[j] + cS*sRow[j] + cNW*wRow[j] + cE*eRow[j]
 			}
 		}
 	})

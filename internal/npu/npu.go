@@ -96,10 +96,7 @@ func (b BlockInt8) Round(data []float64) {
 			if end > hi {
 				end = hi
 			}
-			p := quant.CalibrateAffine(data[off:end])
-			for i := off; i < end; i++ {
-				data[i] = p.DequantizeOne(p.QuantizeOne(data[i]))
-			}
+			quant.CalibrateAffine(data[off:end]).RoundTripInPlace(data[off:end])
 		}
 	})
 }

@@ -95,23 +95,39 @@ type AffineParams struct {
 	ZeroPoint int
 }
 
-// CalibrateAffine derives affine parameters covering [min,max] of the data.
+// CalibrateAffine derives affine parameters covering [min,max] of the data's
+// finite values; NaN and ±Inf are skipped wherever they sit. No finite value
+// at all calibrates like an all-zero tensor (Scale 1).
 func CalibrateAffine(data []float64) AffineParams {
-	if len(data) == 0 {
-		return AffineParams{Scale: 1}
-	}
-	lo, hi := data[0], data[0]
+	r := EmptyRange()
 	for _, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		r.Add(v)
 	}
+	return AffineFromRange(r.Lo, r.Hi)
+}
+
+// Range is a running [Lo, Hi] over the finite values added to it. Callers
+// whose elements are not one slice (a channel strided through a tensor) fold
+// it element by element and hand the bounds to AffineFromRange.
+type Range struct{ Lo, Hi float64 }
+
+// EmptyRange returns the range no value has been added to: Lo > Hi.
+func EmptyRange() Range { return Range{Lo: math.Inf(1), Hi: math.Inf(-1)} }
+
+// Add widens the range to cover v, unless v is NaN or ±Inf.
+func (r *Range) Add(v float64) {
+	// NaN fails both comparisons; the MaxFloat64 bounds drop ±Inf.
+	if v < r.Lo && v >= -math.MaxFloat64 {
+		r.Lo = v
+	}
+	if v > r.Hi && v <= math.MaxFloat64 {
+		r.Hi = v
+	}
+}
+
+// AffineFromRange derives the affine parameters covering [lo, hi]. The bounds
+// of an EmptyRange (lo > hi) yield Scale 1.
+func AffineFromRange(lo, hi float64) AffineParams {
 	// The representable range must include zero so that padding quantizes
 	// exactly (TFLite convention).
 	if lo > 0 {
@@ -124,6 +140,14 @@ func CalibrateAffine(data []float64) AffineParams {
 		return AffineParams{Scale: 1, ZeroPoint: 0}
 	}
 	scale := (hi - lo) / 255
+	switch {
+	case scale == 0: // narrower than 255 subnormal steps: as good as zero-range
+		return AffineParams{Scale: 1, ZeroPoint: 0}
+	case math.IsInf(scale, 0): // hi - lo overflowed; the quotient itself fits
+		scale = hi/255 - lo/255
+	}
+	// Scale is now finite and positive, so v/Scale is NaN only for a NaN v
+	// and every code QuantizeOne converts to int8 is in range.
 	zp := int(math.RoundToEven(-128 - lo/scale))
 	if zp < -128 {
 		zp = -128
@@ -179,4 +203,30 @@ func (p AffineParams) RoundTrip(data []float64) []float64 {
 		out[i] = p.DequantizeOne(p.QuantizeOne(v))
 	}
 	return out
+}
+
+// RoundTripOne is DequantizeOne(QuantizeOne(v)), bit for bit, without
+// leaving float64: the code is kept as the integer-valued float it already is
+// after rounding and clamping, so there is no int8 conversion. The division
+// stays a division — multiplying by a precomputed 1/Scale rounds differently.
+func (p AffineParams) RoundTripOne(v float64) float64 {
+	zp := float64(p.ZeroPoint)
+	q := math.RoundToEven(v/p.Scale) + zp
+	if q > 127 {
+		q = 127
+	}
+	if q < -128 {
+		q = -128
+	}
+	if v != v {
+		q = zp // NaN takes the zero point's code, as in QuantizeOne
+	}
+	return p.Scale * (q - zp)
+}
+
+// RoundTripInPlace applies RoundTripOne to every element of data.
+func (p AffineParams) RoundTripInPlace(data []float64) {
+	for i, v := range data {
+		data[i] = p.RoundTripOne(v)
+	}
 }

@@ -88,10 +88,81 @@ func TestAffineEmptyAndConstant(t *testing.T) {
 	}
 }
 
+// A non-finite value is skipped by calibration wherever it sits — first
+// included, where it used to seed the range and poison the scale — and
+// round-trips like any out-of-range value: NaN to zero, ±Inf saturated.
 func TestAffineIgnoresNonFinite(t *testing.T) {
-	p := CalibrateAffine([]float64{1, 2, math.Inf(1), math.NaN()})
-	if math.IsInf(p.Scale, 0) || math.IsNaN(p.Scale) {
-		t.Fatalf("scale corrupted by non-finite input: %g", p.Scale)
+	want := CalibrateAffine([]float64{1, 2, 3})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos, data := range map[string][]float64{
+			"first":  {bad, 1, 2, 3},
+			"middle": {1, bad, 2, 3},
+			"last":   {1, 2, 3, bad},
+		} {
+			p := CalibrateAffine(data)
+			if p != want {
+				t.Fatalf("%v %s: calibrated %+v, want %+v", bad, pos, p, want)
+			}
+			rt := p.RoundTrip(data)
+			for i, v := range data {
+				switch {
+				case math.IsNaN(v):
+					if rt[i] != 0 {
+						t.Fatalf("%v %s: NaN round-trips to %g, want 0", bad, pos, rt[i])
+					}
+				case math.IsInf(v, 0):
+					if sat := p.DequantizeOne(p.QuantizeOne(math.Copysign(1e300, v))); rt[i] != sat {
+						t.Fatalf("%v %s: round-trips to %g, want saturation %g", bad, pos, rt[i], sat)
+					}
+				default:
+					if math.Abs(rt[i]-v) > p.Scale/2+1e-12 {
+						t.Fatalf("%v %s: %g round-trips to %g", bad, pos, v, rt[i])
+					}
+				}
+			}
+		}
+		if p := CalibrateAffine([]float64{bad, bad, bad}); p != (AffineParams{Scale: 1}) {
+			t.Fatalf("all %v: calibrated %+v, want Scale 1", bad, p)
+		}
+	}
+}
+
+// The parameters are usable whatever the range: a spread that overflows
+// float64 and one narrower than 255 subnormal steps both calibrate to a
+// finite positive scale.
+func TestAffineFromRangeIsTotal(t *testing.T) {
+	for _, r := range [][2]float64{
+		{-math.MaxFloat64, math.MaxFloat64},
+		{0, math.SmallestNonzeroFloat64},
+		{-math.SmallestNonzeroFloat64, 100 * math.SmallestNonzeroFloat64},
+		{EmptyRange().Lo, EmptyRange().Hi},
+	} {
+		p := AffineFromRange(r[0], r[1])
+		if !(p.Scale > 0) || math.IsInf(p.Scale, 0) || p.ZeroPoint < -128 || p.ZeroPoint > 127 {
+			t.Fatalf("range %v: %+v", r, p)
+		}
+	}
+}
+
+// RoundTripInPlace is the reference round trip through the int8 codes, bit
+// for bit, on every kind of value.
+func TestAffineRoundTripInPlaceMatchesReference(t *testing.T) {
+	data := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 126.5, 127.5, -128.5, 1e-3, -7.25, 33}
+	for _, p := range []AffineParams{
+		CalibrateAffine(data), CalibrateAffine(data[7:]), CalibrateAffine([]float64{-1, 1e-3}),
+		{Scale: 1}, {Scale: 1, ZeroPoint: -128}, {Scale: 0.037, ZeroPoint: 127}, {Scale: 1e-310, ZeroPoint: 5},
+	} {
+		want := p.RoundTrip(data)
+		got := append([]float64(nil), data...)
+		p.RoundTripInPlace(got)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: %v → %v (%#x), reference %v (%#x)", p, data[i],
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
 	}
 }
 
