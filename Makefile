@@ -41,13 +41,16 @@ race:
 	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/
 
 # fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
-# against encoding/json, the router's peek against the decoder, the two
-# header sanitisers (tenant, trace ID) both tiers apply at admission, and the
-# fused INT8 round trip against calibration plus QuantizeOne / DequantizeOne
-# on arbitrary bit patterns. (go test takes one -fuzz target per run.)
+# against encoding/json, the router's peek against the decoder, the router's
+# index and the partitions it splices against the peek and the decoder, the
+# two header sanitisers (tenant, trace ID) both tiers apply at admission, and
+# the fused INT8 round trip against calibration plus QuantizeOne /
+# DequantizeOne on arbitrary bit patterns. (go test takes one -fuzz target per
+# run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzSpliceRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTenant$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTraceID$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzInt8Round$$' -fuzztime=10s ./internal/kernels/
@@ -55,10 +58,11 @@ fuzzsmoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# benchsmoke runs every benchmark once — the 1024² kernel suite and
-# BenchmarkKernelsHLOP, the same kernels at the shapes the engine runs them,
-# included — and drives shmtrun's telemetry exporters end to end: the run
-# must produce a loadable Perfetto trace and a JSON report.
+# benchsmoke runs every benchmark once — the 1024² kernel suite,
+# BenchmarkKernelsHLOP (the same kernels at the shapes the engine runs them)
+# and BenchmarkScatter (a scattered request through an in-process router and
+# two backends) included — and drives shmtrun's telemetry exporters end to
+# end: the run must produce a loadable Perfetto trace and a JSON report.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/shmtrun -bench Sobel -side 256 -partitions 8 \

@@ -18,12 +18,13 @@
 //     to the picked backend with in-request failover to replicas, threads
 //     X-SHMT-Trace-Id through, and exposes /metrics, /healthz and /statusz
 //     with the same drain discipline as shmtserved.
-//   - Scatter (scatter.go, remote.go) handles VOPs too large for one node:
-//     the router partitions them with the hlop machinery and dispatches the
-//     partitions to several backends through Remote, a device.Device adapter
-//     whose interconnect link is the cluster network — so cross-node
-//     placement is priced with the same cost model the in-process scheduler
-//     uses for device transfers.
+//   - Scatter (scatter.go) handles VOPs too large for one node: the router
+//     takes the partition geometry from the hlop machinery, cuts the request
+//     text into one body per partition, posts them to several backends and
+//     splices the replies' text into one — it never converts a number
+//     (internal/wire's index) — and prices the traffic on the cluster
+//     network's link with the cost model the in-process scheduler uses for
+//     device transfers.
 //
 // cmd/shmtrouterd wraps the router in a daemon.
 package cluster

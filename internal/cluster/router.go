@@ -356,7 +356,7 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if rt.shouldScatter(op, key.Rows, key.Cols) {
-		if done := rt.executeScatter(w, r, body, traceID, &outcome); done {
+		if done := rt.executeScatter(w, r, body, op, req, traceID, &outcome); done {
 			rt.logRequest(r.Context(), traceID, key, "scatter", outcome, start, peek)
 			return
 		}
@@ -411,25 +411,23 @@ func (rt *Router) shouldScatter(op vop.Opcode, rows, cols int) bool {
 	return len(rt.pool.Healthy()) >= 2
 }
 
-// executeScatter runs the scatter-gather path — the only one on which the
-// router decodes tensors; it reports whether it wrote a response (false =
-// caller should fall back to proxying, so that the backend produces the
-// canonical 400).
-func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []byte, traceID string, outcome *string) bool {
-	req, err := wire.DecodeRequest(body)
-	if err != nil {
-		return false
-	}
-	v, err := req.VOP()
-	if err != nil {
-		return false
-	}
-	v.TraceID = traceID
+// executeScatter runs the scatter-gather path on the request text: the peeked
+// shapes give the partition geometry, an index of the body says where each
+// partition's numbers are, and the router copies them — to the backends and
+// back — without converting one. It reports whether it wrote a response
+// (false = caller should fall back to proxying, so that the backend produces
+// the canonical 400).
+func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []byte, op vop.Opcode, peeked *wire.Request, traceID string, outcome *string) bool {
+	v := shapeVOP(op, peeked.Inputs)
 	fanout := rt.cfg.MaxFanout
 	if n := len(rt.pool.Healthy()); fanout > n {
 		fanout = n
 	}
-	plan, err := PlanScatter(v, fanout)
+	plan, err := PlanScatter(v, fanout) // vop.Validate included
+	if err != nil {
+		return false
+	}
+	req, err := wire.IndexRequest(body)
 	if err != nil {
 		return false
 	}
@@ -447,7 +445,7 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []
 		defer cancel()
 	}
 	timeout := wire.Timeout(req.TimeoutMs, rt.cfg.BackendTimeout)
-	out, oc, err := scatterExecute(ctx, rt.pool, plan, v, traceID, timeout)
+	parts, oc, err := scatterExecute(ctx, rt.pool, plan, v, req, traceID, timeout)
 	if err != nil {
 		*outcome = "error"
 		code := http.StatusBadGateway
@@ -468,17 +466,10 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []
 		wire.WriteError(w, code, err.Error())
 		return true
 	}
+	defer releaseParts(parts)
 	*outcome = "ok"
-	w.Header().Set(ScatterHeader, strconv.Itoa(oc.partitions))
-	err = wire.WriteResponse(w, req.Op, &wire.Response{
-		Output:          wire.FromTensor(out),
-		HLOPs:           oc.partitions,
-		MakespanSeconds: oc.makespan.Seconds(),
-		BatchSize:       1,
-	})
-	if err != nil { // a non-finite result, answered 422
-		*outcome = "invalid"
-	}
+	w.Header().Set(ScatterHeader, strconv.Itoa(len(parts)))
+	wire.WriteGathered(w, plan.Rows, plan.Cols, parts, oc.makespan.Seconds())
 	return true
 }
 

@@ -2,16 +2,21 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"time"
 
 	"shmt/internal/hlop"
 	"shmt/internal/interconnect"
+	"shmt/internal/serve"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
+	"shmt/internal/wire"
 )
 
 // ScatterEligible reports whether a VOP of this opcode can be scattered
@@ -33,11 +38,13 @@ func ScatterEligible(op vop.Opcode) bool {
 }
 
 // ScatterPlan is the priced partitioning of one very large VOP across the
-// cluster.
+// cluster: geometry only, no tensor.
 type ScatterPlan struct {
-	// Parts are the HLOP partitions, each carrying materialized (contiguous)
-	// input blocks ready for the wire.
-	Parts []*hlop.HLOP
+	// Regions are the partitions, in hlop.Regions' order: output space for
+	// GEMM (a row band as wide as B), input space otherwise.
+	Regions []tensor.Region
+	// Rows and Cols are the shape of the gathered output.
+	Rows, Cols int
 	// Bytes is the total wire payload: every partition's inputs plus its
 	// result block, at host element width.
 	Bytes int64
@@ -49,9 +56,11 @@ type ScatterPlan struct {
 }
 
 // PlanScatter partitions v into ~fanout independent partitions and prices
-// the wire traffic. Partition geometry is a pure function of (op, shape,
-// fanout) — hlop.Partition is deterministic — which is what makes scatter
-// placement-invariant: the same partitions execute wherever they land.
+// the wire traffic. It reads v's opcode and input shapes only (shapeVOP
+// builds such a v from a peeked request). Partition geometry is a pure
+// function of (op, shape, fanout) — hlop.Regions is deterministic — which is
+// what makes scatter placement-invariant: the same partitions execute
+// wherever they land.
 func PlanScatter(v *vop.VOP, fanout int) (*ScatterPlan, error) {
 	if !ScatterEligible(v.Op) {
 		return nil, fmt.Errorf("cluster: %s is not scatter-eligible", v.Op)
@@ -59,50 +68,73 @@ func PlanScatter(v *vop.VOP, fanout int) (*ScatterPlan, error) {
 	if fanout < 1 {
 		fanout = 1
 	}
-	// ForceCopy materializes each partition's blocks contiguously: the wire
-	// format is dense row-major, a zero-copy strided view would be re-copied
-	// at marshal time anyway.
-	parts, err := hlop.Partition(v, hlop.Spec{TargetPartitions: fanout, ForceCopy: true})
+	regs, err := hlop.Regions(v, hlop.Spec{TargetPartitions: fanout})
 	if err != nil {
 		return nil, err
 	}
-	p := &ScatterPlan{Parts: parts}
-	for _, h := range parts {
-		var b int64
-		for _, in := range h.Inputs {
+	p := &ScatterPlan{Regions: regs}
+	p.Rows, p.Cols = v.OutputShape()
+	for _, reg := range regs {
+		b := reg.Bytes(tensor.ElemSize)
+		for _, in := range inputRegions(v, reg) {
 			b += in.Bytes(tensor.ElemSize)
 		}
-		b += h.Region.Bytes(tensor.ElemSize)
 		p.Bytes += b
 		p.TransferSeconds += interconnect.ClusterNet.TransferTime(b) + interconnect.ClusterNet.LatencySec
 	}
 	return p, nil
 }
 
+// shapeVOP is the VOP of a peeked request as far as geometry goes: the
+// opcode and inputs of the right shapes that hold no data.
+func shapeVOP(op vop.Opcode, inputs []wire.Matrix) *vop.VOP {
+	v := &vop.VOP{Op: op, Inputs: make([]*tensor.Matrix, len(inputs))}
+	for k, m := range inputs {
+		v.Inputs[k] = &tensor.Matrix{Rows: m.Rows, Cols: m.Cols}
+	}
+	return v
+}
+
+// inputRegions maps a partition's region to the region of each input it
+// reads: GEMM pairs a row band of A with all of B, every other eligible
+// opcode reads its own region of every input.
+func inputRegions(v *vop.VOP, reg tensor.Region) []tensor.Region {
+	ins := make([]tensor.Region, len(v.Inputs))
+	for k := range ins {
+		ins[k] = reg
+	}
+	if v.Op == vop.OpGEMM {
+		a, b := v.Inputs[0], v.Inputs[1]
+		ins[0] = tensor.Region{Row: reg.Row, Height: reg.Height, Width: a.Cols}
+		ins[1] = tensor.Region{Height: b.Rows, Width: b.Cols}
+	}
+	return ins
+}
+
 // scatterOutcome summarises one scattered execution for the response body.
 type scatterOutcome struct {
-	partitions int
-	backends   int
-	makespan   time.Duration
+	backends int
+	makespan time.Duration
 }
 
 // errNoBackends means every dispatch target for a partition was exhausted.
 var errNoBackends = errors.New("cluster: no backend available")
 
-// scatterExecute runs the plan: partitions round-robin over the healthy
-// backends through RemoteExecutor adapters, each with in-flight failover to
-// the next backend in the rotation, results gathered into the output tensor
-// at each partition's region (output space for GEMM, input space otherwise —
-// hlop.HLOP.Region already encodes that distinction). Regions are disjoint,
-// so concurrent gathers need no lock.
-func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.VOP, traceID string, timeout time.Duration) (*tensor.Matrix, scatterOutcome, error) {
+// scatterExecute runs the plan over the request req indexes: each partition's
+// body is spliced from the client's text once, partitions go round-robin over
+// the healthy backends, each with in-flight failover to the next backend in
+// the rotation, and the replies come back as text, in plan order, for
+// wire.WriteGathered to splice; the caller releases them. The first partition
+// to fail for good cancels the others: the error does not wait for the
+// slowest leg.
+func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.VOP, req *wire.IndexedRequest, traceID string, timeout time.Duration) ([]wire.Part, scatterOutcome, error) {
 	start := time.Now()
 	backends := pool.Healthy()
 	if len(backends) == 0 {
 		return nil, scatterOutcome{}, errNoBackends
 	}
-	rows, cols := v.OutputShape()
-	out := tensor.NewMatrix(rows, cols)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	telemetry.RouterScatterRequests.Inc()
 	telemetry.RouterScatterTransferVirtualNanos.Add(int64(plan.TransferSeconds * 1e9))
@@ -112,36 +144,47 @@ func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.V
 		mu       sync.Mutex
 		firstErr error
 		used     = map[string]bool{}
+		parts    = make([]wire.Part, len(plan.Regions))
 	)
-	for i, h := range plan.Parts {
+	for i, reg := range plan.Regions {
 		wg.Add(1)
-		go func(i int, h *hlop.HLOP) {
+		go func() {
 			defer wg.Done()
-			addr, err := dispatchPartition(ctx, pool, backends, i, h, out, traceID, timeout)
+			body := req.AppendPartition(nil, v.Op, inputRegions(v, reg))
+			reply, addr, err := dispatchPartition(ctx, pool, backends, i, reg, body, traceID, timeout)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("partition %d (%v): %w", i, h.Region, err)
+					firstErr = fmt.Errorf("partition %d (%v): %w", i, reg, err)
+					cancel()
 				}
 				return
 			}
+			parts[i] = wire.Part{Region: reg, Reply: reply}
 			used[addr] = true
-		}(i, h)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
+		releaseParts(parts)
 		return nil, scatterOutcome{}, firstErr
 	}
-	oc := scatterOutcome{partitions: len(plan.Parts), backends: len(used), makespan: time.Since(start)}
+	oc := scatterOutcome{backends: len(used), makespan: time.Since(start)}
 	telemetry.RouterScatterFanout.Observe(float64(oc.backends))
-	return out, oc, nil
+	return parts, oc, nil
+}
+
+func releaseParts(parts []wire.Part) {
+	for _, p := range parts {
+		p.Reply.Release()
+	}
 }
 
 // dispatchPartition sends one partition to its round-robin home backend,
-// walking the rotation on retryable failures, and gathers the result block
-// into out at the partition's region. It returns the backend that served it.
-func dispatchPartition(ctx context.Context, pool *Pool, backends []*Backend, i int, h *hlop.HLOP, out *tensor.Matrix, traceID string, timeout time.Duration) (string, error) {
+// walking the rotation on retryable failures, and returns the reply — checked
+// to be the region's shape — and the backend that served it.
+func dispatchPartition(ctx context.Context, pool *Pool, backends []*Backend, i int, reg tensor.Region, body []byte, traceID string, timeout time.Duration) (*wire.Reply, string, error) {
 	var lastErr error
 	for attempt := 0; attempt < len(backends); attempt++ {
 		b := backends[(i+attempt)%len(backends)]
@@ -152,13 +195,12 @@ func dispatchPartition(ctx context.Context, pool *Pool, backends []*Backend, i i
 			telemetry.RouterFailovers.Inc()
 		}
 		release := pool.Acquire(b)
-		rex := NewRemoteExecutor(b, pool.Client(), timeout)
-		res, err := rex.Do(ctx, traceID, h.Op, h.Inputs, h.Attrs)
+		reply, err := postPartition(ctx, pool.Client(), b, body, traceID, timeout)
 		release()
 		if err != nil {
 			lastErr = err
 			if !retryableRemote(err) {
-				return "", err
+				return nil, "", err
 			}
 			if breakerWorthy(err) {
 				pool.NoteFailure(b)
@@ -166,19 +208,73 @@ func dispatchPartition(ctx context.Context, pool *Pool, backends []*Backend, i i
 			continue
 		}
 		pool.NoteSuccess(b)
-		if res.Rows != h.Region.Height || res.Cols != h.Region.Width {
-			return "", fmt.Errorf("cluster: partition %d result %dx%d does not match region %v",
-				i, res.Rows, res.Cols, h.Region)
+		if reply.Rows != reg.Height || reply.Cols != reg.Width {
+			reply.Release()
+			return nil, "", fmt.Errorf("cluster: partition %d result %dx%d does not match region %v",
+				i, reply.Rows, reply.Cols, reg)
 		}
-		if err := tensor.CopyIn(out, h.Region, res); err != nil {
-			return "", err
-		}
-		return b.addr, nil
+		return reply, b.addr, nil
 	}
 	if lastErr == nil {
 		lastErr = errNoBackends
 	}
-	return "", lastErr
+	return nil, "", lastErr
+}
+
+// postPartition round-trips one partition body through b's POST /v1/execute,
+// threading traceID through X-SHMT-Trace-Id so that a scattered request's
+// partitions share the parent's trace across nodes.
+func postPartition(ctx context.Context, client *http.Client, b *Backend, body []byte, traceID string, timeout time.Duration) (*wire.Reply, error) {
+	// The round-trip bound is the tighter of the dispatch timeout and
+	// whatever deadline the context already carries (a client's timeout_ms).
+	// Both sides see it: the context bounds the HTTP call and the wire
+	// timeout_ms tells the backend to stop working when the client will no
+	// longer wait.
+	if dl, ok := ctx.Deadline(); ok {
+		timeout = min(timeout, max(time.Until(dl), time.Millisecond))
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	hr, err := wire.NewPost(ctx, b.base+"/v1/execute", body, max(int(timeout/time.Millisecond), 1))
+	if err != nil {
+		return nil, err
+	}
+	if traceID != "" {
+		hr.Header.Set(serve.TraceHeader, traceID)
+	}
+	resp, err := client.Do(hr)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: partition on %s: %w", b.addr, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var we wire.Error
+		msg := ""
+		if raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
+			if json.Unmarshal(raw, &we) == nil {
+				msg = we.Error
+			} else {
+				msg = string(raw)
+			}
+		}
+		return nil, &RemoteError{Backend: b.addr, Status: resp.StatusCode, Msg: msg}
+	}
+	reply, err := wire.ReadReply(resp)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: partition reply from %s: %w", b.addr, err)
+	}
+	return reply, nil
+}
+
+// RemoteError is a non-2xx backend response.
+type RemoteError struct {
+	Backend string
+	Status  int
+	Msg     string
+}
+
+func (e *RemoteError) Error() string {
+	return fmt.Sprintf("cluster: backend %s: http %d: %s", e.Backend, e.Status, e.Msg)
 }
 
 // retryableRemote reports whether a dispatch failure may succeed on another

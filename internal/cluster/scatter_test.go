@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"shmt"
+	"shmt/internal/hlop"
 	"shmt/internal/serve"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -59,12 +61,12 @@ func TestPlanScatterDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p1.Parts) != len(p2.Parts) || len(p1.Parts) < 2 {
-		t.Fatalf("plans split into %d and %d parts", len(p1.Parts), len(p2.Parts))
+	if len(p1.Regions) != len(p2.Regions) || len(p1.Regions) < 2 {
+		t.Fatalf("plans split into %d and %d parts", len(p1.Regions), len(p2.Regions))
 	}
-	for i := range p1.Parts {
-		if p1.Parts[i].Region != p2.Parts[i].Region {
-			t.Fatalf("partition %d region %v vs %v", i, p1.Parts[i].Region, p2.Parts[i].Region)
+	for i := range p1.Regions {
+		if p1.Regions[i] != p2.Regions[i] {
+			t.Fatalf("partition %d region %v vs %v", i, p1.Regions[i], p2.Regions[i])
 		}
 	}
 	if p1.Bytes != p2.Bytes || p1.Bytes <= 0 {
@@ -72,6 +74,20 @@ func TestPlanScatterDeterministic(t *testing.T) {
 	}
 	if p1.TransferSeconds != p2.TransferSeconds || p1.TransferSeconds <= 0 {
 		t.Fatalf("plan transfer %g vs %g", p1.TransferSeconds, p2.TransferSeconds)
+	}
+	// Geometry needs shapes only: the plan of the request as the router sees
+	// it, peeked and never decoded, is the plan of the tensors — and prices
+	// what the tensor path shipped: four 24-row bands of A, B with each, four
+	// 24×48 result blocks.
+	p3, err := PlanScatter(shapeVOP(vop.OpGEMM, []wire.Matrix{{Rows: 96, Cols: 64}, {Rows: 64, Cols: 48}}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p3.Regions, p1.Regions) || p3.Bytes != p1.Bytes || p3.Rows != 96 || p3.Cols != 48 {
+		t.Fatalf("shape-only plan %+v, tensor plan %+v", p3, p1)
+	}
+	if want := int64(8 * (96*64 + 4*64*48 + 96*48)); p1.Bytes != want {
+		t.Fatalf("plan prices %d bytes, want %d", p1.Bytes, want)
 	}
 }
 
@@ -116,6 +132,59 @@ func quietPool(t *testing.T, seeds ...string) *Pool {
 	return p
 }
 
+// requestBody is v as a client's encoding/json would send it.
+func requestBody(t *testing.T, v *vop.VOP) []byte {
+	t.Helper()
+	req := wire.Request{Op: v.Op.String(), Attrs: v.Attrs}
+	for _, in := range v.Inputs {
+		req.Inputs = append(req.Inputs, wire.FromTensor(in))
+	}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// scatterGather takes body down the router's scatter path — peeked shapes,
+// plan, index, scatterExecute, WriteGathered — on pool and returns the reply
+// as the client reads it.
+func scatterGather(t *testing.T, pool *Pool, body []byte, fanout int, traceID string, timeout time.Duration) (*tensor.Matrix, *ScatterPlan, scatterOutcome) {
+	t.Helper()
+	req, err := wire.IndexRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := req.Opcode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := shapeVOP(op, req.Inputs)
+	plan, err := PlanScatter(v, fanout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, oc, err := scatterExecute(context.Background(), pool, plan, v, req, traceID, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseParts(parts)
+	rec := httptest.NewRecorder()
+	wire.WriteGathered(rec, plan.Rows, plan.Cols, parts, oc.makespan.Seconds())
+	var resp wire.Response
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.HLOPs != len(plan.Regions) || resp.BatchSize != 1 {
+		t.Fatalf("gathered reply counts %d HLOPs in a batch of %d", resp.HLOPs, resp.BatchSize)
+	}
+	out, err := tensor.FromSlice(resp.Output.Rows, resp.Output.Cols, resp.Output.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, plan, oc
+}
+
 // TestScatterPlacementInvariance: the same scatter plan executed across two
 // backends, on one backend, and partition-by-partition through a local
 // session produces bit-identical outputs — cross-node placement does not
@@ -134,28 +203,16 @@ func TestScatterPlacementInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanScatter(v, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Parts) != 4 {
-		t.Fatalf("plan split into %d parts, want 4", len(plan.Parts))
-	}
+	body := requestBody(t, v)
 
 	pool2 := quietPool(t, newSessionBackend(t), newSessionBackend(t))
 	pool1 := quietPool(t, newSessionBackend(t))
 
-	out2, oc2, err := scatterExecute(context.Background(), pool2, plan, v, "trace-scatter-2", 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	out2, plan, oc2 := scatterGather(t, pool2, body, 4, "trace-scatter-2", 30*time.Second)
+	if len(plan.Regions) != 4 || oc2.backends != 2 {
+		t.Fatalf("two-node scatter used %d backends over %d partitions", oc2.backends, len(plan.Regions))
 	}
-	if oc2.partitions != 4 || oc2.backends != 2 {
-		t.Fatalf("two-node scatter used %d backends over %d partitions", oc2.backends, oc2.partitions)
-	}
-	out1, oc1, err := scatterExecute(context.Background(), pool1, plan, v, "trace-scatter-1", 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out1, _, oc1 := scatterGather(t, pool1, body, 4, "trace-scatter-1", 30*time.Second)
 	if oc1.backends != 1 {
 		t.Fatalf("one-node scatter used %d backends", oc1.backends)
 	}
@@ -163,16 +220,23 @@ func TestScatterPlacementInvariance(t *testing.T) {
 		t.Fatal("scatter across 2 nodes differs from the same plan on 1 node")
 	}
 
-	// Local reference: the identical partition list through a fresh local
-	// session, gathered the same way.
+	// Local reference: the partitions of the same geometry, cut from the
+	// tensors, through a fresh local session, gathered as tensors.
 	sess, err := shmt.NewSession(shmt.Config{Seed: 1, TargetPartitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	parts, err := hlop.Partition(v, hlop.Spec{TargetPartitions: 4, ForceCopy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, cols := v.OutputShape()
 	local := tensor.NewMatrix(rows, cols)
-	for i, h := range plan.Parts {
+	for i, h := range parts {
+		if h.Region != plan.Regions[i] {
+			t.Fatalf("partition %d is %v, the plan says %v", i, h.Region, plan.Regions[i])
+		}
 		rep, err := sess.Execute(h.Op, h.Inputs, h.Attrs)
 		if err != nil {
 			t.Fatalf("partition %d: %v", i, err)
@@ -210,14 +274,7 @@ func TestScatterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanScatter(v, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, oc, err := scatterExecute(context.Background(), pool, plan, v, "trace-failover", 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _, oc := scatterGather(t, pool, requestBody(t, v), 4, "trace-failover", 10*time.Second)
 	if oc.backends != 1 {
 		t.Fatalf("scatter used %d backends, want only the healthy one", oc.backends)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"shmt/internal/tensor"
 	"shmt/internal/vop"
 	"shmt/internal/wire"
 )
@@ -195,22 +194,22 @@ func TestScatterFailsOverFromHungBackend(t *testing.T) {
 	}
 }
 
-// TestRemoteDoDerivesTimeoutFromContext: the remote adapter must tighten its
-// configured round-trip bound to the caller's context deadline and stamp the
+// TestPostPartitionDerivesTimeoutFromContext: a partition dispatch must
+// tighten its round-trip bound to the caller's context deadline and stamp the
 // tightened value on the wire, so backends stop working when the client will
 // no longer wait.
-func TestRemoteDoDerivesTimeoutFromContext(t *testing.T) {
+func TestPostPartitionDerivesTimeoutFromContext(t *testing.T) {
 	sb := newSlowBackend(t, 0)
-	rex := NewRemoteExecutor(&Backend{addr: sb.addr(), base: sb.ts.URL}, nil, 30*time.Second)
-
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	m, err := tensor.FromSlice(2, 2, []float64{1, 2, 3, 4})
+	body := []byte(`{"op":"relu","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]}]}`)
+	reply, err := postPartition(ctx, http.DefaultClient, &Backend{addr: sb.addr(), base: sb.ts.URL}, body, "trace-ctx-1", 30*time.Second)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("postPartition: %v", err)
 	}
-	if _, err := rex.Do(ctx, "trace-ctx-1", vop.OpRelu, []*tensor.Matrix{m}, nil); err != nil {
-		t.Fatalf("Do: %v", err)
+	defer reply.Release()
+	if reply.Rows != 2 || reply.Cols != 2 || reply.Data.Len() != 4 {
+		t.Fatalf("reply is %dx%d with %d elements", reply.Rows, reply.Cols, reply.Data.Len())
 	}
 	wire := sb.wireTimeouts()
 	if len(wire) != 1 {

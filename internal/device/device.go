@@ -30,10 +30,6 @@ const (
 	// DSP is the signal/image accelerator (24-bit fixed point), the
 	// extension device of §2.1.
 	DSP
-	// Remote is a network-attached executor: another SHMT node (a shmtserved
-	// backend behind the router tier) presented through the same Device
-	// interface, with the cluster network as its interconnect link.
-	Remote
 )
 
 func (k Kind) String() string {
@@ -46,8 +42,6 @@ func (k Kind) String() string {
 		return "tpu"
 	case DSP:
 		return "dsp"
-	case Remote:
-		return "remote"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}

@@ -155,60 +155,82 @@ func (s Spec) withDefaults() Spec {
 
 // Partition decomposes a VOP into HLOPs per its parallelization model.
 func Partition(v *vop.VOP, spec Spec) ([]*HLOP, error) {
-	if err := v.Validate(); err != nil {
+	regs, err := Regions(v, spec)
+	if err != nil {
 		return nil, err
 	}
-	spec = spec.withDefaults()
-	switch {
-	case v.Op == vop.OpGEMM:
-		return partitionGEMM(v, spec)
-	case v.Op == vop.OpFFT:
-		return partitionRows(v, spec, 1) // per-row transform: bands of whole rows
-	case v.Op.Model() == vop.Vector:
-		return partitionRows(v, spec, 1)
-	default:
-		return partitionTiles(v, spec)
-	}
-}
-
-// partitionRows splits into full-width row bands of at least minRows rows
-// and at least MinVectorElems elements.
-func partitionRows(v *vop.VOP, spec Spec, minRows int) ([]*HLOP, error) {
-	in := v.Inputs[0]
-	rowsPer := in.Rows / spec.TargetPartitions
-	if rowsPer < minRows {
-		rowsPer = minRows
-	}
-	for rowsPer*in.Cols < spec.MinVectorElems && rowsPer < in.Rows {
-		rowsPer++
-	}
-	var hs []*HLOP
-	for r := 0; r < in.Rows; r += rowsPer {
-		h := rowsPer
-		if r+h > in.Rows {
-			h = in.Rows - r
-		}
-		reg := tensor.Region{Row: r, Col: 0, Height: h, Width: in.Cols}
-		hl, err := extract(v, reg, len(hs), spec.ForceCopy)
-		if err != nil {
+	hs := make([]*HLOP, len(regs))
+	for i, reg := range regs {
+		if hs[i], err = build(v, reg, i, spec.ForceCopy); err != nil {
 			return nil, err
 		}
-		hs = append(hs, hl)
 	}
 	return hs, nil
 }
 
-// partitionTiles splits into square-ish tiles honouring opcode alignment.
-func partitionTiles(v *vop.VOP, spec Spec) ([]*HLOP, error) {
-	in := v.Inputs[0]
-	total := in.Rows * in.Cols
-	targetElems := total / spec.TargetPartitions
+// Regions is the geometry half of Partition: the region of every HLOP, in
+// HLOP order (output space for GEMM, input space otherwise). It reads the
+// opcode and the inputs' shapes and nothing else, so v's inputs need carry no
+// data — which is how the cluster router partitions a request it has not
+// decoded.
+func Regions(v *vop.VOP, spec Spec) ([]tensor.Region, error) {
+	if err := v.Validate(); err != nil {
+		return nil, err
+	}
+	spec = spec.withDefaults()
+	rows, cols := v.Inputs[0].Rows, v.Inputs[0].Cols
+	switch {
+	case v.Op == vop.OpGEMM:
+		// Row bands of A, as wide as B: no element floor, a band of one row
+		// is still a whole GEMV.
+		return rowBands(rows, v.Inputs[1].Cols, spec.TargetPartitions, 0), nil
+	case v.Op == vop.OpFFT, v.Op.Model() == vop.Vector:
+		// FFT is a per-row transform: bands of whole rows, like a vector op.
+		return rowBands(rows, cols, spec.TargetPartitions, spec.MinVectorElems), nil
+	default:
+		return tiles(v.Op, rows, cols, spec), nil
+	}
+}
+
+// build extracts the HLOP covering reg, one of Regions' regions or a split of
+// one.
+func build(v *vop.VOP, reg tensor.Region, id int, forceCopy bool) (*HLOP, error) {
+	if v.Op == vop.OpGEMM {
+		return gemmBand(v, reg.Row, reg.Height, id, forceCopy)
+	}
+	return extract(v, reg, id, forceCopy)
+}
+
+// rowBands splits rows×cols into full-width bands of rows/target rows (at
+// least one), grown until a band holds minElems elements.
+func rowBands(rows, cols, target, minElems int) []tensor.Region {
+	rowsPer := rows / target
+	if rowsPer < 1 {
+		rowsPer = 1
+	}
+	for rowsPer*cols < minElems && rowsPer < rows {
+		rowsPer++
+	}
+	regs := make([]tensor.Region, 0, (rows+rowsPer-1)/rowsPer)
+	for r := 0; r < rows; r += rowsPer {
+		h := rowsPer
+		if r+h > rows {
+			h = rows - r
+		}
+		regs = append(regs, tensor.Region{Row: r, Col: 0, Height: h, Width: cols})
+	}
+	return regs
+}
+
+// tiles splits rows×cols into square-ish tiles honouring opcode alignment.
+func tiles(op vop.Opcode, rows, cols int, spec Spec) []tensor.Region {
+	targetElems := rows * cols / spec.TargetPartitions
 	if targetElems < spec.MinTile*spec.MinTile {
 		targetElems = spec.MinTile * spec.MinTile
 	}
 	t := intSqrt(targetElems)
 	align := 1
-	if v.Op == vop.OpDCT8x8 {
+	if op == vop.OpDCT8x8 {
 		align = 8
 	}
 	t = (t / align) * align
@@ -218,56 +240,30 @@ func partitionTiles(v *vop.VOP, spec Spec) ([]*HLOP, error) {
 	if t < spec.MinTile && spec.MinTile%align == 0 {
 		t = spec.MinTile
 	}
-	if t > in.Rows {
-		t = maxAligned(in.Rows, align)
+	if t > rows {
+		t = maxAligned(rows, align)
 	}
-	if t > in.Cols {
-		t = maxAligned(in.Cols, align)
+	if t > cols {
+		t = maxAligned(cols, align)
 	}
 	if t < 1 {
 		t = 1
 	}
-	var hs []*HLOP
-	for r := 0; r < in.Rows; r += t {
+	var regs []tensor.Region
+	for r := 0; r < rows; r += t {
 		h := t
-		if r+h > in.Rows {
-			h = in.Rows - r
+		if r+h > rows {
+			h = rows - r
 		}
-		for c := 0; c < in.Cols; c += t {
+		for c := 0; c < cols; c += t {
 			w := t
-			if c+w > in.Cols {
-				w = in.Cols - c
+			if c+w > cols {
+				w = cols - c
 			}
-			reg := tensor.Region{Row: r, Col: c, Height: h, Width: w}
-			hl, err := extract(v, reg, len(hs), spec.ForceCopy)
-			if err != nil {
-				return nil, err
-			}
-			hs = append(hs, hl)
+			regs = append(regs, tensor.Region{Row: r, Col: c, Height: h, Width: w})
 		}
 	}
-	return hs, nil
-}
-
-func partitionGEMM(v *vop.VOP, spec Spec) ([]*HLOP, error) {
-	a := v.Inputs[0]
-	rowsPer := a.Rows / spec.TargetPartitions
-	if rowsPer < 1 {
-		rowsPer = 1
-	}
-	var hs []*HLOP
-	for r := 0; r < a.Rows; r += rowsPer {
-		h := rowsPer
-		if r+h > a.Rows {
-			h = a.Rows - r
-		}
-		hl, err := gemmBand(v, r, h, len(hs), spec.ForceCopy)
-		if err != nil {
-			return nil, err
-		}
-		hs = append(hs, hl)
-	}
-	return hs, nil
+	return regs
 }
 
 // gemmBand builds the GEMM HLOP for rows [row, row+height) of A paired with
@@ -398,13 +394,7 @@ func Replay(v *vop.VOP, spec Spec, parts []Planned) ([]*HLOP, error) {
 	}
 	hs := make([]*HLOP, len(parts))
 	for i, p := range parts {
-		var h *HLOP
-		var err error
-		if v.Op == vop.OpGEMM {
-			h, err = gemmBand(v, p.Region.Row, p.Region.Height, i, spec.ForceCopy)
-		} else {
-			h, err = extract(v, p.Region, i, spec.ForceCopy)
-		}
+		h, err := build(v, p.Region, i, spec.ForceCopy)
 		if err != nil {
 			return nil, fmt.Errorf("hlop: replaying partition %d: %w", i, err)
 		}

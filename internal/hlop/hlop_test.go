@@ -413,3 +413,48 @@ func TestAlignmentHelpers(t *testing.T) {
 		t.Fatal("maxAligned wrong")
 	}
 }
+
+// TestRegionsNeedShapesOnly: Regions is Partition's geometry — the same
+// regions in the same order for every parallelization model, GEMM's in output
+// space — and reads no element: inputs that are a shape and nothing else give
+// the same answer.
+func TestRegionsNeedShapesOnly(t *testing.T) {
+	for _, tc := range []struct {
+		op     vop.Opcode
+		shapes [][2]int
+		spec   Spec
+	}{
+		{vop.OpRelu, [][2]int{{67, 48}}, Spec{TargetPartitions: 4}},
+		{vop.OpAdd, [][2]int{{256, 256}, {256, 256}}, Spec{TargetPartitions: 2}},
+		{vop.OpFFT, [][2]int{{64, 128}}, Spec{TargetPartitions: 3}},
+		{vop.OpGEMM, [][2]int{{50, 16}, {16, 24}}, Spec{TargetPartitions: 4}},
+		{vop.OpDCT8x8, [][2]int{{136, 72}}, Spec{TargetPartitions: 4}},
+		{vop.OpSobel, [][2]int{{200, 120}}, Spec{}},
+	} {
+		full := &vop.VOP{Op: tc.op}
+		bare := &vop.VOP{Op: tc.op}
+		for i, s := range tc.shapes {
+			full.Inputs = append(full.Inputs, filled(s[0], s[1], int64(i)))
+			bare.Inputs = append(bare.Inputs, &tensor.Matrix{Rows: s[0], Cols: s[1]})
+		}
+		hs, err := Partition(full, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs, err := Regions(bare, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(regs) != len(hs) || len(regs) < 2 {
+			t.Fatalf("%s: %d regions for %d HLOPs", tc.op, len(regs), len(hs))
+		}
+		for i, h := range hs {
+			if regs[i] != h.Region {
+				t.Fatalf("%s: region %d is %v, the HLOP's %v", tc.op, i, regs[i], h.Region)
+			}
+		}
+	}
+	if _, err := Regions(&vop.VOP{Op: vop.OpGEMM, Inputs: []*tensor.Matrix{{Rows: 4, Cols: 3}, {Rows: 4, Cols: 3}}}, Spec{}); err == nil {
+		t.Fatal("Regions accepted a GEMM whose inner dimensions differ")
+	}
+}

@@ -19,16 +19,17 @@ func benchBody(tb testing.TB, side int) []byte {
 		}
 		req.Inputs = append(req.Inputs, m)
 	}
-	body, err := EncodeRequest(&req)
+	body, err := json.Marshal(&req)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return body
 }
 
-// BenchmarkDecodeRequest compares the three ways a tier can read a 2×256²
-// request: encoding/json (what both tiers did), DecodeRequest (the backend
-// now) and PeekRequest (the router now).
+// BenchmarkDecodeRequest compares the ways a tier can read a 2×256² request:
+// encoding/json (what both tiers did), DecodeRequest (the backend now),
+// PeekRequest (the router placing it) and IndexRequest (the router about to
+// scatter it).
 func BenchmarkDecodeRequest(b *testing.B) {
 	body := benchBody(b, 256)
 	b.Run("encoding_json", func(b *testing.B) {
@@ -55,6 +56,15 @@ func BenchmarkDecodeRequest(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := PeekRequest(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("index", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := IndexRequest(body); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,9 +32,9 @@ var ErrDuplicateKey = errors.New("duplicate key")
 const maxDepth = 10000
 
 var (
-	requestFields  = []string{"op", "inputs", "attrs", "timeout_ms"}
-	matrixFields   = []string{"rows", "cols", "data"}
-	responseFields = []string{"output", "hlops", "makespan_seconds", "batch_size"}
+	requestFields = []string{"op", "inputs", "attrs", "timeout_ms"}
+	matrixFields  = []string{"rows", "cols", "data"}
+	replyFields   = []string{"output"}
 )
 
 // DecodeRequest decodes a /v1/execute request body. Nothing in the result
@@ -54,6 +54,11 @@ func PeekRequest(body []byte) (*Request, error) {
 
 func decodeRequest(body []byte, peek bool) (*Request, error) {
 	s := scanner{b: body, peek: peek}
+	return s.request()
+}
+
+// request parses the document as a /v1/execute request.
+func (s *scanner) request() (*Request, error) {
 	req := new(Request)
 	err := s.document(requestFields, func(field string) (err error) {
 		switch field {
@@ -62,7 +67,9 @@ func decodeRequest(body []byte, peek bool) (*Request, error) {
 		case "inputs":
 			req.Inputs, err = s.matrices()
 		case "attrs":
+			start := s.i
 			req.Attrs, err = s.attrs()
+			s.attrsText = s.b[start:s.i]
 		case "timeout_ms":
 			req.TimeoutMs, err = s.intValue()
 		}
@@ -74,31 +81,6 @@ func decodeRequest(body []byte, peek bool) (*Request, error) {
 	return req, nil
 }
 
-// DecodeResponse decodes the output matrix and the accounting fields of a
-// /v1/execute reply; the degraded and trace annexes are validated and
-// skipped, as a partition reply's always were.
-func DecodeResponse(body []byte) (*Response, error) {
-	s := scanner{b: body}
-	resp := new(Response)
-	err := s.document(responseFields, func(field string) (err error) {
-		switch field {
-		case "output":
-			err = s.matrix(&resp.Output)
-		case "hlops":
-			resp.HLOPs, err = s.intValue()
-		case "makespan_seconds":
-			resp.MakespanSeconds, err = s.floatValue()
-		case "batch_size":
-			resp.BatchSize, err = s.intValue()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
 // scanner walks one JSON document. Every method leaves i on the first byte it
 // did not consume.
 type scanner struct {
@@ -106,6 +88,11 @@ type scanner struct {
 	i     int
 	depth int
 	peek  bool // validate data arrays without converting them
+	index bool // peek, and record where the elements of every data array are
+
+	at        []uint32   // index: the data array of the matrix parsed last
+	data      []Elements // index: the data array of every input, in order
+	attrsText []byte     // a request's attrs value as written, nil when absent
 }
 
 func (s *scanner) errf(format string, args ...any) error {
@@ -496,7 +483,11 @@ func (s *scanner) matrices() ([]Matrix, error) {
 	ms := []Matrix{}
 	return ms, s.array(func() error {
 		ms = append(ms, Matrix{})
-		return s.matrix(&ms[len(ms)-1])
+		err := s.matrix(&ms[len(ms)-1])
+		if s.index {
+			s.data = append(s.data, Elements{body: s.b, at: s.at})
+		}
+		return err
 	})
 }
 
@@ -505,6 +496,7 @@ func (s *scanner) matrices() ([]Matrix, error) {
 // Data is allocated once, at rows×cols, and only when that many elements can
 // fit in the bytes that remain.
 func (s *scanner) matrix(m *Matrix) error {
+	s.at = nil
 	if s.literal("null") {
 		return nil
 	}
@@ -531,6 +523,14 @@ func (s *scanner) matrix(m *Matrix) error {
 				return err
 			}
 			dataAt = s.i
+			if s.index {
+				hint := 0
+				if haveDims == 2 {
+					hint, _ = tensor.Elements(m.Rows, m.Cols)
+				}
+				n, err = s.offsets(hint)
+				return err
+			}
 			err = s.array(func() error { n++; return s.skipFloat() })
 		}
 		return err

@@ -145,24 +145,26 @@ func TestDeclaredShapeBeyondTheBody(t *testing.T) {
 	}
 }
 
-func TestDecodeResponse(t *testing.T) {
-	resp, err := DecodeResponse([]byte(`{"output":{"rows":1,"cols":2,"data":[0.5,-3]},"hlops":7,"makespan_seconds":0.25,"batch_size":2,` +
+// TestIndexReply: the reply index reads the output's shape, finds its
+// elements, validates and skips everything else in the reply, and refuses
+// what is not one.
+func TestIndexReply(t *testing.T) {
+	rows, cols, data, err := indexReply([]byte(`{"output":{"rows":1,"cols":2,"data":[0.5, -3 ]},"hlops":7,"makespan_seconds":0.25,"batch_size":2,` +
 		`"degraded":{"Rerouted":1},"trace":{"trace_id":"x","stages":{"decode_seconds":1}}}` + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.HLOPs != 7 || resp.MakespanSeconds != 0.25 || resp.BatchSize != 2 || resp.Output.Rows != 1 || resp.Output.Cols != 2 ||
-		len(resp.Output.Data) != 2 || resp.Output.Data[0] != 0.5 || resp.Output.Data[1] != -3 {
-		t.Fatalf("decoded %+v", resp)
+	if text := string(data.AppendTo(nil, 0, data.Len())); rows != 1 || cols != 2 || data.Len() != 2 || text != "0.5, -3" {
+		t.Fatalf("indexed %dx%d, %d elements %q", rows, cols, data.Len(), text)
 	}
 	for _, bad := range []string{
 		`{"output":{"rows":1,"cols":2,"data":[0.5]}}`,
-		`{"output":{"rows":1,"cols":1,"data":[0.5]},"hlops":1.5}`,
+		`{"output":{"rows":1,"cols":1,"data":[0.5]},"output":{"rows":1,"cols":1,"data":[0.5]}}`,
 		`{"output":{"rows":1,"cols":1,"data":[0.5]},"trace":{]}`,
 		`{"output":{"rows":1,"cols":1,"data":[0.5]}} x`,
 	} {
-		if resp, err := DecodeResponse([]byte(bad)); err == nil {
-			t.Errorf("accepted %q as %+v", bad, resp)
+		if rows, cols, _, err := indexReply([]byte(bad)); err == nil {
+			t.Errorf("accepted %q as %dx%d", bad, rows, cols)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+
+	"shmt/internal/tensor"
 )
 
 // Body buffers are recycled through a bounded free list, so a steady stream
@@ -46,11 +49,14 @@ func putBuffer(buf *bytes.Buffer) {
 
 // fill reads r to its end into buf, grown first to length (the
 // Content-Length, -1 when unknown) so that a body of known size is read into
-// one allocation at most.
+// one allocation at most — of known size up to maxPooledBytes, that is: the
+// length is the sender's claim, and a connection that declares 256 MiB and
+// sends nothing must not reserve them. ReadFrom grows the buffer for the bytes
+// of a larger body as they arrive.
 func fill(buf *bytes.Buffer, r io.Reader, length int64) error {
-	if length > 0 && length <= MaxBodyBytes {
+	if length > 0 {
 		// ReadFrom wants MinRead spare bytes before it will see the EOF.
-		buf.Grow(int(length) + bytes.MinRead)
+		buf.Grow(int(min(length, maxPooledBytes)) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(r); err != nil {
 		return fmt.Errorf("read body: %w", err)
@@ -102,14 +108,123 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ReadResponse reads and decodes a backend's 200 reply.
-func ReadResponse(resp *http.Response) (*Response, error) {
-	buf := getBuffer()
-	defer putBuffer(buf)
-	if err := fill(buf, resp.Body, resp.ContentLength); err != nil {
+// NewPost builds the POST of body — a request AppendPartition wrote — to url,
+// with timeout_ms as the request's last member. body is only read, so the
+// attempts of a failover share one copy; the transport may still be sending it
+// when an attempt has already failed, which is why it is never recycled.
+func NewPost(ctx context.Context, url string, body []byte, timeoutMs int) (*http.Request, error) {
+	head := body[:len(body)-1] // reopen the object
+	tail := strconv.AppendInt([]byte(`,"timeout_ms":`), int64(timeoutMs), 10)
+	tail = append(tail, '}')
+	getBody := func() (io.ReadCloser, error) {
+		return io.NopCloser(io.MultiReader(bytes.NewReader(head), bytes.NewReader(tail))), nil
+	}
+	rc, _ := getBody()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, rc)
+	if err != nil {
 		return nil, err
 	}
-	return DecodeResponse(buf.Bytes())
+	// What NewRequest works out for a bytes.Reader: the length, and the means
+	// to send the body again when a kept-alive connection turns out closed.
+	req.ContentLength = int64(len(head) + len(tail))
+	req.GetBody = getBody
+	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
+
+// Reply is a backend's 200 to one partition, held as text in a recycled
+// buffer: the output's shape and where its elements are.
+type Reply struct {
+	Rows, Cols int
+	Data       Elements
+	buf        *bytes.Buffer
+}
+
+// ReadReply reads and indexes a backend's 200 reply. The caller releases it.
+func ReadReply(resp *http.Response) (*Reply, error) {
+	buf := getBuffer()
+	err := fill(buf, resp.Body, resp.ContentLength)
+	if err == nil {
+		var rep Reply
+		if rep.Rows, rep.Cols, rep.Data, err = indexReply(buf.Bytes()); err == nil {
+			rep.buf = buf
+			return &rep, nil
+		}
+	}
+	putBuffer(buf)
+	return nil, err
+}
+
+// Release recycles the reply's buffer; Data is dead afterwards. A nil reply
+// has nothing to release.
+func (r *Reply) Release() {
+	if r != nil {
+		putBuffer(r.buf)
+	}
+}
+
+// Part is one partition of a gathered output: its region of the output and
+// the reply that holds it.
+type Part struct {
+	Region tensor.Region
+	Reply  *Reply
+}
+
+// WriteGathered answers 200 with the rows×cols output that parts tile — in
+// hlop.Regions' order: bands top to bottom, the tiles of a band left to right
+// — and the accounting of a scattered request: one HLOP per partition, a batch
+// of one. The output is never decoded: each partition's text is spliced into
+// place, a band of whole rows in one copy, tiles row by row, and the bytes are
+// the ones WriteResponse encodes for the gathered tensor.
+func WriteGathered(w http.ResponseWriter, rows, cols int, parts []Part, makespanSeconds float64) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	size := 128
+	for _, p := range parts {
+		size += p.Reply.buf.Len()
+	}
+	buf.Grow(size)
+	b := appendMatrixHead(append(buf.AvailableBuffer(), `{"output":`...), rows, cols)
+	for i := 0; i < len(parts); {
+		band := parts[i:]
+		for n := range band {
+			if band[n].Region.Row != band[0].Region.Row {
+				band = band[:n]
+				break
+			}
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if len(band) == 1 {
+			b = band[0].Reply.Data.AppendTo(b, 0, band[0].Reply.Data.Len())
+		} else {
+			for r := 0; r < band[0].Region.Height; r++ {
+				for k, p := range band {
+					if r > 0 || k > 0 {
+						b = append(b, ',')
+					}
+					b = p.Reply.Data.AppendTo(b, r*p.Region.Width, (r+1)*p.Region.Width)
+				}
+			}
+		}
+		i += len(band)
+	}
+	// The accounting as encoding/json writes it (makespan_seconds above all:
+	// its float notation), less the brace that would open an object of its own.
+	tail, _ := json.Marshal(struct {
+		HLOPs           int     `json:"hlops"`
+		MakespanSeconds float64 `json:"makespan_seconds"`
+		BatchSize       int     `json:"batch_size"`
+	}{len(parts), makespanSeconds, 1}) // ints and a finite float: cannot fail
+	b = append(b, "]},"...)
+	b = append(b, tail[1:]...)
+	b = append(b, '\n')
+	buf.Write(b)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes()) // as in WriteJSON
 }
 
 // StatusOf is the status a request that failed to read or decode is answered

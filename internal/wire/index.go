@@ -1,0 +1,179 @@
+package wire
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+
+	"shmt/internal/tensor"
+	"shmt/internal/vop"
+)
+
+// The index is the peek that also remembers where things are: the same
+// scanner over the same grammar with the same shape checks, converting no
+// number, that records the byte offset of every element of every data array.
+// With it a router scatters a request as text. A partition's inputs are runs
+// of the client's own tokens copied into a new body, and the gathered output
+// is the backends' tokens copied into one reply; every backend writes the
+// shortest text that reads back as the float it computed, which is what
+// parsing and re-encoding that text produced, so the reply is the one the
+// decode → gather → encode path wrote, byte for byte, and each backend parses
+// exactly the numbers the client sent.
+
+// Elements locates the elements of one data array in the body it was indexed
+// from. at[k] is the offset of element k's token; the last entry, one more
+// than there are elements, is the offset of the closing bracket. uint32 holds
+// any of them: a body is at most MaxBodyBytes. The zero value is an array of
+// no elements (data null or absent).
+type Elements struct {
+	body []byte
+	at   []uint32
+}
+
+// Len is the number of elements.
+func (e Elements) Len() int { return max(len(e.at)-1, 0) }
+
+// AppendTo appends elements [i, j) to dst as the body holds them — the
+// writer's tokens, null among them, with whatever stands between two of them
+// — and nothing after the last.
+func (e Elements) AppendTo(dst []byte, i, j int) []byte {
+	text := e.body[e.at[i]:e.at[j]]
+	// From the last token to the next one, or to the bracket, there is only
+	// whitespace and at most one comma.
+	n := len(text)
+	for n > 0 && (text[n-1] == ',' || text[n-1] == ' ' || text[n-1] == '\t' || text[n-1] == '\r' || text[n-1] == '\n') {
+		n--
+	}
+	return append(dst, text[:n]...)
+}
+
+// AppendRegion appends region reg of the cols-wide row-major matrix e holds,
+// row-major: one copy when the region spans whole rows, one per row when it
+// does not.
+func (e Elements) AppendRegion(dst []byte, cols int, reg tensor.Region) []byte {
+	if reg.Width == cols {
+		return e.AppendTo(dst, reg.Row*cols, (reg.Row+reg.Height)*cols)
+	}
+	for r := 0; r < reg.Height; r++ {
+		if r > 0 {
+			dst = append(dst, ',')
+		}
+		i := (reg.Row+r)*cols + reg.Col
+		dst = e.AppendTo(dst, i, i+reg.Width)
+	}
+	return dst
+}
+
+// regionBytes bounds what AppendRegion appends.
+func (e Elements) regionBytes(cols int, reg tensor.Region) int {
+	if reg.Width == cols {
+		return int(e.at[(reg.Row+reg.Height)*cols] - e.at[reg.Row*cols])
+	}
+	n := 0
+	for r := 0; r < reg.Height; r++ {
+		i := (reg.Row+r)*cols + reg.Col
+		n += int(e.at[i+reg.Width] - e.at[i])
+	}
+	return n
+}
+
+// offsets validates a data array exactly as a peek does and records where
+// each element starts, in a slice sized for hint elements when the rest of
+// the body could hold that many (as floats, it reserves nothing for a shape
+// the body cannot back). It returns the element count.
+func (s *scanner) offsets(hint int) (int, error) {
+	if hint > (len(s.b)-s.i)/2 {
+		hint = 0
+	}
+	at := make([]uint32, 0, hint+1)
+	err := s.array(func() error {
+		at = append(at, uint32(s.i))
+		return s.skipFloat()
+	})
+	if err != nil {
+		return 0, err
+	}
+	s.at = append(at, uint32(s.i-1)) // array consumed the bracket
+	return len(at), nil
+}
+
+// IndexedRequest is a request as PeekRequest returns it — every Data nil —
+// plus where in the body the text a scatter copies is.
+type IndexedRequest struct {
+	*Request
+	// Data[k] locates the elements of Inputs[k].
+	Data []Elements
+	// attrs is the attrs value as the client wrote it, nil when it sent none.
+	attrs []byte
+}
+
+// IndexRequest accepts exactly the bodies PeekRequest accepts. The result
+// aliases body.
+func IndexRequest(body []byte) (*IndexedRequest, error) {
+	if len(body) > math.MaxUint32 {
+		return nil, fmt.Errorf("wire: a %d-byte body is beyond the index", len(body))
+	}
+	s := scanner{b: body, peek: true, index: true}
+	req, err := s.request()
+	if err != nil {
+		return nil, err
+	}
+	return &IndexedRequest{Request: req, Data: s.data, attrs: s.attrsText}, nil
+}
+
+// AppendPartition appends the request that asks a backend for one partition
+// of r: op over region regs[k] of input k, every element the client's own
+// text, attrs as the client wrote them. It carries no timeout_ms; NewPost adds
+// one per attempt.
+func (r *IndexedRequest) AppendPartition(dst []byte, op vop.Opcode, regs []tensor.Region) []byte {
+	need := 64 + len(r.attrs)
+	for k, reg := range regs {
+		need += 64 + r.Data[k].regionBytes(r.Inputs[k].Cols, reg)
+	}
+	dst = slices.Grow(dst, need)
+	dst = append(dst, `{"op":"`...)
+	dst = append(dst, op.String()...) // an identifier: nothing to escape
+	dst = append(dst, `","inputs":[`...)
+	for k, reg := range regs {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendMatrixHead(dst, reg.Height, reg.Width)
+		dst = r.Data[k].AppendRegion(dst, r.Inputs[k].Cols, reg)
+		dst = append(dst, "]}"...)
+	}
+	dst = append(dst, ']')
+	if r.attrs != nil {
+		dst = append(dst, `,"attrs":`...)
+		dst = append(dst, r.attrs...)
+	}
+	return append(dst, '}')
+}
+
+// appendMatrixHead opens a matrix object up to and including the bracket of
+// its data array.
+func appendMatrixHead(dst []byte, rows, cols int) []byte {
+	dst = append(dst, `{"rows":`...)
+	dst = strconv.AppendInt(dst, int64(rows), 10)
+	dst = append(dst, `,"cols":`...)
+	dst = strconv.AppendInt(dst, int64(cols), 10)
+	return append(dst, `,"data":[`...)
+}
+
+// indexReply validates a /v1/execute reply and locates the elements of its
+// output matrix. Only the output is read: the accounting fields and the
+// degraded and trace annexes are validated as JSON and skipped, as a
+// partition reply's always were.
+func indexReply(body []byte) (rows, cols int, data Elements, err error) {
+	if len(body) > math.MaxUint32 {
+		return 0, 0, Elements{}, fmt.Errorf("wire: a %d-byte reply is beyond the index", len(body))
+	}
+	s := scanner{b: body, peek: true, index: true}
+	var out Matrix
+	err = s.document(replyFields, func(string) error { return s.matrix(&out) })
+	if err != nil {
+		return 0, 0, Elements{}, err
+	}
+	return out.Rows, out.Cols, Elements{body: body, at: s.at}, nil
+}

@@ -15,7 +15,10 @@
 // (decode.go): tensors are the whole cost of the serving path, and a scanner
 // that knows where the number arrays are converts them straight into a slice
 // allocated once at rows×cols, or — PeekRequest — validates them without
-// converting anything, which is all a router needs to place a request.
+// converting anything, which is all a router needs to place a request, or —
+// IndexRequest (index.go) — also records where each number is, which is all a
+// router needs to scatter one: partitions and the gathered reply are spliced
+// from the text, and no tier but the one that computes converts a float.
 // Encoding stays on encoding/json: shortest-float formatting in strconv is
 // its cost, and a hand-written encoder pays the same.
 // http.go holds what both tiers do around the codec: the body limit, the
@@ -23,7 +26,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -125,10 +127,6 @@ func (r *Request) VOP() (*vop.VOP, error) {
 	v := &vop.VOP{Op: op, Inputs: inputs, Attrs: r.Attrs}
 	return v, v.Validate()
 }
-
-// EncodeRequest is the body DecodeRequest reads back: what the router sends a
-// backend for one partition of a scattered VOP.
-func EncodeRequest(r *Request) ([]byte, error) { return json.Marshal(r) }
 
 // Timeout turns a request's timeout_ms into its deadline: the tier's maximum
 // wait when the client sent none, a negative one, or one beyond that maximum.
