@@ -41,9 +41,9 @@ race:
 	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/
 
 # fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
-# against encoding/json, the router's peek against the decoder, the router's
-# index and the partitions it splices against the peek and the decoder, the
-# two header sanitisers (tenant, trace ID) both tiers apply at admission, and
+# against encoding/json, the router's head read (FuzzPeekRequest) against the
+# decoder, the router's index and the partitions it splices against the
+# decoder, the two header sanitisers (tenant, trace ID) both tiers apply at admission, and
 # the fused INT8 round trip against calibration plus QuantizeOne /
 # DequantizeOne on arbitrary bit patterns. (go test takes one -fuzz target per
 # run.)
@@ -113,8 +113,16 @@ benchserve:
 # benchmarks/): every workload untraced twice and traced once at tiny counts,
 # outputs verified. It is the only place an internal/ API change that breaks
 # the harness shows up before the benchmark itself is run.
+# -cpu 1: the smoke test wants every ladder rung dearer than the one inside it
+# from one sample each, and on two Ps a scattered request comes back through
+# the router sooner than the same body sent whole to one backend (the halves
+# decode side by side), so `cluster.router_overhead_ms` reads the scatter's
+# gain and not the router's cost — negative since PR 19 made the router cheap.
+# On one P nothing overlaps and the figure is the router's own work. GOGC=off:
+# a collection inside one of those single samples is the rest of the noise
+# (the smoke run's heap peaks near 130 MB without it). DESIGN §11 has the runs.
 benche2e:
-	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
+	cd benchmarks && $(GO) vet ./... && GOGC=off $(GO) test -cpu 1 ./...
 
 # servesmoke boots shmtserved on a free port, fires concurrent request
 # volleys, and asserts every request succeeds, the micro-batcher coalesces

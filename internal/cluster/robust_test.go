@@ -29,11 +29,35 @@ func failoversDuring(fn func()) int64 {
 	return telemetry.RouterFailovers.Value() - before
 }
 
+// dispatches is how many dispatch attempts the pool has made, over all
+// backends.
+func dispatches(p *Pool) (n int64) {
+	for _, st := range p.Statuses() {
+		n += st.Requests
+	}
+	return n
+}
+
+// faultsAfterHead are bodies with nothing wrong up to the first input's shape
+// and something wrong after it, at side×side: what the router's head read lets
+// through and the tier that converts the numbers must refuse.
+func faultsAfterHead(side int) map[string]string {
+	ok := addBody(side)
+	return map[string]string{
+		"a bad token in data": strings.Replace(ok, ",2,", ",x,", 1),
+		"short data":          strings.Replace(ok, "[0,1,", "[0,", 1),
+		"a bad second input":  ok[:len(ok)-3] + ",]}]}",
+		"trailing bytes":      ok + " x",
+		"a duplicate key":     strings.Replace(ok, `"data"`, `"rows":1,"data"`, 1),
+	}
+}
+
 // TestPoisonRequestLosesNoBackend: the body that used to panic a backend's
 // dispatcher — and, replayed on each ring replica by failover, the cluster —
-// is a 400 that costs no backend and no failover; a request the router's peek
-// lets through and the backend refuses is relayed as the backend's own 400,
-// once.
+// is a 400 that costs no backend and no failover; a request the router's head
+// read lets through and the backend refuses — wrong arity, or any fault after
+// the first input's shape — is relayed as the backend's own 400, after one
+// dispatch, and moves no breaker.
 func TestPoisonRequestLosesNoBackend(t *testing.T) {
 	rt, ts := newTestRouter(t, RouterConfig{
 		Seeds:            []string{newSessionBackend(t), newSessionBackend(t)},
@@ -44,12 +68,22 @@ func TestPoisonRequestLosesNoBackend(t *testing.T) {
 	const oneInput = `{"op":"add","inputs":[{"rows":1,"cols":2,"data":[1,2]}]}`
 	failovers := failoversDuring(func() {
 		resp, body := postExecute(t, ts.URL, poison, nil)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid dimensions -2x-2") {
-			t.Fatalf("poison: status %d: %s", resp.StatusCode, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid dimensions -2x-2") || dispatches(rt.pool) != 0 {
+			t.Fatalf("poison: status %d after %d dispatches: %s", resp.StatusCode, dispatches(rt.pool), body)
 		}
 		resp, body = postExecute(t, ts.URL, oneInput, nil)
 		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(BackendHeader) == "" || !strings.Contains(string(body), "wants 2 inputs") {
 			t.Fatalf("arity: status %d via %q: %s", resp.StatusCode, resp.Header.Get(BackendHeader), body)
+		}
+		for name, bad := range faultsAfterHead(2) {
+			before := dispatches(rt.pool)
+			resp, body = postExecute(t, ts.URL, bad, nil)
+			if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(BackendHeader) == "" || !strings.Contains(string(body), "bad request body: wire: offset") {
+				t.Fatalf("%s: status %d via %q: %s", name, resp.StatusCode, resp.Header.Get(BackendHeader), body)
+			}
+			if n := dispatches(rt.pool) - before; n != 1 {
+				t.Fatalf("%s: %d dispatches for one refusal", name, n)
+			}
 		}
 	})
 	if failovers != 0 {
@@ -58,8 +92,45 @@ func TestPoisonRequestLosesNoBackend(t *testing.T) {
 	if healthy := len(rt.pool.Healthy()); healthy != 2 {
 		t.Fatalf("%d of 2 backends healthy afterwards", healthy)
 	}
+	for _, st := range rt.pool.Statuses() {
+		if st.Breaker != "closed" || st.ConsecFails != 0 || st.Opens != 0 {
+			t.Fatalf("a client's fault moved a breaker: %+v", st)
+		}
+	}
 	if resp, body := postExecute(t, ts.URL, addBody(2), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("the next request: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestScatterFaultAfterHeadIsTheBackends400: at scatter size the same bodies
+// are refused by the router's index — its one full scan — and fall through to
+// the proxy path, so the client reads the canonical 400 from a backend, not a
+// partial scatter and not a 502.
+func TestScatterFaultAfterHeadIsTheBackends400(t *testing.T) {
+	rt, ts := newTestRouter(t, RouterConfig{
+		Seeds:            []string{newSessionBackend(t), newSessionBackend(t)},
+		ScatterThreshold: 64,
+		MaxFanout:        2,
+		Pool:             PoolConfig{ProbeInterval: time.Hour},
+	})
+	if resp, body := postExecute(t, ts.URL, addBody(16), nil); resp.StatusCode != http.StatusOK || resp.Header.Get(ScatterHeader) == "" {
+		t.Fatalf("the sound body: status %d, scatter %q: %s", resp.StatusCode, resp.Header.Get(ScatterHeader), body)
+	}
+	failovers := failoversDuring(func() {
+		for name, bad := range faultsAfterHead(16) {
+			before := dispatches(rt.pool)
+			resp, body := postExecute(t, ts.URL, bad, nil)
+			if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(BackendHeader) == "" || resp.Header.Get(ScatterHeader) != "" ||
+				!strings.Contains(string(body), "bad request body: wire: offset") {
+				t.Fatalf("%s: status %d via %q, scatter %q: %s", name, resp.StatusCode, resp.Header.Get(BackendHeader), resp.Header.Get(ScatterHeader), body)
+			}
+			if n := dispatches(rt.pool) - before; n != 1 {
+				t.Fatalf("%s: %d dispatches for one refusal", name, n)
+			}
+		}
+	})
+	if healthy := len(rt.pool.Healthy()); failovers != 0 || healthy != 2 {
+		t.Fatalf("%d failovers, %d of 2 backends healthy afterwards", failovers, healthy)
 	}
 }
 

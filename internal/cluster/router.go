@@ -329,8 +329,10 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 		defer inflight.Add(-1)
 	}
 
-	// Placement needs the opcode and the first input's shape: a peek validates
-	// the whole body and converts none of its numbers.
+	// Placement needs the opcode and the first input's shape: the head of the
+	// body. What follows it is validated by the tier that converts it — the
+	// backend this request is proxied to, whose 400 is relayed, or the index
+	// below when it scatters.
 	var req *wire.Request
 	body, err := wire.ReadBody(w, r)
 	if err == nil {
@@ -349,19 +351,20 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	peek := time.Since(start) // reading the body included
 	key := Key{
-		Tenant: r.Header.Get(TenantHeader),
+		Tenant: tenant, // the name limits, metrics and the backend account it to
 		Op:     op.String(),
 		Rows:   req.Inputs[0].Rows,
 		Cols:   req.Inputs[0].Cols,
 	}
 
 	if rt.shouldScatter(op, key.Rows, key.Cols) {
-		if done := rt.executeScatter(w, r, body, op, req, traceID, &outcome); done {
+		if done := rt.executeScatter(w, r, body, op, traceID, &outcome); done {
 			rt.logRequest(r.Context(), traceID, key, "scatter", outcome, start, peek)
 			return
 		}
-		// Scatter declined late (e.g. inputs failed VOP validation in a way
-		// the backend should report): fall through to the proxy path.
+		// Scatter declined (a fault after the head, or inputs that fail VOP
+		// validation, which the backend should report): fall through to the
+		// proxy path.
 	}
 	rt.executeProxy(w, r, body, key, traceID, &outcome)
 	rt.logRequest(r.Context(), traceID, key, "proxy", outcome, start, peek)
@@ -411,23 +414,24 @@ func (rt *Router) shouldScatter(op vop.Opcode, rows, cols int) bool {
 	return len(rt.pool.Healthy()) >= 2
 }
 
-// executeScatter runs the scatter-gather path on the request text: the peeked
-// shapes give the partition geometry, an index of the body says where each
+// executeScatter runs the scatter-gather path on the request text: one index
+// of the body — the only full scan the router makes of any request — validates
+// it, gives every input's shape for the partition geometry and says where each
 // partition's numbers are, and the router copies them — to the backends and
 // back — without converting one. It reports whether it wrote a response
 // (false = caller should fall back to proxying, so that the backend produces
 // the canonical 400).
-func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []byte, op vop.Opcode, peeked *wire.Request, traceID string, outcome *string) bool {
-	v := shapeVOP(op, peeked.Inputs)
+func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []byte, op vop.Opcode, traceID string, outcome *string) bool {
+	req, err := wire.IndexRequest(body)
+	if err != nil {
+		return false
+	}
+	v := shapeVOP(op, req.Inputs)
 	fanout := rt.cfg.MaxFanout
 	if n := len(rt.pool.Healthy()); fanout > n {
 		fanout = n
 	}
 	plan, err := PlanScatter(v, fanout) // vop.Validate included
-	if err != nil {
-		return false
-	}
-	req, err := wire.IndexRequest(body)
 	if err != nil {
 		return false
 	}

@@ -112,7 +112,9 @@ func postExecute(t *testing.T, url, body string, hdr map[string]string) (*http.R
 }
 
 // TestRouterProxyAffinity: the same key lands on the same backend every
-// time, the output is correct, and the router's trace ID round-trips.
+// time — however the body orders its keys, and under whatever spelling of a
+// tenant the sanitiser maps to the same name — the output is correct, and the
+// router's trace ID round-trips.
 func TestRouterProxyAffinity(t *testing.T) {
 	b1, b2 := newFakeBackend(t), newFakeBackend(t)
 	_, ts := newTestRouter(t, RouterConfig{
@@ -155,6 +157,32 @@ func TestRouterProxyAffinity(t *testing.T) {
 	}
 	if b1.requests.Load() != 0 && b2.requests.Load() != 0 {
 		t.Fatal("one key spread over both backends")
+	}
+
+	// The key is read from the head of the body; a body that makes the head
+	// read scan further — data before the shape, op after inputs — has the same
+	// key.
+	const m = `{"data":[0,1,2,3],"cols":2,"rows":2}`
+	for _, body := range []string{
+		`{"op":"add","inputs":[` + m + `,` + m + `]}`,
+		`{"inputs":[` + m + `,` + m + `],"timeout_ms":1000,"op":"add"}`,
+	} {
+		resp, raw := postExecute(t, ts.URL, body, map[string]string{TenantHeader: "tenant-a"})
+		if be := resp.Header.Get(BackendHeader); resp.StatusCode != http.StatusOK || be != served {
+			t.Fatalf("%s: status %d from %q, the key's backend is %s: %s", body, resp.StatusCode, be, served, raw)
+		}
+	}
+
+	// A tenant name the sanitiser rejects is accounted to the default tenant
+	// on both tiers, so it is placed as the default tenant: every rejected
+	// spelling and no header at all share one backend.
+	resp, _ := postExecute(t, ts.URL, addBody(2), nil)
+	home := resp.Header.Get(BackendHeader)
+	for _, spelling := range []string{"a b", "x/y", "tenant a", "t?", "(none)", "a,b", "semi;colon", strings.Repeat("x", 65)} {
+		resp, raw := postExecute(t, ts.URL, addBody(2), map[string]string{TenantHeader: spelling})
+		if be := resp.Header.Get(BackendHeader); resp.StatusCode != http.StatusOK || be != home {
+			t.Fatalf("tenant %q: status %d from %q, the default tenant's backend is %s: %s", spelling, resp.StatusCode, be, home, raw)
+		}
 	}
 }
 

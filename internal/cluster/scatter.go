@@ -57,7 +57,7 @@ type ScatterPlan struct {
 
 // PlanScatter partitions v into ~fanout independent partitions and prices
 // the wire traffic. It reads v's opcode and input shapes only (shapeVOP
-// builds such a v from a peeked request). Partition geometry is a pure
+// builds such a v from an indexed request). Partition geometry is a pure
 // function of (op, shape, fanout) — hlop.Regions is deterministic — which is
 // what makes scatter placement-invariant: the same partitions execute
 // wherever they land.
@@ -85,7 +85,7 @@ func PlanScatter(v *vop.VOP, fanout int) (*ScatterPlan, error) {
 	return p, nil
 }
 
-// shapeVOP is the VOP of a peeked request as far as geometry goes: the
+// shapeVOP is the VOP of an indexed request as far as geometry goes: the
 // opcode and inputs of the right shapes that hold no data.
 func shapeVOP(op vop.Opcode, inputs []wire.Matrix) *vop.VOP {
 	v := &vop.VOP{Op: op, Inputs: make([]*tensor.Matrix, len(inputs))}

@@ -76,7 +76,7 @@ func TestPlanScatterDeterministic(t *testing.T) {
 		t.Fatalf("plan transfer %g vs %g", p1.TransferSeconds, p2.TransferSeconds)
 	}
 	// Geometry needs shapes only: the plan of the request as the router sees
-	// it, peeked and never decoded, is the plan of the tensors — and prices
+	// it, indexed and never decoded, is the plan of the tensors — and prices
 	// what the tensor path shipped: four 24-row bands of A, B with each, four
 	// 24×48 result blocks.
 	p3, err := PlanScatter(shapeVOP(vop.OpGEMM, []wire.Matrix{{Rows: 96, Cols: 64}, {Rows: 64, Cols: 48}}), 4)
@@ -146,8 +146,8 @@ func requestBody(t *testing.T, v *vop.VOP) []byte {
 	return body
 }
 
-// scatterGather takes body down the router's scatter path — peeked shapes,
-// plan, index, scatterExecute, WriteGathered — on pool and returns the reply
+// scatterGather takes body down the router's scatter path — index, plan,
+// scatterExecute, WriteGathered — on pool and returns the reply
 // as the client reads it.
 func scatterGather(t *testing.T, pool *Pool, body []byte, fanout int, traceID string, timeout time.Duration) (*tensor.Matrix, *ScatterPlan, scatterOutcome) {
 	t.Helper()

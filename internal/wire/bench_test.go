@@ -27,9 +27,11 @@ func benchBody(tb testing.TB, side int) []byte {
 }
 
 // BenchmarkDecodeRequest compares the ways a tier can read a 2×256² request:
-// encoding/json (what both tiers did), DecodeRequest (the backend now),
-// PeekRequest (the router placing it) and IndexRequest (the router about to
-// scatter it).
+// encoding_json is what both tiers did; decode is DecodeRequest, the backend's
+// read of every request it executes; head is PeekRequest, the router's read of
+// every request it places — the opcode and the first shape, then it stops;
+// index is IndexRequest, the full validation that converts nothing, which the
+// router runs only on a request it is about to scatter.
 func BenchmarkDecodeRequest(b *testing.B) {
 	body := benchBody(b, 256)
 	b.Run("encoding_json", func(b *testing.B) {
@@ -51,7 +53,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 			}
 		}
 	})
-	b.Run("peek", func(b *testing.B) {
+	b.Run("head", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -1,13 +1,16 @@
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
 	"shmt/internal/tensor"
+	"shmt/internal/vop"
 )
 
 // The decoder's contract, pinned by the differential fuzz targets: for every
@@ -18,18 +21,39 @@ import (
 // fields, 1e999 refused everywhere — provided every input's rows×cols is
 // non-negative and equals its element count (what tensor.FromSlice would
 // refuse one step later is refused here, before anything is allocated for
-// it). It is narrower than the handlers it replaces in two documented ways:
+// it). It is narrower than the handlers it replaces in three documented ways:
 // a schema field named twice in one object is an error (json.Unmarshal keeps
-// the last), and so is any byte but whitespace after the closing brace (the
-// backend's json.Decoder used to let it through).
+// the last), so is any byte but whitespace after the closing brace (the
+// backend's json.Decoder used to let it through), and so are more inputs than
+// any opcode takes or more than maxAttrs attrs (no VOP has a use for them, and
+// each costs the decoder more memory than the bytes that name it).
 
 // ErrDuplicateKey is wrapped by the error for a schema field named twice.
 var ErrDuplicateKey = errors.New("duplicate key")
+
+// errTooMany is wrapped by the error for an inputs array or an attrs object
+// with more members than a request can use.
+var errTooMany = errors.New("too many")
+
+// errHead ends a head read — everything PeekRequest reports has been read —
+// and does not leave the scanner.
+var errHead = errors.New("wire: head complete")
 
 // maxDepth is encoding/json's nesting limit, kept so that the two accept the
 // same bodies (and so that skipping an unknown key's value cannot recurse
 // without bound).
 const maxDepth = 10000
+
+// maxInputs is the most inputs any opcode takes; maxAttrs is well beyond the
+// attrs any opcode reads.
+var maxInputs = func() (n int) {
+	for _, op := range vop.All() {
+		n = max(n, op.NumInputs())
+	}
+	return n
+}()
+
+const maxAttrs = 64
 
 var (
 	requestFields = []string{"op", "inputs", "attrs", "timeout_ms"}
@@ -40,32 +64,44 @@ var (
 // DecodeRequest decodes a /v1/execute request body. Nothing in the result
 // aliases body.
 func DecodeRequest(body []byte) (*Request, error) {
-	return decodeRequest(body, false)
-}
-
-// PeekRequest validates body exactly as DecodeRequest does, except that it
-// converts no number of any data array — so it cannot see a literal that is
-// out of float64's range — and returns the request with every Data nil: the
-// opcode, the input count and shapes, attrs and timeout_ms, which is what
-// placing a request takes.
-func PeekRequest(body []byte) (*Request, error) {
-	return decodeRequest(body, true)
-}
-
-func decodeRequest(body []byte, peek bool) (*Request, error) {
-	s := scanner{b: body, peek: peek}
+	s := scanner{b: body}
 	return s.request()
 }
 
-// request parses the document as a /v1/execute request.
+// PeekRequest reads the head of a request: the opcode and the first input's
+// rows and cols, which is what placing a request takes. It is DecodeRequest's
+// scanner — same grammar, same key matching, same duplicate rule — stopped the
+// moment it has read both, so a body that names op, rows and cols before data
+// (every encoder that writes the schema in order) costs its first few dozen
+// bytes; when a body does not, the scan carries on through the data arrays in
+// its way, validating them without converting a number, until it has. It
+// refuses what it read and found wrong — a body malformed up to that point, a
+// negative or overflowing first shape — and has no opinion on the bytes after:
+// those are validated once, by whoever converts them (DecodeRequest at the
+// backend, IndexRequest before a scatter). The result holds Op and at most one
+// input, its Data nil.
+func PeekRequest(body []byte) (*Request, error) {
+	s := scanner{b: body, head: true}
+	req, err := s.request()
+	if err != nil {
+		return nil, err
+	}
+	return &Request{Op: req.Op, Inputs: req.Inputs[:min(len(req.Inputs), 1)]}, nil
+}
+
+// request parses the document as a /v1/execute request; on a head read, as
+// much of it as errHead left parsed.
 func (s *scanner) request() (*Request, error) {
 	req := new(Request)
+	haveInputs := false
 	err := s.document(requestFields, func(field string) (err error) {
 		switch field {
 		case "op":
 			req.Op, err = s.stringValue()
+			s.haveOp = true
 		case "inputs":
 			req.Inputs, err = s.matrices()
+			haveInputs = true
 		case "attrs":
 			start := s.i
 			req.Attrs, err = s.attrs()
@@ -73,9 +109,12 @@ func (s *scanner) request() (*Request, error) {
 		case "timeout_ms":
 			req.TimeoutMs, err = s.intValue()
 		}
+		if err == nil && s.head && s.haveOp && haveInputs {
+			err = errHead
+		}
 		return err
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errHead) {
 		return nil, err
 	}
 	return req, nil
@@ -87,13 +126,18 @@ type scanner struct {
 	b     []byte
 	i     int
 	depth int
-	peek  bool // validate data arrays without converting them
-	index bool // peek, and record where the elements of every data array are
+	index bool // convert no number; record where the elements of every data array are
+	head  bool // convert no number; end in errHead once op and the first input's shape are read
+
+	haveOp bool // head: the op key has been read
 
 	at        []uint32   // index: the data array of the matrix parsed last
 	data      []Elements // index: the data array of every input, in order
 	attrsText []byte     // a request's attrs value as written, nil when absent
 }
+
+// converts reports whether data arrays are converted as well as validated.
+func (s *scanner) converts() bool { return !s.head && !s.index }
 
 func (s *scanner) errf(format string, args ...any) error {
 	return fmt.Errorf("wire: offset %d: "+format, append([]any{s.i}, args...)...)
@@ -329,11 +373,35 @@ func isHex(c byte) bool {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// skipNumber validates and consumes one token of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
-func (s *scanner) skipNumber() ([]byte, error) {
-	b, i := s.b, s.i
-	start := i
+// digitsEnd returns the index of the first byte of b at or after i that is not
+// a digit, testing eight bytes at a step. XOR with '0' maps the digits, and
+// only them, to 0–9; adding 0x76 to the low seven bits of a lane carries into
+// its top bit exactly when they hold 10 or more, the lane's own top bit covers
+// 0x80 and up, and no sum carries out of its lane — so the mask has the top bit
+// of every lane that is not a digit, and its lowest set bit is the first.
+func digitsEnd(b []byte, i int) int {
+	const (
+		zeros = 0x3030303030303030
+		low7  = 0x7f7f7f7f7f7f7f7f
+		add   = 0x7676767676767676
+		top   = 0x8080808080808080
+	)
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:]) ^ zeros
+		if notDigit := (x&low7 + add | x) & top; notDigit != 0 {
+			return i + bits.TrailingZeros64(notDigit)>>3
+		}
+	}
+	for i < len(b) && isDigit(b[i]) {
+		i++
+	}
+	return i
+}
+
+// numberEnd returns the end of the token of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, that starts at b[i]; or, when
+// there is none, the offset that breaks the grammar and what was missing there.
+func numberEnd(b []byte, i int) (end int, missing string) {
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
@@ -341,20 +409,16 @@ func (s *scanner) skipNumber() ([]byte, error) {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
+		i = digitsEnd(b, i+1)
 	default:
-		s.i = i
-		return nil, s.errf("expected a number")
+		return i, "a number"
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		if i >= len(b) || !isDigit(b[i]) {
-			s.i = i
-			return nil, s.errf("expected a digit after the decimal point")
+			return i, "a digit after the decimal point"
 		}
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
+		i = digitsEnd(b, i+1)
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
@@ -362,14 +426,21 @@ func (s *scanner) skipNumber() ([]byte, error) {
 			i++
 		}
 		if i >= len(b) || !isDigit(b[i]) {
-			s.i = i
-			return nil, s.errf("expected a digit in the exponent")
+			return i, "a digit in the exponent"
 		}
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
+		i = digitsEnd(b, i+1)
 	}
-	s.i = i
-	return b[start:i], nil
+	return i, ""
+}
+
+// skipNumber validates and consumes one number token and returns it.
+func (s *scanner) skipNumber() ([]byte, error) {
+	start := s.i
+	end, missing := numberEnd(s.b, start)
+	if s.i = end; missing != "" {
+		return nil, s.errf("expected %s", missing)
+	}
+	return s.b[start:end], nil
 }
 
 // skipValue validates and consumes one JSON value of any shape.
@@ -450,52 +521,55 @@ func (s *scanner) floatValue() (float64, error) {
 	return x, nil
 }
 
-// skipFloat validates one element of a data array without converting it.
-func (s *scanner) skipFloat() error {
-	if s.literal("null") {
-		return nil
-	}
-	_, err := s.skipNumber()
-	return err
-}
-
 // attrs parses the attrs object (or null): string keys, number values.
 func (s *scanner) attrs() (map[string]float64, error) {
 	if s.literal("null") {
 		return nil, nil
 	}
 	m := map[string]float64{}
-	return m, s.objectOf(func(key string) error {
+	err := s.objectOf(func(key string) error {
 		if _, dup := m[key]; dup {
 			return s.errf("%w %q", ErrDuplicateKey, key)
+		}
+		if len(m) == maxAttrs {
+			return s.errf("%w attrs: more than %d", errTooMany, maxAttrs)
 		}
 		x, err := s.floatValue()
 		m[key] = x
 		return err
 	})
+	return m, err
 }
 
-// matrices parses the inputs array (or null).
+// matrices parses the inputs array (or null). On a head read that already has
+// the opcode, the first input's shape ends the read (see matrix).
 func (s *scanner) matrices() ([]Matrix, error) {
 	if s.literal("null") {
 		return nil, nil
 	}
-	ms := []Matrix{}
-	return ms, s.array(func() error {
+	ms := make([]Matrix, 0, maxInputs)
+	err := s.array(func() error {
+		if len(ms) == maxInputs {
+			return s.errf("%w inputs: no opcode takes more than %d", errTooMany, maxInputs)
+		}
 		ms = append(ms, Matrix{})
-		err := s.matrix(&ms[len(ms)-1])
+		stop := s.head && s.haveOp && len(ms) == 1
+		err := s.matrix(&ms[len(ms)-1], stop)
 		if s.index {
 			s.data = append(s.data, Elements{body: s.b, at: s.at})
 		}
 		return err
 	})
+	return ms, err
 }
 
 // matrix parses one matrix object (or null, the zero matrix) and checks its
 // shape: rows and cols non-negative, rows×cols equal to the element count.
 // Data is allocated once, at rows×cols, and only when that many elements can
-// fit in the bytes that remain.
-func (s *scanner) matrix(m *Matrix) error {
+// fit in the bytes that remain. With stop set it ends in errHead as soon as it
+// has read rows and cols and found them a shape, and the shape of the data
+// array if that came first.
+func (s *scanner) matrix(m *Matrix, stop bool) error {
 	s.at = nil
 	if s.literal("null") {
 		return nil
@@ -503,6 +577,7 @@ func (s *scanner) matrix(m *Matrix) error {
 	n := 0        // elements of data
 	dataAt := -1  // offset of a data array that came before rows and cols
 	haveDims := 0 // rows and cols seen so far
+	haveData := false
 	err := s.object(matrixFields, func(field string) (err error) {
 		switch field {
 		case "rows":
@@ -512,10 +587,11 @@ func (s *scanner) matrix(m *Matrix) error {
 			m.Cols, err = s.intValue()
 			haveDims++
 		case "data":
+			haveData = true
 			if s.literal("null") {
 				return nil
 			}
-			if haveDims == 2 && !s.peek {
+			if haveDims == 2 && s.converts() {
 				if n, err = tensor.Elements(m.Rows, m.Cols); err != nil {
 					return s.errf("%v", err)
 				}
@@ -531,7 +607,19 @@ func (s *scanner) matrix(m *Matrix) error {
 				n, err = s.offsets(hint)
 				return err
 			}
-			err = s.array(func() error { n++; return s.skipFloat() })
+			n, _, err = s.elements(nil, nil)
+			return err
+		}
+		if err == nil && stop && haveDims == 2 {
+			var want int
+			want, err = tensor.Elements(m.Rows, m.Cols)
+			if err == nil && haveData && want != n {
+				err = fmt.Errorf("%dx%d needs %d elements, got %d", m.Rows, m.Cols, want, n)
+			}
+			if err != nil {
+				return s.errf("%v", err)
+			}
+			return errHead
 		}
 		return err
 	})
@@ -544,13 +632,61 @@ func (s *scanner) matrix(m *Matrix) error {
 		}
 		return s.errf("%v", err)
 	}
-	if dataAt >= 0 && !s.peek {
+	if dataAt >= 0 && s.converts() {
 		end := s.i
 		s.i = dataAt
 		m.Data, err = s.floats(n)
 		s.i = end
 	}
 	return err
+}
+
+// elements walks one data array, an array of numbers and nulls, and returns
+// how many it holds. It is the one loop all three readers of a data array run:
+// with into non-nil it converts the elements into it — strconv.ParseFloat, the
+// conversion encoding/json uses, null as 0 — and refuses an element beyond
+// len(into); with at non-nil it appends the offset of each element's token;
+// with neither it only validates. A comma with the next token right behind it,
+// as every encoder writes it, is taken without a look for whitespace.
+func (s *scanner) elements(into []float64, at []uint32) (int, []uint32, error) {
+	if err := s.open('[', "array"); err != nil {
+		return 0, at, err
+	}
+	if s.ws(); s.eat(']') {
+		s.depth--
+		return 0, at, nil
+	}
+	b := s.b
+	for n := 0; ; {
+		start := s.i
+		if at != nil {
+			at = append(at, uint32(start))
+		}
+		if into != nil && n == len(into) {
+			return n, at, s.errf("more than the %d elements rows and cols declare", n)
+		}
+		if !(start < len(b) && b[start] == 'n' && s.literal("null")) {
+			end, missing := numberEnd(b, start)
+			if s.i = end; missing != "" {
+				return n, at, s.errf("expected %s", missing)
+			}
+			if into != nil {
+				x, err := strconv.ParseFloat(string(b[start:end]), 64)
+				if err != nil {
+					return n, at, s.errf("%q: %w", b[start:end], strconv.ErrRange)
+				}
+				into[n] = x
+			}
+		}
+		n++
+		if i := s.i; i+1 < len(b) && b[i] == ',' && b[i+1] > ' ' {
+			s.i = i + 1
+			continue
+		}
+		if more, err := s.more(']'); !more {
+			return n, at, err
+		}
+	}
 }
 
 // floats parses a data array that must hold exactly n numbers into a slice
@@ -561,17 +697,10 @@ func (s *scanner) floats(n int) ([]float64, error) {
 	if n > (len(s.b)-s.i)/2 {
 		return nil, s.errf("%d elements declared, %d bytes left", n, len(s.b)-s.i)
 	}
-	data := make([]float64, 0, n)
-	err := s.array(func() error {
-		if len(data) == n {
-			return s.errf("more than the %d elements rows and cols declare", n)
-		}
-		x, err := s.floatValue()
-		data = append(data, x)
-		return err
-	})
-	if err == nil && len(data) != n {
-		err = s.errf("%d elements declared, got %d", n, len(data))
+	data := make([]float64, n)
+	got, _, err := s.elements(data, nil)
+	if err == nil && got != n {
+		err = s.errf("%d elements declared, got %d", n, got)
 	}
 	return data, err
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"runtime"
@@ -70,7 +71,9 @@ func TestDecodeContract(t *testing.T) {
 		"dimensions overflow":   `{"op":"add","inputs":[{"rows":9223372036854775807,"cols":3,"data":[1]}]}`,
 		"shape without data":    `{"op":"add","inputs":[{"rows":1,"cols":1}]}`,
 		"null for a whole cell": `{"op":"add","inputs":[{"rows":1,"cols":1,"data":null}]}`,
-		// The two narrowings.
+		// The three narrowings.
+		"three inputs":      `{"op":"add","inputs":[null,null,null]}`,
+		"too many attrs":    `{"op":"add","inputs":[],"attrs":{` + manyAttrs(maxAttrs+1) + `}}`,
 		"trailing garbage":  ok + ` trailing garbage`,
 		"second document":   ok + `{}`,
 		"duplicate key":     `{"op":"add","op":"sub","inputs":[]}`,
@@ -83,10 +86,15 @@ func TestDecodeContract(t *testing.T) {
 			t.Errorf("%s: accepted %q as %+v", name, body, req)
 		}
 		if strings.Contains(name, "1e999 in data") {
-			continue // the one thing a peek cannot see
+			continue // the one thing only a conversion can see
 		}
-		if req, err := PeekRequest([]byte(body)); err == nil {
-			t.Errorf("%s: peek accepted %q as %+v", name, body, req)
+		if req, err := IndexRequest([]byte(body)); err == nil {
+			t.Errorf("%s: the index accepted %q as %+v", name, body, req.Request)
+		}
+	}
+	for _, name := range []string{"three inputs", "too many attrs"} {
+		if _, err := DecodeRequest([]byte(refuse[name])); !errors.Is(err, errTooMany) {
+			t.Errorf("%s: error %v does not wrap errTooMany", name, err)
 		}
 	}
 	for _, name := range []string{"duplicate key", "duplicate by case", "duplicate in cell", "duplicate attr"} {
@@ -116,16 +124,146 @@ func TestDecodeContract(t *testing.T) {
 	}
 }
 
-// TestPeekReturnsTheHeader: a peek reports what placement needs and keeps no
-// tensor.
+// TestPeekReturnsTheHeader: the head read reports the opcode and the first
+// input's shape whatever order the keys come in, keeps nothing else, refuses a
+// fault it has read, and does not read past the point where it knows both.
 func TestPeekReturnsTheHeader(t *testing.T) {
-	req, err := PeekRequest([]byte(`{"timeout_ms":250,"inputs":[{"data":[1,2,3,4,5,6],"rows":2,"cols":3},{"rows":1,"cols":1,"data":[1e999]}],"op":"GEMM"}`))
-	if err != nil {
-		t.Fatal(err)
+	accept := map[string]string{
+		"in order":                 `{"op":"GEMM","inputs":[{"rows":2,"cols":3,"data":[1,2,3,4,5,6]},{"rows":3,"cols":1,"data":[1,2,3]}],"attrs":{"a":1},"timeout_ms":250}`,
+		"data before the shape":    `{"op":"GEMM","inputs":[{"data":[1,2,3,4,5,6],"rows":2,"cols":3},{"rows":3,"cols":1,"data":[1,2,3]}]}`,
+		"data between rows, cols":  `{"op":"GEMM","inputs":[{"rows":2,"data":[1,2,3,4,5,6],"cols":3}]}`,
+		"op after inputs":          `{"timeout_ms":250,"attrs":{"a":1},"inputs":[{"data":[1,2,3,4,5,6],"rows":2,"cols":3},{"rows":1,"cols":1,"data":[1e999]}],"op":"GEMM"}`,
+		"folded keys":              `{"x":[1,{"y":null}],"OP":"GEMM","Inputs":[{"ROWS":2,"colſ":3}]}`,
+		"nothing after the head":   `{"op":"GEMM","inputs":[{"rows":2,"cols":3`,
+		"a fault after the head":   `{"op":"GEMM","inputs":[{"rows":2,"cols":3,"data":[1,2,x]}]}`,
+		"short data":               `{"op":"GEMM","inputs":[{"rows":2,"cols":3,"data":[1,2]}]}`,
+		"duplicate after the head": `{"op":"GEMM","inputs":[{"rows":2,"cols":3,"rows":7}],"op":"add"}`,
+		"trailing bytes":           `{"op":"GEMM","inputs":[{"rows":2,"cols":3,"data":[1,2,3,4,5,6]}]} x`,
 	}
-	if req.Op != "GEMM" || req.TimeoutMs != 250 || len(req.Inputs) != 2 || req.Inputs[0].Rows != 2 || req.Inputs[0].Cols != 3 ||
-		req.Inputs[0].Data != nil || req.Inputs[1].Data != nil {
-		t.Fatalf("peeked %+v", req)
+	for name, body := range accept {
+		req, err := PeekRequest([]byte(body))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if req.Op != "GEMM" || len(req.Inputs) != 1 || req.Inputs[0].Rows != 2 || req.Inputs[0].Cols != 3 ||
+			req.Inputs[0].Data != nil || req.Attrs != nil || req.TimeoutMs != 0 {
+			t.Errorf("%s: head %+v", name, req)
+		}
+	}
+	for name, body := range map[string]string{
+		"null input":   `{"op":"add","inputs":[null,{"rows":1,"cols":1,"data":[1]}]}`,
+		"empty object": `{"op":"add","inputs":[{}]}`,
+		"rows alone":   `{"op":"add","inputs":[{"rows":0,"data":[]}]}`,
+	} {
+		if req, err := PeekRequest([]byte(body)); err != nil || len(req.Inputs) != 1 || req.Inputs[0].Rows != 0 || req.Inputs[0].Cols != 0 {
+			t.Errorf("%s: head %+v, %v", name, req, err)
+		}
+	}
+	for name, body := range map[string]string{
+		"no inputs":   `{"op":"add","inputs":[]}`,
+		"null inputs": `{"inputs":null,"op":"add"}`,
+		"op alone":    `{"op":"add"}`,
+	} {
+		if req, err := PeekRequest([]byte(body)); err != nil || req.Op != "add" || len(req.Inputs) != 0 {
+			t.Errorf("%s: head %+v, %v", name, req, err)
+		}
+	}
+	refuse := map[string]string{
+		"not json":                 `{not json`,
+		"number for op":            `{"op":5,"inputs":[{"rows":1,"cols":1,"data":[1]}]}`,
+		"duplicate op":             `{"op":"add","Op":"sub","inputs":[{"rows":1,"cols":1,"data":[1]}]}`,
+		"negative shape":           `{"op":"add","inputs":[{"rows":-2,"cols":-2,"data":[1,2,3,4]}]}`,
+		"overflowing shape":        `{"op":"add","inputs":[{"rows":9223372036854775807,"cols":3,"data":[1]}]}`,
+		"fractional rows":          `{"op":"add","inputs":[{"rows":1.0,"cols":2,"data":[1,2]}]}`,
+		"fault before the head":    `{"x":[1,2,],"op":"add","inputs":[{"rows":1,"cols":1,"data":[1]}]}`,
+		"fault in data it read":    `{"op":"add","inputs":[{"data":[1,x],"rows":1,"cols":2}]}`,
+		"count it read disagrees":  `{"inputs":[{"rows":1,"cols":2,"data":[1]}],"op":"add"}`,
+		"the same, op first":       `{"op":"add","inputs":[{"data":[1],"rows":1,"cols":2}]}`,
+		"null data it read":        `{"op":"add","inputs":[{"data":null,"rows":1,"cols":2}]}`,
+		"nulls beyond any opcode":  `{"op":"add","inputs":[null,null,null]}`,
+		"second input, op pending": `{"inputs":[{"rows":1,"cols":1,"data":[1]},{"rows":1,"cols":1,"data":[1,]}],"op":"add"}`,
+		"three inputs, op pending": `{"inputs":[null,null,null],"op":"add"}`,
+		"ends before the head":     `{"op":"add","inputs":[{"rows":2,`,
+	}
+	for name, body := range refuse {
+		if req, err := PeekRequest([]byte(body)); err == nil {
+			t.Errorf("%s: head read accepted %q as %+v", name, body, req)
+		}
+		if req, err := DecodeRequest([]byte(body)); err == nil {
+			t.Errorf("%s: decoded %q as %+v", name, body, req)
+		}
+	}
+}
+
+// TestDigitsEnd holds the eight-at-a-step digit test to the byte loop:
+// every byte value in every lane of a word, among digits and among bytes next
+// to the digits in ASCII, and runs of 0–24 digits from every alignment that
+// end 0–9 bytes before the slice does.
+func TestDigitsEnd(t *testing.T) {
+	byteLoop := func(b []byte, i int) int {
+		for i < len(b) && isDigit(b[i]) {
+			i++
+		}
+		return i
+	}
+	check := func(b []byte, i int) {
+		t.Helper()
+		if got, want := digitsEnd(b, i), byteLoop(b, i); got != want {
+			t.Fatalf("digitsEnd(%q, %d) = %d, the byte loop says %d", b, i, got, want)
+		}
+	}
+	for _, fill := range []byte{'0', '9', '5', '/', ':', 0x00, 0x80, 0xb5, 0xff} {
+		for lane := 0; lane < 8; lane++ {
+			for v := 0; v < 256; v++ {
+				b := bytes.Repeat([]byte{fill}, 16)
+				for k := 0; k < lane; k++ {
+					b[k] = '7'
+				}
+				b[lane] = byte(v)
+				check(b, 0)
+				check(b[:8], 0)
+			}
+		}
+	}
+	for run := 0; run <= 24; run++ {
+		for dist := 0; dist <= 9; dist++ {
+			for lead := 0; lead <= 8; lead++ {
+				for _, stop := range []byte{',', ']', '.', 'e', ' ', '/', ':'} {
+					b := append(bytes.Repeat([]byte{'x'}, lead), bytes.Repeat([]byte{'8'}, run)...)
+					if dist > 0 {
+						b = append(append(b, stop), bytes.Repeat([]byte{'1'}, dist-1)...)
+					}
+					check(b, lead)
+				}
+			}
+		}
+	}
+}
+
+// TestTooManyInputsCostNothing: an inputs array of millions of nulls — 40
+// bytes of Matrix each, were they kept — is refused at the first one beyond
+// what any opcode takes, by every reader, for less memory than the body.
+func TestTooManyInputsCostNothing(t *testing.T) {
+	nulls := strings.Repeat("null,", 4<<20) + "null"
+	opLast, opFirst := []byte(`{"inputs":[`+nulls+`],"op":"add"}`), []byte(`{"op":"add","inputs":[`+nulls+`]}`)
+	for name, read := range map[string]func([]byte) error{
+		"decode": func(b []byte) error { _, err := DecodeRequest(b); return err },
+		"index":  func(b []byte) error { _, err := IndexRequest(b); return err },
+		"head":   func(b []byte) error { _, err := PeekRequest(b); return err },
+	} {
+		for _, body := range [][]byte{opLast, opFirst} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read(body)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, errTooMany) {
+				t.Errorf("%s: error %v", name, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(body)) {
+				t.Errorf("%s: refusing a %d-byte body allocated %d bytes", name, len(body), grew)
+			}
+		}
 	}
 }
 

@@ -131,48 +131,84 @@ func checkDecode(t *testing.T, body []byte) {
 		}
 	case legacyOK:
 		// Narrowing: the only bodies refused here and accepted there name a
-		// schema field twice.
-		if !errors.Is(err, ErrDuplicateKey) || !hasDuplicateKey(body) {
+		// schema field twice, or hold more inputs or attrs than a request can
+		// use (a duplicate inputs or attrs can hide those from encoding/json,
+		// which keeps the last).
+		dup := hasDuplicateKey(body)
+		tooMany := len(want.Inputs) > maxInputs || len(want.Attrs) > maxAttrs || dup
+		if !(errors.Is(err, ErrDuplicateKey) && dup) && !(errors.Is(err, errTooMany) && tooMany) {
 			t.Fatalf("refused %q (%v), which encoding/json + FromSlice accept", body, err)
 		}
 	}
 }
 
-// checkPeek holds PeekRequest to its contract on one body: it refuses only
-// what DecodeRequest refuses, accepts everything DecodeRequest accepts, and
-// then reports the same header.
+// checkPeek holds PeekRequest to the head read's contract on one body: it
+// refuses only what DecodeRequest refuses, and on everything DecodeRequest
+// accepts it reports the decoded opcode and the decoded first input's shape.
+// (What it accepts and DecodeRequest refuses is a fault after the head: the
+// backend's 400, not the router's.)
 func checkPeek(t *testing.T, body []byte) {
 	t.Helper()
 	full, derr := DecodeRequest(body)
-	head, perr := PeekRequest(body)
+	head, herr := PeekRequest(body)
 	switch {
-	case perr != nil && derr == nil:
-		t.Fatalf("peek refused %q (%v), which decodes", body, perr)
-	case perr != nil:
+	case herr != nil && derr == nil:
+		t.Fatalf("the head read refused %q (%v), which decodes", body, herr)
+	case herr != nil || derr != nil:
 		return
+	}
+	if head.Op != full.Op || len(head.Inputs) != min(len(full.Inputs), 1) || head.Attrs != nil || head.TimeoutMs != 0 {
+		t.Fatalf("%q: head %+v, decode op %q with %d inputs", body, head, full.Op, len(full.Inputs))
+	}
+	if len(head.Inputs) == 1 {
+		if h, m := head.Inputs[0], full.Inputs[0]; h.Rows != m.Rows || h.Cols != m.Cols || h.Data != nil {
+			t.Fatalf("%q: head input is %dx%d (data nil: %v), decode %dx%d", body, h.Rows, h.Cols, h.Data == nil, m.Rows, m.Cols)
+		}
+	}
+}
+
+// checkIndex holds IndexRequest to the contract of the full validation that
+// converts nothing: it refuses only what DecodeRequest refuses, accepts
+// everything DecodeRequest accepts bar a data literal beyond float64's range,
+// and reports the decoded header. It returns both results, nil when either
+// refused.
+func checkIndex(t *testing.T, body []byte) (*IndexedRequest, *Request) {
+	t.Helper()
+	full, derr := DecodeRequest(body)
+	ix, ierr := IndexRequest(body)
+	switch {
+	case ierr != nil && derr == nil:
+		t.Fatalf("the index refused %q (%v), which decodes", body, ierr)
+	case ierr != nil:
+		return nil, nil
 	case derr != nil:
-		// The one thing a peek cannot see: a number of a data array outside
-		// float64's range.
+		// The one thing only a conversion can see.
 		if !errors.Is(derr, strconv.ErrRange) {
-			t.Fatalf("peek accepted %q, which does not decode: %v", body, derr)
+			t.Fatalf("the index accepted %q, which does not decode: %v", body, derr)
 		}
-		return
+		return nil, nil
 	}
-	if head.Op != full.Op || head.TimeoutMs != full.TimeoutMs || len(head.Inputs) != len(full.Inputs) || len(head.Attrs) != len(full.Attrs) {
-		t.Fatalf("%q: peek %+v, decode op %q timeout %d inputs %d", body, head, full.Op, full.TimeoutMs, len(full.Inputs))
+	if ix.Op != full.Op || ix.TimeoutMs != full.TimeoutMs || len(ix.Inputs) != len(full.Inputs) || len(ix.Data) != len(full.Inputs) || len(ix.Attrs) != len(full.Attrs) {
+		t.Fatalf("%q: indexed %+v with %d data arrays, decode op %q timeout %d inputs %d", body, ix.Request, len(ix.Data), full.Op, full.TimeoutMs, len(full.Inputs))
 	}
-	for i, m := range full.Inputs {
-		if h := head.Inputs[i]; h.Rows != m.Rows || h.Cols != m.Cols || h.Data != nil {
-			t.Fatalf("%q: peek input %d is %dx%d (data nil: %v), decode %dx%d", body, i, h.Rows, h.Cols, h.Data == nil, m.Rows, m.Cols)
+	for k, x := range full.Attrs {
+		if y, ok := ix.Attrs[k]; !ok || math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("%q: indexed attr %q = %v (present %v), decode %v", body, k, y, ok, x)
 		}
 	}
+	for k, m := range full.Inputs {
+		if h := ix.Inputs[k]; h.Rows != m.Rows || h.Cols != m.Cols || h.Data != nil || ix.Data[k].Len() != len(m.Data) {
+			t.Fatalf("%q: input %d indexed as %dx%d with %d elements (data nil: %v), decodes as %dx%d", body, k, h.Rows, h.Cols, ix.Data[k].Len(), h.Data == nil, m.Rows, m.Cols)
+		}
+	}
+	return ix, full
 }
 
 // seedBodies start every fuzz target off, one body per clause of the
 // decoder's contract. The corpus files under testdata/fuzz add the harness's
 // three body shapes, the bug reproductions of ISSUE 13 and the bodies of
 // TestRouterRejectsBadRequests and TestHTTPBadRequests. A plain `go test`
-// runs both targets over all of them.
+// runs every target over all of them.
 var seedBodies = []string{
 	`{"op":"add","extra":{"a":[1,{"b":null}],"c":"é\n"},"inputs":[{"rows":1,"cols":1,"data":[1],"more":true}]}`,
 	`{"OP":"add","Inputs":[{"ROWS":1,"cOLS":1,"Data":[1]}],"TIMEOUT_MS":5}`,
@@ -224,16 +260,63 @@ var seedBodies = []string{
 	`{"x":[[[[{"y":[[]]}]]]],"op":"add"}`,
 }
 
-func FuzzDecodeRequest(f *testing.F) {
-	for _, b := range seedBodies {
-		f.Add([]byte(b))
+// numberBodies seed what the data-array loop and the eight-at-a-step digit
+// test branch on: digit runs one short of a word, a word, one over, two words
+// and one over; null elements; whitespace on either side of a comma; a number
+// as the body's last bytes, at each of those lengths; inputs and attrs at and
+// beyond their bounds.
+var numberBodies = []string{
+	`{"op":"add","inputs":[{"rows":1,"cols":5,"data":[1234567,12345678,123456789,1234567890123456,12345678901234567]}]}`,
+	`{"op":"add","inputs":[{"rows":1,"cols":5,"data":[0.1234567,0.12345678,-0.123456789,0.1234567890123456e-12345678,0.12345678901234567E+123456789]}]}`,
+	`{"op":"add","inputs":[{"rows":1,"cols":3,"data":[0.1234567x,0.12345678,0.123456789]}]}`,
+	`{"op":"add","inputs":[{"rows":1,"cols":3,"data":[0.12345678/,0.1234567:,1]}]}`,
+	`{"op":"add","inputs":[{"rows":2,"cols":3,"data":[null,1,null,null,2,null]}]}`,
+	`{"op":"add","inputs":[{"rows":1,"cols":2,"data":[nul,1]}]}`,
+	"{\"op\":\"add\",\"inputs\":[{\"rows\":1,\"cols\":4,\"data\":[1 ,2, 3\t,\n4]}]}",
+	"{\"op\":\"add\",\"inputs\":[{\"rows\":1,\"cols\":2,\"data\":[1,\x0b2]}]}",
+	`{"op":"add","inputs":[{"rows":1,"cols":2,"data":[1,,2]}]}`,
+	`{"op":"add","inputs":[{"rows":1,"cols":1,"data":[1234567`,
+	`{"op":"add","inputs":[{"rows":1,"cols":1,"data":[12345678`,
+	`{"op":"add","inputs":[{"rows":1,"cols":1,"data":[0.123456789`,
+	`{"op":"add","inputs":[{"rows":1,"cols":2,"data":[1,`,
+	`{"op":"add","inputs":[{"rows":1,"cols":1,"data":[1.5e`,
+	`1234567890123456`,
+	`{"op":"add","inputs":[null,null]}`,
+	`{"op":"add","inputs":[null,null,null]}`,
+	`{"inputs":[{"rows":1,"cols":1,"data":[1]},null,{"rows":1,"cols":1,"data":[1]}],"op":"add"}`,
+	`{"op":"add","inputs":[],"attrs":{` + manyAttrs(maxAttrs) + `}}`,
+	`{"op":"add","inputs":[],"attrs":{` + manyAttrs(maxAttrs+1) + `}}`,
+	`{"op":"add","inputs":[],"attrs":{` + manyAttrs(maxAttrs+1) + `},"attrs":{}}`,
+}
+
+// manyAttrs is the inside of an attrs object of n distinct keys.
+func manyAttrs(n int) string {
+	var sb strings.Builder
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `"a%d":%d`, k, k)
 	}
+	return sb.String()
+}
+
+// addSeeds starts a wire fuzz target off with every seed list.
+func addSeeds(f *testing.F, more ...string) {
+	for _, list := range [][]string{seedBodies, more, numberBodies} {
+		for _, b := range list {
+			f.Add([]byte(b))
+		}
+	}
+}
+
+func FuzzDecodeRequest(f *testing.F) {
+	addSeeds(f)
 	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body) })
 }
 
+// FuzzPeekRequest: the head read against the decoder.
 func FuzzPeekRequest(f *testing.F) {
-	for _, b := range seedBodies {
-		f.Add([]byte(b))
-	}
+	addSeeds(f)
 	f.Fuzz(func(t *testing.T, body []byte) { checkPeek(t, body) })
 }

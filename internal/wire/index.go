@@ -10,9 +10,9 @@ import (
 	"shmt/internal/vop"
 )
 
-// The index is the peek that also remembers where things are: the same
-// scanner over the same grammar with the same shape checks, converting no
-// number, that records the byte offset of every element of every data array.
+// The index is the decoder that converts nothing and remembers where things
+// are: the same scanner over the same grammar with the same shape checks, that
+// records the byte offset of every element of every data array.
 // With it a router scatters a request as text. A partition's inputs are runs
 // of the client's own tokens copied into a new body, and the gathered output
 // is the backends' tokens copied into one reply; every backend writes the
@@ -78,28 +78,24 @@ func (e Elements) regionBytes(cols int, reg tensor.Region) int {
 	return n
 }
 
-// offsets validates a data array exactly as a peek does and records where
-// each element starts, in a slice sized for hint elements when the rest of
-// the body could hold that many (as floats, it reserves nothing for a shape
-// the body cannot back). It returns the element count.
+// offsets validates a data array and records where each element starts, in a
+// slice sized for hint elements when the rest of the body could hold that many
+// (as floats, it reserves nothing for a shape the body cannot back). It
+// returns the element count.
 func (s *scanner) offsets(hint int) (int, error) {
 	if hint > (len(s.b)-s.i)/2 {
 		hint = 0
 	}
-	at := make([]uint32, 0, hint+1)
-	err := s.array(func() error {
-		at = append(at, uint32(s.i))
-		return s.skipFloat()
-	})
+	n, at, err := s.elements(nil, make([]uint32, 0, hint+1))
 	if err != nil {
 		return 0, err
 	}
-	s.at = append(at, uint32(s.i-1)) // array consumed the bracket
-	return len(at), nil
+	s.at = append(at, uint32(s.i-1)) // elements consumed the bracket
+	return n, nil
 }
 
-// IndexedRequest is a request as PeekRequest returns it — every Data nil —
-// plus where in the body the text a scatter copies is.
+// IndexedRequest is a request decoded in all but its numbers — every Data nil
+// — plus where in the body the text a scatter copies is.
 type IndexedRequest struct {
 	*Request
 	// Data[k] locates the elements of Inputs[k].
@@ -108,13 +104,17 @@ type IndexedRequest struct {
 	attrs []byte
 }
 
-// IndexRequest accepts exactly the bodies PeekRequest accepts. The result
+// IndexRequest is the full validation that converts nothing: it accepts
+// exactly the bodies DecodeRequest accepts, bar those DecodeRequest refuses
+// for a literal of a data array beyond float64's range (only a conversion can
+// see one), and reports the same opcode, shapes, attrs and timeout_ms. It is
+// what a router runs, once, on a request it is about to scatter. The result
 // aliases body.
 func IndexRequest(body []byte) (*IndexedRequest, error) {
 	if len(body) > math.MaxUint32 {
 		return nil, fmt.Errorf("wire: a %d-byte body is beyond the index", len(body))
 	}
-	s := scanner{b: body, peek: true, index: true}
+	s := scanner{b: body, index: true}
 	req, err := s.request()
 	if err != nil {
 		return nil, err
@@ -169,9 +169,9 @@ func indexReply(body []byte) (rows, cols int, data Elements, err error) {
 	if len(body) > math.MaxUint32 {
 		return 0, 0, Elements{}, fmt.Errorf("wire: a %d-byte reply is beyond the index", len(body))
 	}
-	s := scanner{b: body, peek: true, index: true}
+	s := scanner{b: body, index: true}
 	var out Matrix
-	err = s.document(replyFields, func(string) error { return s.matrix(&out) })
+	err = s.document(replyFields, func(string) error { return s.matrix(&out, false) })
 	if err != nil {
 		return 0, 0, Elements{}, err
 	}

@@ -3,12 +3,10 @@ package wire
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 
 	"shmt/internal/tensor"
@@ -37,41 +35,20 @@ func probeRegions(rows, cols int) []tensor.Region {
 	}
 }
 
-// checkSplice holds the index to its contract on one body: it accepts exactly
-// what a peek accepts and reports the same header, and a partition spliced
-// from it decodes to that region of what the body decodes to, bit for bit —
-// attrs included, timeout_ms left out.
+// checkSplice holds the index to its contract on one body: checkIndex's half
+// — it is the decoder in what it accepts and in the header it reports — and a
+// partition spliced from it decodes to that region of what the body decodes
+// to, bit for bit — attrs included, timeout_ms left out.
 func checkSplice(t *testing.T, body []byte) {
 	t.Helper()
-	head, perr := PeekRequest(body)
-	ix, ierr := IndexRequest(body)
-	if (perr == nil) != (ierr == nil) {
-		t.Fatalf("%q: peek says %v, the index %v", body, perr, ierr)
-	}
-	if perr != nil {
+	ix, full := checkIndex(t, body)
+	if ix == nil || len(full.Inputs) == 0 {
 		return
 	}
-	if ix.Op != head.Op || ix.TimeoutMs != head.TimeoutMs || len(ix.Inputs) != len(head.Inputs) || len(ix.Data) != len(head.Inputs) {
-		t.Fatalf("%q: indexed %+v with %d data arrays, peeked %+v", body, ix.Request, len(ix.Data), head)
-	}
-	full, err := DecodeRequest(body)
-	if err != nil {
-		// The one thing neither can see: a number outside float64's range.
-		if !errors.Is(err, strconv.ErrRange) {
-			t.Fatalf("the index accepted %q, which does not decode: %v", body, err)
-		}
-		return
-	}
-	for k, m := range full.Inputs {
-		if ix.Inputs[k].Rows != m.Rows || ix.Inputs[k].Cols != m.Cols || ix.Data[k].Len() != len(m.Data) {
-			t.Fatalf("%q: input %d indexed as %dx%d with %d elements, decodes as %dx%d", body, k, ix.Inputs[k].Rows, ix.Inputs[k].Cols, ix.Data[k].Len(), m.Rows, m.Cols)
-		}
+	for _, m := range full.Inputs {
 		if len(m.Data) == 0 {
 			return // nothing to cut a region from; such a VOP never scatters
 		}
-	}
-	if len(full.Inputs) == 0 {
-		return
 	}
 	for p := 0; p < 4; p++ {
 		regs := make([]tensor.Region, len(full.Inputs))
@@ -93,15 +70,11 @@ func checkSplice(t *testing.T, body []byte) {
 	}
 }
 
-// FuzzSpliceRequest: whatever a client can get past the router's peek, the
-// router can cut into partitions that mean what the client meant.
+// FuzzSpliceRequest: the router's one full scan of a request it scatters is
+// the decoder in all but the conversion, and whatever gets past it the router
+// can cut into partitions that mean what the client meant.
 func FuzzSpliceRequest(f *testing.F) {
-	for _, b := range seedBodies {
-		f.Add([]byte(b))
-	}
-	for _, b := range spliceBodies {
-		f.Add([]byte(b))
-	}
+	addSeeds(f, spliceBodies...)
 	f.Fuzz(func(t *testing.T, body []byte) { checkSplice(t, body) })
 }
 
@@ -124,12 +97,12 @@ var spliceBodies = []string{
 // irregularity at once: offsets point at tokens, runs come back without the
 // separators around them, attrs are kept as written.
 func TestIndexLocatesEveryElement(t *testing.T) {
-	body := []byte(`{"inputs":[{"data":[ 1e0 , null,3 ,4 ],"rows":2,"cols":2},null,{"rows":0,"cols":0,"data":[]}],"attrs": {"a" : 1} ,"op":"relu"}`)
+	body := []byte(`{"inputs":[{"data":[ 1e0 , null,3 ,4 ],"rows":2,"cols":2},{"rows":0,"cols":0,"data":[]}],"attrs": {"a" : 1} ,"op":"relu"}`)
 	ix, err := IndexRequest(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Data) != 3 || ix.Data[0].Len() != 4 || ix.Data[1].Len() != 0 || ix.Data[2].Len() != 0 || string(ix.attrs) != `{"a" : 1}` {
+	if len(ix.Data) != 2 || ix.Data[0].Len() != 4 || ix.Data[1].Len() != 0 || string(ix.attrs) != `{"a" : 1}` {
 		t.Fatalf("indexed %d arrays, attrs %q", len(ix.Data), ix.attrs)
 	}
 	d := ix.Data[0]

@@ -12,13 +12,16 @@
 // round's accounting.
 //
 // Decoding is a hand-written strict-JSON scanner for exactly this schema
-// (decode.go): tensors are the whole cost of the serving path, and a scanner
-// that knows where the number arrays are converts them straight into a slice
-// allocated once at rows×cols, or — PeekRequest — validates them without
-// converting anything, which is all a router needs to place a request, or —
-// IndexRequest (index.go) — also records where each number is, which is all a
-// router needs to scatter one: partitions and the gathered reply are spliced
-// from the text, and no tier but the one that computes converts a float.
+// (decode.go), and each tier runs it only as far as its job goes. A backend
+// converts: DecodeRequest knows where the number arrays are and parses them
+// straight into a slice allocated once at rows×cols. A router places:
+// PeekRequest reads the head — the opcode and the first input's shape — and
+// stops, so the bytes after it are validated once, by the tier that converts
+// them, whose 400 the router relays. A router about to scatter validates
+// without converting: IndexRequest (index.go) scans the whole body, converts
+// no number and records where each is, so partitions and the gathered reply
+// are spliced from the text, and no tier but the one that computes converts a
+// float. All three walk a data array in the same loop (scanner.elements).
 // Encoding stays on encoding/json: shortest-float formatting in strconv is
 // its cost, and a hand-written encoder pays the same.
 // http.go holds what both tiers do around the codec: the body limit, the
@@ -98,7 +101,7 @@ func FromTensor(m *tensor.Matrix) Matrix {
 }
 
 // Opcode resolves the request's opcode and refuses a request with no inputs;
-// it is all the validation a peeked request supports.
+// it is all the validation a request's head supports.
 func (r *Request) Opcode() (vop.Opcode, error) {
 	op, ok := vop.Parse(r.Op)
 	if !ok {
