@@ -2,11 +2,12 @@
 
 GO ?= go
 
-.PHONY: all check build test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet clean
+.PHONY: all check build gencheck test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet clean
 
 all: check
 
-# check is the pre-merge gate: formatting, build, vet, tests, the race
+# check is the pre-merge gate: formatting, build, the generated powers-of-ten
+# table still being what its generator writes, vet, tests, the race
 # detector over the whole module (the host worker pool runs everywhere now),
 # a one-shot benchmark pass so the bench suites can't silently rot, the
 # telemetry overhead benchmark so instrumentation cost stays visible, the
@@ -20,10 +21,17 @@ all: check
 # stays live, and the cluster smoke test so the router tier's
 # failover/re-admission path stays live. CI (.github/workflows/ci.yml) runs
 # exactly these stages.
-check: fmt-check build vet test race fuzzsmoke benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e servesmoke clustersmoke
+check: fmt-check build gencheck vet test race fuzzsmoke benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e servesmoke clustersmoke
 
 build:
 	$(GO) build ./...
+
+# gencheck holds internal/wire/pow10.go to the bytes `go generate
+# ./internal/wire` writes, so the table can only change through
+# gen_pow10.go (TestPow10Table checks its values against math/big).
+gencheck:
+	$(GO) run internal/wire/gen_pow10.go -o /tmp/shmt-pow10.go
+	@cmp /tmp/shmt-pow10.go internal/wire/pow10.go; status=$$?; rm -f /tmp/shmt-pow10.go; exit $$status
 
 # TESTFLAGS lets CI pass extra flags (e.g. -shuffle=on) without forking the
 # target.
@@ -43,14 +51,16 @@ race:
 # fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
 # against encoding/json, the router's head read (FuzzPeekRequest) against the
 # decoder, the router's index and the partitions it splices against the
-# decoder, the two header sanitisers (tenant, trace ID) both tiers apply at admission, and
-# the fused INT8 round trip against calibration plus QuantizeOne /
-# DequantizeOne on arbitrary bit patterns. (go test takes one -fuzz target per
-# run.)
+# decoder, the reply's float writer (FuzzAppendFloat) against encoding/json on
+# raw bit patterns, the two header sanitisers (tenant, trace ID) both tiers
+# apply at admission, and the fused INT8 round trip against calibration plus
+# QuantizeOne / DequantizeOne on arbitrary bit patterns. (go test takes one
+# -fuzz target per run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzSpliceRequest$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTenant$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTraceID$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzInt8Round$$' -fuzztime=10s ./internal/kernels/
@@ -59,9 +69,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # benchsmoke runs every benchmark once — the 1024² kernel suite,
-# BenchmarkKernelsHLOP (the same kernels at the shapes the engine runs them)
-# and BenchmarkScatter (a scattered request through an in-process router and
-# two backends) included — and drives shmtrun's telemetry exporters end to
+# BenchmarkKernelsHLOP (the same kernels at the shapes the engine runs them),
+# BenchmarkScatter (a scattered request through an in-process router and
+# two backends) and BenchmarkWriteResponse (the reply writer beside its
+# encoding/json oracle) included — and drives shmtrun's telemetry exporters end to
 # end: the run must produce a loadable Perfetto trace and a JSON report.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...

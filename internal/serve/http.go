@@ -346,6 +346,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			DeadlinePressure: pressure,
 			CriticalHLOPs:    res.Report.CriticalHLOPs,
 			DeviceHLOPs:      res.Report.DeviceHLOPs,
+			EncodeStart:      encodeStart,
 		}
 	}
 	// A result JSON cannot carry (NaN, ±Inf) has been answered 422.

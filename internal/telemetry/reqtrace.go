@@ -44,9 +44,11 @@ type StageBreakdown struct {
 	Execute float64 `json:"execute_seconds"`
 	// Aggregate is the round's result-aggregation time.
 	Aggregate float64 `json:"aggregate_seconds"`
-	// Encode is encoding the response and writing it to the socket. It ends
-	// after the body that carries the breakdown is complete, so a response's
-	// trace block never has it; the flight recorder and the log line do.
+	// Encode is encoding the response and writing it to the socket. A
+	// response's trace block, itself part of what is written, has the first
+	// half: the time to format the output tensor, which is all but a few
+	// microseconds of the encoding. The flight recorder and the log line have
+	// the whole, socket write included.
 	Encode float64 `json:"encode_seconds,omitempty"`
 }
 

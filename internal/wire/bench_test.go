@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
 	"testing"
 )
 
@@ -72,3 +73,53 @@ func BenchmarkDecodeRequest(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkWriteResponse compares the two ways of answering a 200: json_oracle
+// is writeResponseJSON, json.NewEncoder into the recycled buffer, what
+// WriteResponse did and what its bytes are still held to; writer is
+// WriteResponse. The replies are the harness's: a dense 256² sum of sines
+// (every element 16 or 17 digits), a relu of 384² (half of them 0) and a 64²
+// one, where the fixed cost shows.
+func BenchmarkWriteResponse(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	reply := func(side int, relu bool) *Response {
+		m := Matrix{Rows: side, Cols: side, Data: make([]float64, side*side)}
+		for i := range m.Data {
+			m.Data[i] = math.Sin(rng.Float64()*100) + math.Sin(rng.Float64()*100)
+			if relu {
+				m.Data[i] = max(m.Data[i], 0)
+			}
+		}
+		return &Response{Output: m, HLOPs: 4, MakespanSeconds: 0.00125, BatchSize: 1}
+	}
+	for _, tc := range []struct {
+		name string
+		resp *Response
+	}{
+		{"dense256", reply(256, false)},
+		{"relu384", reply(384, true)},
+		{"dense64", reply(64, false)},
+	} {
+		for _, impl := range []struct {
+			name  string
+			write func(http.ResponseWriter, string, *Response) error
+		}{{"json_oracle", writeResponseJSON}, {"writer", WriteResponse}} {
+			b.Run(tc.name+"/"+impl.name, func(b *testing.B) {
+				b.ReportAllocs()
+				w := discardWriter{http.Header{}}
+				for i := 0; i < b.N; i++ {
+					if err := impl.write(w, "add", tc.resp); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the headers and drops the body.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) WriteHeader(int)             {}
+func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }

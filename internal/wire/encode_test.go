@@ -3,10 +3,16 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"shmt/internal/core"
 	"shmt/internal/telemetry"
@@ -20,6 +26,26 @@ func viaJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// writeResponseJSON is WriteResponse as it was while encoding/json formatted
+// the output: the reference WriteResponse's replies are held to, and the
+// json_oracle rows of BenchmarkWriteResponse.
+func writeResponseJSON(w http.ResponseWriter, op string, resp *Response) error {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(resp); err != nil {
+		if i := nonFinite(resp.Output.Data); i >= 0 {
+			err = fmt.Errorf("%s: output element %d is %v, which JSON cannot carry", op, i, resp.Output.Data[i])
+		}
+		WriteError(w, http.StatusUnprocessableEntity, err.Error())
+		return err
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes())
+	return nil
 }
 
 // TestResponseGolden pins the bytes of a 200 — key order output, hlops,
@@ -58,6 +84,107 @@ func TestResponseGolden(t *testing.T) {
 	}
 }
 
+// TestWriteResponseIsEncodingJSON: a whole reply is, byte for byte, what
+// encoding/json writes for the Response — without data, with none, with one
+// element and with a few thousand of every kind, alone and with the annexes.
+func TestWriteResponseIsEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for name, out := range map[string]Matrix{
+		"nil data":   {Rows: 3, Cols: 0},
+		"empty data": {Rows: 0, Cols: 5, Data: []float64{}},
+		"1x1":        {Rows: 1, Cols: 1, Data: []float64{-0.1}},
+		"edges":      {Rows: 1, Cols: len(edgeFloats), Data: edgeFloats},
+		"67x129":     finiteMatrix(rng, 67, 129),
+	} {
+		for _, annexes := range []bool{false, true} {
+			resp := Response{Output: out, HLOPs: 7, MakespanSeconds: 1.5e-7, BatchSize: 2}
+			if annexes {
+				resp.Degraded = &core.Degraded{Rerouted: 1, BackoffSeconds: 0.25}
+				resp.Trace = &Trace{
+					TraceID: "<a&b>", TotalSeconds: 0.5, Stages: telemetry.StageBreakdown{Decode: 1e-7, Execute: 0.25},
+					DeadlinePressure: 0.5, DeviceHLOPs: map[string]int{"tpu": 1, "cpu": 2},
+				}
+			}
+			got, want := httptest.NewRecorder(), httptest.NewRecorder()
+			if err := WriteResponse(got, "add", &resp); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := writeResponseJSON(want, "add", &resp); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%s, annexes %v:\n got %.300s\nwant %.300s", name, annexes, got.Body, want.Body)
+			}
+			if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) {
+				t.Errorf("%s, annexes %v: status %d, headers %v, want %d, %v", name, annexes, got.Code, got.Header(), want.Code, want.Header())
+			}
+		}
+	}
+
+	// What encoding/json refuses in the tail is still a 422 with its words.
+	got, want := httptest.NewRecorder(), httptest.NewRecorder()
+	err := WriteResponse(got, "add", &Response{MakespanSeconds: math.NaN()})
+	_ = writeResponseJSON(want, "add", &Response{MakespanSeconds: math.NaN()})
+	if err == nil || got.Code != http.StatusUnprocessableEntity || got.Body.String() != want.Body.String() {
+		t.Fatalf("NaN makespan: status %d, error %v, body %s, want %s", got.Code, err, got.Body, want.Body)
+	}
+}
+
+// TestWriteResponseTimesTheEncode: a trace that says when the reply was begun
+// leaves with the time it took to format the output, inside the total.
+func TestWriteResponseTimesTheEncode(t *testing.T) {
+	resp := Response{
+		Output: Matrix{Rows: 1, Cols: 3, Data: []float64{1, 2, 3}},
+		Trace:  &Trace{TraceID: "x", TotalSeconds: 2, EncodeStart: time.Now().Add(-time.Second)},
+	}
+	rec := httptest.NewRecorder()
+	if err := WriteResponse(rec, "add", &resp); err != nil {
+		t.Fatal(err)
+	}
+	if enc := resp.Trace.Stages.Encode; enc < 1 || resp.Trace.TotalSeconds != 2+enc {
+		t.Fatalf("encode %g, total %g", enc, resp.Trace.TotalSeconds)
+	}
+	if want := viaJSON(t, &resp); !bytes.Equal(rec.Body.Bytes(), want) || !strings.Contains(rec.Body.String(), `"encode_seconds":`) {
+		t.Fatalf("got %s\nwant %s", rec.Body, want)
+	}
+}
+
+// TestReplyBufferStaysPooled: the reservation for a reply is capped at what
+// the free list keeps, so a reply of more elements than 16 MiB of worst-case
+// text but less than 16 MiB of actual text encodes into a buffer that goes
+// back on the list, and the next such reply allocates none.
+func TestReplyBufferStaysPooled(t *testing.T) {
+	for len(buffers) > 0 {
+		<-buffers
+	}
+	n := maxPooledBytes/(maxFloatLen+1) + 50_000
+	resp := Response{Output: Matrix{Rows: 1, Cols: n, Data: make([]float64, n)}}
+	for i := range resp.Output.Data {
+		resp.Output.Data[i] = float64(i%2) * 0.8414709848078965 // relu-like: half zeros
+	}
+	var first *bytes.Buffer
+	for round := 0; round < 2; round++ {
+		rec := httptest.NewRecorder()
+		if err := WriteResponse(rec, "relu", &resp); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Body.Len() >= maxPooledBytes {
+			t.Fatalf("the reply is %d bytes: not the case under test", rec.Body.Len())
+		}
+		if len(buffers) != 1 {
+			t.Fatalf("round %d: %d buffers on the free list, want the reply's one", round, len(buffers))
+		}
+		buf := <-buffers
+		if round == 0 {
+			first = buf
+		} else if buf != first || buf.Cap() > maxPooledBytes {
+			t.Fatalf("round 1 encoded into %p (cap %d), round 0 into %p", buf, buf.Cap(), first)
+		}
+		buffers <- buf
+	}
+	<-buffers // 16 MiB the other tests have no use for
+}
+
 // edgeFloats are the values where a float encoder can go wrong: the
 // boundaries of the %e notation (1e-6 and 1e21), two- and three-digit
 // exponents, negative zero, subnormals and the extremes.
@@ -89,12 +216,15 @@ func randomMatrix(rng *rand.Rand) Matrix {
 	case 1:
 		cols = 1
 	}
+	return finiteMatrix(rng, rows, cols)
+}
+
+// finiteMatrix is rows×cols of randomFloat's values that JSON can carry.
+func finiteMatrix(rng *rand.Rand, rows, cols int) Matrix {
 	m := Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 	for i := range m.Data {
-		for {
-			if m.Data[i] = randomFloat(rng); nonFinite(m.Data[i:i+1]) < 0 {
-				break
-			}
+		for m.Data[i] = randomFloat(rng); !finite(m.Data[i]); {
+			m.Data[i] = randomFloat(rng)
 		}
 	}
 	return m

@@ -10,7 +10,9 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
+	"shmt/internal/core"
 	"shmt/internal/tensor"
 )
 
@@ -210,17 +212,38 @@ func WriteGathered(w http.ResponseWriter, rows, cols int, parts []Part, makespan
 		}
 		i += len(band)
 	}
-	// The accounting as encoding/json writes it (makespan_seconds above all:
-	// its float notation), less the brace that would open an object of its own.
-	tail, _ := json.Marshal(struct {
-		HLOPs           int     `json:"hlops"`
-		MakespanSeconds float64 `json:"makespan_seconds"`
-		BatchSize       int     `json:"batch_size"`
-	}{len(parts), makespanSeconds, 1}) // ints and a finite float: cannot fail
-	b = append(b, "]},"...)
-	b = append(b, tail[1:]...)
-	b = append(b, '\n')
-	buf.Write(b)
+	buf.Write(append(b, ']'))
+	// One HLOP per partition, a batch of one; ints and a finite float cannot
+	// fail to encode.
+	_ = appendTail(buf, &Response{HLOPs: len(parts), MakespanSeconds: makespanSeconds, BatchSize: 1})
+	send(w, buf)
+}
+
+// appendTail ends a reply of which buf holds everything up to the end of the
+// output's data: it closes the matrix and appends resp's accounting and
+// annexes as encoding/json writes them. These few scalars are all that
+// encoding/json still formats of a reply, and the backend's 200 and the
+// router's gathered one both get them here, so the two cannot drift. An error
+// leaves buf unfit to send.
+func appendTail(buf *bytes.Buffer, resp *Response) error {
+	buf.WriteByte('}')
+	brace := buf.Len()
+	err := json.NewEncoder(buf).Encode(&struct {
+		HLOPs           int            `json:"hlops"`
+		MakespanSeconds float64        `json:"makespan_seconds"`
+		BatchSize       int            `json:"batch_size"`
+		Degraded        *core.Degraded `json:"degraded,omitempty"`
+		Trace           *Trace         `json:"trace,omitempty"`
+	}{resp.HLOPs, resp.MakespanSeconds, resp.BatchSize, resp.Degraded, resp.Trace})
+	if err != nil {
+		return err
+	}
+	buf.Bytes()[brace] = ',' // the members continue the reply's object
+	return nil
+}
+
+// send answers 200 with the reply buf holds.
+func send(w http.ResponseWriter, buf *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
@@ -253,21 +276,56 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 // line is written so that the reply carries its Content-Length and a result
 // JSON cannot carry — a NaN or an infinity — is answered 422, naming op and
 // the first such element, rather than 200 with an empty body. The error it
-// returns is the one it has already answered with.
+// returns is the one it has already answered with. The bytes are the ones
+// encoding/json writes for resp; the output's elements, which are all but a
+// few dozen of them, are appendFloat's.
+//
+// A resp.Trace with EncodeStart set leaves with encode_seconds filled in and
+// total_seconds extended by it.
 func WriteResponse(w http.ResponseWriter, op string, resp *Response) error {
-	buf := getBuffer()
-	defer putBuffer(buf)
-	if err := json.NewEncoder(buf).Encode(resp); err != nil {
-		if i := nonFinite(resp.Output.Data); i >= 0 {
-			err = fmt.Errorf("%s: output element %d is %v, which JSON cannot carry", op, i, resp.Output.Data[i])
-		}
+	data := resp.Output.Data
+	if i := nonFinite(data); i >= 0 {
+		err := fmt.Errorf("%s: output element %d is %v, which JSON cannot carry", op, i, data[i])
 		WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes()) // as in WriteJSON
+	buf := getBuffer()
+	defer putBuffer(buf)
+	// An element is at most maxFloatLen bytes and its comma. The reservation
+	// stops at what the free list keeps: a large reply of short numbers fits
+	// in less, and one that does not grows the buffer chunk by chunk below.
+	buf.Grow(min(128+len(data)*(maxFloatLen+1), maxPooledBytes))
+	b := appendMatrixHead(append(buf.AvailableBuffer(), `{"output":`...), resp.Output.Rows, resp.Output.Cols)
+	switch {
+	case data == nil:
+		b = append(b[:len(b)-1], "null"...)
+	case len(data) == 0:
+		b = append(b, ']')
+	}
+	buf.Write(b)
+	for rest := data; len(rest) > 0; {
+		chunk := rest[:min(len(rest), 4096)]
+		rest = rest[len(chunk):]
+		// Room for the whole chunk, so that no append moves b out of buf.
+		buf.Grow(len(chunk)*(maxFloatLen+1) + floatRoom)
+		b = buf.AvailableBuffer()
+		for _, x := range chunk {
+			b = append(appendFloat(b, x), ',')
+		}
+		buf.Write(b)
+	}
+	if len(data) > 0 {
+		buf.Bytes()[buf.Len()-1] = ']' // the last comma
+	}
+	if t := resp.Trace; t != nil && !t.EncodeStart.IsZero() {
+		t.Stages.Encode = time.Since(t.EncodeStart).Seconds()
+		t.TotalSeconds += t.Stages.Encode
+	}
+	if err := appendTail(buf, resp); err != nil {
+		WriteError(w, http.StatusUnprocessableEntity, err.Error())
+		return err
+	}
+	send(w, buf)
 	return nil
 }
 

@@ -22,8 +22,14 @@
 // no number and records where each is, so partitions and the gathered reply
 // are spliced from the text, and no tier but the one that computes converts a
 // float. All three walk a data array in the same loop (scanner.elements).
-// Encoding stays on encoding/json: shortest-float formatting in strconv is
-// its cost, and a hand-written encoder pays the same.
+//
+// Encoding a reply is formatting its output tensor, and WriteResponse does
+// that itself: appendFloat (ftoa.go) writes each element exactly as
+// encoding/json would — the splicing above depends on it — with digits from
+// Schubfach over the generated powers-of-ten table (pow10.go), at less than
+// half of strconv's cost per element. encoding/json still formats the few
+// scalars and annexes that follow the tensor (appendTail), the error bodies
+// and the status pages.
 // http.go holds what both tiers do around the codec: the body limit, the
 // recycled buffers, the status of a refusal, the JSON replies.
 package wire
@@ -85,6 +91,11 @@ type Trace struct {
 	DeadlinePressure float64        `json:"deadline_pressure,omitempty"`
 	CriticalHLOPs    int            `json:"critical_hlops"`
 	DeviceHLOPs      map[string]int `json:"device_hlops,omitempty"`
+	// EncodeStart, when set, is when the handler began building the reply:
+	// WriteResponse then fills Stages.Encode with the time from there to the
+	// moment the output has been formatted — the trace block is written
+	// after it — and extends TotalSeconds to the same instant.
+	EncodeStart time.Time `json:"-"`
 }
 
 // Error is the body of every non-2xx reply.
