@@ -113,11 +113,14 @@ benchoverlap:
 		-benchtime=0.3s ./internal/core/
 
 # benchserve measures the serving layer's per-request tracing cost
-# (Batcher.Submit, tracing off vs on); BENCH_serve.json snapshots the
-# result. The disabled row is the contract: tracing must add zero
-# allocations to the untraced request path.
+# (Batcher.Submit, tracing off vs on) and one whole request through an
+# in-process server on serve_wire's three shapes (BenchmarkServeRequest);
+# BENCH_serve.json snapshots the result. Two rows are contracts: tracing off
+# must add zero allocations to the untraced request path, and a request's
+# B/op must stay a few dozen KB whatever its payload — its tensors and
+# buffers cycle through the free list (DESIGN §11).
 benchserve:
-	$(GO) test -run='^$$' -bench=BenchmarkServeTraceOverhead -benchmem \
+	$(GO) test -run='^$$' -bench='BenchmarkServe(TraceOverhead|Request)' -benchmem \
 		-benchtime=0.3s ./internal/serve/
 
 # benche2e vets and smoke-tests the repo benchmark's harness (BENCHMARK.json,

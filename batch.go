@@ -16,6 +16,12 @@ type BatchRequest struct {
 	Inputs []*Matrix
 	// Attrs are the request's kernel parameters.
 	Attrs map[string]float64
+	// Dst, when non-nil, receives the output (a reduction ignores it): a dense
+	// matrix of the output's shape that the caller owns outright, overwritten
+	// and returned as the report's Output. Reuse it, or the Inputs, only once
+	// nothing reads that Output any more — forgetting to reuse is always safe,
+	// reusing early never is. With nil the output is allocated, as always.
+	Dst *Matrix
 	// TraceID, when set, tags the engine spans this request produces so the
 	// Perfetto export can stitch them to the serving layer's request lane.
 	TraceID string
@@ -61,7 +67,7 @@ func (s *Session) ExecuteBatch(reqs []BatchRequest) (*BatchResult, error) {
 			}
 			v.DeadlinePressure = math.Round(p*16) / 16
 		}
-		v.TraceID = r.TraceID
+		v.TraceID, v.Dst = r.TraceID, r.Dst
 		vops[i] = v
 	}
 	s.mu.Lock()

@@ -190,3 +190,39 @@ func TestExecuteBatchHonoursRecordTrace(t *testing.T) {
 		t.Fatal("trace recorded without opting in")
 	}
 }
+
+// TestExecuteBatchDestination: a request with a Dst gets its output there, bit
+// for bit what the same request computes without one; and without one the
+// output is allocated as it always was, at exactly rows×cols — the library
+// path pays no size-class rounding for the serving layer's recycling.
+func TestExecuteBatchDestination(t *testing.T) {
+	s := newSession(t, shmt.Config{TargetPartitions: 8, PlanCache: shmt.PlanCacheConfig{Disabled: true}})
+	img := workload.Image(100, 90, 72)
+	plain, err := s.ExecuteBatch([]shmt.BatchRequest{{Op: shmt.OpSobel, Inputs: []*shmt.Matrix{img}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plain.Reports[0].Output
+	if cap(want.Data) != 100*90 {
+		t.Fatalf("an output of %d elements was allocated at %d", 100*90, cap(want.Data))
+	}
+	dst := shmt.NewMatrix(100, 90)
+	for i := range dst.Data {
+		dst.Data[i] = math.NaN()
+	}
+	into, err := s.ExecuteBatch([]shmt.BatchRequest{{Op: shmt.OpSobel, Inputs: []*shmt.Matrix{img}, Dst: dst}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := into.Reports[0].Output; got != dst {
+		t.Fatal("the output is not the destination")
+	}
+	for i, x := range want.Data {
+		if math.Float64bits(dst.Data[i]) != math.Float64bits(x) {
+			t.Fatalf("element %d is %v with a destination, %v without", i, dst.Data[i], x)
+		}
+	}
+	if _, err := s.ExecuteBatch([]shmt.BatchRequest{{Op: shmt.OpSobel, Inputs: []*shmt.Matrix{img}, Dst: shmt.NewMatrix(90, 100)}}); err == nil {
+		t.Fatal("a 90x100 destination for a 100x90 output was accepted")
+	}
+}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -336,7 +335,8 @@ func (rt *Router) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req *wire.Request
 	body, err := wire.ReadBody(w, r)
 	if err == nil {
-		req, err = wire.PeekRequest(body)
+		defer body.Release() // after the last attempt's client.Do has returned
+		req, err = wire.PeekRequest(body.Bytes())
 	}
 	if err != nil {
 		outcome = "invalid"
@@ -421,8 +421,8 @@ func (rt *Router) shouldScatter(op vop.Opcode, rows, cols int) bool {
 // back — without converting one. It reports whether it wrote a response
 // (false = caller should fall back to proxying, so that the backend produces
 // the canonical 400).
-func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []byte, op vop.Opcode, traceID string, outcome *string) bool {
-	req, err := wire.IndexRequest(body)
+func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body *wire.Body, op vop.Opcode, traceID string, outcome *string) bool {
+	req, err := wire.IndexRequest(body.Bytes())
 	if err != nil {
 		return false
 	}
@@ -479,7 +479,7 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body []
 
 // executeProxy relays the request to the key's backend, failing over to ring
 // replicas on retryable errors, and streams the winning response through.
-func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body []byte, key Key, traceID string, outcome *string) {
+func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body *wire.Body, key Key, traceID string, outcome *string) {
 	primary, rehashed := rt.pool.Pick(key)
 	if primary == nil {
 		*outcome = "unavailable"
@@ -557,14 +557,13 @@ func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body []by
 }
 
 // proxyOnce sends one dispatch attempt to b. The caller owns resp.Body.
-func (rt *Router) proxyOnce(r *http.Request, b *Backend, body []byte, traceID string) (*http.Response, error) {
+func (rt *Router) proxyOnce(r *http.Request, b *Backend, body *wire.Body, traceID string) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.BackendTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/execute", bytes.NewReader(body))
+	req, err := wire.NewPost(ctx, b.base+"/v1/execute", body, 0) // the client's body as it is
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(serve.TraceHeader, traceID)
 	if t := r.Header.Get(TenantHeader); t != "" {
 		req.Header.Set(TenantHeader, t)

@@ -150,7 +150,8 @@ func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.V
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body := req.AppendPartition(nil, v.Op, inputRegions(v, reg))
+			body := req.Partition(v.Op, inputRegions(v, reg))
+			defer body.Release()
 			reply, addr, err := dispatchPartition(ctx, pool, backends, i, reg, body, traceID, timeout)
 			mu.Lock()
 			defer mu.Unlock()
@@ -184,7 +185,7 @@ func releaseParts(parts []wire.Part) {
 // dispatchPartition sends one partition to its round-robin home backend,
 // walking the rotation on retryable failures, and returns the reply — checked
 // to be the region's shape — and the backend that served it.
-func dispatchPartition(ctx context.Context, pool *Pool, backends []*Backend, i int, reg tensor.Region, body []byte, traceID string, timeout time.Duration) (*wire.Reply, string, error) {
+func dispatchPartition(ctx context.Context, pool *Pool, backends []*Backend, i int, reg tensor.Region, body *wire.Body, traceID string, timeout time.Duration) (*wire.Reply, string, error) {
 	var lastErr error
 	for attempt := 0; attempt < len(backends); attempt++ {
 		b := backends[(i+attempt)%len(backends)]
@@ -224,7 +225,7 @@ func dispatchPartition(ctx context.Context, pool *Pool, backends []*Backend, i i
 // postPartition round-trips one partition body through b's POST /v1/execute,
 // threading traceID through X-SHMT-Trace-Id so that a scattered request's
 // partitions share the parent's trace across nodes.
-func postPartition(ctx context.Context, client *http.Client, b *Backend, body []byte, traceID string, timeout time.Duration) (*wire.Reply, error) {
+func postPartition(ctx context.Context, client *http.Client, b *Backend, body *wire.Body, traceID string, timeout time.Duration) (*wire.Reply, error) {
 	// The round-trip bound is the tighter of the dispatch timeout and
 	// whatever deadline the context already carries (a client's timeout_ms).
 	// Both sides see it: the context bounds the HTTP call and the wire

@@ -202,7 +202,12 @@ func TestPostPartitionDerivesTimeoutFromContext(t *testing.T) {
 	sb := newSlowBackend(t, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	body := []byte(`{"op":"relu","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]}]}`)
+	body, err := wire.ReadBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/execute",
+		strings.NewReader(`{"op":"relu","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]}]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Release()
 	reply, err := postPartition(ctx, http.DefaultClient, &Backend{addr: sb.addr(), base: sb.ts.URL}, body, "trace-ctx-1", 30*time.Second)
 	if err != nil {
 		t.Fatalf("postPartition: %v", err)

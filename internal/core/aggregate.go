@@ -17,8 +17,8 @@ import (
 // aggregate merges completed HLOP results into the VOP's output tensor: the
 // data-aggregation/synchronization step the runtime performs from the
 // completion queues (§3.3.1). Reduction partials merge semantically. For
-// every other opcode the caller pre-allocates out and (view mode) binds each
-// HLOP a strided view into it: results written through their view are
+// every other opcode the caller supplies out (a new matrix, or the VOP's
+// Dst) and, in view mode, binds each HLOP a strided view into it: results written through their view are
 // already in place and only need release bookkeeping, while the rest —
 // forced copies, halo interiors, private-memory devices that ignored the
 // view — scatter back with strided copies fanned out over the host pool
@@ -56,10 +56,6 @@ func aggregate(v *vop.VOP, done []doneHLOP, out *tensor.Matrix) (*tensor.Matrix,
 		return merged, bytes, nil
 	}
 
-	if out == nil {
-		rows, cols := v.OutputShape()
-		out = tensor.NewMatrix(rows, cols)
-	}
 	// Pass 1 (sequential, allocation-free): results that aliased the output
 	// through their view are already in place — release bookkeeping only.
 	aliased := 0

@@ -140,7 +140,13 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		e.accountFootprint(tr, v)
 		if !v.Op.IsReduction() {
 			rows, cols := v.OutputShape()
-			outs[i] = tensor.NewMatrix(rows, cols)
+			if outs[i] = v.Dst; v.Dst == nil {
+				outs[i] = tensor.NewMatrix(rows, cols)
+			} else if v.Dst.Rows != rows || v.Dst.Cols != cols || len(v.Dst.Data) != rows*cols {
+				return nil, fmt.Errorf("core: vop %d: destination is not a dense %dx%d matrix", i, rows, cols)
+			} else {
+				clear(v.Dst.Data) // what NewMatrix hands over
+			}
 			if v.HaloWidth() == 0 && !e.Spec.ForceCopy {
 				if err := bindOutputViews(outs[i], perVOP[i]); err != nil {
 					return nil, fmt.Errorf("core: vop %d: %w", i, err)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"shmt/internal/device"
@@ -10,6 +12,7 @@ import (
 	"shmt/internal/hlop"
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
+	"shmt/internal/tensor"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
 )
@@ -199,5 +202,53 @@ func TestEngineEvenDistributionBoundedBySlowerDevice(t *testing.T) {
 	ws := run(sched.WorkStealing{})
 	if ws >= even {
 		t.Fatalf("work stealing (%g) should beat even distribution (%g) on a TPU-hostile kernel", ws, even)
+	}
+}
+
+// TestRunBatchIntoDestination: a VOP with a Dst gets its output there — the
+// same bits a run that allocates its output computes, whatever the
+// destination held (a halo opcode, whose HLOPs are scattered back, and a
+// view-bound one) — a reduction ignores its Dst, and a Dst of the wrong shape
+// is refused before anything runs.
+func TestRunBatchIntoDestination(t *testing.T) {
+	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}, DoubleBuffer: true}
+	want, err := e.RunBatch(batchVOPs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vops := batchVOPs(t)
+	dsts := make([]*tensor.Matrix, len(vops))
+	for i, v := range vops {
+		rows, cols := v.OutputShape()
+		if v.Op.IsReduction() {
+			rows, cols = 3, 3 // not its output's shape, and never looked at
+		}
+		dsts[i] = tensor.NewMatrix(rows, cols)
+		for k := range dsts[i].Data {
+			dsts[i].Data[k] = math.NaN()
+		}
+		v.Dst = dsts[i]
+	}
+	got, err := e.RunBatch(vops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vops {
+		out := got.Reports[i].Output
+		if (out == dsts[i]) == v.Op.IsReduction() {
+			t.Fatalf("%s: output is the destination: %v", v.Op, out == dsts[i])
+		}
+		for k, x := range want.Reports[i].Output.Data {
+			if math.Float64bits(out.Data[k]) != math.Float64bits(x) {
+				t.Fatalf("%s: element %d is %v with a destination, %v without", v.Op, k, out.Data[k], x)
+			}
+		}
+	}
+
+	bad := batchVOPs(t)[:2]
+	bad[1].Dst = tensor.NewMatrix(64, 63)
+	if _, err := e.RunBatch(bad); err == nil || !strings.Contains(err.Error(), "destination") {
+		t.Fatalf("a 64x63 destination for a 64x64 output: %v", err)
 	}
 }

@@ -79,13 +79,23 @@ func (Exact) RoundsElementwise() {}
 type F32 struct{}
 
 // Round implements Rounder.
-func (F32) Round(data []float64) {
-	parallel.For(len(data), parGrain, func(lo, hi int) {
-		chunk := data[lo:hi]
-		for i, v := range chunk {
-			chunk[i] = float64(float32(v))
-		}
-	})
+func (F32) Round(data []float64) { forChunks(data, roundF32) }
+
+func roundF32(chunk []float64) {
+	for i, v := range chunk {
+		chunk[i] = float64(float32(v))
+	}
+}
+
+// forChunks runs round over data in parGrain chunks on the host pool — or,
+// when data is one chunk, right here: DCT8x8 rounds per 8×8 block, and the
+// closure parallel.For takes was an allocation for each.
+func forChunks(data []float64, round func(chunk []float64)) {
+	if len(data) <= parGrain {
+		round(data)
+		return
+	}
+	parallel.For(len(data), parGrain, func(lo, hi int) { round(data[lo:hi]) })
 }
 
 // Name implements Rounder.
@@ -99,12 +109,12 @@ func (F32) RoundsElementwise() {}
 type F16 struct{}
 
 // Round implements Rounder.
-func (F16) Round(data []float64) {
-	parallel.For(len(data), parGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = quant.FP16FromFloat(data[i]).Float()
-		}
-	})
+func (F16) Round(data []float64) { forChunks(data, roundF16) }
+
+func roundF16(chunk []float64) {
+	for i, v := range chunk {
+		chunk[i] = quant.FP16FromFloat(v).Float()
+	}
 }
 
 // Name implements Rounder.
@@ -123,9 +133,11 @@ func (Int8) Round(data []float64) {
 	// Calibration is a sequential min/max scan (its result is
 	// order-independent); the per-element round-trip parallelizes.
 	p := quant.CalibrateAffine(data)
-	parallel.For(len(data), parGrain, func(lo, hi int) {
-		p.RoundTripInPlace(data[lo:hi])
-	})
+	if len(data) <= parGrain {
+		p.RoundTripInPlace(data) // as forChunks, without the method value
+		return
+	}
+	forChunks(data, p.RoundTripInPlace)
 }
 
 // Name implements Rounder.

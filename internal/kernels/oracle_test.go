@@ -502,6 +502,18 @@ func TestRoundersMatchScalarOracle(t *testing.T) {
 	}
 }
 
+// TestSubGrainRoundAllocatesNothing: a slice of one chunk is rounded where it
+// is — DCT8x8 rounds each 8×8 block, and parallel.For's closure was an
+// allocation per block.
+func TestSubGrainRoundAllocatesNothing(t *testing.T) {
+	data := make([]float64, 64)
+	for _, r := range []Rounder{F32{}, F16{}, Int8{}} {
+		if n := testing.AllocsPerRun(100, func() { r.Round(data) }); n != 0 {
+			t.Errorf("%s: %v allocations for 64 elements", r.Name(), n)
+		}
+	}
+}
+
 // FuzzInt8Round: the fused float-only round trip equals calibration followed
 // by QuantizeOne / DequantizeOne through the int8 codes, on arbitrary bit
 // patterns.

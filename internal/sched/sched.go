@@ -64,32 +64,37 @@ func (c *Context) Rand() *rand.Rand { return rand.New(rand.NewSource(c.Seed)) }
 // the unfiltered set come back — assignments must land somewhere, and the
 // dispatch failure there surfaces the real error.
 func (c *Context) Eligible() []int {
-	var accel, accelOK, anyOK []int
-	for i, d := range c.Reg.Devices() {
-		q := c.quarantined(i)
-		if d.Kind() != device.CPU {
-			accel = append(accel, i)
-			if !q {
-				accelOK = append(accelOK, i)
-			}
+	t := c.tier()
+	var idx []int
+	for i := range c.Reg.Devices() {
+		if c.inTier(t, i) {
+			idx = append(idx, i)
 		}
-		if !q {
-			anyOK = append(anyOK, i)
-		}
-	}
-	switch {
-	case len(accelOK) > 0:
-		return accelOK
-	case len(anyOK) > 0:
-		return anyOK
-	case len(accel) > 0:
-		return accel
-	}
-	idx := make([]int, c.Reg.Len())
-	for i := range idx {
-		idx[i] = i
 	}
 	return idx
+}
+
+// tier is the first of Eligible's tiers that has a member: 0 healthy
+// accelerators, 1 healthy devices, 2 accelerators, 3 every device.
+func (c *Context) tier() int {
+	t := 3
+	for i, d := range c.Reg.Devices() {
+		switch accel, ok := d.Kind() != device.CPU, !c.quarantined(i); {
+		case accel && ok:
+			return 0
+		case ok:
+			t = 1
+		case accel && t > 2:
+			t = 2
+		}
+	}
+	return t
+}
+
+// inTier reports whether queue i belongs to tier t.
+func (c *Context) inTier(t, i int) bool {
+	accel, ok := c.Reg.Get(i).Kind() != device.CPU, !c.quarantined(i)
+	return t == 3 || (t == 0 && accel && ok) || (t == 1 && ok) || (t == 2 && accel)
 }
 
 // EligibleFor returns the eligible queues whose device registered an HLOP
@@ -119,15 +124,8 @@ func (c *Context) EligibleFor(op vop.Opcode) []int {
 func (c *Context) StealableVictim(v int) bool { return !c.quarantined(v) }
 
 // IsEligible reports whether queue i belongs to the kernel-eligible device
-// set (see Eligible).
-func (c *Context) IsEligible(i int) bool {
-	for _, e := range c.Eligible() {
-		if e == i {
-			return true
-		}
-	}
-	return false
-}
+// set (see Eligible). Every steal check asks, so it builds no slice.
+func (c *Context) IsEligible(i int) bool { return c.inTier(c.tier(), i) }
 
 // MostAccurate returns the eligible queue with the lowest accuracy rank.
 func (c *Context) MostAccurate() int {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shmt/internal/device"
@@ -448,4 +449,64 @@ func TestRandDeterministic(t *testing.T) {
 	}
 	_ = rand.Int // keep the import honest if helpers change
 	_ = tensor.Region{}
+}
+
+// eligibleBySlices is Eligible as it was written before IsEligible stopped
+// building slices: the oracle for the tier arithmetic.
+func eligibleBySlices(c *Context) []int {
+	var accel, accelOK, anyOK []int
+	for i, d := range c.Reg.Devices() {
+		q := c.quarantined(i)
+		if d.Kind() != device.CPU {
+			accel = append(accel, i)
+			if !q {
+				accelOK = append(accelOK, i)
+			}
+		}
+		if !q {
+			anyOK = append(anyOK, i)
+		}
+	}
+	switch {
+	case len(accelOK) > 0:
+		return accelOK
+	case len(anyOK) > 0:
+		return anyOK
+	case len(accel) > 0:
+		return accel
+	}
+	idx := make([]int, c.Reg.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// TestEligibleMatchesTheSliceOracle: over every quarantine pattern of a CPU
+// + accelerators registry, of an accelerator-only one and of a CPU alone,
+// Eligible returns the oracle's set in its order, IsEligible is membership in
+// it, and IsEligible allocates nothing.
+func TestEligibleMatchesTheSliceOracle(t *testing.T) {
+	accelOnly, err := device.NewRegistry(gpu.New(gpu.Config{}), tpu.New(tpu.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuOnly, _ := device.NewRegistry(cpu.New(1))
+	for _, reg := range []*device.Registry{testCtx(t).Reg, accelOnly, cpuOnly} {
+		for mask := 0; mask < 1<<reg.Len(); mask++ {
+			ctx := &Context{Reg: reg, Quarantined: func(i int) bool { return mask>>i&1 == 1 }}
+			want := eligibleBySlices(ctx)
+			if got := ctx.Eligible(); !slices.Equal(got, want) {
+				t.Fatalf("%d devices, quarantine mask %b: eligible %v, want %v", reg.Len(), mask, got, want)
+			}
+			for i := 0; i < reg.Len(); i++ {
+				if got := ctx.IsEligible(i); got != slices.Contains(want, i) {
+					t.Fatalf("%d devices, quarantine mask %b: IsEligible(%d) = %v, eligible %v", reg.Len(), mask, i, got, want)
+				}
+			}
+			if n := testing.AllocsPerRun(10, func() { ctx.IsEligible(0) }); n != 0 {
+				t.Fatalf("IsEligible allocates %v times", n)
+			}
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"shmt"
 	"shmt/internal/telemetry"
+	"shmt/internal/tensor"
 	"shmt/internal/wire"
 )
 
@@ -39,6 +40,8 @@ type Server struct {
 	started  time.Time
 	flight   *telemetry.FlightRecorder
 	logger   *slog.Logger
+	// onRelease (tests only) sees a request's tensors just before they are recycled.
+	onRelease func(inputs []*tensor.Matrix, dst *tensor.Matrix)
 }
 
 // New builds a server around be. Call Listen then Serve; Shutdown drains.
@@ -274,9 +277,29 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// (other tenants' requests included) it would have been coalesced into.
 	v, err := req.VOP()
 	if err != nil {
+		req.Release()
 		fail(http.StatusBadRequest, "invalid", err.Error())
 		return
 	}
+	// The request's tensors — decoded inputs, and the output the engine is
+	// about to fill — return to the free list on every exit where nothing can
+	// still be reading them: the round has answered, or the request never
+	// joined one. A wait that ctx ended may have left it queued or mid-round,
+	// so those are left to the collector (DESIGN.md §11 has the table).
+	var dst *tensor.Matrix
+	if !v.Op.IsReduction() {
+		dst = tensor.Recycled(v.OutputShape())
+	}
+	abandoned := false
+	defer func() {
+		if !abandoned {
+			if s.onRelease != nil {
+				s.onRelease(v.Inputs, dst)
+			}
+			req.Release()
+			tensor.Recycle(dst)
+		}
+	}()
 	if s.cfg.Tracing {
 		stages.Decode = time.Since(start).Seconds()
 	}
@@ -295,9 +318,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := arrival.Submit(ctx, shmt.BatchRequest{
-		Op: v.Op, Inputs: v.Inputs, Attrs: req.Attrs,
+		Op: v.Op, Inputs: v.Inputs, Attrs: req.Attrs, Dst: dst,
 		TraceID: traceID, Tenant: tenantLabel, DeadlinePressure: pressure,
 	})
+	abandoned = errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrQueueFull):

@@ -23,14 +23,24 @@ import (
 // Buckets are powers of two: bucket b serves requests of up to 1<<b
 // elements and every pooled buffer in it has capacity ≥ 1<<b, so a Get can
 // always reslice a pooled buffer to the requested length.
+//
+// The same rule governs the FreeList at the end of this file, which holds what
+// is too large to leave to a sync.Pool — the collector empties one, and each
+// miss is then megabytes to allocate again: a served request's tensors
+// (Recycled / Recycle) and internal/wire's body buffers. A tensor is recycled
+// only where its last reader is provably done; a request abandoned mid-round
+// is left to the collector.
 
 const arenaBuckets = 48 // 1<<47 elements ≫ any addressable tensor
 
 var (
-	floatPools   [arenaBuckets]sync.Pool // holds []float64
+	floatPools   [arenaBuckets]sync.Pool // holds *[]float64: a pointer, so that a Put boxes nothing
 	complexPools [arenaBuckets]sync.Pool // holds []complex128
 	matrixPools  [arenaBuckets]sync.Pool // holds *Matrix
 )
+
+// floatHeaders holds the *[]float64 a GetFloats has emptied, for the next Put.
+var floatHeaders = sync.Pool{New: func() any { return new([]float64) }}
 
 // Arena hit/miss accounting. The label pointers are resolved once here so the
 // hot path is a single gated atomic add per Get.
@@ -72,7 +82,11 @@ func GetFloats(n int) []float64 {
 	}
 	if v := floatPools[b].Get(); v != nil {
 		arenaHit(arenaFloatHits, int64(n)*8)
-		return v.([]float64)[:n]
+		p := v.(*[]float64)
+		s := (*p)[:n]
+		*p = nil
+		floatHeaders.Put(p)
+		return s
 	}
 	arenaMiss(arenaFloatMisses, int64(n)*8)
 	return make([]float64, n, 1<<b)
@@ -86,7 +100,9 @@ func PutFloats(s []float64) {
 		return
 	}
 	if b := bucketFloor(c); b < arenaBuckets {
-		floatPools[b].Put(s[:0:c])
+		p := floatHeaders.Get().(*[]float64)
+		*p = s[:0:c]
+		floatPools[b].Put(p)
 	}
 }
 
@@ -181,5 +197,71 @@ func PutMatrix(m *Matrix) {
 func clearFloats(s []float64) {
 	for i := range s {
 		s[i] = 0
+	}
+}
+
+// FreeList is a bounded free list of *T buffers in power-of-two size classes:
+// class c keeps at most eight buffers, each of capacity ≥ 1<<c bytes, for the
+// life of the process, and none above MaxKeptBytes (1<<24), so what a request
+// allocates does not depend on when the collector last ran and one huge
+// request pins nothing.
+type FreeList[T any] [25]chan *T
+
+// MaxKeptBytes is the largest capacity a FreeList keeps.
+const MaxKeptBytes = 16 << 20
+
+// NewFreeList returns an empty free list.
+func NewFreeList[T any]() *FreeList[T] {
+	f := new(FreeList[T])
+	for c := range f {
+		f[c] = make(chan *T, 8)
+	}
+	return f
+}
+
+// Get returns a kept buffer of at least size bytes, or nil, and the capacity
+// to allocate on a miss for the buffer to come back to the same class.
+func (f *FreeList[T]) Get(size int) (x *T, capacity int) {
+	c := bucketCeil(max(size, 1))
+	if c >= len(f) {
+		return nil, size // never kept: no class to round up to
+	}
+	select {
+	case x = <-f[c]:
+	default:
+	}
+	return x, 1 << c
+}
+
+// Put keeps x, whose capacity is capacity bytes, if its class has room.
+func (f *FreeList[T]) Put(x *T, capacity int) {
+	if capacity <= 0 || capacity > MaxKeptBytes {
+		return
+	}
+	select {
+	case f[bucketFloor(capacity)] <- x:
+	default:
+	}
+}
+
+var recycled = NewFreeList[Matrix]()
+
+// Recycled returns a dense rows×cols matrix (rows, cols ≥ 0) from the free
+// list, with unspecified contents.
+func Recycled(rows, cols int) *Matrix {
+	n := rows * cols
+	m, capacity := recycled.Get(n * ElemSize)
+	if m == nil {
+		m = &Matrix{Data: make([]float64, n, capacity/ElemSize)}
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
+}
+
+// Recycle returns to the free list a matrix nothing reads any more: one from
+// Recycled, or any the caller exclusively owns. nil and views are ignored.
+func Recycle(m *Matrix) {
+	if m != nil && !m.view {
+		recycled.Put(m, cap(m.Data)*ElemSize)
 	}
 }

@@ -100,3 +100,96 @@ func TestCopyOutStillCorrectFromArena(t *testing.T) {
 	}
 	PutMatrix(blk)
 }
+
+// TestFreeListClasses: a buffer comes back for any request its class covers,
+// the miss capacity is the one that returns a buffer to the class it was asked
+// from, and neither an oversize buffer nor a ninth of a class is kept.
+func TestFreeListClasses(t *testing.T) {
+	f := NewFreeList[Matrix]()
+	if x, c := f.Get(3000); x != nil || c != 4096 {
+		t.Fatalf("empty list: %v, capacity %d", x, c)
+	}
+	a := new(Matrix)
+	f.Put(a, 4096+500) // class 12: capacity ≥ 4096
+	if x, _ := f.Get(4097); x != nil {
+		t.Fatal("a 4596-byte buffer served a class it may not fill")
+	}
+	if x, c := f.Get(2049); x != a || c != 4096 {
+		t.Fatalf("got %p capacity %d, want %p 4096", x, c, a)
+	}
+	if x, _ := f.Get(2049); x != nil {
+		t.Fatal("the buffer was handed out twice")
+	}
+
+	f.Put(a, MaxKeptBytes+1)
+	f.Put(a, 0)
+	if x, c := f.Get(MaxKeptBytes + 1); x != nil || c != MaxKeptBytes+1 {
+		t.Fatalf("oversize: %v, capacity %d", x, c)
+	}
+	if x, c := f.Get(MaxKeptBytes); x != nil || c != MaxKeptBytes {
+		t.Fatalf("an oversize or empty buffer was kept: %v, capacity %d", x, c)
+	}
+
+	for i := 0; i < cap(f[6])+3; i++ {
+		f.Put(new(Matrix), 64)
+	}
+	n := 0
+	for x, _ := f.Get(64); x != nil; x, _ = f.Get(64) {
+		n++
+	}
+	if n != cap(f[6]) {
+		t.Fatalf("class kept %d buffers, want %d", n, cap(f[6]))
+	}
+}
+
+// TestRecycledMatrix: what Recycle takes, Recycled hands out again at any
+// shape of its class, and nil and views never enter the list.
+func TestRecycledMatrix(t *testing.T) {
+	const rows, cols = 37, 41 // 1517 elements: class 2048
+	for i := 0; i < cap(recycled[0]); i++ {
+		Recycled(rows, cols) // empty the class of what other tests left
+	}
+	m := Recycled(rows, cols)
+	if m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols || cap(m.Data) != 2048 || m.IsView() {
+		t.Fatalf("%dx%d, len %d cap %d", m.Rows, m.Cols, len(m.Data), cap(m.Data))
+	}
+	v, err := m.View(Region{Row: 1, Col: 1, Height: 2, Width: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Recycle(nil)
+	Recycle(v)
+	if got := Recycled(rows, cols); got == v {
+		t.Fatal("a view was recycled")
+	}
+	Recycle(m)
+	if got := Recycled(33, 33); got != m || got.Rows != 33 || len(got.Data) != 33*33 {
+		t.Fatalf("got %p (%dx%d), want %p reshaped", got, got.Rows, got.Cols, m)
+	}
+	if e := Recycled(0, 5); e.Rows != 0 || e.Cols != 5 || len(e.Data) != 0 {
+		t.Fatalf("empty: %dx%d len %d", e.Rows, e.Cols, len(e.Data))
+	}
+	huge := Recycled(1, MaxKeptBytes/ElemSize+1)
+	if cap(huge.Data) != len(huge.Data) {
+		t.Fatalf("oversize: cap %d for %d elements", cap(huge.Data), len(huge.Data))
+	}
+	Recycle(huge)
+	if got := Recycled(1, MaxKeptBytes/ElemSize+1); got == huge {
+		t.Fatal("an oversize matrix was kept")
+	}
+}
+
+// TestPutFloatsBoxesNothing: a Put/Get cycle of the float arena allocates
+// nothing — the slice header travels in a recycled pointer.
+func TestPutFloatsBoxesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	s := GetFloats(100)
+	if n := testing.AllocsPerRun(100, func() {
+		PutFloats(s)
+		s = GetFloats(100)
+	}); n != 0 {
+		t.Fatalf("%v allocations per cycle", n)
+	}
+}

@@ -193,6 +193,11 @@ type VOP struct {
 	Inputs []*tensor.Matrix
 	Attrs  map[string]float64
 
+	// Dst, when non-nil, receives the output of an opcode that is not a
+	// reduction: a dense matrix of its shape nothing else reads, overwritten
+	// and returned as the report's Output. With nil the engine allocates one.
+	Dst *tensor.Matrix
+
 	// CriticalFraction is the application-provided top-K% hint for QAWS's
 	// application-dependent policy (§3.5): the fraction of input partitions
 	// that are generally critical to the result. Zero means "use the policy

@@ -62,7 +62,8 @@ var (
 )
 
 // DecodeRequest decodes a /v1/execute request body. Nothing in the result
-// aliases body.
+// aliases body; its inputs' tensors come from the free list Release returns
+// them to.
 func DecodeRequest(body []byte) (*Request, error) {
 	s := scanner{b: body}
 	return s.request()
@@ -101,6 +102,7 @@ func (s *scanner) request() (*Request, error) {
 			s.haveOp = true
 		case "inputs":
 			req.Inputs, err = s.matrices()
+			req.tensors = s.tensors
 			haveInputs = true
 		case "attrs":
 			start := s.i
@@ -115,6 +117,7 @@ func (s *scanner) request() (*Request, error) {
 		return err
 	})
 	if err != nil && !errors.Is(err, errHead) {
+		req.Release() // the inputs converted before the fault
 		return nil, err
 	}
 	return req, nil
@@ -131,9 +134,10 @@ type scanner struct {
 
 	haveOp bool // head: the op key has been read
 
-	at        []uint32   // index: the data array of the matrix parsed last
-	data      []Elements // index: the data array of every input, in order
-	attrsText []byte     // a request's attrs value as written, nil when absent
+	at        []uint32         // index: the data array of the matrix parsed last
+	tensors   []*tensor.Matrix // convert: the tensor each input's data went into, in order
+	data      []Elements       // index: the data array of every input, in order
+	attrsText []byte           // a request's attrs value as written, nil when absent
 }
 
 // converts reports whether data arrays are converted as well as validated.
@@ -548,12 +552,18 @@ func (s *scanner) matrices() ([]Matrix, error) {
 		return nil, nil
 	}
 	ms := make([]Matrix, 0, maxInputs)
+	if s.converts() {
+		s.tensors = make([]*tensor.Matrix, 0, maxInputs)
+	}
 	err := s.array(func() error {
 		if len(ms) == maxInputs {
 			return s.errf("%w inputs: no opcode takes more than %d", errTooMany, maxInputs)
 		}
 		ms = append(ms, Matrix{})
 		stop := s.head && s.haveOp && len(ms) == 1
+		if s.converts() {
+			s.tensors = append(s.tensors, nil)
+		}
 		err := s.matrix(&ms[len(ms)-1], stop)
 		if s.index {
 			s.data = append(s.data, Elements{body: s.b, at: s.at})
@@ -565,7 +575,7 @@ func (s *scanner) matrices() ([]Matrix, error) {
 
 // matrix parses one matrix object (or null, the zero matrix) and checks its
 // shape: rows and cols non-negative, rows×cols equal to the element count.
-// Data is allocated once, at rows×cols, and only when that many elements can
+// Data is reserved once, at rows×cols, and only when that many elements can
 // fit in the bytes that remain. With stop set it ends in errHead as soon as it
 // has read rows and cols and found them a shape, and the shape of the data
 // array if that came first.
@@ -595,8 +605,7 @@ func (s *scanner) matrix(m *Matrix, stop bool) error {
 				if n, err = tensor.Elements(m.Rows, m.Cols); err != nil {
 					return s.errf("%v", err)
 				}
-				m.Data, err = s.floats(n)
-				return err
+				return s.floats(m, n)
 			}
 			dataAt = s.i
 			if s.index {
@@ -635,7 +644,7 @@ func (s *scanner) matrix(m *Matrix, stop bool) error {
 	if dataAt >= 0 && s.converts() {
 		end := s.i
 		s.i = dataAt
-		m.Data, err = s.floats(n)
+		err = s.floats(m, n)
 		s.i = end
 	}
 	return err
@@ -665,7 +674,11 @@ func (s *scanner) elements(into []float64, at []uint32) (int, []uint32, error) {
 		if into != nil && n == len(into) {
 			return n, at, s.errf("more than the %d elements rows and cols declare", n)
 		}
-		if !(start < len(b) && b[start] == 'n' && s.literal("null")) {
+		if start < len(b) && b[start] == 'n' && s.literal("null") {
+			if into != nil {
+				into[n] = 0 // into is recycled: nothing in it is zero unless written
+			}
+		} else {
 			end, missing := numberEnd(b, start)
 			if s.i = end; missing != "" {
 				return n, at, s.errf("expected %s", missing)
@@ -689,18 +702,24 @@ func (s *scanner) elements(into []float64, at []uint32) (int, []uint32, error) {
 	}
 }
 
-// floats parses a data array that must hold exactly n numbers into a slice
-// allocated once. n elements take at least 2n+1 bytes ("[0,0]"), so a
-// declared shape the rest of the body cannot hold is refused before the
-// allocation.
-func (s *scanner) floats(n int) ([]float64, error) {
+// floats parses m's data array, which must hold exactly n = Rows×Cols numbers,
+// into a tensor from the free list (Request.Release returns it; a fault here
+// returns it at once). n elements take at least 2n+1 bytes ("[0,0]"), so a
+// declared shape the rest of the body cannot hold is refused before anything
+// is reserved for it.
+func (s *scanner) floats(m *Matrix, n int) error {
 	if n > (len(s.b)-s.i)/2 {
-		return nil, s.errf("%d elements declared, %d bytes left", n, len(s.b)-s.i)
+		return s.errf("%d elements declared, %d bytes left", n, len(s.b)-s.i)
 	}
-	data := make([]float64, n)
-	got, _, err := s.elements(data, nil)
+	t := tensor.Recycled(m.Rows, m.Cols)
+	got, _, err := s.elements(t.Data, nil)
 	if err == nil && got != n {
 		err = s.errf("%d elements declared, got %d", n, got)
 	}
-	return data, err
+	if err != nil {
+		tensor.Recycle(t)
+		return err
+	}
+	m.Data, s.tensors[len(s.tensors)-1] = t.Data, t
+	return nil
 }

@@ -2,11 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+
+	"shmt/internal/tensor"
 )
 
 // TestDecodeContract pins the decoder's contract clause by clause, with the
@@ -303,6 +308,117 @@ func TestIndexReply(t *testing.T) {
 	} {
 		if rows, cols, _, err := indexReply([]byte(bad)); err == nil {
 			t.Errorf("accepted %q as %dx%d", bad, rows, cols)
+		}
+	}
+}
+
+// poisoned leaves the free list holding, for rows×cols tensors, exactly the
+// NaN-filled tensors it returns: whatever a decode takes from the list next,
+// it finds no zero in it that it did not write.
+func poisoned(rows, cols int) []*tensor.Matrix {
+	ms := make([]*tensor.Matrix, 8) // a class keeps no more: taking eight empties it
+	for i := range ms {
+		ms[i] = tensor.Recycled(rows, cols)
+		for k := range ms[i].Data {
+			ms[i].Data[k] = math.NaN()
+		}
+	}
+	for _, m := range ms {
+		tensor.Recycle(m)
+	}
+	return ms
+}
+
+// holds reports whether data is the storage of one of ms.
+func holds(ms []*tensor.Matrix, data []float64) bool {
+	for _, m := range ms {
+		if &m.Data[0] == &data[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDecodeIntoRecycledTensors: decoded into tensors that come back from the
+// free list full of NaN, a request reads bit for bit as encoding/json reads it
+// — null elements included, which used to be zero only because make had
+// zeroed the slice.
+func TestDecodeIntoRecycledTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var sb strings.Builder
+	sb.WriteString(`{"op":"relu","inputs":[{"rows":67,"cols":129,"data":[`)
+	for i := 0; i < 67*129; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		if rng.Intn(10) == 0 {
+			sb.WriteString("null")
+		} else {
+			fmt.Fprintf(&sb, "%g", rng.NormFloat64()*1e3)
+		}
+	}
+	sb.WriteString(`]}]}`)
+	for _, tc := range []struct {
+		rows, cols int
+		body       string
+	}{
+		{1, 3, `{"op":"relu","inputs":[{"rows":1,"cols":3,"data":[null,1,null]}]}`},
+		{1, 3, `{"op":"relu","inputs":[{"data":[null , null,null ],"rows":1,"cols":3}]}`},
+		{67, 129, sb.String()},
+	} {
+		ms := poisoned(tc.rows, tc.cols)
+		got, err := DecodeRequest([]byte(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !holds(ms, got.Inputs[0].Data) {
+			t.Fatalf("%dx%d: the input was not decoded into a tensor of the free list", tc.rows, tc.cols)
+		}
+		var want legacyRequest
+		if err := json.Unmarshal([]byte(tc.body), &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRequest(got, &want); err != nil {
+			t.Fatalf("%dx%d: %v", tc.rows, tc.cols, err)
+		}
+		v, err := got.VOP()
+		if err != nil || &v.Inputs[0].Data[0] != &got.Inputs[0].Data[0] {
+			t.Fatalf("the VOP's input is not the decoded tensor: %v", err)
+		}
+		got.Release()
+		got.Release() // the second does nothing
+		if got.Inputs[0].Data != nil || !holds(ms, tensor.Recycled(tc.rows, tc.cols).Data) {
+			t.Fatalf("%dx%d: Release did not return the tensor", tc.rows, tc.cols)
+		}
+	}
+}
+
+// TestDecodeFaultReturnsTheTensors: a request refused after the decoder took
+// tensors for it — a short array, one element too many, a literal beyond
+// float64, a fault in a later input or after the inputs — leaves every one of
+// them back on the free list.
+func TestDecodeFaultReturnsTheTensors(t *testing.T) {
+	const good = `{"rows":2,"cols":2,"data":[1,2,3,4]}`
+	for name, body := range map[string]string{
+		"short array":       `{"op":"relu","inputs":[{"rows":2,"cols":2,"data":[1,2,3]}]}`,
+		"one too many":      `{"op":"relu","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4,5]}]}`,
+		"out of range":      `{"op":"relu","inputs":[{"rows":2,"cols":2,"data":[1,2,1e999,4]}]}`,
+		"bad token":         `{"op":"relu","inputs":[{"rows":2,"cols":2,"data":[1,2,x,4]}]}`,
+		"data first, short": `{"op":"relu","inputs":[{"data":[1,2,3],"rows":2,"cols":2}]}`,
+		"second input":      `{"op":"add","inputs":[` + good + `,{"rows":2,"cols":2,"data":[1,2,3]}]}`,
+		"duplicate key":     `{"op":"add","inputs":[` + good + `,{"rows":2,"cols":2,"data":[1,2,3,4],"rows":2}]}`,
+		"after the inputs":  `{"op":"add","inputs":[` + good + `,` + good + `],"timeout_ms":1.5}`,
+		"trailing bytes":    `{"op":"add","inputs":[` + good + `,` + good + `]} x`,
+		"too many inputs":   `{"op":"add","inputs":[` + strings.Repeat(good+",", maxInputs) + good + `]}`,
+	} {
+		ms := poisoned(2, 2)
+		if req, err := DecodeRequest([]byte(body)); err == nil {
+			t.Fatalf("%s: decoded %+v", name, req)
+		}
+		for range ms {
+			if m := tensor.Recycled(2, 2); !holds(ms, m.Data) {
+				t.Fatalf("%s: a tensor the decoder took did not come back", name)
+			}
 		}
 	}
 }

@@ -271,6 +271,8 @@ var numberBodies = []string{
 	`{"op":"add","inputs":[{"rows":1,"cols":3,"data":[0.1234567x,0.12345678,0.123456789]}]}`,
 	`{"op":"add","inputs":[{"rows":1,"cols":3,"data":[0.12345678/,0.1234567:,1]}]}`,
 	`{"op":"add","inputs":[{"rows":2,"cols":3,"data":[null,1,null,null,2,null]}]}`,
+	`{"op":"add","inputs":[{"rows":1,"cols":3,"data":[null,1,null]}]}`,
+	`{"op":"add","inputs":[{"data":[null ,null, 1e0,null],"cols":2,"rows":2},{"rows":2,"cols":2,"data":[null,null,null,null]}]}`,
 	`{"op":"add","inputs":[{"rows":1,"cols":2,"data":[nul,1]}]}`,
 	"{\"op\":\"add\",\"inputs\":[{\"rows\":1,\"cols\":4,\"data\":[1 ,2, 3\t,\n4]}]}",
 	"{\"op\":\"add\",\"inputs\":[{\"rows\":1,\"cols\":2,\"data\":[1,\x0b2]}]}",

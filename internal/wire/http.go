@@ -10,60 +10,56 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"shmt/internal/core"
 	"shmt/internal/tensor"
 )
 
-// Body buffers are recycled through a bounded free list, so a steady stream
-// of equal-sized tensors reads and encodes without allocating. A sync.Pool was
-// measured in its place (DESIGN.md, "Wire format"): each buffer the collector
-// drops from it is megabytes to allocate again, which cost 5 % more bytes per
-// request on serve_wire and cluster_mixed in ten of ten pairs and spread
-// alloc_mb_per_op wider from run to run than the 3 % the benchmark allows it
-// to move. The price is memory the process keeps: at most cap(buffers)
-// buffers of at most maxPooledBytes each; a buffer that grew beyond that is
-// not kept, so one huge request pins nothing.
-const maxPooledBytes = 16 << 20
+// Body buffers are recycled through a bounded free list (tensor.FreeList, the
+// one that also holds a request's tensors), so a steady stream of tensors reads
+// and encodes without allocating. A sync.Pool was measured in its place
+// (DESIGN.md, "Wire format"): each buffer the collector drops from it is
+// megabytes to allocate again, which cost 5 % more bytes per request on
+// serve_wire and cluster_mixed in ten of ten pairs and spread alloc_mb_per_op
+// wider from run to run than the 3 % the benchmark allows it to move. The
+// price is memory the process keeps: a bounded number of buffers per size
+// class, none above maxPooledBytes, so one huge request pins nothing.
+const maxPooledBytes = tensor.MaxKeptBytes
 
-var buffers = make(chan *bytes.Buffer, 8)
+var buffers = tensor.NewFreeList[bytes.Buffer]()
 
-func getBuffer() *bytes.Buffer {
-	select {
-	case buf := <-buffers:
-		return buf
-	default:
-		return new(bytes.Buffer)
+// getBuffer returns an empty buffer with room for size bytes, or for
+// maxPooledBytes of them: a larger body grows its buffer as it arrives.
+func getBuffer(size int) *bytes.Buffer {
+	buf, capacity := buffers.Get(min(max(size, bytes.MinRead), maxPooledBytes))
+	if buf == nil {
+		buf = new(bytes.Buffer)
+		buf.Grow(capacity)
 	}
+	return buf
 }
 
 func putBuffer(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledBytes {
-		return
-	}
 	buf.Reset()
-	select {
-	case buffers <- buf:
-	default:
-	}
+	buffers.Put(buf, buf.Cap())
 }
 
-// fill reads r to its end into buf, grown first to length (the
-// Content-Length, -1 when unknown) so that a body of known size is read into
-// one allocation at most — of known size up to maxPooledBytes, that is: the
-// length is the sender's claim, and a connection that declares 256 MiB and
-// sends nothing must not reserve them. ReadFrom grows the buffer for the bytes
-// of a larger body as they arrive.
-func fill(buf *bytes.Buffer, r io.Reader, length int64) error {
-	if length > 0 {
-		// ReadFrom wants MinRead spare bytes before it will see the EOF.
-		buf.Grow(int(min(length, maxPooledBytes)) + bytes.MinRead)
-	}
+// fill reads r to its end into a buffer from the free list, sized first to
+// length (the Content-Length, -1 when unknown) so that a body of known size is
+// read into one allocation at most — of known size up to maxPooledBytes, that
+// is: the length is the sender's claim, and a connection that declares 256 MiB
+// and sends nothing must not reserve them. ReadFrom grows the buffer for the
+// bytes of a larger body as they arrive.
+func fill(r io.Reader, length int64) (*bytes.Buffer, error) {
+	// ReadFrom wants MinRead spare bytes before it will see the EOF.
+	buf := getBuffer(int(min(max(length, 0), maxPooledBytes)) + bytes.MinRead)
 	if _, err := buf.ReadFrom(r); err != nil {
-		return fmt.Errorf("read body: %w", err)
+		putBuffer(buf)
+		return nil, fmt.Errorf("read body: %w", err)
 	}
-	return nil
+	return buf, nil
 }
 
 // limitBody caps r's body at limit bytes; a body that declares more is
@@ -86,49 +82,89 @@ func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (*Request,
 	if err != nil {
 		return nil, err
 	}
-	buf := getBuffer()
-	defer putBuffer(buf)
-	if err := fill(buf, body, r.ContentLength); err != nil {
+	buf, err := fill(body, r.ContentLength)
+	if err != nil {
 		return nil, err
 	}
+	defer putBuffer(buf)
 	return DecodeRequest(buf.Bytes())
 }
 
-// ReadBody reads a /v1/execute request body of at most MaxBodyBytes for a
-// caller that forwards the bytes. The slice is the caller's to keep: an HTTP
-// transport may still be sending it after the reply has come back, so it is
-// never recycled.
-func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// Body is a request body held as text, in a recycled buffer, for a caller
+// that forwards it. An HTTP transport may still be sending a body after the
+// reply has come back, and closes it when it is done with it — the one signal
+// net/http documents for reusing a body — so a Body counts the readers handed
+// out and not yet closed, and its buffer goes back to the free list at the
+// caller's Release or the last Close, whichever comes last.
+type Body struct {
+	buf     *bytes.Buffer
+	readers atomic.Int32 // open readers; -1 once released and recycled
+}
+
+// ReadBody reads a request body of at most MaxBodyBytes. The caller releases
+// it.
+func ReadBody(w http.ResponseWriter, r *http.Request) (*Body, error) {
 	body, err := limitBody(w, r, MaxBodyBytes)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := fill(&buf, body, r.ContentLength); err != nil {
+	buf, err := fill(body, r.ContentLength)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return &Body{buf: buf}, nil
 }
 
-// NewPost builds the POST of body — a request AppendPartition wrote — to url,
-// with timeout_ms as the request's last member. body is only read, so the
-// attempts of a failover share one copy; the transport may still be sending it
-// when an attempt has already failed, which is why it is never recycled.
-func NewPost(ctx context.Context, url string, body []byte, timeoutMs int) (*http.Request, error) {
-	head := body[:len(body)-1] // reopen the object
-	tail := strconv.AppendInt([]byte(`,"timeout_ms":`), int64(timeoutMs), 10)
-	tail = append(tail, '}')
+// Bytes is the body's text, valid until Release.
+func (b *Body) Bytes() []byte { return b.buf.Bytes() }
+
+// Release ends the caller's hold (and, from a reader's Close, that reader's).
+// The caller's must follow the return of the last client.Do of a request
+// NewPost built on this body: a transport asks GetBody for readers only
+// within it.
+func (b *Body) Release() {
+	if b.readers.Add(-1) < 0 {
+		putBuffer(b.buf)
+	}
+}
+
+// bodyReader is one transport's read of a Body.
+type bodyReader struct {
+	io.Reader
+	body   *Body
+	closed atomic.Bool // net/http may close a body more than once
+}
+
+func (r *bodyReader) Close() error {
+	if !r.closed.Swap(true) {
+		r.body.Release()
+	}
+	return nil
+}
+
+// NewPost builds the POST to url of the request in body — a client's, or a
+// partition of one — with timeout_ms as its last member when timeoutMs is
+// positive. The body is only read, so the attempts of a failover share one
+// copy.
+func NewPost(ctx context.Context, url string, body *Body, timeoutMs int) (*http.Request, error) {
+	text, tail := body.Bytes(), []byte(nil)
+	if timeoutMs > 0 {
+		text = text[:len(text)-1] // reopen the object
+		tail = append(strconv.AppendInt([]byte(`,"timeout_ms":`), int64(timeoutMs), 10), '}')
+	}
 	getBody := func() (io.ReadCloser, error) {
-		return io.NopCloser(io.MultiReader(bytes.NewReader(head), bytes.NewReader(tail))), nil
+		body.readers.Add(1)
+		return &bodyReader{Reader: io.MultiReader(bytes.NewReader(text), bytes.NewReader(tail)), body: body}, nil
 	}
 	rc, _ := getBody()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, rc)
 	if err != nil {
+		rc.Close()
 		return nil, err
 	}
 	// What NewRequest works out for a bytes.Reader: the length, and the means
 	// to send the body again when a kept-alive connection turns out closed.
-	req.ContentLength = int64(len(head) + len(tail))
+	req.ContentLength = int64(len(text) + len(tail))
 	req.GetBody = getBody
 	req.Header.Set("Content-Type", "application/json")
 	return req, nil
@@ -144,17 +180,16 @@ type Reply struct {
 
 // ReadReply reads and indexes a backend's 200 reply. The caller releases it.
 func ReadReply(resp *http.Response) (*Reply, error) {
-	buf := getBuffer()
-	err := fill(buf, resp.Body, resp.ContentLength)
-	if err == nil {
-		var rep Reply
-		if rep.Rows, rep.Cols, rep.Data, err = indexReply(buf.Bytes()); err == nil {
-			rep.buf = buf
-			return &rep, nil
-		}
+	buf, err := fill(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, err
 	}
-	putBuffer(buf)
-	return nil, err
+	rep := Reply{buf: buf}
+	if rep.Rows, rep.Cols, rep.Data, err = indexReply(buf.Bytes()); err != nil {
+		putBuffer(buf)
+		return nil, err
+	}
+	return &rep, nil
 }
 
 // Release recycles the reply's buffer; Data is dead afterwards. A nil reply
@@ -179,13 +214,12 @@ type Part struct {
 // place, a band of whole rows in one copy, tiles row by row, and the bytes are
 // the ones WriteResponse encodes for the gathered tensor.
 func WriteGathered(w http.ResponseWriter, rows, cols int, parts []Part, makespanSeconds float64) {
-	buf := getBuffer()
-	defer putBuffer(buf)
 	size := 128
 	for _, p := range parts {
 		size += p.Reply.buf.Len()
 	}
-	buf.Grow(size)
+	buf := getBuffer(size)
+	defer putBuffer(buf)
 	b := appendMatrixHead(append(buf.AvailableBuffer(), `{"output":`...), rows, cols)
 	for i := 0; i < len(parts); {
 		band := parts[i:]
@@ -289,12 +323,11 @@ func WriteResponse(w http.ResponseWriter, op string, resp *Response) error {
 		WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return err
 	}
-	buf := getBuffer()
-	defer putBuffer(buf)
 	// An element is at most maxFloatLen bytes and its comma. The reservation
 	// stops at what the free list keeps: a large reply of short numbers fits
 	// in less, and one that does not grows the buffer chunk by chunk below.
-	buf.Grow(min(128+len(data)*(maxFloatLen+1), maxPooledBytes))
+	buf := getBuffer(128 + len(data)*(maxFloatLen+1))
+	defer putBuffer(buf)
 	b := appendMatrixHead(append(buf.AvailableBuffer(), `{"output":`...), resp.Output.Rows, resp.Output.Cols)
 	switch {
 	case data == nil:

@@ -122,16 +122,28 @@ func IndexRequest(body []byte) (*IndexedRequest, error) {
 	return &IndexedRequest{Request: req, Data: s.data, attrs: s.attrsText}, nil
 }
 
+// partitionBytes bounds what AppendPartition appends for regs.
+func (r *IndexedRequest) partitionBytes(regs []tensor.Region) int {
+	need := 64 + len(r.attrs)
+	for k, reg := range regs {
+		need += 64 + r.Data[k].regionBytes(r.Inputs[k].Cols, reg)
+	}
+	return need
+}
+
+// Partition is AppendPartition into a recycled buffer. The caller releases it.
+func (r *IndexedRequest) Partition(op vop.Opcode, regs []tensor.Region) *Body {
+	buf := getBuffer(r.partitionBytes(regs))
+	buf.Write(r.AppendPartition(buf.AvailableBuffer(), op, regs))
+	return &Body{buf: buf}
+}
+
 // AppendPartition appends the request that asks a backend for one partition
 // of r: op over region regs[k] of input k, every element the client's own
 // text, attrs as the client wrote them. It carries no timeout_ms; NewPost adds
 // one per attempt.
 func (r *IndexedRequest) AppendPartition(dst []byte, op vop.Opcode, regs []tensor.Region) []byte {
-	need := 64 + len(r.attrs)
-	for k, reg := range regs {
-		need += 64 + r.Data[k].regionBytes(r.Inputs[k].Cols, reg)
-	}
-	dst = slices.Grow(dst, need)
+	dst = slices.Grow(dst, r.partitionBytes(regs))
 	dst = append(dst, `{"op":"`...)
 	dst = append(dst, op.String()...) // an identifier: nothing to escape
 	dst = append(dst, `","inputs":[`...)

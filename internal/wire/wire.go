@@ -63,6 +63,8 @@ type Request struct {
 	Inputs    []Matrix           `json:"inputs"`
 	Attrs     map[string]float64 `json:"attrs,omitempty"`
 	TimeoutMs int                `json:"timeout_ms,omitempty"`
+	// tensors[i] is the free-list tensor DecodeRequest put Inputs[i].Data in.
+	tensors []*tensor.Matrix
 }
 
 // Response is the /v1/execute response body. Clients may rely on the key
@@ -134,12 +136,27 @@ func (r *Request) VOP() (*vop.VOP, error) {
 	}
 	inputs := make([]*tensor.Matrix, len(r.Inputs))
 	for i, m := range r.Inputs {
+		if i < len(r.tensors) && r.tensors[i] != nil { // decoded, and checked, as this very tensor
+			inputs[i] = r.tensors[i]
+			continue
+		}
 		if inputs[i], err = tensor.FromSlice(m.Rows, m.Cols, m.Data); err != nil {
 			return nil, fmt.Errorf("input %d: %w", i, err)
 		}
 	}
 	v := &vop.VOP{Op: op, Inputs: inputs, Attrs: r.Attrs}
 	return v, v.Validate()
+}
+
+// Release returns a decoded request's input tensors to the free list; their
+// Data, and a VOP built from them, are dead afterwards. Forgetting it is safe,
+// calling it before the last reader is done never is; a second call is a no-op.
+func (r *Request) Release() {
+	for i, t := range r.tensors {
+		tensor.Recycle(t)
+		r.Inputs[i].Data = nil
+	}
+	r.tensors = nil
 }
 
 // Timeout turns a request's timeout_ms into its deadline: the tier's maximum
