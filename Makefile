@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build gencheck test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet clean
+.PHONY: all check build gencheck test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
 
 all: check
 
@@ -13,11 +13,12 @@ all: check
 # telemetry overhead benchmark so instrumentation cost stays visible, the
 # datapath benchmark so the zero-copy partition/aggregate path can't regress
 # silently, the planning-overhead benchmark so plan-cache replay keeps paying
-# for itself, the staging-overlap benchmark so async input prefetch keeps
-# beating dispatch-time staging, a short fuzz of the /v1/execute decoder
-# against encoding/json and of the header sanitisers, the end-to-end
-# harness's own vet and tests (a nested module that imports internal/
-# packages, so the root `go test ./...` cannot see it break), the serving smoke test so shmtserved's coalescing/drain path
+# for itself, the staging-overlap benchmark so the resident operand cache
+# keeps beating per-HLOP staging, a short fuzz of the /v1/execute decoder
+# against encoding/json, of the header sanitisers and of the -chaos grammar,
+# the end-to-end harness's own vet and tests (a nested module that imports
+# internal/ packages, so the root `go test ./...` cannot see it break), the
+# serving smoke test so shmtserved's coalescing/drain path
 # stays live, and the cluster smoke test so the router tier's
 # failover/re-admission path stays live. CI (.github/workflows/ci.yml) runs
 # exactly these stages.
@@ -53,8 +54,9 @@ race:
 # decoder, the router's index and the partitions it splices against the
 # decoder, the reply's float writer (FuzzAppendFloat) against encoding/json on
 # raw bit patterns, the two header sanitisers (tenant, trace ID) both tiers
-# apply at admission, and the fused INT8 round trip against calibration plus
-# QuantizeOne / DequantizeOne on arbitrary bit patterns. (go test takes one
+# apply at admission, the fused INT8 round trip against calibration plus
+# QuantizeOne / DequantizeOne on arbitrary bit patterns, and the -chaos fault
+# plan grammar (every accepted plan finite and in range). (go test takes one
 # -fuzz target per run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
@@ -64,6 +66,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTenant$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTraceID$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzInt8Round$$' -fuzztime=10s ./internal/kernels/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=10s ./internal/chaos/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -101,13 +104,12 @@ benchplan:
 	$(GO) test -run='^$$' -bench='BenchmarkPlanningOverhead/plan' -benchmem \
 		-benchtime=0.3s ./internal/core/
 
-# benchoverlap measures the Edge TPU staging path under both pick loops with
-# input prefetch off (staged) and on: on the default loop "resident" is the
-# shared-operand cache alone (whole HLOPs already run on the host pool), on
-# the concurrent loop "prefetched" adds asynchronous prestaging;
-# BENCH_overlap.json snapshots the result. Each on row must stay faster than
-# its staged row: it is the wall-clock half of the double-buffer story (the
-# virtual-time half lives in the lane model).
+# benchoverlap measures the Edge TPU staging path with the resident
+# shared-operand cache off ("staged") and on ("resident"); whole HLOPs run on
+# the host pool either way. BENCH_overlap.json snapshots the result. The
+# resident row must stay faster than the staged one: it is the wall-clock
+# half of the double-buffer story (the virtual-time half lives in the lane
+# model).
 benchoverlap:
 	$(GO) test -run='^$$' -bench=BenchmarkOverlap -benchmem \
 		-benchtime=0.3s ./internal/core/
@@ -163,7 +165,7 @@ benchdiff:
 # figures-check is the paper-fidelity gate: it regenerates the committed
 # results_all.txt (-exp all) and results_fig9_abl.txt (-exp
 # fig9,ablation,stability) into a temp dir and requires a byte-identical
-# result, with the prefetch ablation's measured "wall ms" column masked. A
+# result, with the resident-cache ablation's measured "wall ms" column masked. A
 # blocking CI job, but not part of `make check`: about five minutes on two
 # CPUs is too slow for the pre-merge loop.
 figures-check:
@@ -192,6 +194,11 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints one number: lines of non-test Go outside benchmarks/, generated
+# files included — the series ROADMAP quotes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' -exec cat {} + | wc -l
 
 clean:
 	$(GO) clean ./...

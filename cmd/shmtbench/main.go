@@ -31,7 +31,6 @@ func main() {
 		side         = flag.Int("side", 2048, "input edge length (the harness virtually scales to the paper's 8192)")
 		seed         = flag.Int64("seed", 1, "workload/sampling seed")
 		partitions   = flag.Int("partitions", 64, "HLOPs per VOP")
-		concurrent   = flag.Bool("concurrent", false, "use the goroutine engine instead of the deterministic one")
 		max64m       = flag.Bool("max64m", false, "extend fig12 to the paper's 64M-element point (slow)")
 		format       = flag.String("format", "text", "output format: text, csv, json")
 		telemetryOut = flag.String("telemetry-out", "", "write per-experiment telemetry counter snapshots (JSON) to this file")
@@ -57,7 +56,7 @@ func main() {
 		}
 	}
 
-	o := bench.Options{Side: *side, Seed: *seed, Partitions: *partitions, Concurrent: *concurrent}
+	o := bench.Options{Side: *side, Seed: *seed, Partitions: *partitions}
 	ids := strings.Split(strings.ToLower(*exp), ",")
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = []string{"table1", "table2", "fig1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table3", "ablation", "stability"}
@@ -156,7 +155,7 @@ func main() {
 				fatal(err)
 			}
 			emit(bench.AblationDatacenterTable(dc))
-			pfd, err := bench.AblationPrefetch(o, nil)
+			pfd, err := bench.AblationPrefetch(o)
 			if err != nil {
 				fatal(err)
 			}

@@ -44,7 +44,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "workload seed")
 		partitions  = flag.Int("partitions", 64, "HLOPs per VOP")
 		rate        = flag.Float64("rate", bench.PaperSamplingRate, "QAWS sampling rate")
-		concurrent  = flag.Bool("concurrent", false, "use the goroutine engine")
 		noScale     = flag.Bool("noscale", false, "disable virtual full-size scaling")
 		trace       = flag.Bool("trace", false, "print the per-HLOP execution trace summary")
 		traceOut    = flag.String("trace-out", "", "write Chrome trace-event JSON (Perfetto) to this file")
@@ -53,7 +52,6 @@ func main() {
 		chaosSpec   = flag.String("chaos", "", `fault-injection plan, e.g. "tpu:die=5;gpu:transient=0.2"`)
 		chaosSeed   = flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
 		planCache   = flag.Bool("plan-cache", false, "enable the memoized execution-plan cache (off by default: single-shot runs measure per-invocation planning)")
-		prefetch    = flag.Int("prefetch", shmt.DefaultPrefetchDepth, "per-device async input-prefetch depth for private-memory devices (0 disables; results are bit-identical at every depth)")
 		list        = flag.Bool("list", false, "list benchmarks and policies, then exit")
 	)
 	flag.Parse()
@@ -76,17 +74,12 @@ func main() {
 	}
 	o := bench.Options{
 		Side: *side, Seed: *seed, Partitions: *partitions,
-		SamplingRate: *rate, NoVirtualScale: *noScale, Concurrent: *concurrent,
+		SamplingRate: *rate, NoVirtualScale: *noScale,
 	}
 
 	cfg := o.SessionConfig(b, shmt.PolicyName(*policy))
 	cfg.RecordTrace = *trace
 	cfg.PlanCache.Disabled = !*planCache
-	if *prefetch <= 0 {
-		cfg.Prefetch.Disabled = true
-	} else {
-		cfg.Prefetch.Depth = *prefetch
-	}
 	if *chaosSpec != "" {
 		cs := *chaosSeed
 		if cs == 0 {

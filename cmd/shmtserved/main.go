@@ -100,7 +100,6 @@ func main() {
 		partitions   = flag.Int("partitions", 64, "HLOPs per VOP")
 		seed         = flag.Int64("seed", 1, "session seed")
 		workers      = flag.Int("workers", 0, "host worker-pool cap (0 = GOMAXPROCS/SHMT_WORKERS)")
-		concurrent   = flag.Bool("concurrent", false, "use the goroutine engine")
 		maxBatch     = flag.Int("max-batch", 16, "max requests coalesced per micro-batch round")
 		maxLinger    = flag.Duration("max-linger", 2*time.Millisecond, "ceiling on how long a round waits for a request whose body is still arriving; an idle server never waits")
 		queueDepth   = flag.Int("queue-depth", 0, "admission queue bound (0 = 4x max-batch); overflow answers 429")
@@ -111,7 +110,6 @@ func main() {
 		chaosSpec    = flag.String("chaos", "", `fault-injection plan, e.g. "tpu:die=5;gpu:transient=0.2"`)
 		chaosSeed    = flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
 		planEntries  = flag.Int("plan-cache-entries", 0, "execution-plan cache LRU capacity (0 = default, negative disables)")
-		prefetch     = flag.Int("prefetch", shmt.DefaultPrefetchDepth, "per-device async input-prefetch depth for private-memory devices (0 disables; results are bit-identical at every depth)")
 		tracing      = flag.Bool("tracing", true, "request-scoped tracing: trace IDs, stage breakdowns, flight recorder, request lanes")
 		flightSize   = flag.Int("flight-recorder", telemetry.DefaultFlightRecorderSize, "flight-recorder ring capacity (traces retained)")
 		slowSLO      = flag.Duration("slow-slo", 100*time.Millisecond, "latency SLO; slower requests are retained in the flight recorder's slow ring (0 disables)")
@@ -137,17 +135,11 @@ func main() {
 		TargetPartitions: *partitions,
 		Seed:             *seed,
 		Workers:          *workers,
-		Concurrent:       *concurrent,
 	}
 	if *planEntries < 0 {
 		cfg.PlanCache.Disabled = true
 	} else {
 		cfg.PlanCache.Entries = *planEntries
-	}
-	if *prefetch <= 0 {
-		cfg.Prefetch.Disabled = true
-	} else {
-		cfg.Prefetch.Depth = *prefetch
 	}
 	cfg.Telemetry.Enabled = true
 	cfg.Telemetry.MetricsAddr = *metricsAddr

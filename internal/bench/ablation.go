@@ -15,7 +15,6 @@ import (
 	"shmt/internal/hlop"
 	"shmt/internal/metrics"
 	"shmt/internal/sched"
-	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -133,39 +132,26 @@ func AblationDatacenter(o Options) ([]AblationDatacenterRow, error) {
 	return rows, nil
 }
 
-// AblationPrefetchRow is one input-prefetch depth setting on the Edge-TPU
-// staging path, under one pick loop.
+// AblationPrefetchRow is the Edge-TPU staging path with the resident
+// shared-operand cache off or on.
 type AblationPrefetchRow struct {
-	// Concurrent selects the goroutine pick loop, the only one that prestages
-	// asynchronously; the default loop computes whole HLOPs on the host pool
-	// and keeps only the resident shared-operand cache (on at any depth ≥ 1).
-	Concurrent bool
-	Depth      int
+	Resident bool
 	// WallMS is the measured wall-clock time of the run in milliseconds —
-	// prefetch is a wall-clock optimization; the virtual timeline is
+	// the cache is a wall-clock optimization; the virtual timeline is
 	// untouched by construction.
 	WallMS float64
-	// Hits and Cancelled are the prefetch counter deltas for the run.
-	Hits, Cancelled float64
 	// Identical reports whether the output was bit-identical to the
-	// prefetch-off reference (it must always be).
+	// cache-off reference (it must always be).
 	Identical bool
 }
 
-// AblationPrefetch measures both halves of the input prefetcher on a
+// AblationPrefetch measures the resident shared-operand cache on a
 // staging-heavy workload: a banded GEMM on the Edge TPU, whose shared
-// right-hand matrix is re-quantized per HLOP without prefetch and staged
-// once (device-resident) with it. The depth sweep runs under both pick
-// loops. On the default one depth 0 against any depth ≥ 1 is that resident
-// cache off and on — nothing is prestaged there, so hits stay 0, deeper
-// settings change nothing and the gain is in the wall time; on the
-// concurrent one asynchronous prestaging is included. Depth 0 on the default
-// loop is the reference output.
-func AblationPrefetch(o Options, depths []int) ([]AblationPrefetchRow, error) {
+// right-hand matrix is re-quantized per HLOP with the cache off and quantized
+// once (device-resident) with it on. The cache-off run is the reference
+// output.
+func AblationPrefetch(o Options) ([]AblationPrefetchRow, error) {
 	o = o.withDefaults()
-	if len(depths) == 0 {
-		depths = []int{0, 1, 2, 4}
-	}
 	side := o.Side
 	if side > 512 {
 		side = 512 // GEMM is O(n³) on the simulated kernels; keep the sweep honest but quick
@@ -180,82 +166,59 @@ func AblationPrefetch(o Options, depths []int) ([]AblationPrefetchRow, error) {
 		b.Data[i] = r.NormFloat64()
 	}
 
-	wasOn := telemetry.On()
-	telemetry.Enable()
-	defer func() {
-		if !wasOn {
-			telemetry.Disable()
-		}
-	}()
-
-	run := func(concurrent bool, depth int) (*core.Report, float64, telemetry.Snapshot, error) {
+	var rows []AblationPrefetchRow
+	var ref *core.Report
+	for _, resident := range []bool{false, true} {
 		reg, err := device.NewRegistry(cpu.New(1), tpu.New(tpu.Config{}))
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, err
 		}
 		v, err := vop.New(vop.OpGEMM, a, b)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, err
 		}
 		eng := &core.Engine{
 			Reg:          reg,
 			Policy:       sched.SingleDevice{Device: "tpu"},
 			Spec:         hlop.Spec{TargetPartitions: o.Partitions},
 			DoubleBuffer: true,
-			Prefetch:     depth,
-			Concurrent:   concurrent,
+			Prefetch:     resident,
 			Seed:         o.Seed,
 		}
-		base := telemetry.Default.Snapshot()
 		start := time.Now()
 		rep, err := eng.Run(v)
 		wall := time.Since(start)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, fmt.Errorf("bench: resident cache %v: %w", resident, err)
 		}
-		return rep, float64(wall.Microseconds()) / 1e3, telemetry.Default.Snapshot().Delta(base), nil
-	}
-
-	ref, _, _, err := run(false, 0)
-	if err != nil {
-		return nil, fmt.Errorf("bench: prefetch-off reference: %w", err)
-	}
-	var rows []AblationPrefetchRow
-	for _, concurrent := range []bool{false, true} {
-		for _, d := range depths {
-			rep, wall, delta, err := run(concurrent, d)
-			if err != nil {
-				return nil, fmt.Errorf("bench: prefetch depth %d (concurrent=%v): %w", d, concurrent, err)
-			}
-			rows = append(rows, AblationPrefetchRow{
-				Concurrent: concurrent,
-				Depth:      d,
-				WallMS:     wall,
-				Hits:       delta["shmt_prefetch_hits_total"],
-				Cancelled:  delta["shmt_prefetch_cancelled_total"],
-				Identical:  rep.Output.Equal(ref.Output),
-			})
+		if ref == nil {
+			ref = rep
 		}
+		rows = append(rows, AblationPrefetchRow{
+			Resident:  resident,
+			WallMS:    float64(wall.Microseconds()) / 1e3,
+			Identical: rep.Output.Equal(ref.Output),
+		})
 	}
 	return rows, nil
 }
 
-// AblationPrefetchTable renders the prefetch-depth sweep.
+// AblationPrefetchTable renders the resident-cache ablation.
 func AblationPrefetchTable(rows []AblationPrefetchRow) *Table {
 	t := &Table{
-		Title:  "Ablation — input prefetch depth (Edge TPU staging path, banded GEMM; default loop: resident operand cache, concurrent loop: + async prestage)",
-		Header: []string{"depth", "wall ms", "hits", "cancelled", "bit-identical", "pick loop"},
+		Title:  "Ablation — resident shared-operand cache (Edge TPU staging path, banded GEMM)",
+		Header: []string{"resident", "wall ms", "bit-identical"},
 	}
 	for _, r := range rows {
 		ident := "yes"
 		if !r.Identical {
 			ident = "NO"
 		}
-		loop := "deterministic"
-		if r.Concurrent {
-			loop = "concurrent"
+		res := "off"
+		if r.Resident {
+			res = "on"
 		}
-		t.AddRow(f0(r.Depth), f2(r.WallMS), f0(int(r.Hits)), f0(int(r.Cancelled)), ident, loop)
+		t.AddRow(res, f2(r.WallMS), ident)
 	}
 	return t
 }

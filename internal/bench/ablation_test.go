@@ -55,21 +55,16 @@ func TestAblationDoubleBuffer(t *testing.T) {
 }
 
 func TestAblationPrefetch(t *testing.T) {
-	rows, err := AblationPrefetch(smallOpts(), []int{0, 2})
+	rows, err := AblationPrefetch(smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both depths on the default loop, then both on the concurrent one.
-	if len(rows) != 4 || rows[1].Concurrent || !rows[2].Concurrent {
+	if len(rows) != 2 || rows[0].Resident || !rows[1].Resident {
 		t.Fatalf("rows = %+v", rows)
 	}
 	for _, r := range rows {
 		if !r.Identical {
-			t.Fatalf("%+v: prefetch changed the output", r)
-		}
-		// Only the concurrent loop prestages, and only at depth > 0.
-		if want := r.Concurrent && r.Depth > 0; (r.Hits > 0) != want {
-			t.Fatalf("%+v: prestage hits, want any = %v", r, want)
+			t.Fatalf("%+v: the resident cache changed the output", r)
 		}
 	}
 	var sb strings.Builder

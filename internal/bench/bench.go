@@ -140,8 +140,6 @@ type Options struct {
 	// SamplingRate overrides the paper-default QAWS rate (in full-size
 	// units; the harness converts to the virtual-equivalent rate).
 	SamplingRate float64
-	// Concurrent switches sessions to the goroutine engine.
-	Concurrent bool
 }
 
 func (o Options) withDefaults() Options {
@@ -185,7 +183,6 @@ func (o Options) SessionConfig(b Benchmark, pol shmt.PolicyName) shmt.Config {
 		CriticalFraction: b.CriticalFraction,
 		Seed:             o.Seed,
 		VirtualScale:     scale,
-		Concurrent:       o.Concurrent,
 		// The paper's figures measure per-invocation planning (sampling
 		// overhead is part of what Figs. 6 and 9 report), so experiment
 		// sessions never replay memoized plans.

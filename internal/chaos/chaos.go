@@ -1,6 +1,6 @@
 // Package chaos is the runtime's deterministic fault-injection layer: it
 // wraps any device.Device with seeded, reproducible failure modes so the
-// engines' graceful-degradation machinery (circuit breakers, exponential
+// engine's graceful-degradation machinery (circuit breakers, exponential
 // backoff, queue redistribution — see internal/core) can be exercised and
 // tested against realistic device behaviour.
 //
@@ -13,18 +13,19 @@
 //     engine as injected virtual delay;
 //   - permanent death after DieAfterOps dispatches — every later call fails
 //     with ErrDead until the process exits (the breaker quarantines the
-//     device and the engines redistribute its queue);
+//     device and the engine redistributes its queue);
 //   - output corruption: a deterministic perturbation of a result stripe, for
 //     exercising the quality path without any device erroring.
 //
 // Determinism: every decision is a pure function of (Seed, fault mode, op
-// index). Op indices are assigned atomically per wrapped device at admission
-// (Device.Admit), so the fault schedule — which dispatch indices fail, spike,
-// or corrupt — is identical for a given seed regardless of which engine runs
-// or how goroutines interleave. Errors, death and spikes are admission
-// outcomes; corruption is applied by the compute half (Device.Compute) from
-// the op index its ticket carries. Under the deterministic engine the whole
-// run is bit-for-bit reproducible, at any host pool width.
+// index). Op indices are assigned per wrapped device at admission
+// (Device.Admit), which the engine's pick loop performs one HLOP at a time in
+// virtual-time order, so the fault schedule — which dispatch indices fail,
+// spike, or corrupt — is identical for a given seed. Errors, death and spikes
+// are admission outcomes; corruption is applied by the compute half
+// (Device.Compute) from the op index its ticket carries, whenever and on
+// whichever pool worker it runs. The whole run is therefore bit-for-bit
+// reproducible, at any host pool width.
 package chaos
 
 import (
@@ -40,8 +41,8 @@ import (
 	"shmt/internal/vop"
 )
 
-// ErrTransient is the injected recoverable execution error; the engines
-// retry/reroute it like any other device failure.
+// ErrTransient is the injected recoverable execution error; the engine
+// retries/reroutes it like any other device failure.
 var ErrTransient = errors.New("chaos: injected transient failure")
 
 // ErrDead is returned by every dispatch after the device died permanently
@@ -84,7 +85,7 @@ func (c Config) enabled() bool {
 }
 
 // Device wraps an inner device.Device with the fault plan. It satisfies
-// device.Device; the engines see a normal device whose name, supported ops
+// device.Device; the engine sees a normal device whose name, supported ops
 // and accuracy class are unchanged.
 type Device struct {
 	inner device.Device
@@ -163,7 +164,7 @@ func (c *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor
 	return device.Dispatch(c, op, inputs, dst, attrs)
 }
 
-// Admit takes the next op index and draws every decision the engines act on
+// Admit takes the next op index and draws every decision the engine acts on
 // from the seeded schedule, in this order: death, deterministic outage,
 // transient error, latency spike, then the inner device's own admission. The
 // ticket carries the op index to Compute, which draws corruption from it.
@@ -212,8 +213,8 @@ func (c *Device) Compute(t device.Ticket, op vop.Opcode, inputs []*tensor.Matrix
 }
 
 // TakeInjectedDelay drains the accumulated spike delay in virtual seconds.
-// The engines call it (through an interface assertion, so core never imports
-// chaos) after each admitted dispatch and charge the delay to the device's
+// The engine calls it (through an interface assertion, so core never imports
+// chaos) after each admitted dispatch and charges the delay to the device's
 // clock.
 func (c *Device) TakeInjectedDelay() float64 {
 	c.mu.Lock()

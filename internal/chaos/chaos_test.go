@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"shmt/internal/device/cpu"
@@ -217,9 +218,62 @@ func TestParseSpec(t *testing.T) {
 		"tpu:bogus=1",         // unknown key
 		"tpu:die=1;tpu:die=2", // duplicate device
 		"tpu:latmul=0",        // injects nothing
+		// Each of these was accepted once: non-finite values, probabilities
+		// above 1, counts that are fractional or overflow an int32, and
+		// multipliers below 1 that Wrap would silently drop or replace.
+		"gpu:spike=0.5,spikemul=NaN",
+		"gpu:corrupt=0.5,corruptmag=NaN",
+		"tpu:transient=0.1,die=Inf",
+		"tpu:latmul=+Inf",
+		"tpu:transient=0.1,failfirst=1e300",
+		"tpu:failfirst=2147483648",
+		"tpu:die=2.5",
+		"tpu:transient=1.5",
+		"gpu:corrupt=2",
+		"tpu:die=5,latmul=0.5",
+		"gpu:spike=0.5,spikemul=0.5",
 	} {
 		if _, err := ParseSpec(bad, 1); err == nil {
 			t.Fatalf("ParseSpec(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and every plan it accepts injects
+// something and holds only finite, in-range values.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"tpu:die=5;gpu:transient=0.2,latmul=4",
+		"gpu:spike=0.5,spikemul=NaN",
+		"tpu:transient=0.1,failfirst=1e300",
+		"dsp:corrupt=1,corruptmag=0.5;cpu:spike=0,latmul=1.5",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plans, err := ParseSpec(spec, 1)
+		if err != nil {
+			return
+		}
+		for name, c := range plans {
+			for _, x := range []float64{c.TransientRate, c.SpikeRate, c.CorruptRate,
+				c.LatencyMultiplier, c.SpikeMultiplier, c.CorruptMagnitude} {
+				if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+					t.Fatalf("%q: %s: non-finite or negative field in %+v", spec, name, c)
+				}
+			}
+			if c.TransientRate > 1 || c.SpikeRate > 1 || c.CorruptRate > 1 {
+				t.Fatalf("%q: %s: probability above 1 in %+v", spec, name, c)
+			}
+			if c.FailFirstOps < 0 || c.DieAfterOps < 0 || c.FailFirstOps >= 1<<31 || c.DieAfterOps >= 1<<31 {
+				t.Fatalf("%q: %s: count out of range in %+v", spec, name, c)
+			}
+			if (c.LatencyMultiplier != 0 && c.LatencyMultiplier < 1) || (c.SpikeMultiplier != 0 && c.SpikeMultiplier < 1) {
+				t.Fatalf("%q: %s: multiplier below 1 in %+v", spec, name, c)
+			}
+			if !c.enabled() {
+				t.Fatalf("%q: %s: accepted a plan that injects nothing: %+v", spec, name, c)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -17,10 +18,12 @@ import (
 //	die=N         permanent death after N dispatches
 //	latmul=X      constant latency multiplier (≥ 1)
 //	spike=P       latency-spike probability per dispatch
-//	spikemul=X    spike size multiplier (default 10)
+//	spikemul=X    spike size multiplier (≥ 1; default 10)
 //	corrupt=P     output-corruption probability per dispatch
 //	corruptmag=X  relative corruption magnitude (default 0.05)
 //
+// Every value is a finite, non-negative number: a probability P lies in
+// [0, 1], a count N is an integer below 2³¹, a multiplier X is at least 1.
 // seed is applied to every parsed config so one flag reproduces one schedule.
 func ParseSpec(spec string, seed int64) (map[string]Config, error) {
 	out := map[string]Config{}
@@ -47,29 +50,35 @@ func ParseSpec(spec string, seed int64) (map[string]Config, error) {
 			if !ok {
 				return nil, fmt.Errorf("chaos: %s: %q is not key=value", name, kv)
 			}
+			key = strings.TrimSpace(key)
 			x, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-			if err != nil || x < 0 {
+			if err != nil || x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
 				return nil, fmt.Errorf("chaos: %s: bad value %q for %s", name, val, key)
 			}
-			switch strings.TrimSpace(key) {
+			prob, count, mult := x <= 1, x == math.Trunc(x) && x < 1<<31, x >= 1
+			var inRange bool
+			switch key {
 			case "transient":
-				cfg.TransientRate = x
+				cfg.TransientRate, inRange = x, prob
 			case "failfirst":
-				cfg.FailFirstOps = int(x)
+				cfg.FailFirstOps, inRange = int(x), count
 			case "die":
-				cfg.DieAfterOps = int(x)
+				cfg.DieAfterOps, inRange = int(x), count
 			case "latmul":
-				cfg.LatencyMultiplier = x
+				cfg.LatencyMultiplier, inRange = x, mult
 			case "spike":
-				cfg.SpikeRate = x
+				cfg.SpikeRate, inRange = x, prob
 			case "spikemul":
-				cfg.SpikeMultiplier = x
+				cfg.SpikeMultiplier, inRange = x, mult
 			case "corrupt":
-				cfg.CorruptRate = x
+				cfg.CorruptRate, inRange = x, prob
 			case "corruptmag":
-				cfg.CorruptMagnitude = x
+				cfg.CorruptMagnitude, inRange = x, true
 			default:
 				return nil, fmt.Errorf("chaos: %s: unknown key %q", name, key)
+			}
+			if !inRange {
+				return nil, fmt.Errorf("chaos: %s: value %q out of range for %s", name, val, key)
 			}
 		}
 		if !cfg.enabled() {

@@ -144,7 +144,7 @@ func releaseHLOPBuffers(v *vop.VOP, h *hlop.HLOP) {
 }
 
 // coverageError verifies that completed HLOPs tile the output exactly once;
-// the engines assert this invariant under -race test runs and the property
+// the engine asserts this invariant under -race test runs and the property
 // tests exercise it directly.
 func coverageError(v *vop.VOP, done []doneHLOP) error {
 	if v.Op.IsReduction() {

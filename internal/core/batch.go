@@ -165,12 +165,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	}
 
 	r := e.newRound(ctx, pol, pool, overhead, tr, rt, fx)
-	var err error
-	if e.Concurrent {
-		err = r.runConcurrent(pool)
-	} else {
-		err = r.runDeterministic(pool)
-	}
+	err := r.runDeterministic(pool)
 	r.pf.drain()
 	if err != nil {
 		r.release()

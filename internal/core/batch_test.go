@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"shmt/internal/device"
@@ -104,15 +105,44 @@ func TestRunBatchSplitOwnership(t *testing.T) {
 	}
 }
 
+// TestRunBatchConcurrent: several goroutines may run batches on one Engine at
+// once — its breakers and metric handles are shared, each round's queues,
+// clocks and accounting are its own — and each gets the result it would have
+// got alone. Run under -race.
 func TestRunBatchConcurrent(t *testing.T) {
 	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
-		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}, Concurrent: true}
-	res, err := e.RunBatch(batchVOPs(t))
+		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}}
+	want, err := e.RunBatch(batchVOPs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Reports) != 3 {
-		t.Fatalf("reports = %d", len(res.Reports))
+	results := make([]*BatchResult, 4)
+	errs := make([]error, len(results))
+	batches := make([][]*vop.VOP, len(results))
+	for i := range batches {
+		batches[i] = batchVOPs(t)
+	}
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.RunBatch(batches[i])
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(res.Reports) != 3 || res.Makespan != want.Makespan {
+			t.Fatalf("batch %d: %d reports, makespan %g; alone: 3, %g", i, len(res.Reports), res.Makespan, want.Makespan)
+		}
+		for j, rep := range res.Reports {
+			if !bitEqual(rep.Output, want.Reports[j].Output) {
+				t.Fatalf("batch %d: output %d differs from the batch run alone", i, j)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 // Integration tests for the chaos layer (internal/chaos) driving the
-// engines' graceful degradation end to end: seeded device death mid-batch,
+// engine's graceful degradation end to end: seeded device death mid-batch,
 // reproducible fault schedules, quantified quality loss, and breaker
-// re-admission after a transient outage — in both engines.
+// re-admission after a transient outage.
 
 import (
 	"testing"
@@ -77,7 +77,7 @@ func TestChaosDeviceDeathMidBatchCompletes(t *testing.T) {
 	}
 }
 
-// TestChaosSameSeedReproduces runs the deterministic engine twice under the
+// TestChaosSameSeedReproduces runs the engine twice under the
 // same fault schedule: outputs must be bit-identical and the degradation
 // accounting must match exactly. A different seed must produce a different
 // schedule.
@@ -152,49 +152,26 @@ func TestChaosDowngradeQuantified(t *testing.T) {
 // fail, then the device recovers): the breaker must open, probe, and
 // re-admit the device, leaving nothing quarantined at the end.
 func TestChaosOutageBreakerReadmits(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		wrapped := chaos.Wrap(tpu.New(tpu.Config{}), chaos.Config{Seed: 5, FailFirstOps: 3})
-		reg, err := device.NewRegistry(cpu.New(1), wrapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Concurrent: concurrent,
-			Spec: chaosHLOPSpec, Resilience: Resilience{MaxRetries: 16}}
-		rep, err := e.Run(sobelVOP(t, 128, 94))
-		if err != nil {
-			t.Fatalf("concurrent=%v: outage should be survivable: %v", concurrent, err)
-		}
-		d := rep.Degraded
-		if d == nil || len(d.Quarantines) == 0 {
-			t.Fatalf("concurrent=%v: three consecutive failures must quarantine: %+v", concurrent, d)
-		}
-		if d.ProbeSuccesses == 0 {
-			t.Fatalf("concurrent=%v: recovered device must pass a re-admission probe: %+v", concurrent, d)
-		}
-		if quar := e.QuarantinedDevices(); len(quar) != 0 {
-			t.Fatalf("concurrent=%v: device should be re-admitted, still quarantined: %v", concurrent, quar)
-		}
-	}
-}
-
-// TestChaosConcurrentDeathCompletes is the concurrent-engine counterpart of
-// the mid-batch death test; it runs under -race in CI.
-func TestChaosConcurrentDeathCompletes(t *testing.T) {
-	wrapped := chaos.Wrap(gpu.New(gpu.Config{}), chaos.Config{Seed: 13, DieAfterOps: 2})
+	wrapped := chaos.Wrap(tpu.New(tpu.Config{}), chaos.Config{Seed: 5, FailFirstOps: 3})
 	reg, err := device.NewRegistry(cpu.New(1), wrapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Concurrent: true, Spec: chaosHLOPSpec}
-	rep, err := e.Run(sobelVOP(t, 64, 95))
+	e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
+		Spec: chaosHLOPSpec, Resilience: Resilience{MaxRetries: 16}}
+	rep, err := e.Run(sobelVOP(t, 128, 94))
 	if err != nil {
-		t.Fatalf("concurrent engine must survive a device death: %v", err)
+		t.Fatalf("outage should be survivable: %v", err)
 	}
-	if rep.Degraded == nil || len(rep.Degraded.Quarantines) == 0 {
-		t.Fatalf("death not reported: %+v", rep.Degraded)
+	d := rep.Degraded
+	if d == nil || len(d.Quarantines) == 0 {
+		t.Fatalf("three consecutive failures must quarantine: %+v", d)
 	}
-	if quar := e.QuarantinedDevices(); len(quar) != 1 || quar[0] != "gpu" {
-		t.Fatalf("dead GPU should stay quarantined, got %v", quar)
+	if d.ProbeSuccesses == 0 {
+		t.Fatalf("recovered device must pass a re-admission probe: %+v", d)
+	}
+	if quar := e.QuarantinedDevices(); len(quar) != 0 {
+		t.Fatalf("device should be re-admitted, still quarantined: %v", quar)
 	}
 }
 

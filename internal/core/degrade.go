@@ -27,7 +27,7 @@ import (
 // probe window arrives. Breaker state persists across an Engine's runs, so a
 // device that died in one batch is not re-assigned work in the next.
 
-// Resilience tunes the engines' fault handling. The zero value selects the
+// Resilience tunes the engine's fault handling. The zero value selects the
 // defaults below; it is always active — a run with no failures pays nothing.
 type Resilience struct {
 	// BreakerThreshold is the consecutive-failure count that opens a
@@ -78,9 +78,9 @@ const (
 	brHalfOpen
 )
 
-// breaker is one device's circuit breaker. All methods are safe for
-// concurrent use (the concurrent engine's workers consult each other's
-// breakers through fallbackQueue and the scheduler's quarantine filter).
+// breaker is one device's circuit breaker. Breakers outlive a run, and
+// QuarantinedDevices reads them from outside one, so all methods are safe for
+// concurrent use.
 type breaker struct {
 	mu          sync.Mutex
 	state       int32
@@ -227,9 +227,8 @@ type Degraded struct {
 	ProbeFailures int
 }
 
-// degTracker accumulates one run's Degraded report. Safe for concurrent use.
+// degTracker accumulates one run's Degraded report, from the pick loop.
 type degTracker struct {
-	mu        sync.Mutex
 	d         Degraded
 	origQueue map[*hlop.HLOP]int // first pre-reroute queue, per moved HLOP
 }
@@ -239,44 +238,34 @@ func newDegTracker() *degTracker {
 }
 
 func (t *degTracker) noteFailure(charge, backoff float64) {
-	t.mu.Lock()
 	t.d.FailedDispatches++
 	t.d.FailedDispatchSeconds += charge
 	t.d.BackoffSeconds += backoff
-	t.mu.Unlock()
 }
 
 func (t *degTracker) noteQuarantine(q Quarantine) {
-	t.mu.Lock()
 	t.d.Quarantines = append(t.d.Quarantines, q)
-	t.mu.Unlock()
 }
 
 func (t *degTracker) noteReroute(h *hlop.HLOP, from int) {
-	t.mu.Lock()
 	if _, seen := t.origQueue[h]; !seen {
 		t.origQueue[h] = from
 	}
 	t.d.Rerouted++
-	t.mu.Unlock()
 }
 
 func (t *degTracker) noteProbe(ok bool) {
-	t.mu.Lock()
 	if ok {
 		t.d.ProbeSuccesses++
 	} else {
 		t.d.ProbeFailures++
 	}
-	t.mu.Unlock()
 }
 
 // finish resolves quality impact — rerouted HLOPs that executed on a device
 // less accurate than originally assigned — and returns the report, or nil
 // when the run saw no degradation at all.
 func (t *degTracker) finish(reg *device.Registry, done []doneHLOP) *Degraded {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.d.FailedDispatches == 0 && len(t.d.Quarantines) == 0 && t.d.Rerouted == 0 {
 		return nil
 	}

@@ -182,76 +182,63 @@ func TestRetryBoundConfigurable(t *testing.T) {
 	}
 }
 
-// TestFailedDispatchAccountingSymmetry: both engines run the same step, so
-// the same faults leave the same accounting behind — for transient failures,
-// for a breaker-open quarantine with its backlog redistribution, and for an
-// ErrTooLarge split. In every case one device is the sole accelerator (or the
-// sole target), so which dispatches fail does not depend on interleaving.
+// TestFailedDispatchAccountingSymmetry: the accounting a fault leaves behind
+// matches the faults injected — for transient failures, for a breaker-open
+// quarantine with its backlog redistribution, and for an ErrTooLarge split.
+// In every case one device is the sole accelerator (or the sole target).
 func TestFailedDispatchAccountingSymmetry(t *testing.T) {
 	cases := []struct {
 		name     string
 		pol      sched.Policy
 		failures int32 // consecutive failed dispatches on the flaky TPU
 		tpuBytes int64 // TPU memory override; small enough and every partition splits
-		check    func(t *testing.T, det, conc *Report)
+		check    func(t *testing.T, rep *Report)
 	}{
 		{name: "two transient failures", pol: sched.WorkStealing{}, failures: 2,
-			check: func(t *testing.T, det, conc *Report) {
-				for _, rep := range []*Report{det, conc} {
-					d := rep.Degraded
-					if d == nil || d.FailedDispatches != 2 {
-						t.Fatalf("Degraded = %+v, want 2 failed dispatches", d)
-					}
-					if d.FailedDispatchSeconds <= 0 || d.BackoffSeconds <= 0 {
-						t.Fatalf("failed dispatch time not charged: %+v", d)
-					}
-					if d.FailedDispatchSeconds <= d.BackoffSeconds {
-						t.Fatal("charge must include dispatch overhead beyond backoff")
-					}
+			check: func(t *testing.T, rep *Report) {
+				d := rep.Degraded
+				if d == nil || d.FailedDispatches != 2 {
+					t.Fatalf("Degraded = %+v, want 2 failed dispatches", d)
+				}
+				if d.FailedDispatchSeconds <= 0 || d.BackoffSeconds <= 0 {
+					t.Fatalf("failed dispatch time not charged: %+v", d)
+				}
+				if d.FailedDispatchSeconds <= d.BackoffSeconds {
+					t.Fatal("charge must include dispatch overhead beyond backoff")
 				}
 			}},
 		// A stealing policy on purpose: the idle CPU (ineligible while an
-		// accelerator is healthy) keeps probing the TPU's queue, and
-		// TaskQueue.StealIf must never let it hold a backlog item while the
+		// accelerator is healthy) keeps probing the TPU's queue while the
 		// breaker-open drain runs.
 		{name: "breaker opens and drains the backlog", pol: sched.WorkStealing{},
 			failures: 3, // the default threshold
-			check: func(t *testing.T, det, conc *Report) {
-				a, b := det.Degraded, conc.Degraded
-				if a == nil || b == nil || len(a.Quarantines) != 1 || len(b.Quarantines) != 1 {
-					t.Fatalf("want one quarantine in each engine, got %+v / %+v", a, b)
+			check: func(t *testing.T, rep *Report) {
+				d := rep.Degraded
+				if d == nil || len(d.Quarantines) != 1 {
+					t.Fatalf("want one quarantine, got %+v", d)
 				}
-				if a.Quarantines[0].Rerouted == 0 || a.Quarantines[0].Rerouted != b.Quarantines[0].Rerouted {
-					t.Fatalf("backlog rerouted at open: deterministic %d, concurrent %d",
-						a.Quarantines[0].Rerouted, b.Quarantines[0].Rerouted)
-				}
-				if a.FailedDispatches != 3 || b.FailedDispatches != 3 || a.Rerouted != b.Rerouted {
-					t.Fatalf("deterministic %+v, concurrent %+v", a, b)
+				if d.Quarantines[0].Rerouted == 0 || d.FailedDispatches != 3 {
+					t.Fatalf("want 3 failed dispatches and a backlog rerouted at open, got %+v", d)
 				}
 			}},
 		{name: "ErrTooLarge split", pol: sched.SingleDevice{Device: "tpu"}, tpuBytes: 6 << 10,
-			check: func(t *testing.T, det, conc *Report) {
-				if det.HLOPs <= 4 || det.HLOPs != conc.HLOPs {
-					t.Fatalf("HLOPs after splits: deterministic %d, concurrent %d (4 partitions planned)",
-						det.HLOPs, conc.HLOPs)
+			check: func(t *testing.T, rep *Report) {
+				if rep.HLOPs <= 4 {
+					t.Fatalf("HLOPs after splits = %d (4 partitions planned)", rep.HLOPs)
 				}
 			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(concurrent bool) *Report {
-				flaky := &flakyDevice{Device: tpu.New(tpu.Config{MemoryBytes: tc.tpuBytes})}
-				flaky.failures.Store(tc.failures)
-				reg, _ := device.NewRegistry(cpu.New(1), flaky)
-				e := &Engine{Reg: reg, Policy: tc.pol, Concurrent: concurrent,
-					Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
-				rep, err := e.Run(sobelVOP(t, 128, 33))
-				if err != nil {
-					t.Fatalf("concurrent=%v: %v", concurrent, err)
-				}
-				return rep
+			flaky := &flakyDevice{Device: tpu.New(tpu.Config{MemoryBytes: tc.tpuBytes})}
+			flaky.failures.Store(tc.failures)
+			reg, _ := device.NewRegistry(cpu.New(1), flaky)
+			e := &Engine{Reg: reg, Policy: tc.pol, Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
+			rep, err := e.Run(sobelVOP(t, 128, 33))
+			if err != nil {
+				t.Fatal(err)
 			}
-			tc.check(t, run(false), run(true))
+			tc.check(t, rep)
 		})
 	}
 }

@@ -11,20 +11,15 @@
 // handling, lane admission, accounting — all from shapes, the cost model and
 // the fault schedule, never from tensor values. compute is the arithmetic,
 // whose only output is the HLOP's result. Virtual time is each device's
-// interconnect.Lane. What comes in two versions is only the pick loop — who
-// obtains the next HLOP, and when its arithmetic runs:
+// interconnect.Lane.
 //
-//   - runDeterministic (this file) owns a sequential discrete-event choice:
-//     the device with the earliest lane clock goes next, over plain slices.
-//     It admits the whole round that way and then computes the admitted
-//     HLOPs on the host pool (internal/parallel), one task each: decisions
-//     in virtual time, execution on every core. Every experiment uses it, so
-//     results are exactly reproducible, at any pool width;
-//   - runConcurrent (concurrent.go) owns one worker goroutine per device
-//     popping and stealing from real queues — the paper's "thread
-//     monitoring the queue" structure — and computes each HLOP as soon as
-//     it is admitted, so order is decided by real execution and the step's
-//     invariants are checked without the deterministic event ordering.
+// One pick loop drives the step. runDeterministic (this file) is a
+// sequential discrete-event choice: the device with the earliest lane clock
+// obtains the next HLOP, from its own queue or by stealing under the policy,
+// and admits it. Once the whole round is admitted, its HLOPs are computed on
+// the host pool (internal/parallel), one task each — one scheduler decides in
+// virtual time, the host's cores execute. Every result, makespan and figure
+// is therefore exactly reproducible, at any pool width.
 package core
 
 import (
@@ -57,17 +52,13 @@ type Engine struct {
 	// each device lane splits into a transfer stage and a compute stage
 	// (interconnect.Lane); without DoubleBuffer the stages serialize.
 	DoubleBuffer bool
-	// Prefetch is the wall-clock side of double buffering for private-memory
-	// devices (TPU/NPU modes). At any depth > 0, operands shared across a
-	// round's HLOPs are staged once and stay device-resident. Under
-	// Concurrent it is also the per-device depth of asynchronous input
-	// prestaging — while HLOP k computes, up to Prefetch queued HLOPs have
-	// their operands pre-materialized and pre-quantized on the worker pool;
-	// the deterministic loop computes whole HLOPs on the pool instead.
-	// Results are bit-identical at any depth; 0 disables.
-	Prefetch int
-	// Seed drives every randomized component (sampling, concurrent
-	// validation).
+	// Prefetch turns on the resident shared-operand cache, the wall-clock
+	// side of double buffering (prefetch.go): an operand several HLOPs of a
+	// round share is cast once per casting device and kept resident for all
+	// of them. Results are bit-identical either way; a session sets it
+	// whenever its policy double-buffers.
+	Prefetch bool
+	// Seed drives every randomized component (sampling).
 	Seed int64
 	// HostScale ≥ 1 is the virtual-platform slowdown applied to host-side
 	// constant costs (sampling touches); the devices carry their own
@@ -76,8 +67,6 @@ type Engine struct {
 	// RecordTrace records per-HLOP events and publishes them as the
 	// report's (or batch result's) Trace.
 	RecordTrace bool
-	// Concurrent switches to the goroutine engine.
-	Concurrent bool
 	// Telemetry, when non-nil, receives lifecycle and device-lane spans for
 	// every run (see internal/telemetry); process-global counters are
 	// maintained whenever telemetry is enabled, recorder or not.
@@ -200,21 +189,17 @@ func (e *Engine) Run(v *vop.VOP) (*Report, error) {
 	return rep, nil
 }
 
-// runDeterministic is the sequential discrete-event pick loop: repeatedly
-// choose the device with the earliest virtual clock that can obtain work (own
-// queue, then stealing under the policy) and admit that HLOP there. Once the
-// round is decided, its arithmetic runs on the host pool. Every experiment
-// runs on this loop, so results are exactly reproducible.
+// runDeterministic is the pick loop: repeatedly choose the device with the
+// earliest virtual clock that can obtain work (own queue, then stealing under
+// the policy) and admit that HLOP there. Once the round is decided, its
+// arithmetic runs on the host pool.
 func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 	devs := r.devs
-	etc := device.NewExecTimeCacheSized(r.e.ExecTimeCacheEntries)
-	for i := range devs {
-		devs[i].etc = etc
-	}
 	for _, h := range hs {
-		devs[h.AssignedQueue].push(h)
+		d := &devs[h.AssignedQueue]
+		d.q = append(d.q, h)
 	}
-	for r.outstanding.Load() > 0 {
+	for r.outstanding > 0 {
 		// A quarantined device serves only its own queue (the probe path);
 		// it neither steals nor is handed new work.
 		pick, victim := -1, -1
@@ -232,7 +217,7 @@ func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 			}
 		}
 		if pick < 0 {
-			return fmt.Errorf("core: %d HLOPs unschedulable (no device may take them)", r.outstanding.Load())
+			return fmt.Errorf("core: %d HLOPs unschedulable (no device may take them)", r.outstanding)
 		}
 		var h *hlop.HLOP
 		if victim < 0 {
@@ -242,7 +227,7 @@ func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 			q := devs[victim].q
 			h, devs[victim].q = q[len(q)-1], q[:len(q)-1]
 		}
-		if _, _, err := r.admit(&devs[pick], victim, h); err != nil {
+		if err := r.admit(&devs[pick], victim, h); err != nil {
 			return err
 		}
 	}
@@ -257,7 +242,7 @@ func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 // this reduces to the paper's steal-from-the-deepest-queue rule.
 func (r *round) pickVictim(thief int) int {
 	telemetry.StealAttempts.Inc()
-	thiefDev, etc := r.devs[thief].dev, r.devs[thief].etc
+	thiefDev, etc := r.devs[thief].dev, r.etc
 	best, bestLen := -1, 0
 	bestScore := 0.0
 	for vq := range r.devs {
@@ -283,7 +268,7 @@ func (r *round) pickVictim(thief int) int {
 
 // accountFootprint registers the run's long-lived memory: application input
 // and output buffers. Per-HLOP staging (device-precision copies, double
-// buffers) is accounted live in the execution loop, so PeakBytes reflects
+// buffers) is accounted live in the pick loop, so PeakBytes reflects
 // what is actually resident at once — Edge TPU HLOPs stage INT8 copies, a
 // quarter of the FP32 the GPU keeps, which is how SHMT's footprint stays
 // near (or below) the baseline despite the extra buffers (Fig. 11).

@@ -300,64 +300,6 @@ func TestEngineDoubleBufferReducesMakespan(t *testing.T) {
 	}
 }
 
-func TestConcurrentEngineMatchesInvariants(t *testing.T) {
-	v := sobelVOP(t, 128, 15)
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.QAWS{Assignment: sched.TopK, Rate: 0.02},
-		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true,
-		Concurrent: true, RecordTrace: true}
-	rep, err := e.Run(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HLOPs < 8 {
-		t.Fatalf("HLOPs = %d", rep.HLOPs)
-	}
-	seen := map[int]int{}
-	for _, ev := range rep.Trace.Events() {
-		seen[ev.HLOP]++
-		if ev.Critical && ev.Device == "tpu" {
-			t.Fatal("concurrent engine violated the QAWS stealing constraint")
-		}
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("HLOP %d executed %d times", id, n)
-		}
-	}
-	// Output completeness: same shape, no zero holes (input is positive).
-	ref, _ := cpu.New(1).Execute(vop.OpSobel, v.Inputs, nil)
-	if rep.Output.Rows != ref.Rows || rep.Output.Cols != ref.Cols {
-		t.Fatal("output shape wrong")
-	}
-}
-
-func TestConcurrentEngineCPUOnlyMatchesDeterministic(t *testing.T) {
-	v := sobelVOP(t, 64, 16)
-	mk := func(concurrent bool) *tensor.Matrix {
-		e := &Engine{Reg: stdRegistry(t), Policy: sched.SingleDevice{Device: "cpu"},
-			Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}, Concurrent: concurrent}
-		rep, err := e.Run(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Output
-	}
-	if !mk(false).Equal(mk(true)) {
-		t.Fatal("single-device runs must be engine-independent")
-	}
-}
-
-func TestConcurrentEngineFailureFallback(t *testing.T) {
-	flaky := &flakyDevice{Device: tpu.New(tpu.Config{})}
-	flaky.failures.Store(2)
-	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), flaky)
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
-		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}, Concurrent: true}
-	if _, err := e.Run(sobelVOP(t, 64, 17)); err != nil {
-		t.Fatalf("concurrent engine should survive transient failures: %v", err)
-	}
-}
-
 func TestCheckCoverage(t *testing.T) {
 	v := sobelVOP(t, 64, 18)
 	if err := CheckCoverage(v, hlop.Spec{TargetPartitions: 8, MinTile: 8}); err != nil {
@@ -414,15 +356,12 @@ func TestEngineMultiStepStencilExact(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineChargesStagingFootprint: per-HLOP staging counts
-// toward Report.PeakBytes (Fig. 11) under the goroutine engine too — it used
-// to report the base buffers alone — and with a single device, where there is
-// no real concurrency, the two engines report the same peak.
-func TestConcurrentEngineChargesStagingFootprint(t *testing.T) {
+// TestEngineChargesStagingFootprint: per-HLOP staging counts toward
+// Report.PeakBytes (Fig. 11), on top of the base input and output buffers.
+func TestEngineChargesStagingFootprint(t *testing.T) {
 	// Even distribution never steals, so the TPU is sure to run its share.
 	e := &Engine{Reg: stdRegistry(t), Policy: sched.EvenDistribution{},
-		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true,
-		Concurrent: true, RecordTrace: true}
+		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true, RecordTrace: true}
 	rep, err := e.Run(sobelVOP(t, 128, 40))
 	if err != nil {
 		t.Fatal(err)
@@ -432,19 +371,5 @@ func TestConcurrentEngineChargesStagingFootprint(t *testing.T) {
 	}
 	if base := rep.Trace.BaseBytes(); rep.PeakBytes <= base {
 		t.Fatalf("PeakBytes = %d, base buffers = %d: staging was not charged", rep.PeakBytes, base)
-	}
-
-	peak := func(concurrent bool) int64 {
-		reg, _ := device.NewRegistry(tpu.New(tpu.Config{}))
-		e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
-			Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true, Concurrent: concurrent}
-		rep, err := e.Run(sobelVOP(t, 128, 41))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.PeakBytes
-	}
-	if det, conc := peak(false), peak(true); det != conc {
-		t.Fatalf("single-device PeakBytes: deterministic %d, concurrent %d", det, conc)
 	}
 }

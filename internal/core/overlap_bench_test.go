@@ -14,16 +14,13 @@ import (
 )
 
 // BenchmarkOverlap measures the wall-clock cost of the Edge TPU's
-// private-memory staging path with the input prefetcher off ("staged": every
-// operand materialized and quantized at dispatch) versus on, under both pick
-// loops. The banded GEMM partitioning gives every HLOP the same right-hand
-// matrix, so with the prefetcher on it is quantized once per run instead of
-// once per HLOP. On the default loop that resident reuse is the prefetcher's
-// whole contribution ("resident"): whole HLOPs run on the host pool, which
-// already overlaps one HLOP's staging with another's kernel. On the
-// concurrent loop ("concurrent/prefetched") HLOP k+1's operands are also
-// prestaged on the worker pool while HLOP k executes. Outputs are
-// bit-identical every way (TestPropertyPrefetchBitIdentity).
+// private-memory staging path with the resident shared-operand cache off
+// ("staged": every operand materialized and quantized inside each HLOP's
+// compute) versus on ("resident"). The banded GEMM partitioning gives every
+// HLOP the same right-hand matrix, so with the cache on it is quantized once
+// per run instead of once per HLOP. Whole HLOPs run on the host pool either
+// way, which already overlaps one HLOP's staging with another's kernel.
+// Outputs are bit-identical both ways (TestPropertyPrefetchBitIdentity).
 func BenchmarkOverlap(b *testing.B) {
 	const side = 512
 	r := rand.New(rand.NewSource(42))
@@ -37,14 +34,11 @@ func BenchmarkOverlap(b *testing.B) {
 	}
 
 	for _, bc := range []struct {
-		name       string
-		depth      int
-		concurrent bool
+		name     string
+		resident bool
 	}{
-		{"staged", 0, false},
-		{"resident", 2, false},
-		{"concurrent/staged", 0, true},
-		{"concurrent/prefetched", 2, true},
+		{"staged", false},
+		{"resident", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			reg, err := device.NewRegistry(cpu.New(1), tpu.New(tpu.Config{}))
@@ -53,7 +47,7 @@ func BenchmarkOverlap(b *testing.B) {
 			}
 			e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
 				Spec:         hlop.Spec{TargetPartitions: 16, MinTile: 8},
-				DoubleBuffer: true, Prefetch: bc.depth, Concurrent: bc.concurrent}
+				DoubleBuffer: true, Prefetch: bc.resident}
 			b.SetBytes(2 * side * side * 8)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -114,67 +114,64 @@ func TestPropertyPlanReplayBitIdentity(t *testing.T) {
 }
 
 // TestPlanCacheChaosDeathInvalidates warms the plan cache, kills a device so
-// its breaker opens mid-run, and checks the epoch guard end to end in both
-// engines: the next lookup must drop the stale plan (it assigns work to the
-// now-quarantined device) and re-plan around the dead device — the replayed
-// run must show zero failed dispatches — and the re-plan must re-warm the
-// cache for the runs after it.
+// its breaker opens mid-run, and checks the epoch guard end to end: the next
+// lookup must drop the stale plan (it assigns work to the now-quarantined
+// device) and re-plan around the dead device — the replayed run must show
+// zero failed dispatches — and the re-plan must re-warm the cache for the
+// runs after it.
 func TestPlanCacheChaosDeathInvalidates(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		wrapped := chaos.Wrap(gpu.New(gpu.Config{}), chaos.Config{Seed: 7, DieAfterOps: 2})
-		reg, err := device.NewRegistry(cpu.New(1), wrapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Concurrent: concurrent,
-			Spec: chaosHLOPSpec, PlanCacheEntries: 8}
+	wrapped := chaos.Wrap(gpu.New(gpu.Config{}), chaos.Config{Seed: 7, DieAfterOps: 2})
+	reg, err := device.NewRegistry(cpu.New(1), wrapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec, PlanCacheEntries: 8}
 
-		// Run 1 populates the cache and kills the GPU mid-run: the stored
-		// plan routes HLOPs to a device that is quarantined by the time the
-		// run ends, and the breaker transition advanced the health epoch.
-		rep1, err := e.Run(sobelVOP(t, 64, 90))
-		if err != nil {
-			t.Fatalf("concurrent=%v: death run failed: %v", concurrent, err)
-		}
-		if rep1.Degraded == nil || len(rep1.Degraded.Quarantines) == 0 {
-			t.Fatalf("concurrent=%v: GPU death not quarantined: %+v", concurrent, rep1.Degraded)
-		}
-		if quar := e.QuarantinedDevices(); len(quar) != 1 || quar[0] != "gpu" {
-			t.Fatalf("concurrent=%v: want gpu quarantined, got %v", concurrent, quar)
-		}
+	// Run 1 populates the cache and kills the GPU mid-run: the stored
+	// plan routes HLOPs to a device that is quarantined by the time the
+	// run ends, and the breaker transition advanced the health epoch.
+	rep1, err := e.Run(sobelVOP(t, 64, 90))
+	if err != nil {
+		t.Fatalf("death run failed: %v", err)
+	}
+	if rep1.Degraded == nil || len(rep1.Degraded.Quarantines) == 0 {
+		t.Fatalf("GPU death not quarantined: %+v", rep1.Degraded)
+	}
+	if quar := e.QuarantinedDevices(); len(quar) != 1 || quar[0] != "gpu" {
+		t.Fatalf("want gpu quarantined, got %v", quar)
+	}
 
-		// Run 2 must invalidate (epoch moved), not replay the stale plan: a
-		// fresh planning pass sees the quarantine and routes around the dead
-		// GPU, so nothing is dispatched to it and nothing degrades.
-		rep2, err := e.Run(sobelVOP(t, 64, 90))
-		if err != nil {
-			t.Fatalf("concurrent=%v: post-death run failed: %v", concurrent, err)
-		}
-		st := e.PlanCacheStats()
-		if st.Invalidations != 1 {
-			t.Fatalf("concurrent=%v: invalidations = %d, want 1 (stats %+v)", concurrent, st.Invalidations, st)
-		}
-		if st.Hits != 0 {
-			t.Fatalf("concurrent=%v: stale plan replayed: %+v", concurrent, st)
-		}
-		if d := rep2.Degraded; d != nil {
-			t.Fatalf("concurrent=%v: re-planned run still touched the dead device: %+v", concurrent, d)
-		}
+	// Run 2 must invalidate (epoch moved), not replay the stale plan: a
+	// fresh planning pass sees the quarantine and routes around the dead
+	// GPU, so nothing is dispatched to it and nothing degrades.
+	rep2, err := e.Run(sobelVOP(t, 64, 90))
+	if err != nil {
+		t.Fatalf("post-death run failed: %v", err)
+	}
+	st := e.PlanCacheStats()
+	if st.Invalidations != 1 {
+		t.Fatalf("invalidations = %d, want 1 (stats %+v)", st.Invalidations, st)
+	}
+	if st.Hits != 0 {
+		t.Fatalf("stale plan replayed: %+v", st)
+	}
+	if d := rep2.Degraded; d != nil {
+		t.Fatalf("re-planned run still touched the dead device: %+v", d)
+	}
 
-		// Run 3 replays the re-warmed plan — and still avoids the dead GPU.
-		rep3, err := e.Run(sobelVOP(t, 64, 90))
-		if err != nil {
-			t.Fatalf("concurrent=%v: replay run failed: %v", concurrent, err)
-		}
-		if st := e.PlanCacheStats(); st.Hits != 1 {
-			t.Fatalf("concurrent=%v: re-warmed plan not replayed: %+v", concurrent, st)
-		}
-		if d := rep3.Degraded; d != nil {
-			t.Fatalf("concurrent=%v: replayed plan touched the dead device: %+v", concurrent, d)
-		}
-		if !rep3.Output.Equal(rep2.Output) {
-			t.Fatalf("concurrent=%v: replay diverged from the re-planned run", concurrent)
-		}
+	// Run 3 replays the re-warmed plan — and still avoids the dead GPU.
+	rep3, err := e.Run(sobelVOP(t, 64, 90))
+	if err != nil {
+		t.Fatalf("replay run failed: %v", err)
+	}
+	if st := e.PlanCacheStats(); st.Hits != 1 {
+		t.Fatalf("re-warmed plan not replayed: %+v", st)
+	}
+	if d := rep3.Degraded; d != nil {
+		t.Fatalf("replayed plan touched the dead device: %+v", d)
+	}
+	if !rep3.Output.Equal(rep2.Output) {
+		t.Fatal("replay diverged from the re-planned run")
 	}
 }
 
@@ -184,53 +181,50 @@ func TestPlanCacheChaosDeathInvalidates(t *testing.T) {
 // captured before the outage), and the re-plan — against the recovered,
 // full-strength device set — re-warms the cache.
 func TestPlanCacheChaosReadmitInvalidates(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		wrapped := chaos.Wrap(tpu.New(tpu.Config{}), chaos.Config{Seed: 5, FailFirstOps: 3})
-		reg, err := device.NewRegistry(cpu.New(1), wrapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Concurrent: concurrent,
-			Spec: chaosHLOPSpec, Resilience: Resilience{MaxRetries: 16},
-			PlanCacheEntries: 8}
+	wrapped := chaos.Wrap(tpu.New(tpu.Config{}), chaos.Config{Seed: 5, FailFirstOps: 3})
+	reg, err := device.NewRegistry(cpu.New(1), wrapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec,
+		Resilience: Resilience{MaxRetries: 16}, PlanCacheEntries: 8}
 
-		rep1, err := e.Run(sobelVOP(t, 128, 94))
-		if err != nil {
-			t.Fatalf("concurrent=%v: outage run failed: %v", concurrent, err)
-		}
-		d := rep1.Degraded
-		if d == nil || len(d.Quarantines) == 0 || d.ProbeSuccesses == 0 {
-			t.Fatalf("concurrent=%v: want quarantine + re-admission, got %+v", concurrent, d)
-		}
-		if quar := e.QuarantinedDevices(); len(quar) != 0 {
-			t.Fatalf("concurrent=%v: device not re-admitted: %v", concurrent, quar)
-		}
+	rep1, err := e.Run(sobelVOP(t, 128, 94))
+	if err != nil {
+		t.Fatalf("outage run failed: %v", err)
+	}
+	d := rep1.Degraded
+	if d == nil || len(d.Quarantines) == 0 || d.ProbeSuccesses == 0 {
+		t.Fatalf("want quarantine + re-admission, got %+v", d)
+	}
+	if quar := e.QuarantinedDevices(); len(quar) != 0 {
+		t.Fatalf("device not re-admitted: %v", quar)
+	}
 
-		// The open->probe->re-admit cycle moved the epoch (twice); the plan
-		// captured before the outage must not replay.
-		rep2, err := e.Run(sobelVOP(t, 128, 94))
-		if err != nil {
-			t.Fatalf("concurrent=%v: post-outage run failed: %v", concurrent, err)
-		}
-		st := e.PlanCacheStats()
-		if st.Invalidations != 1 || st.Hits != 0 {
-			t.Fatalf("concurrent=%v: want 1 invalidation and no hits, got %+v", concurrent, st)
-		}
-		if rep2.Degraded != nil {
-			t.Fatalf("concurrent=%v: recovered device faulted again: %+v", concurrent, rep2.Degraded)
-		}
+	// The open->probe->re-admit cycle moved the epoch (twice); the plan
+	// captured before the outage must not replay.
+	rep2, err := e.Run(sobelVOP(t, 128, 94))
+	if err != nil {
+		t.Fatalf("post-outage run failed: %v", err)
+	}
+	st := e.PlanCacheStats()
+	if st.Invalidations != 1 || st.Hits != 0 {
+		t.Fatalf("want 1 invalidation and no hits, got %+v", st)
+	}
+	if rep2.Degraded != nil {
+		t.Fatalf("recovered device faulted again: %+v", rep2.Degraded)
+	}
 
-		// Steady state after recovery: the re-warmed plan replays.
-		rep3, err := e.Run(sobelVOP(t, 128, 94))
-		if err != nil {
-			t.Fatalf("concurrent=%v: replay run failed: %v", concurrent, err)
-		}
-		if st := e.PlanCacheStats(); st.Hits != 1 {
-			t.Fatalf("concurrent=%v: re-warmed plan not replayed: %+v", concurrent, st)
-		}
-		if !rep3.Output.Equal(rep2.Output) {
-			t.Fatalf("concurrent=%v: replay diverged after re-admission", concurrent)
-		}
+	// Steady state after recovery: the re-warmed plan replays.
+	rep3, err := e.Run(sobelVOP(t, 128, 94))
+	if err != nil {
+		t.Fatalf("replay run failed: %v", err)
+	}
+	if st := e.PlanCacheStats(); st.Hits != 1 {
+		t.Fatalf("re-warmed plan not replayed: %+v", st)
+	}
+	if !rep3.Output.Equal(rep2.Output) {
+		t.Fatal("replay diverged after re-admission")
 	}
 }
 

@@ -45,8 +45,8 @@ import (
 // epochs and counts an invalidation.
 
 // planCache is an LRU-bounded map from plan key to captured plan. Safe for
-// concurrent use; the engines consult it once per VOP, outside the hot
-// dispatch loops.
+// concurrent use; the engine consults it once per VOP, outside the pick
+// loop.
 type planCache struct {
 	mu      sync.Mutex
 	max     int

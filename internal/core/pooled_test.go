@@ -89,7 +89,7 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Engine{Reg: reg, Policy: pol, Seed: 5, DoubleBuffer: true, Prefetch: 2, RecordTrace: true,
+		return &Engine{Reg: reg, Policy: pol, Seed: 5, DoubleBuffer: true, Prefetch: true, RecordTrace: true,
 			Spec: hlop.Spec{TargetPartitions: 12, MinTile: 8, MinVectorElems: 32}}
 	}
 	inputsFor := func(op vop.Opcode) []*tensor.Matrix {
@@ -181,8 +181,8 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 						}
 						seen[d.h], results[d.h.Result] = true, true
 					}
-					if n := r.outstanding.Load(); n != 0 || len(r.done) < len(hs) {
-						t.Fatalf("%s: %d outstanding, %d done of %d planned", name, n, len(r.done), len(hs))
+					if r.outstanding != 0 || len(r.done) < len(hs) {
+						t.Fatalf("%s: %d outstanding, %d done of %d planned", name, r.outstanding, len(r.done), len(hs))
 					}
 				})
 			}
@@ -191,51 +191,46 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 }
 
 // TestPooledComputeNeverWaitsOnItsOwnPrestage is the regression for the
-// self-deadlock ISSUE 15 found on a prototype: had the deterministic loop kept
-// issuing asynchronous prestage jobs, a pool worker running job J would enter
+// self-deadlock ISSUE 15 found on a prototype: had the pick loop issued
+// asynchronous prestage jobs, a pool worker running job J would enter
 // parallel.For's helping wait inside the staging kernel (the operands here are
 // large enough to fan out), pick up the compute task of the very HLOP J
-// stages, and wait forever on J's completion. Needs ≥ 2 procs to bite; CI runs
-// it under -cpu 1,2,4.
+// stages, and wait forever on J's completion. Only warm's resident casts and
+// the compute tasks run on the pool now; this holds them to finishing with a
+// TPU and fan-out-sized operands, and to leaving the cache's gauge at zero.
+// Needs ≥ 2 procs to bite; CI runs it under -cpu 1,2,4.
 func TestPooledComputeNeverWaitsOnItsOwnPrestage(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
 	a := workload.Uniform(256, 256, -1, 1, 41)
 	b := workload.Uniform(256, 256, -1, 1, 42)
-	for _, concurrent := range []bool{false, true} {
-		reg, err := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tpu.New(tpu.Config{}))
+	reg, err := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tpu.New(tpu.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"}, DoubleBuffer: true, Prefetch: true,
+		Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}}
+	done := make(chan error, 1)
+	go withWorkers(4, func() {
+		var err error
+		for i := 0; i < 5 && err == nil; i++ {
+			var v *vop.VOP
+			if v, err = vop.New(vop.OpGEMM, a, b); err == nil {
+				_, err = e.Run(v)
+			}
+		}
+		done <- err
+	})
+	select {
+	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"}, DoubleBuffer: true, Prefetch: 2,
-			Concurrent: concurrent, Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}}
-		issued0 := telemetry.PrefetchIssued.Value()
-		done := make(chan error, 1)
-		go withWorkers(4, func() {
-			var err error
-			for i := 0; i < 5 && err == nil; i++ {
-				var v *vop.VOP
-				if v, err = vop.New(vop.OpGEMM, a, b); err == nil {
-					_, err = e.Run(v)
-				}
-			}
-			done <- err
-		})
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("concurrent=%v: %v", concurrent, err)
-			}
-		case <-time.After(20 * time.Second):
-			t.Fatalf("concurrent=%v: run with Prefetch on and a TPU hung", concurrent)
-		}
-		// Only the concurrent loop prestages asynchronously.
-		if issued := telemetry.PrefetchIssued.Value() - issued0; (issued > 0) != concurrent {
-			t.Fatalf("concurrent=%v: %d prestage jobs issued", concurrent, issued)
-		}
-		if g := telemetry.PrefetchBufferBytes.Value(); g != 0 {
-			t.Fatalf("concurrent=%v: prefetch buffer gauge left at %d bytes", concurrent, g)
-		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("run with the resident cache on and a TPU hung")
+	}
+	if g := telemetry.PrefetchBufferBytes.Value(); g != 0 {
+		t.Fatalf("prefetch buffer gauge left at %d bytes", g)
 	}
 }
 
@@ -279,40 +274,37 @@ func TestComputeHalfErrorFailsTheRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(concurrent bool) (*badKernelDevice, error) {
+	run := func() (*badKernelDevice, error) {
 		bad := &badKernelDevice{Device: gpu.New(gpu.Config{}), failAt: 3}
 		reg, err := device.NewRegistry(cpu.New(1), bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "gpu"}, Concurrent: concurrent,
-			DoubleBuffer: true, Prefetch: 2, Spec: spec}
+		e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "gpu"},
+			DoubleBuffer: true, Prefetch: true, Spec: spec}
 		_, err = e.RunBatch([]*vop.VOP{sobelVOP(t, 128, 61)})
 		return bad, err
 	}
 	withWorkers(4, func() {
-		run(false) // start the pool's long-lived workers before counting goroutines
-		for _, concurrent := range []bool{false, true} {
-			before := runtime.NumGoroutine()
-			bad, err := run(concurrent)
-			if !errors.Is(err, errKernel) || !strings.HasPrefix(err.Error(), "core: HLOP ") {
-				t.Fatalf("concurrent=%v: err = %v, want the kernel error wrapped with its HLOP", concurrent, err)
+		run() // start the pool's long-lived workers before counting goroutines
+		before := runtime.NumGoroutine()
+		bad, err := run()
+		if !errors.Is(err, errKernel) || !strings.HasPrefix(err.Error(), "core: HLOP ") {
+			t.Fatalf("err = %v, want the kernel error wrapped with its HLOP", err)
+		}
+		if a, c := int(bad.admits.Load()), int(bad.computes.Load()); a > len(planned) || c > a {
+			t.Fatalf("%d admissions, %d computes for %d HLOPs: a compute error was retried", a, c, len(planned))
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines before the run, %d after", before, runtime.NumGoroutine())
 			}
-			if a, c := int(bad.admits.Load()), int(bad.computes.Load()); a > len(planned) || c > a {
-				t.Fatalf("concurrent=%v: %d admissions, %d computes for %d HLOPs: a compute error was retried",
-					concurrent, a, c, len(planned))
-			}
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-				if time.Now().After(deadline) {
-					t.Fatalf("concurrent=%v: %d goroutines before the run, %d after", concurrent, before, runtime.NumGoroutine())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			// PutMatrix resets what it takes back.
-			for i, m := range bad.results {
-				if m.Rows != 0 || len(m.Data) != 0 {
-					t.Fatalf("concurrent=%v: result %d of %d was not returned to the arena", concurrent, i, len(bad.results))
-				}
+			time.Sleep(time.Millisecond)
+		}
+		// PutMatrix resets what it takes back.
+		for i, m := range bad.results {
+			if m.Rows != 0 || len(m.Data) != 0 {
+				t.Fatalf("result %d of %d was not returned to the arena", i, len(bad.results))
 			}
 		}
 	})

@@ -12,46 +12,27 @@ import (
 	"shmt/internal/vop"
 )
 
-// prefetcher is the wall-clock half of double-buffered HLOP pipelining, for
-// every device that casts its operands (device.Prestager). It has two jobs.
+// prefetcher is the wall-clock half of double-buffered HLOP pipelining: the
+// resident shared-operand cache, for every device that casts its operands
+// (device.Prestager). An operand several HLOPs of a round share (a GEMM
+// right-hand matrix, a convolution kernel) is cast once per device —
+// quantized for the TPU, rounded to FP32 for the GPU — and kept resident for
+// every consumer, instead of being re-cast per HLOP. warm makes those casts
+// on the host pool before the round's compute pass, whose tasks then only
+// read the cache. The pool computes whole HLOPs side by side, which already
+// overlaps one HLOP's staging with another's kernel; nothing else is staged
+// ahead.
 //
-// The resident shared-operand cache (wantsStaged / stageSet / residentFor)
-// serves both pick loops and every casting device: an operand several HLOPs
-// of a round share (a GEMM right-hand matrix, a convolution kernel) is cast
-// once per device — quantized for the TPU, rounded to FP32 for the GPU — and
-// kept resident for every consumer, instead of being re-cast per HLOP.
-//
-// Asynchronous prestaging (issue / take / cancel) serves private-memory
-// devices under the concurrent loop only: while HLOP k executes, HLOP k+1's
-// operands are materialized and quantized on internal/parallel's worker
-// pool (so it needs no goroutines of its own and can never deadlock against
-// kernel fan-out), bounded to Engine.Prefetch staged-ahead HLOPs per device.
-// The deterministic loop puts whole HLOPs on the pool, which overlaps
-// staging with kernels by itself; see round.admit for why an asynchronous
-// job there could deadlock on itself.
-//
-// Two rules keep results bit-identical with prefetch off:
-//
-//   - staging goes through the exact dispatch path (a Prestager's Compute is
-//     StageInput on each operand, then ExecuteStaged), and
-//   - a staged set is only consumed by the device it was staged for — a
-//     steal or reroute that moves the HLOP cancels the prestage instead.
+// Results are bit-identical with the cache off: a resident cast is made by
+// the device's own StageInput, the call its dispatch path would make, and is
+// keyed by queue and opcode, so an HLOP only ever consumes a cast made for the
+// device that admitted it.
 type prefetcher struct {
-	depth int
+	shared map[*tensor.Matrix]bool // read-only once built
 
-	mu       sync.Mutex
-	jobs     map[*hlop.HLOP]*prestageJob
-	inflight []int // async jobs outstanding per queue index
-	shared   map[*tensor.Matrix]bool
+	mu       sync.Mutex // guards the cache against the compute pass's pool tasks
 	resident map[residentKey]*tensor.Matrix
 	resBytes int64
-}
-
-// prestageJob is one in-flight asynchronous staging of an HLOP's operands.
-type prestageJob struct {
-	qi   int // queue index the set was staged for
-	done chan struct{}
-	st   *device.Staged
 }
 
 // residentKey identifies a device-resident shared operand: the same matrix
@@ -63,11 +44,11 @@ type residentKey struct {
 	in *tensor.Matrix
 }
 
-// newPrefetcher returns the run's prefetcher, or nil when Engine.Prefetch
-// disables it. hs is scanned for operands shared across HLOPs — only those
-// are worth keeping device-resident.
+// newPrefetcher returns the run's prefetcher, or nil when Engine.Prefetch is
+// off or no operand of hs is shared across HLOPs — only shared operands are
+// worth keeping device-resident.
 func (e *Engine) newPrefetcher(hs []*hlop.HLOP) *prefetcher {
-	if e.Prefetch <= 0 {
+	if !e.Prefetch {
 		return nil
 	}
 	seen := make(map[*tensor.Matrix]int)
@@ -82,57 +63,10 @@ func (e *Engine) newPrefetcher(hs []*hlop.HLOP) *prefetcher {
 			shared[in] = true
 		}
 	}
-	return &prefetcher{
-		depth:    e.Prefetch,
-		jobs:     make(map[*hlop.HLOP]*prestageJob),
-		inflight: make([]int, e.Reg.Len()),
-		shared:   shared,
-		resident: make(map[residentKey]*tensor.Matrix),
+	if len(shared) == 0 {
+		return nil
 	}
-}
-
-// peekDepth is how many queue-head HLOPs the engines offer to issue; 0 when
-// prefetch is off (nil-safe).
-func (pf *prefetcher) peekDepth() int {
-	if pf == nil {
-		return 0
-	}
-	return pf.depth
-}
-
-// issue starts staging h's operands for the device at queue index qi, if the
-// device stages into private memory (a shared-memory cast is part of the
-// HLOP's own compute; there is no transfer to run ahead of), the per-device
-// depth allows it, and the operand set fits device memory (oversized HLOPs
-// are left for the dispatch path, whose ErrTooLarge drives the split logic).
-// Idempotent per HLOP. Nil-safe.
-func (pf *prefetcher) issue(qi int, dev device.Device, h *hlop.HLOP) {
-	if pf == nil {
-		return
-	}
-	ps, ok := dev.(device.Prestager)
-	if !ok || dev.MemoryBytes() == 0 {
-		return
-	}
-	pf.mu.Lock()
-	if _, dup := pf.jobs[h]; dup || pf.inflight[qi] >= pf.depth || !ps.CanStage(h.Op, h.Inputs) {
-		pf.mu.Unlock()
-		return
-	}
-	job := &prestageJob{qi: qi, done: make(chan struct{})}
-	pf.jobs[h] = job
-	pf.inflight[qi]++
-	pf.mu.Unlock()
-
-	telemetry.PrefetchIssued.Inc()
-	run := func() {
-		job.st = pf.stageSet(ps, qi, h)
-		telemetry.PrefetchBufferBytes.Add(job.st.Bytes)
-		close(job.done)
-	}
-	if !parallel.Try(run) {
-		run() // pool saturated: stage on the caller, the set is still reusable
-	}
+	return &prefetcher{shared: shared, resident: make(map[residentKey]*tensor.Matrix)}
 }
 
 // stageSet stages every operand of h for the device at qi: shared operands
@@ -141,34 +75,23 @@ func (pf *prefetcher) issue(qi int, dev device.Device, h *hlop.HLOP) {
 func (pf *prefetcher) stageSet(ps device.Prestager, qi int, h *hlop.HLOP) *device.Staged {
 	st := device.NewStaged(len(h.Inputs))
 	for i, in := range h.Inputs {
-		if pf.isShared(in) {
+		if pf.shared[in] {
 			st.Inputs[i] = pf.residentFor(ps, qi, h.Op, in)
 			st.Keep[i] = true
-			continue
+		} else {
+			st.Inputs[i] = ps.StageInput(h.Op, in)
 		}
-		b := ps.StageInput(h.Op, in)
-		st.Inputs[i] = b
-		st.Bytes += b.Bytes(tensor.ElemSize)
 	}
 	return st
 }
 
-func (pf *prefetcher) isShared(in *tensor.Matrix) bool {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.shared[in]
-}
-
-// wantsStaged reports whether the synchronous dispatch path should stage h
-// through the prefetcher anyway: true when a shared operand is resident (or
-// residentable), so consecutive HLOPs reuse one staging instead of
-// re-quantizing it each. Nil-safe.
+// wantsStaged reports whether the compute half should stage h through the
+// prefetcher: true when one of its operands is shared, so consecutive HLOPs
+// reuse one staging instead of re-casting it each. Nil-safe.
 func (pf *prefetcher) wantsStaged(h *hlop.HLOP) bool {
 	if pf == nil {
 		return false
 	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
 	for _, in := range h.Inputs {
 		if pf.shared[in] {
 			return true
@@ -183,7 +106,7 @@ func (pf *prefetcher) wantsStaged(h *hlop.HLOP) bool {
 // device and round, where simultaneous first uses would each cast a copy and
 // throw all but one away. Nil-safe.
 func (pf *prefetcher) warm(r *round) {
-	if pf == nil || len(pf.shared) == 0 {
+	if pf == nil {
 		return
 	}
 	var keys []residentKey
@@ -206,9 +129,9 @@ func (pf *prefetcher) warm(r *round) {
 }
 
 // residentFor returns the device-resident staging of a shared operand,
-// staging and installing it on first use. Concurrent first uses (the
-// concurrent loop's prestage jobs) may stage twice; the loser's copy is
-// released and the winner is shared.
+// staging and installing it on first use. The cast runs outside the lock so
+// warm's tasks cast side by side; should two first uses of one key ever race,
+// the loser's copy is released and the winner is shared.
 func (pf *prefetcher) residentFor(ps device.Prestager, qi int, op vop.Opcode, in *tensor.Matrix) *tensor.Matrix {
 	key := residentKey{qi: qi, op: op, in: in}
 	pf.mu.Lock()
@@ -232,98 +155,25 @@ func (pf *prefetcher) residentFor(ps device.Prestager, qi int, op vop.Opcode, in
 	return m
 }
 
-// claim removes h's prestage job, if any, waits for an in-flight staging to
-// finish (staging is short and arena buffers must not leak) and settles the
-// depth and buffer accounting; the caller consumes or releases the staged
-// set. Nil-safe; nil when h has no prestage.
-func (pf *prefetcher) claim(h *hlop.HLOP) *prestageJob {
-	if pf == nil {
-		return nil
-	}
-	pf.mu.Lock()
-	job, ok := pf.jobs[h]
-	if !ok {
-		pf.mu.Unlock()
-		return nil
-	}
-	delete(pf.jobs, h)
-	pf.mu.Unlock()
-	<-job.done
-	pf.mu.Lock()
-	pf.inflight[job.qi]--
-	pf.mu.Unlock()
-	telemetry.PrefetchBufferBytes.Add(-job.st.Bytes)
-	return job
-}
-
-// take claims h's prestaged operand set for the device at queue index qi.
-// It returns nil on a miss; a set staged for a different device — the HLOP
-// was stolen or rerouted after the prestage was issued — is cancelled and
-// released, since the new device quantizes (or doesn't) differently.
-func (pf *prefetcher) take(qi int, h *hlop.HLOP) *device.Staged {
-	job := pf.claim(h)
-	if job == nil {
-		return nil
-	}
-	if job.qi != qi {
-		job.st.Release()
-		telemetry.PrefetchCancelled.Inc()
-		return nil
-	}
-	telemetry.PrefetchHits.Inc()
-	return job.st
-}
-
-// cancel invalidates h's prestage, if any: a breaker-open redistribution or
-// failure reroute moved the HLOP, so the staged set will never be consumed
-// where it was staged.
-func (pf *prefetcher) cancel(h *hlop.HLOP) {
-	if job := pf.claim(h); job != nil {
-		job.st.Release()
-		telemetry.PrefetchCancelled.Inc()
-	}
-}
-
-// drain releases every unconsumed prestage and the resident-operand cache.
-// Called once when the run loop exits, before aggregation releases the
-// HLOP result buffers. Nil-safe.
+// drain releases the resident-operand cache. Called once when the pick loop
+// exits, before aggregation releases the HLOP result buffers. Nil-safe.
 func (pf *prefetcher) drain() {
 	if pf == nil {
 		return
 	}
-	pf.mu.Lock()
-	jobs := pf.jobs
-	pf.jobs = make(map[*hlop.HLOP]*prestageJob)
-	pf.mu.Unlock()
-	for _, job := range jobs {
-		<-job.done
-		telemetry.PrefetchBufferBytes.Add(-job.st.Bytes)
-		job.st.Release()
-		telemetry.PrefetchCancelled.Inc()
-	}
-	pf.mu.Lock()
-	resident := pf.resident
-	resBytes := pf.resBytes
-	pf.resident = make(map[residentKey]*tensor.Matrix)
-	pf.resBytes = 0
-	pf.mu.Unlock()
-	for _, m := range resident {
+	for _, m := range pf.resident {
 		tensor.PutMatrix(m)
 	}
-	telemetry.PrefetchBufferBytes.Add(-resBytes)
+	clear(pf.resident)
+	telemetry.PrefetchBufferBytes.Add(-pf.resBytes)
+	pf.resBytes = 0
 }
 
-// executeHLOP computes h, which dev admitted under t, consuming a prestaged
-// operand set when one is ready for this device, staging through the
-// resident-operand cache when a shared operand makes that worthwhile, and
-// falling back to the device's plain compute half otherwise. All three paths
-// are bit-identical by construction (see device.Prestager).
+// executeHLOP computes h, which dev admitted under t, staging through the
+// resident-operand cache when a shared operand makes that worthwhile and
+// through the device's plain compute half otherwise. Both paths are
+// bit-identical by construction (see device.Prestager).
 func (e *Engine) executeHLOP(pf *prefetcher, qi int, dev device.Device, h *hlop.HLOP, t device.Ticket) (*tensor.Matrix, error) {
-	if st := pf.take(qi, h); st != nil {
-		// take only returns sets staged for this queue's device, which
-		// therefore implements Prestager.
-		return dev.(device.Prestager).ExecuteStaged(h.Op, st, h.Out, h.Attrs)
-	}
 	if pf.wantsStaged(h) {
 		// Admission already established that the operand set fits.
 		if ps, ok := dev.(device.Prestager); ok {

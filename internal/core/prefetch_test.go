@@ -16,11 +16,11 @@ import (
 	"shmt/internal/vop"
 )
 
-// prefetchEngine builds a fresh engine over reg with the given prefetch
-// depth; every call gets its own VOP over the shared (never mutated) inputs.
+// runPrefetch runs a fresh engine over reg with the resident cache off or
+// on; every call gets its own VOP over the shared (never mutated) inputs.
 func runPrefetch(t testing.TB, reg *device.Registry, pol sched.Policy,
 	op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64,
-	parts, depth int, concurrent bool) *Report {
+	parts int, resident bool) *Report {
 	t.Helper()
 	v, err := vop.New(op, inputs...)
 	if err != nil {
@@ -31,22 +31,22 @@ func runPrefetch(t testing.TB, reg *device.Registry, pol sched.Policy,
 	}
 	e := &Engine{Reg: reg, Policy: pol,
 		Spec:         hlop.Spec{TargetPartitions: parts, MinTile: 8, MinVectorElems: 32},
-		DoubleBuffer: true, Prefetch: depth, Concurrent: concurrent, Seed: 7}
+		DoubleBuffer: true, Prefetch: resident, Seed: 7}
 	rep, err := e.Run(v)
 	if err != nil {
-		t.Fatalf("run %s (prefetch=%d concurrent=%v): %v", op, depth, concurrent, err)
+		t.Fatalf("run %s (resident=%v): %v", op, resident, err)
 	}
 	return rep
 }
 
-// Property (ISSUE 8 acceptance): asynchronous input prefetch only changes
-// *when* operands are staged, never *how*. For random opcodes, partition
-// counts, device mixes, engines, and prefetch depths 1..4:
+// Property (ISSUE 8 acceptance): the resident shared-operand cache only
+// changes how often a shared operand is cast, never what the cast is. For
+// random opcodes, partition counts and device mixes:
 //
-//   - outputs are bit-identical to the prefetch-off run,
+//   - outputs are bit-identical to the cache-off run,
 //   - exposed communication time never exceeds raw transfer time, and
-//   - the deterministic engine's virtual timeline is untouched (prefetch is
-//     a wall-clock optimization; makespans match exactly).
+//   - the virtual timeline is untouched (the cache is a wall-clock
+//     optimization; makespans match exactly).
 func TestPropertyPrefetchBitIdentity(t *testing.T) {
 	ops := []vop.Opcode{
 		vop.OpSqrt, vop.OpTanh, vop.OpRelu, vop.OpAdd, vop.OpMultiply,
@@ -70,34 +70,27 @@ func TestPropertyPrefetchBitIdentity(t *testing.T) {
 		inputs, attrs := randVOP(t, r, op)
 
 		parts := 1 + r.Intn(12)
-		depth := 1 + r.Intn(4)
-		concurrent := r.Intn(2) == 0
 		reg, pol := tpuOnly, sched.Policy(sched.SingleDevice{Device: "tpu"})
-		if !concurrent && r.Intn(2) == 0 {
-			// The goroutine engine's steal order is racy, so a multi-device
-			// mix places HLOPs differently run to run — pinning the device
-			// is what makes its outputs comparable at all. The deterministic
-			// engine exercises the full mix.
+		if r.Intn(2) == 0 {
 			reg, pol = mixed, sched.WorkStealing{}
 		}
 
-		base := runPrefetch(t, reg, pol, op, inputs, attrs, parts, 0, concurrent)
-		pref := runPrefetch(t, reg, pol, op, inputs, attrs, parts, depth, concurrent)
-		if !pref.Output.Equal(base.Output) {
-			t.Logf("op=%s seed=%d parts=%d depth=%d concurrent=%v: prefetch changed the output",
-				op, seed, parts, depth, concurrent)
+		base := runPrefetch(t, reg, pol, op, inputs, attrs, parts, false)
+		res := runPrefetch(t, reg, pol, op, inputs, attrs, parts, true)
+		if !bitEqual(res.Output, base.Output) {
+			t.Logf("op=%s seed=%d parts=%d %s: the resident cache changed the output", op, seed, parts, pol.Name())
 			return false
 		}
-		for _, rep := range []*Report{base, pref} {
+		for _, rep := range []*Report{base, res} {
 			if rep.Comm.ExposedTime > rep.Comm.TransferTime+1e-12 {
 				t.Logf("op=%s seed=%d: exposed %g > transfer %g",
 					op, seed, rep.Comm.ExposedTime, rep.Comm.TransferTime)
 				return false
 			}
 		}
-		if !concurrent && pref.Makespan != base.Makespan {
-			t.Logf("op=%s seed=%d depth=%d: prefetch moved the virtual makespan %g -> %g",
-				op, seed, depth, base.Makespan, pref.Makespan)
+		if res.Makespan != base.Makespan {
+			t.Logf("op=%s seed=%d: the resident cache moved the virtual makespan %g -> %g",
+				op, seed, base.Makespan, res.Makespan)
 			return false
 		}
 		return true
@@ -107,23 +100,26 @@ func TestPropertyPrefetchBitIdentity(t *testing.T) {
 	}
 }
 
-// prefetchFixture builds a prefetcher over a CPU+TPU registry and a set of
-// small GEMM HLOPs that share one right-hand operand (the band partitioner's
-// layout).
-func prefetchFixture(t *testing.T, depth, n int) (*Engine, *prefetcher, *tpu.Device, []*hlop.HLOP) {
-	t.Helper()
+// TestPrefetcherResidentReuse: over small GEMM HLOPs that share one
+// right-hand operand (the band partitioner's layout), a staged set
+// materializes the private operand and takes the shared one from the
+// resident cache, the same cast serving every HLOP, and draining the cache
+// returns the gauge to where it was.
+func TestPrefetcherResidentReuse(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	base := telemetry.PrefetchBufferBytes.Value()
 	tp := tpu.New(tpu.Config{})
 	reg, err := device.NewRegistry(cpu.New(1), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Prefetch: depth}
 	r := rand.New(rand.NewSource(3))
 	b := tensor.NewMatrix(6, 6)
 	for i := range b.Data {
 		b.Data[i] = r.NormFloat64()
 	}
-	hs := make([]*hlop.HLOP, n)
+	hs := make([]*hlop.HLOP, 3)
 	for i := range hs {
 		a := tensor.NewMatrix(4, 6)
 		for j := range a.Data {
@@ -131,32 +127,12 @@ func prefetchFixture(t *testing.T, depth, n int) (*Engine, *prefetcher, *tpu.Dev
 		}
 		hs[i] = &hlop.HLOP{ID: i, Op: vop.OpGEMM, Inputs: []*tensor.Matrix{a, b}, AssignedQueue: 1}
 	}
-	return e, e.newPrefetcher(hs), tp, hs
-}
+	pf := (&Engine{Reg: reg, Prefetch: true}).newPrefetcher(hs)
 
-func TestPrefetcherHitAndDepthBound(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	base := telemetry.Default.Snapshot()
-	_, pf, tp, hs := prefetchFixture(t, 2, 4)
-	for _, h := range hs {
-		pf.issue(1, tp, h)
+	st := pf.stageSet(tp, 1, hs[0])
+	if len(st.Inputs) != 2 || st.Inputs[0] == hs[0].Inputs[0] || st.Keep[0] {
+		t.Fatalf("private operand not materialized into an owned buffer: %+v", st)
 	}
-	pf.mu.Lock()
-	inflight := pf.inflight[1]
-	pf.mu.Unlock()
-	if inflight != 2 {
-		t.Fatalf("inflight = %d, want the depth bound 2", inflight)
-	}
-	st := pf.take(1, hs[0])
-	if st == nil {
-		t.Fatal("issued prestage not taken as a hit")
-	}
-	if len(st.Inputs) != 2 || st.Inputs[0] == hs[0].Inputs[0] {
-		t.Fatalf("staged set not materialized: %+v", st)
-	}
-	// The shared right-hand operand is device-resident: the same staged
-	// buffer serves every HLOP of the run.
 	if !st.Keep[1] {
 		t.Fatal("shared operand not marked resident")
 	}
@@ -164,59 +140,25 @@ func TestPrefetcherHitAndDepthBound(t *testing.T) {
 	if st2.Inputs[1] != st.Inputs[1] {
 		t.Fatal("shared operand staged twice instead of reused")
 	}
-	if pf.take(1, hs[3]) != nil {
-		t.Fatal("beyond-depth HLOP should not have been staged")
-	}
+	st.Release()
+	st2.Release()
 	pf.drain()
-	d := telemetry.Default.Snapshot().Delta(base)
-	if d["shmt_prefetch_issued_total"] != 2 || d["shmt_prefetch_hits_total"] != 1 {
-		t.Fatalf("prefetch counters: %v", d)
-	}
-	if g := d["shmt_prefetch_buffer_bytes"]; g != 0 {
-		t.Fatalf("buffer gauge leaked %g bytes after drain", g)
-	}
-}
-
-func TestPrefetcherStealCancelsStaging(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	base := telemetry.Default.Snapshot()
-	_, pf, tp, hs := prefetchFixture(t, 2, 2)
-	pf.issue(1, tp, hs[0])
-	// The HLOP was stolen by queue 0's device: the set staged for the TPU
-	// must not be consumed there.
-	if st := pf.take(0, hs[0]); st != nil {
-		t.Fatal("steal consumed a set staged for the victim's device")
-	}
-	d := telemetry.Default.Snapshot().Delta(base)
-	if d["shmt_prefetch_cancelled_total"] != 1 || d["shmt_prefetch_hits_total"] != 0 {
-		t.Fatalf("steal-cancel counters: %v", d)
-	}
-	pf.issue(1, tp, hs[1])
-	pf.cancel(hs[1]) // breaker-open reroute path
-	if pf.take(1, hs[1]) != nil {
-		t.Fatal("cancelled prestage still takeable")
-	}
-	pf.drain()
-	d = telemetry.Default.Snapshot().Delta(base)
-	if d["shmt_prefetch_cancelled_total"] != 2 {
-		t.Fatalf("cancel counters: %v", d)
-	}
-	if g := d["shmt_prefetch_buffer_bytes"]; g != 0 {
-		t.Fatalf("buffer gauge leaked %g bytes", g)
+	if g := telemetry.PrefetchBufferBytes.Value(); g != base {
+		t.Fatalf("buffer gauge %d after drain, %d before", g, base)
 	}
 }
 
 func TestPrefetcherDisabledIsNilSafe(t *testing.T) {
-	e := &Engine{Prefetch: 0}
-	pf := e.newPrefetcher(nil)
-	if pf != nil {
-		t.Fatal("Prefetch=0 should disable the prefetcher")
+	if (&Engine{}).newPrefetcher(nil) != nil {
+		t.Fatal("Prefetch off should disable the prefetcher")
 	}
-	pf.issue(0, nil, nil)
-	if pf.take(0, nil) != nil || pf.peekDepth() != 0 || pf.wantsStaged(nil) {
+	pf := (&Engine{Prefetch: true}).newPrefetcher(nil)
+	if pf != nil {
+		t.Fatal("a round that shares no operand needs no prefetcher")
+	}
+	if pf.wantsStaged(nil) {
 		t.Fatal("nil prefetcher not inert")
 	}
-	pf.cancel(nil)
+	pf.warm(nil)
 	pf.drain()
 }

@@ -38,8 +38,6 @@ func newCastCounter(d device.Device) *castCounter {
 	return &castCounter{Device: d, ps: d.(device.Prestager), casts: map[*tensor.Matrix]int{}}
 }
 
-func (c *castCounter) CanStage(op vop.Opcode, in []*tensor.Matrix) bool { return c.ps.CanStage(op, in) }
-
 func (c *castCounter) StageInput(op vop.Opcode, in *tensor.Matrix) *tensor.Matrix {
 	m := c.ps.StageInput(op, in)
 	c.mu.Lock()
@@ -120,9 +118,9 @@ func TestResidentCastServesEveryCastingDevice(t *testing.T) {
 		shared := c.inputs[1]
 		for _, rg := range registries {
 			var want *tensor.Matrix
-			for _, depth := range []int{0, 2} {
+			for _, resident := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4} {
-					name := fmt.Sprintf("%s/%s/prefetch=%d/workers=%d", c.op, rg.name, depth, workers)
+					name := fmt.Sprintf("%s/%s/resident=%v/workers=%d", c.op, rg.name, resident, workers)
 					devs := rg.devs()
 					reg, err := device.NewRegistry(devs...)
 					if err != nil {
@@ -132,7 +130,7 @@ func TestResidentCastServesEveryCastingDevice(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e := &Engine{Reg: reg, Policy: rg.pol, Spec: spec, DoubleBuffer: true, Prefetch: depth, Seed: 7}
+					e := &Engine{Reg: reg, Policy: rg.pol, Spec: spec, DoubleBuffer: true, Prefetch: resident, Seed: 7}
 					var rep *Report
 					withWorkers(workers, func() { rep, err = e.Run(v) })
 					if err != nil {
@@ -141,7 +139,7 @@ func TestResidentCastServesEveryCastingDevice(t *testing.T) {
 					if want == nil {
 						want = rep.Output
 					} else if !bitEqual(rep.Output, want) {
-						t.Fatalf("%s: output differs from prefetch=0 workers=1", name)
+						t.Fatalf("%s: output differs from resident=false workers=1", name)
 					}
 					for _, d := range devs {
 						cc, ok := d.(*castCounter)
@@ -150,11 +148,11 @@ func TestResidentCastServesEveryCastingDevice(t *testing.T) {
 						}
 						ran := cc.execs
 						switch n := cc.casts[shared]; {
-						case depth == 0 && n != ran:
+						case !resident && n != ran:
 							t.Fatalf("%s: %s cast the shared operand %d times for %d HLOPs with the cache off", name, cc.Name(), n, ran)
-						case depth > 0 && ran > 0 && n != 1:
+						case resident && ran > 0 && n != 1:
 							t.Fatalf("%s: %s cast the shared operand %d times in one round (%d HLOPs)", name, cc.Name(), n, ran)
-						case depth > 0 && ran == 0 && n != 0:
+						case resident && ran == 0 && n != 0:
 							t.Fatalf("%s: %s cast the shared operand without running an HLOP", name, cc.Name())
 						}
 						if n := cc.leaked(); n != 0 {
@@ -191,7 +189,7 @@ func TestResidentCastReleasedOnComputeError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: cc.Name()}, DoubleBuffer: true, Prefetch: 2,
+			e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: cc.Name()}, DoubleBuffer: true, Prefetch: true,
 				Spec: hlop.Spec{TargetPartitions: 12, MinTile: 8}}
 			withWorkers(4, func() { _, err = e.Run(v) })
 			if !errors.Is(err, errKernel) {

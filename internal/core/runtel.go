@@ -23,8 +23,6 @@ type telHandles struct {
 	executed []*telemetry.Counter
 	steals   []*telemetry.Counter
 	assigned []*telemetry.Counter
-	depth    []*telemetry.Gauge
-	wait     []*telemetry.Histogram
 	breaker  []*telemetry.Gauge
 	phases   [4]*telemetry.Histogram // indexed by phaseIndex
 }
@@ -68,8 +66,6 @@ func (e *Engine) telHandlesFor(policy string) *telHandles {
 		executed: make([]*telemetry.Counter, n),
 		steals:   make([]*telemetry.Counter, n),
 		assigned: make([]*telemetry.Counter, n),
-		depth:    make([]*telemetry.Gauge, n),
-		wait:     make([]*telemetry.Histogram, n),
 		breaker:  make([]*telemetry.Gauge, n),
 	}
 	for i := 0; i < n; i++ {
@@ -78,8 +74,6 @@ func (e *Engine) telHandlesFor(policy string) *telHandles {
 		th.executed[i] = telemetry.HLOPsExecuted.With(name)
 		th.steals[i] = telemetry.Steals.With(name)
 		th.assigned[i] = telemetry.HLOPsAssigned.With(name)
-		th.depth[i] = telemetry.QueueDepth.With(name)
-		th.wait[i] = telemetry.QueueWaitSeconds.With(name)
 		th.breaker[i] = telemetry.BreakerState.With(name)
 	}
 	for _, p := range []string{telemetry.PhasePartition, telemetry.PhaseSchedule,
@@ -91,8 +85,8 @@ func (e *Engine) telHandlesFor(policy string) *telHandles {
 }
 
 // runTel bundles one run's telemetry state: the cached metric handles and the
-// optional span recorder. A nil *runTel disables everything; the engines
-// test it once per event.
+// optional span recorder. A nil *runTel disables everything; the pipeline
+// tests it once per event.
 type runTel struct {
 	rec   *telemetry.Recorder
 	start time.Time

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"shmt/internal/device"
 	"shmt/internal/hlop"
@@ -15,22 +14,19 @@ import (
 	"shmt/internal/trace"
 )
 
-// This file is the per-HLOP step both pick loops share: everything that
-// happens after "this device obtained this HLOP", in two halves.
+// This file is the per-HLOP step the pick loop (runDeterministic in
+// engine.go) runs on everything it picks, in two halves.
 //
-// admit is everything a pick loop branches on or accounts: the device's
+// admit is everything the loop branches on or accounts: the device's
 // admission (device.Device.Admit), the ErrTooLarge split, fault accounting and
 // rerouting, the lane admission that advances virtual time, and the
 // completion bookkeeping. All of it is a function of shapes, the cost model
-// and the fault schedule — never of tensor values.
+// and the fault schedule — never of tensor values — and it runs on one
+// goroutine, one HLOP after another.
 //
 // compute is the arithmetic of an admitted HLOP (executeHLOP); h.Result is
-// its only output.
-//
-// The loops (runDeterministic in engine.go, runConcurrent in concurrent.go)
-// differ in who picks next and in when compute runs: the concurrent workers
-// compute each HLOP as soon as they admitted it, the deterministic loop
-// admits the whole round one by one and then computes it on the host pool.
+// its only output. Once a round is admitted, computeAdmitted runs every
+// admitted HLOP's compute half as a task of its own on the host pool.
 
 // splitCost is the host-side cost of re-partitioning an HLOP that
 // overflowed a device's memory.
@@ -44,62 +40,20 @@ type devState struct {
 	dev  device.Device
 	br   *breaker
 	lane interconnect.Lane
-	etc  *device.ExecTimeCache // shared under the deterministic loop, per device under the concurrent one
 	busy float64
 	ran  bool
-
-	// The incoming queue, in the representation the pick loop needs: a plain
-	// slice the deterministic loop indexes freely, or (tq non-nil) the locked
-	// queue pair the concurrent workers pop and steal from.
-	q  []*hlop.HLOP
-	tq *device.TaskQueue[*hlop.HLOP]
-
-	// skip is obtainConcurrent's scratch: victims already tried during the
-	// current attempt.
-	skip []bool
-}
-
-func (d *devState) push(h *hlop.HLOP) {
-	if d.tq != nil {
-		d.tq.Push(h)
-		return
-	}
-	d.q = append(d.q, h)
+	q    []*hlop.HLOP // the incoming queue: the owner pops the head, thieves take the tail
 }
 
 // pushFront requeues h at the head, shifting within the backing array.
 func (d *devState) pushFront(h *hlop.HLOP) {
-	if d.tq != nil {
-		d.tq.PushFront(h)
-		return
-	}
 	d.q = append(d.q, nil)
 	copy(d.q[1:], d.q)
 	d.q[0] = h
 }
 
-// drain empties the incoming queue and returns what was pending.
-func (d *devState) drain() []*hlop.HLOP {
-	if d.tq != nil {
-		return d.tq.DrainPending()
-	}
-	out := d.q
-	d.q = nil
-	return out
-}
-
-// peek returns up to n queue-head HLOPs without removing them.
-func (d *devState) peek(n int) []*hlop.HLOP {
-	if d.tq != nil {
-		return d.tq.Peek(n)
-	}
-	return d.q[:min(n, len(d.q))]
-}
-
 // round is one execution round: the pooled HLOPs of a batch running over the
-// device set. The atomics and the mutex cost the single-threaded
-// deterministic loop a few uncontended operations per HLOP; they are what
-// lets the concurrent workers run the same step.
+// device set. Everything up to computeErr belongs to the pick loop alone.
 type round struct {
 	e    *Engine
 	ctx  *sched.Context
@@ -108,17 +62,19 @@ type round struct {
 	tr   *trace.Trace
 	rt   *runTel
 	fx   *faultState
+	etc  *device.ExecTimeCache
 	devs []devState
 
-	outstanding atomic.Int64 // HLOPs not yet completed; a split adds one
-	nextID      atomic.Int64 // next unused HLOP ID, for splits
+	outstanding int // HLOPs not yet admitted; a split adds one
+	nextID      int // next unused HLOP ID, for splits
+	retries     map[*hlop.HLOP]int
+	done        []doneHLOP // admission order: the host's aggregation order
+	comm        interconnect.Tracker
 
-	mu      sync.Mutex // guards the fields below
-	retries map[*hlop.HLOP]int
-	done    []doneHLOP // completion order: the host's aggregation order
-	comm    interconnect.Tracker
 	// The compute pass's failure, if any: the error of the earliest-admitted
-	// HLOP that failed, at its index in done.
+	// HLOP that failed, at its index in done. mu guards it against the pool
+	// tasks computeAdmitted runs.
+	mu           sync.Mutex
 	computeErr   error
 	computeErrAt int
 }
@@ -136,7 +92,9 @@ func (e *Engine) newRound(ctx *sched.Context, pol sched.Policy, hs []*hlop.HLOP,
 	overhead float64, tr *trace.Trace, rt *runTel, fx *faultState) *round {
 
 	r := &round{e: e, ctx: ctx, pol: pol, pf: e.newPrefetcher(hs), tr: tr, rt: rt, fx: fx,
-		devs: make([]devState, e.Reg.Len()), done: make([]doneHLOP, 0, len(hs))}
+		etc:  device.NewExecTimeCacheSized(e.ExecTimeCacheEntries),
+		devs: make([]devState, e.Reg.Len()), done: make([]doneHLOP, 0, len(hs)),
+		outstanding: len(hs), nextID: len(hs)}
 	for i := range r.devs {
 		d := &r.devs[i]
 		d.qi, d.dev, d.br = i, e.Reg.Get(i), fx.brs[i]
@@ -145,45 +103,30 @@ func (e *Engine) newRound(ctx *sched.Context, pol sched.Policy, hs []*hlop.HLOP,
 	for _, h := range hs {
 		h.ReadyAt = overhead
 	}
-	r.outstanding.Store(int64(len(hs)))
-	r.nextID.Store(int64(len(hs)))
 	return r
 }
 
 // admit offers h to d's device and, if the device takes it, books its
-// completion on d's lane and appends it to r.done. victim is the queue h was
-// stolen from, -1 when d's own queue supplied it. admitted reports whether h
-// now awaits only its compute half (dn); otherwise a nil error means the
-// round goes on — h was split, rerouted or requeued and will come round again.
-func (r *round) admit(d *devState, victim int, h *hlop.HLOP) (dn doneHLOP, admitted bool, err error) {
+// completion on d's lane and appends it to r.done, where it awaits only its
+// compute half. victim is the queue h was stolen from, -1 when d's own queue
+// supplied it. A nil error with h not admitted means the round goes on — h
+// was split, rerouted or requeued and will come round again.
+func (r *round) admit(d *devState, victim int, h *hlop.HLOP) error {
 	e, dev := r.e, d.dev
 	stolen := victim >= 0
 	wasProbe := !stolen && d.br.beginProbe()
-	// Stage ahead (concurrent loop only): while h computes, the pool
-	// pre-quantizes the operands of the next HLOPs still queued behind it (a
-	// stolen h left the thief's own queue empty, so there is nothing to stage
-	// for). The deterministic loop computes whole HLOPs on the pool instead,
-	// which already overlaps one HLOP's staging with another's kernel — and a
-	// prestage job there could pick up, from parallel.For's helping wait, the
-	// compute of the very HLOP it stages and wait on itself forever.
-	if n := r.pf.peekDepth(); n > 0 && !stolen && e.Concurrent {
-		for _, nh := range d.peek(n) {
-			r.pf.issue(d.qi, dev, nh)
-		}
-	}
 	t, err := dev.Admit(h.Op, h.Inputs)
 	if err != nil {
-		r.pf.cancel(h)
 		if errors.Is(err, device.ErrTooLarge) {
-			return dn, false, r.split(d, h)
+			return r.split(d, h)
 		}
-		return dn, false, r.fault(d, h, err, wasProbe)
+		return r.fault(d, h, err, wasProbe)
 	}
 	r.noteRecovery(d)
 
 	stageB := e.stagingBytes(dev, h)
 	r.tr.AllocStaging(stageB)
-	exec, inT, outT, bytes := e.hlopParts(dev, h, d.etc)
+	exec, inT, outT, bytes := e.hlopParts(dev, h, r.etc)
 	exec += takeInjectedDelay(dev)
 	ready := h.ReadyAt
 	if stolen {
@@ -196,11 +139,8 @@ func (r *round) admit(d *devState, victim int, h *hlop.HLOP) (dn doneHLOP, admit
 	d.busy += adm.End - adm.Start
 
 	h.ExecQueue, h.Finish = d.qi, adm.OutEnd
-	r.mu.Lock()
 	r.comm.Add(bytes, inT+outT, adm.Exposed)
-	dn = doneHLOP{h: h, t: t}
-	r.done = append(r.done, dn)
-	r.mu.Unlock()
+	r.done = append(r.done, doneHLOP{h: h, t: t})
 	if r.rt != nil {
 		r.rt.hlopDone(d.qi, victim, h, adm)
 	}
@@ -213,8 +153,8 @@ func (r *round) admit(d *devState, victim int, h *hlop.HLOP) (dn doneHLOP, admit
 		})
 	}
 	r.tr.FreeStaging(stageB)
-	r.outstanding.Add(-1)
-	return dn, true, nil
+	r.outstanding--
+	return nil
 }
 
 // compute runs an admitted HLOP's arithmetic on the device that admitted it.
@@ -231,12 +171,11 @@ func (r *round) compute(d doneHLOP) error {
 	return nil
 }
 
-// computeAdmitted is the deterministic loop's compute pass: every HLOP the
-// round admitted, one task each, on the host pool (inline, in admission
-// order, when the pool is one worker wide or the round one HLOP long), after
-// the operands they share have been cast once per device. Of several
-// failures the one admitted first is reported, whichever worker reached it
-// first.
+// computeAdmitted is the round's compute pass: every HLOP the round
+// admitted, one task each, on the host pool (inline, in admission order, when
+// the pool is one worker wide or the round one HLOP long), after the operands
+// they share have been cast once per device. Of several failures the one
+// admitted first is reported, whichever worker reached it first.
 func (r *round) computeAdmitted() error {
 	r.pf.warm(r)
 	parallel.For(len(r.done), 1, func(lo, hi int) {
@@ -264,12 +203,13 @@ func (r *round) release() {
 // split halves an HLOP that overflowed d's device memory and requeues both
 // halves at the head of d's queue.
 func (r *round) split(d *devState, h *hlop.HLOP) error {
-	a, b, err := hlop.Split(h, int(r.nextID.Add(1)-1))
+	a, b, err := hlop.Split(h, r.nextID)
+	r.nextID++
 	if err != nil {
 		return fmt.Errorf("core: HLOP %d overflows %s and cannot split: %w", h.ID, d.dev.Name(), err)
 	}
 	telemetry.HLOPSplits.Inc()
-	r.outstanding.Add(1) // one HLOP became two
+	r.outstanding++ // one HLOP became two
 	d.lane.Compute += splitCost
 	a.ReadyAt, b.ReadyAt = d.lane.Compute, d.lane.Compute
 	d.pushFront(b)
@@ -285,13 +225,11 @@ func (r *round) split(d *devState, h *hlop.HLOP) error {
 // cooldown runs as the re-admission probe.
 func (r *round) fault(d *devState, h *hlop.HLOP, execErr error, wasProbe bool) error {
 	e, dev, deg := r.e, d.dev, r.fx.deg
-	r.mu.Lock()
 	if r.retries == nil {
 		r.retries = make(map[*hlop.HLOP]int)
 	}
 	r.retries[h]++
 	tries := r.retries[h]
-	r.mu.Unlock()
 	busy, idle, opened := r.noteFault(d, h, wasProbe)
 	d.lane.Compute += busy
 	d.busy += busy
@@ -302,22 +240,22 @@ func (r *round) fault(d *devState, h *hlop.HLOP, execErr error, wasProbe bool) e
 		openAt := d.lane.Compute
 		d.lane.Compute += idle // quarantine is idle virtual time
 		moved, kept := 0, 0
-		backlog := d.drain()
+		backlog := d.q
+		d.q = nil
 		for bi, b := range backlog {
 			// Hold the last backlog item back as the re-admission probe: an
 			// emptied queue would leave a recovered device quarantined
 			// forever with nothing to probe.
 			if bi == len(backlog)-1 && kept == 0 {
-				d.push(b)
+				d.q = append(d.q, b)
 				continue
 			}
 			alt := e.fallbackQueue(r.ctx, d.qi, b)
 			if alt < 0 {
-				d.push(b) // probe fodder
+				d.q = append(d.q, b) // probe fodder
 				kept++
 				continue
 			}
-			r.pf.cancel(b) // a prestage for this queue will never be consumed
 			r.reroute(d, b, alt, openAt)
 			moved++
 		}
@@ -340,7 +278,7 @@ func (r *round) reroute(d *devState, h *hlop.HLOP, alt int, at float64) {
 	telemetry.HLOPsRerouted.With(d.dev.Name()).Inc()
 	h.AssignedQueue = alt
 	h.ReadyAt = at
-	r.devs[alt].push(h)
+	r.devs[alt].q = append(r.devs[alt].q, h)
 }
 
 // finish closes the round's virtual timeline: per-device busy seconds, the

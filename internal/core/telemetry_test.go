@@ -17,7 +17,7 @@ import (
 	"shmt/internal/workload"
 )
 
-// TestEngineTelemetrySpansAndCounters runs the deterministic engine with a
+// TestEngineTelemetrySpansAndCounters runs the engine with a
 // recorder attached and checks the full observability contract: virtual
 // device spans, wall-clock host phase spans, and counter deltas consistent
 // with the run report.
@@ -117,42 +117,6 @@ func TestEngineTelemetrySpansAndCounters(t *testing.T) {
 	}
 	if steals != stolenSpans {
 		t.Fatalf("steal counters = %g, stolen spans = %g", steals, stolenSpans)
-	}
-}
-
-// TestConcurrentEngineTelemetry runs the goroutine engine with telemetry and
-// checks spans plus the queue instrumentation only that engine exercises.
-func TestConcurrentEngineTelemetry(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	base := telemetry.Default.Snapshot()
-
-	rec := telemetry.NewRecorder()
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
-		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true,
-		Concurrent: true, Telemetry: rec}
-	rep, err := e.Run(sobelVOP(t, 128, 22))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var virtual int
-	for _, s := range rec.Spans() {
-		if s.Clock == telemetry.ClockVirtual && !strings.HasSuffix(s.Track, " xfer") {
-			virtual++
-		}
-	}
-	if virtual != rep.HLOPs {
-		t.Fatalf("virtual spans = %d, report HLOPs = %d", virtual, rep.HLOPs)
-	}
-
-	d := telemetry.Default.Snapshot().Delta(base)
-	var waits float64
-	for _, dev := range []string{"cpu", "gpu", "tpu"} {
-		waits += d[`shmt_queue_wait_seconds_count{device="`+dev+`"}`]
-	}
-	if int(waits) == 0 {
-		t.Fatalf("queue wait histogram never observed: %v", d)
 	}
 }
 

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"sync"
 	"testing"
 
 	"shmt/internal/interconnect"
@@ -112,101 +111,5 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Fatal("unknown kind should still print")
-	}
-}
-
-func TestTaskQueueFIFOAndSteal(t *testing.T) {
-	q := NewTaskQueue[int]()
-	q.Push(1)
-	q.Push(2)
-	q.Push(3)
-	if q.Pending() != 3 {
-		t.Fatalf("pending = %d", q.Pending())
-	}
-	if v, ok := q.Pop(); !ok || v != 1 {
-		t.Fatalf("pop = %d,%v", v, ok)
-	}
-	if _, ok := q.StealIf(func(v int) bool { return v != 3 }); ok || q.Pending() != 2 {
-		t.Fatalf("refused steal took the tail anyway (pending %d)", q.Pending())
-	}
-	if v, ok := q.StealIf(anyTask); !ok || v != 3 {
-		t.Fatalf("steal = %d,%v (must take the tail)", v, ok)
-	}
-	if v, ok := q.Pop(); !ok || v != 2 {
-		t.Fatalf("pop = %d,%v", v, ok)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("empty pop should fail")
-	}
-	if _, ok := q.StealIf(anyTask); ok {
-		t.Fatal("empty steal should fail")
-	}
-}
-
-func anyTask(int) bool { return true }
-
-func TestTaskQueuePushFront(t *testing.T) {
-	q := NewTaskQueue[int]()
-	q.Push(2)
-	q.PushFront(1)
-	if v, _ := q.Pop(); v != 1 {
-		t.Fatalf("front = %d", v)
-	}
-}
-
-func TestTaskQueueDrainPending(t *testing.T) {
-	q := NewTaskQueue[int]()
-	q.Push(1)
-	q.Push(2)
-	q.PushFront(0)
-	got := q.DrainPending()
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("drained = %v, want [0 1 2] in queue order", got)
-	}
-	if q.Pending() != 0 {
-		t.Fatalf("pending after drain = %d", q.Pending())
-	}
-	if len(q.DrainPending()) != 0 {
-		t.Fatal("draining an empty queue must return nothing")
-	}
-	// The queue keeps working after a drain.
-	q.Push(7)
-	if v, ok := q.Pop(); !ok || v != 7 {
-		t.Fatalf("pop after drain = %d,%v", v, ok)
-	}
-}
-
-func TestTaskQueueConcurrentSafety(t *testing.T) {
-	q := NewTaskQueue[int]()
-	const n = 1000
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			q.Push(i)
-		}
-	}()
-	var popped, stolen int
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			if _, ok := q.Pop(); ok {
-				popped++
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			if _, ok := q.StealIf(anyTask); ok {
-				stolen++
-			}
-		}
-	}()
-	wg.Wait()
-	// Whatever remains plus what was taken must equal what was pushed.
-	if popped+stolen+q.Pending() != n {
-		t.Fatalf("items lost: popped=%d stolen=%d pending=%d", popped, stolen, q.Pending())
 	}
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // ExecTimeCache memoizes Device.ExecTime lookups. The cost model is a pure
-// function of (device, opcode, element count), but the scheduling loops ask
+// function of (device, opcode, element count), but the pick loop asks
 // for the same triple O(devices²) times per step — every steal decision
-// scores each victim's tail HLOP against both devices — so the engines keep
-// one cache per run (per worker in the concurrent engine; the cache is not
-// safe for concurrent use) and hit the model once per distinct shape.
+// scores each victim's tail HLOP against both devices — so the engine keeps
+// one cache per round (the cache is not safe for concurrent use; only the
+// pick loop reads it) and hits the model once per distinct shape.
 //
 // Growth is capped: a long session streaming continually varying shapes
 // (ExecuteBatch over ragged inputs) would otherwise grow the map without

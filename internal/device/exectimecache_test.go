@@ -103,61 +103,3 @@ func TestExecTimeCacheCounters(t *testing.T) {
 		t.Fatalf("misses = %d, want 1", got)
 	}
 }
-
-// TestTaskQueueInstrumentation checks the depth gauge and wait histogram the
-// concurrent engine attaches per device queue.
-func TestTaskQueueInstrumentation(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	reg := telemetry.NewRegistry()
-	depth := reg.NewGauge("q_depth", "d")
-	wait := reg.NewHistogram("q_wait", "w", telemetry.ExpBuckets(1e-9, 10, 12))
-
-	q := NewTaskQueue[int]()
-	q.Instrument(depth, wait)
-	q.Push(1)
-	q.Push(2)
-	q.Push(3)
-	if depth.Value() != 3 {
-		t.Fatalf("depth after pushes = %d", depth.Value())
-	}
-	if v, ok := q.Pop(); !ok || v != 1 {
-		t.Fatalf("Pop = %d, %v", v, ok)
-	}
-	if v, ok := q.StealIf(anyTask); !ok || v != 3 {
-		t.Fatalf("Steal = %d, %v (steals take the tail)", v, ok)
-	}
-	if depth.Value() != 1 {
-		t.Fatalf("depth after pop+steal = %d", depth.Value())
-	}
-	if wait.Count() != 2 {
-		t.Fatalf("wait observations = %d, want 2", wait.Count())
-	}
-	q.PushFront(0)
-	if v, ok := q.Pop(); !ok || v != 0 {
-		t.Fatalf("PushFront not at head: %d, %v", v, ok)
-	}
-	if wait.Count() != 3 {
-		t.Fatalf("wait observations = %d, want 3", wait.Count())
-	}
-	if depth.Value() != 1 {
-		t.Fatalf("depth = %d, want 1", depth.Value())
-	}
-}
-
-// TestTaskQueueUninstrumented checks the plain path still works and keeps no
-// timestamp bookkeeping.
-func TestTaskQueueUninstrumented(t *testing.T) {
-	q := NewTaskQueue[int]()
-	q.Push(1)
-	q.Push(2)
-	if len(q.enqueued) != 0 {
-		t.Fatal("uninstrumented queue kept timestamps")
-	}
-	if v, ok := q.Pop(); !ok || v != 1 {
-		t.Fatalf("Pop = %d, %v", v, ok)
-	}
-	if q.Pending() != 1 {
-		t.Fatalf("Pending = %d", q.Pending())
-	}
-}

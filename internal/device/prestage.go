@@ -6,11 +6,11 @@ import (
 	"shmt/internal/vop"
 )
 
-// Staged is a prestaged input set for a device that casts its operands:
-// every operand already materialized into a dense buffer and converted to
-// the device's arithmetic, exactly as the device's dispatch path would have
-// staged it — which is what keeps prefetched and unprefetched executions
-// bit-identical.
+// Staged is a staged input set for a device that casts its operands: every
+// operand already materialized into a dense buffer and converted to the
+// device's arithmetic, exactly as the device's dispatch path would have
+// staged it — which is what keeps executions that reuse a resident cast
+// bit-identical to those that cast afresh.
 type Staged struct {
 	// Inputs are the device-precision operand buffers, parallel to the
 	// HLOP's inputs.
@@ -20,9 +20,6 @@ type Staged struct {
 	// and reused across consecutive HLOPs. ExecuteStaged must not release
 	// them.
 	Keep []bool
-	// Bytes is the footprint of the buffers this Staged owns (Keep=false
-	// entries), as accounted by the prefetch-buffer gauge.
-	Bytes int64
 
 	// Backing for Inputs and Keep at the arity every VOP has (one or two
 	// operands), so a staged set is one allocation.
@@ -43,8 +40,8 @@ func NewStaged(n int) *Staged {
 }
 
 // Release returns every owned buffer to the arena. Safe to call after a
-// cancelled prefetch or a failed dispatch; shared (Keep) operands stay
-// resident for their other consumers.
+// failed dispatch; shared (Keep) operands stay resident for their other
+// consumers.
 func (s *Staged) Release() {
 	for i, m := range s.Inputs {
 		if m != nil && (s.Keep == nil || !s.Keep[i]) {
@@ -59,15 +56,9 @@ func (s *Staged) Release() {
 // operands" — the Edge TPU (quantize into private memory) and the GPU and DSP
 // (FP32 / FP16 / fixed-point cast in shared memory) alike. Splitting the two
 // lets the engine keep an operand many HLOPs share (a GEMM right-hand
-// matrix, a convolution kernel) cast once per round in its resident cache
-// and, for private-memory devices under the concurrent loop, stage HLOP
-// k+1's operands on the worker pool while HLOP k executes. The CPU computes
-// on the operands as they are and does not implement it.
+// matrix, a convolution kernel) cast once per round in its resident cache.
+// The CPU computes on the operands as they are and does not implement it.
 type Prestager interface {
-	// CanStage reports whether the operand set fits the device (the staging
-	// analogue of the ErrTooLarge check): oversized HLOPs are left for the
-	// dispatch path, whose error drives the runtime's split logic.
-	CanStage(op vop.Opcode, inputs []*tensor.Matrix) bool
 	// StageInput materializes and casts one operand exactly as the dispatch
 	// path would.
 	StageInput(op vop.Opcode, in *tensor.Matrix) *tensor.Matrix
@@ -92,9 +83,6 @@ func ComputeStaged(p Prestager, op vop.Opcode, inputs []*tensor.Matrix, dst *ten
 // rounder, every kernel stage rounds with it too, and the result is written
 // through dst when there is one.
 type HostCast struct{ Rounder kernels.Rounder }
-
-// CanStage implements Prestager: shared memory holds any operand set.
-func (HostCast) CanStage(vop.Opcode, []*tensor.Matrix) bool { return true }
 
 // StageInput implements Prestager: a stride-aware gather (inputs may be
 // views) followed by the precision cast — the runtime's data-type casting of

@@ -148,20 +148,13 @@ func (d *Device) Admit(op vop.Opcode, inputs []*tensor.Matrix) (device.Ticket, e
 // materialized buffer; the runtime detects result != dst and scatters it
 // into the VOP output on the copy path.
 //
-// Compute is staging followed by ExecuteStaged — the same path the input
-// prefetcher takes, which is what makes prefetched runs bit-identical.
+// Compute is staging followed by ExecuteStaged — the same path the resident
+// operand cache takes, which is what makes runs that use it bit-identical.
 func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	return device.ComputeStaged(d, op, inputs, dst, attrs)
 }
 
 var _ device.Prestager = (*Device)(nil)
-
-// CanStage implements device.Prestager: an operand set that would overflow
-// device memory is left for the dispatch path, whose ErrTooLarge drives the
-// runtime's split logic.
-func (d *Device) CanStage(op vop.Opcode, inputs []*tensor.Matrix) bool {
-	return d.checkFits(op, inputs) == nil
-}
 
 // StageInput implements device.Prestager: one operand's boundary staging —
 // a stride-aware gather into a dense buffer (inputs may be views) followed

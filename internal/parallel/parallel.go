@@ -120,8 +120,8 @@ func recomputeWorkers() {
 
 // The pool: GOMAXPROCS long-lived helper goroutines fed through a bounded
 // channel. Helpers are an accelerator, never a dependency — if the pool is
-// saturated (e.g. the concurrent engine's per-device workers all fan out at
-// once), For degrades to running every chunk on the calling goroutine, and
+// saturated (e.g. every pooled HLOP of a round fans its kernel out at once),
+// For degrades to running every chunk on the calling goroutine, and
 // while waiting for submitted helpers For drains the task queue itself, so
 // nested or concurrent use cannot deadlock (a For inside a pool task would
 // otherwise wait forever on helpers queued behind its own worker).
@@ -158,14 +158,6 @@ func submit(f func()) bool {
 		return false
 	}
 }
-
-// Try hands f to a pool helper without blocking and reports whether one
-// accepted it. Like For's helpers, the pool is an accelerator, never a
-// dependency: callers that get false must run f themselves (or skip the
-// optimization f implements) rather than wait — the engines' input
-// prefetcher uses this so staging ahead can never deadlock against kernel
-// fan-out on the same pool.
-func Try(f func()) bool { return submit(f) }
 
 // For runs fn over [0, n) split into chunks of grain elements (the last
 // chunk may be shorter). Chunk boundaries depend only on n and grain, and

@@ -110,7 +110,7 @@ func TestRowGrain(t *testing.T) {
 }
 
 // TestPoolTaskCallingForDoesNotDeadlock reproduces the prefetch-path hang:
-// standalone pool tasks (Try) that themselves call For. Pre-fix, every pool
+// standalone pool tasks (submit) that themselves call For. Pre-fix, every pool
 // worker could end up parked in For's wait while that For's helpers sat
 // queued behind the very tasks occupying the workers — a cycle nobody could
 // break, deterministic on GOMAXPROCS=1. For now helps drain the queue while
@@ -123,7 +123,7 @@ func TestPoolTaskCallingForDoesNotDeadlock(t *testing.T) {
 	launched := 0
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
-		if !Try(func() {
+		if !submit(func() {
 			defer wg.Done()
 			For(64, 1, func(lo, hi int) { total.Add(int64(hi - lo)) })
 		}) {

@@ -54,17 +54,6 @@ var (
 		"Sampled partition criticality distribution.",
 		ExpBuckets(1e-3, 4, 10))
 
-	// Device queues (concurrent engine).
-
-	// QueueDepth gauges the incoming-queue depth per device.
-	QueueDepth = Default.NewGaugeVec("shmt_queue_depth",
-		"Incoming task-queue depth by device.", "device")
-	// QueueWaitSeconds observes wall-clock queue residency per device: the
-	// time from Push to Pop/Steal in the concurrent engine.
-	QueueWaitSeconds = Default.NewHistogramVec("shmt_queue_wait_seconds",
-		"Wall-clock time tasks wait in a device's incoming queue.", "device",
-		ExpBuckets(1e-6, 4, 12))
-
 	// Host execution (internal/parallel).
 
 	// WorkerBusyNanos accumulates wall nanoseconds host workers spent running
@@ -122,8 +111,8 @@ var (
 	// BreakerProbeFailure counts half-open probes that re-opened the breaker.
 	BreakerProbeFailure = Default.NewCounter("shmt_breaker_probe_failure_total",
 		"Half-open probes that failed and re-opened the breaker.")
-	// FailedDispatches counts failed HLOP dispatches per device (both engines
-	// charge the dispatch overhead for these; see DESIGN.md "Fault model").
+	// FailedDispatches counts failed HLOP dispatches per device (the engine
+	// charges the dispatch overhead for these; see DESIGN.md "Fault model").
 	FailedDispatches = Default.NewCounterVec("shmt_failed_dispatches_total",
 		"Failed HLOP dispatches by device.", "device")
 	// FailedDispatchVirtualNanos accumulates the virtual nanoseconds charged
@@ -263,22 +252,11 @@ var (
 
 	// Input prefetch (double-buffered staging pipeline).
 
-	// PrefetchIssued counts asynchronous input-prestage jobs issued ahead of
-	// execution for private-memory devices.
-	PrefetchIssued = Default.NewCounter("shmt_prefetch_issued_total",
-		"Asynchronous input-prestage jobs issued ahead of HLOP execution.")
-	// PrefetchHits counts HLOP executions that consumed a prestaged input
-	// set instead of staging at dispatch.
-	PrefetchHits = Default.NewCounter("shmt_prefetch_hits_total",
-		"HLOP executions that consumed a prestaged input set.")
-	// PrefetchCancelled counts prestaged input sets discarded because a
-	// steal, split, reroute or end-of-run drain invalidated them.
-	PrefetchCancelled = Default.NewCounter("shmt_prefetch_cancelled_total",
-		"Prestaged input sets discarded after a steal or reroute invalidated them.")
-	// PrefetchBufferBytes gauges the bytes currently pinned by prestaged
-	// input buffers (the wall-clock side of the double-buffer staging slots).
+	// PrefetchBufferBytes gauges the bytes currently pinned by the resident
+	// shared-operand cache (the wall-clock side of double buffering); it is
+	// back at zero whenever no round is running.
 	PrefetchBufferBytes = Default.NewGauge("shmt_prefetch_buffer_bytes",
-		"Bytes currently held in prestaged (double-buffer) input staging.")
+		"Bytes currently held in resident shared-operand casts.")
 
 	// Execution-time cache.
 

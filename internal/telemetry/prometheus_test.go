@@ -278,7 +278,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// these are the acceptance-criterion families.
 	for _, want := range []string{
 		"# TYPE shmt_steal_attempts_total counter",
-		"# TYPE shmt_queue_depth gauge",
+		"# TYPE shmt_breaker_state gauge",
 		"# TYPE shmt_arena_hits_total counter",
 		"# TYPE shmt_exec_cache_hits_total counter",
 		"shmt_steal_attempts_total",

@@ -24,8 +24,8 @@ type Event struct {
 }
 
 // Trace accumulates a run's events and resource accounting. All methods are
-// safe for concurrent use: the concurrent engine's per-device workers record
-// events and staging allocations directly, without caller-side locking.
+// safe for concurrent use, so callers on several goroutines may record
+// events and staging allocations directly, without locking of their own.
 type Trace struct {
 	mu     sync.Mutex
 	events []Event

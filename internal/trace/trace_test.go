@@ -61,10 +61,10 @@ func TestEventsReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording exercises the trace's internal locking the way the
-// concurrent engine does: per-device workers record events and staging
-// allocations directly, with no caller-side mutex. Under -race this verifies
-// the "safe for concurrent use" contract.
+// TestConcurrentRecording exercises the trace's internal locking: several
+// goroutines record events and staging allocations directly, with no
+// caller-side mutex. Under -race this verifies the "safe for concurrent use"
+// contract.
 func TestConcurrentRecording(t *testing.T) {
 	tr := New()
 	const workers, perWorker = 8, 200

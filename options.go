@@ -75,9 +75,6 @@ type Config struct {
 	TPULimit float64
 	// Seed drives sampling and the synthetic components (default 1).
 	Seed int64
-	// Concurrent runs the goroutine engine instead of the deterministic
-	// discrete-event engine.
-	Concurrent bool
 	// RecordTrace keeps per-HLOP events in each Report.
 	RecordTrace bool
 	// GPUHalfPrecision switches the GPU to its FP16 AI/ML mode.
@@ -92,7 +89,7 @@ type Config struct {
 	// quality is measured on the smaller (size-invariant) data. Default 1.
 	VirtualScale float64
 	// Workers caps the host worker pool (see internal/parallel) that runs the
-	// arithmetic: the default engine decides a whole round in virtual time,
+	// arithmetic: the engine decides a whole round in virtual time,
 	// one HLOP after another, and then computes the admitted HLOPs on the
 	// pool, one task each, and kernels fan their own loops out over it too.
 	// 0 keeps the current setting — GOMAXPROCS, or the SHMT_WORKERS
@@ -110,7 +107,7 @@ type Config struct {
 	// degradation, permanent death, and output corruption. A plan with a
 	// zero Seed inherits Config.Seed. Unknown device names error.
 	Chaos map[string]ChaosConfig
-	// Resilience tunes the engines' graceful degradation: circuit-breaker
+	// Resilience tunes the engine's graceful degradation: circuit-breaker
 	// threshold and cooldown, exponential backoff, and the per-HLOP retry
 	// bound. The zero value uses the defaults (see core.Resilience).
 	Resilience Resilience
@@ -120,57 +117,10 @@ type Config struct {
 	// captured partition geometry and device assignment instead of
 	// re-planning. See PlanCacheConfig for the data-dependence caveat.
 	PlanCache PlanCacheConfig
-	// ExecTimeCacheEntries caps the engines' per-run cost-model memo (see
+	// ExecTimeCacheEntries caps the engine's per-run cost-model memo (see
 	// device.ExecTimeCache); on overflow the memo is flushed wholesale. 0
 	// keeps the default (device.DefaultExecTimeEntries = 4096).
 	ExecTimeCacheEntries int
-	// Prefetch configures input staging ahead of execution for
-	// private-memory devices (TPU/NPU): operands shared across a round's
-	// HLOPs are quantized once and kept device-resident, and under
-	// Concurrent the host worker pool also pre-quantizes the next queued
-	// HLOPs' operands while one executes. The zero value enables it at
-	// DefaultPrefetchDepth whenever the policy double buffers. Results are
-	// bit-identical at every depth.
-	Prefetch PrefetchConfig
-}
-
-// DefaultPrefetchDepth is how many queued HLOPs per device the input
-// prefetcher stages ahead of execution — matching the interconnect model's
-// double-buffer slot count (interconnect.BufferDepth).
-const DefaultPrefetchDepth = 2
-
-// PrefetchConfig configures the input-prefetch stage of double-buffered HLOP
-// pipelining. It has two halves. The resident operand cache — operands
-// shared across a run's HLOPs are staged once and kept device-resident —
-// works under both engines and is all the default engine uses: it computes
-// whole HLOPs on the host pool, which already overlaps one HLOP's staging
-// with another's kernel. Asynchronous prestaging of the next Depth queued
-// HLOPs runs only under Config.Concurrent, whose per-device workers compute
-// one HLOP at a time. Prefetch only changes *when* operands are staged,
-// never *how*: staging runs the exact dispatch-path quantization, and a
-// staged set is cancelled (not reused) when a steal or breaker-open reroutes
-// its HLOP. Outputs are therefore bit-identical with prefetch on or off, at
-// any depth.
-type PrefetchConfig struct {
-	// Disabled turns both halves off: every dispatch stages synchronously.
-	Disabled bool
-	// Depth is the per-device staged-ahead bound under Config.Concurrent;
-	// ≤ 0 means DefaultPrefetchDepth. The default engine only distinguishes
-	// off from on.
-	Depth int
-}
-
-// depth resolves the engine-level prefetch depth (0 disables). Prefetch
-// rides on the double-buffer pipeline, so policies that run without overlap
-// also stage synchronously.
-func (p PrefetchConfig) depth(doubleBuffer bool) int {
-	if p.Disabled || !doubleBuffer {
-		return 0
-	}
-	if p.Depth <= 0 {
-		return DefaultPrefetchDepth
-	}
-	return p.Depth
 }
 
 // DefaultPlanCacheEntries is the plan cache's default LRU capacity: plans

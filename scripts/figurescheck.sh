@@ -3,9 +3,9 @@
 # figure/table file with shmtbench and require a byte-identical result.
 #
 # The deterministic engine makes everything in results_all.txt and
-# results_fig9_abl.txt a pure function of the code — except the prefetch
-# ablation's "wall ms" column, which is measured host time; that one column
-# is masked on both sides before the diff. Several minutes on a small host,
+# results_fig9_abl.txt a pure function of the code — except the resident-
+# cache ablation's "wall ms" column, which is measured host time; that one
+# column is masked on both sides before the diff. Several minutes on a small host,
 # so it is a CI job of its own and not part of `make check`.
 set -eu
 
@@ -14,9 +14,9 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # mask blanks the second column of the table whose header starts
-# "depth  wall ms", up to the blank line that ends it.
+# "resident  wall ms", up to the blank line that ends it.
 mask() {
-	awk '/^depth +wall ms/ { m = 1 } /^$/ { m = 0 } m && $1 ~ /^[0-9]+$/ { $2 = "-" } { print }' "$1"
+	awk '/^resident +wall ms/ { m = 1 } /^$/ { m = 0 } m && $1 ~ /^(off|on)$/ { $2 = "-" } { print }' "$1"
 }
 
 check() { # $1 = -exp list, $2 = committed file

@@ -95,7 +95,7 @@ type TelemetryReport = telemetry.Report
 // death, and output corruption. Set per device via Config.Chaos.
 type ChaosConfig = chaos.Config
 
-// Resilience tunes the engines' graceful degradation — circuit-breaker
+// Resilience tunes the engine's graceful degradation — circuit-breaker
 // threshold/cooldown, exponential backoff, retry bound (see internal/core).
 type Resilience = core.Resilience
 
@@ -204,11 +204,10 @@ func newSession(cfg Config, sub bool) (*Session, error) {
 		Policy:               pol,
 		Spec:                 hlop.Spec{TargetPartitions: cfg.TargetPartitions},
 		DoubleBuffer:         doubleBuffer,
-		Prefetch:             cfg.Prefetch.depth(doubleBuffer),
+		Prefetch:             doubleBuffer, // the resident operand cache rides on the double-buffer pipeline
 		Seed:                 cfg.Seed,
 		HostScale:            cfg.VirtualScale,
 		RecordTrace:          cfg.RecordTrace,
-		Concurrent:           cfg.Concurrent,
 		Resilience:           cfg.Resilience,
 		PlanCacheEntries:     cfg.PlanCache.entries(),
 		ExecTimeCacheEntries: cfg.ExecTimeCacheEntries,

@@ -226,18 +226,6 @@ func TestVirtualScaleTimelineInvariance(t *testing.T) {
 	}
 }
 
-func TestConcurrentSessionWorks(t *testing.T) {
-	s := newSession(t, shmt.Config{Policy: shmt.PolicyQAWSTS, TargetPartitions: 8, Concurrent: true})
-	img := workload.Mixed(128, 128, workload.Profile{TileSize: 32}, 13)
-	rep, err := s.Execute(shmt.OpSobel, []*shmt.Matrix{img}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Output.Rows != 128 {
-		t.Fatal("concurrent output malformed")
-	}
-}
-
 func TestRecordTrace(t *testing.T) {
 	s := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8, RecordTrace: true})
 	img := workload.Uniform(128, 128, 0, 1, 14)

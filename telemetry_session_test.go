@@ -89,7 +89,7 @@ func TestSessionTelemetryEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrape status = %d", resp.StatusCode)
 	}
-	for _, want := range []string{"shmt_runs_total", "shmt_queue_depth", "shmt_steal_attempts_total"} {
+	for _, want := range []string{"shmt_runs_total", "shmt_breaker_state", "shmt_steal_attempts_total"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("scrape missing %q", want)
 		}
