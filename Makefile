@@ -15,7 +15,8 @@ all: check
 # silently, the planning-overhead benchmark so plan-cache replay keeps paying
 # for itself, the staging-overlap benchmark so the resident operand cache
 # keeps beating per-HLOP staging, a short fuzz of the /v1/execute decoder
-# against encoding/json, of the header sanitisers and of the -chaos grammar,
+# against encoding/json, of the header sanitisers, of the -chaos grammar and of
+# the daemons' tenant flags,
 # the end-to-end harness's own vet and tests (a nested module that imports
 # internal/ packages, so the root `go test ./...` cannot see it break), the
 # serving smoke test so shmtserved's coalescing/drain path
@@ -55,9 +56,10 @@ race:
 # decoder, the reply's float writer (FuzzAppendFloat) against encoding/json on
 # raw bit patterns, the two header sanitisers (tenant, trace ID) both tiers
 # apply at admission, the fused INT8 round trip against calibration plus
-# QuantizeOne / DequantizeOne on arbitrary bit patterns, and the -chaos fault
-# plan grammar (every accepted plan finite and in range). (go test takes one
-# -fuzz target per run.)
+# QuantizeOne / DequantizeOne on arbitrary bit patterns, the -chaos fault
+# plan grammar (every accepted plan finite and in range), and the -tenant /
+# -tenant-limit grammars of both daemons (every admitted tenant name, ':'
+# included, round-trips). (go test takes one -fuzz target per run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
@@ -67,6 +69,8 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTraceID$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzInt8Round$$' -fuzztime=10s ./internal/kernels/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=10s ./internal/chaos/
+	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtserved/
+	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtrouterd/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -163,31 +163,32 @@ func TestExecuteIsExecuteBatchOfOne(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchHonoursRecordTrace: the batch entry point publishes the
-// per-HLOP trace exactly as Execute does — one event per executed HLOP when
-// RecordTrace is set, no trace at all otherwise.
-func TestExecuteBatchHonoursRecordTrace(t *testing.T) {
-	s := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8, RecordTrace: true})
-	res, err := s.ExecuteBatch(batchRequests())
+// TestExecuteBatchDeviceHLOPs: each report of a batch counts where its own
+// HLOPs ran, every executed HLOP once, and the batch's footprint covers at
+// least the requests' base buffers.
+func TestExecuteBatchDeviceHLOPs(t *testing.T) {
+	s := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8})
+	reqs := batchRequests()
+	res, err := s.ExecuteBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hlops := 0
-	for _, rep := range res.Reports {
-		hlops += rep.HLOPs
+	var base int64
+	for i, rep := range res.Reports {
+		n := 0
+		for _, c := range rep.DeviceHLOPs {
+			n += c
+		}
+		if rep.HLOPs == 0 || n != rep.HLOPs {
+			t.Fatalf("report %d: DeviceHLOPs %v sum to %d, HLOPs %d", i, rep.DeviceHLOPs, n, rep.HLOPs)
+		}
+		for _, in := range reqs[i].Inputs {
+			base += int64(len(in.Data)) * 8 // float64 elements
+		}
+		base += int64(len(rep.Output.Data)) * 8
 	}
-	if res.Trace == nil || res.Trace.Len() != hlops {
-		t.Fatalf("trace = %v, want %d events (one per executed HLOP)", res.Trace, hlops)
-	}
-	if res.PeakBytes < res.Trace.BaseBytes() || res.PeakBytes == 0 {
-		t.Fatalf("PeakBytes = %d with base buffers %d", res.PeakBytes, res.Trace.BaseBytes())
-	}
-	res, err = newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8}).ExecuteBatch(batchRequests())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace != nil {
-		t.Fatal("trace recorded without opting in")
+	if res.PeakBytes < base {
+		t.Fatalf("PeakBytes = %d with base buffers %d", res.PeakBytes, base)
 	}
 }
 

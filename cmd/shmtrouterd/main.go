@@ -45,7 +45,8 @@ import (
 )
 
 // tenantLimitFlags parses repeatable -tenant-limit name:max-inflight values
-// into the router's per-tenant concurrency caps.
+// into the router's per-tenant concurrency caps. The limit is the field after
+// the last ':', because a tenant name may itself contain ':'.
 type tenantLimitFlags struct {
 	m map[string]int
 }
@@ -59,10 +60,11 @@ func (t *tenantLimitFlags) String() string {
 }
 
 func (t *tenantLimitFlags) Set(v string) error {
-	name, lim, ok := strings.Cut(v, ":")
-	if !ok || name == "" {
+	i := strings.LastIndexByte(v, ':')
+	if i < 0 {
 		return fmt.Errorf("want name:max-inflight, got %q", v)
 	}
+	name, lim := v[:i], v[i+1:]
 	if serve.SanitizeTenant(name) == "" {
 		return fmt.Errorf("bad tenant name %q (want [A-Za-z0-9._:-], <= 64 bytes)", name)
 	}

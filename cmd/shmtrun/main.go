@@ -10,6 +10,8 @@
 //	shmtrun -bench Sobel --chaos "tpu:die=5" --chaos-seed 42
 //	shmtrun -list
 //
+// -trace turns the session's span recorder on and ends the report with an
+// ASCII Gantt of the device timelines drawn from its virtual-clock spans.
 // --trace-out writes the run's telemetry spans (virtual device lanes,
 // wall-clock host lanes, steal flow arrows) as Chrome trace-event JSON —
 // load it in ui.perfetto.dev or chrome://tracing. --metrics-addr serves
@@ -34,6 +36,7 @@ import (
 	"shmt"
 	"shmt/internal/bench"
 	"shmt/internal/metrics"
+	"shmt/internal/telemetry"
 )
 
 func main() {
@@ -45,7 +48,7 @@ func main() {
 		partitions  = flag.Int("partitions", 64, "HLOPs per VOP")
 		rate        = flag.Float64("rate", bench.PaperSamplingRate, "QAWS sampling rate")
 		noScale     = flag.Bool("noscale", false, "disable virtual full-size scaling")
-		trace       = flag.Bool("trace", false, "print the per-HLOP execution trace summary")
+		trace       = flag.Bool("trace", false, "end with an ASCII Gantt of the device timelines (turns the span recorder on)")
 		traceOut    = flag.String("trace-out", "", "write Chrome trace-event JSON (Perfetto) to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics on this address during the run (also SHMT_METRICS_ADDR)")
 		reportOut   = flag.String("report-out", "", "write the structured JSON telemetry report to this file")
@@ -78,7 +81,6 @@ func main() {
 	}
 
 	cfg := o.SessionConfig(b, shmt.PolicyName(*policy))
-	cfg.RecordTrace = *trace
 	cfg.PlanCache.Disabled = !*planCache
 	if *chaosSpec != "" {
 		cs := *chaosSeed
@@ -91,7 +93,7 @@ func main() {
 		}
 		cfg.Chaos = plans
 	}
-	if *traceOut != "" || *reportOut != "" {
+	if *trace || *traceOut != "" || *reportOut != "" {
 		cfg.Telemetry.Enabled = true
 	}
 	cfg.Telemetry.MetricsAddr = *metricsAddr
@@ -174,10 +176,9 @@ func main() {
 			fmt.Printf("    still quarantined: %v\n", quar)
 		}
 	}
-	if *trace && rep.Trace != nil {
-		fmt.Printf("  trace:             %s\n", rep.Trace.Summary())
+	if *trace {
 		fmt.Println()
-		fmt.Print(rep.Trace.Gantt(64))
+		fmt.Print(telemetry.Gantt(s.TelemetryRecorder().Spans(), 64))
 	}
 }
 

@@ -52,7 +52,10 @@ import (
 )
 
 // tenantFlags parses repeatable -tenant name:weight[:queue-depth] values
-// into the serving layer's per-tenant QoS config.
+// into the serving layer's per-tenant QoS config. The numbers are read from
+// the right, because a tenant name may itself contain ':': with three or more
+// fields the last two are weight and queue depth, so a name containing ':'
+// must spell out the queue depth.
 type tenantFlags struct {
 	m map[string]serve.TenantConfig
 }
@@ -67,20 +70,25 @@ func (t *tenantFlags) String() string {
 
 func (t *tenantFlags) Set(v string) error {
 	fields := strings.Split(v, ":")
-	if len(fields) < 2 || len(fields) > 3 || fields[0] == "" {
+	if len(fields) < 2 {
 		return fmt.Errorf("want name:weight[:queue-depth], got %q", v)
 	}
-	if serve.SanitizeTenant(fields[0]) == "" {
-		return fmt.Errorf("bad tenant name %q (want [A-Za-z0-9._:-], <= 64 bytes)", fields[0])
+	nums := fields[1:] // name:weight
+	if len(fields) > 2 {
+		nums = fields[len(fields)-2:] // name:weight:queue-depth
+	}
+	name := strings.Join(fields[:len(fields)-len(nums)], ":")
+	if serve.SanitizeTenant(name) == "" {
+		return fmt.Errorf("bad tenant name %q (want [A-Za-z0-9._:-], <= 64 bytes)", name)
 	}
 	tc := serve.TenantConfig{}
-	w, err := strconv.Atoi(fields[1])
+	w, err := strconv.Atoi(nums[0])
 	if err != nil || w < 1 {
-		return fmt.Errorf("bad weight in %q (want integer >= 1)", v)
+		return fmt.Errorf("bad weight in %q (want integer >= 1; a name containing ':' must spell out the queue depth)", v)
 	}
 	tc.Weight = w
-	if len(fields) == 3 {
-		d, err := strconv.Atoi(fields[2])
+	if len(nums) == 2 {
+		d, err := strconv.Atoi(nums[1])
 		if err != nil || d < 1 {
 			return fmt.Errorf("bad queue-depth in %q (want integer >= 1)", v)
 		}
@@ -89,7 +97,7 @@ func (t *tenantFlags) Set(v string) error {
 	if t.m == nil {
 		t.m = map[string]serve.TenantConfig{}
 	}
-	t.m[fields[0]] = tc
+	t.m[name] = tc
 	return nil
 }
 
@@ -122,7 +130,7 @@ func main() {
 		criticalDL   = flag.Duration("critical-deadline", 0, "deadlines tighter than this raise the request's QAWS criticality so it keeps high-accuracy devices (0 disables)")
 	)
 	var tenants tenantFlags
-	flag.Var(&tenants, "tenant", "per-tenant QoS as name:weight[:queue-depth]; repeatable (unlisted tenants get weight 1 and the global queue depth)")
+	flag.Var(&tenants, "tenant", "per-tenant QoS as name:weight[:queue-depth]; repeatable (unlisted tenants get weight 1 and the global queue depth). A name containing ':' must spell out the queue depth: team:a:2:8")
 	flag.Parse()
 
 	logger, err := buildLogger(*logFormat, *logLevel)

@@ -7,13 +7,12 @@
 //     keyed on (tenant, op, shape) with bounded-load rebalancing, so a hot
 //     key set cannot pile onto one node and membership changes move only
 //     ~K/N keys.
-//   - Breaker (breaker.go) is the PR-4 closed/open/half-open circuit-breaker
-//     state machine on a wall clock: a backend that keeps failing is
-//     quarantined, its keys rehash to ring replicas, and periodic /healthz
-//     probes re-admit it.
 //   - Pool (pool.go) owns the backend set: self-registration via
 //     POST /v1/register, static seeding, the health prober, and the
-//     breaker-aware ring pick.
+//     breaker-aware ring pick. Each backend has an internal/breaker.Breaker,
+//     the closed/open/half-open machine the engine runs for devices, on the
+//     wall clock: a backend that keeps failing is quarantined, its keys
+//     rehash to ring replicas, and periodic /healthz probes re-admit it.
 //   - Router (router.go) is the HTTP front-end: it proxies POST /v1/execute
 //     to the picked backend with in-request failover to replicas, threads
 //     X-SHMT-Trace-Id through, and exposes /metrics, /healthz and /statusz

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"shmt/internal/breaker"
 	"shmt/internal/telemetry"
 )
 
@@ -35,6 +36,36 @@ type PoolConfig struct {
 	Client *http.Client
 	// Logger, when non-nil, receives backend lifecycle and breaker events.
 	Logger *slog.Logger
+}
+
+// BreakerConfig tunes a backend's breaker — internal/breaker's machine, the
+// one the engine runs for devices, here on the wall clock. Zero values
+// select the defaults. Only a successful /healthz probe closes an open
+// breaker, so regular traffic never lands on a node that has not proven
+// itself again.
+type BreakerConfig struct {
+	// Threshold is the consecutive-failure count that opens the breaker
+	// (default 3, matching the device-level Resilience default).
+	Threshold int
+	// Cooldown is the initial quarantine before the first re-admission
+	// probe (default 1s).
+	Cooldown time.Duration
+	// CooldownCap bounds the doubled cooldown (default 30s).
+	CooldownCap time.Duration
+}
+
+// newBreaker resolves the defaults and builds one backend's breaker.
+func (c BreakerConfig) newBreaker() *breaker.Breaker {
+	if c.Threshold <= 0 {
+		c.Threshold = 3
+	}
+	if c.Cooldown <= 0 {
+		c.Cooldown = time.Second
+	}
+	if c.CooldownCap <= 0 {
+		c.CooldownCap = 30 * time.Second
+	}
+	return breaker.New(c.Threshold, c.Cooldown.Seconds(), c.CooldownCap.Seconds())
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -63,7 +94,7 @@ func (c PoolConfig) withDefaults() PoolConfig {
 type Backend struct {
 	addr string // host:port, the pool map key and ring member name
 	base string // "http://host:port"
-	br   *breaker
+	br   *breaker.Breaker
 
 	inflight atomic.Int64 // requests currently proxied to this backend
 	requests atomic.Int64 // dispatch attempts, lifetime
@@ -82,7 +113,7 @@ func (b *Backend) Addr() string { return b.addr }
 func (b *Backend) BaseURL() string { return b.base }
 
 // Quarantined reports whether the backend's breaker is open.
-func (b *Backend) Quarantined() bool { return b.br.quarantined() }
+func (b *Backend) Quarantined() bool { return b.br.Quarantined() }
 
 // BackendStatus is one backend's /statusz row.
 type BackendStatus struct {
@@ -101,7 +132,8 @@ type BackendStatus struct {
 // Pool owns the backend set: registration, the consistent-hash ring, health
 // probing, and breaker bookkeeping. All methods are safe for concurrent use.
 type Pool struct {
-	cfg PoolConfig
+	cfg   PoolConfig
+	epoch time.Time // the breakers' clock reads seconds since this instant
 
 	mu       sync.RWMutex
 	backends map[string]*Backend
@@ -119,6 +151,7 @@ type Pool struct {
 func NewPool(cfg PoolConfig, seeds []string) (*Pool, error) {
 	p := &Pool{
 		cfg:      cfg.withDefaults(),
+		epoch:    time.Now(),
 		backends: map[string]*Backend{},
 		ring:     NewRing(nil, cfg.Vnodes),
 		stop:     make(chan struct{}),
@@ -138,6 +171,9 @@ func (p *Pool) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done
 }
+
+// now is the breakers' wall clock: monotonic seconds since the pool was built.
+func (p *Pool) now() float64 { return time.Since(p.epoch).Seconds() }
 
 // Client returns the pool's shared HTTP client.
 func (p *Pool) Client() *http.Client { return p.cfg.Client }
@@ -161,12 +197,12 @@ func (p *Pool) Add(addr string) (added bool, err error) {
 	b := &Backend{
 		addr: addr,
 		base: "http://" + addr,
-		br:   newBreaker(p.cfg.Breaker),
+		br:   p.cfg.Breaker.newBreaker(),
 	}
 	b.registeredAt = time.Now()
 	p.backends[addr] = b
 	p.rebuildRingLocked()
-	telemetry.RouterBreakerState.With(addr).Set(int64(brClosed))
+	telemetry.RouterBreakerState.With(addr).Set(int64(breaker.Closed))
 	if p.cfg.Logger != nil {
 		p.cfg.Logger.Info("backend registered", "backend", addr, "fleet", len(p.backends))
 	}
@@ -202,7 +238,7 @@ func (p *Pool) rebuildRingLocked() {
 func (p *Pool) refreshGaugesLocked() {
 	healthy := 0
 	for _, b := range p.backends {
-		if !b.br.quarantined() {
+		if !b.br.Quarantined() {
 			healthy++
 		}
 	}
@@ -230,7 +266,7 @@ func (p *Pool) Healthy() []*Backend {
 	defer p.mu.RUnlock()
 	out := make([]*Backend, 0, len(p.backends))
 	for _, b := range p.backends {
-		if !b.br.quarantined() {
+		if !b.br.Quarantined() {
 			out = append(out, b)
 		}
 	}
@@ -244,7 +280,7 @@ func (p *Pool) Quarantined() []string {
 	defer p.mu.RUnlock()
 	var out []string
 	for a, b := range p.backends {
-		if b.br.quarantined() {
+		if b.br.Quarantined() {
 			out = append(out, a)
 		}
 	}
@@ -258,13 +294,13 @@ func (p *Pool) Statuses() []BackendStatus {
 	defer p.mu.RUnlock()
 	out := make([]BackendStatus, 0, len(p.backends))
 	for _, b := range p.backends {
-		state, fails, opens, cooldown := b.br.snapshot()
+		state, fails, opens, cooldown := b.br.Snapshot()
 		st := BackendStatus{
 			Addr:        b.addr,
-			Breaker:     stateName(state),
+			Breaker:     state.String(),
 			ConsecFails: fails,
 			Opens:       opens,
-			CooldownMs:  float64(cooldown) / float64(time.Millisecond),
+			CooldownMs:  cooldown * 1e3,
 			InFlight:    b.inflight.Load(),
 			Requests:    b.requests.Load(),
 		}
@@ -303,7 +339,7 @@ func (p *Pool) Pick(k Key) (b *Backend, rehashed bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	name, pos := p.ring.PickBounded(k, p.cfg.LoadFactor,
-		func(n string) bool { return !p.backends[n].br.quarantined() },
+		func(n string) bool { return !p.backends[n].br.Quarantined() },
 		func(n string) int64 { return p.backends[n].inflight.Load() },
 		p.total.Load())
 	if name == "" {
@@ -333,11 +369,9 @@ func (p *Pool) Acquire(b *Backend) (release func()) {
 // keys rehash to replicas).
 func (p *Pool) NoteFailure(b *Backend) (opened bool) {
 	telemetry.RouterBackendErrors.With(b.addr).Inc()
-	opened = b.br.onFailure(time.Now())
+	_, opened, _ = b.br.OnFailure(p.now())
 	if opened {
-		telemetry.RouterBreakerOpens.With(b.addr).Inc()
-		telemetry.RouterBreakerState.With(b.addr).Set(int64(brOpen))
-		p.refreshGauges()
+		p.noteOpened(b)
 		if p.cfg.Logger != nil {
 			p.cfg.Logger.Warn("backend breaker open", "backend", b.addr)
 		}
@@ -345,16 +379,22 @@ func (p *Pool) NoteFailure(b *Backend) (opened bool) {
 	return opened
 }
 
+func (p *Pool) noteOpened(b *Backend) {
+	telemetry.RouterBreakerOpens.With(b.addr).Inc()
+	telemetry.RouterBreakerState.With(b.addr).Set(int64(breaker.Open))
+	p.refreshGauges()
+}
+
 // NoteSuccess records a successful dispatch against b's breaker.
 func (p *Pool) NoteSuccess(b *Backend) {
-	if b.br.onSuccess() {
+	if b.br.OnSuccess() {
 		p.noteReadmitted(b)
 	}
 }
 
 func (p *Pool) noteReadmitted(b *Backend) {
 	telemetry.RouterReadmissions.Inc()
-	telemetry.RouterBreakerState.With(b.addr).Set(int64(brClosed))
+	telemetry.RouterBreakerState.With(b.addr).Set(int64(breaker.Closed))
 	p.refreshGauges()
 	if p.cfg.Logger != nil {
 		p.cfg.Logger.Info("backend readmitted", "backend", b.addr)
@@ -392,14 +432,11 @@ func (p *Pool) probeLoop() {
 // probe behind it.
 func (p *Pool) probe(b *Backend) {
 	now := time.Now()
-	if b.br.quarantined() {
-		if !b.br.probeDue(now) {
+	if b.br.Quarantined() {
+		if !b.br.ProbeDue(p.now()) || !b.br.BeginProbe() {
 			return
 		}
-		if !b.br.beginProbe() {
-			return
-		}
-		telemetry.RouterBreakerState.With(b.addr).Set(int64(brHalfOpen))
+		telemetry.RouterBreakerState.With(b.addr).Set(int64(breaker.HalfOpen))
 	}
 	ok, status := p.checkHealth(b)
 	b.mu.Lock()
@@ -407,16 +444,14 @@ func (p *Pool) probe(b *Backend) {
 	b.mu.Unlock()
 	if ok {
 		telemetry.RouterProbes.With("ok").Inc()
-		if b.br.onSuccess() {
+		if b.br.OnSuccess() {
 			p.noteReadmitted(b)
 		}
 		return
 	}
 	telemetry.RouterProbes.With("fail").Inc()
-	if b.br.onFailure(time.Now()) {
-		telemetry.RouterBreakerOpens.With(b.addr).Inc()
-		telemetry.RouterBreakerState.With(b.addr).Set(int64(brOpen))
-		p.refreshGauges()
+	if _, opened, _ := b.br.OnFailure(p.now()); opened {
+		p.noteOpened(b)
 		if p.cfg.Logger != nil {
 			p.cfg.Logger.Warn("backend breaker open", "backend", b.addr, "probe", status)
 		}

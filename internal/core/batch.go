@@ -10,7 +10,6 @@ import (
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
-	"shmt/internal/trace"
 	"shmt/internal/vop"
 )
 
@@ -20,7 +19,7 @@ type BatchResult struct {
 	// Reports holds one report per submitted VOP, in submission order. Each
 	// report carries that VOP's own Output, HLOPs, Makespan (its completion
 	// on the shared timeline) and execution profile; the accounting the VOPs
-	// share — Busy, Comm, Energy, PeakBytes, Trace, Degraded — is batch-wide
+	// share — Busy, Comm, Energy, PeakBytes, Degraded — is batch-wide
 	// and lives on the fields below.
 	Reports []*Report
 	// Makespan is the batch's end-to-end virtual latency.
@@ -33,8 +32,6 @@ type BatchResult struct {
 	Comm interconnect.Tracker
 	// PeakBytes is the batch's peak host-memory footprint (Fig. 11).
 	PeakBytes int64
-	// Trace holds the batch's per-HLOP events when RecordTrace was set.
-	Trace *trace.Trace
 	// Degraded quantifies batch-wide fault handling (quarantines, reroutes,
 	// quality impact); nil when the batch saw no device failures.
 	Degraded *Degraded
@@ -133,11 +130,12 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 
 	// Pre-allocate each output and hand every halo-free partition a strided
 	// view into it. Shared-memory devices write results through the view, so
-	// aggregation has nothing left to scatter for them.
-	tr := trace.New()
+	// aggregation has nothing left to scatter for them. base sums the VOPs'
+	// long-lived buffers, the floor of the Fig. 11 footprint.
 	outs := make([]*tensor.Matrix, len(vops))
+	var base int64
 	for i, v := range vops {
-		e.accountFootprint(tr, v)
+		base += baseBytes(v)
 		if !v.Op.IsReduction() {
 			rows, cols := v.OutputShape()
 			if outs[i] = v.Dst; v.Dst == nil {
@@ -164,7 +162,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		sw.Transfer = xferEnd - phaseT
 	}
 
-	r := e.newRound(ctx, pol, pool, overhead, tr, rt, fx)
+	r := e.newRound(ctx, pol, pool, overhead, rt, fx)
 	err := r.runDeterministic(pool)
 	r.pf.drain()
 	if err != nil {
@@ -202,12 +200,9 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		}
 	}
 
-	batch := &BatchResult{Busy: busy, Comm: r.comm, PeakBytes: tr.PeakBytes(),
+	batch := &BatchResult{Busy: busy, Comm: r.comm, PeakBytes: base + r.maxStaging,
 		Degraded: fx.deg.finish(e.Reg, r.done), Makespan: max(deviceMakespan, aggT),
 		Reports: make([]*Report, len(vops))}
-	if e.RecordTrace {
-		batch.Trace = tr
-	}
 	var aggBytes int64
 	for i, v := range vops {
 		out, n, err := aggregate(v, doneBy[i], outs[i])

@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
-	"sync"
 
+	"shmt/internal/breaker"
 	"shmt/internal/device"
 	"shmt/internal/hlop"
 	"shmt/internal/telemetry"
@@ -13,18 +13,17 @@ import (
 // then abort", a device that keeps failing is quarantined behind a per-device
 // circuit breaker, its backlog is redistributed to healthy devices, transient
 // errors are retried under exponential backoff, and the whole episode is
-// quantified in Report.Degraded. The breaker state machine:
-//
-//	closed --(threshold consecutive failures)--> open
-//	open   --(cooldown elapses on the device's virtual clock, next own-queue
-//	          HLOP becomes a probe)--> half-open
-//	half-open --(probe succeeds)--> closed (re-admitted)
-//	half-open --(probe fails)--> open, cooldown doubled
+// quantified in Report.Degraded. The breaker is internal/breaker's state
+// machine, the one the router's pool uses for backends, driven here on the
+// device's virtual lane clock.
 //
 // Quarantine is modelled as idle virtual time: when the breaker opens, the
 // device's clock jumps past the cooldown, so healthy devices (whose clocks
-// are earlier) drain its queue through the existing steal path before the
-// probe window arrives. Breaker state persists across an Engine's runs, so a
+// are earlier) drain its queue through the existing steal path, and the
+// device's next own-queue HLOP — picked no earlier than the cooldown's end —
+// runs as the re-admission probe. The jump is the cooldown, so the engine
+// never asks breaker.ProbeDue: a float comparison there could flip a probe
+// and move every figure. Breaker state persists across an Engine's runs, so a
 // device that died in one batch is not re-assigned work in the next.
 
 // Resilience tunes the engine's fault handling. The zero value selects the
@@ -71,95 +70,24 @@ func (r Resilience) withDefaults() Resilience {
 	return r
 }
 
-// Breaker states, also the values of the shmt_breaker_state gauge.
-const (
-	brClosed int32 = iota
-	brOpen
-	brHalfOpen
-)
-
-// breaker is one device's circuit breaker. Breakers outlive a run, and
-// QuarantinedDevices reads them from outside one, so all methods are safe for
-// concurrent use.
-type breaker struct {
-	mu          sync.Mutex
-	state       int32
-	consecFails int
-	opens       int
-	cooldown    float64
+// backoff is the exponential retry backoff charged for a device's fails-th
+// consecutive failure: BackoffBase doubled per earlier failure, capped at
+// BackoffCap.
+func (r Resilience) backoff(fails int) float64 {
+	exp := min(fails-1, 16)
+	return min(r.BackoffBase*math.Pow(2, float64(exp)), r.BackoffCap)
 }
 
-// quarantined reports whether the device is refusing regular work.
-func (b *breaker) quarantined() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == brOpen
-}
-
-// beginProbe turns an open breaker half-open; the caller executes the next
-// HLOP as the re-admission probe. Returns whether this dispatch is a probe.
-func (b *breaker) beginProbe() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == brOpen {
-		b.state = brHalfOpen
-		return true
-	}
-	return false
-}
-
-// onFailure records a failed dispatch: it computes the exponential backoff to
-// charge and decides whether the breaker opens (threshold reached, or a
-// failed probe re-opening with doubled cooldown).
-func (b *breaker) onFailure(rz Resilience) (backoff float64, opened bool, cooldown float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecFails++
-	exp := b.consecFails - 1
-	if exp > 16 {
-		exp = 16
-	}
-	backoff = rz.BackoffBase * math.Pow(2, float64(exp))
-	if backoff > rz.BackoffCap {
-		backoff = rz.BackoffCap
-	}
-	switch {
-	case b.state == brHalfOpen:
-		b.opens++
-		b.cooldown *= 2
-		if b.cooldown > rz.CooldownCap {
-			b.cooldown = rz.CooldownCap
-		}
-		b.state = brOpen
-		opened, cooldown = true, b.cooldown
-	case b.state == brClosed && b.consecFails >= rz.BreakerThreshold:
-		b.opens++
-		b.cooldown = rz.BreakerCooldown
-		b.state = brOpen
-		opened, cooldown = true, b.cooldown
-	}
-	return backoff, opened, cooldown
-}
-
-// onSuccess closes the breaker; readmitted reports whether this success was a
-// half-open probe (a quarantined device returning to service).
-func (b *breaker) onSuccess() (readmitted bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	readmitted = b.state == brHalfOpen
-	b.state = brClosed
-	b.consecFails = 0
-	return readmitted
-}
-
-// breakerSet lazily builds the engine's persistent per-device breakers.
-func (e *Engine) breakerSet() []*breaker {
+// breakerSet lazily builds the engine's persistent per-device breakers,
+// tuned by the Resilience the engine has when it builds them.
+func (e *Engine) breakerSet() []*breaker.Breaker {
 	e.brMu.Lock()
 	defer e.brMu.Unlock()
 	if len(e.brs) != e.Reg.Len() {
-		e.brs = make([]*breaker, e.Reg.Len())
+		rz := e.Resilience.withDefaults()
+		e.brs = make([]*breaker.Breaker, e.Reg.Len())
 		for i := range e.brs {
-			e.brs[i] = &breaker{}
+			e.brs[i] = breaker.New(rz.BreakerThreshold, rz.BreakerCooldown, rz.CooldownCap)
 		}
 		// A new breaker set means a new (or resized) device set: any plan
 		// captured against the old queue indices is meaningless.
@@ -176,7 +104,7 @@ func (e *Engine) QuarantinedDevices() []string {
 	}
 	var names []string
 	for i, b := range e.breakerSet() {
-		if b.quarantined() {
+		if b.Quarantined() {
 			names = append(names, e.Reg.Get(i).Name())
 		}
 	}
@@ -288,7 +216,7 @@ func (t *degTracker) finish(reg *device.Registry, done []doneHLOP) *Degraded {
 // the engine's persistent breakers, and the run-scoped degradation tracker.
 type faultState struct {
 	rz  Resilience
-	brs []*breaker
+	brs []*breaker.Breaker
 	deg *degTracker
 }
 
@@ -298,7 +226,7 @@ func (e *Engine) newFaultState() *faultState {
 
 // quarantined is the sched.Context hook: policies route new work around
 // devices whose breaker is open.
-func (f *faultState) quarantined(i int) bool { return f.brs[i].quarantined() }
+func (f *faultState) quarantined(i int) bool { return f.brs[i].Quarantined() }
 
 // injectedDelayer is implemented by the chaos wrapper (and any future
 // instrumented device) to surface injected virtual latency; asserting the
@@ -324,7 +252,8 @@ func (r *round) noteFault(d *devState, h *hlop.HLOP, wasProbe bool) (busy, idle 
 	name := d.dev.Name()
 	telemetry.HLOPRetries.Inc()
 	telemetry.FailedDispatches.With(name).Inc()
-	backoff, opened, cooldown := d.br.onFailure(r.fx.rz)
+	fails, opened, cooldown := d.br.OnFailure(d.lane.Compute)
+	backoff := r.fx.rz.backoff(fails)
 	busy = d.dev.DispatchOverhead() + backoff
 	telemetry.FailedDispatchVirtualNanos.Add(int64(busy * 1e9))
 	telemetry.Backoffs.Inc()
@@ -346,7 +275,7 @@ func (r *round) noteFault(d *devState, h *hlop.HLOP, wasProbe bool) (busy, idle 
 		now := d.lane.Compute
 		r.rt.dispatchFailed(d.qi, h, now, now+busy)
 		if opened {
-			r.rt.breakerState(d.qi, int64(brOpen))
+			r.rt.breakerState(d.qi, int64(breaker.Open))
 		}
 	}
 	return busy, idle, opened
@@ -355,7 +284,7 @@ func (r *round) noteFault(d *devState, h *hlop.HLOP, wasProbe bool) (busy, idle 
 // noteRecovery records a successful dispatch's breaker bookkeeping,
 // re-admitting the device when the dispatch was its half-open probe.
 func (r *round) noteRecovery(d *devState) {
-	if !d.br.onSuccess() {
+	if !d.br.OnSuccess() {
 		return
 	}
 	r.fx.deg.noteProbe(true)
@@ -365,6 +294,6 @@ func (r *round) noteRecovery(d *devState) {
 	r.e.planEpoch.Add(1)
 	r.e.notifyBreaker(d.dev.Name(), "readmitted")
 	if r.rt != nil {
-		r.rt.breakerState(d.qi, int64(brClosed))
+		r.rt.breakerState(d.qi, int64(breaker.Closed))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"shmt/internal/breaker"
 	"shmt/internal/device"
 	"shmt/internal/device/cpu"
 	"shmt/internal/device/dsp"
@@ -14,60 +15,17 @@ import (
 	"shmt/internal/vop"
 )
 
-func TestBreakerStateMachine(t *testing.T) {
-	rz := Resilience{}.withDefaults()
-	b := &breaker{}
-
-	// Closed absorbs failures below the threshold.
-	for i := 0; i < rz.BreakerThreshold-1; i++ {
-		if _, opened, _ := b.onFailure(rz); opened {
-			t.Fatalf("breaker opened after %d failures (threshold %d)", i+1, rz.BreakerThreshold)
-		}
-	}
-	if b.quarantined() {
-		t.Fatal("breaker should still be closed")
-	}
-	// The threshold failure opens it.
-	_, opened, cd := b.onFailure(rz)
-	if !opened || cd != rz.BreakerCooldown {
-		t.Fatalf("opened=%v cooldown=%g", opened, cd)
-	}
-	if !b.quarantined() {
-		t.Fatal("open breaker must quarantine")
-	}
-	// Probe: open -> half-open; a failed probe re-opens with doubled cooldown.
-	if !b.beginProbe() {
-		t.Fatal("beginProbe on an open breaker must start a probe")
-	}
-	if b.quarantined() {
-		t.Fatal("half-open is not quarantined (the probe is in flight)")
-	}
-	_, opened, cd = b.onFailure(rz)
-	if !opened || cd != 2*rz.BreakerCooldown {
-		t.Fatalf("failed probe: opened=%v cooldown=%g want %g", opened, cd, 2*rz.BreakerCooldown)
-	}
-	// A successful probe re-admits.
-	if !b.beginProbe() {
-		t.Fatal("second probe")
-	}
-	if !b.onSuccess() {
-		t.Fatal("probe success must report re-admission")
-	}
-	if b.quarantined() || b.consecFails != 0 {
-		t.Fatal("breaker must be closed and reset after re-admission")
-	}
-	// Ordinary successes are not re-admissions.
-	if b.onSuccess() {
-		t.Fatal("a success on a closed breaker is not a re-admission")
-	}
-}
-
+// TestBackoffIsExponentialAndCapped: the retry backoff the engine charges
+// for each consecutive failure the breaker counts never shrinks and
+// saturates at BackoffCap. (The breaker's own transitions are tested in
+// internal/breaker.)
 func TestBackoffIsExponentialAndCapped(t *testing.T) {
 	rz := Resilience{BreakerThreshold: 100}.withDefaults()
-	b := &breaker{}
+	b := breaker.New(rz.BreakerThreshold, rz.BreakerCooldown, rz.CooldownCap)
 	prev := 0.0
 	for i := 0; i < 12; i++ {
-		backoff, _, _ := b.onFailure(rz)
+		fails, _, _ := b.OnFailure(0)
+		backoff := rz.backoff(fails)
 		if backoff < prev {
 			t.Fatalf("backoff shrank: %g after %g", backoff, prev)
 		}
@@ -110,7 +68,7 @@ func TestFallbackQueuePrefersAccuracyAndSkipsQuarantined(t *testing.T) {
 	// TPU itself, so there is no fallback yet — the CPU is not drafted while
 	// another accelerator is merely failing, only once it quarantines too.
 	for i := 0; i < fx.rz.BreakerThreshold; i++ {
-		fx.brs[gpuIdx].onFailure(fx.rz)
+		fx.brs[gpuIdx].OnFailure(0)
 	}
 	if alt := e.fallbackQueue(ctx, tpuIdx, h); alt != -1 {
 		t.Fatalf("fallback with gpu quarantined = %d want -1 (no healthy accelerator)", alt)
@@ -119,7 +77,7 @@ func TestFallbackQueuePrefersAccuracyAndSkipsQuarantined(t *testing.T) {
 	// Quarantine the TPU too: with every accelerator out, the tier drops to
 	// any healthy device and the CPU absorbs the work.
 	for i := 0; i < fx.rz.BreakerThreshold; i++ {
-		fx.brs[tpuIdx].onFailure(fx.rz)
+		fx.brs[tpuIdx].OnFailure(0)
 	}
 	if alt := e.fallbackQueue(ctx, tpuIdx, h); alt != reg.Index("cpu") {
 		t.Fatalf("fallback with both accelerators quarantined = %d want cpu (%d)", alt, reg.Index("cpu"))

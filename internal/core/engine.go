@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"shmt/internal/breaker"
 	"shmt/internal/device"
 	"shmt/internal/energy"
 	"shmt/internal/hlop"
@@ -34,7 +35,6 @@ import (
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
-	"shmt/internal/trace"
 	"shmt/internal/vop"
 )
 
@@ -64,15 +64,14 @@ type Engine struct {
 	// constant costs (sampling touches); the devices carry their own
 	// slowdown. Default 1.
 	HostScale float64
-	// RecordTrace records per-HLOP events and publishes them as the
-	// report's (or batch result's) Trace.
-	RecordTrace bool
 	// Telemetry, when non-nil, receives lifecycle and device-lane spans for
 	// every run (see internal/telemetry); process-global counters are
 	// maintained whenever telemetry is enabled, recorder or not.
 	Telemetry *telemetry.Recorder
 	// Resilience tunes the graceful-degradation machinery (circuit breakers,
 	// backoff, retry bounds — see degrade.go). The zero value uses defaults.
+	// The breaker values are read once, when the engine builds its device
+	// breakers (its first run).
 	Resilience Resilience
 	// PlanCacheEntries, when positive, enables the memoized execution-plan
 	// layer with that LRU capacity: repeated same-shape VOPs replay the
@@ -92,7 +91,7 @@ type Engine struct {
 	// Per-device circuit breakers, lazily sized to Reg and persistent across
 	// runs so a dead device stays quarantined between batches.
 	brMu sync.Mutex
-	brs  []*breaker
+	brs  []*breaker.Breaker
 
 	// Cached metric handles (see telHandles); rebuilt when the policy or
 	// device set changes.
@@ -147,8 +146,6 @@ type Report struct {
 	Energy energy.Breakdown
 	// PeakBytes is the peak host-memory footprint (Fig. 11).
 	PeakBytes int64
-	// Trace holds per-HLOP events when RecordTrace was set.
-	Trace *trace.Trace
 	// Degraded quantifies fault handling (quarantines, reroutes, quality
 	// impact); nil when the run saw no device failures.
 	Degraded *Degraded
@@ -185,7 +182,7 @@ func (e *Engine) Run(v *vop.VOP) (*Report, error) {
 	rep := batch.Reports[0]
 	rep.Makespan = batch.Makespan
 	rep.Busy, rep.Comm, rep.Energy = batch.Busy, batch.Comm, batch.Energy
-	rep.Degraded, rep.PeakBytes, rep.Trace = batch.Degraded, batch.PeakBytes, batch.Trace
+	rep.Degraded, rep.PeakBytes = batch.Degraded, batch.PeakBytes
 	return rep, nil
 }
 
@@ -208,7 +205,7 @@ func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 			var vict int
 			if len(devs[i].q) > 0 {
 				ok, vict = true, -1
-			} else if r.pol.StealingEnabled() && !devs[i].br.quarantined() {
+			} else if r.pol.StealingEnabled() && !devs[i].br.Quarantined() {
 				vict = r.pickVictim(i)
 				ok = vict >= 0
 			}
@@ -266,18 +263,19 @@ func (r *round) pickVictim(thief int) int {
 	return best
 }
 
-// accountFootprint registers the run's long-lived memory: application input
-// and output buffers. Per-HLOP staging (device-precision copies, double
-// buffers) is accounted live in the pick loop, so PeakBytes reflects
-// what is actually resident at once — Edge TPU HLOPs stage INT8 copies, a
-// quarter of the FP32 the GPU keeps, which is how SHMT's footprint stays
-// near (or below) the baseline despite the extra buffers (Fig. 11).
-func (e *Engine) accountFootprint(tr *trace.Trace, v *vop.VOP) {
+// baseBytes is a VOP's long-lived memory: its application input and output
+// buffers. Per-HLOP staging (device-precision copies, double buffers) is
+// accounted live in the pick loop, so PeakBytes reflects what is actually
+// resident at once — Edge TPU HLOPs stage INT8 copies, a quarter of the FP32
+// the GPU keeps, which is how SHMT's footprint stays near (or below) the
+// baseline despite the extra buffers (Fig. 11).
+func baseBytes(v *vop.VOP) int64 {
+	var n int64
 	for _, in := range v.Inputs {
-		tr.AddBase(in.Bytes(tensor.ElemSize))
+		n += in.Bytes(tensor.ElemSize)
 	}
 	rows, cols := v.OutputShape()
-	tr.AddBase(int64(rows*cols) * tensor.ElemSize)
+	return n + int64(rows*cols)*tensor.ElemSize
 }
 
 // bindOutputViews attaches to every HLOP a strided view of the VOP output

@@ -12,6 +12,7 @@ import (
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
 	"shmt/internal/sched"
+	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
@@ -93,19 +94,20 @@ func TestEngineDeterministicReproducible(t *testing.T) {
 }
 
 func TestEngineConservation(t *testing.T) {
+	rec := telemetry.NewRecorder()
 	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
-		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, RecordTrace: true}
+		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, Telemetry: rec}
 	rep, err := e.Run(sobelVOP(t, 64, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every HLOP executes exactly once.
 	seen := map[int]int{}
-	for _, ev := range rep.Trace.Events() {
-		seen[ev.HLOP]++
+	for _, s := range telemetry.HLOPSpans(rec.Spans()) {
+		seen[s.ID]++
 	}
 	if len(seen) != rep.HLOPs {
-		t.Fatalf("trace has %d distinct HLOPs, report says %d", len(seen), rep.HLOPs)
+		t.Fatalf("spans cover %d distinct HLOPs, report says %d", len(seen), rep.HLOPs)
 	}
 	for id, n := range seen {
 		if n != 1 {
@@ -115,16 +117,20 @@ func TestEngineConservation(t *testing.T) {
 }
 
 func TestEngineQAWSNeverRunsCriticalOnTPU(t *testing.T) {
+	rec := telemetry.NewRecorder()
 	e := &Engine{Reg: stdRegistry(t),
 		Policy:       sched.QAWS{Assignment: sched.TopK, Method: 0, Rate: 0.02, K: 0.25, W: 8},
 		Spec:         hlop.Spec{TargetPartitions: 16, MinTile: 8},
-		DoubleBuffer: true, RecordTrace: true}
+		DoubleBuffer: true, Telemetry: rec}
 	rep, err := e.Run(sobelVOP(t, 128, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range rep.Trace.Events() {
-		if ev.Critical && ev.Device == "tpu" {
+	if rep.CriticalHLOPs == 0 {
+		t.Fatal("test needs QAWS to mark some HLOPs critical")
+	}
+	for _, s := range telemetry.HLOPSpans(rec.Spans()) {
+		if s.Critical && s.Track == "tpu" {
 			t.Fatal("critical HLOP executed on the TPU despite QAWS")
 		}
 	}
@@ -170,7 +176,7 @@ func TestEngineSplitsOversizedHLOPs(t *testing.T) {
 	tiny := tpu.New(tpu.Config{MemoryBytes: 6 << 10}) // 6 KiB
 	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tiny)
 	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
-		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}, RecordTrace: true}
+		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	v := sobelVOP(t, 128, 10) // 4 partitions of ~64x64 > 6 KiB working set
 	rep, err := e.Run(v)
 	if err != nil {
@@ -214,7 +220,7 @@ func TestEngineFailureFallback(t *testing.T) {
 	flaky.failures.Store(2)
 	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), flaky)
 	e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
-		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}, RecordTrace: true}
+		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	rep, err := e.Run(sobelVOP(t, 64, 11))
 	if err != nil {
 		t.Fatalf("engine should survive transient device failures: %v", err)
@@ -361,15 +367,17 @@ func TestEngineMultiStepStencilExact(t *testing.T) {
 func TestEngineChargesStagingFootprint(t *testing.T) {
 	// Even distribution never steals, so the TPU is sure to run its share.
 	e := &Engine{Reg: stdRegistry(t), Policy: sched.EvenDistribution{},
-		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true, RecordTrace: true}
-	rep, err := e.Run(sobelVOP(t, 128, 40))
+		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true}
+	v := sobelVOP(t, 128, 40)
+	rep, err := e.Run(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.DeviceHLOPs["tpu"] == 0 {
 		t.Fatal("test needs the TPU to execute something")
 	}
-	if base := rep.Trace.BaseBytes(); rep.PeakBytes <= base {
+	// The base buffers: the 128x128 input and the output of the same shape.
+	if base := int64(2*128*128) * tensor.ElemSize; rep.PeakBytes <= base {
 		t.Fatalf("PeakBytes = %d, base buffers = %d: staging was not charged", rep.PeakBytes, base)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
-	"shmt/internal/trace"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
 )
@@ -56,8 +55,9 @@ func bitEqual(a, b *tensor.Matrix) bool {
 
 // Property (ISSUE 15): for op × policy × fault plan, the whole BatchResult of
 // the deterministic loop — outputs bit for bit, every virtual-time figure,
-// the degradation report, the trace in event order — is the same at 1, 2 and
-// 8 pool workers, and every admitted HLOP is computed exactly once.
+// the degradation report, the virtual-clock spans in recording order — is the
+// same at 1, 2 and 8 pool workers, and every admitted HLOP is computed
+// exactly once.
 func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 	ops := []vop.Opcode{vop.OpSobel, vop.OpSqrt, vop.OpGEMM, vop.OpReduceSum, vop.OpFFT, vop.OpConv}
 	policies := []sched.Policy{
@@ -89,8 +89,9 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Engine{Reg: reg, Policy: pol, Seed: 5, DoubleBuffer: true, Prefetch: true, RecordTrace: true,
-			Spec: hlop.Spec{TargetPartitions: 12, MinTile: 8, MinVectorElems: 32}}
+		return &Engine{Reg: reg, Policy: pol, Seed: 5, DoubleBuffer: true, Prefetch: true,
+			Telemetry: telemetry.NewRecorder(),
+			Spec:      hlop.Spec{TargetPartitions: 12, MinTile: 8, MinVectorElems: 32}}
 	}
 	inputsFor := func(op vop.Opcode) []*tensor.Matrix {
 		a := workload.Mixed(96, 96, workload.Profile{TileSize: 16}, 21)
@@ -125,15 +126,18 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 			for _, plan := range plans {
 				name := op.String() + "/" + pol.Name() + "/" + plan.name
 				var base *BatchResult
+				var baseSpans []telemetry.Span
 				for _, w := range []int{1, 2, 8} {
 					var res *BatchResult
 					var err error
-					withWorkers(w, func() { res, err = engine(pol, plan.dev, plan.cfg).RunBatch(batch()) })
+					e := engine(pol, plan.dev, plan.cfg)
+					withWorkers(w, func() { res, err = e.RunBatch(batch()) })
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", name, w, err)
 					}
+					spans := virtualSpans(e.Telemetry)
 					if w == 1 {
-						base = res
+						base, baseSpans = res, spans
 						continue
 					}
 					for i, rep := range res.Reports {
@@ -151,8 +155,8 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 						!reflect.DeepEqual(res.Busy, base.Busy) || !reflect.DeepEqual(res.Degraded, base.Degraded) {
 						t.Fatalf("%s workers=%d: batch accounting moved:\n got %+v\nwant %+v", name, w, res, base)
 					}
-					if !reflect.DeepEqual(res.Trace.Events(), base.Trace.Events()) {
-						t.Fatalf("%s workers=%d: trace events differ from one worker's", name, w)
+					if !reflect.DeepEqual(spans, baseSpans) {
+						t.Fatalf("%s workers=%d: virtual-clock spans differ from one worker's", name, w)
 					}
 				}
 
@@ -167,7 +171,7 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					r := e.newRound(ctx, pol, hs, overhead, trace.New(), nil, fx)
+					r := e.newRound(ctx, pol, hs, overhead, nil, fx)
 					err = r.runDeterministic(hs)
 					r.pf.drain()
 					if err != nil {
@@ -188,6 +192,18 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 			}
 		}
 	}
+}
+
+// virtualSpans is what rec holds on the virtual clock: device lanes, transfer
+// sub-lanes and faults. Wall-clock spans differ from run to run.
+func virtualSpans(rec *telemetry.Recorder) []telemetry.Span {
+	var out []telemetry.Span
+	for _, s := range rec.Spans() {
+		if s.Clock == telemetry.ClockVirtual {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // TestPooledComputeNeverWaitsOnItsOwnPrestage is the regression for the

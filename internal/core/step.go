@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"sync"
 
+	"shmt/internal/breaker"
 	"shmt/internal/device"
 	"shmt/internal/hlop"
 	"shmt/internal/interconnect"
 	"shmt/internal/parallel"
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
-	"shmt/internal/trace"
 )
 
 // This file is the per-HLOP step the pick loop (runDeterministic in
@@ -38,7 +38,7 @@ const splitCost = 50e-6
 type devState struct {
 	qi   int
 	dev  device.Device
-	br   *breaker
+	br   *breaker.Breaker
 	lane interconnect.Lane
 	busy float64
 	ran  bool
@@ -59,7 +59,6 @@ type round struct {
 	ctx  *sched.Context
 	pol  sched.Policy
 	pf   *prefetcher
-	tr   *trace.Trace
 	rt   *runTel
 	fx   *faultState
 	etc  *device.ExecTimeCache
@@ -70,6 +69,10 @@ type round struct {
 	retries     map[*hlop.HLOP]int
 	done        []doneHLOP // admission order: the host's aggregation order
 	comm        interconnect.Tracker
+	// maxStaging is the largest staging charge of any admitted HLOP. admit
+	// pins an HLOP's staging and releases it in the same call, one HLOP at a
+	// time, so the round's Fig. 11 peak is the base buffers plus this.
+	maxStaging int64
 
 	// The compute pass's failure, if any: the error of the earliest-admitted
 	// HLOP that failed, at its index in done. mu guards it against the pool
@@ -89,9 +92,9 @@ type doneHLOP struct {
 // newRound readies the device lanes at the scheduling overhead and stamps
 // every HLOP available from that instant. The pick loop fills the queues.
 func (e *Engine) newRound(ctx *sched.Context, pol sched.Policy, hs []*hlop.HLOP,
-	overhead float64, tr *trace.Trace, rt *runTel, fx *faultState) *round {
+	overhead float64, rt *runTel, fx *faultState) *round {
 
-	r := &round{e: e, ctx: ctx, pol: pol, pf: e.newPrefetcher(hs), tr: tr, rt: rt, fx: fx,
+	r := &round{e: e, ctx: ctx, pol: pol, pf: e.newPrefetcher(hs), rt: rt, fx: fx,
 		etc:  device.NewExecTimeCacheSized(e.ExecTimeCacheEntries),
 		devs: make([]devState, e.Reg.Len()), done: make([]doneHLOP, 0, len(hs)),
 		outstanding: len(hs), nextID: len(hs)}
@@ -114,7 +117,7 @@ func (e *Engine) newRound(ctx *sched.Context, pol sched.Policy, hs []*hlop.HLOP,
 func (r *round) admit(d *devState, victim int, h *hlop.HLOP) error {
 	e, dev := r.e, d.dev
 	stolen := victim >= 0
-	wasProbe := !stolen && d.br.beginProbe()
+	wasProbe := !stolen && d.br.BeginProbe()
 	t, err := dev.Admit(h.Op, h.Inputs)
 	if err != nil {
 		if errors.Is(err, device.ErrTooLarge) {
@@ -124,8 +127,7 @@ func (r *round) admit(d *devState, victim int, h *hlop.HLOP) error {
 	}
 	r.noteRecovery(d)
 
-	stageB := e.stagingBytes(dev, h)
-	r.tr.AllocStaging(stageB)
+	r.maxStaging = max(r.maxStaging, e.stagingBytes(dev, h))
 	exec, inT, outT, bytes := e.hlopParts(dev, h, r.etc)
 	exec += takeInjectedDelay(dev)
 	ready := h.ReadyAt
@@ -144,15 +146,6 @@ func (r *round) admit(d *devState, victim int, h *hlop.HLOP) error {
 	if r.rt != nil {
 		r.rt.hlopDone(d.qi, victim, h, adm)
 	}
-	if e.RecordTrace {
-		r.tr.Record(trace.Event{
-			HLOP: h.ID, Device: dev.Name(), Op: h.Op.String(),
-			Start: adm.Start, End: adm.End,
-			BytesIn: h.InputBytes(dev.ElemBytes()), BytesOut: h.OutputBytes(dev.ElemBytes()),
-			Stolen: stolen || h.AssignedQueue != d.qi, Critical: h.Critical,
-		})
-	}
-	r.tr.FreeStaging(stageB)
 	r.outstanding--
 	return nil
 }

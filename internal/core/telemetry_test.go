@@ -193,13 +193,7 @@ func TestBatchTelemetry(t *testing.T) {
 	for _, r := range batch.Reports {
 		total += r.HLOPs
 	}
-	var virtual int
-	for _, s := range rec.Spans() {
-		if s.Clock == telemetry.ClockVirtual && !strings.HasSuffix(s.Track, " xfer") {
-			virtual++
-		}
-	}
-	if virtual != total {
+	if virtual := len(telemetry.HLOPSpans(rec.Spans())); virtual != total {
 		t.Fatalf("virtual spans = %d, batch HLOPs = %d", virtual, total)
 	}
 	d := telemetry.Default.Snapshot().Delta(base)

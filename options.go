@@ -75,8 +75,6 @@ type Config struct {
 	TPULimit float64
 	// Seed drives sampling and the synthetic components (default 1).
 	Seed int64
-	// RecordTrace keeps per-HLOP events in each Report.
-	RecordTrace bool
 	// GPUHalfPrecision switches the GPU to its FP16 AI/ML mode.
 	GPUHalfPrecision bool
 	// TPUQuantAware builds all Edge TPU NPU models quantization-aware.

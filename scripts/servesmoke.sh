@@ -124,6 +124,15 @@ awk 'BEGIN{
     printf "]}"
 }' >"$GEMM_BODY"
 
+# wait_busy polls /statusz until a round is in flight, and fails if none
+# shows within 50 polls (the round it waited for may already be over).
+wait_busy() {
+    for _ in $(seq 1 50); do
+        curl -s "http://$ADDR/statusz" | grep -q '"inflight_rounds":1' && return 0
+    done
+    return 1
+}
+
 # batch_totals prints "rounds requests" from the exposition.
 batch_totals() {
     curl -s "http://$ADDR/metrics" | awk '
@@ -151,12 +160,7 @@ while [ "$attempt" -lt 5 ] && [ "$COALESCED" -eq 0 ]; do
         WEDGE_PIDS="$WEDGE_PIDS $!"
     done
     busy=0
-    for _ in $(seq 1 50); do
-        if curl -s "http://$ADDR/statusz" | grep -q '"inflight_rounds":1'; then
-            busy=1
-            break
-        fi
-    done
+    wait_busy && busy=1
     if [ "$busy" -eq 1 ]; then
         fire_volley
         check_volley "coalescing volley"
@@ -187,7 +191,10 @@ echo "coalescing: $REQS requests behind a busy dispatcher ran in $ROUNDS rounds 
 # overload while every premium request in the same volley still answers 200.
 # Shedding needs the dispatcher busy with a burst request already queued, so
 # premium's wedge requests are the GEMMs and the burst volley piles into its
-# one-slot queue. Retry a few times to absorb timing variance on slow runners.
+# one-slot queue — fired only once /statusz shows a premium round in flight,
+# the coalescing phase's gate, since a burst request that finds the
+# dispatcher idle runs at once instead of queueing. A volley whose wedges
+# finish before a poll sees them running is tried again.
 BURST_SHED=0
 qos_round=0
 while [ "$qos_round" -lt 10 ]; do
@@ -200,9 +207,12 @@ while [ "$qos_round" -lt 10 ]; do
             -d @"$GEMM_BODY" "http://$ADDR/v1/execute" >"$WORKDIR/pcode.$i" &
         CURL_PIDS="$CURL_PIDS $!"
     done
-    sleep 0.05 # let a premium round occupy the dispatcher first
+    nburst=0
+    if wait_busy; then
+        nburst=16
+    fi
     i=0
-    while [ "$i" -lt 16 ]; do
+    while [ "$i" -lt "$nburst" ]; do
         i=$((i + 1))
         curl -s -o /dev/null -w '%{http_code}\n' -H 'X-SHMT-Tenant: burst' \
             -d "$BODY" "http://$ADDR/v1/execute" >"$WORKDIR/bcode.$i" &
@@ -219,7 +229,7 @@ while [ "$qos_round" -lt 10 ]; do
             echo "FAIL: premium request $i got HTTP $pc during burst overload"; exit 1; }
     done
     i=0
-    while [ "$i" -lt 16 ]; do
+    while [ "$i" -lt "$nburst" ]; do
         i=$((i + 1))
         bc=$(cat "$WORKDIR/bcode.$i")
         case "$bc" in

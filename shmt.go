@@ -22,7 +22,6 @@ import (
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
-	"shmt/internal/trace"
 	"shmt/internal/vop"
 )
 
@@ -81,9 +80,6 @@ type EnergyBreakdown = energy.Breakdown
 
 // CommTracker carries the data-movement accounting of a run.
 type CommTracker = interconnect.Tracker
-
-// Trace holds per-HLOP execution events (enable with Config.RecordTrace).
-type Trace = trace.Trace
 
 // TelemetryReport is the structured observability report of a session: the
 // counter deltas since the session was built, process totals, and a per-lane
@@ -207,7 +203,6 @@ func newSession(cfg Config, sub bool) (*Session, error) {
 		Prefetch:             doubleBuffer, // the resident operand cache rides on the double-buffer pipeline
 		Seed:                 cfg.Seed,
 		HostScale:            cfg.VirtualScale,
-		RecordTrace:          cfg.RecordTrace,
 		Resilience:           cfg.Resilience,
 		PlanCacheEntries:     cfg.PlanCache.entries(),
 		ExecTimeCacheEntries: cfg.ExecTimeCacheEntries,

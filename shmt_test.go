@@ -226,20 +226,21 @@ func TestVirtualScaleTimelineInvariance(t *testing.T) {
 	}
 }
 
-func TestRecordTrace(t *testing.T) {
-	s := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8, RecordTrace: true})
+// TestDeviceHLOPs: a report counts every executed HLOP once, under the
+// device that ran it.
+func TestDeviceHLOPs(t *testing.T) {
+	s := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8})
 	img := workload.Uniform(128, 128, 0, 1, 14)
 	rep, err := s.Execute(shmt.OpSobel, []*shmt.Matrix{img}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Trace == nil || rep.Trace.Len() == 0 {
-		t.Fatal("trace not recorded")
+	n := 0
+	for _, c := range rep.DeviceHLOPs {
+		n += c
 	}
-	s2 := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 8})
-	rep2, _ := s2.Execute(shmt.OpSobel, []*shmt.Matrix{img}, nil)
-	if rep2.Trace != nil {
-		t.Fatal("trace recorded without opting in")
+	if rep.HLOPs == 0 || n != rep.HLOPs {
+		t.Fatalf("DeviceHLOPs %v sum to %d, HLOPs %d", rep.DeviceHLOPs, n, rep.HLOPs)
 	}
 }
 
@@ -255,7 +256,7 @@ func TestFromSliceHelper(t *testing.T) {
 
 func TestFourDeviceSession(t *testing.T) {
 	s := newSession(t, shmt.Config{UseCPU: true, UseGPU: true, UseTPU: true, UseDSP: true,
-		Policy: shmt.PolicyQAWSTS, TargetPartitions: 16, SamplingRate: 0.01, RecordTrace: true})
+		Policy: shmt.PolicyQAWSTS, TargetPartitions: 16, SamplingRate: 0.01})
 	devs := s.Devices()
 	if len(devs) != 4 || devs[3] != "dsp" {
 		t.Fatalf("devices = %v", devs)
@@ -266,7 +267,7 @@ func TestFourDeviceSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All three accelerators should participate on a home-domain kernel.
-	counts := rep.Trace.CountByDevice()
+	counts := rep.DeviceHLOPs
 	if counts["gpu"] == 0 || counts["tpu"] == 0 || counts["dsp"] == 0 {
 		t.Fatalf("not all accelerators participated: %v", counts)
 	}
@@ -276,7 +277,7 @@ func TestFourDeviceSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Trace.CountByDevice()["dsp"] != 0 {
+	if rep2.DeviceHLOPs["dsp"] != 0 {
 		t.Fatal("DSP executed an opcode outside its home domain")
 	}
 }
