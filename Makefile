@@ -57,9 +57,11 @@ race:
 # raw bit patterns, the two header sanitisers (tenant, trace ID) both tiers
 # apply at admission, the fused INT8 round trip against calibration plus
 # QuantizeOne / DequantizeOne on arbitrary bit patterns, the -chaos fault
-# plan grammar (every accepted plan finite and in range), and the -tenant /
+# plan grammar (every accepted plan finite and in range), the -tenant /
 # -tenant-limit grammars of both daemons (every admitted tenant name, ':'
-# included, round-trips). (go test takes one -fuzz target per run.)
+# included, round-trips), and the scheduler's top-K rule (every HLOP on an
+# eligible queue, Critical exactly on the most accurate one, criticality
+# order kept within a window). (go test takes one -fuzz target per run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
@@ -71,6 +73,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=10s ./internal/chaos/
 	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtserved/
 	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtrouterd/
+	$(GO) test -run='^$$' -fuzz='^FuzzTopK$$' -fuzztime=10s ./internal/sched/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

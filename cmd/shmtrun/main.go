@@ -36,6 +36,7 @@ import (
 	"shmt"
 	"shmt/internal/bench"
 	"shmt/internal/metrics"
+	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 )
 
@@ -64,9 +65,10 @@ func main() {
 		for _, b := range bench.Benchmarks {
 			fmt.Printf("  %-14s %-20s VOP %s\n", b.Name, b.Category, b.Op)
 		}
-		fmt.Println("policies:")
-		for _, p := range shmt.AllPolicies() {
-			fmt.Printf("  %s\n", p)
+		fmt.Printf("policies:\n  %-18s %-19s %-20s %-17s %s\n", "", "source", "assignment", "steal", "double-buffer")
+		for _, r := range sched.Table {
+			src, asg, steal := r.Policy.Parts()
+			fmt.Printf("  %-18s %-19s %-20s %-17s %v\n", r.Key, src, asg, steal, r.DoubleBuffer)
 		}
 		return
 	}

@@ -83,7 +83,7 @@ func AblationDoubleBuffer(o Options) ([]AblationDoubleBufferRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		without, err := runEngine(b, o, sched.WorkStealing{}, false, 1, 1)
+		without, err := runEngine(b, o, row(shmt.PolicyWorkStealing).Policy, false, 1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func AblationDatacenter(o Options) ([]AblationDatacenterRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		dc, err := runEngine(b, o, sched.QAWS{Rate: o.SamplingRate}, true, 1, 4)
+		dc, err := runEngine(b, o, row(shmt.PolicyQAWSTS).Tuned(o.SamplingRate, 0, 0, 0), true, 1, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +179,7 @@ func AblationPrefetch(o Options) ([]AblationPrefetchRow, error) {
 		}
 		eng := &core.Engine{
 			Reg:          reg,
-			Policy:       sched.SingleDevice{Device: "tpu"},
+			Policy:       row(shmt.PolicyTPUOnly).Policy,
 			Spec:         hlop.Spec{TargetPartitions: o.Partitions},
 			DoubleBuffer: true,
 			Prefetch:     resident,
@@ -293,6 +293,12 @@ func AblationDSPTable(rows []AblationDSPRow) *Table {
 	}
 	t.AddRow("GMEAN", f2(metrics.GeoMean(s3)), f2(metrics.GeoMean(s4)), "", "")
 	return t
+}
+
+// row is the sched.Table row of a policy name.
+func row(name shmt.PolicyName) sched.Row {
+	r, _ := sched.Lookup(string(name))
+	return r
 }
 
 // runEngine runs one benchmark on a custom-configured engine (for ablations

@@ -73,13 +73,14 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		return nil, errors.New("core: empty batch")
 	}
 	pol := e.Policy
-	if pol == nil {
-		pol = sched.WorkStealing{}
+	if pol == (sched.Policy{}) {
+		row, _ := sched.Lookup("work-stealing")
+		pol = row.Policy
 	}
 	fx := e.newFaultState()
 	ctx := &sched.Context{Reg: e.Reg, Seed: e.Seed, HostScale: max(e.HostScale, 1),
 		Quarantined: fx.quarantined}
-	rt := e.newRunTel(pol.Name())
+	rt := e.newRunTel(pol.Name)
 	var phaseT, planStart float64
 	if rt != nil {
 		phaseT = rt.now()

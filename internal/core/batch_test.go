@@ -11,7 +11,6 @@ import (
 	"shmt/internal/device/gpu"
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
-	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -38,7 +37,7 @@ func batchVOPs(t *testing.T) []*vop.VOP {
 }
 
 func TestRunBatchBasics(t *testing.T) {
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}, DoubleBuffer: true}
 	res, err := e.RunBatch(batchVOPs(t))
 	if err != nil {
@@ -62,7 +61,7 @@ func TestRunBatchBasics(t *testing.T) {
 
 func TestRunBatchExactness(t *testing.T) {
 	reg, _ := device.NewRegistry(cpu.New(1))
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "cpu"},
+	e := &Engine{Reg: reg, Policy: row("cpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}}
 	vops := batchVOPs(t)
 	res, err := e.RunBatch(vops)
@@ -85,7 +84,7 @@ func TestRunBatchExactness(t *testing.T) {
 func TestRunBatchSplitOwnership(t *testing.T) {
 	tiny := tpu.New(tpu.Config{MemoryBytes: 6 << 10})
 	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tiny)
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
+	e := &Engine{Reg: reg, Policy: row("tpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 2, MinTile: 8}}
 	a := workload.Uniform(96, 96, 0, 1, 82)
 	b := workload.Uniform(96, 96, 0, 1, 83)
@@ -110,7 +109,7 @@ func TestRunBatchSplitOwnership(t *testing.T) {
 // clocks and accounting are its own — and each gets the result it would have
 // got alone. Run under -race.
 func TestRunBatchConcurrent(t *testing.T) {
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}}
 	want, err := e.RunBatch(batchVOPs(t))
 	if err != nil {
@@ -154,7 +153,7 @@ func TestRunBatchAggregationTimeline(t *testing.T) {
 	// CPU + GPU share host memory, so halo-free partitions write in place.
 	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}))
 	rec := telemetry.NewRecorder()
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, DoubleBuffer: true, Telemetry: rec,
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, DoubleBuffer: true, Telemetry: rec,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}}
 	vops := batchVOPs(t) // Sobel (halo: copied), sqrt (aliased), reduce-sum (partials copied)
 	for i, v := range vops {
@@ -219,17 +218,18 @@ func TestEngineEvenDistributionBoundedBySlowerDevice(t *testing.T) {
 	// TPU is much slower (MF, ratio 0.31), even must trail work stealing.
 	m := workload.Image(128, 128, 84)
 	v, _ := vop.New(vop.OpMeanFilter, m)
-	run := func(pol sched.Policy) float64 {
-		e := &Engine{Reg: stdRegistry(t), Policy: pol,
-			Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}, DoubleBuffer: pol.StealingEnabled()}
+	run := func(key string) float64 {
+		r := row(key)
+		e := &Engine{Reg: stdRegistry(t), Policy: r.Policy,
+			Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}, DoubleBuffer: r.DoubleBuffer}
 		rep, err := e.Run(v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep.Makespan
 	}
-	even := run(sched.EvenDistribution{})
-	ws := run(sched.WorkStealing{})
+	even := run("even-distribution")
+	ws := run("work-stealing")
 	if ws >= even {
 		t.Fatalf("work stealing (%g) should beat even distribution (%g) on a TPU-hostile kernel", ws, even)
 	}
@@ -241,7 +241,7 @@ func TestEngineEvenDistributionBoundedBySlowerDevice(t *testing.T) {
 // view-bound one) — a reduction ignores its Dst, and a Dst of the wrong shape
 // is refused before anything runs.
 func TestRunBatchIntoDestination(t *testing.T) {
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 64}, DoubleBuffer: true}
 	want, err := e.RunBatch(batchVOPs(t))
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
 	"shmt/internal/metrics"
-	"shmt/internal/sched"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
 )
@@ -41,7 +40,7 @@ func TestChaosDeviceDeathMidBatchCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec}
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec}
 	res, err := e.RunBatch(vops)
 	if err != nil {
 		t.Fatalf("batch with a dying GPU must degrade, not fail: %v", err)
@@ -88,7 +87,7 @@ func TestChaosSameSeedReproduces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec}
+		e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec}
 		rep, err := e.Run(sobelVOP(t, 64, 92))
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +130,7 @@ func TestChaosDowngradeQuantified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec}
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec}
 	rep, err := e.Run(sobelVOP(t, 64, 93))
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +156,7 @@ func TestChaosOutageBreakerReadmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy,
 		Spec: chaosHLOPSpec, Resilience: Resilience{MaxRetries: 16}}
 	rep, err := e.Run(sobelVOP(t, 128, 94))
 	if err != nil {
@@ -189,7 +188,7 @@ func TestChaosCorruptionIsQuantifiableQualityLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec}
+		e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec}
 		rep, err := e.Run(v)
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +224,7 @@ func TestChaosLatencyShiftsSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec}
+		e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec}
 		rep, err := e.Run(sobelVOP(t, 128, 97))
 		if err != nil {
 			t.Fatal(err)

@@ -112,9 +112,9 @@ func TestPropertyViewCopyBitIdentity(t *testing.T) {
 		op := ops[r.Intn(len(ops))]
 		inputs, attrs := randVOP(t, r, op)
 
-		reg, pol := cpuOnly, sched.Policy(sched.SingleDevice{Device: "cpu"})
+		reg, pol := cpuOnly, row("cpu-only").Policy
 		if r.Intn(2) == 0 {
-			reg, pol = mixed, sched.WorkStealing{}
+			reg, pol = mixed, row("work-stealing").Policy
 		}
 		spec := hlop.Spec{
 			TargetPartitions: 1 + r.Intn(12),
@@ -156,9 +156,9 @@ func TestViewPathUnevenTail(t *testing.T) {
 		spec := hlop.Spec{TargetPartitions: parts, MinVectorElems: 8, MinTile: 8}
 		copySpec := spec
 		copySpec.ForceCopy = true
-		got := runSpec(t, reg, sched.SingleDevice{Device: "cpu"}, vop.OpRelu,
+		got := runSpec(t, reg, row("cpu-only").Policy, vop.OpRelu,
 			[]*tensor.Matrix{in}, nil, spec)
-		want := runSpec(t, reg, sched.SingleDevice{Device: "cpu"}, vop.OpRelu,
+		want := runSpec(t, reg, row("cpu-only").Policy, vop.OpRelu,
 			[]*tensor.Matrix{in}, nil, copySpec)
 		if !got.Equal(want) {
 			t.Fatalf("parts=%d: uneven tail diverged", parts)
@@ -185,9 +185,9 @@ func TestViewPathDegenerateShapes(t *testing.T) {
 		spec := hlop.Spec{TargetPartitions: 6, MinVectorElems: 16, MinTile: 8}
 		copySpec := spec
 		copySpec.ForceCopy = true
-		got := runSpec(t, reg, sched.SingleDevice{Device: "cpu"}, vop.OpAdd,
+		got := runSpec(t, reg, row("cpu-only").Policy, vop.OpAdd,
 			[]*tensor.Matrix{a, b}, nil, spec)
-		want := runSpec(t, reg, sched.SingleDevice{Device: "cpu"}, vop.OpAdd,
+		want := runSpec(t, reg, row("cpu-only").Policy, vop.OpAdd,
 			[]*tensor.Matrix{a, b}, nil, copySpec)
 		if !got.Equal(want) {
 			t.Fatalf("%dx%d: view path diverged", shape.rows, shape.cols)
@@ -214,7 +214,7 @@ func TestViewPathHaloBorderClamp(t *testing.T) {
 		in.Data[i] = r.NormFloat64()
 	}
 	spec := hlop.Spec{TargetPartitions: 9, MinTile: 8, MinVectorElems: 8}
-	got := runSpec(t, reg, sched.SingleDevice{Device: "cpu"}, vop.OpSobel,
+	got := runSpec(t, reg, row("cpu-only").Policy, vop.OpSobel,
 		[]*tensor.Matrix{in}, nil, spec)
 	want, err := cpu.New(1).Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
 	if err != nil {

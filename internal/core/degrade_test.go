@@ -102,7 +102,7 @@ func TestRetriesExhaustedSurfaces(t *testing.T) {
 	flaky := &flakyDevice{Device: gpu.New(gpu.Config{})}
 	flaky.failures.Store(1 << 20)
 	reg, _ := device.NewRegistry(flaky)
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "gpu"},
+	e := &Engine{Reg: reg, Policy: row("gpu-baseline").Policy,
 		Spec: hlop.Spec{TargetPartitions: 2, MinTile: 8}}
 	_, err := e.Run(sobelVOP(t, 32, 31))
 	if err == nil {
@@ -119,7 +119,7 @@ func TestRetryBoundConfigurable(t *testing.T) {
 	flaky := &flakyDevice{Device: gpu.New(gpu.Config{})}
 	flaky.failures.Store(6) // more than the default bound of 4
 	reg, _ := device.NewRegistry(flaky)
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "gpu"},
+	e := &Engine{Reg: reg, Policy: row("gpu-baseline").Policy,
 		Spec:       hlop.Spec{TargetPartitions: 2, MinTile: 8},
 		Resilience: Resilience{MaxRetries: 32}}
 	rep, err := e.Run(sobelVOP(t, 32, 32))
@@ -152,7 +152,7 @@ func TestFailedDispatchAccountingSymmetry(t *testing.T) {
 		tpuBytes int64 // TPU memory override; small enough and every partition splits
 		check    func(t *testing.T, rep *Report)
 	}{
-		{name: "two transient failures", pol: sched.WorkStealing{}, failures: 2,
+		{name: "two transient failures", pol: row("work-stealing").Policy, failures: 2,
 			check: func(t *testing.T, rep *Report) {
 				d := rep.Degraded
 				if d == nil || d.FailedDispatches != 2 {
@@ -168,7 +168,7 @@ func TestFailedDispatchAccountingSymmetry(t *testing.T) {
 		// A stealing policy on purpose: the idle CPU (ineligible while an
 		// accelerator is healthy) keeps probing the TPU's queue while the
 		// breaker-open drain runs.
-		{name: "breaker opens and drains the backlog", pol: sched.WorkStealing{},
+		{name: "breaker opens and drains the backlog", pol: row("work-stealing").Policy,
 			failures: 3, // the default threshold
 			check: func(t *testing.T, rep *Report) {
 				d := rep.Degraded
@@ -179,7 +179,7 @@ func TestFailedDispatchAccountingSymmetry(t *testing.T) {
 					t.Fatalf("want 3 failed dispatches and a backlog rerouted at open, got %+v", d)
 				}
 			}},
-		{name: "ErrTooLarge split", pol: sched.SingleDevice{Device: "tpu"}, tpuBytes: 6 << 10,
+		{name: "ErrTooLarge split", pol: row("tpu-only").Policy, tpuBytes: 6 << 10,
 			check: func(t *testing.T, rep *Report) {
 				if rep.HLOPs <= 4 {
 					t.Fatalf("HLOPs after splits = %d (4 partitions planned)", rep.HLOPs)
@@ -203,7 +203,7 @@ func TestFailedDispatchAccountingSymmetry(t *testing.T) {
 
 // TestDegradedNilWhenHealthy: a clean run must not allocate a report.
 func TestDegradedNilWhenHealthy(t *testing.T) {
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	rep, err := e.Run(sobelVOP(t, 64, 34))
 	if err != nil {

@@ -42,7 +42,8 @@ import (
 type Engine struct {
 	// Reg is the device set (queue index order).
 	Reg *device.Registry
-	// Policy is the scheduling policy; nil defaults to work stealing.
+	// Policy is the scheduling policy (usually a row of sched.Table); the
+	// zero value defaults to work stealing.
 	Policy sched.Policy
 	// Spec configures the VOP→HLOP partitioner.
 	Spec hlop.Spec
@@ -205,7 +206,7 @@ func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 			var vict int
 			if len(devs[i].q) > 0 {
 				ok, vict = true, -1
-			} else if r.pol.StealingEnabled() && !devs[i].br.Quarantined() {
+			} else if r.pol.Steal != sched.NoSteal && !devs[i].br.Quarantined() {
 				vict = r.pickVictim(i)
 				ok = vict >= 0
 			}

@@ -10,7 +10,6 @@ import (
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
 	"shmt/internal/parallel"
-	"shmt/internal/sched"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
 )
@@ -29,7 +28,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := workload.Mixed(256, 256, workload.Profile{TileSize: 64}, 1)
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}}
 	for _, bc := range []struct {
 		name    string

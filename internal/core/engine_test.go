@@ -8,6 +8,7 @@ import (
 
 	"shmt/internal/device"
 	"shmt/internal/device/cpu"
+	"shmt/internal/device/dsp"
 	"shmt/internal/device/gpu"
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
@@ -25,6 +26,15 @@ func stdRegistry(t *testing.T) *device.Registry {
 		t.Fatal(err)
 	}
 	return reg
+}
+
+// row is the sched.Table row named key.
+func row(key string) sched.Row {
+	r, ok := sched.Lookup(key)
+	if !ok {
+		panic("no policy row " + key)
+	}
+	return r
 }
 
 func sobelVOP(t *testing.T, side int, seed int64) *vop.VOP {
@@ -57,7 +67,7 @@ func TestEngineDefaultsToWorkStealing(t *testing.T) {
 
 func TestEngineExactWhenCPUOnly(t *testing.T) {
 	v := sobelVOP(t, 64, 3)
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.SingleDevice{Device: "cpu"},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("cpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	rep, err := e.Run(v)
 	if err != nil {
@@ -76,7 +86,7 @@ func TestEngineExactWhenCPUOnly(t *testing.T) {
 
 func TestEngineDeterministicReproducible(t *testing.T) {
 	run := func() *Report {
-		e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+		e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 			Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true, Seed: 7}
 		rep, err := e.Run(sobelVOP(t, 64, 4))
 		if err != nil {
@@ -95,7 +105,7 @@ func TestEngineDeterministicReproducible(t *testing.T) {
 
 func TestEngineConservation(t *testing.T) {
 	rec := telemetry.NewRecorder()
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, Telemetry: rec}
 	rep, err := e.Run(sobelVOP(t, 64, 5))
 	if err != nil {
@@ -116,10 +126,62 @@ func TestEngineConservation(t *testing.T) {
 	}
 }
 
+// TestEngineStealLegality checks every policy row's steal rule as an engine
+// invariant, on the stock registry and on the DSP platform: every HLOP
+// executes in exactly one span, a no-steal row steals nothing, and under an
+// accuracy-ordered row no device takes work from a more accurate one.
+func TestEngineStealLegality(t *testing.T) {
+	withDSP, err := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), dsp.New(dsp.Config{}), tpu.New(tpu.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steals := map[sched.Steal]int{}
+	for _, reg := range []*device.Registry{stdRegistry(t), withDSP} {
+		rank := func(name string) int { return reg.Get(reg.Index(name)).AccuracyRank() }
+		for _, r := range sched.Table {
+			rec := telemetry.NewRecorder()
+			e := &Engine{Reg: reg, Policy: r.Policy, DoubleBuffer: r.DoubleBuffer, Telemetry: rec,
+				Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}}
+			rep, err := e.Run(sobelVOP(t, 128, 9))
+			if err != nil {
+				t.Fatalf("%s on %d devices: %v", r.Key, reg.Len(), err)
+			}
+			seen := map[int]int{}
+			for _, s := range telemetry.HLOPSpans(rec.Spans()) {
+				seen[s.ID]++
+				if s.StealFrom == "" {
+					continue
+				}
+				steals[r.Policy.Steal]++
+				switch r.Policy.Steal {
+				case sched.NoSteal:
+					t.Fatalf("%s on %d devices: %s stole HLOP %d from %s", r.Key, reg.Len(), s.Track, s.ID, s.StealFrom)
+				case sched.StealAccuracyOrdered:
+					if rank(s.Track) > rank(s.StealFrom) {
+						t.Fatalf("%s on %d devices: %s stole HLOP %d from the more accurate %s",
+							r.Key, reg.Len(), s.Track, s.ID, s.StealFrom)
+					}
+				}
+			}
+			if len(seen) != rep.HLOPs {
+				t.Fatalf("%s on %d devices: spans cover %d HLOPs, report says %d", r.Key, reg.Len(), len(seen), rep.HLOPs)
+			}
+			for id, n := range seen {
+				if n != 1 {
+					t.Fatalf("%s on %d devices: HLOP %d executed %d times", r.Key, reg.Len(), id, n)
+				}
+			}
+		}
+	}
+	if steals[sched.StealAny] == 0 || steals[sched.StealAccuracyOrdered] == 0 {
+		t.Fatalf("steals by rule %v: both stealing rules must steal somewhere for the check to bite", steals)
+	}
+}
+
 func TestEngineQAWSNeverRunsCriticalOnTPU(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	e := &Engine{Reg: stdRegistry(t),
-		Policy:       sched.QAWS{Assignment: sched.TopK, Method: 0, Rate: 0.02, K: 0.25, W: 8},
+		Policy:       row("QAWS-TS").Tuned(0.02, 0.25, 8, 0),
 		Spec:         hlop.Spec{TargetPartitions: 16, MinTile: 8},
 		DoubleBuffer: true, Telemetry: rec}
 	rep, err := e.Run(sobelVOP(t, 128, 6))
@@ -139,7 +201,7 @@ func TestEngineQAWSNeverRunsCriticalOnTPU(t *testing.T) {
 func TestEngineReductionAggregation(t *testing.T) {
 	m := workload.Uniform(64, 64, 0, 1, 7)
 	v, _ := vop.New(vop.OpReduceSum, m)
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.SingleDevice{Device: "cpu"},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("cpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 8}}
 	rep, err := e.Run(v)
 	if err != nil {
@@ -158,7 +220,7 @@ func TestEngineGEMMEndToEnd(t *testing.T) {
 	a := workload.Uniform(32, 16, 0, 1, 8)
 	b := workload.Uniform(16, 24, 0, 1, 9)
 	v, _ := vop.New(vop.OpGEMM, a, b)
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.SingleDevice{Device: "cpu"},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("cpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4}}
 	rep, err := e.Run(v)
 	if err != nil {
@@ -175,7 +237,7 @@ func TestEngineGEMMEndToEnd(t *testing.T) {
 func TestEngineSplitsOversizedHLOPs(t *testing.T) {
 	tiny := tpu.New(tpu.Config{MemoryBytes: 6 << 10}) // 6 KiB
 	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tiny)
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
+	e := &Engine{Reg: reg, Policy: row("tpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	v := sobelVOP(t, 128, 10) // 4 partitions of ~64x64 > 6 KiB working set
 	rep, err := e.Run(v)
@@ -219,7 +281,7 @@ func TestEngineFailureFallback(t *testing.T) {
 	flaky := &flakyDevice{Device: tpu.New(tpu.Config{})}
 	flaky.failures.Store(2)
 	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), flaky)
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	rep, err := e.Run(sobelVOP(t, 64, 11))
 	if err != nil {
@@ -234,7 +296,7 @@ func TestEnginePermanentFailureSurfaces(t *testing.T) {
 	flaky := &flakyDevice{Device: gpu.New(gpu.Config{})}
 	flaky.failures.Store(1 << 20)       // never recovers
 	reg, _ := device.NewRegistry(flaky) // the only device
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "gpu"},
+	e := &Engine{Reg: reg, Policy: row("gpu-baseline").Policy,
 		Spec: hlop.Spec{TargetPartitions: 2, MinTile: 8}}
 	if _, err := e.Run(sobelVOP(t, 32, 12)); err == nil {
 		t.Fatal("permanent failure with no fallback must surface")
@@ -253,7 +315,7 @@ func TestEngineUnschedulableWork(t *testing.T) {
 }
 
 func TestEngineEnergyAndComm(t *testing.T) {
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true}
 	rep, err := e.Run(sobelVOP(t, 128, 13))
 	if err != nil {
@@ -275,7 +337,7 @@ func TestEngineEnergyAndComm(t *testing.T) {
 
 func TestEngineDoubleBufferReducesMakespan(t *testing.T) {
 	run := func(dev string, db bool) *Report {
-		e := &Engine{Reg: stdRegistry(t), Policy: sched.SingleDevice{Device: dev},
+		e := &Engine{Reg: stdRegistry(t), Policy: row(dev).Policy,
 			Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: db}
 		rep, err := e.Run(sobelVOP(t, 128, 14))
 		if err != nil {
@@ -283,7 +345,7 @@ func TestEngineDoubleBufferReducesMakespan(t *testing.T) {
 		}
 		return rep
 	}
-	for _, dev := range []string{"gpu", "tpu"} {
+	for _, dev := range []string{"gpu-baseline", "tpu-only"} {
 		pipelined, baseline := run(dev, true), run(dev, false)
 		if pipelined.Makespan >= baseline.Makespan {
 			t.Fatalf("%s: double buffering should shorten the run: %g vs %g",
@@ -321,7 +383,7 @@ func TestHostScalePreservesTimelineShape(t *testing.T) {
 	mk := func(v *vop.VOP, scale float64) float64 {
 		reg, _ := device.NewRegistry(cpu.New(scale),
 			gpu.New(gpu.Config{Slowdown: scale}), tpu.New(tpu.Config{Slowdown: scale}))
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, HostScale: scale,
+		e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, HostScale: scale,
 			Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}, DoubleBuffer: true}
 		rep, err := e.Run(v)
 		if err != nil {
@@ -346,7 +408,7 @@ func TestEngineMultiStepStencilExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.SetAttr("steps", 3)
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.SingleDevice{Device: "cpu"},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("cpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	rep, err := e.Run(v)
 	if err != nil {
@@ -366,7 +428,7 @@ func TestEngineMultiStepStencilExact(t *testing.T) {
 // Report.PeakBytes (Fig. 11), on top of the base input and output buffers.
 func TestEngineChargesStagingFootprint(t *testing.T) {
 	// Even distribution never steals, so the TPU is sure to run its share.
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.EvenDistribution{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("even-distribution").Policy,
 		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true}
 	v := sobelVOP(t, 128, 40)
 	rep, err := e.Run(v)

@@ -8,7 +8,6 @@ import (
 	"shmt/internal/device/cpu"
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
-	"shmt/internal/sched"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -45,7 +44,7 @@ func BenchmarkOverlap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"},
+			e := &Engine{Reg: reg, Policy: row("tpu-only").Policy,
 				Spec:         hlop.Spec{TargetPartitions: 16, MinTile: 8},
 				DoubleBuffer: true, Prefetch: bc.resident}
 			b.SetBytes(2 * side * side * 8)

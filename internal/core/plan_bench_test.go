@@ -7,7 +7,6 @@ import (
 	"shmt/internal/device/cpu"
 	"shmt/internal/device/gpu"
 	"shmt/internal/device/tpu"
-	"shmt/internal/sampling"
 	"shmt/internal/sched"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -46,12 +45,12 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 		pol  sched.Policy
 	}{
 		// Shape-only planning: the floor for what replay can save.
-		{"worksteal", sched.WorkStealing{}},
+		{"worksteal", row("work-stealing").Policy},
 		// The paper-default QAWS variant (top-K, striding, rate 2^-15).
-		{"qaws_ts", sched.QAWS{}},
+		{"qaws_ts", row("QAWS-TS").Policy},
 		// The highest-overhead sampler at a quality-leaning rate (Fig. 9
 		// sweeps rates; denser sampling is where planning cost concentrates).
-		{"qaws_tr_dense", sched.QAWS{Method: sampling.Reduction, Rate: 1.0 / (1 << 8)}},
+		{"qaws_tr_dense", row("QAWS-TR").Tuned(1.0/(1<<8), 0, 0, 0)},
 	}
 
 	planOnce := func(b *testing.B, e *Engine) {
@@ -96,10 +95,10 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 		}
 	}
 	b.Run("execute/qaws_tr_dense/fresh", func(b *testing.B) {
-		run(b, &Engine{Reg: reg, Policy: sched.QAWS{Method: sampling.Reduction, Rate: 1.0 / (1 << 8)}, Seed: 1})
+		run(b, &Engine{Reg: reg, Policy: row("QAWS-TR").Tuned(1.0/(1<<8), 0, 0, 0), Seed: 1})
 	})
 	b.Run("execute/qaws_tr_dense/replay", func(b *testing.B) {
-		e := &Engine{Reg: reg, Policy: sched.QAWS{Method: sampling.Reduction, Rate: 1.0 / (1 << 8)},
+		e := &Engine{Reg: reg, Policy: row("QAWS-TR").Tuned(1.0/(1<<8), 0, 0, 0),
 			Seed: 1, PlanCacheEntries: 64}
 		if _, err := e.Run(v); err != nil {
 			b.Fatal(err) // warm the cache

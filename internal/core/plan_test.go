@@ -75,13 +75,13 @@ func TestPropertyPlanReplayBitIdentity(t *testing.T) {
 		var pol sched.Policy
 		switch r.Intn(3) {
 		case 0:
-			reg, pol = cpuOnly, sched.SingleDevice{Device: "cpu"}
+			reg, pol = cpuOnly, row("cpu-only").Policy
 		case 1:
-			reg, pol = mixed, sched.WorkStealing{}
+			reg, pol = mixed, row("work-stealing").Policy
 		default:
 			// Data-dependent policy: with identical inputs the captured
 			// criticality must equal a fresh sampling pass.
-			reg, pol = mixed, sched.QAWS{}
+			reg, pol = mixed, row("QAWS-TS").Policy
 		}
 		spec := hlop.Spec{
 			TargetPartitions: 1 + r.Intn(12),
@@ -125,7 +125,7 @@ func TestPlanCacheChaosDeathInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec, PlanCacheEntries: 8}
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec, PlanCacheEntries: 8}
 
 	// Run 1 populates the cache and kills the GPU mid-run: the stored
 	// plan routes HLOPs to a device that is quarantined by the time the
@@ -186,7 +186,7 @@ func TestPlanCacheChaosReadmitInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{}, Spec: chaosHLOPSpec,
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec,
 		Resilience: Resilience{MaxRetries: 16}, PlanCacheEntries: 8}
 
 	rep1, err := e.Run(sobelVOP(t, 128, 94))
@@ -236,7 +236,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "cpu"},
+	e := &Engine{Reg: reg, Policy: row("cpu-only").Policy,
 		Spec:             hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 32},
 		PlanCacheEntries: 2}
 	shape := func(rows int) []*tensor.Matrix {
@@ -279,7 +279,7 @@ func TestPlanKeyComposition(t *testing.T) {
 		return v
 	}
 	base := &Engine{Seed: 1, Spec: hlop.Spec{TargetPartitions: 8}}
-	pol := sched.WorkStealing{}
+	pol := row("work-stealing").Policy
 	key := base.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), pol)
 
 	if got := base.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), pol); got != key {
@@ -296,7 +296,7 @@ func TestPlanKeyComposition(t *testing.T) {
 	}
 	add("opcode", base.planKey(newVOP(vop.OpMultiply, mk(32, 32), mk(32, 32)), pol))
 	add("shape", base.planKey(newVOP(vop.OpAdd, mk(48, 32), mk(48, 32)), pol))
-	add("policy", base.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), sched.QAWS{}))
+	add("policy", base.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), row("QAWS-TS").Policy))
 	seeded := &Engine{Seed: 2, Spec: base.Spec}
 	add("seed", seeded.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), pol))
 	respec := &Engine{Seed: 1, Spec: hlop.Spec{TargetPartitions: 16}}
@@ -343,7 +343,7 @@ func TestPlanCacheBatchReplay(t *testing.T) {
 		v3, _ := vop.New(vop.OpSqrt, mk(3))
 		return []*vop.VOP{v1, v2, v3}
 	}
-	e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
+	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy,
 		Spec:             hlop.Spec{TargetPartitions: 8, MinTile: 8, MinVectorElems: 32},
 		PlanCacheEntries: 8}
 	r1, err := e.RunBatch(batch())
@@ -375,7 +375,7 @@ func TestPlanCacheDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "cpu"},
+	e := &Engine{Reg: reg, Policy: row("cpu-only").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8, MinVectorElems: 32}}
 	in := tensor.NewMatrix(32, 32)
 	runPlanned(t, e, vop.OpRelu, []*tensor.Matrix{in}, nil)

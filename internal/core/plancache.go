@@ -167,17 +167,16 @@ func (e *Engine) planCache() *planCache {
 
 // planKey fingerprints everything a captured plan is a function of, except
 // input data and device health (the epoch guards the latter). The policy
-// contributes its Name — which encodes type and variant (assignment ×
-// sampling for QAWS) — and the engine seed that drives its randomized
-// sampling; an Engine's policy parameters are fixed for its lifetime, like
-// its registry.
+// contributes its Name — which names its parts (assignment × sampling for
+// QAWS) — and the engine seed that drives its randomized sampling; an
+// Engine's policy parameters are fixed for its lifetime, like its registry.
 // The key is rebuilt on every cache consult, so it avoids fmt and builds into
 // one stack-seeded buffer with strconv appends.
 func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
 	var buf [128]byte
 	b := strconv.AppendInt(buf[:0], int64(v.Op), 10)
 	b = append(b, '|')
-	b = append(b, pol.Name()...)
+	b = append(b, pol.Name...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, e.Seed, 10)
 	for _, in := range v.Inputs {

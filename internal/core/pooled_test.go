@@ -61,9 +61,9 @@ func bitEqual(a, b *tensor.Matrix) bool {
 func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 	ops := []vop.Opcode{vop.OpSobel, vop.OpSqrt, vop.OpGEMM, vop.OpReduceSum, vop.OpFFT, vop.OpConv}
 	policies := []sched.Policy{
-		sched.WorkStealing{},
-		sched.QAWS{Assignment: sched.TopK, Rate: 0.02},
-		sched.EvenDistribution{},
+		row("work-stealing").Policy,
+		row("QAWS-TS").Tuned(0.02, 0, 0, 0),
+		row("even-distribution").Policy,
 	}
 	plans := []struct {
 		name, dev string
@@ -124,7 +124,7 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 		}
 		for _, pol := range policies {
 			for _, plan := range plans {
-				name := op.String() + "/" + pol.Name() + "/" + plan.name
+				name := op.String() + "/" + pol.Name + "/" + plan.name
 				var base *BatchResult
 				var baseSpans []telemetry.Span
 				for _, w := range []int{1, 2, 8} {
@@ -224,7 +224,7 @@ func TestPooledComputeNeverWaitsOnItsOwnPrestage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "tpu"}, DoubleBuffer: true, Prefetch: true,
+	e := &Engine{Reg: reg, Policy: row("tpu-only").Policy, DoubleBuffer: true, Prefetch: true,
 		Spec: hlop.Spec{TargetPartitions: 16, MinTile: 8}}
 	done := make(chan error, 1)
 	go withWorkers(4, func() {
@@ -296,7 +296,7 @@ func TestComputeHalfErrorFailsTheRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "gpu"},
+		e := &Engine{Reg: reg, Policy: row("gpu-baseline").Policy,
 			DoubleBuffer: true, Prefetch: true, Spec: spec}
 		_, err = e.RunBatch([]*vop.VOP{sobelVOP(t, 128, 61)})
 		return bad, err

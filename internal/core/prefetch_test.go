@@ -70,15 +70,15 @@ func TestPropertyPrefetchBitIdentity(t *testing.T) {
 		inputs, attrs := randVOP(t, r, op)
 
 		parts := 1 + r.Intn(12)
-		reg, pol := tpuOnly, sched.Policy(sched.SingleDevice{Device: "tpu"})
+		reg, pol := tpuOnly, row("tpu-only").Policy
 		if r.Intn(2) == 0 {
-			reg, pol = mixed, sched.WorkStealing{}
+			reg, pol = mixed, row("work-stealing").Policy
 		}
 
 		base := runPrefetch(t, reg, pol, op, inputs, attrs, parts, false)
 		res := runPrefetch(t, reg, pol, op, inputs, attrs, parts, true)
 		if !bitEqual(res.Output, base.Output) {
-			t.Logf("op=%s seed=%d parts=%d %s: the resident cache changed the output", op, seed, parts, pol.Name())
+			t.Logf("op=%s seed=%d parts=%d %s: the resident cache changed the output", op, seed, parts, pol.Name)
 			return false
 		}
 		for _, rep := range []*Report{base, res} {

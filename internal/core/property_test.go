@@ -9,7 +9,6 @@ import (
 	"shmt/internal/device/cpu"
 	"shmt/internal/hlop"
 	"shmt/internal/kernels"
-	"shmt/internal/sched"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -85,7 +84,7 @@ func TestPropertyEngineExactness(t *testing.T) {
 			v.SetAttr(k, x)
 		}
 
-		e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: "cpu"},
+		e := &Engine{Reg: reg, Policy: row("cpu-only").Policy,
 			Spec: hlop.Spec{TargetPartitions: 1 + r.Intn(12), MinTile: 8, MinVectorElems: 32}}
 		rep, err := e.Run(v)
 		if err != nil {

@@ -103,13 +103,13 @@ func TestResidentCastServesEveryCastingDevice(t *testing.T) {
 		pol  sched.Policy
 		devs func() []device.Device
 	}{
-		{"gpu", sched.SingleDevice{Device: "gpu"}, func() []device.Device {
+		{"gpu", row("gpu-baseline").Policy, func() []device.Device {
 			return []device.Device{newCastCounter(gpu.New(gpu.Config{}))}
 		}},
-		{"tpu", sched.SingleDevice{Device: "tpu"}, func() []device.Device {
+		{"tpu", row("tpu-only").Policy, func() []device.Device {
 			return []device.Device{newCastCounter(tpu.New(tpu.Config{}))}
 		}},
-		{"cpu+gpu+tpu", sched.WorkStealing{}, func() []device.Device {
+		{"cpu+gpu+tpu", row("work-stealing").Policy, func() []device.Device {
 			return []device.Device{cpu.New(1), newCastCounter(gpu.New(gpu.Config{})), newCastCounter(tpu.New(tpu.Config{}))}
 		}},
 	}
@@ -189,7 +189,7 @@ func TestResidentCastReleasedOnComputeError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &Engine{Reg: reg, Policy: sched.SingleDevice{Device: cc.Name()}, DoubleBuffer: true, Prefetch: true,
+			e := &Engine{Reg: reg, Policy: sched.Policy{Name: cc.Name() + "-only", Device: cc.Name()}, DoubleBuffer: true, Prefetch: true,
 				Spec: hlop.Spec{TargetPartitions: 12, MinTile: 8}}
 			withWorkers(4, func() { _, err = e.Run(v) })
 			if !errors.Is(err, errKernel) {

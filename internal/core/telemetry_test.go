@@ -11,7 +11,6 @@ import (
 	"shmt/internal/device/gpu"
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
-	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
@@ -27,7 +26,7 @@ func TestEngineTelemetrySpansAndCounters(t *testing.T) {
 	base := telemetry.Default.Snapshot()
 
 	rec := telemetry.NewRecorder()
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true,
 		Telemetry: rec}
 	rep, err := e.Run(sobelVOP(t, 128, 21))
@@ -127,7 +126,7 @@ func TestEngineTelemetryPerfettoEndToEnd(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
 	rec := telemetry.NewRecorder()
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true,
 		Telemetry: rec}
 	if _, err := e.Run(sobelVOP(t, 128, 23)); err != nil {
@@ -164,7 +163,7 @@ func TestEngineTelemetryPerfettoEndToEnd(t *testing.T) {
 func TestEngineNoTelemetryRecordsNothing(t *testing.T) {
 	telemetry.Disable()
 	base := telemetry.Default.Snapshot()
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}}
 	if _, err := e.Run(sobelVOP(t, 64, 24)); err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestBatchTelemetry(t *testing.T) {
 	base := telemetry.Default.Snapshot()
 
 	rec := telemetry.NewRecorder()
-	e := &Engine{Reg: stdRegistry(t), Policy: sched.WorkStealing{},
+	e := &Engine{Reg: stdRegistry(t), Policy: row("work-stealing").Policy,
 		Spec: hlop.Spec{TargetPartitions: 4, MinTile: 8}, DoubleBuffer: true,
 		Telemetry: rec}
 	batch, err := e.RunBatch([]*vop.VOP{sobelVOP(t, 64, 25), sobelVOP(t, 64, 26)})
@@ -221,7 +220,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e := &Engine{Reg: reg, Policy: sched.WorkStealing{},
+		e := &Engine{Reg: reg, Policy: row("work-stealing").Policy,
 			Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}, DoubleBuffer: true}
 		if enabled {
 			telemetry.Enable()

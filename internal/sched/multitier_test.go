@@ -9,7 +9,6 @@ import (
 	"shmt/internal/device/gpu"
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
-	"shmt/internal/sampling"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -51,43 +50,63 @@ func TestEligibleForFiltersBySupport(t *testing.T) {
 	}
 }
 
+// TestMultiTierTopK: on the DSP platform every top-K row deals a Sobel VOP
+// out in the derived shares — K = 0.25 to the GPU, half the rest (0.375) to
+// the DSP in the middle, the rest to the TPU — so 16 partitions in one
+// window split 4 / 6 / 6.
 func TestMultiTierTopK(t *testing.T) {
 	ctx := fourCtx(t)
-	hs := partitioned(t, 16) // Sobel HLOPs with graded criticality
-	p := QAWS{Assignment: TopK, Method: sampling.Striding, Rate: 0.05, W: 16,
-		Tiers: []float64{0.25, 0.25}} // top 25% -> gpu, next 25% -> dsp, rest -> tpu
-	if _, err := p.Assign(ctx, hs); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, h := range hs {
-		counts[ctx.Reg.Get(h.AssignedQueue).Name()]++
-	}
-	if counts["gpu"] != 4 || counts["dsp"] != 4 || counts["tpu"] != 8 {
-		t.Fatalf("tier split = %v, want gpu:4 dsp:4 tpu:8", counts)
-	}
-	// Accuracy ordering must follow criticality ordering tier-by-tier.
-	rank := func(h *hlop.HLOP) int { return ctx.Reg.Get(h.AssignedQueue).AccuracyRank() }
-	for _, a := range hs {
-		for _, b := range hs {
-			if a.Criticality > b.Criticality && rank(a) > rank(b) {
-				t.Fatalf("more critical partition on less accurate device (%g->%d vs %g->%d)",
-					a.Criticality, rank(a), b.Criticality, rank(b))
+	for _, r := range Table {
+		if r.Policy.Assignment != TopK {
+			continue
+		}
+		hs := partitioned(t, 16) // Sobel HLOPs with graded criticality
+		if _, err := r.Tuned(0.05, 0.25, 16, 0).Assign(ctx, hs); err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]int{}
+		for _, h := range hs {
+			counts[ctx.Reg.Get(h.AssignedQueue).Name()]++
+		}
+		if counts["gpu"] != 4 || counts["dsp"] != 6 || counts["tpu"] != 6 {
+			t.Fatalf("%s: tier split = %v, want gpu:4 dsp:6 tpu:6", r.Key, counts)
+		}
+		// Accuracy ordering must follow criticality ordering tier-by-tier.
+		rank := func(h *hlop.HLOP) int { return ctx.Reg.Get(h.AssignedQueue).AccuracyRank() }
+		for _, a := range hs {
+			for _, b := range hs {
+				if a.Criticality > b.Criticality && rank(a) > rank(b) {
+					t.Fatalf("%s: more critical partition on less accurate device (%g->%d vs %g->%d)",
+						r.Key, a.Criticality, rank(a), b.Criticality, rank(b))
+				}
+			}
+		}
+		// Only the top tier carries the Critical flag.
+		for _, h := range hs {
+			if h.Critical != (ctx.Reg.Get(h.AssignedQueue).Name() == "gpu") {
+				t.Fatalf("%s: Critical flag should mark exactly the top tier", r.Key)
 			}
 		}
 	}
-	// Only the top tier carries the Critical flag.
-	for _, h := range hs {
-		if h.Critical != (ctx.Reg.Get(h.AssignedQueue).Name() == "gpu") {
-			t.Fatal("Critical flag should mark exactly the top tier")
+	// The deliberate change: IRA and the oracle used to split two ways and
+	// left the DSP idle.
+	for _, key := range []string{"IRA-sampling", "oracle"} {
+		ref, _, _ := refFor(key, 0.05, 0.25, 16, 0)
+		hs := partitioned(t, 16)
+		if _, err := ref.Assign(ctx, hs); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			if ctx.Reg.Get(h.AssignedQueue).Name() == "dsp" {
+				t.Fatalf("reference %s placed a partition on the DSP", key)
+			}
 		}
 	}
 }
 
 func TestMultiTierDefaultFractions(t *testing.T) {
-	p := QAWS{K: 0.2}
 	hs := partitioned(t, 4)
-	tiers := p.tierFractions(hs, 3)
+	tiers := tierFractions(0.2, hs, 3)
 	if len(tiers) != 3 {
 		t.Fatalf("tiers = %v", tiers)
 	}
@@ -105,7 +124,7 @@ func TestMultiTierDefaultFractions(t *testing.T) {
 
 func TestMultiTierStealingRespectsChain(t *testing.T) {
 	ctx := fourCtx(t)
-	p := QAWS{}
+	p := row(t, "QAWS-TS").Policy
 	h := &hlop.HLOP{Op: vop.OpSobel}
 	g := ctx.Reg.Index("gpu")
 	d := ctx.Reg.Index("dsp")
@@ -127,7 +146,7 @@ func TestMultiTierStealingRespectsChain(t *testing.T) {
 
 func TestWorkStealingSkipsUnsupportedOps(t *testing.T) {
 	ctx := fourCtx(t)
-	ws := WorkStealing{}
+	ws := row(t, "work-stealing").Policy
 	gemm := &hlop.HLOP{Op: vop.OpGEMM}
 	if ws.CanSteal(ctx, ctx.Reg.Index("dsp"), ctx.Reg.Index("tpu"), gemm) {
 		t.Fatal("work stealing must respect HLOP coverage")
@@ -138,17 +157,19 @@ func TestAssignmentSkipsUnsupportedDevices(t *testing.T) {
 	ctx := fourCtx(t)
 	// GEMM HLOPs must never be assigned to the DSP by any policy.
 	m := partitionedGEMM(t)
-	for _, pol := range []Policy{EvenDistribution{}, WorkStealing{},
-		QAWS{Rate: 0.05}, Oracle{}} {
+	for _, r := range Table {
+		if r.Policy.Assignment == OneDevice {
+			continue
+		}
 		for _, h := range m {
 			h.AssignedQueue = 0
 		}
-		if _, err := pol.Assign(ctx, m); err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
+		if _, err := r.Tuned(0.05, 0, 0, 0).Assign(ctx, m); err != nil {
+			t.Fatalf("%s: %v", r.Key, err)
 		}
 		for _, h := range m {
 			if ctx.Reg.Get(h.AssignedQueue).Name() == "dsp" {
-				t.Fatalf("%s assigned GEMM to the DSP", pol.Name())
+				t.Fatalf("%s assigned GEMM to the DSP", r.Key)
 			}
 		}
 	}

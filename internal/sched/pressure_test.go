@@ -3,45 +3,52 @@ package sched
 import "testing"
 
 // TestQAWSTopKDeadlinePressure: raising the parent VOP's DeadlinePressure
-// must monotonically widen the top tier, and at full pressure every
-// partition lands critical on the most accurate device.
+// must monotonically widen the top tier of every top-K row — the QAWS-T
+// rows, IRA and the oracle — and at full pressure every partition lands
+// critical on the most accurate device.
 func TestQAWSTopKDeadlinePressure(t *testing.T) {
 	ctx := testCtx(t)
-	pol := QAWS{Assignment: TopK, K: 0.25}
-
-	criticalAt := func(pr float64) int {
-		hs := partitioned(t, 64)
-		hs[0].Parent.DeadlinePressure = pr
-		if _, err := pol.Assign(ctx, hs); err != nil {
-			t.Fatal(err)
+	for _, r := range Table {
+		if r.Policy.Assignment != TopK {
+			continue
 		}
-		n := 0
-		for _, h := range hs {
-			if h.Critical {
-				n++
+		t.Run(r.Key, func(t *testing.T) {
+			pol := r.Tuned(0, 0.25, 0, 0)
+			criticalAt := func(pr float64) int {
+				hs := partitioned(t, 64)
+				hs[0].Parent.DeadlinePressure = pr
+				if _, err := pol.Assign(ctx, hs); err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for _, h := range hs {
+					if h.Critical {
+						n++
+					}
+				}
+				return n
 			}
-		}
-		return n
-	}
 
-	base := criticalAt(0)
-	mid := criticalAt(0.5)
-	full := criticalAt(1)
-	if base >= mid || mid >= full {
-		t.Fatalf("critical counts not monotone in pressure: base %d, mid %d, full %d", base, mid, full)
-	}
+			base := criticalAt(0)
+			mid := criticalAt(0.5)
+			full := criticalAt(1)
+			if base >= mid || mid >= full {
+				t.Fatalf("critical counts not monotone in pressure: base %d, mid %d, full %d", base, mid, full)
+			}
 
-	hs := partitioned(t, 64)
-	hs[0].Parent.DeadlinePressure = 1
-	if _, err := pol.Assign(ctx, hs); err != nil {
-		t.Fatal(err)
-	}
-	top := ctx.EligibleFor(hs[0].Op)[0]
-	for i, h := range hs {
-		if !h.Critical || h.AssignedQueue != top {
-			t.Fatalf("partition %d at full pressure: critical=%v queue=%d, want critical on queue %d",
-				i, h.Critical, h.AssignedQueue, top)
-		}
+			hs := partitioned(t, 64)
+			hs[0].Parent.DeadlinePressure = 1
+			if _, err := pol.Assign(ctx, hs); err != nil {
+				t.Fatal(err)
+			}
+			top := ctx.EligibleFor(hs[0].Op)[0]
+			for i, h := range hs {
+				if !h.Critical || h.AssignedQueue != top {
+					t.Fatalf("partition %d at full pressure: critical=%v queue=%d, want critical on queue %d",
+						i, h.Critical, h.AssignedQueue, top)
+				}
+			}
+		})
 	}
 }
 
@@ -50,7 +57,7 @@ func TestQAWSTopKDeadlinePressure(t *testing.T) {
 // queue; without pressure the default relative limit still splits the work.
 func TestQAWSLimitsDeadlinePressure(t *testing.T) {
 	ctx := testCtx(t)
-	pol := QAWS{Assignment: DeviceLimits, Rate: 0.01, DefaultTPULimit: 4}
+	pol := row(t, "QAWS-LS").Tuned(0.01, 0, 0, 4)
 
 	hs := partitioned(t, 64)
 	if _, err := pol.Assign(ctx, hs); err != nil {

@@ -1,18 +1,20 @@
-// Package sched implements SHMT's scheduling policies (§3.4–3.5): even
-// distribution, the basic work-stealing scheduler, the six QAWS variants
-// (two assignment algorithms × three sampling mechanisms), and the
-// IRA-sampling and oracle reference policies the evaluation compares
-// against.
+// Package sched implements SHMT's scheduling policies (§3.4–3.5) as data:
+// a Policy is a criticality source (none, sampled, IRA's canary, the
+// oracle's full scan), an assignment rule (one device, even, top-K, device
+// limits) and a steal rule (none, any, accuracy-ordered). The paper's
+// policies — the single-device baselines, even distribution, the basic
+// work-stealing scheduler, the six QAWS variants (two assignment algorithms
+// × three sampling mechanisms), IRA-sampling and the oracle — are the rows
+// of Table.
 //
 // A policy does two things: it produces the initial HLOP→queue assignment
-// (possibly after sampling partition criticality), and it constrains work
+// (possibly after reading partition criticality), and it constrains work
 // stealing so a less-accurate device never takes over work the policy routed
 // to a more-accurate one.
 package sched
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"shmt/internal/device"
@@ -22,8 +24,8 @@ import (
 	"shmt/internal/vop"
 )
 
-// Context gives policies access to the device registry and reproducible
-// randomness.
+// Context gives policies access to the device registry and the seed of their
+// randomized sampling.
 type Context struct {
 	Reg  *device.Registry
 	Seed int64
@@ -49,9 +51,6 @@ func (c *Context) hostScale() float64 {
 	}
 	return c.HostScale
 }
-
-// Rand returns a seeded RNG (fresh per call so policies stay independent).
-func (c *Context) Rand() *rand.Rand { return rand.New(rand.NewSource(c.Seed)) }
 
 // Eligible returns the queue indices a policy distributes kernel work
 // across: the accelerators (GPU, TPU). The CPU hosts the runtime — it
@@ -126,46 +125,6 @@ func (c *Context) StealableVictim(v int) bool { return !c.quarantined(v) }
 // IsEligible reports whether queue i belongs to the kernel-eligible device
 // set (see Eligible). Every steal check asks, so it builds no slice.
 func (c *Context) IsEligible(i int) bool { return c.inTier(c.tier(), i) }
-
-// MostAccurate returns the eligible queue with the lowest accuracy rank.
-func (c *Context) MostAccurate() int {
-	el := c.Eligible()
-	best := el[0]
-	for _, i := range el[1:] {
-		if c.Reg.Get(i).AccuracyRank() < c.Reg.Get(best).AccuracyRank() {
-			best = i
-		}
-	}
-	return best
-}
-
-// LeastAccurate returns the eligible queue with the highest accuracy rank.
-func (c *Context) LeastAccurate() int {
-	el := c.Eligible()
-	best := el[0]
-	for _, i := range el[1:] {
-		if c.Reg.Get(i).AccuracyRank() > c.Reg.Get(best).AccuracyRank() {
-			best = i
-		}
-	}
-	return best
-}
-
-// Policy is one scheduling policy.
-type Policy interface {
-	// Name is the label used in reports (matches the paper's legend:
-	// "work-stealing", "QAWS-TS", ...).
-	Name() string
-	// Assign sets AssignedQueue (and criticality fields) on every HLOP and
-	// returns the scheduling overhead in seconds to charge before dispatch
-	// (sampling cost, IRA's canary computation, ...).
-	Assign(ctx *Context, hs []*hlop.HLOP) (overheadSec float64, err error)
-	// StealingEnabled reports whether idle devices may steal at all.
-	StealingEnabled() bool
-	// CanSteal reports whether the device at thief queue may take over an
-	// HLOP currently assigned to victim queue.
-	CanSteal(ctx *Context, thief, victim int, h *hlop.HLOP) bool
-}
 
 // Host sampling cost calibration (seconds per touched element). Striding
 // walks sequentially; uniform random touches scattered cache lines;

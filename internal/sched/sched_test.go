@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -10,8 +9,6 @@ import (
 	"shmt/internal/device/gpu"
 	"shmt/internal/device/tpu"
 	"shmt/internal/hlop"
-	"shmt/internal/sampling"
-	"shmt/internal/tensor"
 	"shmt/internal/vop"
 	"shmt/internal/workload"
 )
@@ -24,6 +21,16 @@ func testCtx(t *testing.T) *Context {
 		t.Fatal(err)
 	}
 	return &Context{Reg: reg, Seed: 1}
+}
+
+// row returns the Table row named key.
+func row(t testing.TB, key string) Row {
+	t.Helper()
+	r, ok := Lookup(key)
+	if !ok {
+		t.Fatalf("no policy row %q", key)
+	}
+	return r
 }
 
 // partitioned builds HLOPs over a Mixed workload with criticality structure
@@ -119,22 +126,12 @@ func TestContextEligibleQuarantineTiers(t *testing.T) {
 	}
 }
 
-func TestAccuracyExtremes(t *testing.T) {
-	ctx := testCtx(t)
-	if ctx.Reg.Get(ctx.MostAccurate()).Name() != "gpu" {
-		t.Fatal("GPU should be the most accurate accelerator")
-	}
-	if ctx.Reg.Get(ctx.LeastAccurate()).Name() != "tpu" {
-		t.Fatal("TPU should be the least accurate accelerator")
-	}
-}
-
 func TestSingleDevice(t *testing.T) {
 	ctx := testCtx(t)
 	hs := partitioned(t, 8)
-	p := SingleDevice{Device: "tpu"}
-	if p.Name() != "tpu-only" {
-		t.Fatalf("name = %q", p.Name())
+	p := row(t, "tpu-only").Policy
+	if p.Name != "tpu-only" {
+		t.Fatalf("name = %q", p.Name)
 	}
 	ovh, err := p.Assign(ctx, hs)
 	if err != nil || ovh != 0 {
@@ -146,10 +143,10 @@ func TestSingleDevice(t *testing.T) {
 			t.Fatal("not all HLOPs on the tpu queue")
 		}
 	}
-	if p.StealingEnabled() || p.CanSteal(ctx, 1, 2, hs[0]) {
+	if p.Steal != NoSteal || p.CanSteal(ctx, 1, 2, hs[0]) {
 		t.Fatal("single-device policy must not steal")
 	}
-	if _, err := (SingleDevice{Device: "dsp"}).Assign(ctx, hs); err == nil {
+	if _, err := (Policy{Device: "dsp"}).Assign(ctx, hs); err == nil {
 		t.Fatal("unknown device should error")
 	}
 }
@@ -157,7 +154,7 @@ func TestSingleDevice(t *testing.T) {
 func TestEvenDistribution(t *testing.T) {
 	ctx := testCtx(t)
 	hs := partitioned(t, 8)
-	p := EvenDistribution{}
+	p := row(t, "even-distribution").Policy
 	if _, err := p.Assign(ctx, hs); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestEvenDistribution(t *testing.T) {
 	if counts[ctx.Reg.Index("cpu")] != 0 {
 		t.Fatal("CPU must not receive kernel HLOPs")
 	}
-	if p.StealingEnabled() {
+	if p.Steal != NoSteal {
 		t.Fatal("even distribution must not steal")
 	}
 }
@@ -180,7 +177,7 @@ func TestEvenDistribution(t *testing.T) {
 func TestWorkStealingPermissions(t *testing.T) {
 	ctx := testCtx(t)
 	hs := partitioned(t, 8)
-	p := WorkStealing{}
+	p := row(t, "work-stealing").Policy
 	if _, err := p.Assign(ctx, hs); err != nil {
 		t.Fatal(err)
 	}
@@ -196,26 +193,37 @@ func TestWorkStealingPermissions(t *testing.T) {
 	}
 }
 
+// TestQAWSNames pins every row's Name — the label reports, plan-cache keys,
+// Session.PolicyName and /statusz carry — including the two rows that share
+// "gpu-only".
 func TestQAWSNames(t *testing.T) {
-	cases := map[string]QAWS{
-		"QAWS-TS": {Assignment: TopK, Method: sampling.Striding},
-		"QAWS-TU": {Assignment: TopK, Method: sampling.UniformRandom},
-		"QAWS-TR": {Assignment: TopK, Method: sampling.Reduction},
-		"QAWS-LS": {Assignment: DeviceLimits, Method: sampling.Striding},
-		"QAWS-LU": {Assignment: DeviceLimits, Method: sampling.UniformRandom},
-		"QAWS-LR": {Assignment: DeviceLimits, Method: sampling.Reduction},
-	}
-	for want, p := range cases {
-		if p.Name() != want {
-			t.Errorf("name = %q want %q", p.Name(), want)
+	for _, r := range Table {
+		want := r.Key
+		switch {
+		case r.Key == "gpu-baseline" || r.Key == "sw-pipelining":
+			want = "gpu-only"
+		case r.Policy.Source == Sampled:
+			prefix := "QAWS-T"
+			if r.Policy.Assignment == DeviceLimits {
+				prefix = "QAWS-L"
+			}
+			if r.Key != prefix+r.Policy.Method.Suffix() {
+				t.Errorf("row %q is %s × %s", r.Key, prefix, r.Policy.Method)
+			}
 		}
+		if r.Policy.Name != want {
+			t.Errorf("row %q: name = %q want %q", r.Key, r.Policy.Name, want)
+		}
+	}
+	if len(Table) != 14 {
+		t.Fatalf("%d rows, want the twelve paper policies, cpu-only and sw-pipelining", len(Table))
 	}
 }
 
 func TestQAWSTopKRoutesCriticalToGPU(t *testing.T) {
 	ctx := testCtx(t)
 	hs := partitioned(t, 16)
-	p := QAWS{Assignment: TopK, Method: sampling.Striding, Rate: 0.01, K: 0.25, W: 16}
+	p := row(t, "QAWS-TS").Tuned(0.01, 0.25, 16, 0)
 	ovh, err := p.Assign(ctx, hs)
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +275,7 @@ func TestQAWSDeviceLimits(t *testing.T) {
 		}
 		hs = append(hs, h)
 	}
-	p := QAWS{Assignment: DeviceLimits, DefaultTPULimit: 4}
-	p.assignLimits(ctx, hs)
+	Policy{Assignment: DeviceLimits, TPULimit: 4}.assignLimits(ctx.EligibleFor(hs[0].Op), hs)
 	g, tq := ctx.Reg.Index("gpu"), ctx.Reg.Index("tpu")
 	for _, h := range hs {
 		if h.Criticality == 10 && h.AssignedQueue != g {
@@ -285,7 +292,7 @@ func TestQAWSDeviceLimitsEndToEnd(t *testing.T) {
 	// ranks at or above anything on the TPU.
 	ctx := testCtx(t)
 	hs := partitioned(t, 16)
-	p := QAWS{Assignment: DeviceLimits, Method: sampling.Striding, Rate: 0.01, DefaultTPULimit: 4}
+	p := row(t, "QAWS-LS").Tuned(0.01, 0, 0, 4)
 	if _, err := p.Assign(ctx, hs); err != nil {
 		t.Fatal(err)
 	}
@@ -302,24 +309,9 @@ func TestQAWSDeviceLimitsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestQAWSExplicitLimits(t *testing.T) {
-	ctx := testCtx(t)
-	hs := partitioned(t, 8)
-	p := QAWS{Assignment: DeviceLimits, Method: sampling.Striding, Rate: 0.01,
-		Limits: []Limit{{Max: 1e12, Queue: ctx.Reg.Index("tpu")}}}
-	if _, err := p.Assign(ctx, hs); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hs {
-		if h.AssignedQueue != ctx.Reg.Index("tpu") {
-			t.Fatal("an unbounded explicit limit should route everything to the TPU")
-		}
-	}
-}
-
 func TestQAWSStealOnlyTowardAccuracy(t *testing.T) {
 	ctx := testCtx(t)
-	p := QAWS{}
+	p := row(t, "QAWS-TS").Policy
 	h := &hlop.HLOP{Op: vop.OpSobel}
 	g, tq := ctx.Reg.Index("gpu"), ctx.Reg.Index("tpu")
 	if !p.CanSteal(ctx, g, tq, h) {
@@ -337,10 +329,9 @@ func TestQAWSSamplingOverheadOrdering(t *testing.T) {
 	ctx := testCtx(t)
 	rate := 1.0 / (1 << 8)
 	var overheads []float64
-	for _, m := range []sampling.Method{sampling.Striding, sampling.UniformRandom, sampling.Reduction} {
+	for _, key := range []string{"QAWS-TS", "QAWS-TU", "QAWS-TR"} {
 		hs := partitioned(t, 16)
-		p := QAWS{Assignment: TopK, Method: m, Rate: rate}
-		ovh, err := p.Assign(ctx, hs)
+		ovh, err := row(t, key).Tuned(rate, 0, 0, 0).Assign(ctx, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,19 +353,16 @@ func TestIRAOverheadDominates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &Context{Reg: reg, Seed: 1, HostScale: 64}
-	hs := partitioned(t, 16)
-	ira := IRASampling{}
-	iraOvh, err := ira.Assign(ctx, hs)
+	ira := row(t, "IRA-sampling").Policy
+	iraOvh, err := ira.Assign(ctx, partitioned(t, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs2 := partitioned(t, 16)
-	qaws := QAWS{Assignment: TopK, Method: sampling.Striding}
-	qawsOvh, _ := qaws.Assign(ctx, hs2)
+	qawsOvh, _ := row(t, "QAWS-TS").Policy.Assign(ctx, partitioned(t, 16))
 	if iraOvh <= 5*qawsOvh {
 		t.Fatalf("IRA canary computation (%g) should dwarf QAWS sampling (%g)", iraOvh, qawsOvh)
 	}
-	if !ira.StealingEnabled() {
+	if ira.Steal == NoSteal {
 		t.Fatal("IRA schedules on top of work stealing")
 	}
 }
@@ -382,7 +370,7 @@ func TestIRAOverheadDominates(t *testing.T) {
 func TestOracleUsesFullScanAndChargesNothing(t *testing.T) {
 	ctx := testCtx(t)
 	hs := partitioned(t, 16)
-	o := Oracle{K: 0.25}
+	o := row(t, "oracle").Tuned(0, 0.25, 0, 0)
 	ovh, err := o.Assign(ctx, hs)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +378,7 @@ func TestOracleUsesFullScanAndChargesNothing(t *testing.T) {
 	if ovh != 0 {
 		t.Fatalf("oracle overhead = %g want 0", ovh)
 	}
-	if o.StealingEnabled() {
+	if o.Steal != NoSteal {
 		t.Fatal("oracle fixes the mapping")
 	}
 	// Global top-K by exact criticality must be on the GPU.
@@ -420,9 +408,9 @@ func TestValidateQueuesRejectsBadAssignment(t *testing.T) {
 
 func TestEmptyAssignments(t *testing.T) {
 	ctx := testCtx(t)
-	for _, p := range []Policy{QAWS{}, IRASampling{}, Oracle{}} {
-		if ovh, err := p.Assign(ctx, nil); err != nil || ovh != 0 {
-			t.Fatalf("%s empty assign: %g, %v", p.Name(), ovh, err)
+	for _, r := range Table {
+		if ovh, err := r.Policy.Assign(ctx, nil); err != nil || ovh != 0 {
+			t.Fatalf("%s empty assign: %g, %v", r.Key, ovh, err)
 		}
 	}
 }
@@ -431,24 +419,12 @@ func TestHostScaleMultipliesOverhead(t *testing.T) {
 	base := testCtx(t)
 	scaled := testCtx(t)
 	scaled.HostScale = 16
-	p := QAWS{Assignment: TopK, Method: sampling.Striding, Rate: 0.01}
+	p := row(t, "QAWS-TS").Tuned(0.01, 0, 0, 0)
 	a, _ := p.Assign(base, partitioned(t, 8))
 	b, _ := p.Assign(scaled, partitioned(t, 8))
 	if b <= a {
 		t.Fatalf("host scale should inflate overhead: %g vs %g", a, b)
 	}
-}
-
-func TestRandDeterministic(t *testing.T) {
-	ctx := testCtx(t)
-	a, b := ctx.Rand(), ctx.Rand()
-	for i := 0; i < 10; i++ {
-		if a.Int63() != b.Int63() {
-			t.Fatal("context RNG should be reproducible")
-		}
-	}
-	_ = rand.Int // keep the import honest if helpers change
-	_ = tensor.Region{}
 }
 
 // eligibleBySlices is Eligible as it was written before IsEligible stopped

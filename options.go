@@ -45,9 +45,16 @@ const (
 	PolicyOracle PolicyName = "oracle"
 )
 
-// AllQAWSPolicies lists the six QAWS variants in the paper's order.
+// AllQAWSPolicies lists the six QAWS variants (the sampled rows) in the
+// paper's order.
 func AllQAWSPolicies() []PolicyName {
-	return []PolicyName{PolicyQAWSTS, PolicyQAWSTU, PolicyQAWSTR, PolicyQAWSLS, PolicyQAWSLU, PolicyQAWSLR}
+	var names []PolicyName
+	for _, r := range sched.Table {
+		if r.Policy.Source == sched.Sampled {
+			names = append(names, PolicyName(r.Key))
+		}
+	}
+	return names
 }
 
 // Config configures a Session. The zero value enables all three devices
@@ -71,7 +78,7 @@ type Config struct {
 	Window int
 	// TPULimit is the device-limits policy's criticality ceiling for the
 	// Edge TPU, as a multiple of the VOP's median partition criticality
-	// (default 1.5; see sched.QAWS.DefaultTPULimit).
+	// (default 1.5; see sched.Policy.TPULimit).
 	TPULimit float64
 	// Seed drives sampling and the synthetic components (default 1).
 	Seed int64
@@ -196,61 +203,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// policy materializes the named policy and reports whether the engine
-// should double-buffer transfers (SHMT policies and software pipelining do;
-// the conventional baselines do not).
+// policy looks the named policy up in sched.Table, tunes it from the
+// Config, and reports whether the engine should double-buffer transfers.
 func (c Config) policy() (sched.Policy, bool, error) {
-	qaws := func(a sched.Assignment, m SamplingMethod) (sched.Policy, bool, error) {
-		return sched.QAWS{
-			Assignment:      a,
-			Method:          m,
-			Rate:            c.SamplingRate,
-			K:               c.CriticalFraction,
-			W:               c.Window,
-			DefaultTPULimit: c.TPULimit,
-		}, true, nil
+	row, ok := sched.Lookup(string(c.Policy))
+	if !ok {
+		return sched.Policy{}, false, fmt.Errorf("shmt: unknown policy %q", c.Policy)
 	}
-	switch c.Policy {
-	case PolicyGPUBaseline:
-		return sched.SingleDevice{Device: "gpu"}, false, nil
-	case PolicySWPipelining:
-		return sched.SingleDevice{Device: "gpu"}, true, nil
-	case PolicyTPUOnly:
-		return sched.SingleDevice{Device: "tpu"}, true, nil
-	case PolicyCPUOnly:
-		return sched.SingleDevice{Device: "cpu"}, false, nil
-	case PolicyEven:
-		return sched.EvenDistribution{}, false, nil
-	case PolicyWorkStealing:
-		return sched.WorkStealing{}, true, nil
-	case PolicyQAWSTS:
-		return qaws(sched.TopK, SamplingStriding)
-	case PolicyQAWSTU:
-		return qaws(sched.TopK, SamplingUniform)
-	case PolicyQAWSTR:
-		return qaws(sched.TopK, SamplingReduction)
-	case PolicyQAWSLS:
-		return qaws(sched.DeviceLimits, SamplingStriding)
-	case PolicyQAWSLU:
-		return qaws(sched.DeviceLimits, SamplingUniform)
-	case PolicyQAWSLR:
-		return qaws(sched.DeviceLimits, SamplingReduction)
-	case PolicyIRA:
-		return sched.IRASampling{K: c.CriticalFraction}, true, nil
-	case PolicyOracle:
-		return sched.Oracle{K: c.CriticalFraction}, true, nil
-	default:
-		return nil, false, fmt.Errorf("shmt: unknown policy %q", c.Policy)
-	}
+	return row.Tuned(c.SamplingRate, c.CriticalFraction, c.Window, c.TPULimit), row.DoubleBuffer, nil
 }
 
 // AllPolicies lists every policy name this library implements, in the order
 // Fig. 6 reports them.
 func AllPolicies() []PolicyName {
-	return []PolicyName{
-		PolicyGPUBaseline, PolicyTPUOnly, PolicyCPUOnly, PolicyIRA,
-		PolicySWPipelining, PolicyEven, PolicyWorkStealing,
-		PolicyQAWSTS, PolicyQAWSTU, PolicyQAWSTR,
-		PolicyQAWSLS, PolicyQAWSLU, PolicyQAWSLR, PolicyOracle,
+	names := make([]PolicyName, len(sched.Table))
+	for i, r := range sched.Table {
+		names[i] = PolicyName(r.Key)
 	}
+	return names
 }

@@ -19,7 +19,6 @@ import (
 	"shmt/internal/interconnect"
 	"shmt/internal/parallel"
 	"shmt/internal/sampling"
-	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -327,7 +326,7 @@ type PlanCacheStats = core.PlanCacheStats
 func (s *Session) PlanCacheStats() PlanCacheStats { return s.eng.PlanCacheStats() }
 
 // PolicyName returns the active scheduling policy's label.
-func (s *Session) PolicyName() string { return s.eng.Policy.Name() }
+func (s *Session) PolicyName() string { return s.eng.Policy.Name }
 
 // OnBreakerEvent registers a callback for circuit-breaker transitions: fn is
 // called with the device name and event ("open" when a device is quarantined,
@@ -489,7 +488,3 @@ const (
 	SamplingUniform   = sampling.UniformRandom
 	SamplingReduction = sampling.Reduction
 )
-
-// ensure sched is referenced from this file's imports (policy construction
-// lives in options.go).
-var _ sched.Policy = sched.WorkStealing{}
