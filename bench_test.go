@@ -80,32 +80,24 @@ func BenchmarkFig8SSIM(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9SamplingRate regenerates Fig. 9's sweep at three rates and
-// reports the MAPE delta between the sparsest and densest rate (the knee).
+// BenchmarkFig9SamplingRate regenerates Fig. 9's sweep for Sobel at three
+// rates and reports the MAPE at the sparsest and densest rate (the knee).
 func BenchmarkFig9SamplingRate(b *testing.B) {
+	bm, _ := bench.ByName("Sobel")
 	for i := 0; i < b.N; i++ {
+		t, err := bench.NewTrial(bm, benchOpts(), true)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var mapes []float64
 		for _, lg := range []int{-21, -17, -14} {
-			o := benchOpts()
-			o.SamplingRate = math.Pow(2, float64(lg))
-			bm, _ := bench.ByName("Sobel")
-			ref, err := bench.Reference(bm, o)
+			cfg := t.Options.SessionConfig(bm, shmt.PolicyQAWSTS)
+			cfg.SamplingRate = math.Pow(2, float64(lg))
+			c, err := t.Score(t.Execute(cfg))
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := bench.Run(bm, shmt.PolicyQAWSTS, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sum float64
-			for j := range ref.Data {
-				den := math.Abs(ref.Data[j])
-				if den < 1e-6 {
-					den = 1e-6
-				}
-				sum += math.Abs(rep.Output.Data[j]-ref.Data[j]) / den
-			}
-			mapes = append(mapes, sum/float64(len(ref.Data)))
+			mapes = append(mapes, c.MAPE)
 		}
 		b.ReportMetric(100*mapes[0], "mape-sparse-%")
 		b.ReportMetric(100*mapes[len(mapes)-1], "mape-dense-%")

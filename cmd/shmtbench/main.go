@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -187,6 +188,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote per-experiment telemetry snapshots to %s\n", *telemetryOut)
 	}
+	// HeapSys never shrinks, so at exit it is the peak heap (the figure
+	// benchmarks/e2e reports as process.heap_peak_mb).
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	fmt.Fprintf(os.Stderr, "shmtbench: peak heap %.0f MB\n", float64(ms.HeapSys)/1e6)
 }
 
 // telemetryBase snapshots the registry before an experiment (nil when

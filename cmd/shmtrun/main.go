@@ -35,7 +35,6 @@ import (
 
 	"shmt"
 	"shmt/internal/bench"
-	"shmt/internal/metrics"
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
 )
@@ -81,6 +80,12 @@ func main() {
 		Side: *side, Seed: *seed, Partitions: *partitions,
 		SamplingRate: *rate, NoVirtualScale: *noScale,
 	}
+	// The trial generates the inputs and runs the exact reference and the
+	// GPU baseline on them; the run below shares the same inputs.
+	trial, err := bench.NewTrial(b, o, true)
+	if err != nil {
+		fatal(err)
+	}
 
 	cfg := o.SessionConfig(b, shmt.PolicyName(*policy))
 	cfg.PlanCache.Disabled = !*planCache
@@ -108,11 +113,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving Prometheus metrics on http://%s/metrics\n", addr)
 	}
 
-	inputs := b.Inputs(*side, *seed)
-	rep, err := s.Execute(b.Op, inputs, b.Attrs)
+	rep, err := s.Execute(b.Op, trial.Inputs, b.Attrs)
 	if err != nil {
 		fatal(err)
 	}
+	c, err := trial.Score(rep, nil)
+	if err != nil {
+		fatal(err)
+	}
+	base := trial.Baseline
 	if *traceOut != "" {
 		if err := writeFile(*traceOut, s.WriteTrace); err != nil {
 			fatal(err)
@@ -126,19 +135,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote telemetry report to %s\n", *reportOut)
 	}
 
-	base, err := bench.Run(b, shmt.PolicyGPUBaseline, o)
-	if err != nil {
-		fatal(err)
-	}
-	ref, err := bench.Reference(b, o)
-	if err != nil {
-		fatal(err)
-	}
-	mape, _ := metrics.MAPE(ref.Data, rep.Output.Data)
-
 	fmt.Printf("%s (%s) on %dx%d, policy %s\n", b.Name, b.Op, *side, *side, s.PolicyName())
 	fmt.Printf("  virtual latency:   %.3f ms (GPU baseline %.3f ms -> %.2fx speedup)\n",
-		rep.Makespan*1e3, base.Makespan*1e3, base.Makespan/rep.Makespan)
+		rep.Makespan*1e3, base.Makespan*1e3, c.Speedup)
 	fmt.Printf("  scheduling:        %d HLOPs, %.3f ms overhead\n", rep.HLOPs, rep.SchedOverhead*1e3)
 	names := make([]string, 0, len(rep.Busy))
 	for n := range rep.Busy {
@@ -148,10 +147,9 @@ func main() {
 	for _, n := range names {
 		fmt.Printf("  busy %-4s          %.3f ms\n", n+":", rep.Busy[n]*1e3)
 	}
-	fmt.Printf("  quality:           MAPE %.3f%%", 100*mape)
+	fmt.Printf("  quality:           MAPE %.3f%%", 100*c.MAPE)
 	if b.ImageLike {
-		ssim, _ := metrics.SSIM(ref.Rows, ref.Cols, ref.Data, rep.Output.Data)
-		fmt.Printf(", SSIM %.4f", ssim)
+		fmt.Printf(", SSIM %.4f", c.SSIM)
 	}
 	fmt.Println()
 	fmt.Printf("  energy:            %.3f J (baseline %.3f J, %.1f%% saved), EDP %.3g\n",

@@ -47,15 +47,11 @@ func AblationGranularity(o Options, counts []int) ([]AblationGranularityRow, err
 		ro.Partitions = n
 		var spds []float64
 		for _, b := range Benchmarks {
-			base, err := Run(b, shmt.PolicyGPUBaseline, ro)
+			spd, err := speedup(b, ro, shmt.PolicyQAWSTS)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := Run(b, shmt.PolicyQAWSTS, ro)
-			if err != nil {
-				return nil, err
-			}
-			spds = append(spds, metrics.Speedup(base.Makespan, rep.Makespan))
+			spds = append(spds, spd)
 		}
 		rows = append(rows, AblationGranularityRow{Partitions: n, Speedup: metrics.GeoMean(spds)})
 	}
@@ -75,22 +71,22 @@ func AblationDoubleBuffer(o Options) ([]AblationDoubleBufferRow, error) {
 	o = o.withDefaults()
 	var rows []AblationDoubleBufferRow
 	for _, b := range Benchmarks {
-		base, err := Run(b, shmt.PolicyGPUBaseline, o)
+		t, err := NewTrial(b, o, false)
 		if err != nil {
 			return nil, err
 		}
-		with, err := Run(b, shmt.PolicyWorkStealing, o)
+		with, err := t.Run(shmt.PolicyWorkStealing)
 		if err != nil {
 			return nil, err
 		}
-		without, err := runEngine(b, o, row(shmt.PolicyWorkStealing).Policy, false, 1, 1)
+		without, err := t.Score(t.engine(row(shmt.PolicyWorkStealing).Policy, false, 1, 1))
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, AblationDoubleBufferRow{
 			Benchmark:   b.Name,
-			WithOverlap: metrics.Speedup(base.Makespan, with.Makespan),
-			Without:     metrics.Speedup(base.Makespan, without.Makespan),
+			WithOverlap: with.Speedup,
+			Without:     without.Speedup,
 		})
 	}
 	return rows, nil
@@ -111,22 +107,22 @@ func AblationDatacenter(o Options) ([]AblationDatacenterRow, error) {
 	o = o.withDefaults()
 	var rows []AblationDatacenterRow
 	for _, b := range Benchmarks {
-		base, err := Run(b, shmt.PolicyGPUBaseline, o)
+		t, err := NewTrial(b, o, false)
 		if err != nil {
 			return nil, err
 		}
-		emb, err := Run(b, shmt.PolicyQAWSTS, o)
+		emb, err := t.Run(shmt.PolicyQAWSTS)
 		if err != nil {
 			return nil, err
 		}
-		dc, err := runEngine(b, o, row(shmt.PolicyQAWSTS).Tuned(o.SamplingRate, 0, 0, 0), true, 1, 4)
+		dc, err := t.Score(t.engine(row(shmt.PolicyQAWSTS).Tuned(o.SamplingRate, 0, 0, 0), true, 1, 4))
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, AblationDatacenterRow{
 			Benchmark:  b.Name,
-			Embedded:   metrics.Speedup(base.Makespan, emb.Makespan),
-			Datacenter: metrics.Speedup(base.Makespan, dc.Makespan),
+			Embedded:   emb.Speedup,
+			Datacenter: dc.Speedup,
 		})
 	}
 	return rows, nil
@@ -243,37 +239,26 @@ func AblationDSP(o Options) ([]AblationDSPRow, error) {
 		if !b.ImageLike {
 			continue
 		}
-		ref, err := Reference(b, o)
+		t, err := NewTrial(b, o, true)
 		if err != nil {
 			return nil, err
 		}
-		base, err := Run(b, shmt.PolicyGPUBaseline, o)
-		if err != nil {
-			return nil, err
-		}
-		three, err := Run(b, shmt.PolicyQAWSTS, o)
+		three, err := t.Run(shmt.PolicyQAWSTS)
 		if err != nil {
 			return nil, err
 		}
 		cfg := o.SessionConfig(b, shmt.PolicyQAWSTS)
 		cfg.UseDSP = true
-		s, err := shmt.NewSession(cfg)
+		four, err := t.Score(t.Execute(cfg))
 		if err != nil {
 			return nil, err
 		}
-		four, err := s.Execute(b.Op, b.Inputs(o.Side, o.Seed), b.Attrs)
-		s.Close()
-		if err != nil {
-			return nil, err
-		}
-		m3, _ := metrics.MAPE(ref.Data, three.Output.Data)
-		m4, _ := metrics.MAPE(ref.Data, four.Output.Data)
 		rows = append(rows, AblationDSPRow{
 			Benchmark:   b.Name,
-			ThreeDevice: metrics.Speedup(base.Makespan, three.Makespan),
-			FourDevice:  metrics.Speedup(base.Makespan, four.Makespan),
-			MAPE3:       m3,
-			MAPE4:       m4,
+			ThreeDevice: three.Speedup,
+			FourDevice:  four.Speedup,
+			MAPE3:       three.MAPE,
+			MAPE4:       four.MAPE,
 		})
 	}
 	return rows, nil
@@ -301,13 +286,11 @@ func row(name shmt.PolicyName) sched.Row {
 	return r
 }
 
-// runEngine runs one benchmark on a custom-configured engine (for ablations
-// that need device or engine knobs the public Config does not expose).
-func runEngine(b Benchmark, o Options, pol sched.Policy, doubleBuffer bool,
-	gpuScale, tpuScale float64) (*core.Report, error) {
-
-	o = o.withDefaults()
-	slow := o.VirtualScale()
+// engine runs the trial's benchmark on its inputs with a custom-configured
+// engine (for ablations that need device or engine knobs the public Config
+// does not expose).
+func (t *Trial) engine(pol sched.Policy, doubleBuffer bool, gpuScale, tpuScale float64) (*core.Report, error) {
+	slow := t.Options.VirtualScale()
 	reg, err := device.NewRegistry(
 		cpu.New(slow),
 		gpu.New(gpu.Config{Slowdown: slow, ThroughputScale: gpuScale}),
@@ -319,19 +302,19 @@ func runEngine(b Benchmark, o Options, pol sched.Policy, doubleBuffer bool,
 	eng := &core.Engine{
 		Reg:          reg,
 		Policy:       pol,
-		Spec:         hlop.Spec{TargetPartitions: o.Partitions},
+		Spec:         hlop.Spec{TargetPartitions: t.Options.Partitions},
 		DoubleBuffer: doubleBuffer,
-		Seed:         o.Seed,
+		Seed:         t.Options.Seed,
 		HostScale:    slow,
 	}
-	v, err := vop.New(b.Op, b.Inputs(o.Side, o.Seed)...)
+	v, err := vop.New(t.Bench.Op, t.Inputs...)
 	if err != nil {
 		return nil, err
 	}
-	for k, x := range b.Attrs {
+	for k, x := range t.Bench.Attrs {
 		v.SetAttr(k, x)
 	}
-	v.CriticalFraction = b.CriticalFraction
+	v.CriticalFraction = t.Bench.CriticalFraction
 	return eng.Run(v)
 }
 

@@ -11,13 +11,20 @@
 // is measured on the smaller data. Fig. 12 is the exception: it sweeps real
 // problem sizes at VirtualScale 1, because size-dependent overhead is the
 // effect under study there.
+//
+// Memory: the harness keeps numbers, not runs. Every experiment goes through
+// one scorer, a Trial: one input set per benchmark and options, shared by
+// the exact reference, the GPU baseline and every scored run. Each run is
+// reduced to a scalar Cell as soon as it finishes and its report dropped, so
+// no tensor outlives the benchmark it scores, and a Matrix of cells is what
+// Figs. 6–8, 10, 11 and Table 3 are views over.
 package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"shmt"
+	"shmt/internal/metrics"
 	"shmt/internal/tensor"
 	"shmt/internal/workload"
 )
@@ -190,38 +197,115 @@ func (o Options) SessionConfig(b Benchmark, pol shmt.PolicyName) shmt.Config {
 	}
 }
 
-// Run executes one benchmark under one policy and returns the report.
-func Run(b Benchmark, pol shmt.PolicyName, o Options) (*shmt.Report, error) {
+// Cell is one scored run: the scalars the figures read and nothing else, so
+// no tensor outlives the run it scores.
+type Cell struct {
+	// Makespan is the run's virtual latency in seconds.
+	Makespan float64
+	// Speedup is baseline makespan / Makespan (Fig. 6's y-axis).
+	Speedup float64
+	// MAPE is the mean absolute percentage error vs the exact reference, as
+	// a fraction (Fig. 7); 0 when the trial scores speed only.
+	MAPE float64
+	// SSIM is the structural similarity vs the exact reference (Fig. 8); set
+	// for image benchmarks only.
+	SSIM float64
+	// Energy is the run's platform energy (Fig. 10).
+	Energy shmt.EnergyBreakdown
+	// PeakBytes is the run's peak host-memory footprint (Fig. 11).
+	PeakBytes int64
+	// CommShare is exposed transfer time as a fraction of total device busy
+	// time (Table 3).
+	CommShare float64
+}
+
+// Trial is one benchmark's experiment under fixed options. Its inputs are
+// generated once and shared by the exact reference, the GPU baseline and
+// every run the trial scores, which holds because a run never writes its
+// inputs (TestExecuteLeavesInputsUnchanged).
+type Trial struct {
+	Bench   Benchmark
+	Options Options
+	// Inputs are the benchmark's synthetic inputs at Options.Side.
+	Inputs []*tensor.Matrix
+	// Baseline is the GPU baseline's cell.
+	Baseline Cell
+	// ref is the exact (CPU fp64) output; nil when the trial scores speed
+	// only.
+	ref *tensor.Matrix
+}
+
+// NewTrial generates the benchmark's inputs and runs the GPU baseline on
+// them. With quality set it runs the exact reference first, so that Score
+// also reports MAPE and SSIM.
+func NewTrial(b Benchmark, o Options, quality bool) (*Trial, error) {
 	o = o.withDefaults()
-	s, err := shmt.NewSession(o.SessionConfig(b, pol))
+	t := &Trial{Bench: b, Options: o, Inputs: b.Inputs(o.Side, o.Seed)}
+	if quality {
+		ref, err := t.Execute(o.SessionConfig(b, shmt.PolicyCPUOnly))
+		if err != nil {
+			return nil, err
+		}
+		t.ref = ref.Output
+	}
+	base, err := t.Score(t.Execute(o.SessionConfig(b, shmt.PolicyGPUBaseline)))
+	if err != nil {
+		return nil, err
+	}
+	t.Baseline = *base
+	t.Baseline.Speedup = 1
+	return t, nil
+}
+
+// Execute runs the benchmark once on the trial's inputs, in a session built
+// from cfg.
+func (t *Trial) Execute(cfg shmt.Config) (*shmt.Report, error) {
+	s, err := shmt.NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	inputs := b.Inputs(o.Side, o.Seed)
-	rep, err := s.Execute(b.Op, inputs, b.Attrs)
+	rep, err := s.Execute(t.Bench.Op, t.Inputs, t.Bench.Attrs)
 	if err != nil {
-		return nil, fmt.Errorf("bench: %s/%s: %w", b.Name, pol, err)
+		return nil, fmt.Errorf("bench: %s/%s: %w", t.Bench.Name, cfg.Policy, err)
 	}
 	return rep, nil
 }
 
-// refCache memoizes exact reference outputs per (benchmark, side, seed,
-// partitions) so the policy matrix does not recompute them.
-var refCache sync.Map
+// Run executes one policy under the trial's options and scores it.
+func (t *Trial) Run(pol shmt.PolicyName) (*Cell, error) {
+	return t.Score(t.Execute(t.Options.SessionConfig(t.Bench, pol)))
+}
 
-// Reference returns the exact (CPU fp64) output for the benchmark under the
-// options, cached.
-func Reference(b Benchmark, o Options) (*tensor.Matrix, error) {
-	o = o.withDefaults()
-	key := fmt.Sprintf("%s/%d/%d/%d", b.Name, o.Side, o.Seed, o.Partitions)
-	if v, ok := refCache.Load(key); ok {
-		return v.(*tensor.Matrix), nil
-	}
-	rep, err := Run(b, shmt.PolicyCPUOnly, o)
+// Score reduces one finished run of the trial's benchmark to its cell:
+// speedup over the baseline and, when the trial has a reference, MAPE and
+// (for image benchmarks) SSIM. A non-nil err is passed through, so a run and
+// its scoring read as t.Score(t.Execute(cfg)). The report is not kept.
+func (t *Trial) Score(rep *shmt.Report, err error) (*Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	refCache.Store(key, rep.Output)
-	return rep.Output, nil
+	var busy float64
+	for _, s := range rep.Busy {
+		busy += s
+	}
+	c := &Cell{
+		Makespan:  rep.Makespan,
+		Speedup:   metrics.Speedup(t.Baseline.Makespan, rep.Makespan),
+		Energy:    rep.Energy,
+		PeakBytes: rep.PeakBytes,
+		CommShare: rep.Comm.OverheadFraction(busy),
+	}
+	if t.ref == nil {
+		return c, nil
+	}
+	if c.MAPE, err = metrics.MAPE(t.ref.Data, rep.Output.Data); err != nil {
+		return nil, fmt.Errorf("bench: %s MAPE: %w", t.Bench.Name, err)
+	}
+	if t.Bench.ImageLike {
+		if c.SSIM, err = metrics.SSIM(t.ref.Rows, t.ref.Cols, t.ref.Data, rep.Output.Data); err != nil {
+			return nil, fmt.Errorf("bench: %s SSIM: %w", t.Bench.Name, err)
+		}
+	}
+	return c, nil
 }

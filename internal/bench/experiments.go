@@ -9,20 +9,6 @@ import (
 	"shmt/internal/workload"
 )
 
-// Cell is one (benchmark, policy) measurement.
-type Cell struct {
-	// Speedup is baseline-time / policy-time (Fig. 6's y-axis).
-	Speedup float64
-	// MAPE is the mean absolute percentage error vs the exact reference, as
-	// a fraction (Fig. 7).
-	MAPE float64
-	// SSIM is the structural similarity vs the exact reference (Fig. 8;
-	// only meaningful for image benchmarks).
-	SSIM float64
-	// Report is the underlying run report.
-	Report *shmt.Report
-}
-
 // Matrix holds the full policy × benchmark measurement grid the evaluation
 // figures are views over.
 type Matrix struct {
@@ -30,10 +16,8 @@ type Matrix struct {
 	Policies []shmt.PolicyName
 	// Cells[benchmark][policy].
 	Cells map[string]map[shmt.PolicyName]*Cell
-	// BaselineTime[benchmark] is the GPU-baseline virtual latency.
-	BaselineTime map[string]float64
-	// BaselineReport[benchmark] is the GPU-baseline run report.
-	BaselineReport map[string]*shmt.Report
+	// Baseline[benchmark] is the GPU baseline's cell.
+	Baseline map[string]Cell
 }
 
 // EvalPolicies is the policy set of Figs. 6–8, in the paper's legend order.
@@ -52,42 +36,22 @@ func EvalPolicies() []shmt.PolicyName {
 func RunMatrix(policies []shmt.PolicyName, o Options) (*Matrix, error) {
 	o = o.withDefaults()
 	m := &Matrix{
-		Options:        o,
-		Policies:       policies,
-		Cells:          map[string]map[shmt.PolicyName]*Cell{},
-		BaselineTime:   map[string]float64{},
-		BaselineReport: map[string]*shmt.Report{},
+		Options:  o,
+		Policies: policies,
+		Cells:    map[string]map[shmt.PolicyName]*Cell{},
+		Baseline: map[string]Cell{},
 	}
 	for _, b := range Benchmarks {
-		ref, err := Reference(b, o)
+		t, err := NewTrial(b, o, true)
 		if err != nil {
 			return nil, err
 		}
-		base, err := Run(b, shmt.PolicyGPUBaseline, o)
-		if err != nil {
-			return nil, err
-		}
-		m.BaselineTime[b.Name] = base.Makespan
-		m.BaselineReport[b.Name] = base
+		m.Baseline[b.Name] = t.Baseline
 		m.Cells[b.Name] = map[shmt.PolicyName]*Cell{}
 		for _, pol := range policies {
-			rep, err := Run(b, pol, o)
-			if err != nil {
+			if m.Cells[b.Name][pol], err = t.Run(pol); err != nil {
 				return nil, err
 			}
-			cell := &Cell{
-				Speedup: metrics.Speedup(base.Makespan, rep.Makespan),
-				Report:  rep,
-			}
-			if mape, err := metrics.MAPE(ref.Data, rep.Output.Data); err == nil {
-				cell.MAPE = mape
-			}
-			if b.ImageLike {
-				if ssim, err := metrics.SSIM(ref.Rows, ref.Cols, ref.Data, rep.Output.Data); err == nil {
-					cell.SSIM = ssim
-				}
-			}
-			m.Cells[b.Name][pol] = cell
 		}
 	}
 	return m, nil
@@ -105,6 +69,19 @@ func (m *Matrix) GeoMean(pol shmt.PolicyName, f func(*Cell) float64, imageOnly b
 		}
 	}
 	return metrics.GeoMean(vals)
+}
+
+// speedup is one policy's speedup over the GPU baseline on one benchmark.
+func speedup(b Benchmark, o Options, pol shmt.PolicyName) (float64, error) {
+	t, err := NewTrial(b, o, false)
+	if err != nil {
+		return 0, err
+	}
+	c, err := t.Run(pol)
+	if err != nil {
+		return 0, err
+	}
+	return c.Speedup, nil
 }
 
 // ---- Fig. 2: potential of SHMT ----
@@ -127,15 +104,10 @@ func Fig2(o Options) ([]Fig2Row, error) {
 	o = o.withDefaults()
 	var rows []Fig2Row
 	for _, b := range Benchmarks {
-		base, err := Run(b, shmt.PolicyGPUBaseline, o)
+		r, err := speedup(b, o, shmt.PolicyTPUOnly)
 		if err != nil {
 			return nil, err
 		}
-		tpu, err := Run(b, shmt.PolicyTPUOnly, o)
-		if err != nil {
-			return nil, err
-		}
-		r := metrics.Speedup(base.Makespan, tpu.Makespan)
 		rows = append(rows, Fig2Row{
 			Benchmark:       b.Name,
 			TPUSpeedup:      r,
@@ -176,42 +148,38 @@ type Fig9Row struct {
 	PerBenchMAPE    map[string]float64
 }
 
-// Fig9 sweeps the QAWS-TS sampling rate over 2^-21 … 2^-14.
+// Fig9 sweeps the QAWS-TS sampling rate over 2^-21 … 2^-14. It loops
+// benchmark-outer, so each benchmark's reference and baseline serve all
+// eight rates (the GPU baseline samples nothing) and are dropped after it.
 func Fig9(o Options) ([]Fig9Row, error) {
 	o = o.withDefaults()
 	var rows []Fig9Row
 	for lg := -21; lg <= -14; lg++ {
-		ro := o
-		ro.SamplingRate = math.Pow(2, float64(lg))
-		row := Fig9Row{
+		rows = append(rows, Fig9Row{
 			RateLog2:        lg,
 			PerBenchSpeedup: map[string]float64{},
 			PerBenchMAPE:    map[string]float64{},
+		})
+	}
+	for _, b := range Benchmarks {
+		t, err := NewTrial(b, o, true)
+		if err != nil {
+			return nil, err
 		}
-		var spds, mapes []float64
-		for _, b := range Benchmarks {
-			ref, err := Reference(b, ro)
+		for _, row := range rows {
+			cfg := o.SessionConfig(b, shmt.PolicyQAWSTS)
+			cfg.SamplingRate = math.Pow(2, float64(row.RateLog2))
+			c, err := t.Score(t.Execute(cfg))
 			if err != nil {
 				return nil, err
 			}
-			base, err := Run(b, shmt.PolicyGPUBaseline, ro)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := Run(b, shmt.PolicyQAWSTS, ro)
-			if err != nil {
-				return nil, err
-			}
-			spd := metrics.Speedup(base.Makespan, rep.Makespan)
-			mape, _ := metrics.MAPE(ref.Data, rep.Output.Data)
-			row.PerBenchSpeedup[b.Name] = spd
-			row.PerBenchMAPE[b.Name] = mape
-			spds = append(spds, spd)
-			mapes = append(mapes, mape)
+			row.PerBenchSpeedup[b.Name] = c.Speedup
+			row.PerBenchMAPE[b.Name] = c.MAPE
 		}
-		row.Speedup = metrics.GeoMean(spds)
-		row.MAPE = metrics.GeoMean(mapes)
-		rows = append(rows, row)
+	}
+	for i, row := range rows {
+		rows[i].Speedup = geoMeanOf(Benchmarks, func(b Benchmark) float64 { return row.PerBenchSpeedup[b.Name] })
+		rows[i].MAPE = geoMeanOf(Benchmarks, func(b Benchmark) float64 { return row.PerBenchMAPE[b.Name] })
 	}
 	return rows, nil
 }
@@ -233,21 +201,21 @@ type Fig10Row struct {
 func (m *Matrix) Fig10() []Fig10Row {
 	var rows []Fig10Row
 	for _, b := range Benchmarks {
-		base := m.BaselineReport[b.Name]
+		base, ok := m.Baseline[b.Name]
 		cell := m.Cells[b.Name][shmt.PolicyQAWSTS]
-		if base == nil || cell == nil {
+		if !ok || cell == nil {
 			continue
 		}
 		baseTotal := base.Energy.Total()
-		shmtTotal := cell.Report.Energy.Total()
+		shmtTotal := cell.Energy.Total()
 		baseEDP := baseTotal * base.Makespan
-		shmtEDP := shmtTotal * cell.Report.Makespan
+		shmtEDP := shmtTotal * cell.Makespan
 		rows = append(rows, Fig10Row{
 			Benchmark:       b.Name,
 			BaselineActive:  base.Energy.Active / baseTotal,
 			BaselineIdle:    base.Energy.Idle / baseTotal,
-			SHMTActive:      cell.Report.Energy.Active / baseTotal,
-			SHMTIdle:        cell.Report.Energy.Idle / baseTotal,
+			SHMTActive:      cell.Energy.Active / baseTotal,
+			SHMTIdle:        cell.Energy.Idle / baseTotal,
 			SHMTEnergyTotal: shmtTotal / baseTotal,
 			SHMTEDP:         shmtEDP / baseEDP,
 			BaselineJoules:  baseTotal,
@@ -277,14 +245,14 @@ type Fig11Row struct {
 func (m *Matrix) Fig11() []Fig11Row {
 	var rows []Fig11Row
 	for _, b := range Benchmarks {
-		base := m.BaselineReport[b.Name]
+		base := m.Baseline[b.Name]
 		cell := m.Cells[b.Name][shmt.PolicyQAWSTS]
-		if base == nil || cell == nil || base.PeakBytes == 0 {
+		if cell == nil || base.PeakBytes == 0 {
 			continue
 		}
 		rows = append(rows, Fig11Row{
 			Benchmark: b.Name,
-			Ratio:     float64(cell.Report.PeakBytes) / float64(base.PeakBytes),
+			Ratio:     float64(cell.PeakBytes) / float64(base.PeakBytes),
 		})
 	}
 	rows = append(rows, Fig11Row{
@@ -312,13 +280,9 @@ func (m *Matrix) Table3() []Table3Row {
 		if cell == nil {
 			continue
 		}
-		var busy float64
-		for _, t := range cell.Report.Busy {
-			busy += t
-		}
 		rows = append(rows, Table3Row{
 			Benchmark:   b.Name,
-			OverheadPct: 100 * cell.Report.Comm.OverheadFraction(busy),
+			OverheadPct: 100 * cell.CommShare,
 		})
 	}
 	rows = append(rows, Table3Row{
@@ -360,15 +324,10 @@ func Fig12(o Options, sides []int) ([]Fig12Row, error) {
 		row := Fig12Row{Elems: side * side, Side: side, PerBench: map[string]float64{}}
 		var spds []float64
 		for _, b := range Benchmarks {
-			base, err := Run(b, shmt.PolicyGPUBaseline, ro)
+			spd, err := speedup(b, ro, shmt.PolicyQAWSTS)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := Run(b, shmt.PolicyQAWSTS, ro)
-			if err != nil {
-				return nil, err
-			}
-			spd := metrics.Speedup(base.Makespan, rep.Makespan)
 			row.PerBench[b.Name] = spd
 			spds = append(spds, spd)
 		}
@@ -406,11 +365,7 @@ type Fig1Row struct {
 func Fig1(o Options) ([]Fig1Row, error) {
 	o = o.withDefaults()
 	img := workload.Image(o.Side, o.Side, o.Seed)
-	for i, v := range img.Data {
-		if v < 1 {
-			img.Data[i] = 1
-		}
-	}
+	clampMin(img, 1)
 	s, err := shmt.NewSession(shmt.Config{
 		Policy:           shmt.PolicyQAWSTS,
 		TargetPartitions: o.Partitions,

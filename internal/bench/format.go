@@ -67,74 +67,42 @@ func pct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
 
 // SpeedupTable renders the matrix as Fig. 6 (speedup over GPU baseline).
 func (m *Matrix) SpeedupTable() *Table {
-	t := &Table{
-		Title:  "Fig. 6 — Speedup over GPU baseline (higher is better)",
-		Header: []string{"Benchmark"},
-	}
-	for _, p := range m.Policies {
-		t.Header = append(t.Header, string(p))
-	}
-	for _, b := range Benchmarks {
-		row := []string{b.Name}
-		for _, p := range m.Policies {
-			row = append(row, f2(m.Cells[b.Name][p].Speedup))
-		}
-		t.AddRow(row...)
-	}
-	gm := []string{"GMEAN"}
-	for _, p := range m.Policies {
-		gm = append(gm, f2(m.GeoMean(p, func(c *Cell) float64 { return c.Speedup }, false)))
-	}
-	t.AddRow(gm...)
-	return t
+	return m.view("Fig. 6 — Speedup over GPU baseline (higher is better)",
+		func(c *Cell) float64 { return c.Speedup }, f2, false)
 }
 
 // MAPETable renders the matrix as Fig. 7 (MAPE, lower is better).
 func (m *Matrix) MAPETable() *Table {
-	t := &Table{
-		Title:  "Fig. 7 — MAPE vs exact reference (lower is better)",
-		Header: []string{"Benchmark"},
-	}
-	for _, p := range m.Policies {
-		t.Header = append(t.Header, string(p))
-	}
-	for _, b := range Benchmarks {
-		row := []string{b.Name}
-		for _, p := range m.Policies {
-			row = append(row, pct(m.Cells[b.Name][p].MAPE))
-		}
-		t.AddRow(row...)
-	}
-	gm := []string{"GMEAN"}
-	for _, p := range m.Policies {
-		gm = append(gm, pct(m.GeoMean(p, func(c *Cell) float64 { return c.MAPE }, false)))
-	}
-	t.AddRow(gm...)
-	return t
+	return m.view("Fig. 7 — MAPE vs exact reference (lower is better)",
+		func(c *Cell) float64 { return c.MAPE }, pct, false)
 }
 
 // SSIMTable renders the matrix as Fig. 8 (SSIM over image benchmarks).
 func (m *Matrix) SSIMTable() *Table {
-	t := &Table{
-		Title:  "Fig. 8 — SSIM vs exact reference, image benchmarks (higher is better)",
-		Header: []string{"Benchmark"},
-	}
+	return m.view("Fig. 8 — SSIM vs exact reference, image benchmarks (higher is better)",
+		func(c *Cell) float64 { return c.SSIM }, f4, true)
+}
+
+// view renders one scalar of every cell, a column per policy, with its
+// GMEAN row.
+func (m *Matrix) view(title string, f func(*Cell) float64, format func(float64) string, imageOnly bool) *Table {
+	t := &Table{Title: title, Header: []string{"Benchmark"}}
 	for _, p := range m.Policies {
 		t.Header = append(t.Header, string(p))
 	}
 	for _, b := range Benchmarks {
-		if !b.ImageLike {
+		if imageOnly && !b.ImageLike {
 			continue
 		}
 		row := []string{b.Name}
 		for _, p := range m.Policies {
-			row = append(row, f4(m.Cells[b.Name][p].SSIM))
+			row = append(row, format(f(m.Cells[b.Name][p])))
 		}
 		t.AddRow(row...)
 	}
 	gm := []string{"GMEAN"}
 	for _, p := range m.Policies {
-		gm = append(gm, f4(m.GeoMean(p, func(c *Cell) float64 { return c.SSIM }, true)))
+		gm = append(gm, format(m.GeoMean(p, f, imageOnly)))
 	}
 	t.AddRow(gm...)
 	return t

@@ -25,6 +25,7 @@ check() { # $1 = -exp list, $2 = committed file
 		cat "$tmp/stderr" >&2
 		exit 1
 	}
+	grep 'peak heap' "$tmp/stderr"
 	mask "$2" >"$tmp/want"
 	mask "$tmp/raw" >"$tmp/got"
 	diff -u "$tmp/want" "$tmp/got" || {
