@@ -97,8 +97,9 @@ benchtelemetry:
 		-benchtime=0.3s ./internal/core/
 
 # benchdatapath compares the zero-copy view partition/aggregate path against
-# the materialized copy path (copied_B/op must be 0 on the view side);
-# BENCH_datapath.json snapshots the result.
+# a materialized copy of every view input, the benchmark's own copy oracle
+# (copied_B/op must be 0 on the view side); BENCH_datapath.json snapshots the
+# result.
 benchdatapath:
 	$(GO) test -run='^$$' -bench=BenchmarkDatapath -benchmem \
 		-benchtime=0.3s ./internal/core/

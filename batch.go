@@ -58,9 +58,6 @@ func (s *Session) ExecuteBatch(reqs []BatchRequest) (*BatchResult, error) {
 		for k, x := range r.Attrs {
 			v.SetAttr(k, x)
 		}
-		if s.cfg.CriticalFraction > 0 {
-			v.CriticalFraction = s.cfg.CriticalFraction
-		}
 		if p := r.DeadlinePressure; p > 0 {
 			if p > 1 {
 				p = 1

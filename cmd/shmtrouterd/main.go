@@ -31,7 +31,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
@@ -106,7 +105,7 @@ func main() {
 	// shmtserved does; /metrics is part of its contract, so enable it here.
 	telemetry.Enable()
 
-	logger, err := buildLogger(*logFormat, *logLevel)
+	logger, err := telemetry.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		fatal(err)
 	}
@@ -177,24 +176,6 @@ func main() {
 		}
 	}
 	logger.Info("stopped")
-}
-
-// buildLogger assembles the process logger from the -log-format/-log-level
-// flags; logs go to stderr so stdout stays clean for scripting.
-func buildLogger(format, level string) (*slog.Logger, error) {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-	}
 }
 
 func fatal(err error) {

@@ -90,11 +90,7 @@ func main() {
 	cfg := o.SessionConfig(b, shmt.PolicyName(*policy))
 	cfg.PlanCache.Disabled = !*planCache
 	if *chaosSpec != "" {
-		cs := *chaosSeed
-		if cs == 0 {
-			cs = *seed
-		}
-		plans, err := shmt.ParseChaosSpec(*chaosSpec, cs)
+		plans, err := shmt.ParseChaosSpec(*chaosSpec, *chaosSeed)
 		if err != nil {
 			fatal(err)
 		}

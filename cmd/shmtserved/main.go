@@ -32,6 +32,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -117,7 +118,6 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "optional separate Prometheus listener (metrics are always on the serving mux at /metrics)")
 		chaosSpec    = flag.String("chaos", "", `fault-injection plan, e.g. "tpu:die=5;gpu:transient=0.2"`)
 		chaosSeed    = flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
-		planEntries  = flag.Int("plan-cache-entries", 0, "execution-plan cache LRU capacity (0 = default, negative disables)")
 		tracing      = flag.Bool("tracing", true, "request-scoped tracing: trace IDs, stage breakdowns, flight recorder, request lanes")
 		flightSize   = flag.Int("flight-recorder", telemetry.DefaultFlightRecorderSize, "flight-recorder ring capacity (traces retained)")
 		slowSLO      = flag.Duration("slow-slo", 100*time.Millisecond, "latency SLO; slower requests are retained in the flight recorder's slow ring (0 disables)")
@@ -133,7 +133,7 @@ func main() {
 	flag.Var(&tenants, "tenant", "per-tenant QoS as name:weight[:queue-depth]; repeatable (unlisted tenants get weight 1 and the global queue depth). A name containing ':' must spell out the queue depth: team:a:2:8")
 	flag.Parse()
 
-	logger, err := buildLogger(*logFormat, *logLevel)
+	logger, err := telemetry.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		fatal(err)
 	}
@@ -144,24 +144,15 @@ func main() {
 		Seed:             *seed,
 		Workers:          *workers,
 	}
-	if *planEntries < 0 {
-		cfg.PlanCache.Disabled = true
-	} else {
-		cfg.PlanCache.Entries = *planEntries
-	}
 	cfg.Telemetry.Enabled = true
 	cfg.Telemetry.MetricsAddr = *metricsAddr
 	if *chaosSpec != "" {
-		cs := *chaosSeed
-		if cs == 0 {
-			cs = *seed
-		}
-		plans, err := shmt.ParseChaosSpec(*chaosSpec, cs)
+		plans, err := shmt.ParseChaosSpec(*chaosSpec, *chaosSeed)
 		if err != nil {
 			fatal(err)
 		}
 		cfg.Chaos = plans
-		logger.Info("chaos enabled", "spec", *chaosSpec, "seed", cs)
+		logger.Info("chaos enabled", "spec", *chaosSpec, "seed", cmp.Or(*chaosSeed, *seed))
 	}
 	sess, err := shmt.NewSession(cfg)
 	if err != nil {
@@ -244,24 +235,6 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("stopped")
-}
-
-// buildLogger assembles the process logger from the -log-format/-log-level
-// flags; logs go to stderr so stdout stays clean for scripting.
-func buildLogger(format, level string) (*slog.Logger, error) {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-	}
 }
 
 // advertiseAddr picks the host:port to announce to the router: the explicit

@@ -115,7 +115,7 @@ func AblationDatacenter(o Options) ([]AblationDatacenterRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		dc, err := t.Score(t.engine(row(shmt.PolicyQAWSTS).Tuned(o.SamplingRate, 0, 0, 0), true, 1, 4))
+		dc, err := t.Score(t.engine(row(shmt.PolicyQAWSTS).Tuned(o.SamplingRate), true, 1, 4))
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +314,6 @@ func (t *Trial) engine(pol sched.Policy, doubleBuffer bool, gpuScale, tpuScale f
 	for k, x := range t.Bench.Attrs {
 		v.SetAttr(k, x)
 	}
-	v.CriticalFraction = t.Bench.CriticalFraction
 	return eng.Run(v)
 }
 

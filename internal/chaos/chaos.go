@@ -133,8 +133,7 @@ func (c *Device) ElemBytes() int              { return c.inner.ElemBytes() }
 func (c *Device) MemoryBytes() int64          { return c.inner.MemoryBytes() }
 
 // ExecTime applies the constant latency degradation to the cost model. The
-// scaled value is a pure function of (op, n), so ExecTimeCache memoization
-// stays valid.
+// scaled value stays a pure function of (op, n).
 func (c *Device) ExecTime(op vop.Opcode, n int) float64 {
 	t := c.inner.ExecTime(op, n)
 	if c.cfg.LatencyMultiplier > 1 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -23,7 +24,8 @@ type PoolConfig struct {
 	Vnodes int
 	// LoadFactor is the bounded-load ceiling factor c: a backend may hold at
 	// most ceil(c * total / n) in-flight requests before its keys spill to
-	// replicas (default 1.25, clamped to >= 1).
+	// replicas (below 1 selects the default 1.25; NewPool refuses NaN and
+	// ±Inf, which would switch bounded load off).
 	LoadFactor float64
 	// Breaker tunes the per-backend circuit breakers.
 	Breaker BreakerConfig
@@ -149,6 +151,9 @@ type Pool struct {
 // NewPool builds a pool seeded with the given backend addrs (host:port) and
 // starts the health prober. Close stops it.
 func NewPool(cfg PoolConfig, seeds []string) (*Pool, error) {
+	if math.IsNaN(cfg.LoadFactor) || math.IsInf(cfg.LoadFactor, 0) {
+		return nil, fmt.Errorf("cluster: load factor %v is not finite", cfg.LoadFactor)
+	}
 	p := &Pool{
 		cfg:      cfg.withDefaults(),
 		epoch:    time.Now(),

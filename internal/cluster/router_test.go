@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -77,6 +78,19 @@ func newTestRouter(t *testing.T, cfg RouterConfig) (*Router, *httptest.Server) {
 		rt.pool.Close()
 	})
 	return rt, ts
+}
+
+// TestNewRouterRejectsNonFiniteLoadFactor: NaN and +Inf pass the "< 1"
+// default and leave a bounded-load ceiling no backend can reach, so every key
+// would stay on its primary; the router refuses them (and -Inf) instead.
+func TestNewRouterRejectsNonFiniteLoadFactor(t *testing.T) {
+	for _, lf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rt, err := NewRouter(RouterConfig{Pool: PoolConfig{LoadFactor: lf, ProbeInterval: time.Hour}})
+		if err == nil {
+			rt.pool.Close()
+			t.Errorf("load factor %v accepted", lf)
+		}
+	}
 }
 
 func addBody(n int) string {

@@ -18,9 +18,9 @@ import (
 )
 
 // oracleScatter is the scatter path the router had before it spliced text,
-// kept as the reference: decode the request into tensors, partition them with
-// materialised blocks, marshal each partition, decode each reply, gather the
-// blocks into an output tensor and encode that. It runs the partitions on one
+// kept as the reference: decode the request into tensors, partition them,
+// marshal each partition (wire.FromTensor gathers a strided block), decode
+// each reply, gather the blocks into an output tensor and encode that. It runs the partitions on one
 // backend, in order; placement does not change results
 // (TestScatterPlacementInvariance).
 func oracleScatter(t *testing.T, body []byte, fanout int, backend string, makespanSeconds float64) []byte {
@@ -33,7 +33,7 @@ func oracleScatter(t *testing.T, body []byte, fanout int, backend string, makesp
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := hlop.Partition(v, hlop.Spec{TargetPartitions: fanout, ForceCopy: true})
+	parts, err := hlop.Partition(v, hlop.Spec{TargetPartitions: fanout})
 	if err != nil {
 		t.Fatal(err)
 	}

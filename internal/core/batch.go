@@ -146,7 +146,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 			} else {
 				clear(v.Dst.Data) // what NewMatrix hands over
 			}
-			if v.HaloWidth() == 0 && !e.Spec.ForceCopy {
+			if v.HaloWidth() == 0 {
 				if err := bindOutputViews(outs[i], perVOP[i]); err != nil {
 					return nil, fmt.Errorf("core: vop %d: %w", i, err)
 				}

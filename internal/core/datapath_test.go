@@ -65,6 +65,38 @@ func randVOP(t testing.TB, r *rand.Rand, op vop.Opcode) ([]*tensor.Matrix, map[s
 	}
 }
 
+// copyDevice is the materialised-copy datapath the view path is held to: it
+// computes over a dense copy of every operand and never writes through the
+// HLOP's output view, as if no device shared host memory, so every result is
+// a fresh buffer that aggregation scatters back.
+type copyDevice struct{ device.Device }
+
+func (d copyDevice) Compute(t device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, _ *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
+	dense := make([]*tensor.Matrix, len(inputs))
+	for i, in := range inputs {
+		dense[i] = in.Clone()
+	}
+	return d.Device.Compute(t, op, dense, nil, attrs)
+}
+
+// viewAndCopy returns a registry over devs and the same devices behind the
+// copy datapath.
+func viewAndCopy(t testing.TB, devs ...device.Device) (view, copied *device.Registry) {
+	t.Helper()
+	wrapped := make([]device.Device, len(devs))
+	for i, d := range devs {
+		wrapped[i] = copyDevice{d}
+	}
+	view, err := device.NewRegistry(devs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied, err = device.NewRegistry(wrapped...); err != nil {
+		t.Fatal(err)
+	}
+	return view, copied
+}
+
 // runSpec executes op over inputs with the given spec and returns the output.
 // Each run gets its own VOP over the shared (never mutated) input matrices.
 func runSpec(t testing.TB, reg *device.Registry, pol sched.Policy,
@@ -81,15 +113,16 @@ func runSpec(t testing.TB, reg *device.Registry, pol sched.Policy,
 	e := &Engine{Reg: reg, Policy: pol, Spec: spec, Seed: 7}
 	rep, err := e.Run(v)
 	if err != nil {
-		t.Fatalf("run %s (ForceCopy=%v): %v", op, spec.ForceCopy, err)
+		t.Fatalf("run %s: %v", op, err)
 	}
 	return rep.Output
 }
 
 // Property: the zero-copy view datapath is bit-identical to the materialized
-// copy datapath for every opcode, partitioner geometry, device mix, and host
-// worker count. The deterministic engine gives both runs the same schedule,
-// so any output difference can only come from the data representation.
+// copy datapath (copyDevice) for every opcode, partitioner geometry, device
+// mix, and host worker count. The deterministic engine gives both runs the
+// same schedule, so any output difference can only come from the data
+// representation.
 func TestPropertyViewCopyBitIdentity(t *testing.T) {
 	ops := []vop.Opcode{
 		vop.OpSqrt, vop.OpTanh, vop.OpRelu, vop.OpAdd, vop.OpMultiply,
@@ -98,23 +131,17 @@ func TestPropertyViewCopyBitIdentity(t *testing.T) {
 		vop.OpReduceSum, vop.OpReduceMax, vop.OpReduceAverage,
 		vop.OpGEMM, vop.OpStencil, vop.OpConv,
 	}
-	cpuOnly, err := device.NewRegistry(cpu.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tpu.New(tpu.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpuOnly, cpuCopy := viewAndCopy(t, cpu.New(1))
+	mixed, mixedCopy := viewAndCopy(t, cpu.New(1), gpu.New(gpu.Config{}), tpu.New(tpu.Config{}))
 
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		op := ops[r.Intn(len(ops))]
 		inputs, attrs := randVOP(t, r, op)
 
-		reg, pol := cpuOnly, row("cpu-only").Policy
+		reg, copyReg, pol := cpuOnly, cpuCopy, row("cpu-only").Policy
 		if r.Intn(2) == 0 {
-			reg, pol = mixed, row("work-stealing").Policy
+			reg, copyReg, pol = mixed, mixedCopy, row("work-stealing").Policy
 		}
 		spec := hlop.Spec{
 			TargetPartitions: 1 + r.Intn(12),
@@ -124,10 +151,8 @@ func TestPropertyViewCopyBitIdentity(t *testing.T) {
 		prev := parallel.SetWorkers(1 + r.Intn(8))
 		defer parallel.SetWorkers(prev)
 
-		viewSpec, copySpec := spec, spec
-		copySpec.ForceCopy = true
-		got := runSpec(t, reg, pol, op, inputs, attrs, viewSpec)
-		want := runSpec(t, reg, pol, op, inputs, attrs, copySpec)
+		got := runSpec(t, reg, pol, op, inputs, attrs, spec)
+		want := runSpec(t, copyReg, pol, op, inputs, attrs, spec)
 		if !got.Equal(want) {
 			t.Logf("op=%s seed=%d parts=%d: view path diverged from copy path",
 				op, seed, spec.TargetPartitions)
@@ -148,18 +173,13 @@ func TestViewPathUnevenTail(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = r.NormFloat64()
 	}
-	reg, err := device.NewRegistry(cpu.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg, copyReg := viewAndCopy(t, cpu.New(1))
 	for _, parts := range []int{2, 5, 8, 36, 37, 40} {
 		spec := hlop.Spec{TargetPartitions: parts, MinVectorElems: 8, MinTile: 8}
-		copySpec := spec
-		copySpec.ForceCopy = true
 		got := runSpec(t, reg, row("cpu-only").Policy, vop.OpRelu,
 			[]*tensor.Matrix{in}, nil, spec)
-		want := runSpec(t, reg, row("cpu-only").Policy, vop.OpRelu,
-			[]*tensor.Matrix{in}, nil, copySpec)
+		want := runSpec(t, copyReg, row("cpu-only").Policy, vop.OpRelu,
+			[]*tensor.Matrix{in}, nil, spec)
 		if !got.Equal(want) {
 			t.Fatalf("parts=%d: uneven tail diverged", parts)
 		}
@@ -170,10 +190,7 @@ func TestViewPathUnevenTail(t *testing.T) {
 // views with extreme aspect ratios (a 1×N view is always contiguous, an N×1
 // view is maximally strided).
 func TestViewPathDegenerateShapes(t *testing.T) {
-	reg, err := device.NewRegistry(cpu.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg, copyReg := viewAndCopy(t, cpu.New(1))
 	r := rand.New(rand.NewSource(13))
 	for _, shape := range []struct{ rows, cols int }{{1, 4096}, {4096, 1}, {1, 1}, {3, 1}} {
 		a := tensor.NewMatrix(shape.rows, shape.cols)
@@ -183,12 +200,10 @@ func TestViewPathDegenerateShapes(t *testing.T) {
 			b.Data[i] = r.NormFloat64()
 		}
 		spec := hlop.Spec{TargetPartitions: 6, MinVectorElems: 16, MinTile: 8}
-		copySpec := spec
-		copySpec.ForceCopy = true
 		got := runSpec(t, reg, row("cpu-only").Policy, vop.OpAdd,
 			[]*tensor.Matrix{a, b}, nil, spec)
-		want := runSpec(t, reg, row("cpu-only").Policy, vop.OpAdd,
-			[]*tensor.Matrix{a, b}, nil, copySpec)
+		want := runSpec(t, copyReg, row("cpu-only").Policy, vop.OpAdd,
+			[]*tensor.Matrix{a, b}, nil, spec)
 		if !got.Equal(want) {
 			t.Fatalf("%dx%d: view path diverged", shape.rows, shape.cols)
 		}

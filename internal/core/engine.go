@@ -80,9 +80,6 @@ type Engine struct {
 	// re-planning (see plancache.go). 0 (the default) plans every run from
 	// scratch.
 	PlanCacheEntries int
-	// ExecTimeCacheEntries caps the per-run cost-model memo
-	// (device.ExecTimeCache); ≤ 0 selects device.DefaultExecTimeEntries.
-	ExecTimeCacheEntries int
 	// breakerNotify holds the circuit-breaker transition callback (see
 	// SetBreakerNotify). Atomic so registration may race with the execution
 	// path reading it — a session wiring its observer while requests are in
@@ -240,7 +237,7 @@ func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 // this reduces to the paper's steal-from-the-deepest-queue rule.
 func (r *round) pickVictim(thief int) int {
 	telemetry.StealAttempts.Inc()
-	thiefDev, etc := r.devs[thief].dev, r.etc
+	thiefDev := r.devs[thief].dev
 	best, bestLen := -1, 0
 	bestScore := 0.0
 	for vq := range r.devs {
@@ -255,7 +252,7 @@ func (r *round) pickVictim(thief int) int {
 		}
 		// Relative affinity: how much faster the thief runs this opcode
 		// than the queue's owner would.
-		score := etc.ExecTime(r.devs[vq].dev, tail.Op, tail.Elems) / etc.ExecTime(thiefDev, tail.Op, tail.Elems)
+		score := r.devs[vq].dev.ExecTime(tail.Op, tail.Elems) / thiefDev.ExecTime(tail.Op, tail.Elems)
 		if best < 0 || score > bestScore*1.001 ||
 			(score > bestScore*0.999 && len(q) > bestLen) {
 			best, bestLen, bestScore = vq, len(q), score

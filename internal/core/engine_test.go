@@ -180,8 +180,10 @@ func TestEngineStealLegality(t *testing.T) {
 
 func TestEngineQAWSNeverRunsCriticalOnTPU(t *testing.T) {
 	rec := telemetry.NewRecorder()
+	pol := row("QAWS-TS").Tuned(0.02)
+	pol.Window = 8
 	e := &Engine{Reg: stdRegistry(t),
-		Policy:       row("QAWS-TS").Tuned(0.02, 0.25, 8, 0),
+		Policy:       pol,
 		Spec:         hlop.Spec{TargetPartitions: 16, MinTile: 8},
 		DoubleBuffer: true, Telemetry: rec}
 	rep, err := e.Run(sobelVOP(t, 128, 6))

@@ -50,7 +50,7 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 		{"qaws_ts", row("QAWS-TS").Policy},
 		// The highest-overhead sampler at a quality-leaning rate (Fig. 9
 		// sweeps rates; denser sampling is where planning cost concentrates).
-		{"qaws_tr_dense", row("QAWS-TR").Tuned(1.0/(1<<8), 0, 0, 0)},
+		{"qaws_tr_dense", row("QAWS-TR").Tuned(1.0 / (1 << 8))},
 	}
 
 	planOnce := func(b *testing.B, e *Engine) {
@@ -95,10 +95,10 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 		}
 	}
 	b.Run("execute/qaws_tr_dense/fresh", func(b *testing.B) {
-		run(b, &Engine{Reg: reg, Policy: row("QAWS-TR").Tuned(1.0/(1<<8), 0, 0, 0), Seed: 1})
+		run(b, &Engine{Reg: reg, Policy: row("QAWS-TR").Tuned(1.0 / (1 << 8)), Seed: 1})
 	})
 	b.Run("execute/qaws_tr_dense/replay", func(b *testing.B) {
-		e := &Engine{Reg: reg, Policy: row("QAWS-TR").Tuned(1.0/(1<<8), 0, 0, 0),
+		e := &Engine{Reg: reg, Policy: row("QAWS-TR").Tuned(1.0 / (1 << 8)),
 			Seed: 1, PlanCacheEntries: 64}
 		if _, err := e.Run(v); err != nil {
 			b.Fatal(err) // warm the cache

@@ -87,7 +87,6 @@ func TestPropertyPlanReplayBitIdentity(t *testing.T) {
 			TargetPartitions: 1 + r.Intn(12),
 			MinTile:          8,
 			MinVectorElems:   32,
-			ForceCopy:        r.Intn(4) == 0, // exercise the non-view replay path too
 		}
 		prev := parallel.SetWorkers(1 + r.Intn(8))
 		defer parallel.SetWorkers(prev)
@@ -102,8 +101,8 @@ func TestPropertyPlanReplayBitIdentity(t *testing.T) {
 			return false
 		}
 		if !replay.Equal(cold) || !replay.Equal(base) {
-			t.Logf("op=%s seed=%d parts=%d forceCopy=%v: replay diverged",
-				op, seed, spec.TargetPartitions, spec.ForceCopy)
+			t.Logf("op=%s seed=%d parts=%d: replay diverged",
+				op, seed, spec.TargetPartitions)
 			return false
 		}
 		return true
@@ -301,17 +300,12 @@ func TestPlanKeyComposition(t *testing.T) {
 	add("seed", seeded.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), pol))
 	respec := &Engine{Seed: 1, Spec: hlop.Spec{TargetPartitions: 16}}
 	add("spec", respec.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), pol))
-	forced := &Engine{Seed: 1, Spec: hlop.Spec{TargetPartitions: 8, ForceCopy: true}}
-	add("forcecopy", forced.planKey(newVOP(vop.OpAdd, mk(32, 32), mk(32, 32)), pol))
 	attred := newVOP(vop.OpStencil, mk(32, 32), mk(32, 32))
 	attred.SetAttr("steps", 2)
 	attred2 := newVOP(vop.OpStencil, mk(32, 32), mk(32, 32))
 	attred2.SetAttr("steps", 3)
 	add("attrs", base.planKey(attred, pol))
 	add("attrs-value", base.planKey(attred2, pol))
-	critical := newVOP(vop.OpAdd, mk(32, 32), mk(32, 32))
-	critical.CriticalFraction = 0.5
-	add("critical-fraction", base.planKey(critical, pol))
 	pressured := newVOP(vop.OpAdd, mk(32, 32), mk(32, 32))
 	pressured.DeadlinePressure = 0.5
 	add("deadline-pressure", base.planKey(pressured, pol))

@@ -20,7 +20,7 @@ import (
 // the outcome is a function of except the input *data*:
 //
 //	opcode | input shapes | scalar attrs | partitioner Spec |
-//	policy name + seed | VOP critical-fraction hint
+//	policy name + seed | deadline pressure
 //
 // and guarded by the engine's device-health epoch. A replayed plan
 // re-extracts data blocks from the new inputs (so zero-copy views alias the
@@ -191,10 +191,6 @@ func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
 	b = strconv.AppendInt(b, int64(e.Spec.MinVectorElems), 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(e.Spec.MinTile), 10)
-	b = append(b, ',')
-	b = strconv.AppendBool(b, e.Spec.ForceCopy)
-	b = append(b, '|', 'k')
-	b = strconv.AppendFloat(b, v.CriticalFraction, 'g', -1, 64)
 	b = append(b, '|', 'p')
 	b = strconv.AppendFloat(b, v.DeadlinePressure, 'g', -1, 64)
 	if len(v.Attrs) > 0 {
@@ -229,7 +225,7 @@ func (e *Engine) planVOP(ctx *sched.Context, pol sched.Policy, v *vop.VOP,
 		epoch = e.planEpoch.Load()
 		key = e.planKey(v, pol)
 		if parts, ok := pc.lookup(key, epoch); ok {
-			hs, err := hlop.Replay(v, e.Spec, parts)
+			hs, err := hlop.Replay(v, parts)
 			if err == nil {
 				if rt != nil {
 					phaseT = rt.phase(telemetry.PhasePartition, phaseT)

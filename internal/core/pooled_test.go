@@ -62,7 +62,7 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 	ops := []vop.Opcode{vop.OpSobel, vop.OpSqrt, vop.OpGEMM, vop.OpReduceSum, vop.OpFFT, vop.OpConv}
 	policies := []sched.Policy{
 		row("work-stealing").Policy,
-		row("QAWS-TS").Tuned(0.02, 0, 0, 0),
+		row("QAWS-TS").Tuned(0.02),
 		row("even-distribution").Policy,
 	}
 	plans := []struct {

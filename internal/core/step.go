@@ -61,7 +61,6 @@ type round struct {
 	pf   *prefetcher
 	rt   *runTel
 	fx   *faultState
-	etc  *device.ExecTimeCache
 	devs []devState
 
 	outstanding int // HLOPs not yet admitted; a split adds one
@@ -95,7 +94,6 @@ func (e *Engine) newRound(ctx *sched.Context, pol sched.Policy, hs []*hlop.HLOP,
 	overhead float64, rt *runTel, fx *faultState) *round {
 
 	r := &round{e: e, ctx: ctx, pol: pol, pf: e.newPrefetcher(hs), rt: rt, fx: fx,
-		etc:  device.NewExecTimeCacheSized(e.ExecTimeCacheEntries),
 		devs: make([]devState, e.Reg.Len()), done: make([]doneHLOP, 0, len(hs)),
 		outstanding: len(hs), nextID: len(hs)}
 	for i := range r.devs {
@@ -128,7 +126,7 @@ func (r *round) admit(d *devState, victim int, h *hlop.HLOP) error {
 	r.noteRecovery(d)
 
 	r.maxStaging = max(r.maxStaging, e.stagingBytes(dev, h))
-	exec, inT, outT, bytes := e.hlopParts(dev, h, r.etc)
+	exec, inT, outT, bytes := e.hlopParts(dev, h)
 	exec += takeInjectedDelay(dev)
 	ready := h.ReadyAt
 	if stolen {
@@ -316,8 +314,8 @@ func (e *Engine) fallbackQueue(ctx *sched.Context, failed int, h *hlop.HLOP) int
 // through LPDDR4. How much of the transfer time is exposed is not decided
 // here — interconnect.Lane.Admit serializes the transfer stage against the
 // compute stage and reports the true stall.
-func (e *Engine) hlopParts(dev device.Device, h *hlop.HLOP, etc *device.ExecTimeCache) (exec, inT, outT float64, bytes int64) {
-	exec = etc.ExecTime(dev, h.Op, h.Elems)
+func (e *Engine) hlopParts(dev device.Device, h *hlop.HLOP) (exec, inT, outT float64, bytes int64) {
+	exec = dev.ExecTime(h.Op, h.Elems)
 	inB := h.InputBytes(dev.ElemBytes())
 	outB := h.OutputBytes(dev.ElemBytes())
 	if dev.MemoryBytes() == 0 {

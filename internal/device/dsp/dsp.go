@@ -23,8 +23,6 @@ import (
 
 // Config tunes the simulated DSP.
 type Config struct {
-	// ThroughputScale multiplies modelled throughputs (default 1).
-	ThroughputScale float64
 	// Slowdown ≥ 1 scales the virtual platform down. Default 1.
 	Slowdown float64
 }
@@ -39,9 +37,6 @@ type Device struct {
 
 // New returns a DSP device named "dsp".
 func New(cfg Config) *Device {
-	if cfg.ThroughputScale <= 0 {
-		cfg.ThroughputScale = 1
-	}
 	if cfg.Slowdown < 1 {
 		cfg.Slowdown = 1
 	}
@@ -142,8 +137,7 @@ func dspRatio(op vop.Opcode) float64 {
 
 // ExecTime implements device.Device.
 func (d *Device) ExecTime(op vop.Opcode, n int) float64 {
-	tp := device.Throughput(device.GPU, op) * dspRatio(op) * d.cfg.ThroughputScale
-	return float64(n) * d.cfg.Slowdown / tp
+	return float64(n) * d.cfg.Slowdown / (device.Throughput(device.GPU, op) * dspRatio(op))
 }
 
 // DispatchOverhead implements device.Device: command-list submission.

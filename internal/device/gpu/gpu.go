@@ -1,8 +1,7 @@
 // Package gpu implements the simulated 128-core Maxwell-class GPU of the
 // prototype platform (§4.1): a vector-processing device that executes every
-// HLOP in real single-precision (FP32) arithmetic, with an optional FP16
-// AI/ML mode, and a throughput model calibrated to the paper's Fig. 2
-// measurements.
+// HLOP in real single-precision (FP32) arithmetic, with a throughput model
+// calibrated to the paper's Fig. 2 measurements.
 //
 // The GPU is the paper's performance and accuracy baseline: all speedups
 // (Fig. 6, 9, 12), energy (Fig. 10) and footprints (Fig. 11) are reported
@@ -20,9 +19,6 @@ import (
 
 // Config tunes the simulated GPU.
 type Config struct {
-	// HalfPrecision switches execution to FP16 (the Maxwell FP16 path for
-	// AI/ML workloads). Default is native FP32.
-	HalfPrecision bool
 	// ThroughputScale multiplies all modelled throughputs (default 1);
 	// useful for what-if ablations (e.g. the data-center GPU:TPU ratio).
 	ThroughputScale float64
@@ -33,7 +29,7 @@ type Config struct {
 }
 
 // Device is the simulated GPU. The embedded HostCast is its two compute
-// halves — cast one operand to FP32 (or FP16), execute over cast operands —
+// halves — cast one operand to FP32, execute over cast operands —
 // which is what lets the engine keep a shared operand cast once per round.
 type Device struct {
 	name string
@@ -49,11 +45,7 @@ func New(cfg Config) *Device {
 	if cfg.Slowdown < 1 {
 		cfg.Slowdown = 1
 	}
-	var r kernels.Rounder = kernels.F32{}
-	if cfg.HalfPrecision {
-		r = kernels.F16{}
-	}
-	return &Device{name: "gpu", cfg: cfg, HostCast: device.HostCast{Rounder: r}}
+	return &Device{name: "gpu", cfg: cfg, HostCast: device.HostCast{Rounder: kernels.F32{}}}
 }
 
 var (
@@ -68,13 +60,8 @@ func (d *Device) Name() string { return d.name }
 func (d *Device) Kind() device.Kind { return device.GPU }
 
 // AccuracyRank implements device.Device: FP32 ranks just below the exact
-// CPU; the FP16 mode ranks below that but still above INT8.
-func (d *Device) AccuracyRank() int {
-	if d.cfg.HalfPrecision {
-		return 2
-	}
-	return 1
-}
+// CPU.
+func (d *Device) AccuracyRank() int { return 1 }
 
 // Supports implements device.Device: the GPU has a CUDA implementation of
 // every VOP in the table (the paper's baselines are all GPU kernels).
@@ -87,8 +74,7 @@ func (d *Device) Supports(op vop.Opcode) bool {
 	return false
 }
 
-// Execute implements device.Device: the kernel runs with FP32 (or FP16)
-// rounding at every stage boundary, and inputs are cast to the native
+// Execute implements device.Device: the kernel runs with FP32 rounding at every stage boundary, and inputs are cast to the native
 // precision at the host boundary first — the runtime's data-type casting of
 // §3.3.2.
 func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
@@ -107,7 +93,7 @@ func (d *Device) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
 
 // Compute implements device.Device: cast each input, then execute over the
 // cast operands. The integrated GPU shares host memory, so when dst is given
-// the FP32/FP16 result lands directly in it (the precision cast of the inputs
+// the FP32 result lands directly in it (the precision cast of the inputs
 // is a modelled device behaviour and is kept — stride-aware — even for
 // views).
 func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
@@ -116,11 +102,7 @@ func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix
 
 // ExecTime implements device.Device.
 func (d *Device) ExecTime(op vop.Opcode, n int) float64 {
-	tp := device.Throughput(device.GPU, op) * d.cfg.ThroughputScale / d.cfg.Slowdown
-	if d.cfg.HalfPrecision {
-		tp *= 1.6 // Maxwell FP16 packs two operands per lane, less than 2x in practice
-	}
-	return float64(n) / tp
+	return float64(n) / (device.Throughput(device.GPU, op) * d.cfg.ThroughputScale / d.cfg.Slowdown)
 }
 
 // DispatchOverhead implements device.Device: kernel-launch latency.
@@ -134,12 +116,7 @@ func (d *Device) Link() interconnect.Link {
 }
 
 // ElemBytes implements device.Device.
-func (d *Device) ElemBytes() int {
-	if d.cfg.HalfPrecision {
-		return 2
-	}
-	return 4
-}
+func (d *Device) ElemBytes() int { return 4 }
 
 // MemoryBytes implements device.Device: the integrated GPU has no private
 // memory; it shares the 4 GB LPDDR4.

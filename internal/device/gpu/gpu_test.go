@@ -55,33 +55,6 @@ func TestFP32ErrorIsTinyButNonzero(t *testing.T) {
 	}
 }
 
-func TestHalfPrecisionMode(t *testing.T) {
-	full := New(Config{})
-	half := New(Config{HalfPrecision: true})
-	if half.AccuracyRank() <= full.AccuracyRank() {
-		t.Fatal("FP16 should rank below FP32")
-	}
-	if half.ElemBytes() != 2 {
-		t.Fatal("FP16 element width expected")
-	}
-	if half.ExecTime(vop.OpAdd, 1000) >= full.ExecTime(vop.OpAdd, 1000) {
-		t.Fatal("FP16 should be faster")
-	}
-	in := workload.Uniform(16, 16, 0, 1, 3)
-	ref := cpu.New(1)
-	want, _ := ref.Execute(vop.OpSqrt, []*tensor.Matrix{in}, nil)
-	a, _ := full.Execute(vop.OpSqrt, []*tensor.Matrix{in}, nil)
-	b, _ := half.Execute(vop.OpSqrt, []*tensor.Matrix{in}, nil)
-	var ea, eb float64
-	for i := range want.Data {
-		ea += math.Abs(a.Data[i] - want.Data[i])
-		eb += math.Abs(b.Data[i] - want.Data[i])
-	}
-	if eb <= ea {
-		t.Fatalf("FP16 error %g should exceed FP32 error %g", eb, ea)
-	}
-}
-
 func TestSlowdownScaling(t *testing.T) {
 	fast := New(Config{})
 	slow := New(Config{Slowdown: 8})

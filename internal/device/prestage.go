@@ -54,7 +54,7 @@ func (s *Staged) Release() {
 // Prestager is implemented by every device whose compute half is "cast each
 // operand to the device's number format, then execute over the cast
 // operands" — the Edge TPU (quantize into private memory) and the GPU and DSP
-// (FP32 / FP16 / fixed-point cast in shared memory) alike. Splitting the two
+// (FP32 / fixed-point cast in shared memory) alike. Splitting the two
 // lets the engine keep an operand many HLOPs share (a GEMM right-hand
 // matrix, a convolution kernel) cast once per round in its resident cache.
 // The CPU computes on the operands as they are and does not implement it.

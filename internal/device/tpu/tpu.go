@@ -27,9 +27,6 @@ import (
 
 // Config tunes the simulated Edge TPU.
 type Config struct {
-	// QuantAware builds all NPU models in quantization-aware mode
-	// immediately (instead of the accuracy-gated fallback of §4.2).
-	QuantAware bool
 	// ThroughputScale multiplies modelled throughputs (default 1).
 	ThroughputScale float64
 	// Slowdown ≥ 1 scales the virtual platform down (throughput and link
@@ -93,7 +90,7 @@ func (d *Device) model(op vop.Opcode) npu.Model {
 	if m, ok := d.models[op]; ok {
 		return m
 	}
-	m := npu.Model{Op: op, Layers: kernels.Stages(op), QuantAware: d.cfg.QuantAware}
+	m := npu.Model{Op: op, Layers: kernels.Stages(op)}
 	d.models[op] = m
 	return m
 }

@@ -99,7 +99,8 @@ func TestMemoryLimitTriggersErrTooLarge(t *testing.T) {
 
 func TestQuantAwareImprovesQuality(t *testing.T) {
 	plain := New(Config{})
-	qat := New(Config{QuantAware: true})
+	qat := New(Config{})
+	qat.SetModel(npu.Model{Op: vop.OpSobel, Layers: kernels.Stages(vop.OpSobel), QuantAware: true})
 	ref := cpu.New(1)
 	in := workload.Mixed(64, 64, workload.Profile{CriticalFraction: 0.95, TileSize: 32}, 7)
 	want, _ := ref.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)

@@ -133,11 +133,6 @@ type Spec struct {
 	// MinTile floors tile edges (default 64; tiles grow toward 1024 with
 	// input size as in §3.4). DCT8x8 tiles stay multiples of 8 regardless.
 	MinTile int
-	// ForceCopy disables zero-copy view aliasing: every partition
-	// materializes its input blocks with strided copies, as if no device
-	// shared host memory. Used by the bit-identity property tests and the
-	// datapath benchmarks to compare both paths.
-	ForceCopy bool
 }
 
 func (s Spec) withDefaults() Spec {
@@ -161,7 +156,7 @@ func Partition(v *vop.VOP, spec Spec) ([]*HLOP, error) {
 	}
 	hs := make([]*HLOP, len(regs))
 	for i, reg := range regs {
-		if hs[i], err = build(v, reg, i, spec.ForceCopy); err != nil {
+		if hs[i], err = build(v, reg, i); err != nil {
 			return nil, err
 		}
 	}
@@ -194,11 +189,11 @@ func Regions(v *vop.VOP, spec Spec) ([]tensor.Region, error) {
 
 // build extracts the HLOP covering reg, one of Regions' regions or a split of
 // one.
-func build(v *vop.VOP, reg tensor.Region, id int, forceCopy bool) (*HLOP, error) {
+func build(v *vop.VOP, reg tensor.Region, id int) (*HLOP, error) {
 	if v.Op == vop.OpGEMM {
-		return gemmBand(v, reg.Row, reg.Height, id, forceCopy)
+		return gemmBand(v, reg.Row, reg.Height, id)
 	}
-	return extract(v, reg, id, forceCopy)
+	return extract(v, reg, id)
 }
 
 // rowBands splits rows×cols into full-width bands of rows/target rows (at
@@ -269,9 +264,9 @@ func tiles(op vop.Opcode, rows, cols int, spec Spec) []tensor.Region {
 // gemmBand builds the GEMM HLOP for rows [row, row+height) of A paired with
 // the whole right-hand matrix. Its Region lives in *output* space (B-columns
 // wide); the input band is A-columns wide.
-func gemmBand(v *vop.VOP, row, height, id int, forceCopy bool) (*HLOP, error) {
+func gemmBand(v *vop.VOP, row, height, id int) (*HLOP, error) {
 	a, b := v.Inputs[0], v.Inputs[1]
-	band, err := bandOf(a, tensor.Region{Row: row, Col: 0, Height: height, Width: a.Cols}, forceCopy)
+	band, err := bandOf(a, tensor.Region{Row: row, Col: 0, Height: height, Width: a.Cols})
 	if err != nil {
 		return nil, err
 	}
@@ -287,18 +282,9 @@ func gemmBand(v *vop.VOP, row, height, id int, forceCopy bool) (*HLOP, error) {
 	}, nil
 }
 
-// bandOf returns region reg of src either as a zero-copy strided view or,
-// when forceCopy is set, as a materialized block — and charges the
-// corresponding datapath counter.
-func bandOf(src *tensor.Matrix, reg tensor.Region, forceCopy bool) (*tensor.Matrix, error) {
-	if forceCopy {
-		blk, err := tensor.CopyOut(src, reg)
-		if err != nil {
-			return nil, err
-		}
-		telemetry.DatapathBytesCopied.Add(reg.Bytes(tensor.ElemSize))
-		return blk, nil
-	}
+// bandOf returns region reg of src as a zero-copy strided view and charges
+// the datapath counters.
+func bandOf(src *tensor.Matrix, reg tensor.Region) (*tensor.Matrix, error) {
 	blk, err := src.View(reg)
 	if err != nil {
 		return nil, err
@@ -310,9 +296,9 @@ func bandOf(src *tensor.Matrix, reg tensor.Region, forceCopy bool) (*tensor.Matr
 
 // extract builds the HLOP covering region reg of VOP v, shipping halos for
 // stencil opcodes. Halo-free inputs alias the parent tensor through strided
-// views unless forceCopy is set; halo blocks are always materialized because
-// their clamped borders have no in-place representation.
-func extract(v *vop.VOP, reg tensor.Region, id int, forceCopy bool) (*HLOP, error) {
+// views; halo blocks are materialized because their clamped borders have no
+// in-place representation.
+func extract(v *vop.VOP, reg tensor.Region, id int) (*HLOP, error) {
 	halo := v.HaloWidth()
 	inputs := make([]*tensor.Matrix, len(v.Inputs))
 	interior := tensor.Region{Row: 0, Col: 0, Height: reg.Height, Width: reg.Width}
@@ -330,7 +316,7 @@ func extract(v *vop.VOP, reg tensor.Region, id int, forceCopy bool) (*HLOP, erro
 			inputs[i] = blk
 			interior = inner
 		} else {
-			blk, err := bandOf(src, reg, forceCopy)
+			blk, err := bandOf(src, reg)
 			if err != nil {
 				return nil, err
 			}
@@ -384,17 +370,16 @@ func Capture(hs []*HLOP) []Planned {
 // re-extracted exactly as Partition would produce them. The caller
 // guarantees the plan was captured for the same opcode, input shapes, and
 // Spec (the plan cache's key pins all three).
-func Replay(v *vop.VOP, spec Spec, parts []Planned) ([]*HLOP, error) {
+func Replay(v *vop.VOP, parts []Planned) ([]*HLOP, error) {
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
-	spec = spec.withDefaults()
-	if !spec.ForceCopy && v.Op != vop.OpGEMM && v.HaloWidth() == 0 && len(v.Inputs) <= 2 {
+	if v.Op != vop.OpGEMM && v.HaloWidth() == 0 && len(v.Inputs) <= 2 {
 		return replayViews(v, parts)
 	}
 	hs := make([]*HLOP, len(parts))
 	for i, p := range parts {
-		h, err := build(v, p.Region, i, spec.ForceCopy)
+		h, err := build(v, p.Region, i)
 		if err != nil {
 			return nil, fmt.Errorf("hlop: replaying partition %d: %w", i, err)
 		}
@@ -487,15 +472,13 @@ func Split(h *HLOP, newID int) (*HLOP, *HLOP, error) {
 	} else {
 		return nil, nil, fmt.Errorf("hlop: cannot split %v further", r)
 	}
-	// Re-extract in the same representation the parent used: view-mode
-	// partitions (halo-free, Inputs[0] is a view) stay zero-copy, forced
-	// copies stay copies. Halo extraction materializes regardless.
-	forceCopy := len(h.Inputs) == 0 || !h.Inputs[0].IsView()
-	a, err := extract(h.Parent, r1, h.ID, forceCopy)
+	// Re-extract from the parent: halo-free halves alias it again, halo
+	// halves materialize.
+	a, err := extract(h.Parent, r1, h.ID)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := extract(h.Parent, r2, newID, forceCopy)
+	b, err := extract(h.Parent, r2, newID)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -531,10 +514,9 @@ func splitGEMM(h *HLOP, newID int) (*HLOP, *HLOP, error) {
 	}
 	a := h.Parent.Inputs[0]
 	half := h.Region.Height / 2
-	forceCopy := len(h.Inputs) == 0 || !h.Inputs[0].IsView()
 	mk := func(row, height, id int) (*HLOP, error) {
 		reg := tensor.Region{Row: row, Col: 0, Height: height, Width: a.Cols}
-		band, err := bandOf(a, reg, forceCopy)
+		band, err := bandOf(a, reg)
 		if err != nil {
 			return nil, err
 		}

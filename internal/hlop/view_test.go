@@ -42,20 +42,30 @@ func TestPartitionAliasesInputs(t *testing.T) {
 	}
 }
 
+// TestPartitionForceCopyMaterializes holds every view partition to the
+// materialised copy of its region (tensor.CopyOut, the copy datapath's
+// partition step), over row bands and strided tiles: the same elements, and a
+// later write to the parent reaches the view but not the copy.
 func TestPartitionForceCopyMaterializes(t *testing.T) {
-	v := viewVOP(t, vop.OpRelu, 32, 16)
-	hs, err := Partition(v, Spec{TargetPartitions: 4, MinVectorElems: 8, ForceCopy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hs {
-		if h.Inputs[0].IsView() {
-			t.Fatalf("ForceCopy HLOP %d still aliases", h.ID)
+	for _, op := range []vop.Opcode{vop.OpRelu, vop.OpDCT8x8} {
+		v := viewVOP(t, op, 32, 32)
+		hs, err := Partition(v, Spec{TargetPartitions: 4, MinVectorElems: 8, MinTile: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	v.Inputs[0].Set(hs[1].Region.Row, 0, -42)
-	if hs[1].Inputs[0].At(0, 0) == -42 {
-		t.Fatal("ForceCopy block aliases the parent tensor")
+		for _, h := range hs {
+			blk, err := tensor.CopyOut(v.Inputs[0], h.Region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !blk.Equal(h.Inputs[0]) {
+				t.Fatalf("%s HLOP %d: view differs from the copy of %v", op, h.ID, h.Region)
+			}
+			v.Inputs[0].Set(h.Region.Row, h.Region.Col, -42)
+			if h.Inputs[0].At(0, 0) != -42 || blk.At(0, 0) == -42 {
+				t.Fatalf("%s HLOP %d: view must alias the parent and the copy must not", op, h.ID)
+			}
+		}
 	}
 }
 
@@ -100,21 +110,26 @@ func TestHaloPartitionsStayMaterialized(t *testing.T) {
 }
 
 func TestSplitPreservesRepresentation(t *testing.T) {
-	for _, forceCopy := range []bool{false, true} {
-		v := viewVOP(t, vop.OpRelu, 64, 16)
-		hs, err := Partition(v, Spec{TargetPartitions: 2, MinVectorElems: 8, ForceCopy: forceCopy})
+	// Halo-free halves alias the parent again; halo halves materialize.
+	for _, op := range []vop.Opcode{vop.OpRelu, vop.OpSobel} {
+		v := viewVOP(t, op, 64, 16)
+		hs, err := Partition(v, Spec{TargetPartitions: 2, MinVectorElems: 8, MinTile: 8})
 		if err != nil {
 			t.Fatal(err)
+		}
+		view := hs[0].Inputs[0].IsView()
+		if view != (v.HaloWidth() == 0) {
+			t.Fatalf("%s: partition view = %v", op, view)
 		}
 		a, b, err := Split(hs[0], 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Inputs[0].IsView() == forceCopy || b.Inputs[0].IsView() == forceCopy {
-			t.Fatalf("split halves changed representation (forceCopy=%v)", forceCopy)
+		if a.Inputs[0].IsView() != view || b.Inputs[0].IsView() != view {
+			t.Fatalf("%s: split halves changed representation", op)
 		}
-		if a.Region.Height+b.Region.Height != hs[0].Region.Height {
-			t.Fatal("split halves do not cover the parent region")
+		if a.Region.Len()+b.Region.Len() != hs[0].Region.Len() {
+			t.Fatalf("%s: split halves do not cover the parent region", op)
 		}
 	}
 }

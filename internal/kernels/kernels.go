@@ -104,25 +104,6 @@ func (F32) Name() string { return "fp32" }
 // RoundsElementwise implements ElementwiseRounder.
 func (F32) RoundsElementwise() {}
 
-// F16 rounds every value to IEEE binary16, the GPU's AI/ML half-precision
-// mode.
-type F16 struct{}
-
-// Round implements Rounder.
-func (F16) Round(data []float64) { forChunks(data, roundF16) }
-
-func roundF16(chunk []float64) {
-	for i, v := range chunk {
-		chunk[i] = quant.FP16FromFloat(v).Float()
-	}
-}
-
-// Name implements Rounder.
-func (F16) Name() string { return "fp16" }
-
-// RoundsElementwise implements ElementwiseRounder.
-func (F16) RoundsElementwise() {}
-
 // Int8 requantizes every value through affine INT8, recalibrating scale and
 // zero point on the stage's own distribution — the per-layer requantization
 // a TFLite-compiled Edge TPU model performs between operators.

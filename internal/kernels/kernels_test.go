@@ -129,7 +129,7 @@ func TestStagesPositive(t *testing.T) {
 }
 
 func TestRounderNames(t *testing.T) {
-	for _, r := range []Rounder{Exact{}, F32{}, F16{}, Int8{}} {
+	for _, r := range []Rounder{Exact{}, F32{}, Int8{}} {
 		if r.Name() == "" {
 			t.Fatal("empty rounder name")
 		}

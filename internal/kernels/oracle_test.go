@@ -507,7 +507,7 @@ func TestRoundersMatchScalarOracle(t *testing.T) {
 // allocation per block.
 func TestSubGrainRoundAllocatesNothing(t *testing.T) {
 	data := make([]float64, 64)
-	for _, r := range []Rounder{F32{}, F16{}, Int8{}} {
+	for _, r := range []Rounder{F32{}, Int8{}} {
 		if n := testing.AllocsPerRun(100, func() { r.Round(data) }); n != 0 {
 			t.Errorf("%s: %v allocations for 64 elements", r.Name(), n)
 		}

@@ -48,7 +48,7 @@ func identityInputs(t *testing.T, op vop.Opcode, rng *rand.Rand) []*tensor.Matri
 // derive only from (n, grain), never from the worker count, so this must
 // hold exactly — math.Float64bits equality, not a tolerance.
 func TestParallelBitIdentity(t *testing.T) {
-	rounders := []Rounder{Exact{}, F32{}, F16{}, Int8{}}
+	rounders := []Rounder{Exact{}, F32{}, Int8{}}
 	counts := []int{1, 2, runtime.NumCPU()}
 	attrs := map[string]float64{
 		"hist_lo": 0, "hist_hi": 2.5, // covers the fill range
@@ -99,7 +99,7 @@ func TestRounderBitIdentity(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
-	for _, r := range []Rounder{F32{}, F16{}, Int8{}} {
+	for _, r := range []Rounder{F32{}, Int8{}} {
 		ref := append([]float64(nil), data...)
 		parallel.SetWorkers(1)
 		r.Round(ref)

@@ -1,6 +1,6 @@
 // Package quant implements the reduced-precision data representations of the
 // simulated accelerators: symmetric and affine INT8 quantization (Edge TPU)
-// and software FP16 (half precision, the GPU's optional AI/ML mode).
+// and 24-bit fixed point (the DSP).
 //
 // The paper's runtime system "perform[s] data type casting through the
 // desired quantization method before distributing the input data" and

@@ -186,108 +186,3 @@ func TestAffineRoundTripBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFP16KnownValues(t *testing.T) {
-	cases := []struct {
-		f    float64
-		bits FP16
-	}{
-		{0, 0x0000},
-		{1, 0x3c00},
-		{-2, 0xc000},
-		{0.5, 0x3800},
-		{65504, 0x7bff},         // max finite half
-		{65536, 0x7c00},         // overflow -> +Inf
-		{-65536, 0xfc00},        // overflow -> -Inf
-		{6.1035156e-05, 0x0400}, // smallest normal
-	}
-	for _, c := range cases {
-		if got := FP16FromFloat(c.f); got != c.bits {
-			t.Errorf("FP16FromFloat(%g) = %#04x want %#04x", c.f, uint16(got), uint16(c.bits))
-		}
-	}
-}
-
-func TestFP16SpecialValues(t *testing.T) {
-	if !math.IsInf(FP16FromFloat(math.Inf(1)).Float(), 1) {
-		t.Fatal("+Inf lost")
-	}
-	if !math.IsInf(FP16FromFloat(math.Inf(-1)).Float(), -1) {
-		t.Fatal("-Inf lost")
-	}
-	if !math.IsNaN(FP16FromFloat(math.NaN()).Float()) {
-		t.Fatal("NaN lost")
-	}
-	negZero := FP16FromFloat(math.Copysign(0, -1))
-	if negZero != 0x8000 {
-		t.Fatalf("-0 encodes to %#04x", uint16(negZero))
-	}
-}
-
-func TestFP16Subnormals(t *testing.T) {
-	// Smallest positive subnormal: 2^-24.
-	tiny := math.Pow(2, -24)
-	h := FP16FromFloat(tiny)
-	if h != 0x0001 {
-		t.Fatalf("2^-24 encodes to %#04x want 0x0001", uint16(h))
-	}
-	if h.Float() != tiny {
-		t.Fatalf("subnormal decodes to %g want %g", h.Float(), tiny)
-	}
-	// Underflow to zero.
-	if FP16FromFloat(math.Pow(2, -26)) != 0 {
-		t.Fatal("2^-26 should underflow to +0")
-	}
-}
-
-// Property: encode->decode->encode is stable (idempotent after one trip).
-func TestFP16Idempotent(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) {
-			return true
-		}
-		once := FP16FromFloat(x).Float()
-		twice := FP16FromFloat(once).Float()
-		return once == twice || (math.IsNaN(once) && math.IsNaN(twice))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: FP16 relative round-trip error for normal-range values is within
-// the half-precision epsilon bound (2^-11).
-func TestFP16RelativeError(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		x := (r.Float64()*2 - 1) * 1000
-		if math.Abs(x) < 1e-3 {
-			return true
-		}
-		y := FP16FromFloat(x).Float()
-		return math.Abs(y-x)/math.Abs(x) <= math.Pow(2, -11)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFloat32RoundTrip(t *testing.T) {
-	in := []float64{1.0 / 3.0, math.Pi, -1e-10}
-	out := Float32RoundTrip(in)
-	for i := range in {
-		if out[i] != float64(float32(in[i])) {
-			t.Fatalf("fp32 round trip mismatch at %d", i)
-		}
-	}
-}
-
-func TestFP16RoundTripSlice(t *testing.T) {
-	in := []float64{0.1, 100, -7}
-	out := FP16RoundTrip(in)
-	for i := range in {
-		if out[i] != FP16FromFloat(in[i]).Float() {
-			t.Fatalf("slice round trip mismatch at %d", i)
-		}
-	}
-}

@@ -61,7 +61,7 @@ func TestMultiTierTopK(t *testing.T) {
 			continue
 		}
 		hs := partitioned(t, 16) // Sobel HLOPs with graded criticality
-		if _, err := r.Tuned(0.05, 0.25, 16, 0).Assign(ctx, hs); err != nil {
+		if _, err := r.Tuned(0.05).Assign(ctx, hs); err != nil {
 			t.Fatal(err)
 		}
 		counts := map[string]int{}
@@ -164,7 +164,7 @@ func TestAssignmentSkipsUnsupportedDevices(t *testing.T) {
 		for _, h := range m {
 			h.AssignedQueue = 0
 		}
-		if _, err := r.Tuned(0.05, 0, 0, 0).Assign(ctx, m); err != nil {
+		if _, err := r.Tuned(0.05).Assign(ctx, m); err != nil {
 			t.Fatalf("%s: %v", r.Key, err)
 		}
 		for _, h := range m {

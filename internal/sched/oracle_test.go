@@ -42,9 +42,6 @@ func randomVOP(t *testing.T, r *rand.Rand) *vop.VOP {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Intn(2) == 0 {
-		v.CriticalFraction = r.Float64()
-	}
 	return v
 }
 
@@ -86,7 +83,11 @@ func TestPolicyRowsMatchTheReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pol := row.Tuned(rate, k, w, lim)
+					pol := row.Tuned(rate)
+					pol.K, pol.TPULimit = k, lim
+					if pol.Window > 0 && w > 0 {
+						pol.Window = w
+					}
 					where := fmt.Sprintf("trial %d, %s, %s, %d devices, quarantine mask %b", trial, row.Key, v.Op, reg.Len(), mask)
 					if ref.Name() != pol.Name || refDB != row.DoubleBuffer {
 						t.Fatalf("%s: name %q / double-buffer %v, reference %q / %v", where, pol.Name, row.DoubleBuffer, ref.Name(), refDB)
@@ -264,13 +265,12 @@ func (p IRASampling) Assign(ctx *Context, hs []*hlop.HLOP) (float64, error) {
 			break
 		}
 	}
-	etc := device.NewExecTimeCache()
 	for _, h := range hs {
 		vals := s.SampleRegion(h.Inputs[0], h.InputRegion())
 		h.Criticality = sampling.Criticality(vals)
 		canaryElems := len(vals)
 		if cpu != nil {
-			overhead += etc.ExecTime(cpu, h.Op, canaryElems) + cpu.DispatchOverhead()
+			overhead += cpu.ExecTime(h.Op, canaryElems) + cpu.DispatchOverhead()
 		} else {
 			overhead += float64(canaryElems) * TouchCostStriding * 50 * ctx.hostScale()
 		}
@@ -279,11 +279,7 @@ func (p IRASampling) Assign(ctx *Context, hs []*hlop.HLOP) (float64, error) {
 
 	k := p.K
 	if k <= 0 {
-		if cf := hs[0].Parent.CriticalFraction; cf > 0 {
-			k = cf
-		} else {
-			k = 0.25
-		}
+		k = 0.25
 	}
 	ordered := ctx.EligibleFor(hs[0].Op)
 	accurate, loose := ordered[0], ordered[len(ordered)-1]
@@ -335,11 +331,7 @@ func (p Oracle) Assign(ctx *Context, hs []*hlop.HLOP) (float64, error) {
 	}
 	k := p.K
 	if k <= 0 {
-		if cf := hs[0].Parent.CriticalFraction; cf > 0 {
-			k = cf
-		} else {
-			k = 0.25
-		}
+		k = 0.25
 	}
 	ordered := ctx.EligibleFor(hs[0].Op)
 	accurate, loose := ordered[0], ordered[len(ordered)-1]
@@ -466,11 +458,7 @@ func (p QAWS) tierFractions(hs []*hlop.HLOP, devices int) []float64 {
 	}
 	k := p.K
 	if k <= 0 {
-		if cf := hs[0].Parent.CriticalFraction; cf > 0 {
-			k = cf
-		} else {
-			k = 0.25
-		}
+		k = 0.25
 	}
 	if k > 1 {
 		k = 1

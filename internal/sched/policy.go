@@ -81,8 +81,8 @@ type Policy struct {
 	Assignment Assignment
 	// Device names OneDevice's target ("gpu", "tpu", "cpu").
 	Device string
-	// K is TopK's critical fraction; ≤ 0 takes the VOP's CriticalFraction
-	// hint, then 0.25.
+	// K is TopK's critical fraction; ≤ 0 is 0.25, the value all ten Table 2
+	// applications run (§3.5 calls K application-dependent).
 	K float64
 	// Window is TopK's ranking window in partitions; 0 ranks the whole VOP.
 	Window int
@@ -111,7 +111,7 @@ type Row struct {
 }
 
 // Table lists every policy, in the order Fig. 6 reports them. Rate, K and
-// TPULimit stay at their defaults; Row.Tuned sets them.
+// TPULimit stay at their defaults; Row.Tuned sets the rate.
 var Table = []Row{
 	{"gpu-baseline", Policy{Name: "gpu-only", Device: "gpu"}, false},
 	{"tpu-only", Policy{Name: "tpu-only", Device: "tpu"}, true},
@@ -149,15 +149,10 @@ func Lookup(key string) (Row, bool) {
 	return Row{}, false
 }
 
-// Tuned returns the row's policy with a sampling rate, critical fraction
-// and TPU limit (each ≤ 0 keeps its default), and, for a windowed top-K
-// row, a window > 0 in place of the row's.
-func (r Row) Tuned(rate, k float64, window int, tpuLimit float64) Policy {
+// Tuned returns the row's policy sampling at rate (≤ 0 keeps the default).
+func (r Row) Tuned(rate float64) Policy {
 	p := r.Policy
-	p.Rate, p.K, p.TPULimit = rate, k, tpuLimit
-	if p.Window > 0 && window > 0 {
-		p.Window = window
-	}
+	p.Rate = rate
 	return p
 }
 
@@ -264,16 +259,13 @@ func canary(ctx *Context, hs []*hlop.HLOP) float64 {
 			break
 		}
 	}
-	// Equal-size partitions yield the same canary size, so memoize the cost
-	// model instead of re-evaluating it per HLOP.
-	etc := device.NewExecTimeCache()
 	var overhead float64
 	for _, h := range hs {
 		vals := s.SampleRegion(h.Inputs[0], h.InputRegion())
 		h.Criticality = sampling.Criticality(vals)
 		n := len(vals)
 		if cpu != nil {
-			overhead += etc.ExecTime(cpu, h.Op, n) + cpu.DispatchOverhead()
+			overhead += cpu.ExecTime(h.Op, n) + cpu.DispatchOverhead()
 		} else {
 			overhead += float64(n) * TouchCostStriding * 50 * ctx.hostScale()
 		}
@@ -313,16 +305,12 @@ func (p Policy) assignTopK(ordered []int, hs []*hlop.HLOP) {
 }
 
 // tierFractions resolves the per-device window shares: the top-K fraction k
-// (deadline pressure widening it toward 1) feeds the first tier, middle
-// devices share half the remainder, and the least accurate device takes the
-// rest.
+// (≤ 0 is 0.25; deadline pressure widens it toward 1) feeds the first tier,
+// middle devices share half the remainder, and the least accurate device
+// takes the rest.
 func tierFractions(k float64, hs []*hlop.HLOP, devices int) []float64 {
 	if k <= 0 {
-		if cf := hs[0].Parent.CriticalFraction; cf > 0 {
-			k = cf
-		} else {
-			k = 0.25
-		}
+		k = 0.25
 	}
 	if k > 1 {
 		k = 1

@@ -38,7 +38,7 @@ func FuzzTopK(f *testing.F) {
 			op = vop.OpGEMM
 		}
 		ctx := &Context{Reg: reg, Quarantined: func(i int) bool { return mask>>i&1 == 1 }}
-		parent := &vop.VOP{Op: op, CriticalFraction: float64(seed%5) / 4, DeadlinePressure: pressure}
+		parent := &vop.VOP{Op: op, DeadlinePressure: pressure}
 		r := rand.New(rand.NewSource(seed))
 		hs := make([]*hlop.HLOP, 1+int(parts)%96)
 		for i := range hs {

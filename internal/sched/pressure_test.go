@@ -13,7 +13,7 @@ func TestQAWSTopKDeadlinePressure(t *testing.T) {
 			continue
 		}
 		t.Run(r.Key, func(t *testing.T) {
-			pol := r.Tuned(0, 0.25, 0, 0)
+			pol := r.Tuned(0)
 			criticalAt := func(pr float64) int {
 				hs := partitioned(t, 64)
 				hs[0].Parent.DeadlinePressure = pr
@@ -57,7 +57,8 @@ func TestQAWSTopKDeadlinePressure(t *testing.T) {
 // queue; without pressure the default relative limit still splits the work.
 func TestQAWSLimitsDeadlinePressure(t *testing.T) {
 	ctx := testCtx(t)
-	pol := row(t, "QAWS-LS").Tuned(0.01, 0, 0, 4)
+	pol := row(t, "QAWS-LS").Tuned(0.01)
+	pol.TPULimit = 4
 
 	hs := partitioned(t, 64)
 	if _, err := pol.Assign(ctx, hs); err != nil {

@@ -223,7 +223,7 @@ func TestQAWSNames(t *testing.T) {
 func TestQAWSTopKRoutesCriticalToGPU(t *testing.T) {
 	ctx := testCtx(t)
 	hs := partitioned(t, 16)
-	p := row(t, "QAWS-TS").Tuned(0.01, 0.25, 16, 0)
+	p := row(t, "QAWS-TS").Tuned(0.01)
 	ovh, err := p.Assign(ctx, hs)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,8 @@ func TestQAWSDeviceLimitsEndToEnd(t *testing.T) {
 	// ranks at or above anything on the TPU.
 	ctx := testCtx(t)
 	hs := partitioned(t, 16)
-	p := row(t, "QAWS-LS").Tuned(0.01, 0, 0, 4)
+	p := row(t, "QAWS-LS").Tuned(0.01)
+	p.TPULimit = 4
 	if _, err := p.Assign(ctx, hs); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestQAWSSamplingOverheadOrdering(t *testing.T) {
 	var overheads []float64
 	for _, key := range []string{"QAWS-TS", "QAWS-TU", "QAWS-TR"} {
 		hs := partitioned(t, 16)
-		ovh, err := row(t, key).Tuned(rate, 0, 0, 0).Assign(ctx, hs)
+		ovh, err := row(t, key).Tuned(rate).Assign(ctx, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +371,7 @@ func TestIRAOverheadDominates(t *testing.T) {
 func TestOracleUsesFullScanAndChargesNothing(t *testing.T) {
 	ctx := testCtx(t)
 	hs := partitioned(t, 16)
-	o := row(t, "oracle").Tuned(0, 0.25, 0, 0)
+	o := row(t, "oracle").Tuned(0)
 	ovh, err := o.Assign(ctx, hs)
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +420,7 @@ func TestHostScaleMultipliesOverhead(t *testing.T) {
 	base := testCtx(t)
 	scaled := testCtx(t)
 	scaled.HostScale = 16
-	p := row(t, "QAWS-TS").Tuned(0.01, 0, 0, 0)
+	p := row(t, "QAWS-TS").Tuned(0.01)
 	a, _ := p.Assign(base, partitioned(t, 8))
 	b, _ := p.Assign(scaled, partitioned(t, 8))
 	if b <= a {

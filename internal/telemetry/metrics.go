@@ -258,18 +258,6 @@ var (
 	PrefetchBufferBytes = Default.NewGauge("shmt_prefetch_buffer_bytes",
 		"Bytes currently held in resident shared-operand casts.")
 
-	// Execution-time cache.
-
-	// ExecCacheHits counts memoized cost-model lookups.
-	ExecCacheHits = Default.NewCounter("shmt_exec_cache_hits_total",
-		"ExecTimeCache lookups served from memory.")
-	// ExecCacheMisses counts lookups that ran the cost model.
-	ExecCacheMisses = Default.NewCounter("shmt_exec_cache_misses_total",
-		"ExecTimeCache lookups that evaluated the cost model.")
-	// ExecCacheEvictions counts entries dropped by the growth cap.
-	ExecCacheEvictions = Default.NewCounter("shmt_exec_cache_evictions_total",
-		"ExecTimeCache entries evicted by the size cap.")
-
 	// Execution-plan cache (internal/core plan memoization).
 
 	// PlanCacheHits counts Execute calls that replayed a cached plan.

@@ -280,7 +280,7 @@ func TestServeEndToEnd(t *testing.T) {
 		"# TYPE shmt_steal_attempts_total counter",
 		"# TYPE shmt_breaker_state gauge",
 		"# TYPE shmt_arena_hits_total counter",
-		"# TYPE shmt_exec_cache_hits_total counter",
+		"# TYPE shmt_plan_cache_hits_total counter",
 		"shmt_steal_attempts_total",
 	} {
 		if !strings.Contains(string(body), want) {

@@ -22,7 +22,9 @@ package telemetry
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -367,4 +369,23 @@ func seriesKey(name, labelKey, labelValue string) string {
 		return name
 	}
 	return fmt.Sprintf("%s{%s=%q}", name, labelKey, labelValue)
+}
+
+// NewLogger builds a daemon's process logger from its -log-format ("text" or
+// "json") and -log-level values. Logs go to stderr so stdout stays clean for
+// scripting.
+func NewLogger(format, level string) (*slog.Logger, error) {
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
+	}
+	opts := &slog.HandlerOptions{Level: lv}
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+	default:
+		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
+	}
 }

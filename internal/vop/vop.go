@@ -198,12 +198,6 @@ type VOP struct {
 	// and returned as the report's Output. With nil the engine allocates one.
 	Dst *tensor.Matrix
 
-	// CriticalFraction is the application-provided top-K% hint for QAWS's
-	// application-dependent policy (§3.5): the fraction of input partitions
-	// that are generally critical to the result. Zero means "use the policy
-	// default".
-	CriticalFraction float64
-
 	// DeadlinePressure (0..1) is the serving layer's deadline urgency: how
 	// close the request's timeout is to the server's critical-deadline
 	// threshold. QAWS raises the effective critical fraction with it (and

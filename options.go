@@ -72,20 +72,8 @@ type Config struct {
 	TargetPartitions int
 	// SamplingRate is QAWS's sampling rate (default 2^-15, Fig. 9's knee).
 	SamplingRate float64
-	// CriticalFraction is the application's top-K hint (default 0.25).
-	CriticalFraction float64
-	// Window is the top-K ranking window in partitions (default 16).
-	Window int
-	// TPULimit is the device-limits policy's criticality ceiling for the
-	// Edge TPU, as a multiple of the VOP's median partition criticality
-	// (default 1.5; see sched.Policy.TPULimit).
-	TPULimit float64
 	// Seed drives sampling and the synthetic components (default 1).
 	Seed int64
-	// GPUHalfPrecision switches the GPU to its FP16 AI/ML mode.
-	GPUHalfPrecision bool
-	// TPUQuantAware builds all Edge TPU NPU models quantization-aware.
-	TPUQuantAware bool
 	// VirtualScale ≥ 1 slows the simulated platform down by that factor
 	// (device throughputs and link bandwidths divide by it, host sampling
 	// costs multiply by it). Running an N-element input at VirtualScale =
@@ -122,13 +110,9 @@ type Config struct {
 	// captured partition geometry and device assignment instead of
 	// re-planning. See PlanCacheConfig for the data-dependence caveat.
 	PlanCache PlanCacheConfig
-	// ExecTimeCacheEntries caps the engine's per-run cost-model memo (see
-	// device.ExecTimeCache); on overflow the memo is flushed wholesale. 0
-	// keeps the default (device.DefaultExecTimeEntries = 4096).
-	ExecTimeCacheEntries int
 }
 
-// DefaultPlanCacheEntries is the plan cache's default LRU capacity: plans
+// DefaultPlanCacheEntries is the plan cache's LRU capacity: plans
 // are a few hundred bytes each (geometry plus assignment, no data), so even
 // a serving session streaming many distinct shapes stays small.
 const DefaultPlanCacheEntries = 512
@@ -151,19 +135,6 @@ const DefaultPlanCacheEntries = 512
 type PlanCacheConfig struct {
 	// Disabled turns the plan cache off: every Execute plans from scratch.
 	Disabled bool
-	// Entries is the LRU capacity; ≤ 0 means DefaultPlanCacheEntries.
-	Entries int
-}
-
-// entries resolves the engine-level capacity (0 disables).
-func (p PlanCacheConfig) entries() int {
-	if p.Disabled {
-		return 0
-	}
-	if p.Entries <= 0 {
-		return DefaultPlanCacheEntries
-	}
-	return p.Entries
 }
 
 // Telemetry configures the session's observability layer. The zero value
@@ -203,14 +174,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// policy looks the named policy up in sched.Table, tunes it from the
-// Config, and reports whether the engine should double-buffer transfers.
+// policy looks the named policy up in sched.Table, sets its sampling rate,
+// and reports whether the engine should double-buffer transfers.
 func (c Config) policy() (sched.Policy, bool, error) {
 	row, ok := sched.Lookup(string(c.Policy))
 	if !ok {
 		return sched.Policy{}, false, fmt.Errorf("shmt: unknown policy %q", c.Policy)
 	}
-	return row.Tuned(c.SamplingRate, c.CriticalFraction, c.Window, c.TPULimit), row.DoubleBuffer, nil
+	return row.Tuned(c.SamplingRate), row.DoubleBuffer, nil
 }
 
 // AllPolicies lists every policy name this library implements, in the order

@@ -161,10 +161,10 @@ func newSession(cfg Config, sub bool) (*Session, error) {
 		devs = append(devs, cpu.New(cfg.VirtualScale))
 	}
 	if cfg.UseGPU {
-		devs = append(devs, gpu.New(gpu.Config{HalfPrecision: cfg.GPUHalfPrecision, Slowdown: cfg.VirtualScale}))
+		devs = append(devs, gpu.New(gpu.Config{Slowdown: cfg.VirtualScale}))
 	}
 	if cfg.UseTPU {
-		devs = append(devs, tpu.New(tpu.Config{QuantAware: cfg.TPUQuantAware, Slowdown: cfg.VirtualScale}))
+		devs = append(devs, tpu.New(tpu.Config{Slowdown: cfg.VirtualScale}))
 	}
 	if cfg.UseDSP {
 		devs = append(devs, dsp.New(dsp.Config{Slowdown: cfg.VirtualScale}))
@@ -195,16 +195,17 @@ func newSession(cfg Config, sub bool) (*Session, error) {
 		return nil, err
 	}
 	eng := &core.Engine{
-		Reg:                  reg,
-		Policy:               pol,
-		Spec:                 hlop.Spec{TargetPartitions: cfg.TargetPartitions},
-		DoubleBuffer:         doubleBuffer,
-		Prefetch:             doubleBuffer, // the resident operand cache rides on the double-buffer pipeline
-		Seed:                 cfg.Seed,
-		HostScale:            cfg.VirtualScale,
-		Resilience:           cfg.Resilience,
-		PlanCacheEntries:     cfg.PlanCache.entries(),
-		ExecTimeCacheEntries: cfg.ExecTimeCacheEntries,
+		Reg:          reg,
+		Policy:       pol,
+		Spec:         hlop.Spec{TargetPartitions: cfg.TargetPartitions},
+		DoubleBuffer: doubleBuffer,
+		Prefetch:     doubleBuffer, // the resident operand cache rides on the double-buffer pipeline
+		Seed:         cfg.Seed,
+		HostScale:    cfg.VirtualScale,
+		Resilience:   cfg.Resilience,
+	}
+	if !cfg.PlanCache.Disabled {
+		eng.PlanCacheEntries = DefaultPlanCacheEntries
 	}
 	s := &Session{cfg: cfg, reg: reg, eng: eng}
 
@@ -348,9 +349,6 @@ func (s *Session) Execute(op Op, inputs []*Matrix, attrs map[string]float64) (*R
 	}
 	for k, x := range attrs {
 		v.SetAttr(k, x)
-	}
-	if s.cfg.CriticalFraction > 0 {
-		v.CriticalFraction = s.cfg.CriticalFraction
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
