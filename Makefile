@@ -2,28 +2,24 @@
 
 GO ?= go
 
-.PHONY: all check build gencheck test race fuzzsmoke bench benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e benchdiff servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
+.PHONY: all check build gencheck test race fuzzsmoke bench benchsmoke benche2e servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
 
 all: check
 
 # check is the pre-merge gate: formatting, build, the generated powers-of-ten
-# table still being what its generator writes, vet, tests, the race
-# detector over the whole module (the host worker pool runs everywhere now),
-# a one-shot benchmark pass so the bench suites can't silently rot, the
-# telemetry overhead benchmark so instrumentation cost stays visible, the
-# datapath benchmark so the zero-copy partition/aggregate path can't regress
-# silently, the planning-overhead benchmark so plan-cache replay keeps paying
-# for itself, the staging-overlap benchmark so the resident operand cache
-# keeps beating per-HLOP staging, a short fuzz of the /v1/execute decoder
-# against encoding/json, of the header sanitisers, of the -chaos grammar and of
-# the daemons' tenant flags,
-# the end-to-end harness's own vet and tests (a nested module that imports
+# table still being what its generator writes, vet, tests, the race detector
+# over the whole module (the host worker pool runs everywhere now), a short
+# fuzz of the /v1/execute decoder against encoding/json, of the header
+# sanitisers, of the -chaos grammar and of the daemons' tenant flags, a
+# one-shot benchmark pass so the bench suites can't silently rot, the
+# end-to-end harness's own vet and tests (a nested module that imports
 # internal/ packages, so the root `go test ./...` cannot see it break), the
-# serving smoke test so shmtserved's coalescing/drain path
-# stays live, and the cluster smoke test so the router tier's
-# failover/re-admission path stays live. CI (.github/workflows/ci.yml) runs
-# exactly these stages.
-check: fmt-check build gencheck vet test race fuzzsmoke benchsmoke benchtelemetry benchdatapath benchplan benchoverlap benchserve benche2e servesmoke clustersmoke
+# serving smoke test so shmtserved's coalescing/drain path stays live, and
+# the cluster smoke test so the router tier's failover/re-admission path
+# stays live. The contracts the benchmarks used to state as snapshots (zero
+# allocations, zero copied bytes, a bounded request) are tests in the `test`
+# stage. CI (.github/workflows/ci.yml) runs exactly these stages.
+check: fmt-check build gencheck vet test race fuzzsmoke benchsmoke benche2e servesmoke clustersmoke
 
 build:
 	$(GO) build ./...
@@ -90,49 +86,6 @@ benchsmoke:
 		-trace-out /tmp/shmt-smoke-trace.json -report-out /tmp/shmt-smoke-report.json
 	@rm -f /tmp/shmt-smoke-trace.json /tmp/shmt-smoke-report.json
 
-# benchtelemetry measures the instrumentation overhead (enabled vs disabled
-# engine run); BENCH_telemetry.json snapshots the result.
-benchtelemetry:
-	$(GO) test -run='^$$' -bench=BenchmarkTelemetryOverhead -benchmem \
-		-benchtime=0.3s ./internal/core/
-
-# benchdatapath compares the zero-copy view partition/aggregate path against
-# a materialized copy of every view input, the benchmark's own copy oracle
-# (copied_B/op must be 0 on the view side); BENCH_datapath.json snapshots the
-# result.
-benchdatapath:
-	$(GO) test -run='^$$' -bench=BenchmarkDatapath -benchmem \
-		-benchtime=0.3s ./internal/core/
-
-# benchplan isolates host-side planning (partition + assign) and compares
-# cold planning against plan-cache replay; BENCH_plan.json snapshots the
-# result. Only the plan/* rows run here — the execute/* rows are
-# kernel-dominated and covered by the one-shot pass in benchsmoke.
-benchplan:
-	$(GO) test -run='^$$' -bench='BenchmarkPlanningOverhead/plan' -benchmem \
-		-benchtime=0.3s ./internal/core/
-
-# benchoverlap measures the Edge TPU staging path with the resident
-# shared-operand cache off ("staged") and on ("resident"); whole HLOPs run on
-# the host pool either way. BENCH_overlap.json snapshots the result. The
-# resident row must stay faster than the staged one: it is the wall-clock
-# half of the double-buffer story (the virtual-time half lives in the lane
-# model).
-benchoverlap:
-	$(GO) test -run='^$$' -bench=BenchmarkOverlap -benchmem \
-		-benchtime=0.3s ./internal/core/
-
-# benchserve measures the serving layer's per-request tracing cost
-# (Batcher.Submit, tracing off vs on) and one whole request through an
-# in-process server on serve_wire's three shapes (BenchmarkServeRequest);
-# BENCH_serve.json snapshots the result. Two rows are contracts: tracing off
-# must add zero allocations to the untraced request path, and a request's
-# B/op must stay a few dozen KB whatever its payload — its tensors and
-# buffers cycle through the free list (DESIGN §11).
-benchserve:
-	$(GO) test -run='^$$' -bench='BenchmarkServe(TraceOverhead|Request)' -benchmem \
-		-benchtime=0.3s ./internal/serve/
-
 # benche2e vets and smoke-tests the repo benchmark's harness (BENCHMARK.json,
 # benchmarks/): every workload untraced twice and traced once at tiny counts,
 # outputs verified. It is the only place an internal/ API change that breaks
@@ -164,11 +117,6 @@ servesmoke:
 # SIGTERM drains all three processes cleanly.
 clustersmoke:
 	sh scripts/clustersmoke.sh
-
-# benchdiff re-runs every committed BENCH_*.json suite and fails on ns/op
-# regressions beyond the tolerance; CI runs it as a non-blocking job.
-benchdiff:
-	$(GO) run ./cmd/benchdiff
 
 # figures-check is the paper-fidelity gate: it regenerates the committed
 # results_all.txt (-exp all) and results_fig9_abl.txt (-exp

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	shmtbench -exp all                 # every experiment
-//	shmtbench -exp fig6                # one experiment: fig2 fig6 fig7 fig8
-//	                                   # fig9 fig10 fig11 fig12 table1 table2 table3
+//	shmtbench -exp fig6                # one experiment (ids: shmtbench -h)
+//	shmtbench -exp fig9,ablation       # several, in the order given
 //	shmtbench -exp fig6 -side 1024     # smaller/faster inputs
 //	shmtbench -exp fig12 -max64m       # include the paper's largest size
 //
@@ -14,53 +14,41 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"shmt/internal/bench"
-	"shmt/internal/telemetry"
 )
+
+// experiments is every id -exp takes, in the order "all" runs them.
+var experiments = []string{"table1", "table2", "fig1", "fig2", "fig6", "fig7", "fig8",
+	"fig9", "fig10", "fig11", "fig12", "table3", "ablation", "stability"}
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment id: all, fig1, fig2, fig6, fig7, fig8, fig9, fig10, fig11, fig12, table1, table2, table3, ablation, stability")
-		side         = flag.Int("side", 2048, "input edge length (the harness virtually scales to the paper's 8192)")
-		seed         = flag.Int64("seed", 1, "workload/sampling seed")
-		partitions   = flag.Int("partitions", 64, "HLOPs per VOP")
-		max64m       = flag.Bool("max64m", false, "extend fig12 to the paper's 64M-element point (slow)")
-		format       = flag.String("format", "text", "output format: text, csv, json")
-		telemetryOut = flag.String("telemetry-out", "", "write per-experiment telemetry counter snapshots (JSON) to this file")
-		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus metrics on this address while experiments run")
+		exp        = flag.String("exp", "all", "comma-separated experiment ids: all, "+strings.Join(experiments, ", "))
+		side       = flag.Int("side", 2048, "input edge length (the harness virtually scales to the paper's 8192)")
+		seed       = flag.Int64("seed", 1, "workload/sampling seed")
+		partitions = flag.Int("partitions", 64, "HLOPs per VOP")
+		max64m     = flag.Bool("max64m", false, "extend fig12 to the paper's 64M-element point (slow)")
 	)
 	flag.Parse()
-	var telSnaps map[string]telemetry.Snapshot
-	if *telemetryOut != "" || *metricsAddr != "" {
-		telemetry.Enable()
-		telSnaps = map[string]telemetry.Snapshot{}
-	}
-	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "serving Prometheus metrics on http://%s/metrics\n", srv.Addr())
-	}
-	emit = func(t *bench.Table) {
-		if err := t.Write(os.Stdout, bench.Format(*format)); err != nil {
-			fatal(err)
-		}
-	}
 
 	o := bench.Options{Side: *side, Seed: *seed, Partitions: *partitions}
 	ids := strings.Split(strings.ToLower(*exp), ",")
 	if len(ids) == 1 && ids[0] == "all" {
-		ids = []string{"table1", "table2", "fig1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table3", "ablation", "stability"}
+		ids = experiments
+	}
+	// Reject a typo before the first experiment runs, not after the matrix.
+	for _, id := range ids {
+		if !slices.Contains(experiments, id) {
+			fatal(fmt.Errorf("unknown experiment %q", id))
+		}
 	}
 
 	// fig6/7/8/10/11/table3 all derive from one policy matrix; build it once.
@@ -76,18 +64,15 @@ func main() {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "running policy matrix (%d policies x %d benchmarks at %dx%d)...\n",
 			len(bench.EvalPolicies()), len(bench.Benchmarks), *side, *side)
-		base := telemetryBase(telSnaps)
 		var err error
 		matrix, err = bench.RunMatrix(bench.EvalPolicies(), o)
 		if err != nil {
 			fatal(err)
 		}
-		telemetrySnap(telSnaps, "policy-matrix", base)
 		fmt.Fprintf(os.Stderr, "policy matrix done in %v\n\n", time.Since(start).Round(time.Second))
 	}
 
 	for _, id := range ids {
-		base := telemetryBase(telSnaps)
 		switch id {
 		case "table1":
 			emit(bench.Table1())
@@ -166,28 +151,9 @@ func main() {
 				fatal(err)
 			}
 			emit(bench.AblationDSPTable(dsp))
-		default:
-			fatal(fmt.Errorf("unknown experiment %q", id))
 		}
-		telemetrySnap(telSnaps, id, base)
 	}
 
-	if *telemetryOut != "" {
-		f, err := os.Create(*telemetryOut)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(telSnaps); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote per-experiment telemetry snapshots to %s\n", *telemetryOut)
-	}
 	// HeapSys never shrinks, so at exit it is the peak heap (the figure
 	// benchmarks/e2e reports as process.heap_peak_mb).
 	var ms runtime.MemStats
@@ -195,27 +161,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "shmtbench: peak heap %.0f MB\n", float64(ms.HeapSys)/1e6)
 }
 
-// telemetryBase snapshots the registry before an experiment (nil when
-// telemetry collection is off).
-func telemetryBase(snaps map[string]telemetry.Snapshot) telemetry.Snapshot {
-	if snaps == nil {
-		return nil
-	}
-	return telemetry.Default.Snapshot()
-}
-
-// telemetrySnap stores the counter delta one experiment produced.
-func telemetrySnap(snaps map[string]telemetry.Snapshot, id string, base telemetry.Snapshot) {
-	if snaps == nil {
-		return
-	}
-	snaps[id] = telemetry.Default.Snapshot().Delta(base)
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "shmtbench:", err)
 	os.Exit(1)
 }
 
-// emit is set in main once the -format flag is parsed.
-var emit = func(t *bench.Table) { t.Render(os.Stdout) }
+func emit(t *bench.Table) { t.Render(os.Stdout) }

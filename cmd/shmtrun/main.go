@@ -87,7 +87,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := o.SessionConfig(b, shmt.PolicyName(*policy))
+	cfg := trial.Options.SessionConfig(b, shmt.PolicyName(*policy))
 	cfg.PlanCache.Disabled = !*planCache
 	if *chaosSpec != "" {
 		plans, err := shmt.ParseChaosSpec(*chaosSpec, *chaosSeed)
@@ -131,7 +131,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote telemetry report to %s\n", *reportOut)
 	}
 
-	fmt.Printf("%s (%s) on %dx%d, policy %s\n", b.Name, b.Op, *side, *side, s.PolicyName())
+	n := trial.Options.Side
+	fmt.Printf("%s (%s) on %dx%d, policy %s\n", b.Name, b.Op, n, n, s.PolicyName())
 	fmt.Printf("  virtual latency:   %.3f ms (GPU baseline %.3f ms -> %.2fx speedup)\n",
 		rep.Makespan*1e3, base.Makespan*1e3, c.Speedup)
 	fmt.Printf("  scheduling:        %d HLOPs, %.3f ms overhead\n", rep.HLOPs, rep.SchedOverhead*1e3)

@@ -163,8 +163,9 @@ func (o Options) withDefaults() Options {
 }
 
 // VirtualScale returns the platform slowdown that maps a Side-sized run onto
-// the full 8192² timeline.
+// the full 8192² timeline (of the defaulted options: a Side ≤ 0 is 2048).
 func (o Options) VirtualScale() float64 {
+	o = o.withDefaults()
 	if o.NoVirtualScale {
 		return 1
 	}
@@ -177,8 +178,9 @@ func (o Options) VirtualScale() float64 {
 }
 
 // SessionConfig builds the session configuration for a policy under these
-// options.
+// options, defaulted as NewTrial defaults them.
 func (o Options) SessionConfig(b Benchmark, pol shmt.PolicyName) shmt.Config {
+	o = o.withDefaults()
 	scale := o.VirtualScale()
 	return shmt.Config{
 		Policy:           pol,

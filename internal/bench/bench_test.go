@@ -70,6 +70,16 @@ func TestVirtualScale(t *testing.T) {
 	if (Options{Side: 8192}).VirtualScale() != 1 {
 		t.Fatal("full size should not scale")
 	}
+	// An unset or negative Side is the default 2048, as NewTrial reads it:
+	// not a division by zero, and not a 64x64 run either.
+	for _, o := range []Options{{}, {Side: -64}} {
+		if got := o.VirtualScale(); got != 16 {
+			t.Fatalf("Side %d: scale = %g want 16", o.Side, got)
+		}
+		if got := o.SessionConfig(Benchmarks[0], shmt.PolicyQAWSTS).VirtualScale; got != 16 {
+			t.Fatalf("Side %d: session scale = %g want 16", o.Side, got)
+		}
+	}
 }
 
 func TestRunAllBenchmarksQAWS(t *testing.T) {
@@ -277,39 +287,6 @@ func TestFig1(t *testing.T) {
 	Fig1Table(rows).Render(&sb)
 	if !strings.Contains(sb.String(), "SHMT") {
 		t.Fatal("fig1 table malformed")
-	}
-}
-
-func TestTableExport(t *testing.T) {
-	tbl := &Table{Title: "x", Header: []string{"a", "b"}}
-	tbl.AddRow("1", "2")
-	tbl.AddRow("3", "4")
-
-	var csvOut strings.Builder
-	if err := tbl.Write(&csvOut, FormatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if csvOut.String() != "a,b\n1,2\n3,4\n" {
-		t.Fatalf("csv = %q", csvOut.String())
-	}
-
-	var jsonOut strings.Builder
-	if err := tbl.Write(&jsonOut, FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jsonOut.String(), `"a": "3"`) {
-		t.Fatalf("json = %s", jsonOut.String())
-	}
-
-	var txt strings.Builder
-	if err := tbl.Write(&txt, FormatText); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt.String(), "== x ==") {
-		t.Fatal("text format lost the title")
-	}
-	if err := tbl.Write(&txt, Format("yaml")); err == nil {
-		t.Fatal("unknown format should error")
 	}
 }
 

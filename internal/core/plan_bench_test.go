@@ -19,7 +19,7 @@ import (
 // short-circuits: cold runs partition geometry, criticality sampling and the
 // assignment pass every iteration; replay runs the key lookup plus data
 // re-extraction (views must rebind to the new inputs) and nothing else.
-// BENCH_plan.json snapshots the result; benchdiff re-runs this suite.
+// TestPlanReplayAllocs holds the replay rows' allocation count.
 func BenchmarkPlanningOverhead(b *testing.B) {
 	reg, err := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tpu.New(tpu.Config{}))
 	if err != nil {

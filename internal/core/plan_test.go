@@ -378,3 +378,38 @@ func TestPlanCacheDisabledByDefault(t *testing.T) {
 		t.Fatalf("disabled cache recorded activity: %+v", st)
 	}
 }
+
+// TestPlanReplayAllocs: a warm replay of a two-input add allocates at most 4
+// times whatever the partition count — the plan key, the one slab every
+// partition's HLOP and views share, the HLOP pointer slice — where cold
+// planning pays about 300. Rebinding views one partition at a time costs
+// allocations per partition, and shows here at once.
+func TestPlanReplayAllocs(t *testing.T) {
+	reg := stdRegistry(t)
+	v, err := vop.New(vop.OpAdd, tensor.NewMatrix(512, 512), tensor.NewMatrix(512, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{16, 64} {
+		pol := row("QAWS-TS").Policy
+		e := &Engine{Reg: reg, Policy: pol, Seed: 1,
+			Spec: hlop.Spec{TargetPartitions: parts}, PlanCacheEntries: 8}
+		ctx := &sched.Context{Reg: reg, Seed: 1, HostScale: 1, Quarantined: e.newFaultState().quarantined}
+		plan := func() {
+			hs, _, _, err := e.planVOP(ctx, pol, v, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hs) != parts {
+				t.Fatalf("%d HLOPs, want %d", len(hs), parts)
+			}
+		}
+		plan() // cold: fills the cache
+		if allocs := testing.AllocsPerRun(100, plan); allocs > 4 {
+			t.Fatalf("%d partitions: a replay allocates %.0f times, want at most 4", parts, allocs)
+		}
+		if st := e.PlanCacheStats(); st.Hits < 100 {
+			t.Fatalf("%d partitions: the measured plans did not replay: %+v", parts, st)
+		}
+	}
+}

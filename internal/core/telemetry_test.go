@@ -203,7 +203,9 @@ func TestBatchTelemetry(t *testing.T) {
 
 // BenchmarkTelemetryOverhead measures a full engine run with instrumentation
 // disabled vs enabled (gate on, recorder attached) — the numbers behind
-// BENCH_telemetry.json and DESIGN.md's overhead claim. The engine and
+// DESIGN.md's overhead claim, whose allocation half
+// TestDisabledPathAllocatesNothing and TestEnabledHotPathAllocatesNothing
+// (internal/telemetry) hold. The engine and
 // recorder live across iterations, mirroring how a serving Session reuses
 // one engine for every request: the enabled path therefore exercises the
 // cached counter handles (telHandles) and the recycled span slab

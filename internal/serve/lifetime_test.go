@@ -256,9 +256,11 @@ func (d *discard) Header() http.Header         { return d.h }
 func (d *discard) WriteHeader(code int)        { d.status = code }
 func (d *discard) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
 
-// TestWarmRequestAllocatesNoPayload: once the free lists are warm, a dense
-// 256×256 add — 1 MB of inputs decoded, 512 KB of output computed, a 1.2 MB
-// reply encoded — costs the process under 64 KB of allocation.
+// TestWarmRequestAllocatesNoPayload: once the free lists are warm, a request
+// on any of serve_wire's three shapes — a dense 256×256 add (1 MB of inputs
+// decoded, a 1.2 MB reply encoded), a 384×384 relu, a 512×512 reduce_sum
+// (2 MB decoded, one number encoded) — costs the process under 64 KB of
+// allocation.
 func TestWarmRequestAllocatesNoPayload(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop Puts, so the engine's arena misses")
@@ -270,37 +272,50 @@ func TestWarmRequestAllocatesNoPayload(t *testing.T) {
 	defer sess.Close()
 	srv := New(sess, Config{})
 	defer srv.Shutdown(context.Background())
-	body := newLifeReq(rand.New(rand.NewSource(3)), shmt.OpAdd, 256, 256).body
-	serve := func() {
-		req, err := http.NewRequest(http.MethodPost, "/v1/execute", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		r        lifeReq
+		outElems int
+	}{
+		{newLifeReq(rng, shmt.OpAdd, 256, 256), 256 * 256},
+		{newLifeReq(rng, shmt.OpRelu, 384, 384), 384 * 384},
+		{newLifeReq(rng, shmt.OpReduceSum, 512, 512), 1},
+	} {
+		serve := func() {
+			req, err := http.NewRequest(http.MethodPost, "/v1/execute", bytes.NewReader(tc.r.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &discard{h: http.Header{}}
+			srv.Handler().ServeHTTP(w, req)
+			if w.status != http.StatusOK || w.n < 2*tc.outElems {
+				t.Fatalf("%s: http %d, %d bytes", tc.r.name, w.status, w.n)
+			}
 		}
-		w := &discard{h: http.Header{}}
-		srv.Handler().ServeHTTP(w, req)
-		if w.status != http.StatusOK || w.n < 256*256*2 {
-			t.Fatalf("http %d, %d bytes", w.status, w.n)
+		for i := 0; i < 5; i++ {
+			serve()
 		}
-	}
-	for i := 0; i < 5; i++ {
-		serve()
-	}
-	const n = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		serve()
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 64<<10 {
-		t.Fatalf("a warm 256x256 add allocates %d bytes; its tensors alone are %d", per, 3*256*256*8)
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		inBytes := 0
+		for _, in := range tc.r.batch.Inputs {
+			inBytes += 8 * len(in.Data)
+		}
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 64<<10 {
+			t.Errorf("a warm %s allocates %d bytes; its inputs alone are %d", tc.r.name, per, inBytes)
+		}
 	}
 }
 
 // BenchmarkServeRequest is one request through an in-process server — read,
 // decode, round, encode — on serve_wire's three shapes, each about 2 MB of
-// payload. B/op is the contract row of BENCH_serve.json: what a request
-// allocates does not grow with what it carries.
+// payload. TestWarmRequestAllocatesNoPayload holds its B/op under 64 KB on
+// all three: what a request allocates does not grow with what it carries.
 func BenchmarkServeRequest(b *testing.B) {
 	sess, err := shmt.NewSession(shmt.Config{})
 	if err != nil {

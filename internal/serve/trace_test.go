@@ -592,11 +592,33 @@ func TestExecuteEmitsRequestLaneSpans(t *testing.T) {
 	}
 }
 
+// TestUntracedSubmitAllocs: with tracing off, one Batcher.Submit through an
+// immediate fake backend — the backend's own report included — allocates at
+// most 9 times, as it did before request tracing existed. Tracing work that
+// leaks into the untraced path (a span name formatted, a stage record kept)
+// shows here as a tenth allocation; BenchmarkServeTraceOverhead/enabled is 10.
+func TestUntracedSubmitAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	batcher := NewBatcher(&fakeBackend{}, Config{MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 64})
+	defer batcher.Close(context.Background())
+	req := testReq()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := batcher.Submit(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 9 {
+		t.Fatalf("an untraced Submit allocates %.0f times, want at most 9", allocs)
+	}
+}
+
 // BenchmarkServeTraceOverhead measures Batcher.Submit against an immediate
 // fake backend with tracing off vs on — the serving layer's per-request
-// tracing cost, isolated from engine work. The numbers behind
-// BENCH_serve.json; the disabled path is the PR 5 baseline and must not
-// regress.
+// tracing cost, isolated from engine work. TestUntracedSubmitAllocs holds
+// the disabled row's allocation count.
 func BenchmarkServeTraceOverhead(b *testing.B) {
 	run := func(b *testing.B, tracing bool) {
 		be := &fakeBackend{}
@@ -623,5 +645,3 @@ func BenchmarkServeTraceOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { run(b, false) })
 	b.Run("enabled", func(b *testing.B) { run(b, true) })
 }
-
-var _ = fmt.Sprintf // keep fmt imported for debug helpers
