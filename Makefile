@@ -55,9 +55,12 @@ race:
 # QuantizeOne / DequantizeOne on arbitrary bit patterns, the -chaos fault
 # plan grammar (every accepted plan finite and in range), the -tenant /
 # -tenant-limit grammars of both daemons (every admitted tenant name, ':'
-# included, round-trips), and the scheduler's top-K rule (every HLOP on an
+# included, round-trips), the scheduler's top-K rule (every HLOP on an
 # eligible queue, Critical exactly on the most accurate one, criticality
-# order kept within a window). (go test takes one -fuzz target per run.)
+# order kept within a window), and the VOP rule (every name Parse accepts
+# round-trips, every VOP Validate accepts has a non-negative halo, a finite
+# work factor of at least 1 computed in bounded time, and HLOPs with positive
+# work). (go test takes one -fuzz target per run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
@@ -70,6 +73,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtserved/
 	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtrouterd/
 	$(GO) test -run='^$$' -fuzz='^FuzzTopK$$' -fuzztime=10s ./internal/sched/
+	$(GO) test -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=10s ./internal/vop/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

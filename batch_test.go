@@ -47,7 +47,7 @@ func TestExecuteBatch(t *testing.T) {
 
 func TestExecuteBatchResultsMatchSoloRuns(t *testing.T) {
 	// Co-scheduling must not change the computed data on an exact device.
-	s := newSession(t, shmt.Config{UseCPU: true, Policy: shmt.PolicyCPUOnly, TargetPartitions: 4})
+	s := newSession(t, shmt.Config{Policy: shmt.PolicyCPUOnly, TargetPartitions: 4})
 	reqs := batchRequests()
 	res, err := s.ExecuteBatch(reqs)
 	if err != nil {

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	shmtrouterd -addr :8090 -backends 127.0.0.1:8080,127.0.0.1:8081
-//	shmtrouterd -addr 127.0.0.1:0 -max-attempts 3 -load-factor 1.25
+//	shmtrouterd -addr 127.0.0.1:0 -breaker-threshold 3 -breaker-cooldown 1s
 //	shmtrouterd -scatter-threshold 2097152 -max-fanout 4
 //
 // Backends may also self-register at runtime:
@@ -82,9 +82,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8090", "listen address (host:port; port 0 picks a free port)")
 		backends     = flag.String("backends", "", "comma-separated seed backends (host:port); more may register via /v1/register")
-		vnodes       = flag.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per backend on the hash ring")
-		loadFactor   = flag.Float64("load-factor", 1.25, "bounded-load ceiling factor (>= 1)")
-		maxAttempts  = flag.Int("max-attempts", 3, "dispatch attempts per request: primary plus failovers")
 		backendTO    = flag.Duration("backend-timeout", 30*time.Second, "per-backend round-trip bound")
 		probeEvery   = flag.Duration("probe-interval", 500*time.Millisecond, "backend health-probe cadence")
 		probeTO      = flag.Duration("probe-timeout", 2*time.Second, "health-probe round-trip bound")
@@ -119,18 +116,14 @@ func main() {
 
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Pool: cluster.PoolConfig{
-			Vnodes:        *vnodes,
-			LoadFactor:    *loadFactor,
 			ProbeInterval: *probeEvery,
 			ProbeTimeout:  *probeTO,
 			Breaker: cluster.BreakerConfig{
 				Threshold: *brThreshold,
 				Cooldown:  *brCooldown,
 			},
-			Logger: logger,
 		},
 		Seeds:            seeds,
-		MaxAttempts:      *maxAttempts,
 		BackendTimeout:   *backendTO,
 		ScatterThreshold: *scatterElems,
 		MaxFanout:        *maxFanout,
@@ -147,14 +140,10 @@ func main() {
 	logger.Info("listening",
 		"addr", rt.Addr(),
 		"backends", len(seeds),
-		"vnodes", *vnodes,
-		"load_factor", *loadFactor,
-		"max_attempts", *maxAttempts,
 		"scatter_threshold", *scatterElems,
 		"max_fanout", *maxFanout,
 	)
-	fmt.Printf("shmtrouterd listening on http://%s (backends %d, load-factor %.2f, max-attempts %d)\n",
-		rt.Addr(), len(seeds), *loadFactor, *maxAttempts)
+	fmt.Printf("shmtrouterd listening on http://%s (backends %d)\n", rt.Addr(), len(seeds))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -6,7 +6,7 @@
 //
 //	shmtrun -bench Sobel -policy QAWS-TS
 //	shmtrun -bench FFT -policy work-stealing -side 1024 -trace
-//	shmtrun -bench Sobel --trace-out=run.json --metrics-addr=:9090
+//	shmtrun -bench Sobel --trace-out=run.json --report-out=report.json
 //	shmtrun -bench Sobel --chaos "tpu:die=5" --chaos-seed 42
 //	shmtrun -list
 //
@@ -14,10 +14,8 @@
 // ASCII Gantt of the device timelines drawn from its virtual-clock spans.
 // --trace-out writes the run's telemetry spans (virtual device lanes,
 // wall-clock host lanes, steal flow arrows) as Chrome trace-event JSON —
-// load it in ui.perfetto.dev or chrome://tracing. --metrics-addr serves
-// Prometheus text exposition on ADDR/metrics while the run executes
-// (SHMT_METRICS_ADDR works too); --report-out writes the structured JSON
-// telemetry report.
+// load it in ui.perfetto.dev or chrome://tracing. --report-out writes the
+// structured JSON telemetry report, the run's counters included.
 //
 // --chaos injects seeded reproducible faults per device
 // ("device:key=value[,key=value];..."; keys: transient, failfirst, die,
@@ -41,21 +39,20 @@ import (
 
 func main() {
 	var (
-		name        = flag.String("bench", "Sobel", "benchmark name (see -list)")
-		policy      = flag.String("policy", string(shmt.PolicyQAWSTS), "scheduling policy")
-		side        = flag.Int("side", 2048, "input edge length")
-		seed        = flag.Int64("seed", 1, "workload seed")
-		partitions  = flag.Int("partitions", 64, "HLOPs per VOP")
-		rate        = flag.Float64("rate", bench.PaperSamplingRate, "QAWS sampling rate")
-		noScale     = flag.Bool("noscale", false, "disable virtual full-size scaling")
-		trace       = flag.Bool("trace", false, "end with an ASCII Gantt of the device timelines (turns the span recorder on)")
-		traceOut    = flag.String("trace-out", "", "write Chrome trace-event JSON (Perfetto) to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics on this address during the run (also SHMT_METRICS_ADDR)")
-		reportOut   = flag.String("report-out", "", "write the structured JSON telemetry report to this file")
-		chaosSpec   = flag.String("chaos", "", `fault-injection plan, e.g. "tpu:die=5;gpu:transient=0.2"`)
-		chaosSeed   = flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
-		planCache   = flag.Bool("plan-cache", false, "enable the memoized execution-plan cache (off by default: single-shot runs measure per-invocation planning)")
-		list        = flag.Bool("list", false, "list benchmarks and policies, then exit")
+		name       = flag.String("bench", "Sobel", "benchmark name (see -list)")
+		policy     = flag.String("policy", string(shmt.PolicyQAWSTS), "scheduling policy")
+		side       = flag.Int("side", 2048, "input edge length")
+		seed       = flag.Int64("seed", 1, "workload seed")
+		partitions = flag.Int("partitions", 64, "HLOPs per VOP")
+		rate       = flag.Float64("rate", bench.PaperSamplingRate, "QAWS sampling rate")
+		noScale    = flag.Bool("noscale", false, "disable virtual full-size scaling")
+		trace      = flag.Bool("trace", false, "end with an ASCII Gantt of the device timelines (turns the span recorder on)")
+		traceOut   = flag.String("trace-out", "", "write Chrome trace-event JSON (Perfetto) to this file")
+		reportOut  = flag.String("report-out", "", "write the structured JSON telemetry report to this file")
+		chaosSpec  = flag.String("chaos", "", `fault-injection plan, e.g. "tpu:die=5;gpu:transient=0.2"`)
+		chaosSeed  = flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
+		planCache  = flag.Bool("plan-cache", false, "enable the memoized execution-plan cache (off by default: single-shot runs measure per-invocation planning)")
+		list       = flag.Bool("list", false, "list benchmarks and policies, then exit")
 	)
 	flag.Parse()
 
@@ -99,15 +96,11 @@ func main() {
 	if *trace || *traceOut != "" || *reportOut != "" {
 		cfg.Telemetry.Enabled = true
 	}
-	cfg.Telemetry.MetricsAddr = *metricsAddr
 	s, err := shmt.NewSession(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	defer s.Close()
-	if addr := s.MetricsAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "serving Prometheus metrics on http://%s/metrics\n", addr)
-	}
 
 	rep, err := s.Execute(b.Op, trial.Inputs, b.Attrs)
 	if err != nil {

@@ -27,7 +27,8 @@
 // when breakers are open, X-SHMT-Quarantined headers. A full admission queue
 // answers 429 with Retry-After instead of queueing without bound.
 // SIGTERM/SIGINT drain gracefully: new work is refused, queued rounds
-// finish, then the session closes.
+// finish, then the session closes. The host worker pool's width is set only
+// by the SHMT_WORKERS environment variable (default GOMAXPROCS).
 package main
 
 import (
@@ -108,14 +109,12 @@ func main() {
 		policy       = flag.String("policy", string(shmt.PolicyQAWSTS), "scheduling policy")
 		partitions   = flag.Int("partitions", 64, "HLOPs per VOP")
 		seed         = flag.Int64("seed", 1, "session seed")
-		workers      = flag.Int("workers", 0, "host worker-pool cap (0 = GOMAXPROCS/SHMT_WORKERS)")
 		maxBatch     = flag.Int("max-batch", 16, "max requests coalesced per micro-batch round")
 		maxLinger    = flag.Duration("max-linger", 2*time.Millisecond, "ceiling on how long a round waits for a request whose body is still arriving; an idle server never waits")
 		queueDepth   = flag.Int("queue-depth", 0, "admission queue bound (0 = 4x max-batch); overflow answers 429")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "default per-request deadline (overridable via timeout_ms)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound after SIGTERM")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-		metricsAddr  = flag.String("metrics-addr", "", "optional separate Prometheus listener (metrics are always on the serving mux at /metrics)")
 		chaosSpec    = flag.String("chaos", "", `fault-injection plan, e.g. "tpu:die=5;gpu:transient=0.2"`)
 		chaosSeed    = flag.Int64("chaos-seed", 0, "fault-schedule seed (default: -seed)")
 		tracing      = flag.Bool("tracing", true, "request-scoped tracing: trace IDs, stage breakdowns, flight recorder, request lanes")
@@ -142,10 +141,8 @@ func main() {
 		Policy:           shmt.PolicyName(*policy),
 		TargetPartitions: *partitions,
 		Seed:             *seed,
-		Workers:          *workers,
+		Telemetry:        shmt.Telemetry{Enabled: true},
 	}
-	cfg.Telemetry.Enabled = true
-	cfg.Telemetry.MetricsAddr = *metricsAddr
 	if *chaosSpec != "" {
 		plans, err := shmt.ParseChaosSpec(*chaosSpec, *chaosSeed)
 		if err != nil {
@@ -198,9 +195,6 @@ func main() {
 	)
 	fmt.Printf("shmtserved listening on http://%s (policy %s, max-batch %d, linger %s)\n",
 		srv.Addr(), sess.PolicyName(), *maxBatch, *maxLinger)
-	if a := sess.MetricsAddr(); a != "" {
-		logger.Info("metrics listener", "addr", a)
-	}
 	if *registerURL != "" {
 		go register(*registerURL, advertiseAddr(*advertise, srv.Addr()), logger)
 	}

@@ -34,7 +34,7 @@ func ExampleSession_MatMul() {
 
 // ExampleSession_Execute submits a raw VOP with kernel attributes.
 func ExampleSession_Execute() {
-	s, err := shmt.NewSession(shmt.Config{UseCPU: true, Policy: shmt.PolicyCPUOnly, TargetPartitions: 2})
+	s, err := shmt.NewSession(shmt.Config{Policy: shmt.PolicyCPUOnly, TargetPartitions: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func ExampleSession_ExecutePipeline() {
 // ExampleSession_ExecuteBatch co-schedules two independent requests over the
 // same device queues.
 func ExampleSession_ExecuteBatch() {
-	s, err := shmt.NewSession(shmt.Config{UseCPU: true, Policy: shmt.PolicyCPUOnly, TargetPartitions: 2})
+	s, err := shmt.NewSession(shmt.Config{Policy: shmt.PolicyCPUOnly, TargetPartitions: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

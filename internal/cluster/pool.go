@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -16,44 +15,37 @@ import (
 	"shmt/internal/telemetry"
 )
 
+// loadFactor is the bounded-load ceiling factor c: a backend may hold at
+// most ceil(c * total / n) in-flight requests before its keys spill to
+// replicas.
+const loadFactor = 1.25
+
+// backendCooldownCap bounds a backend breaker's doubled cooldown.
+const backendCooldownCap = 30 * time.Second
+
 // PoolConfig tunes the backend pool. Zero values select the defaults noted
 // per field.
 type PoolConfig struct {
-	// Vnodes is the virtual-node count per backend on the hash ring
-	// (default DefaultVnodes).
-	Vnodes int
-	// LoadFactor is the bounded-load ceiling factor c: a backend may hold at
-	// most ceil(c * total / n) in-flight requests before its keys spill to
-	// replicas (below 1 selects the default 1.25; NewPool refuses NaN and
-	// ±Inf, which would switch bounded load off).
-	LoadFactor float64
 	// Breaker tunes the per-backend circuit breakers.
 	Breaker BreakerConfig
 	// ProbeInterval is the health-probe cadence (default 500ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz round-trip (default 2s).
 	ProbeTimeout time.Duration
-	// Client is the HTTP client probes and proxied requests share; nil gets
-	// a keep-alive transport sized for a small fleet.
-	Client *http.Client
-	// Logger, when non-nil, receives backend lifecycle and breaker events.
-	Logger *slog.Logger
 }
 
 // BreakerConfig tunes a backend's breaker — internal/breaker's machine, the
 // one the engine runs for devices, here on the wall clock. Zero values
 // select the defaults. Only a successful /healthz probe closes an open
 // breaker, so regular traffic never lands on a node that has not proven
-// itself again.
+// itself again. Each failed probe doubles the cooldown, up to 30s.
 type BreakerConfig struct {
 	// Threshold is the consecutive-failure count that opens the breaker
-	// (default 3, matching the device-level Resilience default).
+	// (default 3, matching the engine's device breakers).
 	Threshold int
 	// Cooldown is the initial quarantine before the first re-admission
 	// probe (default 1s).
 	Cooldown time.Duration
-	// CooldownCap bounds the doubled cooldown (default 30s).
-	CooldownCap time.Duration
 }
 
 // newBreaker resolves the defaults and builds one backend's breaker.
@@ -64,30 +56,15 @@ func (c BreakerConfig) newBreaker() *breaker.Breaker {
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
 	}
-	if c.CooldownCap <= 0 {
-		c.CooldownCap = 30 * time.Second
-	}
-	return breaker.New(c.Threshold, c.Cooldown.Seconds(), c.CooldownCap.Seconds())
+	return breaker.New(c.Threshold, c.Cooldown.Seconds(), backendCooldownCap.Seconds())
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
-	if c.LoadFactor < 1 {
-		c.LoadFactor = 1.25
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	return c
 }
@@ -134,8 +111,10 @@ type BackendStatus struct {
 // Pool owns the backend set: registration, the consistent-hash ring, health
 // probing, and breaker bookkeeping. All methods are safe for concurrent use.
 type Pool struct {
-	cfg   PoolConfig
-	epoch time.Time // the breakers' clock reads seconds since this instant
+	cfg    PoolConfig
+	logger *slog.Logger // nil keeps the pool silent
+	client *http.Client // shared by probes and proxied requests
+	epoch  time.Time    // the breakers' clock reads seconds since this instant
 
 	mu       sync.RWMutex
 	backends map[string]*Backend
@@ -149,16 +128,20 @@ type Pool struct {
 }
 
 // NewPool builds a pool seeded with the given backend addrs (host:port) and
-// starts the health prober. Close stops it.
-func NewPool(cfg PoolConfig, seeds []string) (*Pool, error) {
-	if math.IsNaN(cfg.LoadFactor) || math.IsInf(cfg.LoadFactor, 0) {
-		return nil, fmt.Errorf("cluster: load factor %v is not finite", cfg.LoadFactor)
-	}
+// starts the health prober. Close stops it. logger, when non-nil, receives
+// backend lifecycle and breaker events.
+func NewPool(cfg PoolConfig, seeds []string, logger *slog.Logger) (*Pool, error) {
 	p := &Pool{
-		cfg:      cfg.withDefaults(),
+		cfg:    cfg.withDefaults(),
+		logger: logger,
+		// A keep-alive transport sized for a small fleet.
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 32,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		epoch:    time.Now(),
 		backends: map[string]*Backend{},
-		ring:     NewRing(nil, cfg.Vnodes),
+		ring:     NewRing(nil, DefaultVnodes),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -181,10 +164,7 @@ func (p *Pool) Close() {
 func (p *Pool) now() float64 { return time.Since(p.epoch).Seconds() }
 
 // Client returns the pool's shared HTTP client.
-func (p *Pool) Client() *http.Client { return p.cfg.Client }
-
-// LoadFactor returns the bounded-load ceiling factor.
-func (p *Pool) LoadFactor() float64 { return p.cfg.LoadFactor }
+func (p *Pool) Client() *http.Client { return p.client }
 
 // Add registers a backend by host:port. Idempotent: re-registering an
 // existing backend (a restarted node announcing itself again) is not an
@@ -208,8 +188,8 @@ func (p *Pool) Add(addr string) (added bool, err error) {
 	p.backends[addr] = b
 	p.rebuildRingLocked()
 	telemetry.RouterBreakerState.With(addr).Set(int64(breaker.Closed))
-	if p.cfg.Logger != nil {
-		p.cfg.Logger.Info("backend registered", "backend", addr, "fleet", len(p.backends))
+	if p.logger != nil {
+		p.logger.Info("backend registered", "backend", addr, "fleet", len(p.backends))
 	}
 	return true, nil
 }
@@ -223,8 +203,8 @@ func (p *Pool) Remove(addr string) bool {
 	}
 	delete(p.backends, addr)
 	p.rebuildRingLocked()
-	if p.cfg.Logger != nil {
-		p.cfg.Logger.Info("backend removed", "backend", addr, "fleet", len(p.backends))
+	if p.logger != nil {
+		p.logger.Info("backend removed", "backend", addr, "fleet", len(p.backends))
 	}
 	return true
 }
@@ -236,7 +216,7 @@ func (p *Pool) rebuildRingLocked() {
 	for a := range p.backends {
 		members = append(members, a)
 	}
-	p.ring = NewRing(members, p.cfg.Vnodes)
+	p.ring = NewRing(members, DefaultVnodes)
 	p.refreshGaugesLocked()
 }
 
@@ -343,7 +323,7 @@ func (p *Pool) Replicas(k Key) []*Backend {
 func (p *Pool) Pick(k Key) (b *Backend, rehashed bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	name, pos := p.ring.PickBounded(k, p.cfg.LoadFactor,
+	name, pos := p.ring.PickBounded(k, loadFactor,
 		func(n string) bool { return !p.backends[n].br.Quarantined() },
 		func(n string) int64 { return p.backends[n].inflight.Load() },
 		p.total.Load())
@@ -377,8 +357,8 @@ func (p *Pool) NoteFailure(b *Backend) (opened bool) {
 	_, opened, _ = b.br.OnFailure(p.now())
 	if opened {
 		p.noteOpened(b)
-		if p.cfg.Logger != nil {
-			p.cfg.Logger.Warn("backend breaker open", "backend", b.addr)
+		if p.logger != nil {
+			p.logger.Warn("backend breaker open", "backend", b.addr)
 		}
 	}
 	return opened
@@ -401,8 +381,8 @@ func (p *Pool) noteReadmitted(b *Backend) {
 	telemetry.RouterReadmissions.Inc()
 	telemetry.RouterBreakerState.With(b.addr).Set(int64(breaker.Closed))
 	p.refreshGauges()
-	if p.cfg.Logger != nil {
-		p.cfg.Logger.Info("backend readmitted", "backend", b.addr)
+	if p.logger != nil {
+		p.logger.Info("backend readmitted", "backend", b.addr)
 	}
 }
 
@@ -457,8 +437,8 @@ func (p *Pool) probe(b *Backend) {
 	telemetry.RouterProbes.With("fail").Inc()
 	if _, opened, _ := b.br.OnFailure(p.now()); opened {
 		p.noteOpened(b)
-		if p.cfg.Logger != nil {
-			p.cfg.Logger.Warn("backend breaker open", "backend", b.addr, "probe", status)
+		if p.logger != nil {
+			p.logger.Warn("backend breaker open", "backend", b.addr, "probe", status)
 		}
 	}
 }
@@ -473,7 +453,7 @@ func (p *Pool) checkHealth(b *Backend) (ok bool, status string) {
 	if err != nil {
 		return false, err.Error()
 	}
-	resp, err := p.cfg.Client.Do(req)
+	resp, err := p.client.Do(req)
 	if err != nil {
 		return false, err.Error()
 	}

@@ -33,6 +33,10 @@ const BackendHeader = "X-SHMT-Backend"
 // ScatterHeader carries the partition count of a scatter-gathered response.
 const ScatterHeader = "X-SHMT-Scatter"
 
+// maxAttempts bounds dispatch attempts per proxied request: the primary
+// plus failovers to ring replicas.
+const maxAttempts = 3
+
 // RouterConfig tunes the router front-end. Zero values select the defaults
 // noted per field.
 type RouterConfig struct {
@@ -41,9 +45,6 @@ type RouterConfig struct {
 	// Seeds are backends known at startup (host:port); more may register at
 	// runtime via POST /v1/register.
 	Seeds []string
-	// MaxAttempts bounds dispatch attempts per proxied request: the primary
-	// plus failovers to ring replicas (default 3).
-	MaxAttempts int
 	// BackendTimeout bounds one backend round-trip (default 30s).
 	BackendTimeout time.Duration
 	// ScatterThreshold is the first-input element count at or above which an
@@ -62,14 +63,12 @@ type RouterConfig struct {
 	// 429 + Retry-After before any backend is touched. Absent tenants are
 	// unlimited.
 	TenantLimits map[string]int
-	// Logger, when non-nil, receives request and lifecycle logs.
+	// Logger, when non-nil, receives request and lifecycle logs, the backend
+	// pool's included.
 	Logger *slog.Logger
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.BackendTimeout <= 0 {
 		c.BackendTimeout = 30 * time.Second
 	}
@@ -81,9 +80,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.Pool.Logger == nil {
-		c.Pool.Logger = c.Logger
 	}
 	return c
 }
@@ -111,7 +107,7 @@ type Router struct {
 // NewRouter builds a router and starts its backend pool (prober included).
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
-	pool, err := NewPool(cfg.Pool, cfg.Seeds)
+	pool, err := NewPool(cfg.Pool, cfg.Seeds, cfg.Logger)
 	if err != nil {
 		return nil, err
 	}
@@ -235,8 +231,8 @@ type routerHealth struct {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if rt.draining.Load() {
-		// Same contract as the execute path's draining 503 (and shmtserved's
-		// healthz): tell pollers when to come back.
+		// Same contract as every other 503 on both tiers: tell pollers when
+		// to come back.
 		w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
 		wire.WriteJSON(w, http.StatusServiceUnavailable, routerHealth{Status: "draining"})
 		return
@@ -250,6 +246,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// Nothing can serve: unlike a degraded node, the router really is
 		// down for work, so load balancers should route away.
 		h.Status = "unavailable"
+		w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
 		wire.WriteJSON(w, http.StatusServiceUnavailable, h)
 	case len(quar) > 0:
 		h.Status = "degraded"
@@ -264,9 +261,6 @@ type routerStatus struct {
 	Service       string          `json:"service"`
 	UptimeSeconds float64         `json:"uptime_seconds"`
 	Draining      bool            `json:"draining"`
-	Vnodes        int             `json:"vnodes"`
-	LoadFactor    float64         `json:"load_factor"`
-	MaxAttempts   int             `json:"max_attempts"`
 	ScatterElems  int             `json:"scatter_threshold_elems"`
 	MaxFanout     int             `json:"max_fanout"`
 	Backends      []BackendStatus `json:"backends"`
@@ -277,9 +271,6 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		Service:       "shmtrouterd",
 		UptimeSeconds: time.Since(rt.started).Seconds(),
 		Draining:      rt.draining.Load(),
-		Vnodes:        rt.cfg.Pool.withDefaults().Vnodes,
-		LoadFactor:    rt.pool.LoadFactor(),
-		MaxAttempts:   rt.cfg.MaxAttempts,
 		ScatterElems:  rt.cfg.ScatterThreshold,
 		MaxFanout:     rt.cfg.MaxFanout,
 		Backends:      rt.pool.Statuses(),
@@ -374,7 +365,7 @@ func (rt *Router) logRequest(ctx context.Context, traceID string, key Key, path,
 	if rt.cfg.Logger == nil {
 		return
 	}
-	rt.cfg.Logger.LogAttrs(ctx, routeLogLevel(outcome), "route",
+	rt.cfg.Logger.LogAttrs(ctx, serve.OutcomeLevel(outcome), "route",
 		slog.String("trace_id", traceID),
 		slog.String("key", key.String()),
 		slog.String("path", path),
@@ -382,17 +373,6 @@ func (rt *Router) logRequest(ctx context.Context, traceID string, key Key, path,
 		slog.Float64("peek_ms", peek.Seconds()*1e3),
 		slog.Float64("total_ms", time.Since(start).Seconds()*1e3),
 	)
-}
-
-func routeLogLevel(outcome string) slog.Level {
-	switch outcome {
-	case "ok", "failover_ok", "invalid":
-		return slog.LevelInfo
-	case "draining", "unavailable", "shed":
-		return slog.LevelWarn
-	default:
-		return slog.LevelError
-	}
 }
 
 // shouldScatter decides the scatter path: an eligible opcode, a first input
@@ -445,7 +425,7 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body *w
 	if req.TimeoutMs > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx,
-			wire.Timeout(req.TimeoutMs, time.Duration(rt.cfg.MaxAttempts)*rt.cfg.BackendTimeout))
+			wire.Timeout(req.TimeoutMs, maxAttempts*rt.cfg.BackendTimeout))
 		defer cancel()
 	}
 	timeout := wire.Timeout(req.TimeoutMs, rt.cfg.BackendTimeout)
@@ -465,7 +445,12 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body *w
 			code = http.StatusServiceUnavailable
 			w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
 		case errors.Is(err, context.DeadlineExceeded):
+			*outcome = "timeout"
 			code = http.StatusGatewayTimeout
+		case errors.Is(err, context.Canceled):
+			// The client went away: 499, as shmtserved answers it.
+			*outcome = "canceled"
+			code = 499
 		}
 		wire.WriteError(w, code, err.Error())
 		return true
@@ -500,10 +485,7 @@ func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body *wir
 			order = append(order, b)
 		}
 	}
-	attempts := rt.cfg.MaxAttempts
-	if attempts > len(order) {
-		attempts = len(order)
-	}
+	attempts := min(maxAttempts, len(order))
 
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -519,7 +501,7 @@ func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body *wir
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, context.Canceled) {
-				*outcome = "error"
+				*outcome = "canceled"
 				wire.WriteError(w, 499, err.Error())
 				return
 			}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -78,19 +77,6 @@ func newTestRouter(t *testing.T, cfg RouterConfig) (*Router, *httptest.Server) {
 		rt.pool.Close()
 	})
 	return rt, ts
-}
-
-// TestNewRouterRejectsNonFiniteLoadFactor: NaN and +Inf pass the "< 1"
-// default and leave a bounded-load ceiling no backend can reach, so every key
-// would stay on its primary; the router refuses them (and -Inf) instead.
-func TestNewRouterRejectsNonFiniteLoadFactor(t *testing.T) {
-	for _, lf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		rt, err := NewRouter(RouterConfig{Pool: PoolConfig{LoadFactor: lf, ProbeInterval: time.Hour}})
-		if err == nil {
-			rt.pool.Close()
-			t.Errorf("load factor %v accepted", lf)
-		}
-	}
 }
 
 func addBody(n int) string {
@@ -249,8 +235,9 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
-// TestRouterRegister: a router with no seeds is unavailable; a backend
-// registering over HTTP brings it to ok, idempotently.
+// TestRouterRegister: a router with no seeds is unavailable (a 503 with
+// Retry-After, like every 503 on both tiers); a backend registering over
+// HTTP brings it to ok, idempotently.
 func TestRouterRegister(t *testing.T) {
 	fb := newFakeBackend(t)
 	rt, ts := newTestRouter(t, RouterConfig{
@@ -265,6 +252,9 @@ func TestRouterRegister(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("empty fleet healthz = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("unavailable healthz missing Retry-After")
 	}
 
 	for i := 0; i < 2; i++ { // twice: registration is idempotent
@@ -375,7 +365,7 @@ func TestPoolProbeLifecycle(t *testing.T) {
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeTimeout:  time.Second,
 		Breaker:       BreakerConfig{Threshold: 2, Cooldown: 30 * time.Millisecond},
-	}, []string{fb.addr()})
+	}, []string{fb.addr()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

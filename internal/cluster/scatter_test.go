@@ -124,7 +124,7 @@ func newSessionBackend(t *testing.T) string {
 
 func quietPool(t *testing.T, seeds ...string) *Pool {
 	t.Helper()
-	p, err := NewPool(PoolConfig{ProbeInterval: time.Hour}, seeds)
+	p, err := NewPool(PoolConfig{ProbeInterval: time.Hour}, seeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestScatterFailover(t *testing.T) {
 	pool, err := NewPool(PoolConfig{
 		ProbeInterval: time.Hour,
 		Breaker:       BreakerConfig{Threshold: 100}, // stay closed; exercise in-flight failover
-	}, []string{good.addr(), bad.addr()})
+	}, []string{good.addr(), bad.addr()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"shmt/internal/telemetry"
 	"shmt/internal/vop"
 	"shmt/internal/wire"
 )
@@ -128,9 +129,31 @@ func TestShouldScatterBoundary(t *testing.T) {
 	}
 }
 
+// outcomesDuring runs fn with telemetry on and returns how many routed
+// requests the router counted meanwhile, by outcome.
+func outcomesDuring(fn func()) map[string]float64 {
+	wasOn := telemetry.On()
+	telemetry.Enable()
+	defer func() {
+		if !wasOn {
+			telemetry.Disable()
+		}
+	}()
+	before := telemetry.Default.Snapshot()
+	fn()
+	out := map[string]float64{}
+	for k, v := range telemetry.Default.Snapshot().Delta(before) {
+		if o, ok := strings.CutPrefix(k, `shmt_router_requests_total{outcome="`); ok {
+			out[strings.TrimSuffix(o, `"}`)] = v
+		}
+	}
+	return out
+}
+
 // TestScatterHonorsClientTimeout: a scattered request's timeout_ms must bound
 // the whole scatter-gather wall clock and be forwarded (tightened) to each
 // partition dispatch — not silently replaced by the router's 30s default.
+// The expired request is a 504 counted as a timeout, as shmtserved counts it.
 func TestScatterHonorsClientTimeout(t *testing.T) {
 	s1, s2 := newSlowBackend(t, 2*time.Second), newSlowBackend(t, 2*time.Second)
 	_, ts := newTestRouter(t, RouterConfig{
@@ -141,15 +164,23 @@ func TestScatterHonorsClientTimeout(t *testing.T) {
 	})
 
 	body := strings.Replace(addBody(2), `{"op":"add"`, `{"op":"add","timeout_ms":100`, 1)
-	start := time.Now()
-	resp, out := postExecute(t, ts.URL, body, nil)
-	elapsed := time.Since(start)
+	var resp *http.Response
+	var out []byte
+	var elapsed time.Duration
+	outcomes := outcomesDuring(func() {
+		start := time.Now()
+		resp, out = postExecute(t, ts.URL, body, nil)
+		elapsed = time.Since(start)
+	})
 
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504 from the expired scatter deadline", resp.StatusCode, out)
 	}
 	if elapsed >= 1500*time.Millisecond {
 		t.Fatalf("scatter took %v against a 100ms client timeout — timeout_ms ignored", elapsed)
+	}
+	if outcomes["timeout"] != 1 || outcomes["error"] != 0 {
+		t.Fatalf("router outcomes %v, want one timeout and no error", outcomes)
 	}
 	wire := append(s1.wireTimeouts(), s2.wireTimeouts()...)
 	if len(wire) == 0 {
@@ -222,6 +253,52 @@ func TestPostPartitionDerivesTimeoutFromContext(t *testing.T) {
 	}
 	if wire[0] < 1 || wire[0] > 50 {
 		t.Fatalf("wire timeout_ms %d, want in [1, 50] (derived from the 50ms context)", wire[0])
+	}
+}
+
+// TestProxyCountsCanceledClient: a client that leaves while its request is
+// proxied is counted canceled, as shmtserved counts it, not as an error.
+func TestProxyCountsCanceledClient(t *testing.T) {
+	sb := newSlowBackend(t, time.Minute)
+	_, ts := newTestRouter(t, RouterConfig{
+		Seeds:            []string{sb.addr()},
+		ScatterThreshold: -1,
+		Pool:             PoolConfig{ProbeInterval: time.Hour},
+	})
+	outcomes := outcomesDuring(func() {
+		base := telemetry.Default.Snapshot()
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/execute", strings.NewReader(addBody(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		for len(sb.wireTimeouts()) == 0 { // until the request reaches the backend
+			select {
+			case err := <-done:
+				t.Fatalf("request ended before reaching the backend: %v", err)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		cancel()
+		<-done
+		// The router's handler counts the outcome as it returns.
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			d := telemetry.Default.Snapshot().Delta(base)
+			if d[`shmt_router_requests_total{outcome="canceled"}`]+d[`shmt_router_requests_total{outcome="error"}`] > 0 {
+				break
+			}
+		}
+	})
+	if outcomes["canceled"] != 1 || outcomes["error"] != 0 {
+		t.Fatalf("router outcomes %v, want one canceled and no error", outcomes)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestChaosOutageBreakerReadmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy,
-		Spec: chaosHLOPSpec, Resilience: Resilience{MaxRetries: 16}}
+		Spec: chaosHLOPSpec, resilience: resilience{MaxRetries: 16}}
 	rep, err := e.Run(sobelVOP(t, 128, 94))
 	if err != nil {
 		t.Fatalf("outage should be survivable: %v", err)

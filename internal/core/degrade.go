@@ -26,9 +26,11 @@ import (
 // and move every figure. Breaker state persists across an Engine's runs, so a
 // device that died in one batch is not re-assigned work in the next.
 
-// Resilience tunes the engine's fault handling. The zero value selects the
-// defaults below; it is always active — a run with no failures pays nothing.
-type Resilience struct {
+// resilience holds the engine's fault-handling values. Its zero value selects
+// the defaults below, which every session runs with; only this package's
+// tests set other values. It is always active — a run with no failures pays
+// nothing.
+type resilience struct {
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// device's breaker (default 3).
 	BreakerThreshold int
@@ -48,7 +50,7 @@ type Resilience struct {
 	MaxRetries int
 }
 
-func (r Resilience) withDefaults() Resilience {
+func (r resilience) withDefaults() resilience {
 	if r.BreakerThreshold <= 0 {
 		r.BreakerThreshold = 3
 	}
@@ -73,18 +75,18 @@ func (r Resilience) withDefaults() Resilience {
 // backoff is the exponential retry backoff charged for a device's fails-th
 // consecutive failure: BackoffBase doubled per earlier failure, capped at
 // BackoffCap.
-func (r Resilience) backoff(fails int) float64 {
+func (r resilience) backoff(fails int) float64 {
 	exp := min(fails-1, 16)
 	return min(r.BackoffBase*math.Pow(2, float64(exp)), r.BackoffCap)
 }
 
 // breakerSet lazily builds the engine's persistent per-device breakers,
-// tuned by the Resilience the engine has when it builds them.
+// tuned by the engine's resilience values when it builds them.
 func (e *Engine) breakerSet() []*breaker.Breaker {
 	e.brMu.Lock()
 	defer e.brMu.Unlock()
 	if len(e.brs) != e.Reg.Len() {
-		rz := e.Resilience.withDefaults()
+		rz := e.resilience.withDefaults()
 		e.brs = make([]*breaker.Breaker, e.Reg.Len())
 		for i := range e.brs {
 			e.brs[i] = breaker.New(rz.BreakerThreshold, rz.BreakerCooldown, rz.CooldownCap)
@@ -215,13 +217,13 @@ func (t *degTracker) finish(reg *device.Registry, done []doneHLOP) *Degraded {
 // faultState bundles one run's degradation machinery: the resolved tuning,
 // the engine's persistent breakers, and the run-scoped degradation tracker.
 type faultState struct {
-	rz  Resilience
+	rz  resilience
 	brs []*breaker.Breaker
 	deg *degTracker
 }
 
 func (e *Engine) newFaultState() *faultState {
-	return &faultState{rz: e.Resilience.withDefaults(), brs: e.breakerSet(), deg: newDegTracker()}
+	return &faultState{rz: e.resilience.withDefaults(), brs: e.breakerSet(), deg: newDegTracker()}
 }
 
 // quarantined is the sched.Context hook: policies route new work around

@@ -20,7 +20,7 @@ import (
 // saturates at BackoffCap. (The breaker's own transitions are tested in
 // internal/breaker.)
 func TestBackoffIsExponentialAndCapped(t *testing.T) {
-	rz := Resilience{BreakerThreshold: 100}.withDefaults()
+	rz := resilience{BreakerThreshold: 100}.withDefaults()
 	b := breaker.New(rz.BreakerThreshold, rz.BreakerCooldown, rz.CooldownCap)
 	prev := 0.0
 	for i := 0; i < 12; i++ {
@@ -113,15 +113,15 @@ func TestRetriesExhaustedSurfaces(t *testing.T) {
 	}
 }
 
-// TestRetryBoundConfigurable checks Resilience.MaxRetries is honored: with a
-// huge bound and a device that recovers late, the run succeeds.
+// TestRetryBoundConfigurable checks the engine honours its retry bound: with
+// a raised bound and a device that recovers late, the run succeeds.
 func TestRetryBoundConfigurable(t *testing.T) {
 	flaky := &flakyDevice{Device: gpu.New(gpu.Config{})}
 	flaky.failures.Store(6) // more than the default bound of 4
 	reg, _ := device.NewRegistry(flaky)
 	e := &Engine{Reg: reg, Policy: row("gpu-baseline").Policy,
 		Spec:       hlop.Spec{TargetPartitions: 2, MinTile: 8},
-		Resilience: Resilience{MaxRetries: 32}}
+		resilience: resilience{MaxRetries: 32}}
 	rep, err := e.Run(sobelVOP(t, 32, 32))
 	if err != nil {
 		t.Fatalf("raised retry bound should let the run recover: %v", err)

@@ -69,11 +69,11 @@ type Engine struct {
 	// every run (see internal/telemetry); process-global counters are
 	// maintained whenever telemetry is enabled, recorder or not.
 	Telemetry *telemetry.Recorder
-	// Resilience tunes the graceful-degradation machinery (circuit breakers,
-	// backoff, retry bounds — see degrade.go). The zero value uses defaults.
-	// The breaker values are read once, when the engine builds its device
-	// breakers (its first run).
-	Resilience Resilience
+	// resilience tunes the graceful-degradation machinery (circuit breakers,
+	// backoff, retry bounds — see degrade.go); zero selects the defaults, and
+	// only this package's tests set it. The breaker values are read once,
+	// when the engine builds its device breakers (its first run).
+	resilience resilience
 	// PlanCacheEntries, when positive, enables the memoized execution-plan
 	// layer with that LRU capacity: repeated same-shape VOPs replay the
 	// captured partition geometry and device assignment instead of

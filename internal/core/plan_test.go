@@ -186,7 +186,7 @@ func TestPlanCacheChaosReadmitInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Reg: reg, Policy: row("work-stealing").Policy, Spec: chaosHLOPSpec,
-		Resilience: Resilience{MaxRetries: 16}, PlanCacheEntries: 8}
+		resilience: resilience{MaxRetries: 16}, PlanCacheEntries: 8}
 
 	rep1, err := e.Run(sobelVOP(t, 128, 94))
 	if err != nil {

@@ -26,18 +26,10 @@ import (
 	"shmt/internal/telemetry"
 )
 
-// workers is the effective fan-out width For reads on every call: the
-// configured base (GOMAXPROCS, overridden by the SHMT_WORKERS environment
-// variable or SetWorkers) clamped by every active Cap. It is recomputed
-// under capMu whenever the base or the cap set changes; the atomic keeps the
-// hot-path read free of the lock.
+// workers is the fan-out width For reads on every call: GOMAXPROCS, or the
+// SHMT_WORKERS environment variable when set — the one way to set it. Tests
+// change it with SetWorkers.
 var workers atomic.Int64
-
-var (
-	capMu sync.Mutex
-	baseW int
-	caps  = map[*Cap]int{}
-)
 
 func init() {
 	n := runtime.GOMAXPROCS(0)
@@ -46,76 +38,16 @@ func init() {
 			n = v
 		}
 	}
-	if n < 1 {
-		n = 1
-	}
-	baseW = n
-	workers.Store(int64(n))
+	workers.Store(int64(max(n, 1)))
 }
 
-// Workers returns the current effective fan-out width.
+// Workers returns the current fan-out width.
 func Workers() int { return int(workers.Load()) }
 
-// SetWorkers sets the base fan-out width (clamped to ≥ 1) and returns the
-// previous base, so tests and options can save/restore it. Active caps still
-// bound the effective width from above.
+// SetWorkers sets the fan-out width (clamped to ≥ 1) and returns the
+// previous one, so tests can save and restore it.
 func SetWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	capMu.Lock()
-	defer capMu.Unlock()
-	prev := baseW
-	baseW = n
-	recomputeWorkers()
-	return prev
-}
-
-// Cap is a scoped ceiling on the pool width, owned by whoever acquired it
-// (a shmt.Session holds one for its Config.Workers). The effective width is
-// the base clamped by every live cap, so concurrent sessions with different
-// Workers settings compose deterministically (the strictest wins) instead of
-// racing last-write-wins on a process global. Release returns the width to
-// whatever the remaining caps allow.
-type Cap struct{ n int } // non-zero size so every handle has a unique address
-
-// AcquireCap registers a ceiling of n workers (clamped to ≥ 1) and returns
-// the handle that releases it.
-func AcquireCap(n int) *Cap {
-	if n < 1 {
-		n = 1
-	}
-	c := &Cap{n: n}
-	capMu.Lock()
-	caps[c] = n
-	recomputeWorkers()
-	capMu.Unlock()
-	return c
-}
-
-// Release removes the cap. Safe to call more than once and on nil.
-func (c *Cap) Release() {
-	if c == nil {
-		return
-	}
-	capMu.Lock()
-	delete(caps, c)
-	recomputeWorkers()
-	capMu.Unlock()
-}
-
-// recomputeWorkers publishes min(base, caps...) to the atomic. capMu held.
-func recomputeWorkers() {
-	eff := baseW
-	for _, n := range caps {
-		if n < eff {
-			eff = n
-		}
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	workers.Store(int64(eff))
+	return int(workers.Swap(int64(max(n, 1))))
 }
 
 // The pool: GOMAXPROCS long-lived helper goroutines fed through a bounded

@@ -236,7 +236,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if s.logger != nil {
-			s.logger.LogAttrs(r.Context(), logLevel(outcome), "request",
+			s.logger.LogAttrs(r.Context(), OutcomeLevel(outcome), "request",
 				slog.String("trace_id", traceID),
 				slog.String("op", opName),
 				slog.String("tenant", tenantLabel),
@@ -382,13 +382,14 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// logLevel maps a request outcome to its log severity: client-side endings
-// stay informational, server-side refusals warn, hard failures error.
-func logLevel(outcome string) slog.Level {
+// OutcomeLevel maps a request outcome to its log severity on both tiers:
+// answered requests and client-side endings stay informational, refusals and
+// expired deadlines warn, hard failures error.
+func OutcomeLevel(outcome string) slog.Level {
 	switch outcome {
-	case "ok", "canceled", "invalid":
+	case "ok", "failover_ok", "canceled", "invalid":
 		return slog.LevelInfo
-	case "shed", "draining", "timeout":
+	case "shed", "draining", "timeout", "unavailable":
 		return slog.LevelWarn
 	default:
 		return slog.LevelError
@@ -397,6 +398,7 @@ func logLevel(outcome string) slog.Level {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
+		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
 		wire.WriteJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "draining"})
 		return
 	}

@@ -94,7 +94,8 @@ func TestHTTPExecuteEndToEnd(t *testing.T) {
 }
 
 // TestHTTPBadRequests covers the 400 paths: bad JSON, unknown op, shape
-// mismatch, no inputs.
+// mismatch, no inputs, and an iteration count the kernel would truncate or
+// whose work overflows an HLOP's element count.
 func TestHTTPBadRequests(t *testing.T) {
 	be := &fakeBackend{}
 	srv := New(be, Config{MaxBatch: 1, MaxLinger: time.Millisecond})
@@ -107,6 +108,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"op":"frobnicate","inputs":[{"rows":1,"cols":1,"data":[1]}]}`,
 		`{"op":"add","inputs":[{"rows":2,"cols":2,"data":[1,2,3]}]}`,
 		`{"op":"add","inputs":[]}`,
+		`{"op":"stencil","inputs":[{"rows":1,"cols":2,"data":[1,2]},{"rows":1,"cols":2,"data":[1,2]}],"attrs":{"steps":2.5}}`,
+		`{"op":"stencil","inputs":[{"rows":1,"cols":2,"data":[1,2]},{"rows":1,"cols":2,"data":[1,2]}],"attrs":{"steps":9.2e18}}`,
+		`{"op":"FDWT97","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]}],"attrs":{"levels":1.5}}`,
 	}
 	for i, body := range cases {
 		resp, err := http.Post(ts.URL+"/v1/execute", "application/json", strings.NewReader(body))
@@ -121,14 +125,14 @@ func TestHTTPBadRequests(t *testing.T) {
 }
 
 // TestHTTPHealthz walks healthz through its three states: ok, degraded
-// (breakers open), draining.
+// (breakers open), draining (a 503 with Retry-After).
 func TestHTTPHealthz(t *testing.T) {
 	be := &fakeBackend{}
 	srv := New(be, Config{MaxBatch: 1, MaxLinger: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	check := func(wantStatus int, wantState string, wantQuar string) {
+	check := func(wantStatus int, wantState string, wantQuar string) *http.Response {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/healthz")
 		if err != nil {
@@ -148,6 +152,7 @@ func TestHTTPHealthz(t *testing.T) {
 		if got := resp.Header.Get("X-SHMT-Quarantined"); got != wantQuar {
 			t.Fatalf("quarantined header %q, want %q", got, wantQuar)
 		}
+		return resp
 	}
 
 	check(http.StatusOK, "ok", "")
@@ -156,7 +161,11 @@ func TestHTTPHealthz(t *testing.T) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	check(http.StatusServiceUnavailable, "draining", "")
+	// Like every other 503 on both tiers, the draining one says when to
+	// come back.
+	if resp := check(http.StatusServiceUnavailable, "draining", ""); resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("draining healthz Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
+	}
 }
 
 // TestHTTPMetricsEndpoint: the serving mux exposes the process registry.

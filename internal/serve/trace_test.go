@@ -347,12 +347,11 @@ func TestHealthzTransitions(t *testing.T) {
 // breaker-open callback — the only deterministic window), the probe
 // re-admits the device, and /healthz is back to ok afterwards.
 func TestHealthzChaosBreakerCycle(t *testing.T) {
-	// BreakerThreshold 1 so the single chunk the planner routes to the
-	// chaotic tpu is enough to open the breaker; FailFirstOps 1 so the probe
-	// (the next tpu op) succeeds and re-admits within the same round.
+	// FailFirstOps 3 fails the tpu exactly as often as the engine's breaker
+	// threshold, so the breaker opens, and the probe (the next tpu op)
+	// succeeds and re-admits within the same round.
 	scfg := shmt.Config{Seed: 5, TargetPartitions: 16,
-		Chaos:      map[string]shmt.ChaosConfig{"tpu": {FailFirstOps: 1}},
-		Resilience: shmt.Resilience{BreakerThreshold: 1, MaxRetries: 16},
+		Chaos: map[string]shmt.ChaosConfig{"tpu": {FailFirstOps: 3}},
 	}
 	sess, err := shmt.NewSession(scfg)
 	if err != nil {
@@ -382,8 +381,9 @@ func TestHealthzChaosBreakerCycle(t *testing.T) {
 	})
 
 	// The payload must be large enough that the planner spreads partitions
-	// over every device — a tiny matrix never routes work to the chaotic tpu.
-	const dim = 64
+	// over every device, with tpu work left after the breaker opens for the
+	// probe — at 64×64 the tpu's last chunk is the one that opens it.
+	const dim = 128
 	va, vb := make([]float64, dim*dim), make([]float64, dim*dim)
 	for i := range va {
 		va[i], vb[i] = float64(i), float64(2*i)

@@ -183,7 +183,7 @@ var (
 
 	// RouterRequests counts routed requests by outcome (ok, failover_ok —
 	// answered after at least one backend failover —, invalid, unavailable,
-	// error, draining).
+	// shed, draining, canceled, timeout, error).
 	RouterRequests = Default.NewCounterVec("shmt_router_requests_total",
 		"Router-tier requests by outcome.", "outcome")
 	// RouterBackendRequests counts dispatch attempts per backend.

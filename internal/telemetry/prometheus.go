@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// Prometheus text exposition and the optional scrape endpoint. Two formats
+// Prometheus text exposition, served on each daemon's /metrics. Two formats
 // are rendered straight off the registry's atomics — no intermediate
 // collection pass — so a scrape never blocks the runtime:
 //
@@ -160,35 +158,3 @@ func formatValue(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// Server is the optional metrics HTTP listener (SHMT_METRICS_ADDR /
-// Config.Telemetry.MetricsAddr). It serves the Default registry on /metrics
-// and a liveness line on /.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve starts a metrics listener on addr (host:port; port 0 picks a free
-// port). It returns once the listener is bound; scraping runs in the
-// background until Close.
-func Serve(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: metrics listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", ExpositionHandler(Default))
-	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "shmt telemetry; scrape /metrics")
-	})
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
-}
-
-// Addr returns the bound listen address (useful with port 0).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the listener down.
-func (s *Server) Close() error { return s.srv.Close() }

@@ -9,6 +9,7 @@ package vop
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"shmt/internal/tensor"
@@ -269,6 +270,34 @@ func (v *VOP) Validate() error {
 			return fmt.Errorf("vop: FFT row length %d not a power of two", v.Inputs[0].Cols)
 		}
 	}
+	return v.validateIterations()
+}
+
+// validateIterations checks the iteration count the opcode's kernel reads
+// ("levels" for FDWT97, "steps" for the stencil): the kernel truncates it to
+// an int, so it must be a whole number in int64's range, and the work it
+// implies must fit an HLOP's element count.
+func (v *VOP) validateIterations() error {
+	name := ""
+	switch v.Op {
+	case OpFDWT97:
+		name = "levels"
+	case OpStencil:
+		name = "steps"
+	default:
+		return nil
+	}
+	x, ok := v.Attrs[name]
+	if !ok {
+		return nil
+	}
+	if x != math.Trunc(x) || math.Abs(x) >= 1<<63 { // NaN and ±Inf included
+		return fmt.Errorf("vop: %s %s %v is not a whole number in int64's range", v.Op, name, x)
+	}
+	if float64(v.Inputs[0].Len())*v.WorkFactor() >= 1<<63 {
+		return fmt.Errorf("vop: %s %s %v: %d elements times %v sweeps overflow the element count",
+			v.Op, name, x, v.Inputs[0].Len(), v.WorkFactor())
+	}
 	return nil
 }
 
@@ -308,7 +337,9 @@ func (v *VOP) HaloWidth() int {
 // WorkFactor returns the per-element work multiplier implied by iterative
 // attributes: the stencil VOP's "steps" sweeps the grid that many times, and
 // each extra DWT level re-transforms a quarter of the previous level. The
-// cost model multiplies element counts by this factor.
+// cost model multiplies element counts by this factor. Only the levels the
+// kernel runs count: it stops once a side of the input drops below 2, so the
+// loop is bounded by the input's shape, not by the attribute.
 func (v *VOP) WorkFactor() float64 {
 	switch v.Op {
 	case OpStencil:
@@ -317,12 +348,14 @@ func (v *VOP) WorkFactor() float64 {
 		}
 	case OpFDWT97:
 		if l := int(v.Attr("levels", 1)); l > 1 {
+			rows, cols := v.Inputs[0].Rows, v.Inputs[0].Cols
 			f, scale := 0.0, 1.0
-			for i := 0; i < l; i++ {
+			for i := 0; i < l && rows >= 2 && cols >= 2; i++ {
 				f += scale
 				scale /= 4
+				rows, cols = (rows+1)/2, (cols+1)/2
 			}
-			return f
+			return max(f, 1)
 		}
 	}
 	return 1

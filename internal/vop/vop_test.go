@@ -1,6 +1,7 @@
 package vop
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -288,5 +289,53 @@ func TestHaloWidthAndWorkFactor(t *testing.T) {
 	s, _ := New(OpSobel, m)
 	if s.WorkFactor() != 1 {
 		t.Fatal("non-iterative ops have unit work factor")
+	}
+}
+
+// TestWorkFactorCountsOnlyLevelsTheKernelRuns: the DWT kernel stops once a
+// side drops below 2, so an 8×8 input runs three levels (8 → 4 → 2 → 1)
+// however many are asked for, and a huge count returns at once.
+func TestWorkFactorCountsOnlyLevelsTheKernelRuns(t *testing.T) {
+	d, err := New(OpFDWT97, tensor.NewMatrix(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetAttr("levels", 3)
+	want := d.WorkFactor()
+	for _, levels := range []float64{4, 64, 1e9, 1e18} {
+		d.SetAttr("levels", levels)
+		if got := d.WorkFactor(); got != want {
+			t.Fatalf("levels %g: work factor %g, want %g (three levels run)", levels, got, want)
+		}
+	}
+}
+
+// TestValidateRefusesBadIterationCounts: a levels or steps the kernel would
+// truncate, or whose work overflows an HLOP's element count, is refused, so
+// a served request gets a 400 instead of a wrong charge or a negative Elems.
+func TestValidateRefusesBadIterationCounts(t *testing.T) {
+	grid := func() []*tensor.Matrix { return []*tensor.Matrix{tensor.NewMatrix(8, 8), tensor.NewMatrix(8, 8)} }
+	for _, c := range []struct {
+		op    Opcode
+		attr  string
+		x     float64
+		valid bool
+	}{
+		{OpStencil, "steps", 2, true},
+		{OpStencil, "steps", -3, true}, // the kernel runs one sweep
+		{OpStencil, "steps", 1 << 50, true},
+		{OpStencil, "steps", 2.5, false},
+		{OpStencil, "steps", 9.2e18, false},
+		{OpStencil, "steps", math.NaN(), false},
+		{OpStencil, "steps", math.Inf(1), false},
+		{OpFDWT97, "levels", 1e9, true},
+		{OpFDWT97, "levels", 1.5, false},
+		{OpFDWT97, "levels", 1e300, false},
+		{OpSobel, "steps", 2.5, true}, // an attribute the kernel does not read
+	} {
+		v := &VOP{Op: c.op, Inputs: grid()[:c.op.NumInputs()], Attrs: map[string]float64{c.attr: c.x}}
+		if err := v.Validate(); (err == nil) != c.valid {
+			t.Errorf("%s %s=%g: Validate() = %v, want valid=%v", c.op, c.attr, c.x, err, c.valid)
+		}
 	}
 }

@@ -57,15 +57,13 @@ func AllQAWSPolicies() []PolicyName {
 	return names
 }
 
-// Config configures a Session. The zero value enables all three devices
-// with the QAWS-TS policy at the paper's defaults.
+// Config configures a Session. The zero value runs the paper's three
+// devices (CPU, GPU, Edge TPU) under the QAWS-TS policy at the paper's
+// defaults. The policy, not the program, decides which devices run a VOP.
 type Config struct {
-	// Device selection; if none of UseCPU/UseGPU/UseTPU is set, all three
-	// (the paper's prototype) are enabled. UseDSP is additive: it registers
-	// the 24-bit image DSP extension device (§2.1) on top of whatever else
-	// is selected.
-	UseCPU, UseGPU, UseTPU bool
-	UseDSP                 bool
+	// UseDSP registers the 24-bit image DSP extension device (§2.1) beside
+	// the three, for the four-device ablation.
+	UseDSP bool
 	// Policy is the scheduling policy (default PolicyQAWSTS).
 	Policy PolicyName
 	// TargetPartitions is the HLOP count per VOP (default 64).
@@ -81,18 +79,6 @@ type Config struct {
 	// — same HLOP count, same per-HLOP costs, same overhead ratios — while
 	// quality is measured on the smaller (size-invariant) data. Default 1.
 	VirtualScale float64
-	// Workers caps the host worker pool (see internal/parallel) that runs the
-	// arithmetic: the engine decides a whole round in virtual time,
-	// one HLOP after another, and then computes the admitted HLOPs on the
-	// pool, one task each, and kernels fan their own loops out over it too.
-	// 0 keeps the current setting — GOMAXPROCS, or the SHMT_WORKERS
-	// environment variable when set. 1 forces sequential execution. Results
-	// and every virtual-time figure are identical at every setting. The pool itself
-	// is process-wide, but the setting is scoped to the session: it acquires
-	// a cap released by Close, and with several live sessions the strictest
-	// cap wins, so concurrent sessions compose deterministically instead of
-	// racing last-write-wins.
-	Workers int
 	// Telemetry configures runtime observability (see internal/telemetry).
 	Telemetry Telemetry
 	// Chaos maps device names ("cpu", "gpu", "tpu", "dsp") to fault plans
@@ -100,10 +86,6 @@ type Config struct {
 	// degradation, permanent death, and output corruption. A plan with a
 	// zero Seed inherits Config.Seed. Unknown device names error.
 	Chaos map[string]ChaosConfig
-	// Resilience tunes the engine's graceful degradation: circuit-breaker
-	// threshold and cooldown, exponential backoff, and the per-HLOP retry
-	// bound. The zero value uses the defaults (see core.Resilience).
-	Resilience Resilience
 	// PlanCache configures the memoized execution-plan layer. The zero value
 	// enables it with DefaultPlanCacheEntries — production traffic is
 	// shape-repetitive, so repeated same-shape Execute calls replay the
@@ -143,19 +125,12 @@ type PlanCacheConfig struct {
 type Telemetry struct {
 	// Enabled turns on the instrumentation core: process-global counters,
 	// per-run spans, and the Session.TelemetryReport / Session.WriteTrace
-	// exporters. Setting MetricsAddr implies Enabled.
+	// exporters. The counters are read through a daemon's own /metrics, or
+	// written by shmtrun -report-out.
 	Enabled bool
-	// MetricsAddr, when non-empty, serves Prometheus text exposition on
-	// http://ADDR/metrics for the session's lifetime (closed by
-	// Session.Close). Empty falls back to the SHMT_METRICS_ADDR environment
-	// variable; ":0" picks a free port (see Session.MetricsAddr).
-	MetricsAddr string
 }
 
 func (c Config) withDefaults() Config {
-	if !c.UseCPU && !c.UseGPU && !c.UseTPU {
-		c.UseCPU, c.UseGPU, c.UseTPU = true, true, true
-	}
 	if c.Policy == "" {
 		c.Policy = PolicyQAWSTS
 	}

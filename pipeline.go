@@ -136,17 +136,17 @@ func (s *Session) ExecutePipeline(input *Matrix, stages []Stage, mode PipelineMo
 }
 
 // executeOn runs one VOP wholly on the named device, reusing the session's
-// virtual scale and partitioning. The copied config goes through the
-// sub-session constructor, which strips the metrics listener and the chaos
-// plan: the stage must neither re-bind the parent's (or SHMT_METRICS_ADDR's)
-// already-bound address nor restart the parent's fault schedule per stage.
+// virtual scale and partitioning. The stage's session drops the chaos plan:
+// copying it would restart the parent's fault schedule per stage
+// (FailFirstOps outages re-firing on each one).
 func (s *Session) executeOn(devName string, op Op, inputs []*Matrix, attrs map[string]float64) (*Report, error) {
 	cfg := s.cfg
 	cfg.Policy = PolicyGPUBaseline
 	if devName == "tpu" {
 		cfg.Policy = PolicyTPUOnly
 	}
-	sub, err := newSession(cfg, true)
+	cfg.Chaos = nil
+	sub, err := NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}

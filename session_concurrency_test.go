@@ -3,7 +3,6 @@ package shmt_test
 import (
 	"errors"
 	"math"
-	"net/http"
 	"sync"
 	"testing"
 
@@ -44,46 +43,6 @@ func checkAdd(t *testing.T, out *shmt.Matrix, base float64) {
 				i, out.Data[i], want, base)
 		}
 	}
-}
-
-// TestReferenceWithMetricsEnv is the listener-inheritance regression: with
-// SHMT_METRICS_ADDR pointing at an address that is already bound (the
-// parent's own listener — exactly what the env gives every process-wide
-// session), Reference and the conventional pipeline mode build internal
-// sub-sessions. Those must not re-read the env and re-bind, or they fail
-// with "address already in use".
-func TestReferenceWithMetricsEnv(t *testing.T) {
-	s := mustSession(t, shmt.Config{
-		Telemetry: shmt.Telemetry{Enabled: true, MetricsAddr: "127.0.0.1:0"},
-	})
-	addr := s.MetricsAddr()
-	if addr == "" {
-		t.Fatal("no metrics listener")
-	}
-	t.Setenv("SHMT_METRICS_ADDR", addr)
-
-	inputs := addInputs(1)
-	ref, err := s.Reference(shmt.OpAdd, inputs, nil)
-	if err != nil {
-		t.Fatalf("Reference with SHMT_METRICS_ADDR set: %v", err)
-	}
-	checkAdd(t, ref, 1)
-
-	img := workload.Mixed(32, 32, workload.Profile{TileSize: 8}, 3)
-	stages := []shmt.Stage{
-		{Name: "edge", Op: shmt.OpSobel},
-		{Name: "blur", Op: shmt.OpMeanFilter},
-	}
-	if _, err := s.ExecutePipeline(img, stages, shmt.PipelineConventional); err != nil {
-		t.Fatalf("conventional pipeline with SHMT_METRICS_ADDR set: %v", err)
-	}
-
-	// The parent's listener is still the only one and still alive.
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatalf("parent metrics listener gone: %v", err)
-	}
-	resp.Body.Close()
 }
 
 // TestPipelineChaosAppliedOnce is the fault-plan-inheritance regression: a
@@ -156,34 +115,6 @@ func TestConcurrentExecuteStress(t *testing.T) {
 					checkAdd(t, res.Reports[1].Output, base+50)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestConcurrentSessionsWithWorkers builds and tears down sessions with
-// different Workers settings from many goroutines at once — the per-session
-// worker cap must compose instead of racing on a process-global (run under
-// -race in CI).
-func TestConcurrentSessionsWithWorkers(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s, err := shmt.NewSession(shmt.Config{Workers: g + 1, TargetPartitions: 8})
-			if err != nil {
-				t.Errorf("session %d: %v", g, err)
-				return
-			}
-			defer s.Close()
-			base := float64(g * 10)
-			rep, err := s.Execute(shmt.OpAdd, addInputs(base), nil)
-			if err != nil {
-				t.Errorf("session %d: %v", g, err)
-				return
-			}
-			checkAdd(t, rep.Output, base)
 		}(g)
 	}
 	wg.Wait()

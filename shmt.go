@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"shmt/internal/chaos"
@@ -17,7 +16,6 @@ import (
 	"shmt/internal/energy"
 	"shmt/internal/hlop"
 	"shmt/internal/interconnect"
-	"shmt/internal/parallel"
 	"shmt/internal/sampling"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
@@ -90,10 +88,6 @@ type TelemetryReport = telemetry.Report
 // death, and output corruption. Set per device via Config.Chaos.
 type ChaosConfig = chaos.Config
 
-// Resilience tunes the engine's graceful degradation — circuit-breaker
-// threshold/cooldown, exponential backoff, retry bound (see internal/core).
-type Resilience = core.Resilience
-
 // Degraded quantifies a run's fault handling: quarantined devices, rerouted
 // HLOPs, and the quality impact when work fell back to a less accurate
 // device. Reports carry it as Report.Degraded (nil when nothing failed).
@@ -118,53 +112,30 @@ func ParseChaosSpec(spec string, seed int64) (map[string]ChaosConfig, error) {
 // internal/serve front-end, which coalesces concurrent callers into
 // ExecuteBatch rounds) rather than racing many Execute calls.
 type Session struct {
-	cfg       Config
-	reg       *device.Registry
-	eng       *core.Engine
-	tel       *telemetry.Recorder
-	workerCap *parallel.Cap
+	cfg Config
+	reg *device.Registry
+	eng *core.Engine
+	tel *telemetry.Recorder
 
-	// mu serializes engine runs and guards closed/metricsSrv. Close takes it
-	// too, so closing waits for (or refuses, if it wins the lock) in-flight
-	// work rather than racing a running batch.
-	mu         sync.Mutex
-	closed     bool
-	metricsSrv *telemetry.Server
+	// mu serializes engine runs and guards closed. Close takes it too, so
+	// closing waits for (or refuses, if it wins the lock) in-flight work
+	// rather than racing a running batch.
+	mu     sync.Mutex
+	closed bool
 }
 
 // ErrSessionClosed is returned by Execute/ExecuteBatch/ExecutePipeline after
 // Session.Close.
 var ErrSessionClosed = errors.New("shmt: session is closed")
 
-// NewSession builds a session from cfg (zero value = all three devices,
-// QAWS-TS policy, paper-default partitioning).
+// NewSession builds a session from cfg (zero value = the paper's three
+// devices, QAWS-TS policy, paper-default partitioning).
 func NewSession(cfg Config) (*Session, error) {
-	return newSession(cfg, false)
-}
-
-// newSession is the shared constructor. Sub-sessions — the throwaway
-// sessions Reference and the conventional/pipelined ExecutePipeline modes
-// build around the same virtual platform — must not inherit the parent's
-// listener or fault plan: re-reading SHMT_METRICS_ADDR (or copying
-// Telemetry.MetricsAddr) would re-bind the already-bound metrics address,
-// and re-applying cfg.Chaos would restart every fault schedule per stage
-// (FailFirstOps outages re-firing on each one). Strip both when sub is set.
-func newSession(cfg Config, sub bool) (*Session, error) {
 	cfg = cfg.withDefaults()
-	if sub {
-		cfg.Telemetry.MetricsAddr = ""
-		cfg.Chaos = nil
-	}
-
-	var devs []device.Device
-	if cfg.UseCPU {
-		devs = append(devs, cpu.New(cfg.VirtualScale))
-	}
-	if cfg.UseGPU {
-		devs = append(devs, gpu.New(gpu.Config{Slowdown: cfg.VirtualScale}))
-	}
-	if cfg.UseTPU {
-		devs = append(devs, tpu.New(tpu.Config{Slowdown: cfg.VirtualScale}))
+	devs := []device.Device{
+		cpu.New(cfg.VirtualScale),
+		gpu.New(gpu.Config{Slowdown: cfg.VirtualScale}),
+		tpu.New(tpu.Config{Slowdown: cfg.VirtualScale}),
 	}
 	if cfg.UseDSP {
 		devs = append(devs, dsp.New(dsp.Config{Slowdown: cfg.VirtualScale}))
@@ -202,58 +173,27 @@ func newSession(cfg Config, sub bool) (*Session, error) {
 		Prefetch:     doubleBuffer, // the resident operand cache rides on the double-buffer pipeline
 		Seed:         cfg.Seed,
 		HostScale:    cfg.VirtualScale,
-		Resilience:   cfg.Resilience,
 	}
 	if !cfg.PlanCache.Disabled {
 		eng.PlanCacheEntries = DefaultPlanCacheEntries
 	}
 	s := &Session{cfg: cfg, reg: reg, eng: eng}
-
-	metricsAddr := cfg.Telemetry.MetricsAddr
-	if metricsAddr == "" && !sub {
-		metricsAddr = os.Getenv("SHMT_METRICS_ADDR")
-	}
-	if cfg.Telemetry.Enabled || metricsAddr != "" {
+	if cfg.Telemetry.Enabled {
 		telemetry.Enable()
 		s.tel = telemetry.NewRecorder()
 		eng.Telemetry = s.tel
-		if metricsAddr != "" {
-			srv, err := telemetry.Serve(metricsAddr)
-			if err != nil {
-				return nil, fmt.Errorf("shmt: %w", err)
-			}
-			s.metricsSrv = srv
-		}
-	}
-	if cfg.Workers > 0 {
-		// A scoped cap, not a global write: the pool width is the strictest
-		// cap among live sessions, released by Close (see internal/parallel).
-		s.workerCap = parallel.AcquireCap(cfg.Workers)
 	}
 	return s, nil
 }
 
-// Close releases the session: it stops the metrics listener when one was
-// started, releases the session's worker-pool cap, and marks the session
-// closed so later Execute/ExecuteBatch calls return ErrSessionClosed.
-// Close waits for an in-flight run to finish (they share the session mutex),
-// so tearing a server down cannot race a running batch. Idempotent.
+// Close marks the session closed so later Execute/ExecuteBatch calls return
+// ErrSessionClosed. Close waits for an in-flight run to finish (they share
+// the session mutex), so tearing a server down cannot race a running batch.
+// Idempotent; the error is always nil.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	if s.workerCap != nil {
-		s.workerCap.Release()
-		s.workerCap = nil
-	}
-	if s.metricsSrv != nil {
-		err := s.metricsSrv.Close()
-		s.metricsSrv = nil
-		return err
-	}
 	return nil
 }
 
@@ -276,17 +216,6 @@ func (s *Session) WriteTrace(w io.Writer) error {
 		return errors.New("shmt: telemetry not enabled (set Config.Telemetry.Enabled)")
 	}
 	return s.tel.WritePerfetto(w)
-}
-
-// MetricsAddr returns the bound address of the session's Prometheus endpoint
-// ("" when none was configured). Useful with ":0" listeners.
-func (s *Session) MetricsAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.metricsSrv == nil {
-		return ""
-	}
-	return s.metricsSrv.Addr()
 }
 
 // TelemetryRecorder returns the session's span recorder so embedding layers
@@ -358,15 +287,15 @@ func (s *Session) Execute(op Op, inputs []*Matrix, attrs map[string]float64) (*R
 	return s.eng.Run(v)
 }
 
-// Reference executes the VOP bit-exactly (float64 on the CPU device, same
-// partitioning) — the quality baseline MAPE/SSIM compare against.
+// Reference executes the VOP bit-exactly (PolicyCPUOnly: float64 on the CPU
+// device, same partitioning) — the quality baseline MAPE/SSIM compare
+// against. It runs on a fresh session without the parent's fault plan.
 func (s *Session) Reference(op Op, inputs []*Matrix, attrs map[string]float64) (*Matrix, error) {
-	ref, err := newSession(Config{
-		UseCPU:           true,
+	ref, err := NewSession(Config{
 		Policy:           PolicyCPUOnly,
 		TargetPartitions: s.cfg.TargetPartitions,
 		Seed:             s.cfg.Seed,
-	}, true)
+	})
 	if err != nil {
 		return nil, err
 	}

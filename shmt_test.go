@@ -30,24 +30,9 @@ func TestSessionDefaults(t *testing.T) {
 	}
 }
 
-func TestSessionDeviceSelection(t *testing.T) {
-	s := newSession(t, shmt.Config{UseGPU: true, Policy: shmt.PolicyGPUBaseline})
-	if devs := s.Devices(); len(devs) != 1 || devs[0] != "gpu" {
-		t.Fatalf("devices = %v", devs)
-	}
-}
-
 func TestSessionUnknownPolicy(t *testing.T) {
 	if _, err := shmt.NewSession(shmt.Config{Policy: "bogus"}); err == nil {
 		t.Fatal("unknown policy should fail")
-	}
-}
-
-func TestSessionPolicyNeedsDevice(t *testing.T) {
-	s := newSession(t, shmt.Config{UseGPU: true, Policy: shmt.PolicyTPUOnly})
-	img := workload.Uniform(64, 64, 0, 1, 1)
-	if _, err := s.Execute(shmt.OpSobel, []*shmt.Matrix{img}, nil); err == nil {
-		t.Fatal("tpu-only without a TPU should fail at execution")
 	}
 }
 
@@ -255,7 +240,7 @@ func TestFromSliceHelper(t *testing.T) {
 }
 
 func TestFourDeviceSession(t *testing.T) {
-	s := newSession(t, shmt.Config{UseCPU: true, UseGPU: true, UseTPU: true, UseDSP: true,
+	s := newSession(t, shmt.Config{UseDSP: true,
 		Policy: shmt.PolicyQAWSTS, TargetPartitions: 16, SamplingRate: 0.01})
 	devs := s.Devices()
 	if len(devs) != 4 || devs[3] != "dsp" {

@@ -4,30 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"strings"
 	"testing"
 
 	"shmt"
+	"shmt/internal/telemetry"
 	"shmt/internal/workload"
 )
 
-// TestSessionTelemetryEndToEnd covers the ISSUE acceptance path through the
-// public API: an enabled session produces a non-nil report, a valid Perfetto
-// trace, and a live Prometheus endpoint; Close tears the listener down.
+// TestSessionTelemetryEndToEnd covers the telemetry path through the public
+// API: an enabled session produces a non-nil report, a valid Perfetto trace,
+// and moves the counters the daemons expose on /metrics.
 func TestSessionTelemetryEndToEnd(t *testing.T) {
-	s, err := shmt.NewSession(shmt.Config{
-		Telemetry: shmt.Telemetry{Enabled: true, MetricsAddr: "127.0.0.1:0"},
-	})
+	s, err := shmt.NewSession(shmt.Config{Telemetry: shmt.Telemetry{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	addr := s.MetricsAddr()
-	if addr == "" {
-		t.Fatal("MetricsAddr empty despite :0 listener")
-	}
 
 	img := workload.Mixed(64, 64, workload.Profile{TileSize: 16}, 7)
 	if _, _, err := s.Sobel(img); err != nil {
@@ -79,27 +72,15 @@ func TestSessionTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("trace has no events")
 	}
 
-	// Live scrape while the session is open.
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
+	// The exposition every daemon serves on /metrics carries the schema.
+	buf.Reset()
+	if err := telemetry.Default.WriteExposition(&buf); err != nil {
 		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scrape status = %d", resp.StatusCode)
 	}
 	for _, want := range []string{"shmt_runs_total", "shmt_breaker_state", "shmt_steal_attempts_total"} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("scrape missing %q", want)
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition missing %q", want)
 		}
-	}
-
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Fatal("metrics endpoint still serving after Close")
 	}
 }
 
@@ -114,21 +95,5 @@ func TestSessionTelemetryDisabled(t *testing.T) {
 	}
 	if err := s.WriteTrace(io.Discard); err == nil {
 		t.Fatal("WriteTrace must fail when telemetry is disabled")
-	}
-	if s.MetricsAddr() != "" {
-		t.Fatal("MetricsAddr set without a listener")
-	}
-}
-
-// TestSessionMetricsAddrImpliesEnabled: setting only MetricsAddr must turn
-// the instrumentation core on.
-func TestSessionMetricsAddrImpliesEnabled(t *testing.T) {
-	s, err := shmt.NewSession(shmt.Config{Telemetry: shmt.Telemetry{MetricsAddr: "127.0.0.1:0"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.TelemetryReport() == nil {
-		t.Fatal("MetricsAddr alone should imply Enabled")
 	}
 }
