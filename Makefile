@@ -2,12 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build gencheck test race fuzzsmoke bench benchsmoke benche2e servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
+.PHONY: all check build gencheck reachcheck test race fuzzsmoke bench benchsmoke benche2e servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
 
 all: check
 
 # check is the pre-merge gate: formatting, build, the generated powers-of-ten
-# table still being what its generator writes, vet, tests, the race detector
+# table still being what its generator writes, vet, every non-test function
+# being linked into some binary, tests, the race detector
 # over the whole module (the host worker pool runs everywhere now), a short
 # fuzz of the /v1/execute decoder against encoding/json, of the header
 # sanitisers, of the -chaos grammar and of the daemons' tenant flags, a
@@ -19,7 +20,7 @@ all: check
 # stays live. The contracts the benchmarks used to state as snapshots (zero
 # allocations, zero copied bytes, a bounded request) are tests in the `test`
 # stage. CI (.github/workflows/ci.yml) runs exactly these stages.
-check: fmt-check build gencheck vet test race fuzzsmoke benchsmoke benche2e servesmoke clustersmoke
+check: fmt-check build gencheck vet reachcheck test race fuzzsmoke benchsmoke benche2e servesmoke clustersmoke
 
 build:
 	$(GO) build ./...
@@ -30,6 +31,13 @@ build:
 gencheck:
 	$(GO) run internal/wire/gen_pow10.go -o /tmp/shmt-pow10.go
 	@cmp /tmp/shmt-pow10.go internal/wire/pow10.go; status=$$?; rm -f /tmp/shmt-pow10.go; exit $$status
+
+# reachcheck builds every binary (the commands, the examples, the benchmark
+# harness) and fails on a non-test function none of them links: code only
+# tests reach belongs in a _test.go file of its package. The script lists the
+# few exemptions, each with the test that needs it.
+reachcheck:
+	GO="$(GO)" sh scripts/reachcheck.sh
 
 # TESTFLAGS lets CI pass extra flags (e.g. -shuffle=on) without forking the
 # target.

@@ -194,21 +194,6 @@ func (p *Pool) Add(addr string) (added bool, err error) {
 	return true, nil
 }
 
-// Remove unregisters a backend; its keys redistribute over the survivors.
-func (p *Pool) Remove(addr string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.backends[addr]; !ok {
-		return false
-	}
-	delete(p.backends, addr)
-	p.rebuildRingLocked()
-	if p.logger != nil {
-		p.logger.Info("backend removed", "backend", addr, "fleet", len(p.backends))
-	}
-	return true
-}
-
 // rebuildRingLocked swaps in a fresh ring for the current member set and
 // refreshes the fleet gauges. Caller holds p.mu.
 func (p *Pool) rebuildRingLocked() {

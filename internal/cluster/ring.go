@@ -114,9 +114,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Members returns the ring's member names, sorted.
-func (r *Ring) Members() []string { return r.member }
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.member) }
 

@@ -131,9 +131,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Pool exposes the backend pool (registration from the daemon, tests).
 func (rt *Router) Pool() *Pool { return rt.pool }
 
-// Handler exposes the mux (httptest-friendly).
-func (rt *Router) Handler() http.Handler { return rt.hs.Handler }
-
 // Listen binds addr (host:port; port 0 picks a free port).
 func (rt *Router) Listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)

@@ -142,46 +142,3 @@ func releaseHLOPBuffers(v *vop.VOP, h *hlop.HLOP) {
 	}
 	h.Inputs = nil
 }
-
-// coverageError verifies that completed HLOPs tile the output exactly once;
-// the engine asserts this invariant under -race test runs and the property
-// tests exercise it directly.
-func coverageError(v *vop.VOP, done []doneHLOP) error {
-	if v.Op.IsReduction() {
-		return nil
-	}
-	rows, cols := v.OutputShape()
-	seen := make([]bool, rows*cols)
-	for _, d := range done {
-		r := d.h.Region
-		for i := r.Row; i < r.Row+r.Height; i++ {
-			for j := r.Col; j < r.Col+r.Width; j++ {
-				idx := i*cols + j
-				if seen[idx] {
-					return fmt.Errorf("core: output cell (%d,%d) covered twice", i, j)
-				}
-				seen[idx] = true
-			}
-		}
-	}
-	for idx, ok := range seen {
-		if !ok {
-			return fmt.Errorf("core: output cell (%d,%d) never covered", idx/cols, idx%cols)
-		}
-	}
-	return nil
-}
-
-// CheckCoverage exposes the tiling invariant for tests: it partitions the
-// VOP with spec and verifies disjoint, complete coverage of the output.
-func CheckCoverage(v *vop.VOP, spec hlop.Spec) error {
-	hs, err := hlop.Partition(v, spec)
-	if err != nil {
-		return err
-	}
-	done := make([]doneHLOP, len(hs))
-	for i, h := range hs {
-		done[i] = doneHLOP{h: h}
-	}
-	return coverageError(v, done)
-}

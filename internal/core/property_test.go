@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,8 @@ import (
 // Property: for every opcode, exact partitioned execution through the full
 // engine equals whole-matrix exact execution (halos, aggregation, reduction
 // merging and the GEMM band path are all exercised), at random sizes and
-// partition counts.
+// partition counts, and every tiled opcode's partition covers its output
+// exactly once (CheckCoverage).
 func TestPropertyEngineExactness(t *testing.T) {
 	ops := []vop.Opcode{
 		vop.OpSqrt, vop.OpTanh, vop.OpRelu,
@@ -86,6 +88,10 @@ func TestPropertyEngineExactness(t *testing.T) {
 
 		e := &Engine{Reg: reg, Policy: row("cpu-only").Policy,
 			Spec: hlop.Spec{TargetPartitions: 1 + r.Intn(12), MinTile: 8, MinVectorElems: 32}}
+		if err := CheckCoverage(v, e.Spec); err != nil {
+			t.Logf("%s %dx%d: %v", op, rows, cols, err)
+			return false
+		}
 		rep, err := e.Run(v)
 		if err != nil {
 			return false
@@ -117,4 +123,37 @@ func TestPropertyEngineExactness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// CheckCoverage partitions v with spec and verifies that the HLOPs tile the
+// output exactly once: no cell covered twice, none left out. Reductions have
+// no output tiling and always pass.
+func CheckCoverage(v *vop.VOP, spec hlop.Spec) error {
+	if v.Op.IsReduction() {
+		return nil
+	}
+	hs, err := hlop.Partition(v, spec)
+	if err != nil {
+		return err
+	}
+	rows, cols := v.OutputShape()
+	seen := make([]bool, rows*cols)
+	for _, h := range hs {
+		r := h.Region
+		for i := r.Row; i < r.Row+r.Height; i++ {
+			for j := r.Col; j < r.Col+r.Width; j++ {
+				idx := i*cols + j
+				if seen[idx] {
+					return fmt.Errorf("core: output cell (%d,%d) covered twice", i, j)
+				}
+				seen[idx] = true
+			}
+		}
+	}
+	for idx, ok := range seen {
+		if !ok {
+			return fmt.Errorf("core: output cell (%d,%d) never covered", idx/cols, idx%cols)
+		}
+	}
+	return nil
 }

@@ -125,26 +125,6 @@ func Dispatch(d Device, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matr
 	return d.Compute(t, op, inputs, dst, attrs)
 }
 
-// MaxPartitionElems returns how many input elements of the given opcode fit
-// in the device's private memory at once (inputs + output + double-buffer
-// slack), or 0 if the device has no private-memory constraint.
-func MaxPartitionElems(d Device, op vop.Opcode) int {
-	mem := d.MemoryBytes()
-	if mem <= 0 {
-		return 0
-	}
-	// inputs + output + a second buffer for double buffering.
-	buffers := int64(op.NumInputs() + 2)
-	elems := mem / (buffers * int64(d.ElemBytes()))
-	if elems < 1 {
-		elems = 1
-	}
-	if elems > int64(int(^uint(0)>>1)) {
-		return 0
-	}
-	return int(elems)
-}
-
 // Registry holds the devices available to a session, ordered by queue index
 // (the paper's example: "the GPU queue has an index value of 0, and the Edge
 // TPU queue has an index value of 1").

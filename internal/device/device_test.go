@@ -93,18 +93,6 @@ func TestSupportingSortsByAccuracy(t *testing.T) {
 	}
 }
 
-func TestMaxPartitionElems(t *testing.T) {
-	shared := &fakeDevice{name: "gpu", mem: 0}
-	if MaxPartitionElems(shared, vop.OpSobel) != 0 {
-		t.Fatal("shared-memory device should be unconstrained")
-	}
-	private := &fakeDevice{name: "tpu", mem: 12}
-	// Sobel: 1 input + 2 buffers = 3 buffers x 4 bytes -> 1 elem.
-	if got := MaxPartitionElems(private, vop.OpSobel); got != 1 {
-		t.Fatalf("max elems = %d want 1", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if CPU.String() != "cpu" || GPU.String() != "gpu" || TPU.String() != "tpu" {
 		t.Fatal("kind names wrong")

@@ -95,8 +95,8 @@ func (d *Device) model(op vop.Opcode) npu.Model {
 	return m
 }
 
-// SetModel installs a pre-built NPU model (e.g. one produced by npu.Build's
-// accuracy-gated workflow) for an opcode.
+// SetModel installs a pre-built NPU model (a quantization-aware one, say) for
+// an opcode.
 func (d *Device) SetModel(m npu.Model) {
 	d.mu.Lock()
 	d.models[m.Op] = m

@@ -102,8 +102,3 @@ func (m Model) PeakPower(activeDevices []string) Watts {
 	}
 	return p
 }
-
-// EDP returns the energy-delay product of a run under the model.
-func (m Model) EDP(u Usage) float64 {
-	return m.Energy(u).Total() * u.Makespan
-}

@@ -58,14 +58,6 @@ func TestFasterRunSavesEnergyDespiteHigherPeak(t *testing.T) {
 	}
 }
 
-func TestEDP(t *testing.T) {
-	m := DefaultModel()
-	u := Usage{Makespan: 2, Busy: map[string]float64{"gpu": 2}}
-	if got := m.EDP(u); math.Abs(got-m.Energy(u).Total()*2) > 1e-12 {
-		t.Fatalf("EDP = %g", got)
-	}
-}
-
 // TestEnergyIsOrderIndependent: the sum over devices must not depend on Go's
 // map iteration order — two identical runs must report identical energy to
 // the last bit.

@@ -52,31 +52,12 @@ var (
 	ClusterNet = Link{BandwidthBps: 1.25e9, LatencySec: 200e-6}
 )
 
-// Exposure computes the exposed (non-hidden) portion of a transfer given the
-// compute time it can hide behind. With double buffering the next HLOP's
-// input moves while the current one executes, so only max(0, transfer -
-// compute) is exposed; without overlap the full transfer is exposed.
-//
-// Deprecated: the engines now model the true serialization between a
-// device's transfer and compute stages with Lane.Admit; this scalar
-// approximation remains for cost estimates that have no lane state.
-func Exposure(transfer, computeToHideBehind float64, doubleBuffered bool) float64 {
-	if !doubleBuffered {
-		return transfer
-	}
-	if transfer <= computeToHideBehind {
-		return 0
-	}
-	return transfer - computeToHideBehind
-}
-
 // Lane is one device's two-stage pipeline in virtual time: a transfer stage
 // (the DMA engine, with independent inbound and outbound queues — links are
 // full duplex) and a compute stage. Each clock holds the virtual time at
-// which that stage next becomes free. Exposure is no longer an approximation
-// against the previous HLOP's execution time: an input transfer occupies the
-// inbound clock, and only the part of it that the compute stage actually has
-// to wait for is exposed.
+// which that stage next becomes free. An input transfer occupies the inbound
+// clock, and only the part of it that the compute stage actually has to wait
+// for is exposed.
 type Lane struct {
 	// In is the inbound (host→device) transfer clock.
 	In float64

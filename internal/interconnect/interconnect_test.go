@@ -21,21 +21,6 @@ func TestTransferTime(t *testing.T) {
 	}
 }
 
-func TestExposure(t *testing.T) {
-	// Without double buffering the full transfer is exposed.
-	if Exposure(3, 10, false) != 3 {
-		t.Fatal("non-overlapped exposure wrong")
-	}
-	// Fully hidden behind compute.
-	if Exposure(3, 10, true) != 0 {
-		t.Fatal("hidden transfer should expose 0")
-	}
-	// Partially hidden.
-	if Exposure(10, 3, true) != 7 {
-		t.Fatal("partial exposure wrong")
-	}
-}
-
 func TestLaneSerialMatchesLegacyBaseline(t *testing.T) {
 	// Without overlap the three stages serialize on the compute clock and the
 	// full transfer time is exposed — the conventional-baseline numbers.

@@ -96,39 +96,3 @@ func execDCT8x8(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor
 	tensor.PutMatrix(tmp)
 	return out, nil
 }
-
-// IDCT8x8 inverts execDCT8x8 exactly (orthonormal basis transpose); used by
-// tests to validate the transform.
-func IDCT8x8(in *tensor.Matrix) (*tensor.Matrix, error) {
-	if in.Rows%8 != 0 || in.Cols%8 != 0 {
-		return nil, fmt.Errorf("kernels: IDCT8x8 input %dx%d not a multiple of 8", in.Rows, in.Cols)
-	}
-	tmp := tensor.NewMatrix(in.Rows, in.Cols)
-	// Inverse column pass: v[y] = Σk basis[k][y]*c[k].
-	for br := 0; br < in.Rows; br += 8 {
-		for col := 0; col < in.Cols; col++ {
-			for y := 0; y < 8; y++ {
-				var s float64
-				for k := 0; k < 8; k++ {
-					s += dct8Basis[k][y] * in.Data[(br+k)*in.Cols+col]
-				}
-				tmp.Data[(br+y)*in.Cols+col] = s
-			}
-		}
-	}
-	// Inverse row pass: v[x] = Σk basis[k][x]*c[k].
-	out := tensor.NewMatrix(in.Rows, in.Cols)
-	for row := 0; row < in.Rows; row++ {
-		base := row * in.Cols
-		for bc := 0; bc < in.Cols; bc += 8 {
-			for x := 0; x < 8; x++ {
-				var s float64
-				for k := 0; k < 8; k++ {
-					s += dct8Basis[k][x] * tmp.Data[base+bc+k]
-				}
-				out.Data[base+bc+x] = s
-			}
-		}
-	}
-	return out, nil
-}

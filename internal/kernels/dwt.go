@@ -146,61 +146,3 @@ func lift97Scratch(x, buf []float64) {
 	}
 	copy(x, buf[:n])
 }
-
-// lift97 is the allocating convenience form of lift97Scratch.
-func lift97(x []float64) {
-	lift97Scratch(x, make([]float64, len(x)))
-}
-
-// unlift97 inverts lift97 exactly; used by tests.
-func unlift97(x []float64) {
-	n := len(x)
-	if n < 2 {
-		return
-	}
-	// Re-interleave.
-	buf := make([]float64, n)
-	half := (n + 1) / 2
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			buf[i] = x[i/2]
-		} else {
-			buf[i] = x[half+i/2]
-		}
-	}
-	copy(x, buf)
-	at := func(i int) float64 {
-		if i < 0 {
-			i = -i
-		}
-		if i >= n {
-			i = 2*(n-1) - i
-		}
-		return x[i]
-	}
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			x[i] /= dwtKappa
-		} else {
-			x[i] *= dwtKappa
-		}
-	}
-	for i := 0; i < n; i += 2 {
-		x[i] -= dwtDelta * (at(i-1) + at(i+1))
-	}
-	for i := 1; i < n; i += 2 {
-		x[i] -= dwtGamma * (at(i-1) + at(i+1))
-	}
-	for i := 0; i < n; i += 2 {
-		x[i] -= dwtBeta * (at(i-1) + at(i+1))
-	}
-	for i := 1; i < n; i += 2 {
-		x[i] -= dwtAlpha * (at(i-1) + at(i+1))
-	}
-}
-
-// IDWT97Row inverts one row transformed by lift97; exported for tests.
-func IDWT97Row(x []float64) { unlift97(x) }
-
-// FDWT97Row forward-transforms one row with lift97; exported for tests.
-func FDWT97Row(x []float64) { lift97(x) }

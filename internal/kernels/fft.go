@@ -96,16 +96,3 @@ func FFTInPlace(x []complex128) {
 		}
 	}
 }
-
-// IFFTInPlace computes the inverse DFT (with 1/n normalization); used by
-// tests to validate the transform.
-func IFFTInPlace(x []complex128) {
-	n := len(x)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	FFTInPlace(x)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) / complex(float64(n), 0)
-	}
-}

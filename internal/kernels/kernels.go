@@ -142,7 +142,7 @@ func (a attrs) get(name string, def float64) float64 {
 // caller wants honoured; boundaries replicate edge values.
 //
 // Reduction opcodes return partial results in the canonical partial shape
-// (see ReducePartialShape); MergePartials combines them.
+// (see execReduce); MergePartials combines them.
 func Exec(op vop.Opcode, inputs []*tensor.Matrix, at map[string]float64, r Rounder) (*tensor.Matrix, error) {
 	return ExecInto(op, inputs, nil, at, r)
 }
@@ -228,14 +228,6 @@ func outFor(dst *tensor.Matrix, rows, cols int) (*tensor.Matrix, error) {
 		return nil, fmt.Errorf("kernels: destination %dx%d does not match output %dx%d", dst.Rows, dst.Cols, rows, cols)
 	}
 	return dst, nil
-}
-
-// putIfScratch releases out back to the arena unless it is the caller's dst.
-// (PutMatrix also refuses views, so this is belt and braces on error paths.)
-func putIfScratch(out, dst *tensor.Matrix) {
-	if out != dst {
-		tensor.PutMatrix(out)
-	}
 }
 
 // forSpans1 applies fn over disjoint row-major spans of two equally shaped

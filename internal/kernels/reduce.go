@@ -28,19 +28,6 @@ const reduceChunk = 1 << 16
 //
 // The histogram range comes from the "hist_lo"/"hist_hi" attributes
 // (defaults 0 and 1), mirroring OpenCV's calcHist with fixed ranges.
-
-// ReducePartialShape returns the rows/cols of one partition's partial result.
-func ReducePartialShape(op vop.Opcode) (rows, cols int) {
-	switch op {
-	case vop.OpReduceHist256:
-		return 1, 256
-	case vop.OpReduceAverage:
-		return 1, 2
-	default:
-		return 1, 1
-	}
-}
-
 func execReduce(op vop.Opcode, inputs []*tensor.Matrix, a attrs, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(op, inputs, 1); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -90,8 +91,8 @@ func TestDWTRowInverseProperty(t *testing.T) {
 			row[i] = r.NormFloat64()
 			orig[i] = row[i]
 		}
-		FDWT97Row(row)
-		IDWT97Row(row)
+		lift97(row)
+		unlift97(row)
 		return maxAbsDiff(row, orig) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -104,7 +105,7 @@ func TestDWTConstantSignalHighPassIsZero(t *testing.T) {
 	for i := range row {
 		row[i] = 5
 	}
-	FDWT97Row(row)
+	lift97(row)
 	// High-pass half (second half) of a constant signal must vanish.
 	for i := 8; i < 16; i++ {
 		if math.Abs(row[i]) > 1e-9 {
@@ -211,5 +212,106 @@ func TestFFTParseval(t *testing.T) {
 func TestFFTNonPow2Error(t *testing.T) {
 	if _, err := Exec(vop.OpFFT, []*tensor.Matrix{tensor.NewMatrix(2, 12)}, nil, Exact{}); err == nil {
 		t.Fatal("non-pow2 FFT should error")
+	}
+}
+
+// ---- Inverse transforms: the oracles the round-trip tests invert with ----
+
+// IDCT8x8 inverts execDCT8x8 exactly (orthonormal basis transpose).
+func IDCT8x8(in *tensor.Matrix) (*tensor.Matrix, error) {
+	if in.Rows%8 != 0 || in.Cols%8 != 0 {
+		return nil, fmt.Errorf("kernels: IDCT8x8 input %dx%d not a multiple of 8", in.Rows, in.Cols)
+	}
+	tmp := tensor.NewMatrix(in.Rows, in.Cols)
+	// Inverse column pass: v[y] = Σk basis[k][y]*c[k].
+	for br := 0; br < in.Rows; br += 8 {
+		for col := 0; col < in.Cols; col++ {
+			for y := 0; y < 8; y++ {
+				var s float64
+				for k := 0; k < 8; k++ {
+					s += dct8Basis[k][y] * in.Data[(br+k)*in.Cols+col]
+				}
+				tmp.Data[(br+y)*in.Cols+col] = s
+			}
+		}
+	}
+	// Inverse row pass: v[x] = Σk basis[k][x]*c[k].
+	out := tensor.NewMatrix(in.Rows, in.Cols)
+	for row := 0; row < in.Rows; row++ {
+		base := row * in.Cols
+		for bc := 0; bc < in.Cols; bc += 8 {
+			for x := 0; x < 8; x++ {
+				var s float64
+				for k := 0; k < 8; k++ {
+					s += dct8Basis[k][x] * tmp.Data[base+bc+k]
+				}
+				out.Data[base+bc+x] = s
+			}
+		}
+	}
+	return out, nil
+}
+
+// IFFTInPlace computes the inverse DFT (with 1/n normalization).
+func IFFTInPlace(x []complex128) {
+	n := len(x)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	FFTInPlace(x)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) / complex(float64(n), 0)
+	}
+}
+
+// lift97 is the allocating convenience form of lift97Scratch.
+func lift97(x []float64) {
+	lift97Scratch(x, make([]float64, len(x)))
+}
+
+// unlift97 inverts lift97 exactly.
+func unlift97(x []float64) {
+	n := len(x)
+	if n < 2 {
+		return
+	}
+	// Re-interleave.
+	buf := make([]float64, n)
+	half := (n + 1) / 2
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			buf[i] = x[i/2]
+		} else {
+			buf[i] = x[half+i/2]
+		}
+	}
+	copy(x, buf)
+	at := func(i int) float64 {
+		if i < 0 {
+			i = -i
+		}
+		if i >= n {
+			i = 2*(n-1) - i
+		}
+		return x[i]
+	}
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			x[i] /= dwtKappa
+		} else {
+			x[i] *= dwtKappa
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		x[i] -= dwtDelta * (at(i-1) + at(i+1))
+	}
+	for i := 1; i < n; i += 2 {
+		x[i] -= dwtGamma * (at(i-1) + at(i+1))
+	}
+	for i := 0; i < n; i += 2 {
+		x[i] -= dwtBeta * (at(i-1) + at(i+1))
+	}
+	for i := 1; i < n; i += 2 {
+		x[i] -= dwtAlpha * (at(i-1) + at(i+1))
 	}
 }

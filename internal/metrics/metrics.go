@@ -40,36 +40,6 @@ func MAPE(ref, approx []float64) (float64, error) {
 	return sum / float64(len(ref)), nil
 }
 
-// RMSE returns the root-mean-square error between the two series.
-func RMSE(ref, approx []float64) (float64, error) {
-	if len(ref) != len(approx) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrShapeMismatch, len(ref), len(approx))
-	}
-	if len(ref) == 0 {
-		return 0, nil
-	}
-	var ss float64
-	for i := range ref {
-		d := approx[i] - ref[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(ref))), nil
-}
-
-// MaxAbsErr returns the largest element-wise absolute error.
-func MaxAbsErr(ref, approx []float64) (float64, error) {
-	if len(ref) != len(approx) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrShapeMismatch, len(ref), len(approx))
-	}
-	var m float64
-	for i := range ref {
-		if d := math.Abs(approx[i] - ref[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
 // SSIM computes the global structural similarity index between a reference
 // image and an approximation, both given as rows×cols row-major data. It
 // uses the standard Wang et al. constants with the dynamic range L taken

@@ -67,27 +67,6 @@ func TestMAPENonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	got, err := RMSE([]float64{0, 0}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(12.5)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("RMSE = %g want %g", got, want)
-	}
-	if _, err := RMSE([]float64{1}, nil); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-}
-
-func TestMaxAbsErr(t *testing.T) {
-	got, err := MaxAbsErr([]float64{1, 2, 3}, []float64{1, 5, 2})
-	if err != nil || got != 3 {
-		t.Fatalf("MaxAbsErr = %g err %v", got, err)
-	}
-}
-
 func TestSSIMIdenticalIsOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	img := make([]float64, 32*32)

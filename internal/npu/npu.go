@@ -8,15 +8,11 @@
 // gradient training with the kernel's own math executed under INT8
 // arithmetic constraints: the model's "layers" are the kernel's stage
 // boundaries, each of which requantizes its activations — exactly the error
-// structure a compiled Edge TPU model exhibits. The Build step mirrors the
-// paper's four-step workflow, including the accuracy-gated QAT fallback.
+// structure a compiled Edge TPU model exhibits.
 package npu
 
 import (
-	"fmt"
-
 	"shmt/internal/kernels"
-	"shmt/internal/metrics"
 	"shmt/internal/parallel"
 	"shmt/internal/quant"
 	"shmt/internal/tensor"
@@ -103,69 +99,3 @@ func (b BlockInt8) Round(data []float64) {
 
 // Name implements kernels.Rounder.
 func (BlockInt8) Name() string { return "int8-qat" }
-
-// BuildOptions configures the model-construction workflow.
-type BuildOptions struct {
-	// ValidationInputs is the randomly generated validation set (step 1 of
-	// §4.2). Each entry is one input tuple for the opcode.
-	ValidationInputs [][]*tensor.Matrix
-	// Attrs are passed through to the kernel.
-	Attrs map[string]float64
-	// MAPEThreshold gates the QAT fallback: if the post-training-quantized
-	// model's MAPE on the validation set exceeds this, re-train
-	// quantization-aware (default 0.05 = 5%).
-	MAPEThreshold float64
-}
-
-// Build constructs the NPU model for op following §4.2's workflow:
-// post-training quantization first, validation against the full-precision
-// reference, and quantization-aware refinement when the accuracy drop is
-// significant. An empty validation set yields the plain PTQ model.
-func Build(op vop.Opcode, opts BuildOptions) (Model, error) {
-	if op.Model() == vop.Tile && op == vop.OpGEMM {
-		// GEMM is the TPU's native domain (§2.2.1) — depth 1, no NPU needed.
-		return Model{Op: op, Layers: 1}, nil
-	}
-	m := Model{Op: op, Layers: kernels.Stages(op)}
-	if len(opts.ValidationInputs) == 0 {
-		return m, nil
-	}
-	thr := opts.MAPEThreshold
-	if thr <= 0 {
-		thr = 0.05
-	}
-	mape, err := Validate(m, opts.ValidationInputs, opts.Attrs)
-	if err != nil {
-		return Model{}, err
-	}
-	if mape > thr {
-		m.QuantAware = true
-	}
-	return m, nil
-}
-
-// Validate measures the model's MAPE against the exact kernel over the
-// validation set (step 4 of §4.2, "Test the Edge TPU-compatible model with
-// validation dataset").
-func Validate(m Model, valInputs [][]*tensor.Matrix, attrs map[string]float64) (float64, error) {
-	if len(valInputs) == 0 {
-		return 0, fmt.Errorf("npu: empty validation set")
-	}
-	var total float64
-	for _, inputs := range valInputs {
-		ref, err := kernels.Exec(m.Op, inputs, attrs, kernels.Exact{})
-		if err != nil {
-			return 0, fmt.Errorf("npu: reference run: %w", err)
-		}
-		got, err := m.Run(inputs, attrs)
-		if err != nil {
-			return 0, fmt.Errorf("npu: model run: %w", err)
-		}
-		mape, err := metrics.MAPE(ref.Data, got.Data)
-		if err != nil {
-			return 0, err
-		}
-		total += mape
-	}
-	return total / float64(len(valInputs)), nil
-}

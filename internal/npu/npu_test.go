@@ -67,62 +67,3 @@ func TestModelRounderSelection(t *testing.T) {
 		t.Fatal("QAT model should use BlockInt8")
 	}
 }
-
-func TestBuildWorkflowGatesQAT(t *testing.T) {
-	// Validation data with wide local swings makes PTQ miss the threshold,
-	// which per §4.2 step 4 triggers quantization-aware re-training.
-	wide := workload.Mixed(64, 64, workload.Profile{CriticalFraction: 0.95, CriticalScale: 30, TileSize: 16}, 3)
-	m, err := Build(vop.OpSobel, BuildOptions{
-		ValidationInputs: [][]*tensor.Matrix{{wide}},
-		MAPEThreshold:    0.001, // strict: force the QAT path
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.QuantAware {
-		t.Fatal("strict threshold should gate into QAT mode")
-	}
-
-	// A generous threshold keeps plain post-training quantization.
-	narrow := workload.Uniform(64, 64, 0.4, 0.6, 4)
-	m2, err := Build(vop.OpSobel, BuildOptions{
-		ValidationInputs: [][]*tensor.Matrix{{narrow}},
-		MAPEThreshold:    0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.QuantAware {
-		t.Fatal("loose threshold should keep the PTQ model")
-	}
-}
-
-func TestBuildWithoutValidationSet(t *testing.T) {
-	m, err := Build(vop.OpSRAD, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Layers != kernels.Stages(vop.OpSRAD) || m.QuantAware {
-		t.Fatalf("default model = %+v", m)
-	}
-}
-
-func TestBuildGEMMIsNative(t *testing.T) {
-	m, err := Build(vop.OpGEMM, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Layers != 1 {
-		t.Fatal("GEMM should be a depth-1 native op")
-	}
-}
-
-func TestValidateErrors(t *testing.T) {
-	if _, err := Validate(Model{Op: vop.OpSobel}, nil, nil); err == nil {
-		t.Fatal("empty validation set should error")
-	}
-	bad := [][]*tensor.Matrix{{tensor.NewMatrix(4, 4), tensor.NewMatrix(4, 4)}} // wrong arity
-	if _, err := Validate(Model{Op: vop.OpSobel}, bad, nil); err == nil {
-		t.Fatal("arity error should surface")
-	}
-}

@@ -47,15 +47,3 @@ func (p Fixed24Params) QuantizeOne(v float64) int32 {
 
 // DequantizeOne converts a 24-bit code back to a real value.
 func (p Fixed24Params) DequantizeOne(q int32) float64 { return float64(q) * p.Scale }
-
-// RoundTrip pushes data through the 24-bit grid.
-func (p Fixed24Params) RoundTrip(data []float64) []float64 {
-	out := make([]float64, len(data))
-	for i, v := range data {
-		out[i] = p.DequantizeOne(p.QuantizeOne(v))
-	}
-	return out
-}
-
-// MaxRoundTripError is half a quantization step for in-range values.
-func (p Fixed24Params) MaxRoundTripError() float64 { return p.Scale / 2 }

@@ -67,3 +67,17 @@ func TestFixed24MuchFinerThanInt8(t *testing.T) {
 			p24.MaxRoundTripError(), p8.Scale/2)
 	}
 }
+
+// ---- The slice round trip only tests use ----
+
+// RoundTrip pushes data through the 24-bit grid.
+func (p Fixed24Params) RoundTrip(data []float64) []float64 {
+	out := make([]float64, len(data))
+	for i, v := range data {
+		out[i] = p.DequantizeOne(p.QuantizeOne(v))
+	}
+	return out
+}
+
+// MaxRoundTripError is half a quantization step for in-range values.
+func (p Fixed24Params) MaxRoundTripError() float64 { return p.Scale / 2 }

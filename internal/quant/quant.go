@@ -1,5 +1,5 @@
 // Package quant implements the reduced-precision data representations of the
-// simulated accelerators: symmetric and affine INT8 quantization (Edge TPU)
+// simulated accelerators: affine INT8 quantization (Edge TPU)
 // and 24-bit fixed point (the DSP).
 //
 // The paper's runtime system "perform[s] data type casting through the
@@ -13,79 +13,6 @@ package quant
 import (
 	"math"
 )
-
-// Int8Params describes a symmetric INT8 quantization: real = scale * q.
-type Int8Params struct {
-	Scale float64
-}
-
-// CalibrateSymmetric derives symmetric INT8 parameters from the data range,
-// mapping max(|min|,|max|) to 127. A zero-range input yields scale 1 so that
-// round-tripping zeros is exact.
-func CalibrateSymmetric(data []float64) Int8Params {
-	var absMax float64
-	for _, v := range data {
-		if a := math.Abs(v); a > absMax && !math.IsInf(a, 0) && !math.IsNaN(a) {
-			absMax = a
-		}
-	}
-	if absMax == 0 {
-		return Int8Params{Scale: 1}
-	}
-	return Int8Params{Scale: absMax / 127}
-}
-
-// Quantize converts real values to INT8 codes with round-to-nearest and
-// saturation.
-func (p Int8Params) Quantize(data []float64) []int8 {
-	out := make([]int8, len(data))
-	for i, v := range data {
-		out[i] = p.QuantizeOne(v)
-	}
-	return out
-}
-
-// QuantizeOne converts one value.
-func (p Int8Params) QuantizeOne(v float64) int8 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	q := math.RoundToEven(v / p.Scale)
-	if q > 127 {
-		q = 127
-	}
-	if q < -128 {
-		q = -128
-	}
-	return int8(q)
-}
-
-// Dequantize converts INT8 codes back to real values.
-func (p Int8Params) Dequantize(q []int8) []float64 {
-	out := make([]float64, len(q))
-	for i, v := range q {
-		out[i] = float64(v) * p.Scale
-	}
-	return out
-}
-
-// DequantizeOne converts one code back to a real value.
-func (p Int8Params) DequantizeOne(q int8) float64 { return float64(q) * p.Scale }
-
-// RoundTrip pushes data through quantize→dequantize, the value degradation a
-// tensor suffers crossing onto the Edge TPU. The maximum element-wise error
-// is bounded by Scale/2 (plus saturation for outliers).
-func (p Int8Params) RoundTrip(data []float64) []float64 {
-	out := make([]float64, len(data))
-	for i, v := range data {
-		out[i] = p.DequantizeOne(p.QuantizeOne(v))
-	}
-	return out
-}
-
-// MaxRoundTripError returns the worst-case |x - roundtrip(x)| for in-range
-// inputs: half a quantization step.
-func (p Int8Params) MaxRoundTripError() float64 { return p.Scale / 2 }
 
 // AffineParams describes an asymmetric (affine) INT8 quantization:
 // real = scale * (q - zeroPoint). TFLite post-training quantization uses this
@@ -158,15 +85,6 @@ func AffineFromRange(lo, hi float64) AffineParams {
 	return AffineParams{Scale: scale, ZeroPoint: zp}
 }
 
-// Quantize converts real values to affine INT8 codes.
-func (p AffineParams) Quantize(data []float64) []int8 {
-	out := make([]int8, len(data))
-	for i, v := range data {
-		out[i] = p.QuantizeOne(v)
-	}
-	return out
-}
-
 // QuantizeOne converts one value.
 func (p AffineParams) QuantizeOne(v float64) int8 {
 	if math.IsNaN(v) {
@@ -185,24 +103,6 @@ func (p AffineParams) QuantizeOne(v float64) int8 {
 // DequantizeOne converts one affine code back to a real value.
 func (p AffineParams) DequantizeOne(q int8) float64 {
 	return p.Scale * float64(int(q)-p.ZeroPoint)
-}
-
-// Dequantize converts affine codes back to real values.
-func (p AffineParams) Dequantize(q []int8) []float64 {
-	out := make([]float64, len(q))
-	for i, v := range q {
-		out[i] = p.DequantizeOne(v)
-	}
-	return out
-}
-
-// RoundTrip pushes data through affine quantize→dequantize.
-func (p AffineParams) RoundTrip(data []float64) []float64 {
-	out := make([]float64, len(data))
-	for i, v := range data {
-		out[i] = p.DequantizeOne(p.QuantizeOne(v))
-	}
-	return out
 }
 
 // RoundTripOne is DequantizeOne(QuantizeOne(v)), bit for bit, without

@@ -186,3 +186,68 @@ func TestAffineRoundTripBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ---- The codecs only tests use: symmetric INT8 and the slice round trips ----
+
+// Int8Params describes a symmetric INT8 quantization: real = scale * q.
+type Int8Params struct {
+	Scale float64
+}
+
+// CalibrateSymmetric derives symmetric INT8 parameters from the data range,
+// mapping max(|min|,|max|) to 127. A zero-range input yields scale 1 so that
+// round-tripping zeros is exact.
+func CalibrateSymmetric(data []float64) Int8Params {
+	var absMax float64
+	for _, v := range data {
+		if a := math.Abs(v); a > absMax && !math.IsInf(a, 0) && !math.IsNaN(a) {
+			absMax = a
+		}
+	}
+	if absMax == 0 {
+		return Int8Params{Scale: 1}
+	}
+	return Int8Params{Scale: absMax / 127}
+}
+
+// QuantizeOne converts one value.
+func (p Int8Params) QuantizeOne(v float64) int8 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	q := math.RoundToEven(v / p.Scale)
+	if q > 127 {
+		q = 127
+	}
+	if q < -128 {
+		q = -128
+	}
+	return int8(q)
+}
+
+// DequantizeOne converts one code back to a real value.
+func (p Int8Params) DequantizeOne(q int8) float64 { return float64(q) * p.Scale }
+
+// RoundTrip pushes data through quantize→dequantize, the value degradation a
+// tensor suffers crossing onto the Edge TPU. The maximum element-wise error
+// is bounded by Scale/2 (plus saturation for outliers).
+func (p Int8Params) RoundTrip(data []float64) []float64 {
+	out := make([]float64, len(data))
+	for i, v := range data {
+		out[i] = p.DequantizeOne(p.QuantizeOne(v))
+	}
+	return out
+}
+
+// MaxRoundTripError returns the worst-case |x - roundtrip(x)| for in-range
+// inputs: half a quantization step.
+func (p Int8Params) MaxRoundTripError() float64 { return p.Scale / 2 }
+
+// RoundTrip pushes data through affine quantize→dequantize.
+func (p AffineParams) RoundTrip(data []float64) []float64 {
+	out := make([]float64, len(data))
+	for i, v := range data {
+		out[i] = p.DequantizeOne(p.QuantizeOne(v))
+	}
+	return out
+}

@@ -100,41 +100,6 @@ func (s *Sampler) numSamples(n int) int {
 	return k
 }
 
-// SampleVec draws from a flat data slice per the configured method.
-func (s *Sampler) SampleVec(data []float64) []float64 {
-	n := len(data)
-	if n == 0 {
-		return nil
-	}
-	k := s.numSamples(n)
-	out := make([]float64, 0, k)
-	switch s.Method {
-	case Striding:
-		// Algorithm 3: S_i = D[i*s]. The step is forced odd so that strides
-		// through 2-D data do not lock onto one column (a power-of-two step
-		// over a power-of-two row width visits a single column forever).
-		step := oddStep(n, k)
-		for i := 0; i < k; i++ {
-			out = append(out, data[(i*step)%n])
-		}
-	case UniformRandom:
-		// Algorithm 4: S_i = D[random()].
-		for i := 0; i < k; i++ {
-			out = append(out, data[s.rng.Intn(n)])
-		}
-	case Reduction:
-		// Algorithm 5 on one dimension degenerates to a full strided walk.
-		step := n / k
-		if step < 1 {
-			step = 1
-		}
-		for i := 0; i < n; i += step {
-			out = append(out, data[i])
-		}
-	}
-	return out
-}
-
 // SampleRegion draws from region reg of matrix m. Striding and uniform
 // sampling treat the region as a flat sequence; reduction (Algorithm 5)
 // walks both dimensions with the same step, which visits more points and is

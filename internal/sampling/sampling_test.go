@@ -16,6 +16,16 @@ func seq(n int) []float64 {
 	return out
 }
 
+// sampleRow draws from data laid out as one 1×n region, the flat sequence
+// striding and uniform sampling walk.
+func sampleRow(s *Sampler, data []float64) []float64 {
+	m, err := tensor.FromSlice(1, len(data), data)
+	if err != nil {
+		panic(err)
+	}
+	return s.SampleRegion(m, tensor.Region{Height: 1, Width: len(data)})
+}
+
 func TestMethodNamesAndSuffixes(t *testing.T) {
 	if Striding.String() != "striding" || Striding.Suffix() != "S" {
 		t.Fatal("striding labels wrong")
@@ -40,22 +50,22 @@ func TestNewClampsRate(t *testing.T) {
 	}
 }
 
-func TestSampleVecCounts(t *testing.T) {
+func TestSampleRegionCounts(t *testing.T) {
 	s := New(Striding, 0.25, 1)
-	got := s.SampleVec(seq(100))
+	got := sampleRow(s, seq(100))
 	if len(got) != 25 {
 		t.Fatalf("striding samples = %d want 25", len(got))
 	}
 	u := New(UniformRandom, 0.1, 1)
-	if got := u.SampleVec(seq(100)); len(got) != 10 {
+	if got := sampleRow(u, seq(100)); len(got) != 10 {
 		t.Fatalf("uniform samples = %d want 10", len(got))
 	}
-	if got := s.SampleVec(nil); got != nil {
+	if got := s.SampleRegion(tensor.NewMatrix(0, 0), tensor.Region{}); got != nil {
 		t.Fatal("empty input should yield nil")
 	}
 	// Rate below 1/n still yields one sample.
 	tiny := New(Striding, 1e-9, 1)
-	if got := tiny.SampleVec(seq(10)); len(got) != 1 {
+	if got := sampleRow(tiny, seq(10)); len(got) != 1 {
 		t.Fatalf("minimum samples = %d want 1", len(got))
 	}
 }
@@ -63,7 +73,7 @@ func TestSampleVecCounts(t *testing.T) {
 func TestStridingSamplesAreRealElements(t *testing.T) {
 	s := New(Striding, 0.1, 1)
 	data := seq(50)
-	for _, v := range s.SampleVec(data) {
+	for _, v := range sampleRow(s, data) {
 		if v < 0 || v > 49 || v != math.Trunc(v) {
 			t.Fatalf("sampled value %g not from input", v)
 		}
@@ -71,8 +81,8 @@ func TestStridingSamplesAreRealElements(t *testing.T) {
 }
 
 func TestUniformDeterministicPerSeed(t *testing.T) {
-	a := New(UniformRandom, 0.2, 7).SampleVec(seq(100))
-	b := New(UniformRandom, 0.2, 7).SampleVec(seq(100))
+	a := sampleRow(New(UniformRandom, 0.2, 7), seq(100))
+	b := sampleRow(New(UniformRandom, 0.2, 7), seq(100))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed should reproduce samples")
@@ -148,7 +158,7 @@ func TestPropertySubsetRange(t *testing.T) {
 	f := func(seed int64) bool {
 		s := New(Striding, 0.3, seed)
 		data := seq(200)
-		vals := s.SampleVec(data)
+		vals := sampleRow(s, data)
 		if len(vals) > len(data) {
 			return false
 		}

@@ -68,10 +68,6 @@ func New(be Backend, cfg Config) *Server {
 	return s
 }
 
-// FlightRecorder returns the server's trace retention buffer (nil unless
-// Config.Tracing).
-func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.flight }
-
 // Handler exposes the mux (httptest-friendly).
 func (s *Server) Handler() http.Handler { return s.hs.Handler }
 

@@ -80,7 +80,7 @@ func TestNonFiniteOutputIs422(t *testing.T) {
 		if !strings.Contains(reply, `"error":"`+op+`: output element 0 is `) {
 			t.Fatalf("%s: reply %q does not name the op and the element", op, reply)
 		}
-		if last := srv.FlightRecorder().Snapshot(false)[0]; last.Op != op || last.Status != "invalid" || last.Error == "" {
+		if last := srv.flight.Snapshot(false)[0]; last.Op != op || last.Status != "invalid" || last.Error == "" {
 			t.Fatalf("%s: flight recorder has %+v", op, last)
 		}
 	}

@@ -314,16 +314,6 @@ func min(a, b int) int {
 	return b
 }
 
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // ToFloat32 converts the matrix payload to float32, the GPU's native
 // precision.
 func (m *Matrix) ToFloat32() []float32 {
@@ -335,15 +325,6 @@ func (m *Matrix) ToFloat32() []float32 {
 		}
 	}
 	return out
-}
-
-// FromFloat32 builds a float64 matrix from FP32 device output.
-func FromFloat32(rows, cols int, data []float32) *Matrix {
-	m := NewMatrix(rows, cols)
-	for i, v := range data {
-		m.Data[i] = float64(v)
-	}
-	return m
 }
 
 // Stats summarises the value distribution of a slice: the two criticality

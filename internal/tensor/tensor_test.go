@@ -221,9 +221,8 @@ func TestFloat32Conversions(t *testing.T) {
 	m := NewMatrix(1, 3)
 	m.Data[0], m.Data[1], m.Data[2] = 1.5, -2.25, 1e-8
 	f := m.ToFloat32()
-	back := FromFloat32(1, 3, f)
 	for i := range m.Data {
-		if back.Data[i] != float64(float32(m.Data[i])) {
+		if f[i] != float32(m.Data[i]) {
 			t.Fatalf("fp32 conversion mismatch at %d", i)
 		}
 	}

@@ -114,26 +114,6 @@ func Mixed(rows, cols int, p Profile, seed int64) *tensor.Matrix {
 	return m
 }
 
-// Positive returns a Mixed matrix shifted to be strictly positive (needed by
-// log/sqrt/SRAD-style kernels): values lie in [eps, ...).
-func Positive(rows, cols int, p Profile, seed int64) *tensor.Matrix {
-	m := Mixed(rows, cols, p, seed)
-	lo := m.Data[0]
-	for _, v := range m.Data {
-		if v < lo {
-			lo = v
-		}
-	}
-	const eps = 1e-3
-	if lo < eps {
-		shift := eps - lo
-		for i := range m.Data {
-			m.Data[i] += shift
-		}
-	}
-	return m
-}
-
 // Image returns a synthetic "photograph": smooth low-frequency background
 // with sharp-edged rectangles and impulse speckle, so edge-detection kernels
 // (Sobel, Laplacian) produce the near-zero-dominated outputs the paper

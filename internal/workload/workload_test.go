@@ -86,15 +86,6 @@ func TestMixedSmoothAcrossTileBoundaries(t *testing.T) {
 	}
 }
 
-func TestPositiveIsPositive(t *testing.T) {
-	m := Positive(64, 64, Profile{Lo: -5, Hi: 5}, 9)
-	for _, v := range m.Data {
-		if v <= 0 {
-			t.Fatalf("non-positive value %g", v)
-		}
-	}
-}
-
 func TestImageRangeAndDeterminism(t *testing.T) {
 	a := Image(128, 128, 21)
 	for _, v := range a.Data {
