@@ -234,14 +234,11 @@ func (p Policy) criticality(ctx *Context, hs []*hlop.HLOP) float64 {
 	case Canary:
 		return canary(ctx, hs)
 	case FullScan:
+		// Striding at rate 1 reads every element of the region, row-major,
+		// through the same reader as the other sources.
+		all := sampling.New(sampling.Striding, 1, 0)
 		for _, h := range hs {
-			reg := h.InputRegion()
-			vals := make([]float64, 0, reg.Len())
-			for i := 0; i < reg.Height; i++ {
-				row := (reg.Row + i) * h.Inputs[0].Cols
-				vals = append(vals, h.Inputs[0].Data[row+reg.Col:row+reg.Col+reg.Width]...)
-			}
-			h.Criticality = sampling.Criticality(vals)
+			h.Criticality = sampling.Criticality(all.SampleRegion(h.Inputs[0], h.InputRegion()))
 		}
 	}
 	return 0
