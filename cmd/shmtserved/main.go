@@ -106,7 +106,7 @@ func (t *tenantFlags) Set(v string) error {
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		policy       = flag.String("policy", string(shmt.PolicyQAWSTS), "scheduling policy")
+		policy       = flag.String("policy", string(shmt.DefaultPolicy), "scheduling policy")
 		partitions   = flag.Int("partitions", 64, "HLOPs per VOP")
 		seed         = flag.Int64("seed", 1, "session seed")
 		maxBatch     = flag.Int("max-batch", 16, "max requests coalesced per micro-batch round")

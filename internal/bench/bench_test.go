@@ -243,6 +243,14 @@ func TestFig12SpeedupGrowsWithSize(t *testing.T) {
 				rows[i-1].Side, rows[i-1].GMean, rows[i].Side, rows[i].GMean)
 		}
 	}
+	// The adaptive row runs a VOP on the GPU alone, double-buffered and
+	// unsampled, wherever partitioning prices dearer, so it never reads
+	// below the GPU baseline or the QAWS-TS row.
+	for _, r := range rows {
+		if r.Adaptive < 1 || r.Adaptive < r.GMean {
+			t.Fatalf("%d²: adaptive %g, QAWS-TS %g: want ≥ max(1, QAWS-TS)", r.Side, r.Adaptive, r.GMean)
+		}
+	}
 	var sb strings.Builder
 	Fig12Table(rows).Render(&sb)
 	if !strings.Contains(sb.String(), "GMEAN") {

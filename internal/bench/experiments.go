@@ -304,6 +304,10 @@ type Fig12Row struct {
 	// PerBench indexes speedup by benchmark name; GMean aggregates.
 	PerBench map[string]float64
 	GMean    float64
+	// Adaptive is the GMEAN speedup of QAWS-TS/adaptive, which is not one of
+	// the paper's policies: it runs a VOP on the GPU alone where that prices
+	// cheaper than partitioning it.
+	Adaptive float64
 }
 
 // Fig12Sides is the default size sweep (4K…16M elements); append 8192 for
@@ -322,16 +326,24 @@ func Fig12(o Options, sides []int) ([]Fig12Row, error) {
 		ro.Side = side
 		ro.NoVirtualScale = true
 		row := Fig12Row{Elems: side * side, Side: side, PerBench: map[string]float64{}}
-		var spds []float64
+		var spds, adaptive []float64
 		for _, b := range Benchmarks {
-			spd, err := speedup(b, ro, shmt.PolicyQAWSTS)
+			t, err := NewTrial(b, ro, false)
 			if err != nil {
 				return nil, err
 			}
-			row.PerBench[b.Name] = spd
-			spds = append(spds, spd)
+			q, err := t.Run(shmt.PolicyQAWSTS)
+			if err != nil {
+				return nil, err
+			}
+			a, err := t.Run(shmt.PolicyQAWSTSAdaptive)
+			if err != nil {
+				return nil, err
+			}
+			row.PerBench[b.Name] = q.Speedup
+			spds, adaptive = append(spds, q.Speedup), append(adaptive, a.Speedup)
 		}
-		row.GMean = metrics.GeoMean(spds)
+		row.GMean, row.Adaptive = metrics.GeoMean(spds), metrics.GeoMean(adaptive)
 		rows = append(rows, row)
 	}
 	return rows, nil

@@ -200,13 +200,13 @@ func Fig12Table(rows []Fig12Row) *Table {
 	for _, b := range Benchmarks {
 		t.Header = append(t.Header, b.Name)
 	}
-	t.Header = append(t.Header, "GMEAN")
+	t.Header = append(t.Header, "GMEAN", "adaptive GMEAN")
 	for _, r := range rows {
 		row := []string{ElemsLabel(r.Elems)}
 		for _, b := range Benchmarks {
 			row = append(row, f2(r.PerBench[b.Name]))
 		}
-		row = append(row, f2(r.GMean))
+		row = append(row, f2(r.GMean), f2(r.Adaptive))
 		t.AddRow(row...)
 	}
 	return t

@@ -25,6 +25,12 @@ func randVOP(t testing.TB, r *rand.Rand, op vop.Opcode) ([]*tensor.Matrix, map[s
 	if op == vop.OpFFT {
 		cols = 1 << (3 + r.Intn(4))
 	}
+	return randInputs(r, op, rows, cols)
+}
+
+// randInputs draws op's inputs for a rows×cols VOP (GEMM draws its own
+// inner and output widths) and its attrs.
+func randInputs(r *rand.Rand, op vop.Opcode, rows, cols int) ([]*tensor.Matrix, map[string]float64) {
 	mk := func(lo, hi float64) *tensor.Matrix {
 		m := tensor.NewMatrix(rows, cols)
 		for i := range m.Data {
@@ -58,7 +64,7 @@ func randVOP(t testing.TB, r *rand.Rand, op vop.Opcode) ([]*tensor.Matrix, map[s
 		return []*tensor.Matrix{mk(20, 120), mk(40, 100)}, attrs
 	case vop.OpSqrt, vop.OpSRAD:
 		return []*tensor.Matrix{mk(0.1, 2)}, attrs
-	case vop.OpAdd, vop.OpMultiply:
+	case vop.OpAdd, vop.OpSub, vop.OpMultiply, vop.OpMax, vop.OpMin:
 		return []*tensor.Matrix{mk(-1, 1), mk(-1, 1)}, attrs
 	default:
 		return []*tensor.Matrix{mk(-1, 1)}, attrs

@@ -126,20 +126,18 @@ func (r *round) admit(d *devState, victim int, h *hlop.HLOP) error {
 	r.noteRecovery(d)
 
 	r.maxStaging = max(r.maxStaging, e.stagingBytes(dev, h))
-	exec, inT, outT, bytes := e.hlopParts(dev, h)
-	exec += takeInjectedDelay(dev)
 	ready := h.ReadyAt
 	if stolen {
 		// The prefetched input belonged to the victim's queue: the thief's
 		// transfer cannot predate its steal decision.
 		ready = d.lane.Compute
 	}
-	adm := d.lane.Admit(ready, dev.DispatchOverhead(), inT, exec, outT, e.DoubleBuffer)
+	adm, xfer, bytes := e.book(&d.lane, dev, h, ready, takeInjectedDelay(dev))
 	d.ran = true
 	d.busy += adm.End - adm.Start
 
 	h.ExecQueue, h.Finish = d.qi, adm.OutEnd
-	r.comm.Add(bytes, inT+outT, adm.Exposed)
+	r.comm.Add(bytes, xfer, adm.Exposed)
 	r.done = append(r.done, doneHLOP{h: h, t: t})
 	if r.rt != nil {
 		r.rt.hlopDone(d.qi, victim, h, adm)
@@ -305,6 +303,17 @@ func (e *Engine) fallbackQueue(ctx *sched.Context, failed int, h *hlop.HLOP) int
 		}
 	}
 	return best
+}
+
+// book schedules h through lane on dev's cost model, delay seconds of
+// injected latency added to its execution, and returns the admission, the
+// raw transfer time and the bytes moved. It is the lane arithmetic admission
+// and pricing (price.go) share; it reads shapes only.
+func (e *Engine) book(lane *interconnect.Lane, dev device.Device, h *hlop.HLOP, ready, delay float64) (interconnect.Admission, float64, int64) {
+	exec, inT, outT, bytes := e.hlopParts(dev, h)
+	exec += delay
+	adm := lane.Admit(ready, dev.DispatchOverhead(), inT, exec, outT, e.DoubleBuffer)
+	return adm, inT + outT, bytes
 }
 
 // hlopParts models one HLOP's cost components on a device: execution time

@@ -175,10 +175,23 @@ func refFor(key string, rate, k float64, w int, lim float64) (refPolicy, bool, e
 		return IRASampling{K: k}, true, nil
 	case "oracle":
 		return Oracle{K: k}, true, nil
+	case "QAWS-TS/adaptive":
+		// Its Assign is the partitioned branch, QAWS-TS; the one-device
+		// branch is the engine's pricing and has no counterpart here.
+		ref, db, err := qaws(TopK, sampling.Striding)
+		return renamed{ref, key}, db, err
 	default:
 		return nil, false, fmt.Errorf("shmt: unknown policy %q", key)
 	}
 }
+
+// renamed is a reference policy under another row's name.
+type renamed struct {
+	refPolicy
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
 
 // SingleDevice routes every HLOP to one named device.
 type SingleDevice struct {

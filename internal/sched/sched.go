@@ -40,8 +40,8 @@ type Context struct {
 	Quarantined func(i int) bool
 }
 
-// quarantined reports queue i's breaker state, tolerating a nil hook.
-func (c *Context) quarantined(i int) bool {
+// InQuarantine reports queue i's breaker state, tolerating a nil hook.
+func (c *Context) InQuarantine(i int) bool {
 	return c.Quarantined != nil && c.Quarantined(i)
 }
 
@@ -78,7 +78,7 @@ func (c *Context) Eligible() []int {
 func (c *Context) tier() int {
 	t := 3
 	for i, d := range c.Reg.Devices() {
-		switch accel, ok := d.Kind() != device.CPU, !c.quarantined(i); {
+		switch accel, ok := d.Kind() != device.CPU, !c.InQuarantine(i); {
 		case accel && ok:
 			return 0
 		case ok:
@@ -92,7 +92,7 @@ func (c *Context) tier() int {
 
 // inTier reports whether queue i belongs to tier t.
 func (c *Context) inTier(t, i int) bool {
-	accel, ok := c.Reg.Get(i).Kind() != device.CPU, !c.quarantined(i)
+	accel, ok := c.Reg.Get(i).Kind() != device.CPU, !c.InQuarantine(i)
 	return t == 3 || (t == 0 && accel && ok) || (t == 1 && ok) || (t == 2 && accel)
 }
 
@@ -120,7 +120,7 @@ func (c *Context) EligibleFor(op vop.Opcode) []int {
 // device's remaining backlog is reserved as its re-admission probe (see the
 // engine's circuit breaker): stealing it would leave a recovered device
 // quarantined forever with nothing left to probe.
-func (c *Context) StealableVictim(v int) bool { return !c.quarantined(v) }
+func (c *Context) StealableVictim(v int) bool { return !c.InQuarantine(v) }
 
 // IsEligible reports whether queue i belongs to the kernel-eligible device
 // set (see Eligible). Every steal check asks, so it builds no slice.
@@ -170,7 +170,7 @@ func samplePartitions(ctx *Context, s *sampling.Sampler, hs []*hlop.HLOP) float6
 		reg := h.InputRegion()
 		vals := s.SampleRegion(h.Inputs[0], reg)
 		h.Criticality = sampling.Criticality(vals)
-		overhead += float64(s.CostSamples(reg.Len()))*cost + PerPartitionCost
+		overhead += partitionCost(s, cost, reg.Len())
 		if record {
 			touches += int64(s.CostSamples(reg.Len()))
 			telemetry.Criticality.Observe(h.Criticality)
@@ -179,6 +179,29 @@ func samplePartitions(ctx *Context, s *sampling.Sampler, hs []*hlop.HLOP) float6
 	if record {
 		telemetry.SampledPartitions.Add(int64(len(hs)))
 		telemetry.SampleTouches.Add(touches)
+	}
+	return overhead
+}
+
+// partitionCost is the charge for sampling one partition of n elements.
+func partitionCost(s *sampling.Sampler, touch float64, n int) float64 {
+	return float64(s.CostSamples(n))*touch + PerPartitionCost
+}
+
+// SamplingCost is the overhead Assign charges a Sampled policy for hs,
+// computed from region sizes alone: it reads no tensor value and leaves
+// every HLOP as it was. It is 0 for any other source; only Sampled rows are
+// adaptive.
+func (p Policy) SamplingCost(ctx *Context, hs []*hlop.HLOP) float64 {
+	if p.Source != Sampled {
+		return 0
+	}
+	s := sampling.New(p.Method, p.Rate, ctx.Seed)
+	s.Scale = ctx.hostScale()
+	cost := touchCost(s.Method)
+	var overhead float64
+	for _, h := range hs {
+		overhead += partitionCost(s, cost, h.InputRegion().Len())
 	}
 	return overhead
 }

@@ -43,14 +43,22 @@ const (
 	// PolicyOracle assigns criticality from a free full scan — the quality
 	// upper bound of Figs. 7–8.
 	PolicyOracle PolicyName = "oracle"
+	// PolicyQAWSTSAdaptive is QAWS-TS co-executing only where it pays: once
+	// per plan-cache key it prices the VOP run whole on its most accurate
+	// eligible device against QAWS-TS's partitioned plan and runs the
+	// cheaper. Not one of the paper's policies; the session default.
+	PolicyQAWSTSAdaptive PolicyName = "QAWS-TS/adaptive"
 )
 
-// AllQAWSPolicies lists the six QAWS variants (the sampled rows) in the
-// paper's order.
+// DefaultPolicy is the policy a zero Config runs.
+const DefaultPolicy = PolicyQAWSTSAdaptive
+
+// AllQAWSPolicies lists the paper's six QAWS variants (the sampled rows
+// that are not adaptive) in the paper's order.
 func AllQAWSPolicies() []PolicyName {
 	var names []PolicyName
 	for _, r := range sched.Table {
-		if r.Policy.Source == sched.Sampled {
+		if r.Policy.Source == sched.Sampled && !r.Policy.Adaptive {
 			names = append(names, PolicyName(r.Key))
 		}
 	}
@@ -58,13 +66,13 @@ func AllQAWSPolicies() []PolicyName {
 }
 
 // Config configures a Session. The zero value runs the paper's three
-// devices (CPU, GPU, Edge TPU) under the QAWS-TS policy at the paper's
+// devices (CPU, GPU, Edge TPU) under DefaultPolicy at the paper's
 // defaults. The policy, not the program, decides which devices run a VOP.
 type Config struct {
 	// UseDSP registers the 24-bit image DSP extension device (§2.1) beside
 	// the three, for the four-device ablation.
 	UseDSP bool
-	// Policy is the scheduling policy (default PolicyQAWSTS).
+	// Policy is the scheduling policy (default DefaultPolicy).
 	Policy PolicyName
 	// TargetPartitions is the HLOP count per VOP (default 64).
 	TargetPartitions int
@@ -132,7 +140,7 @@ type Telemetry struct {
 
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
-		c.Policy = PolicyQAWSTS
+		c.Policy = DefaultPolicy
 	}
 	if c.TargetPartitions <= 0 {
 		c.TargetPartitions = 64
