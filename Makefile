@@ -46,13 +46,14 @@ TESTFLAGS ?=
 test:
 	$(GO) test $(TESTFLAGS) ./...
 
-# The second pass reruns the engine and the pool at 1, 2 and 4 procs: the
-# deterministic loop computes admitted HLOPs as pool tasks, kernels call
-# parallel.For inside those tasks, and the hangs that nesting can produce
-# need at least two procs to show.
+# The second pass reruns the engine, the pool, the kernels and the devices at
+# 1, 2 and 4 procs: the deterministic loop computes admitted HLOPs as pool
+# tasks, kernels and device casts fan out inside those tasks on recycled jobs
+# and loop bodies, and the hangs and reuse races that nesting can produce need
+# at least two procs to show.
 race:
 	$(GO) test -race $(TESTFLAGS) ./...
-	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/
+	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/ ./internal/kernels/ ./internal/device/...
 
 # fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
 # against encoding/json, the router's head read (FuzzPeekRequest) against the
@@ -65,10 +66,12 @@ race:
 # -tenant-limit grammars of both daemons (every admitted tenant name, ':'
 # included, round-trips), the scheduler's top-K rule (every HLOP on an
 # eligible queue, Critical exactly on the most accurate one, criticality
-# order kept within a window), and the VOP rule (every name Parse accepts
+# order kept within a window), the VOP rule (every name Parse accepts
 # round-trips, every VOP Validate accepts has a non-negative halo, a finite
 # work factor of at least 1 computed in bounded time, and HLOPs with positive
-# work). (go test takes one -fuzz target per run.)
+# work), and the partitioner (Partition and Replay over views, against the
+# materialised-copy datapath, for any shape, halo and partition count). (go
+# test takes one -fuzz target per run.)
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzPeekRequest$$' -fuzztime=10s ./internal/wire/
@@ -82,6 +85,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtrouterd/
 	$(GO) test -run='^$$' -fuzz='^FuzzTopK$$' -fuzztime=10s ./internal/sched/
 	$(GO) test -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=10s ./internal/vop/
+	$(GO) test -run='^$$' -fuzz='^FuzzPartitionViews$$' -fuzztime=10s ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

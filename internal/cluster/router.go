@@ -455,7 +455,7 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body *w
 	defer releaseParts(parts)
 	*outcome = "ok"
 	w.Header().Set(ScatterHeader, strconv.Itoa(len(parts)))
-	wire.WriteGathered(w, plan.Rows, plan.Cols, parts, oc.makespan.Seconds())
+	wire.WriteGathered(w, plan.Rows, plan.Cols, parts, oc.makespan)
 	return true
 }
 

@@ -114,7 +114,11 @@ func inputRegions(v *vop.VOP, reg tensor.Region) []tensor.Region {
 // scatterOutcome summarises one scattered execution for the response body.
 type scatterOutcome struct {
 	backends int
-	makespan time.Duration
+	// makespan is the scattered request's virtual makespan in seconds: the
+	// backends run side by side, each its partitions one after another, and
+	// the partitions' wire traffic is priced on top — the busiest backend's
+	// summed partition makespans plus ScatterPlan.TransferSeconds.
+	makespan float64
 }
 
 // errNoBackends means every dispatch target for a partition was exhausted.
@@ -128,7 +132,6 @@ var errNoBackends = errors.New("cluster: no backend available")
 // to fail for good cancels the others: the error does not wait for the
 // slowest leg.
 func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.VOP, req *wire.IndexedRequest, traceID string, timeout time.Duration) ([]wire.Part, scatterOutcome, error) {
-	start := time.Now()
 	backends := pool.Healthy()
 	if len(backends) == 0 {
 		return nil, scatterOutcome{}, errNoBackends
@@ -143,7 +146,7 @@ func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.V
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-		used     = map[string]bool{}
+		served   = make([]string, len(plan.Regions)) // the backend of each partition
 		parts    = make([]wire.Part, len(plan.Regions))
 	)
 	for i, reg := range plan.Regions {
@@ -163,7 +166,7 @@ func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.V
 				return
 			}
 			parts[i] = wire.Part{Region: reg, Reply: reply}
-			used[addr] = true
+			served[i] = addr
 		}()
 	}
 	wg.Wait()
@@ -171,7 +174,17 @@ func scatterExecute(ctx context.Context, pool *Pool, plan *ScatterPlan, v *vop.V
 		releaseParts(parts)
 		return nil, scatterOutcome{}, firstErr
 	}
-	oc := scatterOutcome{backends: len(used), makespan: time.Since(start)}
+	// Sum in plan order, so that the same replies compose to the same bits
+	// whichever came back first.
+	busy := make(map[string]float64, len(backends))
+	for i, addr := range served {
+		busy[addr] += parts[i].Reply.MakespanSeconds
+	}
+	oc := scatterOutcome{backends: len(busy)}
+	for _, b := range busy {
+		oc.makespan = max(oc.makespan, b)
+	}
+	oc.makespan += plan.TransferSeconds
 	telemetry.RouterScatterFanout.Observe(float64(oc.backends))
 	return parts, oc, nil
 }

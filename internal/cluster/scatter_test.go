@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"slices"
 	"strconv"
@@ -170,7 +171,7 @@ func scatterGather(t *testing.T, pool *Pool, body []byte, fanout int, traceID st
 	}
 	defer releaseParts(parts)
 	rec := httptest.NewRecorder()
-	wire.WriteGathered(rec, plan.Rows, plan.Cols, parts, oc.makespan.Seconds())
+	wire.WriteGathered(rec, plan.Rows, plan.Cols, parts, oc.makespan)
 	var resp wire.Response
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -333,4 +334,76 @@ func TestKeyString(t *testing.T) {
 		t.Fatalf("Key.String() = %q, want %q", got, want)
 	}
 	_ = fmt.Sprintf("%v", k)
+}
+
+// TestScatteredMakespanIsVirtual: a scattered reply's makespan_seconds is
+// virtual time, composed from its partitions' replies as the backends ran
+// them — the busiest backend's summed partition makespans plus the plan's
+// priced wire transfer — and not the router's wall clock, so the same
+// request reports the same bits on every run.
+func TestScatteredMakespanIsVirtual(t *testing.T) {
+	backends := []string{newSessionBackend(t), newSessionBackend(t)}
+	_, ts := newTestRouter(t, RouterConfig{
+		Seeds:            backends,
+		ScatterThreshold: 64,
+		MaxFanout:        2,
+		Pool:             PoolConfig{ProbeInterval: time.Hour},
+	})
+	in := tensor.NewMatrix(256, 256)
+	for i := range in.Data {
+		in.Data[i] = float64(i%29)/7 - 2
+	}
+	v, err := vop.New(vop.OpRelu, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := requestBody(t, v)
+
+	// The composition, from the partitions sent straight to the backends in
+	// the router's round-robin order: partition i to backend i. Each is sent
+	// twice, so that it is the replay of a cached plan, as it will be for
+	// every scattered run after.
+	plan, err := PlanScatter(v, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Regions) != 2 {
+		t.Fatalf("%d partitions, want 2", len(plan.Regions))
+	}
+	req, err := wire.IndexRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var busiest float64
+	for i, reg := range plan.Regions {
+		pbody := req.Partition(v.Op, inputRegions(v, reg))
+		var pres wire.Response
+		for range 2 {
+			resp, got := postExecute(t, "http://"+backends[i], string(pbody.Bytes()), nil)
+			if resp.StatusCode != 200 {
+				t.Fatalf("partition %d: status %d: %.200s", i, resp.StatusCode, got)
+			}
+			if err := json.Unmarshal(got, &pres); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pbody.Release()
+		busiest = max(busiest, pres.MakespanSeconds)
+	}
+	want := busiest + plan.TransferSeconds
+
+	for run := 0; run < 3; run++ {
+		resp, got := postExecute(t, ts.URL, string(body), nil)
+		if resp.StatusCode != 200 || resp.Header.Get(ScatterHeader) != "2" {
+			t.Fatalf("run %d: status %d, scatter %q: %.200s", run, resp.StatusCode, resp.Header.Get(ScatterHeader), got)
+		}
+		var out wire.Response
+		if err := json.Unmarshal(got, &out); err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(out.MakespanSeconds) != math.Float64bits(want) {
+			t.Fatalf("run %d: makespan_seconds %v, want %v (partitions %v + transfer %v)",
+				run, out.MakespanSeconds, want, busiest, plan.TransferSeconds)
+		}
+	}
 }

@@ -168,8 +168,9 @@ func TestSplicedReplyIsTheDecodedReply(t *testing.T) {
 		if resp.Header.Get("Content-Length") != strconv.Itoa(len(got)) {
 			t.Errorf("%s: Content-Length %q for %d bytes", tc.name, resp.Header.Get("Content-Length"), len(got))
 		}
-		// The makespan is the one value that differs from run to run: the
-		// oracle encodes the one the router measured.
+		// The makespan is composed from the partition replies as the
+		// backends ran them (TestScatteredMakespanIsVirtual); the oracle,
+		// which runs every partition on one backend, encodes the router's.
 		ms := makespanField.FindSubmatch(got)
 		if ms == nil {
 			t.Errorf("%s: no makespan_seconds in %.200s", tc.name, got)

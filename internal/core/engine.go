@@ -299,14 +299,14 @@ func baseBytes(v *vop.VOP) int64 {
 
 // bindOutputViews attaches to every HLOP a strided view of the VOP output
 // covering its region, through which shared-memory devices write results
-// directly.
+// directly. The view headers share one slab.
 func bindOutputViews(out *tensor.Matrix, hs []*hlop.HLOP) error {
-	for _, h := range hs {
-		vw, err := out.View(h.Region)
-		if err != nil {
+	views := make([]tensor.Matrix, len(hs))
+	for i, h := range hs {
+		if err := out.ViewInto(&views[i], h.Region); err != nil {
 			return fmt.Errorf("core: binding output view for HLOP %d: %w", h.ID, err)
 		}
-		h.Out = vw
+		h.Out = &views[i]
 	}
 	return nil
 }

@@ -22,6 +22,7 @@ import (
 	"shmt/internal/sched"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
+	"shmt/internal/workload"
 )
 
 // runPlanned executes op on e (building a fresh VOP over the shared input
@@ -379,37 +380,56 @@ func TestPlanCacheDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestPlanReplayAllocs: a warm replay of a two-input add allocates at most 4
-// times whatever the partition count — the plan key, the one slab every
-// partition's HLOP and views share, the HLOP pointer slice — where cold
-// planning pays about 300. Rebinding views one partition at a time costs
-// allocations per partition, and shows here at once.
+// TestPlanReplayAllocs: a warm replay allocates at most 4 times whatever the
+// opcode and partition count — the plan key, the one slab every partition's
+// HLOP, views and input pointers share, the HLOP pointer slice — where cold
+// planning pays about 300. It holds a halo-free add, a halo Sobel (its halo
+// blocks come from the arena and go back to it, as a round releases them)
+// and a GEMM, whose bands pair a view of A with the whole of B. Rebinding
+// one partition at a time costs allocations per partition, and shows here at
+// once.
 func TestPlanReplayAllocs(t *testing.T) {
-	reg := stdRegistry(t)
-	v, err := vop.New(vop.OpAdd, tensor.NewMatrix(512, 512), tensor.NewMatrix(512, 512))
-	if err != nil {
-		t.Fatal(err)
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts under the race detector")
 	}
-	for _, parts := range []int{16, 64} {
-		pol := row("QAWS-TS").Policy
-		e := &Engine{Reg: reg, Policy: pol, Seed: 1,
-			Spec: hlop.Spec{TargetPartitions: parts}, PlanCacheEntries: 8}
-		ctx := &sched.Context{Reg: reg, Seed: 1, HostScale: 1, Quarantined: e.newFaultState().quarantined}
-		plan := func() {
-			hs, _, _, err := e.planVOP(ctx, pol, v, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hs) != parts {
-				t.Fatalf("%d HLOPs, want %d", len(hs), parts)
-			}
+	reg := stdRegistry(t)
+	square := func() *tensor.Matrix { return workload.Uniform(512, 512, 0, 1, 3) }
+	for _, tc := range []struct {
+		op     vop.Opcode
+		inputs []*tensor.Matrix
+	}{
+		{vop.OpAdd, []*tensor.Matrix{square(), square()}},
+		{vop.OpSobel, []*tensor.Matrix{square()}},
+		{vop.OpGEMM, []*tensor.Matrix{square(), square()}},
+	} {
+		v, err := vop.New(tc.op, tc.inputs...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		plan() // cold: fills the cache
-		if allocs := testing.AllocsPerRun(100, plan); allocs > 4 {
-			t.Fatalf("%d partitions: a replay allocates %.0f times, want at most 4", parts, allocs)
-		}
-		if st := e.PlanCacheStats(); st.Hits < 100 {
-			t.Fatalf("%d partitions: the measured plans did not replay: %+v", parts, st)
+		for _, parts := range []int{16, 64} {
+			pol := row("QAWS-TS").Policy
+			e := &Engine{Reg: reg, Policy: pol, Seed: 1,
+				Spec: hlop.Spec{TargetPartitions: parts}, PlanCacheEntries: 8}
+			ctx := &sched.Context{Reg: reg, Seed: 1, HostScale: 1, Quarantined: e.newFaultState().quarantined}
+			plan := func() {
+				hs, _, _, err := e.planVOP(ctx, pol, v, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hs) != parts {
+					t.Fatalf("%s: %d HLOPs, want %d", tc.op, len(hs), parts)
+				}
+				for _, h := range hs {
+					releaseHLOPBuffers(v, h)
+				}
+			}
+			plan() // cold: fills the cache
+			if allocs := testing.AllocsPerRun(100, plan); allocs > 4 {
+				t.Fatalf("%s, %d partitions: a replay allocates %.0f times, want at most 4", tc.op, parts, allocs)
+			}
+			if st := e.PlanCacheStats(); st.Hits < 100 {
+				t.Fatalf("%s, %d partitions: the measured plans did not replay: %+v", tc.op, parts, st)
+			}
 		}
 	}
 }

@@ -51,7 +51,7 @@ func (e *Engine) newPrefetcher(hs []*hlop.HLOP) *prefetcher {
 	if !e.Prefetch {
 		return nil
 	}
-	seen := make(map[*tensor.Matrix]int)
+	seen := make(map[*tensor.Matrix]int, 2*len(hs))
 	for _, h := range hs {
 		for _, in := range h.Inputs {
 			seen[in]++

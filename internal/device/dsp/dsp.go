@@ -84,12 +84,22 @@ type Fixed24 struct{}
 // Round implements kernels.Rounder. Calibration is a sequential scan (its
 // result is order-independent); the per-element round-trip parallelizes.
 func (Fixed24) Round(data []float64) {
-	p := quant.CalibrateFixed24(data)
-	parallel.For(len(data), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = p.DequantizeOne(p.QuantizeOne(data[i]))
-		}
-	})
+	fixedSweeps.For(len(data), 4096, fixedArgs{data: data, p: quant.CalibrateFixed24(data)}, roundFixed24)
+}
+
+// fixedArgs are a Fixed24 rounding sweep's operands.
+type fixedArgs struct {
+	data []float64
+	p    quant.Fixed24Params
+}
+
+var fixedSweeps parallel.Pooled[fixedArgs]
+
+func roundFixed24(a *fixedArgs, lo, hi int) {
+	data, p := a.data, a.p
+	for i := lo; i < hi; i++ {
+		data[i] = p.DequantizeOne(p.QuantizeOne(data[i]))
+	}
 }
 
 // Name implements kernels.Rounder.

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"sync"
+
 	"shmt/internal/kernels"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -22,15 +24,19 @@ type Staged struct {
 	Keep []bool
 
 	// Backing for Inputs and Keep at the arity every VOP has (one or two
-	// operands), so a staged set is one allocation.
+	// operands), so a staged set is one object, recycled through stagedSets.
 	in   [2]*tensor.Matrix
 	keep [2]bool
 }
 
+// stagedSets recycles the staged sets Release is done with: an HLOP's
+// staging costs no allocation of its own.
+var stagedSets = sync.Pool{New: func() any { return new(Staged) }}
+
 // NewStaged returns an empty staged set for n operands, none of them marked
-// Keep.
+// Keep. It belongs to the caller until its Release.
 func NewStaged(n int) *Staged {
-	s := &Staged{}
+	s := stagedSets.Get().(*Staged)
 	if n <= len(s.in) {
 		s.Inputs, s.Keep = s.in[:n], s.keep[:n]
 	} else {
@@ -39,16 +45,17 @@ func NewStaged(n int) *Staged {
 	return s
 }
 
-// Release returns every owned buffer to the arena. Safe to call after a
-// failed dispatch; shared (Keep) operands stay resident for their other
-// consumers.
+// Release returns every owned buffer to the arena and the set itself to
+// NewStaged: s must not be used afterwards. Safe to call after a failed
+// dispatch; shared (Keep) operands stay resident for their other consumers.
 func (s *Staged) Release() {
 	for i, m := range s.Inputs {
 		if m != nil && (s.Keep == nil || !s.Keep[i]) {
 			tensor.PutMatrix(m)
 		}
 	}
-	s.Inputs = nil
+	*s = Staged{}
+	stagedSets.Put(s)
 }
 
 // Prestager is implemented by every device whose compute half is "cast each

@@ -154,13 +154,11 @@ func Partition(v *vop.VOP, spec Spec) ([]*HLOP, error) {
 	if err != nil {
 		return nil, err
 	}
-	hs := make([]*HLOP, len(regs))
+	parts := make([]Planned, len(regs))
 	for i, reg := range regs {
-		if hs[i], err = build(v, reg, i); err != nil {
-			return nil, err
-		}
+		parts[i].Region = reg
 	}
-	return hs, nil
+	return bind(v, parts)
 }
 
 // Regions is the geometry half of Partition: the region of every HLOP, in
@@ -185,15 +183,6 @@ func Regions(v *vop.VOP, spec Spec) ([]tensor.Region, error) {
 	default:
 		return tiles(v.Op, rows, cols, spec), nil
 	}
-}
-
-// build extracts the HLOP covering reg, one of Regions' regions or a split of
-// one.
-func build(v *vop.VOP, reg tensor.Region, id int) (*HLOP, error) {
-	if v.Op == vop.OpGEMM {
-		return gemmBand(v, reg.Row, reg.Height, id)
-	}
-	return extract(v, reg, id)
 }
 
 // rowBands splits rows×cols into full-width bands of rows/target rows (at
@@ -261,78 +250,81 @@ func tiles(op vop.Opcode, rows, cols int, spec Spec) []tensor.Region {
 	return regs
 }
 
-// gemmBand builds the GEMM HLOP for rows [row, row+height) of A paired with
-// the whole right-hand matrix. Its Region lives in *output* space (B-columns
-// wide); the input band is A-columns wide.
-func gemmBand(v *vop.VOP, row, height, id int) (*HLOP, error) {
-	a, b := v.Inputs[0], v.Inputs[1]
-	band, err := bandOf(a, tensor.Region{Row: row, Col: 0, Height: height, Width: a.Cols})
-	if err != nil {
-		return nil, err
-	}
-	return &HLOP{
-		ID:       id,
-		Op:       v.Op,
-		Parent:   v,
-		Region:   tensor.Region{Row: row, Col: 0, Height: height, Width: b.Cols},
-		Inputs:   []*tensor.Matrix{band, b},
-		Interior: tensor.Region{Row: 0, Col: 0, Height: height, Width: b.Cols},
-		Attrs:    v.Attrs,
-		Elems:    height * b.Cols,
-	}, nil
-}
-
-// bandOf returns region reg of src as a zero-copy strided view and charges
-// the datapath counters.
-func bandOf(src *tensor.Matrix, reg tensor.Region) (*tensor.Matrix, error) {
-	blk, err := src.View(reg)
-	if err != nil {
-		return nil, err
-	}
-	telemetry.DatapathBytesAliased.Add(reg.Bytes(tensor.ElemSize))
-	telemetry.DatapathCopiesAvoided.Add(1)
-	return blk, nil
-}
-
-// extract builds the HLOP covering region reg of VOP v, shipping halos for
-// stencil opcodes. Halo-free inputs alias the parent tensor through strided
+// bind builds the HLOPs of parts (regions in output space for GEMM, input
+// space otherwise) over v's inputs, carrying each part's policy fields. All of
+// them live in one slab — HLOP, input views, input-pointer array — so binding
+// a VOP is two allocations however many partitions it has (halo blocks come
+// from the arena). Halo-free inputs alias the parent tensor through strided
 // views; halo blocks are materialized because their clamped borders have no
-// in-place representation.
-func extract(v *vop.VOP, reg tensor.Region, id int) (*HLOP, error) {
-	halo := v.HaloWidth()
-	inputs := make([]*tensor.Matrix, len(v.Inputs))
-	interior := tensor.Region{Row: 0, Col: 0, Height: reg.Height, Width: reg.Width}
-	for i, src := range v.Inputs {
-		if v.Op == vop.OpConv && i == 1 {
-			inputs[i] = src // the convolution kernel ships whole
-			continue
-		}
-		if halo > 0 {
-			blk, inner, err := tensor.CopyOutHalo(src, reg, halo)
-			if err != nil {
-				return nil, err
-			}
-			telemetry.DatapathBytesCopied.Add(blk.Bytes(tensor.ElemSize))
-			inputs[i] = blk
-			interior = inner
-		} else {
-			blk, err := bandOf(src, reg)
-			if err != nil {
-				return nil, err
-			}
-			inputs[i] = blk
-		}
+// in-place representation. A GEMM band pairs rows of A, a view, with the
+// whole right-hand matrix; a convolution kernel ships whole.
+func bind(v *vop.VOP, parts []Planned) ([]*HLOP, error) {
+	type slot struct {
+		h    HLOP
+		view [2]tensor.Matrix // every opcode takes one or two inputs
+		ins  [2]*tensor.Matrix
 	}
-	return &HLOP{
-		ID:       id,
-		Op:       v.Op,
-		Parent:   v,
-		Region:   reg,
-		Inputs:   inputs,
-		Interior: interior,
-		Attrs:    v.Attrs,
-		Elems:    int(float64(reg.Len()) * v.WorkFactor()),
-	}, nil
+	n, k := len(parts), len(v.Inputs)
+	slab := make([]slot, n)
+	hs := make([]*HLOP, n)
+	halo, wf := v.HaloWidth(), v.WorkFactor()
+	var aliased, copied, views int64
+	for i := range parts {
+		p := &parts[i]
+		s := &slab[i]
+		reg := p.Region
+		s.h = HLOP{
+			ID:            i,
+			Op:            v.Op,
+			Parent:        v,
+			Region:        reg,
+			Interior:      tensor.Region{Height: reg.Height, Width: reg.Width},
+			Attrs:         v.Attrs,
+			Elems:         int(float64(reg.Len()) * wf),
+			AssignedQueue: p.AssignedQueue,
+			Criticality:   p.Criticality,
+			Critical:      p.Critical,
+		}
+		if v.Op == vop.OpGEMM {
+			a := v.Inputs[0]
+			band := tensor.Region{Row: reg.Row, Height: reg.Height, Width: a.Cols}
+			if err := a.ViewInto(&s.view[0], band); err != nil {
+				return nil, fmt.Errorf("hlop: partition %d: %w", i, err)
+			}
+			s.ins[0], s.ins[1] = &s.view[0], v.Inputs[1]
+			s.h.Elems = reg.Height * v.Inputs[1].Cols
+			aliased += band.Bytes(tensor.ElemSize)
+			views++
+		} else {
+			for j, src := range v.Inputs {
+				switch {
+				case v.Op == vop.OpConv && j == 1:
+					s.ins[j] = src
+				case halo > 0:
+					blk, inner, err := tensor.CopyOutHalo(src, reg, halo)
+					if err != nil {
+						return nil, fmt.Errorf("hlop: partition %d: %w", i, err)
+					}
+					copied += blk.Bytes(tensor.ElemSize)
+					s.ins[j] = blk
+					s.h.Interior = inner
+				default:
+					if err := src.ViewInto(&s.view[j], reg); err != nil {
+						return nil, fmt.Errorf("hlop: partition %d: %w", i, err)
+					}
+					s.ins[j] = &s.view[j]
+					aliased += reg.Bytes(tensor.ElemSize)
+					views++
+				}
+			}
+		}
+		s.h.Inputs = s.ins[:k:k]
+		hs[i] = &s.h
+	}
+	telemetry.DatapathBytesAliased.Add(aliased)
+	telemetry.DatapathCopiesAvoided.Add(views)
+	telemetry.DatapathBytesCopied.Add(copied)
+	return hs, nil
 }
 
 // Planned is one HLOP's entry in a captured execution plan: the partition
@@ -367,121 +359,56 @@ func Capture(hs []*HLOP) []Planned {
 // Replay rebuilds HLOPs from a captured plan against v's (possibly new)
 // input tensors: partition geometry and the policy's assignment come from
 // the plan, while data blocks — views or materialized halo copies — are
-// re-extracted exactly as Partition would produce them. The caller
-// guarantees the plan was captured for the same opcode, input shapes, and
-// Spec (the plan cache's key pins all three).
+// re-extracted exactly as Partition would produce them, into one slab. The
+// caller guarantees the plan was captured for the same opcode, input shapes,
+// and Spec (the plan cache's key pins all three).
 func Replay(v *vop.VOP, parts []Planned) ([]*HLOP, error) {
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
-	if v.Op != vop.OpGEMM && v.HaloWidth() == 0 && len(v.Inputs) <= 2 {
-		return replayViews(v, parts)
-	}
-	hs := make([]*HLOP, len(parts))
-	for i, p := range parts {
-		h, err := build(v, p.Region, i)
-		if err != nil {
-			return nil, fmt.Errorf("hlop: replaying partition %d: %w", i, err)
-		}
-		h.AssignedQueue = p.AssignedQueue
-		h.Criticality = p.Criticality
-		h.Critical = p.Critical
-		hs[i] = h
-	}
-	return hs, nil
-}
-
-// replayViews is Replay's fast path for halo-free opcodes in zero-copy view
-// mode — the common case on the serving path. Replay cost is dominated not by
-// arithmetic but by per-partition allocation (one HLOP, one input slice, one
-// view header per input), so this path lays all partitions out in one shared
-// slab and rebinds views in place with ViewInto. The HLOPs it returns are
-// interchangeable with extract's: engines mutate only their own slot of the
-// slab, and Split re-extracts from the parent VOP.
-func replayViews(v *vop.VOP, parts []Planned) ([]*HLOP, error) {
-	n, k := len(parts), len(v.Inputs)
-	// One slab holds every partition's HLOP, view headers and input-pointer
-	// array: one allocation and one contiguous clear for the whole replay
-	// (halo-free opcodes take at most two inputs).
-	type slot struct {
-		h    HLOP
-		view [2]tensor.Matrix
-		ins  [2]*tensor.Matrix
-	}
-	slab := make([]slot, n)
-	hs := make([]*HLOP, n)
-	wf := v.WorkFactor()
-	var aliased int64
-	for i := range parts {
-		p := &parts[i]
-		s := &slab[i]
-		h := &s.h
-		h.ID = i
-		h.Op = v.Op
-		h.Parent = v
-		h.Region = p.Region
-		h.Interior = tensor.Region{Height: p.Region.Height, Width: p.Region.Width}
-		h.Attrs = v.Attrs
-		h.Elems = int(float64(p.Region.Len()) * wf)
-		h.AssignedQueue = p.AssignedQueue
-		h.Criticality = p.Criticality
-		h.Critical = p.Critical
-		for j, src := range v.Inputs {
-			dst := &s.view[j]
-			if err := src.ViewInto(dst, p.Region); err != nil {
-				return nil, fmt.Errorf("hlop: replaying partition %d: %w", i, err)
-			}
-			s.ins[j] = dst
-			aliased += p.Region.Bytes(tensor.ElemSize)
-		}
-		h.Inputs = s.ins[:k:k]
-		hs[i] = h
-	}
-	telemetry.DatapathBytesAliased.Add(aliased)
-	telemetry.DatapathCopiesAvoided.Add(int64(n * k))
-	return hs, nil
+	return bind(v, parts)
 }
 
 // Split halves an HLOP along its taller axis, re-extracting both halves from
 // the parent VOP — the runtime's response to a device-memory overflow or a
-// granularity mismatch (§3.4). The returned HLOPs reuse the original ID for
-// the first half and take newID for the second. Splitting a 1-element HLOP
-// fails.
+// granularity mismatch (§3.4). A GEMM band halves by rows. The returned HLOPs
+// reuse the original ID for the first half and take newID for the second.
+// Splitting a 1-element HLOP fails.
 func Split(h *HLOP, newID int) (*HLOP, *HLOP, error) {
-	if h.Op == vop.OpGEMM {
-		return splitGEMM(h, newID)
-	}
 	r := h.Region
 	var r1, r2 tensor.Region
 	align := 1
 	if h.Op == vop.OpDCT8x8 {
 		align = 8
 	}
-	// Per-row transforms must keep whole rows together.
-	if h.Op == vop.OpFFT && r.Height < 2 {
+	switch {
+	case h.Op == vop.OpGEMM && r.Height < 2:
+		return nil, nil, fmt.Errorf("hlop: cannot split GEMM band %v further", r)
+	case h.Op == vop.OpFFT && r.Height < 2:
+		// Per-row transforms must keep whole rows together.
 		return nil, nil, fmt.Errorf("hlop: cannot split single FFT row %v", r)
-	}
-	if h.Op == vop.OpFFT || r.Height >= r.Width && r.Height >= 2*align {
+	case h.Op == vop.OpGEMM, h.Op == vop.OpFFT, r.Height >= r.Width && r.Height >= 2*align:
 		half := alignDown(r.Height/2, align)
 		r1 = tensor.Region{Row: r.Row, Col: r.Col, Height: half, Width: r.Width}
 		r2 = tensor.Region{Row: r.Row + half, Col: r.Col, Height: r.Height - half, Width: r.Width}
-	} else if r.Width >= 2*align {
+	case r.Width >= 2*align:
 		half := alignDown(r.Width/2, align)
 		r1 = tensor.Region{Row: r.Row, Col: r.Col, Height: r.Height, Width: half}
 		r2 = tensor.Region{Row: r.Row, Col: r.Col + half, Height: r.Height, Width: r.Width - half}
-	} else {
+	default:
 		return nil, nil, fmt.Errorf("hlop: cannot split %v further", r)
 	}
 	// Re-extract from the parent: halo-free halves alias it again, halo
 	// halves materialize.
-	a, err := extract(h.Parent, r1, h.ID)
+	policy := Planned{AssignedQueue: h.AssignedQueue, Criticality: h.Criticality, Critical: h.Critical}
+	halves := []Planned{policy, policy}
+	halves[0].Region, halves[1].Region = r1, r2
+	hs, err := bind(h.Parent, halves)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := extract(h.Parent, r2, newID)
-	if err != nil {
-		return nil, nil, err
-	}
+	a, b := hs[0], hs[1]
+	a.ID, b.ID = h.ID, newID
 	if h.Out != nil {
 		// The halves' output views are sub-views of the parent's, located
 		// relative to its region.
@@ -492,8 +419,6 @@ func Split(h *HLOP, newID int) (*HLOP, *HLOP, error) {
 			return nil, nil, err
 		}
 	}
-	inheritPolicy(h, a)
-	inheritPolicy(h, b)
 	return a, b, nil
 }
 
@@ -506,57 +431,6 @@ func relativeTo(sub, outer tensor.Region) tensor.Region {
 		Height: sub.Height,
 		Width:  sub.Width,
 	}
-}
-
-func splitGEMM(h *HLOP, newID int) (*HLOP, *HLOP, error) {
-	if h.Region.Height < 2 {
-		return nil, nil, fmt.Errorf("hlop: cannot split GEMM band %v further", h.Region)
-	}
-	a := h.Parent.Inputs[0]
-	half := h.Region.Height / 2
-	mk := func(row, height, id int) (*HLOP, error) {
-		reg := tensor.Region{Row: row, Col: 0, Height: height, Width: a.Cols}
-		band, err := bandOf(a, reg)
-		if err != nil {
-			return nil, err
-		}
-		bcols := h.Parent.Inputs[1].Cols
-		return &HLOP{
-			ID:       id,
-			Op:       h.Op,
-			Parent:   h.Parent,
-			Region:   tensor.Region{Row: row, Col: 0, Height: height, Width: bcols},
-			Inputs:   []*tensor.Matrix{band, h.Parent.Inputs[1]},
-			Interior: tensor.Region{Row: 0, Col: 0, Height: height, Width: bcols},
-			Attrs:    h.Attrs,
-			Elems:    height * bcols,
-		}, nil
-	}
-	x, err := mk(h.Region.Row, half, h.ID)
-	if err != nil {
-		return nil, nil, err
-	}
-	y, err := mk(h.Region.Row+half, h.Region.Height-half, newID)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.Out != nil {
-		if x.Out, err = h.Out.View(relativeTo(x.Region, h.Region)); err != nil {
-			return nil, nil, err
-		}
-		if y.Out, err = h.Out.View(relativeTo(y.Region, h.Region)); err != nil {
-			return nil, nil, err
-		}
-	}
-	inheritPolicy(h, x)
-	inheritPolicy(h, y)
-	return x, y, nil
-}
-
-func inheritPolicy(from, to *HLOP) {
-	to.Criticality = from.Criticality
-	to.Critical = from.Critical
-	to.AssignedQueue = from.AssignedQueue
 }
 
 func alignDown(v, align int) int {

@@ -56,17 +56,7 @@ func execDCT8x8(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor
 	// Rows are independent, so the sweep parallelizes bit-identically. The
 	// input may be a strided tile view; tmp is always dense.
 	tmp := tensor.GetMatrixUninit(in.Rows, in.Cols)
-	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			src, dst := in.Row(row), tmp.Row(row)
-			for bc := 0; bc+8 <= len(src); bc += 8 {
-				v, o := src[bc:bc+8], dst[bc:bc+8]
-				for k := range o {
-					o[k] = dct8Dot(&dct8Basis[k], v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
-				}
-			}
-		}
-	})
+	dctSweeps.For(in.Rows, parallel.RowGrain(in.Cols), dctArgs{in: in, tmp: tmp}, dctRowPass)
 	r.Round(tmp.Data) // stage 1
 
 	// Column pass within each 8-tall block; blocks are independent. Each
@@ -78,21 +68,42 @@ func execDCT8x8(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor
 		tensor.PutMatrix(tmp)
 		return nil, err
 	}
-	parallel.For(in.Rows/8, parallel.RowGrain(8*in.Cols), func(lo, hi int) {
-		for br := lo * 8; br < hi*8; br += 8 {
-			t0 := tmp.Row(br)
-			n := len(t0)
-			t1, t2, t3 := tmp.Row(br + 1)[:n], tmp.Row(br + 2)[:n], tmp.Row(br + 3)[:n]
-			t4, t5, t6, t7 := tmp.Row(br + 4)[:n], tmp.Row(br + 5)[:n], tmp.Row(br + 6)[:n], tmp.Row(br + 7)[:n]
-			for k := 0; k < 8; k++ {
-				bk, o := &dct8Basis[k], out.Row(br + k)[:n]
-				for col := range o {
-					o[col] = dct8Dot(bk, t0[col], t1[col], t2[col], t3[col], t4[col], t5[col], t6[col], t7[col])
-				}
-			}
-		}
-	})
+	dctSweeps.For(in.Rows/8, parallel.RowGrain(8*in.Cols), dctArgs{tmp: tmp, out: out}, dctColPass)
 	RoundMatrix(r, out) // stage 2
 	tensor.PutMatrix(tmp)
 	return out, nil
+}
+
+// dctArgs are the DCT8x8 passes' operands: the row pass reads in and writes
+// tmp, the column pass reads tmp and writes out.
+type dctArgs struct{ in, tmp, out *tensor.Matrix }
+
+var dctSweeps parallel.Pooled[dctArgs]
+
+func dctRowPass(a *dctArgs, lo, hi int) {
+	for row := lo; row < hi; row++ {
+		src, dst := a.in.Row(row), a.tmp.Row(row)
+		for bc := 0; bc+8 <= len(src); bc += 8 {
+			v, o := src[bc:bc+8], dst[bc:bc+8]
+			for k := range o {
+				o[k] = dct8Dot(&dct8Basis[k], v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
+			}
+		}
+	}
+}
+
+func dctColPass(a *dctArgs, lo, hi int) {
+	tmp, out := a.tmp, a.out
+	for br := lo * 8; br < hi*8; br += 8 {
+		t0 := tmp.Row(br)
+		n := len(t0)
+		t1, t2, t3 := tmp.Row(br + 1)[:n], tmp.Row(br + 2)[:n], tmp.Row(br + 3)[:n]
+		t4, t5, t6, t7 := tmp.Row(br + 4)[:n], tmp.Row(br + 5)[:n], tmp.Row(br + 6)[:n], tmp.Row(br + 7)[:n]
+		for k := 0; k < 8; k++ {
+			bk, o := &dct8Basis[k], out.Row(br + k)[:n]
+			for col := range o {
+				o[col] = dct8Dot(bk, t0[col], t1[col], t2[col], t3[col], t4[col], t5[col], t6[col], t7[col])
+			}
+		}
+	}
 }

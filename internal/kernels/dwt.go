@@ -63,35 +63,51 @@ func execFDWT97(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder)
 // worker pool with per-chunk scratch; every row/column is produced by
 // exactly one worker in the sequential order, keeping results bit-identical.
 func dwtLevel(m *tensor.Matrix, rows, cols int, r Rounder) {
+	args := dwtArgs{m: m, rows: rows, cols: cols}
 	// Horizontal pass.
-	parallel.For(rows, parallel.RowGrain(cols), func(lo, hi int) {
-		scratch := tensor.GetFloats(2 * cols)
-		row, buf := scratch[:cols], scratch[cols:]
-		for i := lo; i < hi; i++ {
-			copy(row, m.Data[i*m.Cols:i*m.Cols+cols])
-			lift97Scratch(row, buf)
-			copy(m.Data[i*m.Cols:i*m.Cols+cols], row)
-		}
-		tensor.PutFloats(scratch)
-	})
+	dwtSweeps.For(rows, parallel.RowGrain(cols), args, dwtRows)
 	r.Round(m.Data) // stage 1
 
 	// Vertical pass.
-	parallel.For(cols, parallel.RowGrain(rows), func(lo, hi int) {
-		scratch := tensor.GetFloats(2 * rows)
-		col, buf := scratch[:rows], scratch[rows:]
-		for j := lo; j < hi; j++ {
-			for i := 0; i < rows; i++ {
-				col[i] = m.Data[i*m.Cols+j]
-			}
-			lift97Scratch(col, buf)
-			for i := 0; i < rows; i++ {
-				m.Data[i*m.Cols+j] = col[i]
-			}
-		}
-		tensor.PutFloats(scratch)
-	})
+	dwtSweeps.For(cols, parallel.RowGrain(rows), args, dwtCols)
 	r.Round(m.Data) // stage 2
+}
+
+// dwtArgs are a DWT level's operands: the matrix transformed in place and
+// the extent of its top-left block this level covers.
+type dwtArgs struct {
+	m          *tensor.Matrix
+	rows, cols int
+}
+
+var dwtSweeps parallel.Pooled[dwtArgs]
+
+func dwtRows(a *dwtArgs, lo, hi int) {
+	m, cols := a.m, a.cols
+	scratch := tensor.GetFloats(2 * cols)
+	row, buf := scratch[:cols], scratch[cols:]
+	for i := lo; i < hi; i++ {
+		copy(row, m.Data[i*m.Cols:i*m.Cols+cols])
+		lift97Scratch(row, buf)
+		copy(m.Data[i*m.Cols:i*m.Cols+cols], row)
+	}
+	tensor.PutFloats(scratch)
+}
+
+func dwtCols(a *dwtArgs, lo, hi int) {
+	m, rows := a.m, a.rows
+	scratch := tensor.GetFloats(2 * rows)
+	col, buf := scratch[:rows], scratch[rows:]
+	for j := lo; j < hi; j++ {
+		for i := 0; i < rows; i++ {
+			col[i] = m.Data[i*m.Cols+j]
+		}
+		lift97Scratch(col, buf)
+		for i := 0; i < rows; i++ {
+			m.Data[i*m.Cols+j] = col[i]
+		}
+	}
+	tensor.PutFloats(scratch)
 }
 
 // lift97Scratch runs the forward 9/7 lifting steps in place and

@@ -19,34 +19,34 @@ func execBinary(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, r Ro
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return nil, fmt.Errorf("kernels: %s shapes %dx%d and %dx%d differ", op, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	var fn func(d, x, y []float64)
+	var fn func(_ float64, d, x, y []float64)
 	switch op {
 	case vop.OpAdd:
-		fn = func(d, x, y []float64) {
+		fn = func(_ float64, d, x, y []float64) {
 			for i := range d {
 				d[i] = x[i] + y[i]
 			}
 		}
 	case vop.OpSub:
-		fn = func(d, x, y []float64) {
+		fn = func(_ float64, d, x, y []float64) {
 			for i := range d {
 				d[i] = x[i] - y[i]
 			}
 		}
 	case vop.OpMultiply:
-		fn = func(d, x, y []float64) {
+		fn = func(_ float64, d, x, y []float64) {
 			for i := range d {
 				d[i] = x[i] * y[i]
 			}
 		}
 	case vop.OpMax:
-		fn = func(d, x, y []float64) {
+		fn = func(_ float64, d, x, y []float64) {
 			for i := range d {
 				d[i] = math.Max(x[i], y[i])
 			}
 		}
 	case vop.OpMin:
-		fn = func(d, x, y []float64) {
+		fn = func(_ float64, d, x, y []float64) {
 			for i := range d {
 				d[i] = math.Min(x[i], y[i])
 			}
@@ -58,7 +58,7 @@ func execBinary(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, r Ro
 	if err != nil {
 		return nil, err
 	}
-	forSpans2(out, a, b, fn)
+	forSpans2(out, a, b, 0, fn)
 	RoundMatrix(r, out)
 	return out, nil
 }

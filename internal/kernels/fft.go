@@ -24,25 +24,9 @@ func execFFT(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Ma
 	if in.Cols == 0 || in.Cols&(in.Cols-1) != 0 {
 		return nil, fmt.Errorf("kernels: FFT row length %d not a power of two", in.Cols)
 	}
-	inS := in.RowStride()
 	re := tensor.GetMatrixUninit(in.Rows, in.Cols)
 	im := tensor.GetMatrixUninit(in.Rows, in.Cols)
-	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
-		buf := tensor.GetComplex(in.Cols)
-		for row := lo; row < hi; row++ {
-			baseIn := row * inS
-			base := row * in.Cols
-			for j := 0; j < in.Cols; j++ {
-				buf[j] = complex(in.Data[baseIn+j], 0)
-			}
-			FFTInPlace(buf)
-			for j := 0; j < in.Cols; j++ {
-				re.Data[base+j] = real(buf[j])
-				im.Data[base+j] = imag(buf[j])
-			}
-		}
-		tensor.PutComplex(buf)
-	})
+	fftSweeps.For(in.Rows, parallel.RowGrain(in.Cols), fftArgs{in: in, re: re, im: im}, fftRows)
 	r.Round(re.Data) // stage 1: the complex spectrum leaves the butterflies
 	r.Round(im.Data)
 
@@ -52,15 +36,42 @@ func execFFT(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Ma
 		tensor.PutMatrix(im)
 		return nil, err
 	}
-	forSpans2(out, re, im, func(d, x, y []float64) {
-		for i := range d {
-			d[i] = math.Hypot(x[i], y[i])
-		}
-	})
+	forSpans2(out, re, im, 0, hypotSpan)
 	RoundMatrix(r, out) // stage 2
 	tensor.PutMatrix(re)
 	tensor.PutMatrix(im)
 	return out, nil
+}
+
+// fftArgs are the butterfly pass's operands: the input rows and the dense
+// real and imaginary planes of the spectrum.
+type fftArgs struct{ in, re, im *tensor.Matrix }
+
+var fftSweeps parallel.Pooled[fftArgs]
+
+func fftRows(a *fftArgs, lo, hi int) {
+	in, re, im := a.in, a.re, a.im
+	inS := in.RowStride()
+	buf := tensor.GetComplex(in.Cols)
+	for row := lo; row < hi; row++ {
+		baseIn := row * inS
+		base := row * in.Cols
+		for j := 0; j < in.Cols; j++ {
+			buf[j] = complex(in.Data[baseIn+j], 0)
+		}
+		FFTInPlace(buf)
+		for j := 0; j < in.Cols; j++ {
+			re.Data[base+j] = real(buf[j])
+			im.Data[base+j] = imag(buf[j])
+		}
+	}
+	tensor.PutComplex(buf)
+}
+
+func hypotSpan(_ float64, d, x, y []float64) {
+	for i := range d {
+		d[i] = math.Hypot(x[i], y[i])
+	}
 }
 
 // FFTInPlace computes the in-place iterative radix-2 Cooley-Tukey DFT of x;

@@ -45,23 +45,34 @@ func execGEMM(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 			}
 		}
 	}
-	const blk = 64 // rows per pool task; a multiple of the 4-row tile
-	parallel.For((a.Rows+blk-1)/blk, 1, func(lo, hi int) {
-		i, iMax := lo*blk, min(hi*blk, a.Rows)
-		for ; i+4 <= iMax; i += 4 {
-			gemmTile4(a, b, out, i)
-		}
-		for ; i < iMax; i++ { // leftover rows, one at a time
-			c := out.Row(i)
-			for k, v := range a.Row(i) {
-				for j, p := range b.Row(k)[:len(c)] {
-					c[j] += v * p
-				}
-			}
-		}
-	})
+	gemmSweeps.For((a.Rows+gemmBlock-1)/gemmBlock, 1, gemmArgs{a: a, b: b, out: out}, gemmRows)
 	RoundMatrix(r, out)
 	return out, nil
+}
+
+// gemmBlock is the rows of A per pool task; a multiple of the 4-row tile.
+const gemmBlock = 64
+
+// gemmArgs are the GEMM sweep's operands: C = A·B accumulates into out.
+type gemmArgs struct{ a, b, out *tensor.Matrix }
+
+var gemmSweeps parallel.Pooled[gemmArgs]
+
+// gemmRows accumulates the row blocks [lo, hi) of out.
+func gemmRows(g *gemmArgs, lo, hi int) {
+	a, b, out := g.a, g.b, g.out
+	i, iMax := lo*gemmBlock, min(hi*gemmBlock, a.Rows)
+	for ; i+4 <= iMax; i += 4 {
+		gemmTile4(a, b, out, i)
+	}
+	for ; i < iMax; i++ { // leftover rows, one at a time
+		c := out.Row(i)
+		for k, v := range a.Row(i) {
+			for j, p := range b.Row(k)[:len(c)] {
+				c[j] += v * p
+			}
+		}
+	}
 }
 
 // gemmTile4 accumulates rows i..i+3 of out. The register tile is 4 rows by 4

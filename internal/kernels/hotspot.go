@@ -47,43 +47,58 @@ func execHotspot(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder
 
 	rows, cols := temp.Rows, temp.Cols
 	cur := temp
-	delta := tensor.GetMatrixUninit(rows, cols)
+	ha := hotspotArgs{power: power, delta: tensor.GetMatrixUninit(rows, cols),
+		rx: rx, ry: ry, rz: rz, tamb: tamb}
 	for s := 0; s < steps; s++ {
-		src := cur // capture for the closure; cur is reassigned below
-		parallel.For(rows, parallel.RowGrain(cols), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				up, mid, dn := rows3(src, i)
-				pRow, dRow := power.Row(i)[:len(mid)], delta.Row(i)[:len(mid)]
-				for j, t := range mid {
-					l, r := cols3(j, len(mid))
-					dRow[j] = pRow[j] +
-						(up[j]+dn[j]-2*t)/ry +
-						(mid[l]+mid[r]-2*t)/rx +
-						(tamb-t)/rz
-				}
-			}
-		})
-		r.Round(delta.Data) // stage 1
+		ha.src = cur
+		hotspotSweeps.For(rows, parallel.RowGrain(cols), ha, hotspotDelta)
+		r.Round(ha.delta.Data) // stage 1
 
 		next := tensor.GetMatrixUninit(rows, cols)
-		// src may be a strided view on the first step; forSpans2 falls back
+		// cur may be a strided view on the first step; forSpans2 falls back
 		// to whole-row runs in that case.
-		forSpans2(next, src, delta, func(d, x, y []float64) {
-			for i := range d {
-				d[i] = x[i] + dtCap*y[i]
-			}
-		})
+		forSpans2(next, cur, ha.delta, dtCap, hotspotUpdate)
 		r.Round(next.Data) // stage 2
 		if cur != temp {
 			tensor.PutMatrix(cur)
 		}
 		cur = next
 	}
-	tensor.PutMatrix(delta)
+	tensor.PutMatrix(ha.delta)
 	if dst == nil {
 		return cur, nil
 	}
 	dst.CopyFrom(cur)
 	tensor.PutMatrix(cur)
 	return dst, nil
+}
+
+// hotspotArgs are a Hotspot step's operands: the step's source grid, the
+// power grid, the neighbour-delta grid and the thermal constants.
+type hotspotArgs struct {
+	src, power, delta *tensor.Matrix
+	rx, ry, rz, tamb  float64
+}
+
+var hotspotSweeps parallel.Pooled[hotspotArgs]
+
+func hotspotDelta(a *hotspotArgs, lo, hi int) {
+	rx, ry, rz, tamb := a.rx, a.ry, a.rz, a.tamb
+	for i := lo; i < hi; i++ {
+		up, mid, dn := rows3(a.src, i)
+		pRow, dRow := a.power.Row(i)[:len(mid)], a.delta.Row(i)[:len(mid)]
+		for j, t := range mid {
+			l, r := cols3(j, len(mid))
+			dRow[j] = pRow[j] +
+				(up[j]+dn[j]-2*t)/ry +
+				(mid[l]+mid[r]-2*t)/rx +
+				(tamb-t)/rz
+		}
+	}
+}
+
+func hotspotUpdate(dtCap float64, d, x, y []float64) {
+	for i := range d {
+		d[i] = x[i] + dtCap*y[i]
+	}
 }

@@ -46,18 +46,26 @@ func execLaplacian(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*ten
 	if err != nil {
 		return nil, err
 	}
-	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			up, mid, dn := rows3(in, i)
-			o := out.Row(i)[:len(mid)]
-			for j, c := range mid {
-				l, r := cols3(j, len(mid))
-				o[j] = up[j] + dn[j] + mid[l] + mid[r] - 4*c
-			}
-		}
-	})
+	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out}, laplacianRows)
 	RoundMatrix(r, out)
 	return out, nil
+}
+
+// stencilArgs are an image stencil sweep's operands: the input, the
+// destination and, for conv, the kernel.
+type stencilArgs struct{ in, out, k *tensor.Matrix }
+
+var stencilSweeps parallel.Pooled[stencilArgs]
+
+func laplacianRows(a *stencilArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		up, mid, dn := rows3(a.in, i)
+		o := a.out.Row(i)[:len(mid)]
+		for j, c := range mid {
+			l, r := cols3(j, len(mid))
+			o[j] = up[j] + dn[j] + mid[l] + mid[r] - 4*c
+		}
+	}
 }
 
 func execSobel(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Matrix, error) {
@@ -69,23 +77,25 @@ func execSobel(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.
 	if err != nil {
 		return nil, err
 	}
-	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			up, mid, dn := rows3(in, i)
-			o := out.Row(i)[:len(mid)]
-			for j := range mid {
-				l, r := cols3(j, len(mid))
-				gx := -up[l] + up[r] +
-					-2*mid[l] + 2*mid[r] +
-					-dn[l] + dn[r]
-				gy := -up[l] - 2*up[j] - up[r] +
-					dn[l] + 2*dn[j] + dn[r]
-				o[j] = math.Hypot(gx, gy)
-			}
-		}
-	})
+	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out}, sobelRows)
 	RoundMatrix(r, out)
 	return out, nil
+}
+
+func sobelRows(a *stencilArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		up, mid, dn := rows3(a.in, i)
+		o := a.out.Row(i)[:len(mid)]
+		for j := range mid {
+			l, r := cols3(j, len(mid))
+			gx := -up[l] + up[r] +
+				-2*mid[l] + 2*mid[r] +
+				-dn[l] + dn[r]
+			gy := -up[l] - 2*up[j] - up[r] +
+				dn[l] + 2*dn[j] + dn[r]
+			o[j] = math.Hypot(gx, gy)
+		}
+	}
 }
 
 func execMeanFilter(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Matrix, error) {
@@ -97,28 +107,30 @@ func execMeanFilter(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*te
 	if err != nil {
 		return nil, err
 	}
-	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			up, mid, dn := rows3(in, i)
-			o := out.Row(i)[:len(mid)]
-			for j := range mid {
-				l, r := cols3(j, len(mid))
-				var s float64
-				s += up[l]
-				s += up[j]
-				s += up[r]
-				s += mid[l]
-				s += mid[j]
-				s += mid[r]
-				s += dn[l]
-				s += dn[j]
-				s += dn[r]
-				o[j] = s / 9
-			}
-		}
-	})
+	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out}, meanRows)
 	RoundMatrix(r, out)
 	return out, nil
+}
+
+func meanRows(a *stencilArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		up, mid, dn := rows3(a.in, i)
+		o := a.out.Row(i)[:len(mid)]
+		for j := range mid {
+			l, r := cols3(j, len(mid))
+			var s float64
+			s += up[l]
+			s += up[j]
+			s += up[r]
+			s += mid[l]
+			s += mid[j]
+			s += mid[r]
+			s += dn[l]
+			s += dn[j]
+			s += dn[r]
+			o[j] = s / 9
+		}
+	}
 }
 
 // execConv computes the 2-D cross-correlation of the input with an odd
@@ -128,31 +140,34 @@ func execConv(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 		return nil, err
 	}
 	in, k := inputs[0], inputs[1]
-	rad := k.Rows / 2
 	out, err := outFor(dst, in.Rows, in.Cols)
 	if err != nil {
 		return nil, err
 	}
-	parallel.For(in.Rows, parallel.RowGrain(in.Cols), func(lo, hi int) {
-		// The window's input rows, clamped, taken once per output row.
-		win := make([][]float64, 2*rad+1)
-		for i := lo; i < hi; i++ {
-			for d := range win {
-				win[d] = clampRow(in, i+d-rad)
-			}
-			o := out.Row(i)
-			for j := range o {
-				var s float64
-				for d, row := range win {
-					krow := k.Row(d)
-					for dj := -rad; dj <= rad; dj++ {
-						s += row[max(0, min(j+dj, len(row)-1))] * krow[dj+rad]
-					}
-				}
-				o[j] = s
-			}
-		}
-	})
+	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out, k: k}, convRows)
 	RoundMatrix(r, out)
 	return out, nil
+}
+
+func convRows(a *stencilArgs, lo, hi int) {
+	in, out, k := a.in, a.out, a.k
+	rad := k.Rows / 2
+	// The window's input rows, clamped, taken once per output row.
+	win := make([][]float64, 2*rad+1)
+	for i := lo; i < hi; i++ {
+		for d := range win {
+			win[d] = clampRow(in, i+d-rad)
+		}
+		o := out.Row(i)
+		for j := range o {
+			var s float64
+			for d, row := range win {
+				krow := k.Row(d)
+				for dj := -rad; dj <= rad; dj++ {
+					s += row[max(0, min(j+dj, len(row)-1))] * krow[dj+rad]
+				}
+			}
+			o[j] = s
+		}
+	}
 }

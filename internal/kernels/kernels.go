@@ -79,7 +79,13 @@ func (Exact) RoundsElementwise() {}
 type F32 struct{}
 
 // Round implements Rounder.
-func (F32) Round(data []float64) { forChunks(data, roundF32) }
+func (F32) Round(data []float64) {
+	if len(data) <= parGrain { // one chunk, rounded here: DCT8x8 rounds per 8×8 block
+		roundF32(data)
+		return
+	}
+	roundSweeps.For(len(data), parGrain, roundArgs{data: data}, roundF32Chunk)
+}
 
 func roundF32(chunk []float64) {
 	for i, v := range chunk {
@@ -87,16 +93,16 @@ func roundF32(chunk []float64) {
 	}
 }
 
-// forChunks runs round over data in parGrain chunks on the host pool — or,
-// when data is one chunk, right here: DCT8x8 rounds per 8×8 block, and the
-// closure parallel.For takes was an allocation for each.
-func forChunks(data []float64, round func(chunk []float64)) {
-	if len(data) <= parGrain {
-		round(data)
-		return
-	}
-	parallel.For(len(data), parGrain, func(lo, hi int) { round(data[lo:hi]) })
+func roundF32Chunk(a *roundArgs, lo, hi int) { roundF32(a.data[lo:hi]) }
+
+// roundArgs are a rounding sweep's operands, for its parGrain chunks on the
+// host pool.
+type roundArgs struct {
+	data []float64
+	p    quant.AffineParams // Int8's calibration
 }
+
+var roundSweeps parallel.Pooled[roundArgs]
 
 // Name implements Rounder.
 func (F32) Name() string { return "fp32" }
@@ -115,11 +121,13 @@ func (Int8) Round(data []float64) {
 	// order-independent); the per-element round-trip parallelizes.
 	p := quant.CalibrateAffine(data)
 	if len(data) <= parGrain {
-		p.RoundTripInPlace(data) // as forChunks, without the method value
+		p.RoundTripInPlace(data)
 		return
 	}
-	forChunks(data, p.RoundTripInPlace)
+	roundSweeps.For(len(data), parGrain, roundArgs{data: data, p: p}, roundInt8Chunk)
 }
+
+func roundInt8Chunk(a *roundArgs, lo, hi int) { a.p.RoundTripInPlace(a.data[lo:hi]) }
 
 // Name implements Rounder.
 func (Int8) Name() string { return "int8" }
@@ -237,32 +245,58 @@ func outFor(dst *tensor.Matrix, rows, cols int) (*tensor.Matrix, error) {
 // callers apply element-independent math, so results are bit-identical at
 // any worker count and on either span layout.
 func forSpans1(out, a *tensor.Matrix, fn func(dst, x []float64)) {
+	args := spans1{out: out, a: a, fn: fn}
 	if out.IsContiguous() && a.IsContiguous() {
-		parallel.For(out.Len(), parGrain, func(lo, hi int) {
-			fn(out.Data[lo:hi], a.Data[lo:hi])
-		})
+		spans1Sweeps.For(out.Len(), parGrain, args, spans1Flat)
 		return
 	}
-	parallel.For(out.Rows, parallel.RowGrain(out.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(out.Row(i), a.Row(i))
-		}
-	})
+	spans1Sweeps.For(out.Rows, parallel.RowGrain(out.Cols), args, spans1Rows)
 }
 
-// forSpans2 is forSpans1 over three equally shaped matrices.
-func forSpans2(out, a, b *tensor.Matrix, fn func(dst, x, y []float64)) {
+// spans1 are forSpans1's operands.
+type spans1 struct {
+	out, a *tensor.Matrix
+	fn     func(dst, x []float64)
+}
+
+var spans1Sweeps parallel.Pooled[spans1]
+
+func spans1Flat(s *spans1, lo, hi int) { s.fn(s.out.Data[lo:hi], s.a.Data[lo:hi]) }
+
+func spans1Rows(s *spans1, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s.fn(s.out.Row(i), s.a.Row(i))
+	}
+}
+
+// forSpans2 is forSpans1 over three equally shaped matrices; c is a scalar
+// operand handed to every span (0 where fn reads none).
+func forSpans2(out, a, b *tensor.Matrix, c float64, fn func(c float64, dst, x, y []float64)) {
+	args := spans2{out: out, a: a, b: b, c: c, fn: fn}
 	if out.IsContiguous() && a.IsContiguous() && b.IsContiguous() {
-		parallel.For(out.Len(), parGrain, func(lo, hi int) {
-			fn(out.Data[lo:hi], a.Data[lo:hi], b.Data[lo:hi])
-		})
+		spans2Sweeps.For(out.Len(), parGrain, args, spans2Flat)
 		return
 	}
-	parallel.For(out.Rows, parallel.RowGrain(out.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(out.Row(i), a.Row(i), b.Row(i))
-		}
-	})
+	spans2Sweeps.For(out.Rows, parallel.RowGrain(out.Cols), args, spans2Rows)
+}
+
+// spans2 are forSpans2's operands.
+type spans2 struct {
+	out, a, b *tensor.Matrix
+	c         float64
+	fn        func(c float64, dst, x, y []float64)
+}
+
+var spans2Sweeps parallel.Pooled[spans2]
+
+func spans2Flat(s *spans2, lo, hi int) {
+	s.fn(s.c, s.out.Data[lo:hi], s.a.Data[lo:hi], s.b.Data[lo:hi])
+}
+
+func spans2Rows(s *spans2, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s.fn(s.c, s.out.Row(i), s.a.Row(i), s.b.Row(i))
+	}
 }
 
 func checkInputs(op vop.Opcode, inputs []*tensor.Matrix, want int) error {

@@ -91,9 +91,8 @@ func execReduce(op vop.Opcode, inputs []*tensor.Matrix, a attrs, r Rounder) (*te
 			for i := range partials {
 				partials[i] = 0
 			}
-			parallel.For(len(data), reduceChunk, func(clo, chi int) {
-				histInto(partials[(clo/reduceChunk)*256:][:256], data[clo:chi], lo, scale)
-			})
+			reduceSweeps.For(len(data), reduceChunk,
+				reduceArgs{vals: data, partials: partials, lo: lo, scale: scale}, histChunk)
 			for c := 0; c < chunks; c++ {
 				for i, v := range partials[c*256 : (c+1)*256] {
 					out.Data[i] += v
@@ -131,9 +130,7 @@ func chunkedKahanSum(vals []float64) float64 {
 		return kahanSum(vals)
 	}
 	partials := tensor.GetFloats(chunks)
-	parallel.For(len(vals), reduceChunk, func(lo, hi int) {
-		partials[lo/reduceChunk] = kahanSum(vals[lo:hi])
-	})
+	reduceSweeps.For(len(vals), reduceChunk, reduceArgs{vals: vals, partials: partials}, kahanChunk)
 	sum := kahanSum(partials)
 	tensor.PutFloats(partials)
 	return sum
@@ -153,15 +150,8 @@ func chunkedExtreme(vals []float64, id float64, better func(a, b float64) bool) 
 		return m
 	}
 	partials := tensor.GetFloats(chunks)
-	parallel.For(len(vals), reduceChunk, func(lo, hi int) {
-		m := id
-		for _, v := range vals[lo:hi] {
-			if better(v, m) {
-				m = v
-			}
-		}
-		partials[lo/reduceChunk] = m
-	})
+	reduceSweeps.For(len(vals), reduceChunk,
+		reduceArgs{vals: vals, partials: partials, id: id, better: better}, extremeChunk)
 	m := id
 	for _, v := range partials {
 		if better(v, m) {
@@ -170,6 +160,36 @@ func chunkedExtreme(vals []float64, id float64, better func(a, b float64) bool) 
 	}
 	tensor.PutFloats(partials)
 	return m
+}
+
+// reduceArgs are a multi-chunk reduction's operands: the values, one partial
+// per chunk (256 for the histogram), and what the chunk function reads of
+// the reduction — the histogram's range, the extreme's identity and order.
+type reduceArgs struct {
+	vals, partials []float64
+	lo, scale      float64
+	id             float64
+	better         func(a, b float64) bool
+}
+
+var reduceSweeps parallel.Pooled[reduceArgs]
+
+func histChunk(a *reduceArgs, lo, hi int) {
+	histInto(a.partials[(lo/reduceChunk)*256:][:256], a.vals[lo:hi], a.lo, a.scale)
+}
+
+func kahanChunk(a *reduceArgs, lo, hi int) {
+	a.partials[lo/reduceChunk] = kahanSum(a.vals[lo:hi])
+}
+
+func extremeChunk(a *reduceArgs, lo, hi int) {
+	m := a.id
+	for _, v := range a.vals[lo:hi] {
+		if a.better(v, m) {
+			m = v
+		}
+	}
+	a.partials[lo/reduceChunk] = m
 }
 
 // MergePartials combines per-partition reduction partials into the final VOP

@@ -100,7 +100,52 @@ func submit(f func()) bool {
 // With one worker the same chunks run in order on the calling goroutine;
 // that is the "sequential path" the determinism contract is stated against.
 // A panic in any chunk is re-raised on the caller.
-func For(n, grain int, fn func(lo, hi int)) {
+//
+// fn is stored where the pool's helpers can reach it, so a closure that
+// captures anything is a heap allocation per call; a hot fan-out site uses
+// Pooled instead.
+func For(n, grain int, fn func(lo, hi int)) { forBody(n, grain, funcBody(fn)) }
+
+// body is what a parallel loop runs per chunk.
+type body interface{ run(lo, hi int) }
+
+// funcBody adapts For's function to body; a func value is pointer-shaped, so
+// the conversion boxes nothing.
+type funcBody func(lo, hi int)
+
+func (f funcBody) run(lo, hi int) { f(lo, hi) }
+
+// Pooled is one fan-out site whose chunks read their operands from an A
+// instead of a closure: For copies the operands into a loop body drawn from
+// the site's pool and runs fn(&args, lo, hi) per chunk, so a warm call
+// allocates nothing. Declare one package-level Pooled per operand type; fn
+// should be a top-level function, which as a func value is static.
+type Pooled[A any] struct{ pool sync.Pool }
+
+// pooledBody is a Pooled site's loop body: the operands and the function
+// that reads them.
+type pooledBody[A any] struct {
+	args A
+	fn   func(a *A, lo, hi int)
+}
+
+func (b *pooledBody[A]) run(lo, hi int) { b.fn(&b.args, lo, hi) }
+
+// For runs fn(&args, lo, hi) over [0, n) in exactly the chunks For(n, grain,
+// …) would. The body goes back to the pool once every chunk has run; one
+// whose chunk panicked is dropped.
+func (p *Pooled[A]) For(n, grain int, args A, fn func(a *A, lo, hi int)) {
+	b, _ := p.pool.Get().(*pooledBody[A])
+	if b == nil {
+		b = new(pooledBody[A])
+	}
+	b.args, b.fn = args, fn
+	forBody(n, grain, b)
+	*b = pooledBody[A]{} // drop the operands: the pool must not pin tensors
+	p.pool.Put(b)
+}
+
+func forBody(n, grain int, b body) {
 	if n <= 0 {
 		return
 	}
@@ -119,19 +164,20 @@ func For(n, grain int, fn func(lo, hi int)) {
 			if hi > n {
 				hi = n
 			}
-			fn(lo, hi)
+			b.run(lo, hi)
 		}
 		return
 	}
 
-	// One heap object carries the call's shared state and one method value
-	// is every helper, so a parallel For costs two allocations however wide
-	// it fans out.
-	j := &forJob{n: n, grain: grain, chunks: chunks, fn: fn}
-	help := j.help
+	// The call's shared state comes from a pool, with its helper method value
+	// bound once when the job was made, so a warm parallel call allocates
+	// nothing however wide it fans out.
+	j := jobs.Get().(*forJob)
+	j.n, j.grain, j.chunks, j.body = n, grain, chunks, b
+	j.next.Store(0)
 	for i := 1; i < w; i++ {
 		j.pending.Add(1)
-		if !submit(help) {
+		if !submit(j.help) {
 			j.pending.Add(-1)
 			break // pool saturated: the caller drains the counter alone
 		}
@@ -155,15 +201,28 @@ func For(n, grain int, fn func(lo, hi int)) {
 			runtime.Gosched()
 		}
 	}
+	// Every helper has finished with j (pending counts them until their
+	// last access), so it may serve another call — unless a chunk panicked:
+	// that job keeps its panic state and is never reused.
 	if j.panicked.Load() {
 		panic(j.panicVal)
 	}
+	j.body = nil
+	jobs.Put(j)
 }
+
+// jobs recycles forJobs across parallel calls.
+var jobs = sync.Pool{New: func() any {
+	j := new(forJob)
+	j.help = j.runHelper
+	return j
+}}
 
 // forJob is the state one parallel For call shares with its helpers.
 type forJob struct {
 	n, grain, chunks int
-	fn               func(lo, hi int)
+	body             body
+	help             func() // j.runHelper, bound once per job
 
 	next      atomic.Int64 // next unclaimed chunk
 	pending   atomic.Int64 // helpers submitted and not yet finished
@@ -172,8 +231,8 @@ type forJob struct {
 	panicVal  any
 }
 
-// help is a submitted helper: it drains chunks like the caller does.
-func (j *forJob) help() {
+// runHelper is a submitted helper: it drains chunks like the caller does.
+func (j *forJob) runHelper() {
 	defer j.pending.Add(-1)
 	j.work()
 }
@@ -212,7 +271,7 @@ func (j *forJob) work() {
 		}
 		lo := c * j.grain
 		hi := min(lo+j.grain, j.n)
-		j.fn(lo, hi)
+		j.body.run(lo, hi)
 		done++
 	}
 }

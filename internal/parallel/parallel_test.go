@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -198,5 +199,124 @@ func TestWorkerBusyCountsEachGoroutineOnce(t *testing.T) {
 	// Chunks are work done, not time: nested ones still count, each once.
 	if got, want := telemetry.WorkerChunks.Value()-chunks0, int64(16+16*8); got != want {
 		t.Fatalf("chunks = %d, want %d", got, want)
+	}
+}
+
+// TestParallelForAllocatesNothing: once its job and loop body have been made,
+// a parallel For — plain or through a Pooled site — allocates nothing,
+// however many helpers it fans out to.
+func TestParallelForAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	var sink atomic.Int64
+	fn := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	if n := testing.AllocsPerRun(100, func() { For(4096, 64, fn) }); n != 0 {
+		t.Fatalf("For allocates %v times per call", n)
+	}
+	type args struct{ sink *atomic.Int64 }
+	var site Pooled[args]
+	count := func(a *args, lo, hi int) { a.sink.Add(int64(hi - lo)) }
+	if n := testing.AllocsPerRun(100, func() { site.For(4096, 64, args{&sink}, count) }); n != 0 {
+		t.Fatalf("Pooled.For allocates %v times per call", n)
+	}
+	if want := int64(2 * 101 * 4096); sink.Load() != want {
+		t.Fatalf("covered %d elements, want %d", sink.Load(), want)
+	}
+}
+
+// TestPooledJobsUnderContention: jobs and loop bodies recycled across many
+// goroutines calling For at once, nested and through a Pooled site, still
+// run every index of every call exactly once; a chunk's panic reaches its own
+// caller and no other; and the job it panicked in is never handed to another
+// call (no job in the pool carries a panic).
+func TestPooledJobsUnderContention(t *testing.T) {
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	type args struct{ hits []atomic.Int32 }
+	var site Pooled[args]
+	mark := func(a *args, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a.hits[i].Add(1)
+		}
+	}
+	once := func(hits []atomic.Int32) error {
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				return fmt.Errorf("index %d of %d ran %d times", i, len(hits), h)
+			}
+		}
+		return nil
+	}
+
+	const goroutines, calls = 12, 40
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 0; c < calls; c++ {
+				n := 1 + (g*131+c*17)%900
+				hits := make([]atomic.Int32, n)
+				var nestedErr atomic.Value
+				For(n, 1+c%13, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						hits[i].Add(1)
+						if i%101 == 0 { // a kernel fanning out inside a pooled task
+							inner := args{hits: make([]atomic.Int32, 64)}
+							site.For(64, 5, inner, mark)
+							if err := once(inner.hits); err != nil {
+								nestedErr.Store(err)
+							}
+						}
+					}
+				})
+				if err := once(hits); err != nil {
+					errs <- fmt.Errorf("goroutine %d call %d: %w", g, c, err)
+					return
+				}
+				if err, _ := nestedErr.Load().(error); err != nil {
+					errs <- fmt.Errorf("goroutine %d call %d, nested: %w", g, c, err)
+					return
+				}
+				if c%5 != 0 {
+					continue
+				}
+				token := [2]int{g, c}
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					For(n+64, 4, func(lo, hi int) {
+						if lo <= n && n < hi {
+							panic(token)
+						}
+					})
+					return nil
+				}()
+				if got != token {
+					errs <- fmt.Errorf("goroutine %d call %d: recovered %v, want its own panic %v", g, c, got, token)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var held []*forJob
+	for range 64 {
+		j := jobs.Get().(*forJob)
+		if j.panicked.Load() || j.body != nil || j.pending.Load() != 0 {
+			t.Errorf("the pool holds a job that is not clean: panicked %v, body %v, pending %d",
+				j.panicked.Load(), j.body != nil, j.pending.Load())
+		}
+		held = append(held, j)
+	}
+	for _, j := range held {
+		jobs.Put(j)
 	}
 }

@@ -35,12 +35,16 @@ const arenaBuckets = 48 // 1<<47 elements ≫ any addressable tensor
 
 var (
 	floatPools   [arenaBuckets]sync.Pool // holds *[]float64: a pointer, so that a Put boxes nothing
-	complexPools [arenaBuckets]sync.Pool // holds []complex128
+	complexPools [arenaBuckets]sync.Pool // holds *[]complex128, as floatPools
 	matrixPools  [arenaBuckets]sync.Pool // holds *Matrix
 )
 
-// floatHeaders holds the *[]float64 a GetFloats has emptied, for the next Put.
-var floatHeaders = sync.Pool{New: func() any { return new([]float64) }}
+// floatHeaders and complexHeaders hold the slice headers a Get has emptied,
+// for the next Put.
+var (
+	floatHeaders   = sync.Pool{New: func() any { return new([]float64) }}
+	complexHeaders = sync.Pool{New: func() any { return new([]complex128) }}
+)
 
 // Arena hit/miss accounting. The label pointers are resolved once here so the
 // hot path is a single gated atomic add per Get.
@@ -119,7 +123,11 @@ func GetComplex(n int) []complex128 {
 	}
 	if v := complexPools[b].Get(); v != nil {
 		arenaHit(arenaCplxHits, int64(n)*16)
-		return v.([]complex128)[:n]
+		p := v.(*[]complex128)
+		s := (*p)[:n]
+		*p = nil
+		complexHeaders.Put(p)
+		return s
 	}
 	arenaMiss(arenaCplxMisses, int64(n)*16)
 	return make([]complex128, n, 1<<b)
@@ -132,7 +140,9 @@ func PutComplex(s []complex128) {
 		return
 	}
 	if b := bucketFloor(c); b < arenaBuckets {
-		complexPools[b].Put(s[:0:c])
+		p := complexHeaders.Get().(*[]complex128)
+		*p = s[:0:c]
+		complexPools[b].Put(p)
 	}
 }
 
@@ -233,6 +243,21 @@ func (f *FreeList[T]) Get(size int) (x *T, capacity int) {
 	return x, 1 << c
 }
 
+// Miss is the rest of a Get that returned nil: it returns a new buffer of
+// capacity bytes from alloc and, when the class is kept, keeps one more. A
+// miss means the class holds fewer buffers than the requests in flight at once
+// need, so it will miss again the first time one more request overlaps them —
+// a coincidence of timing that may first happen a thousand requests later.
+// The spare lets a list reach its working set within the first few requests,
+// so that what a warm request allocates does not depend on when, or whether,
+// that coincidence happened.
+func (f *FreeList[T]) Miss(capacity int, alloc func(capacity int) *T) *T {
+	if capacity <= MaxKeptBytes {
+		f.Put(alloc(capacity), capacity)
+	}
+	return alloc(capacity)
+}
+
 // Put keeps x, whose capacity is capacity bytes, if its class has room.
 func (f *FreeList[T]) Put(x *T, capacity int) {
 	if capacity <= 0 || capacity > MaxKeptBytes {
@@ -252,10 +277,14 @@ func Recycled(rows, cols int) *Matrix {
 	n := rows * cols
 	m, capacity := recycled.Get(n * ElemSize)
 	if m == nil {
-		m = &Matrix{Data: make([]float64, n, capacity/ElemSize)}
+		m = recycled.Miss(capacity, newRecycled)
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
+}
+
+func newRecycled(capacity int) *Matrix {
+	return &Matrix{Data: make([]float64, 0, capacity/ElemSize)}
 }
 
 // Recycle returns to the free list a matrix nothing reads any more: one from

@@ -142,12 +142,48 @@ func TestFreeListClasses(t *testing.T) {
 	}
 }
 
+// TestFreeListMissKeepsSpare: a miss hands out a buffer of the class's
+// capacity and keeps one more, so a second request overlapping the first is
+// served without allocating; a miss beyond the kept classes keeps nothing.
+func TestFreeListMissKeepsSpare(t *testing.T) {
+	f := NewFreeList[Matrix]()
+	made := map[*Matrix]int{}
+	alloc := func(capacity int) *Matrix {
+		m := new(Matrix)
+		made[m] = capacity
+		return m
+	}
+	x, c := f.Get(3000)
+	if x != nil {
+		t.Fatal("an empty list served a buffer")
+	}
+	a := f.Miss(c, alloc)
+	b, _ := f.Get(3000)
+	if len(made) != 2 || made[a] != 4096 || b == nil || b == a || made[b] != 4096 {
+		t.Fatalf("a miss allocated %v and left %p (handed out %p)", made, b, a)
+	}
+	if x, _ := f.Get(3000); x != nil {
+		t.Fatal("a miss kept more than one spare")
+	}
+
+	clear(made)
+	_, c = f.Get(MaxKeptBytes + 1)
+	if f.Miss(c, alloc) == nil || len(made) != 1 {
+		t.Fatalf("an oversize miss allocated %d buffers, want 1", len(made))
+	}
+	if x, _ := f.Get(MaxKeptBytes + 1); x != nil {
+		t.Fatal("an oversize spare was kept")
+	}
+}
+
 // TestRecycledMatrix: what Recycle takes, Recycled hands out again at any
 // shape of its class, and nil and views never enter the list.
 func TestRecycledMatrix(t *testing.T) {
 	const rows, cols = 37, 41 // 1517 elements: class 2048
-	for i := 0; i < cap(recycled[0]); i++ {
-		Recycled(rows, cols) // empty the class of what other tests left
+	for c := range recycled { // empty the list of what other tests left
+		for len(recycled[c]) > 0 {
+			<-recycled[c]
+		}
 	}
 	m := Recycled(rows, cols)
 	if m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols || cap(m.Data) != 2048 || m.IsView() {
@@ -189,6 +225,21 @@ func TestPutFloatsBoxesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		PutFloats(s)
 		s = GetFloats(100)
+	}); n != 0 {
+		t.Fatalf("%v allocations per cycle", n)
+	}
+}
+
+// TestPutComplexBoxesNothing: the complex arena recycles its slice headers the
+// same way, so an FFT row's scratch buffer costs nothing once warm.
+func TestPutComplexBoxesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	s := GetComplex(100)
+	if n := testing.AllocsPerRun(100, func() {
+		PutComplex(s)
+		s = GetComplex(100)
 	}); n != 0 {
 		t.Fatalf("%v allocations per cycle", n)
 	}

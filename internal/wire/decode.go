@@ -58,7 +58,7 @@ const maxAttrs = 64
 var (
 	requestFields = []string{"op", "inputs", "attrs", "timeout_ms"}
 	matrixFields  = []string{"rows", "cols", "data"}
-	replyFields   = []string{"output"}
+	replyFields   = []string{"output", "makespan_seconds"}
 )
 
 // DecodeRequest decodes a /v1/execute request body. Nothing in the result

@@ -288,26 +288,32 @@ func TestDeclaredShapeBeyondTheBody(t *testing.T) {
 	}
 }
 
-// TestIndexReply: the reply index reads the output's shape, finds its
-// elements, validates and skips everything else in the reply, and refuses
-// what is not one.
+// TestIndexReply: the reply index reads the output's shape and makespan,
+// finds the output's elements, validates and skips everything else in the
+// reply, and refuses what is not one.
 func TestIndexReply(t *testing.T) {
-	rows, cols, data, err := indexReply([]byte(`{"output":{"rows":1,"cols":2,"data":[0.5, -3 ]},"hlops":7,"makespan_seconds":0.25,"batch_size":2,` +
+	rep, err := indexReply([]byte(`{"output":{"rows":1,"cols":2,"data":[0.5, -3 ]},"hlops":7,"makespan_seconds":0.25,"batch_size":2,` +
 		`"degraded":{"Rerouted":1},"trace":{"trace_id":"x","stages":{"decode_seconds":1}}}` + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := string(data.AppendTo(nil, 0, data.Len())); rows != 1 || cols != 2 || data.Len() != 2 || text != "0.5, -3" {
-		t.Fatalf("indexed %dx%d, %d elements %q", rows, cols, data.Len(), text)
+	data := rep.Data
+	if text := string(data.AppendTo(nil, 0, data.Len())); rep.Rows != 1 || rep.Cols != 2 || data.Len() != 2 || text != "0.5, -3" {
+		t.Fatalf("indexed %dx%d, %d elements %q", rep.Rows, rep.Cols, data.Len(), text)
+	}
+	if rep.MakespanSeconds != 0.25 {
+		t.Fatalf("makespan_seconds read as %v, want 0.25", rep.MakespanSeconds)
 	}
 	for _, bad := range []string{
 		`{"output":{"rows":1,"cols":2,"data":[0.5]}}`,
 		`{"output":{"rows":1,"cols":1,"data":[0.5]},"output":{"rows":1,"cols":1,"data":[0.5]}}`,
 		`{"output":{"rows":1,"cols":1,"data":[0.5]},"trace":{]}`,
 		`{"output":{"rows":1,"cols":1,"data":[0.5]}} x`,
+		`{"output":{"rows":1,"cols":1,"data":[0.5]},"makespan_seconds":"1"}`,
+		`{"output":{"rows":1,"cols":1,"data":[0.5]},"makespan_seconds":1,"makespan_seconds":1}`,
 	} {
-		if rows, cols, _, err := indexReply([]byte(bad)); err == nil {
-			t.Errorf("accepted %q as %dx%d", bad, rows, cols)
+		if rep, err := indexReply([]byte(bad)); err == nil {
+			t.Errorf("accepted %q as %dx%d", bad, rep.Rows, rep.Cols)
 		}
 	}
 }
@@ -316,15 +322,20 @@ func TestIndexReply(t *testing.T) {
 // NaN-filled tensors it returns: whatever a decode takes from the list next,
 // it finds no zero in it that it did not write.
 func poisoned(rows, cols int) []*tensor.Matrix {
-	ms := make([]*tensor.Matrix, 8) // a class keeps no more: taking eight empties it
-	for i := range ms {
-		ms[i] = tensor.Recycled(rows, cols)
-		for k := range ms[i].Data {
-			ms[i].Data[k] = math.NaN()
+	// A class keeps eight. Taking eight from a list that had fewer can leave
+	// it a spare (FreeList.Miss), so the first pass fills the class and the
+	// second takes exactly what it holds.
+	ms := make([]*tensor.Matrix, 8)
+	for range 2 {
+		for i := range ms {
+			ms[i] = tensor.Recycled(rows, cols)
+			for k := range ms[i].Data {
+				ms[i].Data[k] = math.NaN()
+			}
 		}
-	}
-	for _, m := range ms {
-		tensor.Recycle(m)
+		for _, m := range ms {
+			tensor.Recycle(m)
+		}
 	}
 	return ms
 }

@@ -35,9 +35,14 @@ var buffers = tensor.NewFreeList[bytes.Buffer]()
 func getBuffer(size int) *bytes.Buffer {
 	buf, capacity := buffers.Get(min(max(size, bytes.MinRead), maxPooledBytes))
 	if buf == nil {
-		buf = new(bytes.Buffer)
-		buf.Grow(capacity)
+		buf = buffers.Miss(capacity, newBuffer)
 	}
+	return buf
+}
+
+func newBuffer(capacity int) *bytes.Buffer {
+	buf := new(bytes.Buffer)
+	buf.Grow(capacity)
 	return buf
 }
 
@@ -175,7 +180,9 @@ func NewPost(ctx context.Context, url string, body *Body, timeoutMs int) (*http.
 type Reply struct {
 	Rows, Cols int
 	Data       Elements
-	buf        *bytes.Buffer
+	// MakespanSeconds is the backend's virtual makespan for the request.
+	MakespanSeconds float64
+	buf             *bytes.Buffer
 }
 
 // ReadReply reads and indexes a backend's 200 reply. The caller releases it.
@@ -184,11 +191,12 @@ func ReadReply(resp *http.Response) (*Reply, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := Reply{buf: buf}
-	if rep.Rows, rep.Cols, rep.Data, err = indexReply(buf.Bytes()); err != nil {
+	rep, err := indexReply(buf.Bytes())
+	if err != nil {
 		putBuffer(buf)
 		return nil, err
 	}
+	rep.buf = buf
 	return &rep, nil
 }
 

@@ -173,19 +173,28 @@ func appendMatrixHead(dst []byte, rows, cols int) []byte {
 	return append(dst, `,"data":[`...)
 }
 
-// indexReply validates a /v1/execute reply and locates the elements of its
-// output matrix. Only the output is read: the accounting fields and the
-// degraded and trace annexes are validated as JSON and skipped, as a
-// partition reply's always were.
-func indexReply(body []byte) (rows, cols int, data Elements, err error) {
+// indexReply validates a /v1/execute reply, locates the elements of its
+// output matrix and reads its makespan_seconds, which a router composes into
+// a scattered reply's. The other accounting fields and the degraded and
+// trace annexes are validated as JSON and skipped.
+func indexReply(body []byte) (Reply, error) {
 	if len(body) > math.MaxUint32 {
-		return 0, 0, Elements{}, fmt.Errorf("wire: a %d-byte reply is beyond the index", len(body))
+		return Reply{}, fmt.Errorf("wire: a %d-byte reply is beyond the index", len(body))
 	}
 	s := scanner{b: body, index: true}
 	var out Matrix
-	err = s.document(replyFields, func(string) error { return s.matrix(&out, false) })
+	var makespan float64
+	err := s.document(replyFields, func(field string) error {
+		if field == "makespan_seconds" {
+			var err error
+			makespan, err = s.floatValue()
+			return err
+		}
+		return s.matrix(&out, false)
+	})
 	if err != nil {
-		return 0, 0, Elements{}, err
+		return Reply{}, err
 	}
-	return out.Rows, out.Cols, Elements{body: body, at: s.at}, nil
+	return Reply{Rows: out.Rows, Cols: out.Cols, Data: Elements{body: body, at: s.at},
+		MakespanSeconds: makespan}, nil
 }
