@@ -34,8 +34,10 @@ gencheck:
 
 # reachcheck builds every binary (the commands, the examples, the benchmark
 # harness) and fails on a non-test function none of them links: code only
-# tests reach belongs in a _test.go file of its package. The script lists the
-# few exemptions, each with the test that needs it.
+# tests reach belongs in a _test.go file of its package. It also fails when a
+# binary links reflect method lookup (html/template does), which would keep
+# every exported method alive and hide such code, and on a stale exemption.
+# The script lists the few exemptions, each with the test that needs it.
 reachcheck:
 	GO="$(GO)" sh scripts/reachcheck.sh
 

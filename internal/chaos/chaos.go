@@ -113,15 +113,6 @@ func Wrap(dev device.Device, cfg Config) device.Device {
 	return &Device{inner: dev, cfg: cfg}
 }
 
-// Unwrap returns the inner device (for tests and introspection).
-func (c *Device) Unwrap() device.Device { return c.inner }
-
-// Dead reports whether the device has died permanently.
-func (c *Device) Dead() bool { return c.dead.Load() }
-
-// Ops returns how many dispatches the wrapper has seen.
-func (c *Device) Ops() int64 { return c.ops.Load() }
-
 // Delegated identity and cost model.
 
 func (c *Device) Name() string                { return c.inner.Name() }
@@ -150,11 +141,6 @@ func (c *Device) DispatchOverhead() float64 {
 		t *= c.cfg.LatencyMultiplier
 	}
 	return t
-}
-
-// Execute routes through ExecuteInto so fault decisions see every dispatch.
-func (c *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	return c.ExecuteInto(op, inputs, nil, attrs)
 }
 
 // ExecuteInto is admission followed by compute, so fault decisions see every

@@ -31,7 +31,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		outcomes := make([]bool, 64)
 		in := []*tensor.Matrix{mat(t, 8, 1)}
 		for i := range outcomes {
-			_, err := d.Execute(vop.OpSobel, in, nil)
+			_, err := d.ExecuteInto(vop.OpSobel, in, nil, nil)
 			outcomes[i] = err != nil
 		}
 		return outcomes
@@ -57,7 +57,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 		in := []*tensor.Matrix{mat(t, 8, 1)}
 		out := make([]bool, 64)
 		for i := range out {
-			_, err := d.Execute(vop.OpSobel, in, nil)
+			_, err := d.ExecuteInto(vop.OpSobel, in, nil, nil)
 			out[i] = err != nil
 		}
 		return out
@@ -79,11 +79,11 @@ func TestFailFirstOpsOutage(t *testing.T) {
 	d := Wrap(cpu.New(1), Config{Seed: 1, FailFirstOps: 3}).(*Device)
 	in := []*tensor.Matrix{mat(t, 8, 2)}
 	for i := 0; i < 3; i++ {
-		if _, err := d.Execute(vop.OpSobel, in, nil); !errors.Is(err, ErrTransient) {
+		if _, err := d.ExecuteInto(vop.OpSobel, in, nil, nil); !errors.Is(err, ErrTransient) {
 			t.Fatalf("op %d: want ErrTransient, got %v", i, err)
 		}
 	}
-	if _, err := d.Execute(vop.OpSobel, in, nil); err != nil {
+	if _, err := d.ExecuteInto(vop.OpSobel, in, nil, nil); err != nil {
 		t.Fatalf("op 3 after the outage: %v", err)
 	}
 }
@@ -92,17 +92,17 @@ func TestDieAfterOps(t *testing.T) {
 	d := Wrap(cpu.New(1), Config{Seed: 1, DieAfterOps: 2}).(*Device)
 	in := []*tensor.Matrix{mat(t, 8, 3)}
 	for i := 0; i < 2; i++ {
-		if _, err := d.Execute(vop.OpSobel, in, nil); err != nil {
+		if _, err := d.ExecuteInto(vop.OpSobel, in, nil, nil); err != nil {
 			t.Fatalf("op %d before death: %v", i, err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := d.Execute(vop.OpSobel, in, nil); !errors.Is(err, ErrDead) {
+		if _, err := d.ExecuteInto(vop.OpSobel, in, nil, nil); !errors.Is(err, ErrDead) {
 			t.Fatalf("op after death: want ErrDead, got %v", err)
 		}
 	}
-	if !d.Dead() {
-		t.Fatal("Dead() should report the permanent death")
+	if !d.dead.Load() {
+		t.Fatal("the wrapper should record the permanent death")
 	}
 }
 
@@ -120,7 +120,7 @@ func TestLatencyMultiplierScalesCostModel(t *testing.T) {
 func TestSpikeAccumulatesInjectedDelay(t *testing.T) {
 	d := Wrap(cpu.New(1), Config{Seed: 5, SpikeRate: 1, SpikeMultiplier: 3}).(*Device)
 	in := []*tensor.Matrix{mat(t, 16, 4)}
-	if _, err := d.Execute(vop.OpSobel, in, nil); err != nil {
+	if _, err := d.ExecuteInto(vop.OpSobel, in, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := d.TakeInjectedDelay()
@@ -135,13 +135,13 @@ func TestSpikeAccumulatesInjectedDelay(t *testing.T) {
 
 func TestCorruptionPerturbsOutputDeterministically(t *testing.T) {
 	in := []*tensor.Matrix{mat(t, 32, 5)}
-	clean, err := cpu.New(1).Execute(vop.OpSobel, in, nil)
+	clean, err := cpu.New(1).ExecuteInto(vop.OpSobel, in, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() *tensor.Matrix {
 		d := Wrap(cpu.New(1), Config{Seed: 9, CorruptRate: 1}).(*Device)
-		out, err := d.Execute(vop.OpSobel, in, nil)
+		out, err := d.ExecuteInto(vop.OpSobel, in, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,12 +85,6 @@ type Backend struct {
 	registeredAt  time.Time
 }
 
-// Addr returns the backend's host:port.
-func (b *Backend) Addr() string { return b.addr }
-
-// BaseURL returns the backend's http:// base.
-func (b *Backend) BaseURL() string { return b.base }
-
 // Quarantined reports whether the backend's breaker is open.
 func (b *Backend) Quarantined() bool { return b.br.Quarantined() }
 

@@ -62,7 +62,7 @@ func TestChaosDeviceDeathMidBatchCompletes(t *testing.T) {
 	// single-device result (the surviving work ran on CPU or pre-death GPU).
 	host := cpu.New(1)
 	for i, v := range vops {
-		ref, err := host.Execute(v.Op, v.Inputs, v.Attrs)
+		ref, err := host.ExecuteInto(v.Op, v.Inputs, nil, v.Attrs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -237,7 +237,7 @@ func TestViewPathHaloBorderClamp(t *testing.T) {
 	spec := hlop.Spec{TargetPartitions: 9, MinTile: 8, MinVectorElems: 8}
 	got := runSpec(t, reg, row("cpu-only").Policy, vop.OpSobel,
 		[]*tensor.Matrix{in}, nil, spec)
-	want, err := cpu.New(1).Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+	want, err := cpu.New(1).ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

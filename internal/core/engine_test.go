@@ -75,7 +75,7 @@ func TestEngineExactWhenCPUOnly(t *testing.T) {
 	}
 	// Partitioned exact execution must equal whole-matrix exact execution:
 	// the halos make stencil partitions exact.
-	ref, err := cpu.New(1).Execute(vop.OpSobel, v.Inputs, nil)
+	ref, err := cpu.New(1).ExecuteInto(vop.OpSobel, v.Inputs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestEngineGEMMEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := cpu.New(1).Execute(vop.OpGEMM, []*tensor.Matrix{a, b}, nil)
+	want, _ := cpu.New(1).ExecuteInto(vop.OpGEMM, []*tensor.Matrix{a, b}, nil, nil)
 	if !rep.Output.Equal(want) {
 		t.Fatal("partitioned GEMM differs from whole-matrix GEMM")
 	}
@@ -250,7 +250,7 @@ func TestEngineSplitsOversizedHLOPs(t *testing.T) {
 		t.Fatalf("expected splits beyond the initial 4 partitions, got %d", rep.HLOPs)
 	}
 	// Result must still be complete and correct within INT8 error.
-	ref, _ := cpu.New(1).Execute(vop.OpSobel, v.Inputs, nil)
+	ref, _ := cpu.New(1).ExecuteInto(vop.OpSobel, v.Inputs, nil, nil)
 	var worst float64
 	for i := range ref.Data {
 		if d := math.Abs(rep.Output.Data[i] - ref.Data[i]); d > worst {
@@ -416,7 +416,7 @@ func TestEngineMultiStepStencilExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cpu.New(1).Execute(vop.OpStencil, []*tensor.Matrix{temp, power},
+	want, err := cpu.New(1).ExecuteInto(vop.OpStencil, []*tensor.Matrix{temp, power}, nil,
 		map[string]float64{"steps": 3})
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func FuzzPartitionViews(f *testing.F) {
 		if key != "cpu-only" || op.IsReduction() {
 			return
 		}
-		whole, err := cpu.New(1).Execute(op, inputs, attrs)
+		whole, err := cpu.New(1).ExecuteInto(op, inputs, nil, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}

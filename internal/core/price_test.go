@@ -39,11 +39,6 @@ func (w watched) Compute(t device.Ticket, op vop.Opcode, in []*tensor.Matrix, ds
 	return w.Device.Compute(t, op, in, dst, at)
 }
 
-func (w watched) Execute(op vop.Opcode, in []*tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
-	w.calls.Add(1)
-	return w.Device.Execute(op, in, at)
-}
-
 func (w watched) ExecuteInto(op vop.Opcode, in []*tensor.Matrix, dst *tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
 	w.calls.Add(1)
 	return w.Device.ExecuteInto(op, in, dst, at)

@@ -96,7 +96,7 @@ func TestPropertyEngineExactness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := cpu.New(1).Execute(op, inputs, attrs)
+		want, err := cpu.New(1).ExecuteInto(op, inputs, nil, attrs)
 		if err != nil {
 			return false
 		}

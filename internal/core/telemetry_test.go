@@ -228,7 +228,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			telemetry.Enable()
 			defer telemetry.Disable()
 			e.Telemetry = telemetry.NewRecorder()
-			defer e.Telemetry.Release()
 		} else {
 			telemetry.Disable()
 		}

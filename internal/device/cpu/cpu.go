@@ -50,12 +50,7 @@ func (d *Device) Supports(op vop.Opcode) bool {
 	return false
 }
 
-// Execute implements device.Device: exact float64 execution.
-func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	return d.ExecuteInto(op, inputs, nil, attrs)
-}
-
-// ExecuteInto implements device.Device.
+// ExecuteInto implements device.Device: exact float64 execution.
 func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	return device.Dispatch(d, op, inputs, dst, attrs)
 }

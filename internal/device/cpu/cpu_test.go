@@ -31,7 +31,7 @@ func TestIdentity(t *testing.T) {
 func TestExecuteIsExact(t *testing.T) {
 	d := New(1)
 	in := workload.Uniform(16, 16, 0, 1, 4)
-	got, err := d.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+	got, err := d.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

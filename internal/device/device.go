@@ -10,7 +10,6 @@ package device
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"shmt/internal/interconnect"
 	"shmt/internal/tensor"
@@ -48,7 +47,7 @@ func (k Kind) String() string {
 }
 
 // Device is one processing resource the SHMT runtime can schedule HLOPs on.
-// Implementations must be safe for concurrent Execute calls (the concurrent
+// Implementations must be safe for concurrent ExecuteInto calls (the concurrent
 // engine runs one worker goroutine per device, and stealing can move work
 // between workers).
 type Device interface {
@@ -64,17 +63,16 @@ type Device interface {
 	// Supports reports whether the device registered an HLOP implementation
 	// for the opcode.
 	Supports(op vop.Opcode) bool
-	// Execute runs the opcode over the inputs at the device's native
+	// ExecuteInto runs the opcode over the inputs at the device's native
 	// precision and returns the result (restored to float64, as the paper's
-	// runtime restores results to the application's precision).
-	Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error)
-	// ExecuteInto is Execute with an optional destination. Inputs may be
-	// strided views. When dst is non-nil, devices that execute out of shared
-	// host memory write the result through dst — typically a strided view
-	// into the VOP's output tensor — and return dst, eliminating the
-	// aggregate scatter copy. Devices with private memory or quantized
-	// output staging (the TPU) may ignore dst and return a fresh buffer; the
-	// caller detects that by result != dst and falls back to the copy path.
+	// runtime restores results to the application's precision). Inputs may
+	// be strided views, and dst may be nil. When dst is non-nil, devices
+	// that execute out of shared host memory write the result through dst —
+	// typically a strided view into the VOP's output tensor — and return
+	// dst, eliminating the aggregate scatter copy. Devices with private
+	// memory or quantized output staging (the TPU) may ignore dst and return
+	// a fresh buffer; the caller detects that by result != dst and falls
+	// back to the copy path.
 	//
 	// ExecuteInto is Admit followed by Compute (see Dispatch); callers that
 	// need the decision apart from the arithmetic call the halves themselves.
@@ -168,21 +166,6 @@ func (r *Registry) Index(name string) int {
 
 // Get returns the device at queue index i.
 func (r *Registry) Get(i int) Device { return r.devices[i] }
-
-// Supporting returns the queue indices of devices that support op, in
-// ascending accuracy-rank order (most accurate first).
-func (r *Registry) Supporting(op vop.Opcode) []int {
-	var idx []int
-	for i, d := range r.devices {
-		if d.Supports(op) {
-			idx = append(idx, i)
-		}
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return r.devices[idx[a]].AccuracyRank() < r.devices[idx[b]].AccuracyRank()
-	})
-	return idx
-}
 
 // ErrTooLarge is returned by a device when an HLOP's working set exceeds its
 // private memory; the runtime responds by splitting the HLOP (§3.4: "the

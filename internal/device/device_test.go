@@ -26,15 +26,12 @@ func (f *fakeDevice) Supports(op vop.Opcode) bool {
 	}
 	return f.ops[op]
 }
-func (f *fakeDevice) Execute(vop.Opcode, []*tensor.Matrix, map[string]float64) (*tensor.Matrix, error) {
+func (f *fakeDevice) ExecuteInto(vop.Opcode, []*tensor.Matrix, *tensor.Matrix, map[string]float64) (*tensor.Matrix, error) {
 	return tensor.NewMatrix(1, 1), nil
 }
-func (f *fakeDevice) ExecuteInto(op vop.Opcode, in []*tensor.Matrix, _ *tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
-	return f.Execute(op, in, at)
-}
 func (f *fakeDevice) Admit(vop.Opcode, []*tensor.Matrix) (Ticket, error) { return Ticket{}, nil }
-func (f *fakeDevice) Compute(_ Ticket, op vop.Opcode, in []*tensor.Matrix, _ *tensor.Matrix, at map[string]float64) (*tensor.Matrix, error) {
-	return f.Execute(op, in, at)
+func (f *fakeDevice) Compute(Ticket, vop.Opcode, []*tensor.Matrix, *tensor.Matrix, map[string]float64) (*tensor.Matrix, error) {
+	return tensor.NewMatrix(1, 1), nil
 }
 func (f *fakeDevice) ExecTime(vop.Opcode, int) float64 { return 1 }
 func (f *fakeDevice) DispatchOverhead() float64        { return 0 }
@@ -70,26 +67,6 @@ func TestRegistryRejectsDuplicatesAndEmpty(t *testing.T) {
 	}
 	if _, err := NewRegistry(nil); err == nil {
 		t.Fatal("nil device should fail")
-	}
-}
-
-func TestSupportingSortsByAccuracy(t *testing.T) {
-	cpu := &fakeDevice{name: "cpu", kind: CPU, rank: 0}
-	tpu := &fakeDevice{name: "tpu", kind: TPU, rank: 3}
-	gpu := &fakeDevice{name: "gpu", kind: GPU, rank: 1}
-	r, _ := NewRegistry(tpu, gpu, cpu) // deliberately shuffled
-	idx := r.Supporting(vop.OpSobel)
-	if len(idx) != 3 {
-		t.Fatalf("supporting = %v", idx)
-	}
-	// Most accurate first: cpu (rank 0) then gpu then tpu.
-	if r.Get(idx[0]).Name() != "cpu" || r.Get(idx[1]).Name() != "gpu" || r.Get(idx[2]).Name() != "tpu" {
-		t.Fatalf("accuracy order wrong: %v", idx)
-	}
-	no := &fakeDevice{name: "n", ops: map[vop.Opcode]bool{}}
-	r2, _ := NewRegistry(no)
-	if got := r2.Supporting(vop.OpSobel); len(got) != 0 {
-		t.Fatal("unsupporting device listed")
 	}
 }
 

@@ -105,12 +105,7 @@ func roundFixed24(a *fixedArgs, lo, hi int) {
 // Name implements kernels.Rounder.
 func (Fixed24) Name() string { return "fixed24" }
 
-// Execute implements device.Device: 24-bit fixed-point execution.
-func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	return d.ExecuteInto(op, inputs, nil, attrs)
-}
-
-// ExecuteInto implements device.Device.
+// ExecuteInto implements device.Device: 24-bit fixed-point execution.
 func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	return device.Dispatch(d, op, inputs, dst, attrs)
 }
@@ -123,7 +118,7 @@ func (d *Device) Admit(vop.Opcode, []*tensor.Matrix) (device.Ticket, error) {
 // Compute implements device.Device: cast each input, then execute over the
 // cast operands. The on-SoC DSP shares host memory, so when dst is given the
 // fixed-point result is written through it. Note Fixed24 calibrates per
-// stage, so it is deliberately not an ElementwiseRounder: kernels gather
+// stage, so kernels.RoundMatrix does not round it row by row: it gathers
 // strided destinations before the final requant to keep calibration
 // identical to the copy path.
 func (d *Device) Compute(_ device.Ticket, op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {

@@ -49,9 +49,9 @@ func TestSupportsHomeDomainOnly(t *testing.T) {
 
 func TestExecuteErrorBetweenGPUAndTPU(t *testing.T) {
 	in := workload.Mixed(64, 64, workload.Profile{CriticalFraction: 0.8, TileSize: 32}, 5)
-	ref, _ := cpu.New(1).Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+	ref, _ := cpu.New(1).ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	sum := func(d device.Device) float64 {
-		out, err := d.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+		out, err := d.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

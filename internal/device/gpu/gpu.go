@@ -74,14 +74,9 @@ func (d *Device) Supports(op vop.Opcode) bool {
 	return false
 }
 
-// Execute implements device.Device: the kernel runs with FP32 rounding at every stage boundary, and inputs are cast to the native
-// precision at the host boundary first — the runtime's data-type casting of
-// §3.3.2.
-func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	return d.ExecuteInto(op, inputs, nil, attrs)
-}
-
-// ExecuteInto implements device.Device.
+// ExecuteInto implements device.Device: the kernel runs with FP32 rounding
+// at every stage boundary, and inputs are cast to the native precision at the
+// host boundary first — the runtime's data-type casting of §3.3.2.
 func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	return device.Dispatch(d, op, inputs, dst, attrs)
 }

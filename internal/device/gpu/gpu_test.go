@@ -36,11 +36,11 @@ func TestFP32ErrorIsTinyButNonzero(t *testing.T) {
 	d := New(Config{})
 	ref := cpu.New(1)
 	in := workload.Uniform(32, 32, 0.1, 1, 2)
-	got, err := d.Execute(vop.OpLog, []*tensor.Matrix{in}, nil)
+	got, err := d.ExecuteInto(vop.OpLog, []*tensor.Matrix{in}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ref.Execute(vop.OpLog, []*tensor.Matrix{in}, nil)
+	want, _ := ref.ExecuteInto(vop.OpLog, []*tensor.Matrix{in}, nil, nil)
 	var maxd float64
 	for i := range got.Data {
 		if dd := math.Abs(got.Data[i] - want.Data[i]); dd > maxd {

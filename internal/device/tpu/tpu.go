@@ -95,14 +95,6 @@ func (d *Device) model(op vop.Opcode) npu.Model {
 	return m
 }
 
-// SetModel installs a pre-built NPU model (a quantization-aware one, say) for
-// an opcode.
-func (d *Device) SetModel(m npu.Model) {
-	d.mu.Lock()
-	d.models[m.Op] = m
-	d.mu.Unlock()
-}
-
 // matrixMode reports whether the opcode runs natively on the systolic array
 // (§2.2.1): GEMM and convolution are the hardware's home domain, and the
 // blockwise DCT and the lifting DWT are linear transforms that lower to
@@ -122,11 +114,6 @@ func matrixMode(op vop.Opcode) bool {
 		return true
 	}
 	return false
-}
-
-// Execute implements device.Device.
-func (d *Device) Execute(op vop.Opcode, inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	return d.ExecuteInto(op, inputs, nil, attrs)
 }
 
 // ExecuteInto implements device.Device.

@@ -40,11 +40,11 @@ func TestExecuteIntroducesBoundedError(t *testing.T) {
 	d := New(Config{})
 	ref := cpu.New(1)
 	in := workload.Uniform(64, 64, 0, 1, 3)
-	got, err := d.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+	got, err := d.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ref.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+	want, _ := ref.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	var maxd, diffs float64
 	for i := range got.Data {
 		dd := math.Abs(got.Data[i] - want.Data[i])
@@ -68,16 +68,16 @@ func TestMatrixModeMoreAccurateThanNPUStages(t *testing.T) {
 	d := New(Config{})
 	ref := cpu.New(1)
 	in := workload.Uniform(64, 64, 0, 1, 5)
-	matrix, err := d.Execute(vop.OpDCT8x8, []*tensor.Matrix{in}, nil)
+	matrix, err := d.ExecuteInto(vop.OpDCT8x8, []*tensor.Matrix{in}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := npu.Model{Op: vop.OpDCT8x8, Layers: kernels.Stages(vop.OpDCT8x8)}
-	staged, err := model.Run([]*tensor.Matrix{in}, nil)
+	staged, err := model.RunStaged([]*tensor.Matrix{model.Stage(in)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ref.Execute(vop.OpDCT8x8, []*tensor.Matrix{in}, nil)
+	want, _ := ref.ExecuteInto(vop.OpDCT8x8, []*tensor.Matrix{in}, nil, nil)
 	var eMatrix, eStaged float64
 	for i := range want.Data {
 		eMatrix += math.Abs(matrix.Data[i] - want.Data[i])
@@ -91,7 +91,7 @@ func TestMatrixModeMoreAccurateThanNPUStages(t *testing.T) {
 func TestMemoryLimitTriggersErrTooLarge(t *testing.T) {
 	d := New(Config{MemoryBytes: 1024})
 	in := tensor.NewMatrix(64, 64) // 4096 B int8 > 1024 after buffers
-	_, err := d.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+	_, err := d.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	if !errors.Is(err, device.ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -100,12 +100,12 @@ func TestMemoryLimitTriggersErrTooLarge(t *testing.T) {
 func TestQuantAwareImprovesQuality(t *testing.T) {
 	plain := New(Config{})
 	qat := New(Config{})
-	qat.SetModel(npu.Model{Op: vop.OpSobel, Layers: kernels.Stages(vop.OpSobel), QuantAware: true})
+	qat.models[vop.OpSobel] = npu.Model{Op: vop.OpSobel, Layers: kernels.Stages(vop.OpSobel), QuantAware: true}
 	ref := cpu.New(1)
 	in := workload.Mixed(64, 64, workload.Profile{CriticalFraction: 0.95, TileSize: 32}, 7)
-	want, _ := ref.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
-	a, _ := plain.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
-	b, _ := qat.Execute(vop.OpSobel, []*tensor.Matrix{in}, nil)
+	want, _ := ref.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
+	a, _ := plain.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
+	b, _ := qat.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	var ea, eb float64
 	for i := range want.Data {
 		ea += math.Abs(a.Data[i] - want.Data[i])
@@ -113,14 +113,6 @@ func TestQuantAwareImprovesQuality(t *testing.T) {
 	}
 	if eb >= ea {
 		t.Fatalf("QAT error %g should undercut PTQ error %g", eb, ea)
-	}
-}
-
-func TestSetModel(t *testing.T) {
-	d := New(Config{})
-	d.SetModel(npu.Model{Op: vop.OpSobel, Layers: 1, QuantAware: true})
-	if got := d.model(vop.OpSobel); !got.QuantAware {
-		t.Fatal("SetModel ignored")
 	}
 }
 
@@ -148,7 +140,7 @@ func TestReduceSumRunsMatrixMode(t *testing.T) {
 	// input quantization: relative error well under 1% on uniform data.
 	d := New(Config{})
 	in := workload.Uniform(64, 64, 0, 1, 9)
-	got, err := d.Execute(vop.OpReduceSum, []*tensor.Matrix{in}, nil)
+	got, err := d.ExecuteInto(vop.OpReduceSum, []*tensor.Matrix{in}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,27 +31,21 @@ type Rounder interface {
 	Name() string
 }
 
-// ElementwiseRounder marks rounders whose Round maps every element
-// independently of the rest of the slice — no whole-tensor calibration — so
-// rounding a strided view row by row is bit-identical to rounding the same
-// values as one contiguous slice. Calibrating rounders (INT8 affine,
-// block-wise quantizers) must not implement it.
-type ElementwiseRounder interface {
-	RoundsElementwise()
-}
-
 // RoundMatrix applies r to m's logical elements, stride-aware. Contiguous
 // matrices round in one call, exactly like the historical r.Round(m.Data).
-// Strided views round per row when r is element-independent; calibrating
-// rounders gather the view into a contiguous scratch buffer first, so their
-// calibration sees the same distribution as on the materialized-copy path,
-// then scatter back.
+// Strided views round per row when r maps every element independently of
+// the rest of the slice (Exact, F32), which is bit-identical to rounding the
+// values as one contiguous slice; calibrating rounders (INT8 affine,
+// block-wise quantizers, the DSP's fixed point) gather the view into a
+// contiguous scratch buffer first, so their calibration sees the same
+// distribution as on the materialized-copy path, then scatter back.
 func RoundMatrix(r Rounder, m *tensor.Matrix) {
 	if m.IsContiguous() {
 		r.Round(m.Data)
 		return
 	}
-	if _, ok := r.(ElementwiseRounder); ok {
+	switch r.(type) {
+	case Exact, F32:
 		for i := 0; i < m.Rows; i++ {
 			r.Round(m.Row(i))
 		}
@@ -71,9 +65,6 @@ func (Exact) Round([]float64) {}
 
 // Name implements Rounder.
 func (Exact) Name() string { return "fp64" }
-
-// RoundsElementwise implements ElementwiseRounder.
-func (Exact) RoundsElementwise() {}
 
 // F32 rounds every value to float32, the GPU's native precision.
 type F32 struct{}
@@ -106,9 +97,6 @@ var roundSweeps parallel.Pooled[roundArgs]
 
 // Name implements Rounder.
 func (F32) Name() string { return "fp32" }
-
-// RoundsElementwise implements ElementwiseRounder.
-func (F32) RoundsElementwise() {}
 
 // Int8 requantizes every value through affine INT8, recalibrating scale and
 // zero point on the stage's own distribution — the per-layer requantization

@@ -39,8 +39,8 @@ func (m Model) Rounder() kernels.Rounder {
 }
 
 // Stage materializes one input activation and quantizes it at the host/TPU
-// boundary — the per-operand half of Run, split out so the runtime's input
-// prefetcher can stage ahead of execution. The caller owns the result.
+// boundary, apart from RunStaged so the runtime's input prefetcher can stage
+// ahead of execution. The caller owns the result.
 func (m Model) Stage(in *tensor.Matrix) *tensor.Matrix {
 	c := tensor.Materialize(in) // stride-aware gather: inputs may be views
 	m.Rounder().Round(c.Data)   // input quantization at the host/TPU boundary
@@ -53,21 +53,6 @@ func (m Model) Stage(in *tensor.Matrix) *tensor.Matrix {
 // return, or mutate them — so a staged operand may be shared across calls.
 func (m Model) RunStaged(staged []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
 	return kernels.Exec(m.Op, staged, attrs, m.Rounder())
-}
-
-// Run executes the model on inputs: input activations are quantized at the
-// accelerator boundary, every layer requantizes, and the result is restored
-// to float64.
-func (m Model) Run(inputs []*tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	q := make([]*tensor.Matrix, len(inputs))
-	for i, in := range inputs {
-		q[i] = m.Stage(in)
-	}
-	out, err := m.RunStaged(q, attrs)
-	for _, c := range q {
-		tensor.PutMatrix(c)
-	}
-	return out, err
 }
 
 // BlockInt8 quantizes per fixed-size block, the finer calibration QAT

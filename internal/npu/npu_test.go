@@ -13,7 +13,7 @@ import (
 func TestModelRunApproximates(t *testing.T) {
 	m := Model{Op: vop.OpSobel, Layers: kernels.Stages(vop.OpSobel)}
 	in := workload.Uniform(32, 32, 0, 1, 1)
-	got, err := m.Run([]*tensor.Matrix{in}, nil)
+	got, err := m.RunStaged([]*tensor.Matrix{m.Stage(in)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

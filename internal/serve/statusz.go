@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"html/template"
+	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -110,32 +111,73 @@ func (s *Server) statusSnapshot() statuszResponse {
 	return st
 }
 
-var statuszHTML = template.Must(template.New("statusz").Parse(`<!DOCTYPE html>
+// statuszHead is the page up to the status line; nothing in it varies.
+const statuszHead = `<!DOCTYPE html>
 <html><head><title>shmt statusz</title><style>
 body{font-family:monospace;margin:2em}table{border-collapse:collapse}
 td,th{border:1px solid #999;padding:4px 10px;text-align:left}
 .ok{color:#070}.degraded{color:#b60}.draining{color:#b00}
 </style></head><body>
 <h1>shmt serving status</h1>
-<p>status: <b class="{{.Status}}">{{.Status}}</b> &mdash; up {{printf "%.1f" .UptimeSeconds}}s &mdash; {{.GoVersion}} &mdash; {{.NumGoroutine}} goroutines</p>
-<table>
-<tr><th>policy</th><td>{{.Policy}}</td></tr>
-<tr><th>devices</th><td>{{range .Devices}}{{.}} {{end}}</td></tr>
-<tr><th>quarantined</th><td>{{range .Quarantined}}{{.}} {{end}}</td></tr>
-<tr><th>queue</th><td>{{.QueueLen}} / {{.QueueCap}}</td></tr>
-<tr><th>arriving</th><td>{{.Arriving}}</td></tr>
-{{range .Tenants}}<tr><th>tenant {{.Name}}</th><td>w{{.Weight}} &mdash; {{.Queued}}/{{.QueueDepth}} queued, {{.Dispatched}} dispatched, {{.Shed}} shed</td></tr>
-{{end}}
-<tr><th>in-flight rounds</th><td>{{.InFlightRounds}}</td></tr>
-<tr><th>batch rounds</th><td>{{.BatchRounds}}</td></tr>
-<tr><th>max batch / linger</th><td>{{.MaxBatch}} / {{.MaxLingerMs}}ms</td></tr>
-<tr><th>workers</th><td>{{.Workers}} ({{printf "%.3f" .WorkerBusySeconds}}s busy, {{.WorkerChunks}} chunks)</td></tr>
-{{if .PlanCache}}<tr><th>plan cache</th><td>{{.PlanCache.Hits}} hits, {{.PlanCache.Misses}} misses, {{.PlanCache.Entries}} entries</td></tr>{{end}}
-<tr><th>tracing</th><td>{{.Tracing}}</td></tr>
-{{if .FlightRecorder}}<tr><th>flight recorder</th><td>{{.FlightRecorder.Retained}}/{{.FlightRecorder.Capacity}} retained, {{.FlightRecorder.Slow}} slow (SLO {{.FlightRecorder.SLOMillis}}ms) &mdash; <a href="/debug/requests">recent</a>, <a href="/debug/requests?slow=1">slow</a></td></tr>{{end}}
-<tr><th>pprof</th><td>{{.PprofEnabled}}</td></tr>
-</table></body></html>
-`))
+`
+
+// htmlEscaper escapes a value for HTML text or a quoted attribute with
+// html/template's own replacements, so the page reads as the template did.
+var htmlEscaper = strings.NewReplacer(
+	"\x00", "\uFFFD", `"`, "&#34;", "&", "&amp;", "'", "&#39;",
+	"+", "&#43;", "<", "&lt;", ">", "&gt;")
+
+// esc formats v as fmt.Sprint does and escapes the result.
+func esc(v any) string { return htmlEscaper.Replace(fmt.Sprint(v)) }
+
+// escEach escapes each of ss and follows it with a space.
+func escEach(ss []string) string {
+	var b strings.Builder
+	for _, s := range ss {
+		b.WriteString(esc(s) + " ")
+	}
+	return b.String()
+}
+
+// writeStatuszHTML renders st as the /statusz HTML table. The page is the
+// one html/template wrote, blank line after the tenant rows included.
+func writeStatuszHTML(w io.Writer, st *statuszResponse) error {
+	var b strings.Builder
+	b.WriteString(statuszHead)
+	fmt.Fprintf(&b, "<p>status: <b class=\"%s\">%s</b> &mdash; up %ss &mdash; %s &mdash; %s goroutines</p>\n",
+		esc(st.Status), esc(st.Status), esc(fmt.Sprintf("%.1f", st.UptimeSeconds)), esc(st.GoVersion), esc(st.NumGoroutine))
+	b.WriteString("<table>\n")
+	fmt.Fprintf(&b, "<tr><th>policy</th><td>%s</td></tr>\n", esc(st.Policy))
+	fmt.Fprintf(&b, "<tr><th>devices</th><td>%s</td></tr>\n", escEach(st.Devices))
+	fmt.Fprintf(&b, "<tr><th>quarantined</th><td>%s</td></tr>\n", escEach(st.Quarantined))
+	fmt.Fprintf(&b, "<tr><th>queue</th><td>%s / %s</td></tr>\n", esc(st.QueueLen), esc(st.QueueCap))
+	fmt.Fprintf(&b, "<tr><th>arriving</th><td>%s</td></tr>\n", esc(st.Arriving))
+	for _, t := range st.Tenants {
+		fmt.Fprintf(&b, "<tr><th>tenant %s</th><td>w%s &mdash; %s/%s queued, %s dispatched, %s shed</td></tr>\n",
+			esc(t.Name), esc(t.Weight), esc(t.Queued), esc(t.QueueDepth), esc(t.Dispatched), esc(t.Shed))
+	}
+	b.WriteString("\n")
+	fmt.Fprintf(&b, "<tr><th>in-flight rounds</th><td>%s</td></tr>\n", esc(st.InFlightRounds))
+	fmt.Fprintf(&b, "<tr><th>batch rounds</th><td>%s</td></tr>\n", esc(st.BatchRounds))
+	fmt.Fprintf(&b, "<tr><th>max batch / linger</th><td>%s / %sms</td></tr>\n", esc(st.MaxBatch), esc(st.MaxLingerMs))
+	fmt.Fprintf(&b, "<tr><th>workers</th><td>%s (%ss busy, %s chunks)</td></tr>\n",
+		esc(st.Workers), esc(fmt.Sprintf("%.3f", st.WorkerBusySeconds)), esc(st.WorkerChunks))
+	if pc := st.PlanCache; pc != nil {
+		fmt.Fprintf(&b, "<tr><th>plan cache</th><td>%s hits, %s misses, %s entries</td></tr>",
+			esc(pc.Hits), esc(pc.Misses), esc(pc.Entries))
+	}
+	b.WriteString("\n")
+	fmt.Fprintf(&b, "<tr><th>tracing</th><td>%s</td></tr>\n", esc(st.Tracing))
+	if fr := st.FlightRecorder; fr != nil {
+		fmt.Fprintf(&b, `<tr><th>flight recorder</th><td>%s/%s retained, %s slow (SLO %sms) &mdash; <a href="/debug/requests">recent</a>, <a href="/debug/requests?slow=1">slow</a></td></tr>`,
+			esc(fr.Retained), esc(fr.Capacity), esc(fr.Slow), esc(fr.SLOMillis))
+	}
+	b.WriteString("\n")
+	fmt.Fprintf(&b, "<tr><th>pprof</th><td>%s</td></tr>\n", esc(st.PprofEnabled))
+	b.WriteString("</table></body></html>\n")
+	_, err := io.WriteString(w, b.String())
+	return err
+}
 
 // handleStatusz serves the live process snapshot, as JSON by default and as
 // an HTML table when the client asks for it (Accept: text/html, or
@@ -149,7 +191,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = statuszHTML.Execute(w, st)
+	_ = writeStatuszHTML(w, &st)
 }
 
 // debugRequestsResponse is the GET /debug/requests document: the flight

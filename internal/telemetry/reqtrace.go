@@ -52,11 +52,6 @@ type StageBreakdown struct {
 	Encode float64 `json:"encode_seconds,omitempty"`
 }
 
-// Sum returns the total attributed seconds across all stages.
-func (s StageBreakdown) Sum() float64 {
-	return s.Decode + s.QueueWait + s.BatchLinger + s.Plan + s.Transfer + s.Execute + s.Aggregate + s.Encode
-}
-
 // RequestTrace is one request's end-to-end record.
 type RequestTrace struct {
 	// TraceID identifies the request across the serving layer, the engine

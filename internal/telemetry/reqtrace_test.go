@@ -76,10 +76,3 @@ func TestNewTraceIDUnique(t *testing.T) {
 		}
 	}
 }
-
-func TestStageBreakdownSum(t *testing.T) {
-	s := StageBreakdown{QueueWait: 1, BatchLinger: 2, Plan: 3, Transfer: 4, Execute: 5, Aggregate: 6}
-	if s.Sum() != 21 {
-		t.Fatalf("Sum() = %g, want 21", s.Sum())
-	}
-}

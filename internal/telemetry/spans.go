@@ -61,16 +61,10 @@ type Recorder struct {
 	spans []Span
 }
 
-// spanSlabPool recycles span backing arrays between recorders so short-lived
-// recorders (one per run in benchmarks and tools) don't re-grow their slab
-// from scratch each time.
-var spanSlabPool = sync.Pool{New: func() any { return new([]Span) }}
-
 // NewRecorder returns a recorder with its wall epoch at now and its counter
 // baseline at the Default registry's current values.
 func NewRecorder() *Recorder {
-	slab := *spanSlabPool.Get().(*[]Span)
-	return &Recorder{epoch: time.Now(), base: Default.Snapshot(), spans: slab[:0]}
+	return &Recorder{epoch: time.Now(), base: Default.Snapshot()}
 }
 
 // Reset discards recorded spans (retaining their backing array) and re-bases
@@ -88,21 +82,6 @@ func (r *Recorder) Reset() {
 	r.epoch = time.Now()
 	r.base = base
 	r.mu.Unlock()
-}
-
-// Release returns the recorder's span slab to the shared pool. The caller
-// must have exclusive ownership: no RecordSpan, Spans, Now or Reset may be
-// running or follow — another goroutine holding a stale reference could
-// otherwise append into a slab a fresh recorder has already adopted.
-// Typically called once at session close, after all runs have drained.
-func (r *Recorder) Release() {
-	r.mu.Lock()
-	slab := r.spans[:0]
-	r.spans = nil
-	r.mu.Unlock()
-	if slab != nil {
-		spanSlabPool.Put(&slab)
-	}
 }
 
 // Now returns wall seconds since the recorder's epoch.
@@ -125,19 +104,4 @@ func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Span(nil), r.spans...)
-}
-
-// SpanCount returns how many spans have been recorded.
-func (r *Recorder) SpanCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
-// Base returns the counter snapshot taken when the recorder was created (or
-// last Reset).
-func (r *Recorder) Base() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.base
 }

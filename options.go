@@ -2,6 +2,7 @@ package shmt
 
 import (
 	"fmt"
+	"math"
 
 	"shmt/internal/sched"
 )
@@ -77,6 +78,7 @@ type Config struct {
 	// TargetPartitions is the HLOP count per VOP (default 64).
 	TargetPartitions int
 	// SamplingRate is QAWS's sampling rate (default 2^-15, Fig. 9's knee).
+	// NewSession refuses NaN and ±Inf; a rate above 1 samples everything.
 	SamplingRate float64
 	// Seed drives sampling and the synthetic components (default 1).
 	Seed int64
@@ -85,7 +87,8 @@ type Config struct {
 	// costs multiply by it). Running an N-element input at VirtualScale =
 	// Nfull/N reproduces the virtual timeline of the full-size run exactly
 	// — same HLOP count, same per-HLOP costs, same overhead ratios — while
-	// quality is measured on the smaller (size-invariant) data. Default 1.
+	// quality is measured on the smaller (size-invariant) data. Default 1;
+	// NewSession refuses NaN and ±Inf.
 	VirtualScale float64
 	// Telemetry configures runtime observability (see internal/telemetry).
 	Telemetry Telemetry
@@ -138,7 +141,16 @@ type Telemetry struct {
 	Enabled bool
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults gives zero and negative settings their defaults. A NaN or
+// infinite SamplingRate or VirtualScale is an error: NaN fails every default
+// test and would run, and +Inf would make every virtual time infinite.
+func (c Config) withDefaults() (Config, error) {
+	if math.IsNaN(c.SamplingRate) || math.IsInf(c.SamplingRate, 0) {
+		return c, fmt.Errorf("shmt: SamplingRate %v is not a finite number", c.SamplingRate)
+	}
+	if math.IsNaN(c.VirtualScale) || math.IsInf(c.VirtualScale, 0) {
+		return c, fmt.Errorf("shmt: VirtualScale %v is not a finite number", c.VirtualScale)
+	}
 	if c.Policy == "" {
 		c.Policy = DefaultPolicy
 	}
@@ -154,7 +166,7 @@ func (c Config) withDefaults() Config {
 	if c.VirtualScale < 1 {
 		c.VirtualScale = 1
 	}
-	return c
+	return c, nil
 }
 
 // policy looks the named policy up in sched.Table, sets its sampling rate,

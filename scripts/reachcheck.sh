@@ -11,13 +11,19 @@
 # Generic functions and methods of generic types match with their type
 # arguments stripped (tensor.NewFreeList[...] is tensor.NewFreeList), and
 # init functions are never reported. The root package's exported API is
-# exempt: a library caller, not a binary, is its user. Every other exemption
-# is listed in ALLOW below with the test that needs it.
+# exempt: a library caller, not a binary, is its user. So are the exported
+# methods of each type the root package aliases (type Matrix = tensor.Matrix
+# exempts tensor.(*Matrix).Set): a library caller reaches them through
+# shmt.Matrix. Every other exemption is listed in ALLOW below with the test
+# that needs it. An ALLOW row fails the check once a binary links its symbol
+# or no declaration has it any more.
 #
-# Blind spot: a binary that looks methods up by name through reflect keeps
-# every exported method of each type it stores in an interface. shmtserved
-# and the harness do (html/template renders /statusz), so an exported method
-# of such a type passes here even when only tests call it.
+# Reflect rule: a binary that looks methods up through reflect
+# (reflect.Value.Method, reflect.Value.MethodByName, reflect.(*rtype).Method,
+# reflect.(*rtype).MethodByName; html/template and text/template do) makes
+# the linker keep every exported method of every type stored in an
+# interface, and this check could not tell those methods from called ones.
+# A binary linking any of the four fails the check, naming the symbol.
 #
 # Usage: sh scripts/reachcheck.sh   (from the repository root)
 set -eu
@@ -34,11 +40,15 @@ shmt/internal/quant.AffineParams.QuantizeOne   per-element INT8 oracle of kernel
 shmt/internal/quant.AffineParams.DequantizeOne per-element INT8 oracle of kernels FuzzInt8Round and tpu TestRequantOutputMatchesGroupedReference'
 
 : >"$tmp/linked"
+: >"$tmp/reflect"
 n=0
 nm_main() { # $1 = main package import path, $2 = binary
 	# A main package's own symbols are named main.X; name them by its path.
 	"$GO" tool nm "$2" | sed -n "s|^ *[0-9a-f]* [Tt] ||p" |
-		sed -e "s|^main\.|$1.|" >>"$tmp/linked"
+		sed -e "s|^main\.|$1.|" >"$tmp/syms"
+	grep -E '^reflect\.(Value|\(\*rtype\))\.(Method|MethodByName)$' "$tmp/syms" |
+		sed "s|^|  $1 links |" >>"$tmp/reflect" || :
+	cat "$tmp/syms" >>"$tmp/linked"
 }
 for pkg in $("$GO" list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
 	n=$((n + 1))
@@ -68,17 +78,39 @@ sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' "$tmp/linked" | sort -u >"$tmp/linked.s
 	done | sort >"$tmp/decls"
 
 # The exemptions: the root API (shmt.Name, shmt.Type.Name, shmt.(*Type).Name
-# with Name exported) and ALLOW.
+# with Name exported), the exported methods of the types it aliases, and
+# ALLOW.
 echo "$ALLOW" | sed -n 's/^\([^ ][^ ]*\) .*/\1/p' >"$tmp/allow"
+grep -Fx -f "$tmp/allow" "$tmp/linked.sorted" | sed 's/^/  linked: /' >"$tmp/stale"
+sed 's/ .*//' "$tmp/decls" | grep -Fxv -f - "$tmp/allow" | sed 's/^/  not declared: /' >>"$tmp/stale"
 grep -E '^shmt\.(\(\*[A-Z][A-Za-z_0-9]*\)\.|[A-Z][A-Za-z_0-9]*\.)?[A-Z][A-Za-z_0-9]* ' "$tmp/decls" |
 	sed 's/ .*//' >>"$tmp/allow"
+"$GO" list -f '{{range .GoFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}' . | while read -r file; do
+	sed -n 's/^type [A-Z][A-Za-z_0-9]* = \([a-z][a-z_0-9]*\)\.\([A-Z][A-Za-z_0-9]*\)$/\1 \2/p' "$file" |
+		while read -r qual typ; do
+			path="$(sed -n "s|^[[:space:]]*\"\(shmt/[^\"]*/$qual\)\"\$|\1|p" "$file")"
+			grep -E "^$path\.(\(\*$typ\)|$typ)\.[A-Z][A-Za-z_0-9]* " "$tmp/decls" | sed 's/ .*//'
+		done
+done >>"$tmp/allow"
 cat "$tmp/allow" "$tmp/linked.sorted" | sort -u >"$tmp/reached"
 
+fail=0
+if [ -s "$tmp/reflect" ]; then
+	echo "reachcheck: binaries link reflect method lookup, which keeps every exported method:" >&2
+	cat "$tmp/reflect" >&2
+	fail=1
+fi
+if [ -s "$tmp/stale" ]; then
+	echo "reachcheck: stale ALLOW rows:" >&2
+	cat "$tmp/stale" >&2
+	fail=1
+fi
 join -v 1 "$tmp/decls" "$tmp/reached" >"$tmp/unlinked"
 if [ -s "$tmp/unlinked" ]; then
 	echo "reachcheck: non-test functions no binary links:" >&2
 	sed 's/^/  /' "$tmp/unlinked" >&2
 	echo "reachcheck: $(wc -l <"$tmp/unlinked") function(s); move each into a _test.go file of its package or delete it" >&2
-	exit 1
+	fail=1
 fi
+[ "$fail" = 0 ] || exit 1
 echo "reachcheck: ok ($(wc -l <"$tmp/decls") functions, $((n + 1)) binaries)"

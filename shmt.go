@@ -131,7 +131,10 @@ var ErrSessionClosed = errors.New("shmt: session is closed")
 // NewSession builds a session from cfg (zero value = the paper's three
 // devices, DefaultPolicy, paper-default partitioning).
 func NewSession(cfg Config) (*Session, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	devs := []device.Device{
 		cpu.New(cfg.VirtualScale),
 		gpu.New(gpu.Config{Slowdown: cfg.VirtualScale}),

@@ -55,6 +55,48 @@ func TestExecuteAllPolicies(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesNonFiniteSettings: a NaN or infinite SamplingRate or
+// VirtualScale is an error, while zero, negative and (for the rate) above-1
+// values keep their defaults or clamp and run to a finite makespan.
+func TestSessionRefusesNonFiniteSettings(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		cfg  shmt.Config
+		ok   bool
+	}{
+		{"rate NaN", shmt.Config{SamplingRate: nan}, false},
+		{"rate +Inf", shmt.Config{SamplingRate: inf}, false},
+		{"rate -Inf", shmt.Config{SamplingRate: -inf}, false},
+		{"scale NaN", shmt.Config{VirtualScale: nan}, false},
+		{"scale +Inf", shmt.Config{VirtualScale: inf}, false},
+		{"scale -Inf", shmt.Config{VirtualScale: -inf}, false},
+		{"rate 0", shmt.Config{SamplingRate: 0}, true},
+		{"rate negative", shmt.Config{SamplingRate: -0.5}, true},
+		{"rate above 1", shmt.Config{SamplingRate: 2}, true},
+		{"scale 0", shmt.Config{VirtualScale: 0}, true},
+		{"scale negative", shmt.Config{VirtualScale: -3}, true},
+	} {
+		s, err := shmt.NewSession(c.cfg)
+		if !c.ok {
+			if err == nil {
+				s.Close()
+				t.Errorf("%s: NewSession accepted it", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		rep, err := s.Execute(shmt.OpSobel, []*shmt.Matrix{workload.Image(64, 64, 1)}, nil)
+		s.Close()
+		if err != nil || math.IsNaN(rep.Makespan) || math.IsInf(rep.Makespan, 0) || rep.Makespan <= 0 {
+			t.Errorf("%s: makespan %v, err %v", c.name, rep.Makespan, err)
+		}
+	}
+}
+
 func TestExecuteValidation(t *testing.T) {
 	s := newSession(t, shmt.Config{})
 	if _, err := s.Execute(shmt.OpAdd, []*shmt.Matrix{shmt.NewMatrix(4, 4)}, nil); err == nil {
