@@ -2,14 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build gencheck reachcheck test race fuzzsmoke bench benchsmoke benche2e servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
+.PHONY: all check build reachcheck test race fuzzsmoke bench benchsmoke benche2e servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
 
 all: check
 
-# check is the pre-merge gate: formatting, build, the generated powers-of-ten
-# table still being what its generator writes, vet, every non-test function
-# being linked into some binary, tests, the race detector
-# over the whole module (the host worker pool runs everywhere now), a short
+# check is the pre-merge gate: formatting, build, vet, every non-test
+# function being linked into some binary, tests, the race detector over the
+# whole module (the host worker pool runs everywhere now), a short
 # fuzz of the /v1/execute decoder against encoding/json, of the header
 # sanitisers, of the -chaos grammar and of the daemons' tenant flags, a
 # one-shot benchmark pass so the bench suites can't silently rot, the
@@ -20,17 +19,10 @@ all: check
 # stays live. The contracts the benchmarks used to state as snapshots (zero
 # allocations, zero copied bytes, a bounded request) are tests in the `test`
 # stage. CI (.github/workflows/ci.yml) runs exactly these stages.
-check: fmt-check build gencheck vet reachcheck test race fuzzsmoke benchsmoke benche2e servesmoke clustersmoke
+check: fmt-check build vet reachcheck test race fuzzsmoke benchsmoke benche2e servesmoke clustersmoke
 
 build:
 	$(GO) build ./...
-
-# gencheck holds internal/wire/pow10.go to the bytes `go generate
-# ./internal/wire` writes, so the table can only change through
-# gen_pow10.go (TestPow10Table checks its values against math/big).
-gencheck:
-	$(GO) run internal/wire/gen_pow10.go -o /tmp/shmt-pow10.go
-	@cmp /tmp/shmt-pow10.go internal/wire/pow10.go; status=$$?; rm -f /tmp/shmt-pow10.go; exit $$status
 
 # reachcheck builds every binary (the commands, the examples, the benchmark
 # harness) and fails on a non-test function none of them links: code only
@@ -169,8 +161,8 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# loc prints one number: lines of non-test Go outside benchmarks/, generated
-# files included — the series ROADMAP quotes.
+# loc prints one number: lines of non-test Go outside benchmarks/, the series
+# ROADMAP quotes.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' -exec cat {} + | wc -l
 

@@ -41,14 +41,7 @@ func (d *Device) Kind() device.Kind { return device.CPU }
 func (d *Device) AccuracyRank() int { return 0 }
 
 // Supports implements device.Device: the CPU supports every VOP.
-func (d *Device) Supports(op vop.Opcode) bool {
-	for _, o := range vop.All() {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
+func (d *Device) Supports(op vop.Opcode) bool { return op.Known() }
 
 // ExecuteInto implements device.Device: exact float64 execution.
 func (d *Device) ExecuteInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {

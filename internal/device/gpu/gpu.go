@@ -65,14 +65,7 @@ func (d *Device) AccuracyRank() int { return 1 }
 
 // Supports implements device.Device: the GPU has a CUDA implementation of
 // every VOP in the table (the paper's baselines are all GPU kernels).
-func (d *Device) Supports(op vop.Opcode) bool {
-	for _, o := range vop.All() {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
+func (d *Device) Supports(op vop.Opcode) bool { return op.Known() }
 
 // ExecuteInto implements device.Device: the kernel runs with FP32 rounding
 // at every stage boundary, and inputs are cast to the native precision at the

@@ -8,18 +8,24 @@
 //     natively matrix-shaped opcodes (GEMM, conv) the hardware executes one
 //     systolic pass — inputs quantize at the boundary, accumulation is wide.
 //   - NPU mode (§2.2.2): every other opcode runs as a pre-built quantized
-//     approximator from internal/npu, whose per-layer requantization is
-//     where the quality loss the QAWS policies manage comes from.
+//     approximator, whose per-layer requantization is where the quality
+//     loss the QAWS policies manage comes from.
+//
+// The paper trains an MLP per kernel and quantizes it with the
+// TFLite/Edge-TPU compiler (§4.2); its step 4, quantization-aware
+// re-training when accuracy drops too far, is not reproduced. In place of a
+// trained network the NPU mode runs the kernel's own math under INT8
+// arithmetic: inputs quantize at the boundary and every stage boundary of
+// the kernel requantizes its activations (kernels.Int8) — exactly the error
+// structure a compiled Edge TPU model exhibits.
 package tpu
 
 import (
 	"fmt"
-	"sync"
 
 	"shmt/internal/device"
 	"shmt/internal/interconnect"
 	"shmt/internal/kernels"
-	"shmt/internal/npu"
 	"shmt/internal/quant"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -41,9 +47,6 @@ type Config struct {
 type Device struct {
 	name string
 	cfg  Config
-
-	mu     sync.Mutex
-	models map[vop.Opcode]npu.Model // lazily built per-HLOP models
 }
 
 // New returns an Edge TPU device named "tpu".
@@ -57,7 +60,7 @@ func New(cfg Config) *Device {
 	if cfg.MemoryBytes == 0 {
 		cfg.MemoryBytes = 8 << 20
 	}
-	return &Device{name: "tpu", cfg: cfg, models: map[vop.Opcode]npu.Model{}}
+	return &Device{name: "tpu", cfg: cfg}
 }
 
 var _ device.Device = (*Device)(nil)
@@ -74,26 +77,7 @@ func (d *Device) AccuracyRank() int { return 3 }
 // Supports implements device.Device. The Edge TPU covers every VOP in the
 // table: matrix ops natively, the rest through NPU models (§2.2.2 — "we
 // intensively used NPUs as our solutions for Edge TPU implementations").
-func (d *Device) Supports(op vop.Opcode) bool {
-	for _, o := range vop.All() {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
-
-// model returns (building if needed) the NPU model for op.
-func (d *Device) model(op vop.Opcode) npu.Model {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if m, ok := d.models[op]; ok {
-		return m
-	}
-	m := npu.Model{Op: op, Layers: kernels.Stages(op)}
-	d.models[op] = m
-	return m
-}
+func (d *Device) Supports(op vop.Opcode) bool { return op.Known() }
 
 // matrixMode reports whether the opcode runs natively on the systolic array
 // (§2.2.1): GEMM and convolution are the hardware's home domain, and the
@@ -142,29 +126,24 @@ var _ device.Prestager = (*Device)(nil)
 
 // StageInput implements device.Prestager: one operand's boundary staging —
 // a stride-aware gather into a dense buffer (inputs may be views) followed
-// by quantization to the mode's arithmetic. Matrix-mode opcodes quantize
-// INT8 at the boundary and accumulate wide; NPU-mode opcodes quantize with
-// the model's rounder.
-func (d *Device) StageInput(op vop.Opcode, in *tensor.Matrix) *tensor.Matrix {
-	if matrixMode(op) {
-		c := tensor.Materialize(in)
-		kernels.Int8{}.Round(c.Data)
-		return c
-	}
-	return d.model(op).Stage(in)
+// by INT8 quantization, the same in both modes. The caller owns the result.
+func (d *Device) StageInput(_ vop.Opcode, in *tensor.Matrix) *tensor.Matrix {
+	c := tensor.Materialize(in)
+	kernels.Int8{}.Round(c.Data)
+	return c
 }
 
 // ExecuteStaged implements device.Prestager: runs the opcode over operands
-// already staged by StageInput, releasing the staged set's owned buffers. The
-// result comes back over PCIe into a buffer of its own; dst is ignored.
+// already staged by StageInput, releasing the staged set's owned buffers.
+// Matrix mode accumulates wide and requantizes the output once; NPU mode
+// requantizes at every stage. The result comes back over PCIe into a buffer
+// of its own; dst is ignored.
 func (d *Device) ExecuteStaged(op vop.Opcode, st *device.Staged, _ *tensor.Matrix, attrs map[string]float64) (*tensor.Matrix, error) {
-	var out *tensor.Matrix
-	var err error
+	var r kernels.Rounder = kernels.Int8{}
 	if matrixMode(op) {
-		out, err = kernels.Exec(op, st.Inputs, attrs, kernels.Exact{})
-	} else {
-		out, err = d.model(op).RunStaged(st.Inputs, attrs)
+		r = kernels.Exact{}
 	}
+	out, err := kernels.Exec(op, st.Inputs, attrs, r)
 	st.Release() // kernels never retain or return their inputs
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"shmt/internal/device"
 	"shmt/internal/device/cpu"
 	"shmt/internal/kernels"
-	"shmt/internal/npu"
 	"shmt/internal/quant"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -62,9 +61,50 @@ func TestExecuteIntroducesBoundedError(t *testing.T) {
 	}
 }
 
+// The NPU mode is the kernel run over INT8-staged inputs with an INT8
+// requantization at every stage, and nothing else: for every opcode outside
+// matrix mode the device's output is bit-equal to that, inputs gathered from
+// strided views included. A second rounder cannot slip in unnoticed.
+func TestNPUModeIsInt8Exec(t *testing.T) {
+	d := New(Config{})
+	for _, op := range vop.All() {
+		if matrixMode(op) {
+			continue
+		}
+		var inputs, staged []*tensor.Matrix
+		for i := 0; i < op.NumInputs(); i++ {
+			base := workload.Uniform(72, 72, 0.1, 1, int64(op)*10+int64(i))
+			in, err := base.View(tensor.Region{Row: 3, Col: 5, Height: 64, Width: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := in.Clone()
+			kernels.Int8{}.Round(c.Data)
+			inputs, staged = append(inputs, in), append(staged, c)
+		}
+		got, err := d.ExecuteInto(op, inputs, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		want, err := kernels.Exec(op, staged, nil, kernels.Int8{})
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s: %dx%d, want %dx%d", op, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: elem %d = %v, INT8 exec %v", op, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestMatrixModeMoreAccurateThanNPUStages(t *testing.T) {
 	// DCT runs matrix mode (single output requant); forcing the same kernel
-	// through an NPU model with per-stage requantization must be worse.
+	// through the device's NPU path, per-stage requantization over the same
+	// staged input, must be worse.
 	d := New(Config{})
 	ref := cpu.New(1)
 	in := workload.Uniform(64, 64, 0, 1, 5)
@@ -72,8 +112,7 @@ func TestMatrixModeMoreAccurateThanNPUStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := npu.Model{Op: vop.OpDCT8x8, Layers: kernels.Stages(vop.OpDCT8x8)}
-	staged, err := model.RunStaged([]*tensor.Matrix{model.Stage(in)}, nil)
+	staged, err := kernels.Exec(vop.OpDCT8x8, []*tensor.Matrix{d.StageInput(vop.OpDCT8x8, in)}, nil, kernels.Int8{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,25 +133,6 @@ func TestMemoryLimitTriggersErrTooLarge(t *testing.T) {
 	_, err := d.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
 	if !errors.Is(err, device.ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
-	}
-}
-
-func TestQuantAwareImprovesQuality(t *testing.T) {
-	plain := New(Config{})
-	qat := New(Config{})
-	qat.models[vop.OpSobel] = npu.Model{Op: vop.OpSobel, Layers: kernels.Stages(vop.OpSobel), QuantAware: true}
-	ref := cpu.New(1)
-	in := workload.Mixed(64, 64, workload.Profile{CriticalFraction: 0.95, TileSize: 32}, 7)
-	want, _ := ref.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
-	a, _ := plain.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
-	b, _ := qat.ExecuteInto(vop.OpSobel, []*tensor.Matrix{in}, nil, nil)
-	var ea, eb float64
-	for i := range want.Data {
-		ea += math.Abs(a.Data[i] - want.Data[i])
-		eb += math.Abs(b.Data[i] - want.Data[i])
-	}
-	if eb >= ea {
-		t.Fatalf("QAT error %g should undercut PTQ error %g", eb, ea)
 	}
 }
 

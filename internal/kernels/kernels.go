@@ -189,30 +189,6 @@ func ExecInto(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, at map
 	}
 }
 
-// Stages returns the number of internal stage boundaries (Rounder
-// applications) the kernel performs — the "layer count" the NPU topology of
-// an Edge TPU model would have. Used by the device cost models.
-func Stages(op vop.Opcode) int {
-	switch op {
-	case vop.OpParabolicPDE:
-		return 4
-	case vop.OpDCT8x8, vop.OpFDWT97:
-		return 2
-	case vop.OpFFT:
-		return 2
-	case vop.OpSRAD:
-		return 3
-	case vop.OpStencil:
-		return 2
-	case vop.OpGEMM, vop.OpConv:
-		return 1
-	case vop.OpLaplacian, vop.OpSobel, vop.OpMeanFilter:
-		return 1
-	default:
-		return 1
-	}
-}
-
 // outFor returns the buffer a kernel writes its result into: dst when the
 // caller provided one (validated against the natural output shape), otherwise
 // a fresh arena matrix with unspecified contents.

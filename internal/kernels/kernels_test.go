@@ -117,17 +117,6 @@ func TestReluNegative(t *testing.T) {
 	}
 }
 
-func TestStagesPositive(t *testing.T) {
-	for _, op := range vop.All() {
-		if Stages(op) < 1 {
-			t.Errorf("%s stages = %d", op, Stages(op))
-		}
-	}
-	if Stages(vop.OpParabolicPDE) != 4 {
-		t.Fatal("blackscholes should have 4 stages")
-	}
-}
-
 func TestRounderNames(t *testing.T) {
 	for _, r := range []Rounder{Exact{}, F32{}, Int8{}} {
 		if r.Name() == "" {

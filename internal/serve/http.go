@@ -137,32 +137,22 @@ const TenantHeader = "X-SHMT-Tenant"
 // SanitizeTenant accepts a tenant name if it is non-empty, at most 64
 // bytes, and contains only [A-Za-z0-9._:-] (the trace-ID charset); anything
 // else returns "" and the request is queued under DefaultTenant.
-func SanitizeTenant(t string) string {
-	if t == "" || len(t) > 64 {
-		return ""
-	}
-	for i := 0; i < len(t); i++ {
-		c := t[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == ':', c == '-':
-		default:
-			return ""
-		}
-	}
-	return t
-}
+func SanitizeTenant(t string) string { return sanitizeToken(t, 64) }
 
 // SanitizeTraceID accepts an inbound trace ID if it is non-empty, at most
 // 128 bytes, and contains only [A-Za-z0-9._:-]; anything else returns ""
 // (and a fresh ID is generated instead). The router tier applies the same
 // rule at cluster admission so one charset governs the whole request path.
-func SanitizeTraceID(id string) string {
-	if id == "" || len(id) > 128 {
+func SanitizeTraceID(id string) string { return sanitizeToken(id, 128) }
+
+// sanitizeToken returns s if it is non-empty, at most limit bytes and made of
+// [A-Za-z0-9._:-] only, and "" otherwise.
+func sanitizeToken(s string, limit int) string {
+	if s == "" || len(s) > limit {
 		return ""
 	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '.', c == '_', c == ':', c == '-':
@@ -170,7 +160,7 @@ func SanitizeTraceID(id string) string {
 			return ""
 		}
 	}
-	return id
+	return s
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {

@@ -174,6 +174,9 @@ func (op Opcode) NumInputs() int {
 	return 1
 }
 
+// Known reports whether op is one of the opcodes All lists.
+func (op Opcode) Known() bool { return OpAdd <= op && op <= OpStencil }
+
 // All lists every opcode in Table 1 order (vector ops, then tile ops).
 func All() []Opcode {
 	return []Opcode{
@@ -225,7 +228,7 @@ func New(op Opcode, inputs ...*tensor.Matrix) (*VOP, error) {
 
 // Validate checks arity and input-shape agreement.
 func (v *VOP) Validate() error {
-	if _, ok := opNames[v.Op]; !ok {
+	if !v.Op.Known() {
 		return fmt.Errorf("vop: unknown opcode %d", int(v.Op))
 	}
 	want := v.Op.NumInputs()

@@ -41,6 +41,11 @@ func TestAllCoversEveryOpcodeOnce(t *testing.T) {
 	if len(seen) != 26 {
 		t.Fatalf("All() has %d opcodes, want 26 (Table 1)", len(seen))
 	}
+	for op := OpInvalid - 1; op <= OpStencil+1; op++ {
+		if op.Known() != seen[op] {
+			t.Errorf("%s: Known() = %v, listed by All() %v", op, op.Known(), seen[op])
+		}
+	}
 }
 
 // TestParseRoundTripsEveryOpcode: Parse(op.String()) must return op for all

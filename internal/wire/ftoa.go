@@ -1,12 +1,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
+	"math/big"
 	"math/bits"
 	"slices"
 )
-
-//go:generate go run gen_pow10.go
 
 // appendFloat appends a finite f as encoding/json writes a float64: the
 // shortest decimal that reads back as f, as digits with a point for
@@ -234,4 +234,43 @@ func mulRoundOdd(g [2]uint64, x uint64) uint64 {
 		top |= 1
 	}
 	return top
+}
+
+// pow10 covers 1e-292 … 1e324, the powers shortest multiplies by (Schubfach
+// scales c·2^q, −1074 ≤ q ≤ 971, by 10^−floor(log10 2^q)). A number parser
+// built on Eisel–Lemire reads the same truncated entries and needs 1e-348 …
+// 1e347: widening the two constants is all that takes.
+const (
+	pow10Min = -292
+	pow10Max = 324
+)
+
+// pow10ExactMax is the last of the exact entries, 1e0 … 1e55 (5^55 fits 128
+// bits). Every other one is less than the true value by a fraction of a unit
+// in the last place, so adding one rounds it up.
+const pow10ExactMax = 55
+
+// pow10[k-pow10Min] is {hi, lo} of floor(10^k · 2^(127 − floor(log2 10^k))):
+// the 128 leading bits of 10^k, truncated. The package computes it once, as
+// it initialises, with math/big integer arithmetic alone (under a
+// millisecond), so no table is copied from strconv or anywhere else.
+var pow10 = pow10Table()
+
+func pow10Table() (t [pow10Max - pow10Min + 1][2]uint64) {
+	ten := big.NewInt(10)
+	var b [16]byte
+	for k := pow10Min; k <= pow10Max; k++ {
+		p := new(big.Int).Exp(ten, big.NewInt(int64(max(k, -k))), nil)
+		switch shift := p.BitLen() - 128; {
+		case k < 0: // 10^k = 1/p: divide a power of two large enough to leave 128 bits
+			p.Quo(new(big.Int).Lsh(big.NewInt(1), uint(p.BitLen()+127)), p)
+		case shift <= 0:
+			p.Lsh(p, uint(-shift))
+		default:
+			p.Rsh(p, uint(shift))
+		}
+		p.FillBytes(b[:])
+		t[k-pow10Min] = [2]uint64{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+	}
+	return t
 }

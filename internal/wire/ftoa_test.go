@@ -128,13 +128,26 @@ func FuzzAppendFloat(f *testing.F) {
 	})
 }
 
-// TestPow10Table recomputes every entry of the generated table with math/big:
-// the 128 leading bits of 10^k, truncated, exact for 0 … pow10ExactMax and
-// nowhere else. A hand-edited pow10.go fails here; `make gencheck` also holds
-// the file to the generator's bytes.
+// TestPow10Table recomputes every entry of the table built at init with
+// math/big, by arithmetic of its own: the 128 leading bits of 10^k,
+// truncated, exact for 0 … pow10ExactMax and nowhere else. Entries written
+// out by hand pin a few of them, so the init and this recomputation cannot
+// share a mistake.
 func TestPow10Table(t *testing.T) {
 	if len(pow10) != pow10Max-pow10Min+1 {
 		t.Fatalf("%d entries for 1e%d … 1e%d", len(pow10), pow10Min, pow10Max)
+	}
+	for k, want := range map[int][2]uint64{
+		-292: {0xff77b1fcbebcdc4f, 0x25e8e89c13bb0f7a},
+		-1:   {0xcccccccccccccccc, 0xcccccccccccccccc},
+		0:    {0x8000000000000000, 0x0000000000000000},
+		55:   {0xd0cf4b50cfe20765, 0xfff4b4e3f741cf6d},
+		56:   {0x82818f1281ed449f, 0xbff8f10e7a8921a4},
+		324:  {0x9e19db92b4e31ba9, 0x6c07a2c26a8346d1},
+	} {
+		if got := pow10[k-pow10Min]; got != want {
+			t.Errorf("1e%d = {%#016x, %#016x}, want {%#016x, %#016x}", k, got[0], got[1], want[0], want[1])
+		}
 	}
 	// Schubfach asks for 10^-k, k = floor(log10 2^q) (or of ¾·2^q), over every
 	// binary exponent q of a float64.

@@ -26,8 +26,8 @@
 // Encoding a reply is formatting its output tensor, and WriteResponse does
 // that itself: appendFloat (ftoa.go) writes each element exactly as
 // encoding/json would — the splicing above depends on it — with digits from
-// Schubfach over the generated powers-of-ten table (pow10.go), at less than
-// half of strconv's cost per element. encoding/json still formats the few
+// Schubfach over a powers-of-ten table the package computes as it
+// initialises, at less than half of strconv's cost per element. encoding/json still formats the few
 // scalars and annexes that follow the tensor (appendTail), the error bodies
 // and the status pages.
 // http.go holds what both tiers do around the codec: the body limit, the
