@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"shmt/internal/breaker"
 	"shmt/internal/telemetry"
+	"shmt/internal/tensor"
 )
 
 // loadFactor is the bounded-load ceiling factor c: a backend may hold at
@@ -128,8 +130,16 @@ func NewPool(cfg PoolConfig, seeds []string, logger *slog.Logger) (*Pool, error)
 	p := &Pool{
 		cfg:    cfg.withDefaults(),
 		logger: logger,
-		// A keep-alive transport sized for a small fleet.
+		// A keep-alive transport sized for a small fleet, dialing as one
+		// without a DialContext does, with the zero net.Dialer.
 		client: &http.Client{Transport: &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				c, err := new(net.Dialer).DialContext(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return copyConn{c}, nil
+			},
 			MaxIdleConnsPerHost: 32,
 			IdleConnTimeout:     90 * time.Second,
 		}},
@@ -281,35 +291,36 @@ func (p *Pool) Statuses() []BackendStatus {
 	return out
 }
 
-// Replicas returns the key's backends in ring order (primary first),
-// regardless of health — the failover walk decides what to skip.
-func (p *Pool) Replicas(k Key) []*Backend {
+// Route is the order a request for k tries backends in, from one ring walk: the
+// bounded-load pick, then the key's other backends in ring order, healthy or
+// not. rehashed: the pick is not the primary; no order: no healthy backend.
+func (p *Pool) Route(k Key) (order []*Backend, rehashed bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	names := p.ring.Lookup(k, p.ring.Len())
-	out := make([]*Backend, 0, len(names))
-	for _, n := range names {
-		if b, ok := p.backends[n]; ok {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// Pick chooses the key's backend under the bounded-load rule. rehashed is
-// true when the pick is not the key's primary (quarantine or load spill);
-// a nil Backend means no healthy backend exists.
-func (p *Pool) Pick(k Key) (b *Backend, rehashed bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	name, pos := p.ring.PickBounded(k, loadFactor,
+	_, pos := pickBounded(names, loadFactor,
 		func(n string) bool { return !p.backends[n].br.Quarantined() },
 		func(n string) int64 { return p.backends[n].inflight.Load() },
 		p.total.Load())
-	if name == "" {
+	if pos < 0 {
 		return nil, false
 	}
-	return p.backends[name], pos > 0
+	order = append(make([]*Backend, 0, len(names)), p.backends[names[pos]])
+	for i, n := range names {
+		if i != pos {
+			order = append(order, p.backends[n])
+		}
+	}
+	return order, pos > 0
+}
+
+// Pick is the first backend of Route.
+func (p *Pool) Pick(k Key) (b *Backend, rehashed bool) {
+	order, rehashed := p.Route(k)
+	if len(order) == 0 {
+		return nil, false
+	}
+	return order[0], rehashed
 }
 
 // Acquire marks one request in flight on b; the returned release must be
@@ -442,3 +453,24 @@ func (p *Pool) checkHealth(b *Backend) (ok bool, status string) {
 	}
 	return true, "ok"
 }
+
+// copyBuffers recycles the 32 KiB buffers the router copies bodies through, to
+// backends (copyConn) and back to clients (relayResponse).
+var copyBuffers = tensor.NewFreeList[[32 << 10]byte]()
+
+// copyThrough is io.Copy through a recycled buffer, with dst's ReadFrom
+// hidden: net's and net/http's allocate a buffer per call.
+func copyThrough(dst io.Writer, src io.Reader) (int64, error) {
+	buf, capacity := copyBuffers.Get(32 << 10)
+	if buf == nil {
+		buf = copyBuffers.Miss(capacity, func(int) *[32 << 10]byte { return new([32 << 10]byte) })
+	}
+	defer copyBuffers.Put(buf, capacity)
+	return io.CopyBuffer(struct{ io.Writer }{dst}, src, buf[:])
+}
+
+// copyConn is a backend connection whose ReadFrom, which the transport calls
+// to send a request body, copies through a recycled buffer.
+type copyConn struct{ net.Conn }
+
+func (c copyConn) ReadFrom(r io.Reader) (int64, error) { return copyThrough(c.Conn, r) }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -124,25 +125,20 @@ func (r *Ring) Lookup(k Key, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.member) {
-		n = len(r.member)
-	}
+	n = min(n, len(r.member))
 	h := k.hash64()
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.backend] {
-			continue
+		// A fleet is a handful of backends: a scan of out beats a set.
+		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(out, p.backend) {
+			out = append(out, p.backend)
 		}
-		seen[p.backend] = true
-		out = append(out, p.backend)
 	}
 	return out
 }
 
-// PickBounded walks the key's ring order and returns the first backend that
+// pickBounded walks the key's ring order and returns the first backend that
 // is admissible (healthy and under the bounded-load ceiling), along with its
 // position in that order (0 = primary; > 0 means the key rehashed). The
 // ceiling implements consistent hashing with bounded loads: a backend may
@@ -155,8 +151,7 @@ func (r *Ring) Lookup(k Key, n int) []string {
 // healthy backend is over the ceiling (a burst beyond the fleet's bound),
 // the first healthy backend in ring order takes the overflow: shedding is
 // the admission queue's job, not the ring's.
-func (r *Ring) PickBounded(k Key, factor float64, healthy func(string) bool, load func(string) int64, total int64) (string, int) {
-	order := r.Lookup(k, len(r.member))
+func pickBounded(order []string, factor float64, healthy func(string) bool, load func(string) int64, total int64) (string, int) {
 	if len(order) == 0 {
 		return "", -1
 	}

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// PickBounded is the bounded-load pick (pickBounded) over the key's ring
+// order, as Pool.Route makes it.
+func (r *Ring) PickBounded(k Key, factor float64, healthy func(string) bool, load func(string) int64, total int64) (string, int) {
+	return pickBounded(r.Lookup(k, len(r.member)), factor, healthy, load, total)
+}
+
 func testKeys(n int) []Key {
 	ks := make([]Key, 0, n)
 	ops := []string{"add", "GEMM", "FFT", "Sobel"}

@@ -28,10 +28,10 @@ const TenantHeader = serve.TenantHeader
 
 // BackendHeader names the backend that served a proxied request — smoke
 // tests and operators use it to see placement without scraping metrics.
-const BackendHeader = "X-SHMT-Backend"
+const BackendHeader = "X-Shmt-Backend"
 
 // ScatterHeader carries the partition count of a scatter-gathered response.
-const ScatterHeader = "X-SHMT-Scatter"
+const ScatterHeader = "X-Shmt-Scatter"
 
 // maxAttempts bounds dispatch attempts per proxied request: the primary
 // plus failovers to ring replicas.
@@ -403,6 +403,7 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body *w
 	if err != nil {
 		return false
 	}
+	defer req.Release() // every partition is built by the time scatterExecute returns
 	v := shapeVOP(op, req.Inputs)
 	fanout := rt.cfg.MaxFanout
 	if n := len(rt.pool.Healthy()); fanout > n {
@@ -462,8 +463,8 @@ func (rt *Router) executeScatter(w http.ResponseWriter, r *http.Request, body *w
 // executeProxy relays the request to the key's backend, failing over to ring
 // replicas on retryable errors, and streams the winning response through.
 func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body *wire.Body, key Key, traceID string, outcome *string) {
-	primary, rehashed := rt.pool.Pick(key)
-	if primary == nil {
+	order, rehashed := rt.pool.Route(key)
+	if len(order) == 0 {
 		*outcome = "unavailable"
 		w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
 		wire.WriteError(w, http.StatusServiceUnavailable, "no healthy backend")
@@ -472,25 +473,14 @@ func (rt *Router) executeProxy(w http.ResponseWriter, r *http.Request, body *wir
 	if rehashed {
 		telemetry.RouterRehashes.Inc()
 	}
-
-	// The attempt order: bounded-load pick first, then the key's remaining
-	// ring replicas.
-	tried := map[string]bool{}
-	order := []*Backend{primary}
-	for _, b := range rt.pool.Replicas(key) {
-		if b.addr != primary.addr {
-			order = append(order, b)
-		}
-	}
 	attempts := min(maxAttempts, len(order))
 
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		b := order[attempt]
-		if tried[b.addr] || (attempt > 0 && b.Quarantined()) {
+		if attempt > 0 && b.Quarantined() {
 			continue
 		}
-		tried[b.addr] = true
 		if attempt > 0 {
 			telemetry.RouterFailovers.Inc()
 		}
@@ -600,7 +590,7 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, backend, traceID 
 	defer resp.Body.Close()
 	for _, h := range []string{
 		"Content-Type", "Content-Length", "Retry-After", TenantHeader,
-		"X-SHMT-Batch-Size", "X-SHMT-Degraded", "X-SHMT-Quarantined",
+		serve.BatchSizeHeader, serve.DegradedHeader, serve.QuarantinedHeader,
 	} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -609,5 +599,5 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, backend, traceID 
 	w.Header().Set(serve.TraceHeader, traceID)
 	w.Header().Set(BackendHeader, backend)
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = copyThrough(w, resp.Body)
 }

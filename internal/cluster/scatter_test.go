@@ -156,6 +156,7 @@ func scatterGather(t *testing.T, pool *Pool, body []byte, fanout int, traceID st
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer req.Release()
 	op, err := req.Opcode()
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,8 @@ type healthResponse struct {
 // GET /healthz for health (degraded while breakers are open, draining — and
 // 503 — during shutdown), GET /metrics for Prometheus exposition of the
 // process registry. The execute schema is internal/wire's; responses add the
-// headers X-SHMT-Batch-Size, X-SHMT-Degraded and (when breakers are open)
-// X-SHMT-Quarantined.
+// headers BatchSizeHeader, DegradedHeader and (when breakers are open)
+// QuarantinedHeader.
 type Server struct {
 	cfg      Config
 	be       Backend
@@ -127,12 +127,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // TraceHeader is the header carrying a request's trace ID, inbound (a
 // router tier propagating its own ID) and outbound (the echo).
-const TraceHeader = "X-SHMT-Trace-Id"
+const TraceHeader = "X-Shmt-Trace-Id"
 
 // TenantHeader names the tenant a request is billed and queued under. The
 // router tier keys placement on it and forwards it verbatim; the backend
 // maps requests without one to DefaultTenant.
-const TenantHeader = "X-SHMT-Tenant"
+const TenantHeader = "X-Shmt-Tenant"
+
+// A reply's accounting headers, in canonical form like every header name.
+const (
+	BatchSizeHeader   = "X-Shmt-Batch-Size"
+	DegradedHeader    = "X-Shmt-Degraded"
+	QuarantinedHeader = "X-Shmt-Quarantined"
+)
 
 // SanitizeTenant accepts a tenant name if it is non-empty, at most 64
 // bytes, and contains only [A-Za-z0-9._:-] (the trace-ID charset); anything
@@ -331,10 +338,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	res.Stages.Decode = stages.Decode
 	batchSize, stages = res.BatchSize, res.Stages
 
-	w.Header().Set("X-SHMT-Batch-Size", strconv.Itoa(res.BatchSize))
-	w.Header().Set("X-SHMT-Degraded", strconv.FormatBool(res.Degraded != nil))
+	w.Header().Set(BatchSizeHeader, strconv.Itoa(res.BatchSize))
+	w.Header().Set(DegradedHeader, strconv.FormatBool(res.Degraded != nil))
 	if quar := s.be.QuarantinedDevices(); len(quar) > 0 {
-		w.Header().Set("X-SHMT-Quarantined", strings.Join(quar, ","))
+		w.Header().Set(QuarantinedHeader, strings.Join(quar, ","))
 	}
 	resp := wire.Response{
 		HLOPs:           res.Report.HLOPs,
@@ -392,7 +399,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// Still serving (work reroutes around open breakers), so the status
 		// stays 200 — load balancers should keep routing — but the body and
 		// header flag the degradation for operators and smart clients.
-		w.Header().Set("X-SHMT-Quarantined", strings.Join(quar, ","))
+		w.Header().Set(QuarantinedHeader, strings.Join(quar, ","))
 		wire.WriteJSON(w, http.StatusOK, healthResponse{Status: "degraded", Quarantined: quar})
 		return
 	}

@@ -169,8 +169,13 @@ func GetMatrixUninit(rows, cols int) *Matrix {
 		arenaMiss(arenaMatrixMisses, int64(n)*8)
 		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n)}
 	}
-	if v := matrixPools[b].Get(); v != nil {
-		m := v.(*Matrix)
+	m, _ := reserved.Get(n * ElemSize)
+	if m == nil {
+		if v := matrixPools[b].Get(); v != nil {
+			m = v.(*Matrix)
+		}
+	}
+	if m != nil {
 		m.Rows, m.Cols = rows, cols
 		m.Data = m.Data[:n]
 		arenaHit(arenaMatrixHits, int64(n)*8)
@@ -199,9 +204,15 @@ func PutMatrix(m *Matrix) {
 	if b := bucketFloor(c); b < arenaBuckets {
 		m.Data = m.Data[:0:c]
 		m.Rows, m.Cols, m.Stride = 0, 0, 0
-		matrixPools[b].Put(m)
+		if c*ElemSize > 1<<20 || !reserved.Put(m, c*ElemSize) {
+			matrixPools[b].Put(m)
+		}
 	}
 }
+
+// reserved holds, ahead of matrixPools, eight matrices per class up to 1 MiB
+// that a collection cannot empty (larger ones would pin too much memory).
+var reserved = NewFreeList[Matrix]()
 
 // clearFloats zeroes s (compiles to a memclr).
 func clearFloats(s []float64) {
@@ -244,28 +255,34 @@ func (f *FreeList[T]) Get(size int) (x *T, capacity int) {
 }
 
 // Miss is the rest of a Get that returned nil: it returns a new buffer of
-// capacity bytes from alloc and, when the class is kept, keeps one more. A
-// miss means the class holds fewer buffers than the requests in flight at once
-// need, so it will miss again the first time one more request overlaps them —
-// a coincidence of timing that may first happen a thousand requests later.
-// The spare lets a list reach its working set within the first few requests,
-// so that what a warm request allocates does not depend on when, or whether,
-// that coincidence happened.
+// capacity bytes from alloc and, when the class is kept, keeps spares, as many
+// as 8 MiB holds (at least one, at most what fills the class). A miss means
+// the class holds fewer buffers than the requests in flight at once need, so
+// it will miss again the first time one more request overlaps them — a
+// coincidence of timing that may first happen a thousand requests later. The
+// spares let a list reach its working set at its first miss, so that what a
+// warm request allocates does not depend on when, or whether, that
+// coincidence happened.
 func (f *FreeList[T]) Miss(capacity int, alloc func(capacity int) *T) *T {
 	if capacity <= MaxKeptBytes {
-		f.Put(alloc(capacity), capacity)
+		for range max(1, min(cap(f[0])-1, (8<<20)/capacity)) {
+			f.Put(alloc(capacity), capacity)
+		}
 	}
 	return alloc(capacity)
 }
 
-// Put keeps x, whose capacity is capacity bytes, if its class has room.
-func (f *FreeList[T]) Put(x *T, capacity int) {
+// Put keeps x, whose capacity is capacity bytes, if its class has room, and
+// reports whether it did.
+func (f *FreeList[T]) Put(x *T, capacity int) bool {
 	if capacity <= 0 || capacity > MaxKeptBytes {
-		return
+		return false
 	}
 	select {
 	case f[bucketFloor(capacity)] <- x:
+		return true
 	default:
+		return false
 	}
 }
 

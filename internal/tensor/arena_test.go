@@ -143,31 +143,46 @@ func TestFreeListClasses(t *testing.T) {
 }
 
 // TestFreeListMissKeepsSpare: a miss hands out a buffer of the class's
-// capacity and keeps one more, so a second request overlapping the first is
-// served without allocating; a miss beyond the kept classes keeps nothing.
+// capacity and keeps spares of it — a class of 1 MiB or less fills, one of
+// 8 MiB or more keeps one — so requests overlapping the first are served
+// without allocating; a miss beyond the kept classes keeps nothing.
 func TestFreeListMissKeepsSpare(t *testing.T) {
-	f := NewFreeList[Matrix]()
 	made := map[*Matrix]int{}
 	alloc := func(capacity int) *Matrix {
 		m := new(Matrix)
 		made[m] = capacity
 		return m
 	}
-	x, c := f.Get(3000)
-	if x != nil {
-		t.Fatal("an empty list served a buffer")
-	}
-	a := f.Miss(c, alloc)
-	b, _ := f.Get(3000)
-	if len(made) != 2 || made[a] != 4096 || b == nil || b == a || made[b] != 4096 {
-		t.Fatalf("a miss allocated %v and left %p (handed out %p)", made, b, a)
-	}
-	if x, _ := f.Get(3000); x != nil {
-		t.Fatal("a miss kept more than one spare")
+	for _, tc := range []struct{ size, capacity, spares int }{
+		{3000, 4096, 7},
+		{1<<20 - 1, 1 << 20, 7},
+		{2 << 20, 2 << 20, 4},
+		{8 << 20, 8 << 20, 1},
+		{MaxKeptBytes, MaxKeptBytes, 1},
+	} {
+		f := NewFreeList[Matrix]()
+		clear(made)
+		x, c := f.Get(tc.size)
+		if x != nil || c != tc.capacity {
+			t.Fatalf("an empty list served %p, capacity %d", x, c)
+		}
+		a := f.Miss(c, alloc)
+		kept := 0
+		for x, _ := f.Get(tc.size); x != nil; x, _ = f.Get(tc.size) {
+			if x == a || made[x] != tc.capacity {
+				t.Fatalf("%d-byte class: a spare is %p of %d bytes (handed out %p)", tc.capacity, x, made[x], a)
+			}
+			kept++
+		}
+		if kept != tc.spares || len(made) != kept+1 || made[a] != tc.capacity {
+			t.Fatalf("%d-byte class: a miss allocated %d buffers and kept %d, want %d spares",
+				tc.capacity, len(made), kept, tc.spares)
+		}
 	}
 
+	f := NewFreeList[Matrix]()
 	clear(made)
-	_, c = f.Get(MaxKeptBytes + 1)
+	_, c := f.Get(MaxKeptBytes + 1)
 	if f.Miss(c, alloc) == nil || len(made) != 1 {
 		t.Fatalf("an oversize miss allocated %d buffers, want 1", len(made))
 	}
@@ -197,6 +212,9 @@ func TestRecycledMatrix(t *testing.T) {
 	Recycle(v)
 	if got := Recycled(rows, cols); got == v {
 		t.Fatal("a view was recycled")
+	}
+	for class := recycled[bucketCeil(2048*ElemSize)]; len(class) > 0; { // the spares of the miss above
+		<-class
 	}
 	Recycle(m)
 	if got := Recycled(33, 33); got != m || got.Rows != 33 || len(got.Data) != 33*33 {

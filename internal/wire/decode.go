@@ -135,6 +135,7 @@ type scanner struct {
 	haveOp bool // head: the op key has been read
 
 	at        []uint32         // index: the data array of the matrix parsed last
+	list      *[]uint32        // index: the free-list entry at came in
 	tensors   []*tensor.Matrix // convert: the tensor each input's data went into, in order
 	data      []Elements       // index: the data array of every input, in order
 	attrsText []byte           // a request's attrs value as written, nil when absent
@@ -566,7 +567,7 @@ func (s *scanner) matrices() ([]Matrix, error) {
 		}
 		err := s.matrix(&ms[len(ms)-1], stop)
 		if s.index {
-			s.data = append(s.data, Elements{body: s.b, at: s.at})
+			s.data = append(s.data, Elements{body: s.b, at: s.at, list: s.list})
 		}
 		return err
 	})
@@ -580,7 +581,7 @@ func (s *scanner) matrices() ([]Matrix, error) {
 // has read rows and cols and found them a shape, and the shape of the data
 // array if that came first.
 func (s *scanner) matrix(m *Matrix, stop bool) error {
-	s.at = nil
+	s.at, s.list = nil, nil
 	if s.literal("null") {
 		return nil
 	}

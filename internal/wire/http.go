@@ -133,11 +133,23 @@ func (b *Body) Release() {
 	}
 }
 
-// bodyReader is one transport's read of a Body.
+// bodyReader is one transport's read of a Body's text and NewPost's tail.
 type bodyReader struct {
-	io.Reader
-	body   *Body
-	closed atomic.Bool // net/http may close a body more than once
+	body       *Body
+	text, tail []byte      // what is left to send
+	closed     atomic.Bool // net/http may close a body more than once
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	if len(r.text) == 0 {
+		if len(r.tail) == 0 {
+			return 0, io.EOF
+		}
+		r.text, r.tail = r.tail, nil
+	}
+	n := copy(p, r.text)
+	r.text = r.text[n:]
+	return n, nil
 }
 
 func (r *bodyReader) Close() error {
@@ -159,7 +171,7 @@ func NewPost(ctx context.Context, url string, body *Body, timeoutMs int) (*http.
 	}
 	getBody := func() (io.ReadCloser, error) {
 		body.readers.Add(1)
-		return &bodyReader{Reader: io.MultiReader(bytes.NewReader(text), bytes.NewReader(tail)), body: body}, nil
+		return &bodyReader{body: body, text: text, tail: tail}, nil
 	}
 	rc, _ := getBody()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, rc)
@@ -200,11 +212,12 @@ func ReadReply(resp *http.Response) (*Reply, error) {
 	return &rep, nil
 }
 
-// Release recycles the reply's buffer; Data is dead afterwards. A nil reply
-// has nothing to release.
+// Release recycles the reply's buffer and offsets; Data is dead afterwards. A
+// nil reply has nothing to release.
 func (r *Reply) Release() {
 	if r != nil {
 		putBuffer(r.buf)
+		r.Data.release()
 	}
 }
 

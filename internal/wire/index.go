@@ -29,6 +29,18 @@ import (
 type Elements struct {
 	body []byte
 	at   []uint32
+	list *[]uint32 // what at goes back to the free list in; nil when it came from none
+}
+
+// offsetLists recycles index offsets (IndexedRequest.Release, Reply.Release).
+var offsetLists = tensor.NewFreeList[[]uint32]()
+
+// release returns e's offsets to the free list; e is dead afterwards.
+func (e Elements) release() {
+	if e.list != nil {
+		*e.list = e.at[:0]
+		offsetLists.Put(e.list, cap(e.at)*4)
+	}
 }
 
 // Len is the number of elements.
@@ -79,18 +91,22 @@ func (e Elements) regionBytes(cols int, reg tensor.Region) int {
 }
 
 // offsets validates a data array and records where each element starts, in a
-// slice sized for hint elements when the rest of the body could hold that many
-// (as floats, it reserves nothing for a shape the body cannot back). It
-// returns the element count.
+// slice from the free list sized for hint elements when the rest of the body
+// could hold that many (as floats, it reserves nothing for a shape the body
+// cannot back). It returns the element count.
 func (s *scanner) offsets(hint int) (int, error) {
 	if hint > (len(s.b)-s.i)/2 {
 		hint = 0
 	}
-	n, at, err := s.elements(nil, make([]uint32, 0, hint+1))
+	list, capacity := offsetLists.Get((hint + 1) * 4)
+	if list == nil {
+		list = offsetLists.Miss(capacity, func(c int) *[]uint32 { at := make([]uint32, 0, c/4); return &at })
+	}
+	n, at, err := s.elements(nil, (*list)[:0])
 	if err != nil {
 		return 0, err
 	}
-	s.at = append(at, uint32(s.i-1)) // elements consumed the bracket
+	s.at, s.list = append(at, uint32(s.i-1)), list // elements consumed the bracket
 	return n, nil
 }
 
@@ -120,6 +136,15 @@ func IndexRequest(body []byte) (*IndexedRequest, error) {
 		return nil, err
 	}
 	return &IndexedRequest{Request: req, Data: s.data, attrs: s.attrsText}, nil
+}
+
+// Release returns the index's offsets to their free list: Data is dead
+// afterwards, the partition bodies built from it are not.
+func (r *IndexedRequest) Release() {
+	for _, e := range r.Data {
+		e.release()
+	}
+	r.Data = nil
 }
 
 // partitionBytes bounds what AppendPartition appends for regs.
@@ -195,6 +220,6 @@ func indexReply(body []byte) (Reply, error) {
 	if err != nil {
 		return Reply{}, err
 	}
-	return Reply{Rows: out.Rows, Cols: out.Cols, Data: Elements{body: body, at: s.at},
+	return Reply{Rows: out.Rows, Cols: out.Cols, Data: Elements{body: body, at: s.at, list: s.list},
 		MakespanSeconds: makespan}, nil
 }
