@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build reachcheck test race fuzzsmoke bench benchsmoke benche2e servesmoke clustersmoke figures-check experiments examples fmt fmt-check vet loc clean
+.PHONY: all check build reachcheck test race fuzzsmoke bench benchsmoke benche2e servesmoke clustersmoke figures-check experiments fmt fmt-check vet loc clean
 
 all: check
 
@@ -24,9 +24,9 @@ check: fmt-check build vet reachcheck test race fuzzsmoke benchsmoke benche2e se
 build:
 	$(GO) build ./...
 
-# reachcheck builds every binary (the commands, the examples, the benchmark
-# harness) and fails on a non-test function none of them links: code only
-# tests reach belongs in a _test.go file of its package. It also fails when a
+# reachcheck builds every binary (the commands and the benchmark harness) and
+# fails on a non-test function none of them links: code only tests reach
+# belongs in a _test.go file of its package. It also fails when a
 # binary links reflect method lookup (html/template does), which would keep
 # every exported method alive and hide such code, and on a stale exemption.
 # The script lists the few exemptions, each with the test that needs it.
@@ -141,14 +141,6 @@ figures-check:
 # ablations and the seed-stability study). Takes several minutes.
 experiments:
 	$(GO) run ./cmd/shmtbench -exp all
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/imagepipeline
-	$(GO) run ./examples/finance
-	$(GO) run ./examples/medical
-	$(GO) run ./examples/multifunction
-	$(GO) run ./examples/multitenant
 
 fmt:
 	gofmt -l -w .

@@ -13,7 +13,7 @@
 //
 //	s, _ := shmt.NewSession(shmt.Config{})
 //	defer s.Close()
-//	c, rep, _ := s.MatMul(a, b)
+//	rep, _ := s.Execute(shmt.OpGEMM, []*shmt.Matrix{a, b}, nil)
 //	fmt.Printf("GEMM in %.1f ms virtual, %.1f J\n", rep.Makespan*1e3, rep.Energy.Total())
 //
 // The zero Config runs DefaultPolicy, QAWS-TS/adaptive: the paper's QAWS-TS

@@ -121,7 +121,7 @@ func TestProxyAllocatedBytesFlat(t *testing.T) {
 	for _, size := range []int{1 << 10, 64 << 10, 1 << 20} {
 		body := []byte(`{"op":"relu","inputs":[{"rows":1,"cols":1,"data":[1]}],"pad":"` +
 			strings.Repeat("x", size) + `"}`)
-		per[size] = allocatedPerRequest(t, rt.hs.Handler, body, func(w *sink) {
+		per[size] = allocatedPerRequest(t, rt.Handler(), body, func(w *sink) {
 			if w.status != http.StatusOK || w.n != len(body) {
 				t.Fatalf("%d-byte body: http %d, %d bytes relayed", len(body), w.status, w.n)
 			}
@@ -151,7 +151,7 @@ func TestScatterIndexRecycled(t *testing.T) {
 	})
 	const side = 512
 	body := scatterBody(side, 0)
-	per := allocatedPerRequest(t, rt.hs.Handler, body, func(w *sink) {
+	per := allocatedPerRequest(t, rt.Handler(), body, func(w *sink) {
 		if w.status != http.StatusOK || w.h.Get(ScatterHeader) != "2" {
 			t.Fatalf("http %d, scatter %q", w.status, w.h.Get(ScatterHeader))
 		}

@@ -43,7 +43,7 @@ func BenchmarkScatter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	front := httptest.NewServer(rt.hs.Handler)
+	front := httptest.NewServer(rt.Handler())
 	b.Cleanup(func() {
 		front.Close()
 		rt.pool.Close()

@@ -146,7 +146,7 @@ func TestRouterBodyLimit(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/execute", strings.NewReader(addBody(2)))
 	req.ContentLength = wire.MaxBodyBytes + 1
 	rec := httptest.NewRecorder()
-	rt.hs.Handler.ServeHTTP(rec, req)
+	rt.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}

@@ -93,10 +93,9 @@ func (c RouterConfig) withDefaults() RouterConfig {
 //	GET  /statusz     — backends, breakers, ring and fleet introspection
 //	GET  /metrics     — Prometheus exposition of the process registry
 type Router struct {
+	serve.Endpoint
 	cfg      RouterConfig
 	pool     *Pool
-	hs       *http.Server
-	ln       net.Listener
 	draining atomic.Bool
 	started  time.Time
 	// tenantInflight tracks concurrent requests for capped tenants only
@@ -124,42 +123,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /statusz", rt.handleStatusz)
 	mux.HandleFunc("GET /metrics", telemetry.ExpositionHandler(telemetry.Default))
-	rt.hs = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	rt.Endpoint = serve.NewEndpoint(mux)
 	return rt, nil
 }
 
 // Pool exposes the backend pool (registration from the daemon, tests).
 func (rt *Router) Pool() *Pool { return rt.pool }
-
-// Listen binds addr (host:port; port 0 picks a free port).
-func (rt *Router) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: listen: %w", err)
-	}
-	rt.ln = ln
-	return nil
-}
-
-// Addr returns the bound address ("" before Listen).
-func (rt *Router) Addr() string {
-	if rt.ln == nil {
-		return ""
-	}
-	return rt.ln.Addr().String()
-}
-
-// Serve accepts connections until Shutdown; nil on a clean stop.
-func (rt *Router) Serve() error {
-	if rt.ln == nil {
-		return errors.New("cluster: Serve before Listen")
-	}
-	err := rt.hs.Serve(rt.ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
 
 // Shutdown drains: new requests get 503 + Retry-After, in-flight proxies
 // finish (bounded by ctx), then the listener closes and the prober stops —
@@ -169,7 +138,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	if rt.cfg.Logger != nil {
 		rt.cfg.Logger.Info("drain begin")
 	}
-	err := rt.hs.Shutdown(ctx)
+	err := rt.Endpoint.Shutdown(ctx)
 	rt.pool.Close()
 	if rt.cfg.Logger != nil {
 		rt.cfg.Logger.Info("drain end")

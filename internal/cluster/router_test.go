@@ -71,7 +71,7 @@ func newTestRouter(t *testing.T, cfg RouterConfig) (*Router, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(rt.hs.Handler)
+	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		rt.pool.Close()

@@ -40,20 +40,6 @@ func (m Method) String() string {
 	}
 }
 
-// Suffix returns the single-letter policy suffix the paper uses (S/U/R).
-func (m Method) Suffix() string {
-	switch m {
-	case Striding:
-		return "S"
-	case UniformRandom:
-		return "U"
-	case Reduction:
-		return "R"
-	default:
-		return "?"
-	}
-}
-
 // Sampler draws samples from data partitions at a configured rate.
 type Sampler struct {
 	Method Method

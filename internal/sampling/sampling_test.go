@@ -27,17 +27,14 @@ func sampleRow(s *Sampler, data []float64) []float64 {
 }
 
 func TestMethodNamesAndSuffixes(t *testing.T) {
-	if Striding.String() != "striding" || Striding.Suffix() != "S" {
-		t.Fatal("striding labels wrong")
+	// The paper's policy suffixes (QAWS-TS, -TU, -TR) are the names' initials.
+	for m, want := range map[Method]string{Striding: "striding", UniformRandom: "uniform", Reduction: "reduction"} {
+		if m.String() != want {
+			t.Errorf("%d: name %q want %q", int(m), m.String(), want)
+		}
 	}
-	if UniformRandom.String() != "uniform" || UniformRandom.Suffix() != "U" {
-		t.Fatal("uniform labels wrong")
-	}
-	if Reduction.String() != "reduction" || Reduction.Suffix() != "R" {
-		t.Fatal("reduction labels wrong")
-	}
-	if Method(99).Suffix() != "?" {
-		t.Fatal("unknown suffix wrong")
+	if Method(99).String() != "Method(99)" {
+		t.Fatal("unknown name wrong")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"shmt/internal/device"
@@ -392,8 +393,12 @@ func (p QAWS) Name() string {
 	if p.Assignment == DeviceLimits {
 		prefix = "L"
 	}
-	return "QAWS-" + prefix + p.Method.Suffix()
+	return "QAWS-" + prefix + suffix(p.Method)
 }
+
+// suffix is the paper's one-letter name of a sampling method in QAWS-XS
+// policy names: S, U or R, the initial of Method.String.
+func suffix(m sampling.Method) string { return strings.ToUpper(m.String()[:1]) }
 
 func (p QAWS) rate() float64 {
 	if p.Rate > 0 {

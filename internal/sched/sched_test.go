@@ -207,19 +207,19 @@ func TestQAWSNames(t *testing.T) {
 			if r.Policy.Assignment == DeviceLimits {
 				prefix = "QAWS-L"
 			}
-			suffix := ""
+			tail := ""
 			if r.Policy.Adaptive {
-				suffix = "/adaptive"
+				tail = "/adaptive"
 				// A batch runs the partitioned branch under the base row's
 				// name, and so under its plan-cache keys.
-				base, _ := Lookup(prefix + r.Policy.Method.Suffix())
+				base, _ := Lookup(prefix + suffix(r.Policy.Method))
 				if r.Policy.Partitioned() != base.Policy {
 					t.Errorf("row %q: partitioned branch %+v, want row %q's %+v", r.Key, r.Policy.Partitioned(), base.Key, base.Policy)
 				}
 			} else if r.Policy.Partitioned() != r.Policy {
 				t.Errorf("row %q: Partitioned changed a policy that does not price", r.Key)
 			}
-			if r.Key != prefix+r.Policy.Method.Suffix()+suffix {
+			if r.Key != prefix+suffix(r.Policy.Method)+tail {
 				t.Errorf("row %q is %s × %s", r.Key, prefix, r.Policy.Method)
 			}
 		}

@@ -31,11 +31,10 @@ type healthResponse struct {
 // headers BatchSizeHeader, DegradedHeader and (when breakers are open)
 // QuarantinedHeader.
 type Server struct {
+	Endpoint
 	cfg      Config
 	be       Backend
 	batcher  *Batcher
-	hs       *http.Server
-	ln       net.Listener
 	draining atomic.Bool
 	started  time.Time
 	flight   *telemetry.FlightRecorder
@@ -64,43 +63,60 @@ func New(be Backend, cfg Config) *Server {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s.Endpoint = NewEndpoint(mux)
 	return s
 }
 
+// Endpoint is the bind-and-serve lifecycle of an HTTP tier: Listen binds,
+// Addr reports, Serve accepts until Shutdown. Server and the cluster router
+// embed it, and each wraps Shutdown with its own drain.
+type Endpoint struct {
+	hs *http.Server
+	ln net.Listener
+}
+
+// NewEndpoint serves h with a five-second limit on reading request headers.
+func NewEndpoint(h http.Handler) Endpoint {
+	return Endpoint{hs: &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}}
+}
+
 // Handler exposes the mux (httptest-friendly).
-func (s *Server) Handler() http.Handler { return s.hs.Handler }
+func (e *Endpoint) Handler() http.Handler { return e.hs.Handler }
 
 // Listen binds addr (host:port; port 0 picks a free port).
-func (s *Server) Listen(addr string) error {
+func (e *Endpoint) Listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("serve: listen: %w", err)
 	}
-	s.ln = ln
+	e.ln = ln
 	return nil
 }
 
 // Addr returns the bound address ("" before Listen).
-func (s *Server) Addr() string {
-	if s.ln == nil {
+func (e *Endpoint) Addr() string {
+	if e.ln == nil {
 		return ""
 	}
-	return s.ln.Addr().String()
+	return e.ln.Addr().String()
 }
 
 // Serve accepts connections until Shutdown; it returns nil on a clean
 // drain-initiated stop.
-func (s *Server) Serve() error {
-	if s.ln == nil {
+func (e *Endpoint) Serve() error {
+	if e.ln == nil {
 		return errors.New("serve: Serve before Listen")
 	}
-	err := s.hs.Serve(s.ln)
+	err := e.hs.Serve(e.ln)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
 	}
 	return err
 }
+
+// Shutdown closes the listener and waits, bounded by ctx, for in-flight
+// handlers to return.
+func (e *Endpoint) Shutdown(ctx context.Context) error { return e.hs.Shutdown(ctx) }
 
 // Shutdown drains gracefully: new requests are refused with 503 +
 // Retry-After, queued requests finish their rounds, in-flight handlers
@@ -112,7 +128,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.logger.Info("drain begin", "queued", s.batcher.QueueLen())
 	}
 	err := s.batcher.Close(ctx)
-	if herr := s.hs.Shutdown(ctx); err == nil {
+	if herr := s.Endpoint.Shutdown(ctx); err == nil {
 		err = herr
 	}
 	if s.logger != nil {

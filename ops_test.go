@@ -75,6 +75,15 @@ func TestEveryVOPEndToEnd(t *testing.T) {
 		if rep.Output.Rows != ref.Rows || rep.Output.Cols != ref.Cols {
 			t.Fatalf("%s shape %dx%d want %dx%d", c.op, rep.Output.Rows, rep.Output.Cols, ref.Rows, ref.Cols)
 		}
+		if c.op == shmt.OpReduceHist256 {
+			var total float64
+			for _, v := range rep.Output.Data {
+				total += v
+			}
+			if total != float64(side*side) {
+				t.Errorf("histogram total = %g want %d", total, side*side)
+			}
+		}
 		mape, err := metrics.MAPE(ref.Data, rep.Output.Data)
 		if err != nil {
 			t.Fatalf("%s mape: %v", c.op, err)

@@ -98,7 +98,7 @@ type PipelineResult struct {
 //     session's policy.
 func (s *Session) ExecutePipeline(input *Matrix, stages []Stage, mode PipelineMode) (*PipelineResult, error) {
 	if input == nil {
-		return nil, errNilInput
+		return nil, errors.New("shmt: nil input matrix")
 	}
 	if len(stages) == 0 {
 		return nil, errors.New("shmt: pipeline needs at least one stage")

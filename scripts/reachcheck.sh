@@ -1,9 +1,9 @@
 #!/bin/sh
 # reachcheck.sh — every non-test function is linked into some binary.
 #
-# Builds each main package of the module (cmd/*, examples/*) and the
-# benchmark harness (benchmarks/e2e) with inlining off, so every function a
-# binary calls keeps its own symbol, and lists the symbols with `go tool nm`.
+# Builds each main package of the module (cmd/*) and the benchmark harness
+# (benchmarks/e2e) with inlining off, so every function a binary calls keeps
+# its own symbol, and lists the symbols with `go tool nm`.
 # Each non-test `func` declaration that none of the binaries links is printed
 # with its file:line and the script exits 1. Code only tests reach belongs in
 # a _test.go file of its package.
@@ -35,7 +35,7 @@ trap 'rm -rf "$tmp"' EXIT
 # ALLOW: symbol, then the reason it is linked into no binary.
 ALLOW='
 shmt/internal/parallel.SetWorkers              kernels TestParallelBitIdentity and telemetry TestGanttGolden pin the pool width
-shmt/internal/telemetry.Disable                core TestEngineTelemetrySpansAndCounters and the cluster chaos tests turn recording back off
+shmt/internal/telemetry.Disable                core TestEngineTelemetrySpansAndCounters, the cluster chaos tests and the root telemetry tests turn recording back off
 shmt/internal/quant.AffineParams.QuantizeOne   per-element INT8 oracle of kernels FuzzInt8Round and tpu TestRequantOutputMatchesGroupedReference
 shmt/internal/quant.AffineParams.DequantizeOne per-element INT8 oracle of kernels FuzzInt8Round and tpu TestRequantOutputMatchesGroupedReference'
 

@@ -55,6 +55,7 @@ func TestPipelineChaosAppliedOnce(t *testing.T) {
 		Telemetry: shmt.Telemetry{Enabled: true},
 		Chaos:     map[string]shmt.ChaosConfig{"gpu": {FailFirstOps: 3}},
 	})
+	t.Cleanup(telemetry.Disable) // recording is process-wide; TestWarmComputeAllocs counts without it
 	img := workload.Mixed(32, 32, workload.Profile{TileSize: 8}, 5)
 	stages := []shmt.Stage{
 		{Name: "edge", Op: shmt.OpSobel},

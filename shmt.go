@@ -16,7 +16,6 @@ import (
 	"shmt/internal/energy"
 	"shmt/internal/hlop"
 	"shmt/internal/interconnect"
-	"shmt/internal/sampling"
 	"shmt/internal/telemetry"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -101,8 +100,7 @@ func ParseChaosSpec(spec string, seed int64) (map[string]ChaosConfig, error) {
 }
 
 // Session is SHMT's virtual hardware device: it owns the simulated device
-// set and the runtime engine, and executes VOPs submitted through Execute or
-// the convenience kernel methods.
+// set and the runtime engine, and executes the VOPs submitted to it.
 //
 // A Session is safe for concurrent use: Execute, ExecuteBatch and
 // ExecutePipeline may be called from any number of goroutines. Calls
@@ -314,107 +312,3 @@ func (s *Session) Reference(op Op, inputs []*Matrix, attrs map[string]float64) (
 // "Sobel", ...), case-insensitively. The second return is false for unknown
 // names.
 func ParseOp(name string) (Op, bool) { return vop.Parse(name) }
-
-var errNilInput = errors.New("shmt: nil input matrix")
-
-// MatMul multiplies a·b through the GEMM VOP (the paper's running example:
-// tf.matmul lowering to shmt::matmul).
-func (s *Session) MatMul(a, b *Matrix) (*Matrix, *Report, error) {
-	if a == nil || b == nil {
-		return nil, nil, errNilInput
-	}
-	rep, err := s.Execute(OpGEMM, []*Matrix{a, b}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep.Output, rep, nil
-}
-
-// BlackScholes prices European call options for spot matrix S and strike
-// matrix K at riskfree rate r, volatility sigma, and expiry t (years).
-func (s *Session) BlackScholes(spot, strike *Matrix, r, sigma, t float64) (*Matrix, *Report, error) {
-	if spot == nil || strike == nil {
-		return nil, nil, errNilInput
-	}
-	rep, err := s.Execute(OpParabolicPDE, []*Matrix{spot, strike},
-		map[string]float64{"r": r, "sigma": sigma, "t": t})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep.Output, rep, nil
-}
-
-// Sobel computes the gradient-magnitude edge map of img.
-func (s *Session) Sobel(img *Matrix) (*Matrix, *Report, error) {
-	return s.unary(OpSobel, img, nil)
-}
-
-// Laplacian applies the 3×3 Laplacian filter to img.
-func (s *Session) Laplacian(img *Matrix) (*Matrix, *Report, error) {
-	return s.unary(OpLaplacian, img, nil)
-}
-
-// MeanFilter applies a 3×3 box blur to img.
-func (s *Session) MeanFilter(img *Matrix) (*Matrix, *Report, error) {
-	return s.unary(OpMeanFilter, img, nil)
-}
-
-// SRAD performs one speckle-reducing anisotropic diffusion step on img.
-func (s *Session) SRAD(img *Matrix, lambda, q0sqr float64) (*Matrix, *Report, error) {
-	return s.unary(OpSRAD, img, map[string]float64{"lambda": lambda, "q0sqr": q0sqr})
-}
-
-// DCT8x8 computes the blockwise 8×8 2-D DCT of img (dimensions must be
-// multiples of 8).
-func (s *Session) DCT8x8(img *Matrix) (*Matrix, *Report, error) {
-	return s.unary(OpDCT8x8, img, nil)
-}
-
-// DWT97 computes one level of the CDF 9/7 forward wavelet transform.
-func (s *Session) DWT97(img *Matrix) (*Matrix, *Report, error) {
-	return s.unary(OpFDWT97, img, nil)
-}
-
-// FFT computes the per-row magnitude spectrum (row length must be a power
-// of two).
-func (s *Session) FFT(m *Matrix) (*Matrix, *Report, error) {
-	return s.unary(OpFFT, m, nil)
-}
-
-// Histogram256 bins the values of m into 256 buckets over [lo, hi).
-func (s *Session) Histogram256(m *Matrix, lo, hi float64) (*Matrix, *Report, error) {
-	return s.unary(OpReduceHist256, m, map[string]float64{"hist_lo": lo, "hist_hi": hi})
-}
-
-// Hotspot advances the thermal grid one step given the power map.
-func (s *Session) Hotspot(temp, power *Matrix) (*Matrix, *Report, error) {
-	if temp == nil || power == nil {
-		return nil, nil, errNilInput
-	}
-	rep, err := s.Execute(OpStencil, []*Matrix{temp, power}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep.Output, rep, nil
-}
-
-func (s *Session) unary(op Op, m *Matrix, attrs map[string]float64) (*Matrix, *Report, error) {
-	if m == nil {
-		return nil, nil, errNilInput
-	}
-	rep, err := s.Execute(op, []*Matrix{m}, attrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep.Output, rep, nil
-}
-
-// SamplingMethod re-exports the QAWS sampling mechanisms for option setting.
-type SamplingMethod = sampling.Method
-
-// QAWS sampling mechanisms (Algorithms 3–5).
-const (
-	SamplingStriding  = sampling.Striding
-	SamplingUniform   = sampling.UniformRandom
-	SamplingReduction = sampling.Reduction
-)

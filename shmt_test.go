@@ -99,8 +99,20 @@ func TestSessionRefusesNonFiniteSettings(t *testing.T) {
 
 func TestExecuteValidation(t *testing.T) {
 	s := newSession(t, shmt.Config{})
-	if _, err := s.Execute(shmt.OpAdd, []*shmt.Matrix{shmt.NewMatrix(4, 4)}, nil); err == nil {
-		t.Fatal("arity error should surface")
+	m := shmt.NewMatrix(4, 4)
+	for _, c := range []struct {
+		name   string
+		op     shmt.Op
+		inputs []*shmt.Matrix
+	}{
+		{"arity", shmt.OpAdd, []*shmt.Matrix{m}},
+		{"nil first input", shmt.OpSobel, []*shmt.Matrix{nil}},
+		{"nil second input", shmt.OpStencil, []*shmt.Matrix{m, nil}},
+		{"nil GEMM operand", shmt.OpGEMM, []*shmt.Matrix{nil, m}},
+	} {
+		if _, err := s.Execute(c.op, c.inputs, nil); err == nil {
+			t.Errorf("%s: Execute accepted it", c.name)
+		}
 	}
 }
 
@@ -108,13 +120,14 @@ func TestMatMulCorrectness(t *testing.T) {
 	s := newSession(t, shmt.Config{Policy: shmt.PolicyCPUOnly, TargetPartitions: 4})
 	a := workload.Uniform(16, 8, 0, 1, 3)
 	b := workload.Uniform(8, 12, 0, 1, 4)
-	c, rep, err := s.MatMul(a, b)
+	rep, err := s.Execute(shmt.OpGEMM, []*shmt.Matrix{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.HLOPs == 0 {
 		t.Fatal("no HLOPs reported")
 	}
+	c := rep.Output
 	for i := 0; i < 16; i++ {
 		for j := 0; j < 12; j++ {
 			var want float64
@@ -125,72 +138,6 @@ func TestMatMulCorrectness(t *testing.T) {
 				t.Fatalf("C(%d,%d) = %g want %g", i, j, c.At(i, j), want)
 			}
 		}
-	}
-	if _, _, err := s.MatMul(nil, b); err == nil {
-		t.Fatal("nil input should fail")
-	}
-}
-
-func TestConvenienceKernels(t *testing.T) {
-	s := newSession(t, shmt.Config{Policy: shmt.PolicyWorkStealing, TargetPartitions: 4})
-	img := workload.Image(128, 128, 5)
-
-	if out, rep, err := s.Sobel(img); err != nil || out == nil || rep == nil {
-		t.Fatalf("Sobel: %v", err)
-	}
-	if _, _, err := s.Laplacian(img); err != nil {
-		t.Fatalf("Laplacian: %v", err)
-	}
-	if _, _, err := s.MeanFilter(img); err != nil {
-		t.Fatalf("MeanFilter: %v", err)
-	}
-	if _, _, err := s.DCT8x8(img); err != nil {
-		t.Fatalf("DCT8x8: %v", err)
-	}
-	if _, _, err := s.DWT97(img); err != nil {
-		t.Fatalf("DWT97: %v", err)
-	}
-	if _, _, err := s.FFT(img); err != nil {
-		t.Fatalf("FFT: %v", err)
-	}
-	pos := img.Clone()
-	for i := range pos.Data {
-		if pos.Data[i] < 1 {
-			pos.Data[i] = 1
-		}
-	}
-	if _, _, err := s.SRAD(pos, 0.5, 0.05); err != nil {
-		t.Fatalf("SRAD: %v", err)
-	}
-	if _, _, err := s.Sobel(nil); err == nil {
-		t.Fatal("nil image should fail")
-	}
-
-	hist, _, err := s.Histogram256(img, 0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, v := range hist.Data {
-		total += v
-	}
-	if total != float64(img.Len()) {
-		t.Fatalf("histogram total = %g want %d", total, img.Len())
-	}
-
-	temp := workload.Uniform(64, 64, 70, 90, 6)
-	power := workload.Uniform(64, 64, 0, 1, 7)
-	if _, _, err := s.Hotspot(temp, power); err != nil {
-		t.Fatalf("Hotspot: %v", err)
-	}
-	if _, _, err := s.Hotspot(nil, power); err == nil {
-		t.Fatal("nil temperature should fail")
-	}
-
-	spot := workload.Uniform(32, 32, 80, 120, 8)
-	strike := workload.Uniform(32, 32, 90, 110, 9)
-	if _, _, err := s.BlackScholes(spot, strike, 0.02, 0.3, 1); err != nil {
-		t.Fatalf("BlackScholes: %v", err)
 	}
 }
 

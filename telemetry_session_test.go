@@ -21,9 +21,10 @@ func TestSessionTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer telemetry.Disable() // recording is process-wide; TestWarmComputeAllocs counts without it
 
 	img := workload.Mixed(64, 64, workload.Profile{TileSize: 16}, 7)
-	if _, _, err := s.Sobel(img); err != nil {
+	if _, err := s.Execute(shmt.OpSobel, []*shmt.Matrix{img}, nil); err != nil {
 		t.Fatal(err)
 	}
 
