@@ -49,7 +49,11 @@ func (s *Session) ExecuteBatch(reqs []BatchRequest) (*BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("shmt: empty batch")
 	}
-	vops := make([]*vop.VOP, len(reqs))
+	var one [1]*vop.VOP // a lone request's slice costs no allocation
+	vops := one[:]
+	if len(reqs) > 1 {
+		vops = make([]*vop.VOP, len(reqs))
+	}
 	for i, r := range reqs {
 		v, err := vop.New(r.Op, r.Inputs...)
 		if err != nil {

@@ -32,7 +32,7 @@ import (
 // growing the heap. Inputs aliased from the parent VOP (views, GEMM's whole
 // B matrix, the convolution kernel) stay untouched — PutMatrix refuses
 // views, so releasing is safe either way.
-func aggregate(v *vop.VOP, done []doneHLOP, out *tensor.Matrix) (*tensor.Matrix, int64, error) {
+func (r *round) aggregate(v *vop.VOP, done []doneHLOP, out *tensor.Matrix) (*tensor.Matrix, int64, error) {
 	if len(done) == 0 {
 		return nil, 0, fmt.Errorf("core: no completed HLOPs to aggregate")
 	}
@@ -76,48 +76,71 @@ func aggregate(v *vop.VOP, done []doneHLOP, out *tensor.Matrix) (*tensor.Matrix,
 		return out, 0, nil
 	}
 	// Pass 2: scatter everything that still lives in a private buffer.
-	var bytes atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+	sc := &r.scatter
+	sc.v, sc.done, sc.out = v, done, out
+	parallel.For(len(done), 1, r.scatterFn)
+	bytes, err := sc.bytes.Load(), sc.err
+	sc.reset()
+	if err != nil {
+		return nil, 0, err
 	}
-	parallel.For(len(done), 1, func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			h := done[x].h
-			if h.Result == nil {
-				continue // aliased, handled in pass 1
-			}
-			block := h.Result
-			if h.Op.Halo() > 0 {
-				interior, err := tensor.CopyOut(block, h.Interior)
-				if err != nil {
-					setErr(fmt.Errorf("core: extracting interior of HLOP %d: %w", h.ID, err))
-					continue
-				}
-				block = interior
-			}
-			err := tensor.CopyIn(out, h.Region, block)
-			if block != h.Result {
-				tensor.PutMatrix(block)
-			}
+	telemetry.DatapathBytesCopied.Add(bytes)
+	return out, bytes, nil
+}
+
+// scatterPass is aggregation's pool fan-out over one VOP's private results:
+// its operands, the bytes copied and the first failure.
+type scatterPass struct {
+	v     *vop.VOP
+	done  []doneHLOP
+	out   *tensor.Matrix
+	bytes atomic.Int64
+	mu    sync.Mutex // guards err
+	err   error
+}
+
+// chunk scatters the results of done[lo:hi] into out.
+func (sc *scatterPass) chunk(lo, hi int) {
+	for x := lo; x < hi; x++ {
+		h := sc.done[x].h
+		if h.Result == nil {
+			continue // aliased, handled in pass 1
+		}
+		block := h.Result
+		if h.Op.Halo() > 0 {
+			interior, err := tensor.CopyOut(block, h.Interior)
 			if err != nil {
-				setErr(fmt.Errorf("core: aggregating HLOP %d: %w", h.ID, err))
+				sc.fail(fmt.Errorf("core: extracting interior of HLOP %d: %w", h.ID, err))
 				continue
 			}
-			bytes.Add(h.Region.Bytes(tensor.ElemSize))
-			releaseHLOPBuffers(v, h)
+			block = interior
 		}
-	})
-	if firstErr != nil {
-		return nil, 0, firstErr
+		err := tensor.CopyIn(sc.out, h.Region, block)
+		if block != h.Result {
+			tensor.PutMatrix(block)
+		}
+		if err != nil {
+			sc.fail(fmt.Errorf("core: aggregating HLOP %d: %w", h.ID, err))
+			continue
+		}
+		sc.bytes.Add(h.Region.Bytes(tensor.ElemSize))
+		releaseHLOPBuffers(sc.v, h)
 	}
-	telemetry.DatapathBytesCopied.Add(bytes.Load())
-	return out, bytes.Load(), nil
+}
+
+// fail records err unless an earlier chunk failed first.
+func (sc *scatterPass) fail(err error) {
+	sc.mu.Lock()
+	if sc.err == nil {
+		sc.err = err
+	}
+	sc.mu.Unlock()
+}
+
+// reset drops the pass's operands and result.
+func (sc *scatterPass) reset() {
+	sc.v, sc.done, sc.out, sc.err = nil, nil, nil, nil
+	sc.bytes.Store(0)
 }
 
 // releaseHLOPBuffers returns an aggregated HLOP's result and its private

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"shmt/internal/energy"
 	"shmt/internal/hlop"
@@ -77,10 +78,9 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		row, _ := sched.Lookup("work-stealing")
 		pol = row.Policy
 	}
-	fx := e.newFaultState()
-	ctx := &sched.Context{Reg: e.Reg, Seed: e.Seed, HostScale: max(e.HostScale, 1),
-		Quarantined: fx.quarantined}
-	rt := e.newRunTel(pol.Name)
+	r := e.takeRound()
+	defer e.putRound(r)
+	rt := r.startTel(pol.Name)
 	var phaseT, planStart float64
 	if rt != nil {
 		phaseT = rt.now()
@@ -98,16 +98,18 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	if len(vops) > 1 {
 		planRT, planPol = nil, pol.Partitioned()
 	}
-	perVOP := make([][]*hlop.HLOP, len(vops))
-	parentIdx := make(map[*vop.VOP]int, len(vops))
+	if r.parentIdx == nil {
+		r.parentIdx = make(map[*vop.VOP]int, len(vops))
+	}
+	r.perVOP = sized(r.perVOP, len(vops))
 	var overhead float64
 	nextID := 0
 	for i, v := range vops {
-		if _, dup := parentIdx[v]; dup {
+		if _, dup := r.parentIdx[v]; dup {
 			return nil, fmt.Errorf("core: vop %d submitted twice in one batch", i)
 		}
-		parentIdx[v] = i
-		hs, ovh, t, err := e.planVOP(ctx, planPol, v, planRT, phaseT)
+		r.parentIdx[v] = i
+		hs, ovh, t, err := r.planVOP(planPol, v, planRT, phaseT)
 		if err != nil {
 			return nil, fmt.Errorf("core: vop %d: %w", i, err)
 		}
@@ -120,11 +122,12 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 			h.ID = nextID
 			nextID++
 		}
-		perVOP[i] = hs
+		r.perVOP[i] = hs
 	}
-	pool := perVOP[0]
+	pool := r.perVOP[0]
 	if len(vops) > 1 {
-		pool = interleave(perVOP)
+		r.pooled = interleave(r.pooled[:0], r.perVOP)
+		pool = r.pooled
 	}
 	if rt != nil {
 		phaseT = rt.phase(telemetry.PhaseSchedule, phaseT)
@@ -135,7 +138,16 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	// view into it. Shared-memory devices write results through the view, so
 	// aggregation has nothing left to scatter for them. base sums the VOPs'
 	// long-lived buffers, the floor of the Fig. 11 footprint.
-	outs := make([]*tensor.Matrix, len(vops))
+	r.outs = sized(r.outs, len(vops))
+	outs := r.outs
+	nViews := 0
+	for i, v := range vops {
+		if !v.Op.IsReduction() && v.HaloWidth() == 0 {
+			nViews += len(r.perVOP[i])
+		}
+	}
+	r.views = sized(r.views, nViews)
+	views := r.views
 	var base int64
 	for i, v := range vops {
 		base += baseBytes(v)
@@ -149,9 +161,10 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 				clear(v.Dst.Data) // what NewMatrix hands over
 			}
 			if v.HaloWidth() == 0 {
-				if err := bindOutputViews(outs[i], perVOP[i]); err != nil {
+				if err := bindOutputViews(outs[i], r.perVOP[i], views); err != nil {
 					return nil, fmt.Errorf("core: vop %d: %w", i, err)
 				}
+				views = views[len(r.perVOP[i]):]
 			}
 		}
 	}
@@ -165,7 +178,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 		sw.Transfer = xferEnd - phaseT
 	}
 
-	r := e.newRound(ctx, pol, pool, overhead, rt, fx)
+	r.start(pol, pool, overhead, rt)
 	err := r.runDeterministic(pool)
 	r.pf.drain()
 	if err != nil {
@@ -188,12 +201,11 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	// aliased-output check reads. Splits inherit their parent pointer, so
 	// ownership resolves through Parent.)
 	copyBw := interconnect.HostDRAM.BandwidthBps
-	doneBy := make([][]doneHLOP, len(vops))
-	ends := make([]float64, len(vops))
+	r.ends = sized(r.ends, len(vops))
+	ends := r.ends
 	aggT := overhead
 	for _, d := range r.done {
-		i := parentIdx[d.h.Parent]
-		doneBy[i] = append(doneBy[i], d)
+		i := r.parentIdx[d.h.Parent]
 		aggT = max(aggT, d.h.Finish)
 		if d.h.Out == nil || d.h.Result != d.h.Out {
 			aggT += float64(d.h.OutputBytes(tensor.ElemSize)) / copyBw
@@ -202,19 +214,21 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 			ends[i] = max(ends[i], d.h.Finish)
 		}
 	}
+	r.groupByVOP(len(vops))
 
 	batch := &BatchResult{Busy: busy, Comm: r.comm, PeakBytes: base + r.maxStaging,
-		Degraded: fx.deg.finish(e.Reg, r.done), Makespan: max(deviceMakespan, aggT),
+		Degraded: r.fx.deg.finish(e.Reg, r.done), Makespan: max(deviceMakespan, aggT),
 		Reports: make([]*Report, len(vops))}
 	var aggBytes int64
 	for i, v := range vops {
-		out, n, err := aggregate(v, doneBy[i], outs[i])
+		done := r.grouped[r.groupAt[i]:r.groupAt[i+1]]
+		out, n, err := r.aggregate(v, done, outs[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: vop %d: %w", i, err)
 		}
 		aggBytes += n
-		rep := &Report{Output: out, HLOPs: len(doneBy[i]), Makespan: ends[i], SchedOverhead: overhead}
-		rep.CriticalHLOPs, rep.DeviceHLOPs = e.execProfile(doneBy[i])
+		rep := &Report{Output: out, HLOPs: len(done), Makespan: ends[i], SchedOverhead: overhead}
+		rep.CriticalHLOPs, rep.DeviceHLOPs = e.execProfile(done)
 		batch.Reports[i] = rep
 	}
 	// The host is busy for sampling and aggregation.
@@ -229,9 +243,37 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	return batch, nil
 }
 
-// interleave merges per-VOP HLOP lists round-robin.
-func interleave(groups [][]*hlop.HLOP) []*hlop.HLOP {
-	var out []*hlop.HLOP
+// groupByVOP sorts the admitted HLOPs by VOP into r.grouped, each VOP's in
+// admission order: VOP i's are grouped[groupAt[i]:groupAt[i+1]].
+func (r *round) groupByVOP(n int) {
+	at := sized(r.groupAt, n+2)
+	for _, d := range r.done {
+		at[r.parentIdx[d.h.Parent]+2]++
+	}
+	for i := 2; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	// at[i+1] is where VOP i's HLOPs start; placing one advances it, so it
+	// ends where they end, which is where VOP i+1's start.
+	grouped := sized(r.grouped, len(r.done))
+	for _, d := range r.done {
+		i := r.parentIdx[d.h.Parent] + 1
+		grouped[at[i]] = d
+		at[i]++
+	}
+	r.groupAt, r.grouped = at[:n+1], grouped
+}
+
+// sized returns s resized to n zero elements, in its own storage when that
+// holds them.
+func sized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// interleave merges per-VOP HLOP lists round-robin, appending to out.
+func interleave(out []*hlop.HLOP, groups [][]*hlop.HLOP) []*hlop.HLOP {
 	for i := 0; ; i++ {
 		appended := false
 		for _, g := range groups {

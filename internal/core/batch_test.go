@@ -200,7 +200,7 @@ func TestRunBatchValidation(t *testing.T) {
 func TestInterleaveRoundRobin(t *testing.T) {
 	a := []*hlop.HLOP{{ID: 0}, {ID: 1}}
 	b := []*hlop.HLOP{{ID: 10}, {ID: 11}, {ID: 12}}
-	got := interleave([][]*hlop.HLOP{a, b})
+	got := interleave(nil, [][]*hlop.HLOP{a, b})
 	want := []int{0, 10, 1, 11, 12}
 	if len(got) != len(want) {
 		t.Fatalf("len = %d", len(got))

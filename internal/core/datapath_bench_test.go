@@ -67,6 +67,7 @@ func benchDatapath(b *testing.B, op vop.Opcode, side int, forceCopy bool) {
 	aliased0 := telemetry.DatapathBytesAliased.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
+	r := newRound()
 	for i := 0; i < b.N; i++ {
 		hs, err := hlop.Partition(v, spec)
 		if err != nil {
@@ -82,7 +83,7 @@ func benchDatapath(b *testing.B, op vop.Opcode, side int, forceCopy bool) {
 					}
 				}
 			}
-		} else if err := bindOutputViews(out, hs); err != nil {
+		} else if err := bindOutputViews(out, hs, make([]tensor.Matrix, len(hs))); err != nil {
 			b.Fatal(err)
 		}
 		done := make([]doneHLOP, len(hs))
@@ -97,7 +98,7 @@ func benchDatapath(b *testing.B, op vop.Opcode, side int, forceCopy bool) {
 			}
 			done[j] = doneHLOP{h: h}
 		}
-		res, _, err := aggregate(v, done, out)
+		res, _, err := r.aggregate(v, done, out)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -264,7 +264,7 @@ func TestAggregateAliasedZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tensor.NewMatrix(64, 64)
-	if err := bindOutputViews(out, hs); err != nil {
+	if err := bindOutputViews(out, hs, make([]tensor.Matrix, len(hs))); err != nil {
 		t.Fatal(err)
 	}
 	done := make([]doneHLOP, len(hs))
@@ -276,6 +276,7 @@ func TestAggregateAliasedZeroAllocs(t *testing.T) {
 		saved[i] = h.Inputs
 	}
 	var aggErr error
+	r := newRound()
 	allocs := testing.AllocsPerRun(50, func() {
 		// aggregate releases per-HLOP state; restore it so every iteration
 		// measures the same aliased fast path (restores are plain stores).
@@ -285,7 +286,7 @@ func TestAggregateAliasedZeroAllocs(t *testing.T) {
 			h.Inputs = saved[i]
 		}
 		var bytes int64
-		_, bytes, aggErr = aggregate(v, done, out)
+		_, bytes, aggErr = r.aggregate(v, done, out)
 		if bytes != 0 {
 			panic("aliased aggregation copied bytes")
 		}

@@ -157,14 +157,16 @@ type Degraded struct {
 	ProbeFailures int
 }
 
-// degTracker accumulates one run's Degraded report, from the pick loop.
+// degTracker accumulates one run's Degraded report, from the pick loop. Its
+// zero value is ready; reset returns it there, keeping the map's storage.
 type degTracker struct {
 	d         Degraded
-	origQueue map[*hlop.HLOP]int // first pre-reroute queue, per moved HLOP
+	origQueue map[*hlop.HLOP]int // first pre-reroute queue, per moved HLOP; made at the first reroute
 }
 
-func newDegTracker() *degTracker {
-	return &degTracker{origQueue: map[*hlop.HLOP]int{}}
+func (t *degTracker) reset() {
+	t.d = Degraded{} // a returned report owns its Quarantines
+	clear(t.origQueue)
 }
 
 func (t *degTracker) noteFailure(charge, backoff float64) {
@@ -178,6 +180,9 @@ func (t *degTracker) noteQuarantine(q Quarantine) {
 }
 
 func (t *degTracker) noteReroute(h *hlop.HLOP, from int) {
+	if t.origQueue == nil {
+		t.origQueue = make(map[*hlop.HLOP]int)
+	}
 	if _, seen := t.origQueue[h]; !seen {
 		t.origQueue[h] = from
 	}
@@ -216,14 +221,11 @@ func (t *degTracker) finish(reg *device.Registry, done []doneHLOP) *Degraded {
 
 // faultState bundles one run's degradation machinery: the resolved tuning,
 // the engine's persistent breakers, and the run-scoped degradation tracker.
+// takeRound fills it in.
 type faultState struct {
 	rz  resilience
 	brs []*breaker.Breaker
-	deg *degTracker
-}
-
-func (e *Engine) newFaultState() *faultState {
-	return &faultState{rz: e.resilience.withDefaults(), brs: e.breakerSet(), deg: newDegTracker()}
+	deg degTracker
 }
 
 // quarantined is the sched.Context hook: policies route new work around

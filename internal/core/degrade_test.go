@@ -54,8 +54,8 @@ func TestFallbackQueueNoOtherDevice(t *testing.T) {
 func TestFallbackQueuePrefersAccuracyAndSkipsQuarantined(t *testing.T) {
 	reg, _ := device.NewRegistry(cpu.New(1), gpu.New(gpu.Config{}), tpu.New(tpu.Config{}))
 	e := &Engine{Reg: reg}
-	fx := e.newFaultState()
-	ctx := &sched.Context{Reg: reg, Quarantined: fx.quarantined}
+	r := e.takeRound()
+	fx, ctx := &r.fx, &r.ctx
 	h := &hlop.HLOP{Op: vop.OpSobel}
 
 	// TPU fails: the GPU (more accurate accelerator) is the fallback.

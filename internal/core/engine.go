@@ -102,6 +102,10 @@ type Engine struct {
 	pcMu      sync.Mutex
 	pc        *planCache
 	planEpoch atomic.Uint64
+
+	// spare is the round scratch the last RunBatch gave back (step.go); nil
+	// while a run holds it, or before the first run.
+	spare atomic.Pointer[round]
 }
 
 // SetBreakerNotify registers fn to be called on circuit-breaker transitions
@@ -190,12 +194,29 @@ func (e *Engine) Run(v *vop.VOP) (*Report, error) {
 // arithmetic runs on the host pool.
 func (r *round) runDeterministic(hs []*hlop.HLOP) error {
 	devs := r.devs
+	// Every queue is carved out of one slab, exactly as long as the HLOPs
+	// assigned to it: filling it never grows it. A split or a reroute that
+	// adds to a full queue moves that queue off the slab.
+	if cap(r.slab) < len(hs) {
+		r.slab = make([]*hlop.HLOP, len(hs))
+	}
+	off := 0
+	for i := range devs {
+		n := 0
+		for _, h := range hs {
+			if h.AssignedQueue == i {
+				n++
+			}
+		}
+		devs[i].q = r.slab[off : off : off+n]
+		off += n
+	}
 	for _, h := range hs {
 		d := &devs[h.AssignedQueue]
 		d.q = append(d.q, h)
 	}
 	for r.outstanding > 0 {
-		pick, victim, probes, rejected := nextPick(r.ctx, r.pol, devs)
+		pick, victim, probes, rejected := nextPick(&r.ctx, r.pol, devs)
 		if probes > 0 {
 			telemetry.StealAttempts.Add(int64(probes))
 			telemetry.StealRejected.Add(int64(rejected))
@@ -299,9 +320,8 @@ func baseBytes(v *vop.VOP) int64 {
 
 // bindOutputViews attaches to every HLOP a strided view of the VOP output
 // covering its region, through which shared-memory devices write results
-// directly. The view headers share one slab.
-func bindOutputViews(out *tensor.Matrix, hs []*hlop.HLOP) error {
-	views := make([]tensor.Matrix, len(hs))
+// directly. The view headers are views[:len(hs)].
+func bindOutputViews(out *tensor.Matrix, hs []*hlop.HLOP, views []tensor.Matrix) error {
 	for i, h := range hs {
 		if err := out.ViewInto(&views[i], h.Region); err != nil {
 			return fmt.Errorf("core: binding output view for HLOP %d: %w", h.ID, err)

@@ -63,12 +63,11 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 
 	planOnce := func(b *testing.B, e *Engine, v *vop.VOP) {
 		b.Helper()
-		fx := e.newFaultState()
-		ctx := &sched.Context{Reg: e.Reg, Seed: e.Seed, HostScale: 1, Quarantined: fx.quarantined}
+		r := e.takeRound()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := e.planVOP(ctx, e.Policy, v, nil, 0); err != nil {
+			if _, _, _, err := r.planVOP(e.Policy, v, nil, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -85,9 +84,7 @@ func BenchmarkPlanningOverhead(b *testing.B) {
 		}
 		b.Run("plan/"+p.name+"/replay", func(b *testing.B) {
 			e := &Engine{Reg: reg, Policy: p.pol, Seed: 1, PlanCacheEntries: 64}
-			fx := e.newFaultState()
-			ctx := &sched.Context{Reg: reg, Seed: 1, HostScale: 1, Quarantined: fx.quarantined}
-			if _, _, _, err := e.planVOP(ctx, p.pol, v, nil, 0); err != nil {
+			if _, _, _, err := e.takeRound().planVOP(p.pol, v, nil, 0); err != nil {
 				b.Fatal(err) // warm the cache
 			}
 			planOnce(b, e, v)

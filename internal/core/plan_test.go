@@ -266,6 +266,11 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// planKey is appendPlanKey as a string.
+func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
+	return string(e.appendPlanKey(nil, v, pol))
+}
+
 // TestPlanKeyComposition checks that every component the plan is a function
 // of changes the key — and that irrelevant differences (fresh matrices of
 // the same shape) do not.
@@ -410,9 +415,9 @@ func TestPlanReplayAllocs(t *testing.T) {
 			pol := row("QAWS-TS").Policy
 			e := &Engine{Reg: reg, Policy: pol, Seed: 1,
 				Spec: hlop.Spec{TargetPartitions: parts}, PlanCacheEntries: 8}
-			ctx := &sched.Context{Reg: reg, Seed: 1, HostScale: 1, Quarantined: e.newFaultState().quarantined}
+			r := e.takeRound()
 			plan := func() {
-				hs, _, _, err := e.planVOP(ctx, pol, v, nil, 0)
+				hs, _, _, err := r.planVOP(pol, v, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"container/list"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -69,10 +69,10 @@ func newPlanCache(max int) *planCache {
 // lookup returns the plan cached under key, provided it was captured in the
 // current device-health epoch. Entries from older epochs are dropped and
 // counted as invalidations (plus the miss the caller experiences).
-func (c *planCache) lookup(key string, epoch uint64) ([]hlop.Planned, bool) {
+func (c *planCache) lookup(key []byte, epoch uint64) ([]hlop.Planned, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)] // a lookup by string(key) copies nothing
 	if !ok {
 		c.misses++
 		telemetry.PlanCacheMisses.Inc()
@@ -81,7 +81,7 @@ func (c *planCache) lookup(key string, epoch uint64) ([]hlop.Planned, bool) {
 	en := el.Value.(*planEntry)
 	if en.epoch != epoch {
 		c.order.Remove(el)
-		delete(c.entries, key)
+		delete(c.entries, en.key)
 		c.invalidations++
 		c.misses++
 		telemetry.PlanCacheInvalidations.Inc()
@@ -165,16 +165,16 @@ func (e *Engine) planCache() *planCache {
 	return e.pc
 }
 
-// planKey fingerprints everything a captured plan is a function of, except
-// input data and device health (the epoch guards the latter). The policy
-// contributes its Name — which names its parts (assignment × sampling for
-// QAWS) — and the engine seed that drives its randomized sampling; an
-// Engine's policy parameters are fixed for its lifetime, like its registry.
-// The key is rebuilt on every cache consult, so it avoids fmt and builds into
-// one stack-seeded buffer with strconv appends.
-func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
-	var buf [128]byte
-	b := strconv.AppendInt(buf[:0], int64(v.Op), 10)
+// appendPlanKey appends to b the fingerprint of everything a captured plan
+// is a function of, except input data and device health (the epoch guards
+// the latter). The policy contributes its Name — which names its parts
+// (assignment × sampling for QAWS) — and the engine seed that drives its
+// randomized sampling; an Engine's policy parameters are fixed for its
+// lifetime, like its registry. The key is built on every cache consult, into
+// the round's reused buffer with strconv appends, so a warm lookup allocates
+// nothing.
+func (e *Engine) appendPlanKey(b []byte, v *vop.VOP, pol sched.Policy) []byte {
+	b = strconv.AppendInt(b, int64(v.Op), 10)
 	b = append(b, '|')
 	b = append(b, pol.Name...)
 	b = append(b, '|')
@@ -194,11 +194,12 @@ func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
 	b = append(b, '|', 'p')
 	b = strconv.AppendFloat(b, v.DeadlinePressure, 'g', -1, 64)
 	if len(v.Attrs) > 0 {
-		names := make([]string, 0, len(v.Attrs))
+		var buf [8]string
+		names := buf[:0]
 		for name := range v.Attrs {
 			names = append(names, name)
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		for _, name := range names {
 			b = append(b, '|', 'a')
 			b = append(b, name...)
@@ -206,7 +207,7 @@ func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
 			b = strconv.AppendFloat(b, v.Attrs[name], 'g', -1, 64)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // planVOP produces the HLOPs and scheduling overhead for one VOP: it replays
@@ -218,16 +219,14 @@ func (e *Engine) planKey(v *vop.VOP, pol sched.Policy) string {
 // The partition phase span is observed here (rt is nil for a multi-VOP
 // batch, whose planning is one lumped schedule phase); the caller observes
 // the schedule phase.
-func (e *Engine) planVOP(ctx *sched.Context, pol sched.Policy, v *vop.VOP,
-	rt *runTel, phaseT float64) ([]*hlop.HLOP, float64, float64, error) {
-
+func (r *round) planVOP(pol sched.Policy, v *vop.VOP, rt *runTel, phaseT float64) ([]*hlop.HLOP, float64, float64, error) {
+	e, ctx := r.e, &r.ctx
 	pc := e.planCache()
-	var key string
 	var epoch uint64
 	if pc != nil {
 		epoch = e.planEpoch.Load()
-		key = e.planKey(v, pol)
-		if parts, ok := pc.lookup(key, epoch); ok {
+		r.key = e.appendPlanKey(r.key[:0], v, pol)
+		if parts, ok := pc.lookup(r.key, epoch); ok {
 			hs, err := hlop.Replay(v, parts)
 			if err == nil {
 				if rt != nil {
@@ -257,7 +256,7 @@ func (e *Engine) planVOP(ctx *sched.Context, pol sched.Policy, v *vop.VOP,
 		return nil, 0, phaseT, err
 	}
 	if pc != nil {
-		pc.store(key, epoch, hlop.Capture(hs))
+		pc.store(string(r.key), epoch, hlop.Capture(hs))
 	}
 	return hs, overhead, phaseT, nil
 }

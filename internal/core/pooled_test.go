@@ -164,14 +164,13 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 				// compute pass left behind, before aggregation consumes it.
 				withWorkers(8, func() {
 					e := engine(pol, plan.dev, plan.cfg)
-					fx := e.newFaultState()
-					ctx := &sched.Context{Reg: e.Reg, Seed: e.Seed, HostScale: 1, Quarantined: fx.quarantined}
+					r := e.takeRound()
 					v := batch()[0]
-					hs, overhead, _, err := e.planVOP(ctx, pol, v, nil, 0)
+					hs, overhead, _, err := r.planVOP(pol, v, nil, 0)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					r := e.newRound(ctx, pol, hs, overhead, nil, fx)
+					r.start(pol, hs, overhead, nil)
 					err = r.runDeterministic(hs)
 					r.pf.drain()
 					if err != nil {

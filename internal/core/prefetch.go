@@ -28,11 +28,14 @@ import (
 // keyed by queue and opcode, so an HLOP only ever consumes a cast made for the
 // device that admitted it.
 type prefetcher struct {
-	shared map[*tensor.Matrix]bool // read-only once built
+	uses    map[*tensor.Matrix]int // HLOPs of the round reading each operand; read-only once built
+	nShared int                    // operands more than one HLOP reads
 
 	mu       sync.Mutex // guards the cache against the compute pass's pool tasks
 	resident map[residentKey]*tensor.Matrix
 	resBytes int64
+
+	warming []residentKey // the casts warm makes, one pool task each
 }
 
 // residentKey identifies a device-resident shared operand: the same matrix
@@ -44,29 +47,41 @@ type residentKey struct {
 	in *tensor.Matrix
 }
 
-// newPrefetcher returns the run's prefetcher, or nil when Engine.Prefetch is
-// off or no operand of hs is shared across HLOPs — only shared operands are
-// worth keeping device-resident.
-func (e *Engine) newPrefetcher(hs []*hlop.HLOP) *prefetcher {
-	if !e.Prefetch {
-		return nil
+// census counts which operands of hs several HLOPs share and returns pf, or
+// nil when none is — only shared operands are worth keeping device-resident.
+// pf is a round's cache, empty since its last reset; its maps are made on
+// the first census and kept after.
+func (pf *prefetcher) census(hs []*hlop.HLOP) *prefetcher {
+	if pf.uses == nil {
+		pf.uses = make(map[*tensor.Matrix]int, 2*len(hs))
 	}
-	seen := make(map[*tensor.Matrix]int, 2*len(hs))
 	for _, h := range hs {
 		for _, in := range h.Inputs {
-			seen[in]++
+			if pf.uses[in]++; pf.uses[in] == 2 {
+				pf.nShared++
+			}
 		}
 	}
-	shared := make(map[*tensor.Matrix]bool)
-	for in, n := range seen {
-		if n > 1 {
-			shared[in] = true
-		}
-	}
-	if len(shared) == 0 {
+	if pf.nShared == 0 {
 		return nil
 	}
-	return &prefetcher{shared: shared, resident: make(map[residentKey]*tensor.Matrix)}
+	if pf.resident == nil {
+		pf.resident = make(map[residentKey]*tensor.Matrix)
+	}
+	return pf
+}
+
+// shared reports whether several HLOPs of the round read in.
+func (pf *prefetcher) shared(in *tensor.Matrix) bool { return pf.uses[in] > 1 }
+
+// reset empties pf for the next round, dropping every pointer into this one.
+// drain has already released the resident casts.
+func (pf *prefetcher) reset() {
+	clear(pf.uses)
+	pf.nShared = 0
+	clear(pf.resident)
+	clear(pf.warming)
+	pf.warming = pf.warming[:0]
 }
 
 // stageSet stages every operand of h for the device at qi: shared operands
@@ -75,7 +90,7 @@ func (e *Engine) newPrefetcher(hs []*hlop.HLOP) *prefetcher {
 func (pf *prefetcher) stageSet(ps device.Prestager, qi int, h *hlop.HLOP) *device.Staged {
 	st := device.NewStaged(len(h.Inputs))
 	for i, in := range h.Inputs {
-		if pf.shared[in] {
+		if pf.shared(in) {
 			st.Inputs[i] = pf.residentFor(ps, qi, h.Op, in)
 			st.Keep[i] = true
 		} else {
@@ -93,7 +108,7 @@ func (pf *prefetcher) wantsStaged(h *hlop.HLOP) bool {
 		return false
 	}
 	for _, in := range h.Inputs {
-		if pf.shared[in] {
+		if pf.shared(in) {
 			return true
 		}
 	}
@@ -104,28 +119,31 @@ func (pf *prefetcher) wantsStaged(h *hlop.HLOP) bool {
 // resident cache for, one pool task per (device, operand), so that the
 // compute fan-out that follows only ever hits: each is cast exactly once per
 // device and round, where simultaneous first uses would each cast a copy and
-// throw all but one away. Nil-safe.
-func (pf *prefetcher) warm(r *round) {
+// throw all but one away.
+func (r *round) warm() {
+	pf := r.pf
 	if pf == nil {
 		return
 	}
-	var keys []residentKey
 	for _, d := range r.done {
 		if _, ok := r.devs[d.h.ExecQueue].dev.(device.Prestager); !ok {
 			continue
 		}
 		for _, in := range d.h.Inputs {
 			key := residentKey{qi: d.h.ExecQueue, op: d.h.Op, in: in}
-			if pf.shared[in] && !slices.Contains(keys, key) {
-				keys = append(keys, key)
+			if pf.shared(in) && !slices.Contains(pf.warming, key) {
+				pf.warming = append(pf.warming, key)
 			}
 		}
 	}
-	parallel.For(len(keys), 1, func(lo, hi int) {
-		for _, k := range keys[lo:hi] {
-			pf.residentFor(r.devs[k.qi].dev.(device.Prestager), k.qi, k.op, k.in)
-		}
-	})
+	parallel.For(len(pf.warming), 1, r.warmFn)
+}
+
+// warmRange is warm's pool task over the casts pf.warming[lo:hi].
+func (r *round) warmRange(lo, hi int) {
+	for _, k := range r.pf.warming[lo:hi] {
+		r.pf.residentFor(r.devs[k.qi].dev.(device.Prestager), k.qi, k.op, k.in)
+	}
 }
 
 // residentFor returns the device-resident staging of a shared operand,

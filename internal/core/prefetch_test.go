@@ -110,10 +110,6 @@ func TestPrefetcherResidentReuse(t *testing.T) {
 	defer telemetry.Disable()
 	base := telemetry.PrefetchBufferBytes.Value()
 	tp := tpu.New(tpu.Config{})
-	reg, err := device.NewRegistry(cpu.New(1), tp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rand.New(rand.NewSource(3))
 	b := tensor.NewMatrix(6, 6)
 	for i := range b.Data {
@@ -127,7 +123,7 @@ func TestPrefetcherResidentReuse(t *testing.T) {
 		}
 		hs[i] = &hlop.HLOP{ID: i, Op: vop.OpGEMM, Inputs: []*tensor.Matrix{a, b}, AssignedQueue: 1}
 	}
-	pf := (&Engine{Reg: reg, Prefetch: true}).newPrefetcher(hs)
+	pf := new(prefetcher).census(hs)
 
 	st := pf.stageSet(tp, 1, hs[0])
 	if len(st.Inputs) != 2 || st.Inputs[0] == hs[0].Inputs[0] || st.Keep[0] {
@@ -149,16 +145,20 @@ func TestPrefetcherResidentReuse(t *testing.T) {
 }
 
 func TestPrefetcherDisabledIsNilSafe(t *testing.T) {
-	if (&Engine{}).newPrefetcher(nil) != nil {
+	reg, _ := device.NewRegistry(cpu.New(1))
+	m := tensor.NewMatrix(2, 2)
+	hs := []*hlop.HLOP{{Inputs: []*tensor.Matrix{m}}, {Inputs: []*tensor.Matrix{m}}}
+	r := (&Engine{Reg: reg}).takeRound()
+	if r.start(sched.Policy{}, hs, 0, nil); r.pf != nil {
 		t.Fatal("Prefetch off should disable the prefetcher")
 	}
-	pf := (&Engine{Prefetch: true}).newPrefetcher(nil)
+	pf := new(prefetcher).census(hs[:1])
 	if pf != nil {
 		t.Fatal("a round that shares no operand needs no prefetcher")
 	}
 	if pf.wantsStaged(nil) {
 		t.Fatal("nil prefetcher not inert")
 	}
-	pf.warm(nil)
+	r.warm()
 	pf.drain()
 }

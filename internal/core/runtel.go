@@ -93,13 +93,15 @@ type runTel struct {
 	*telHandles
 }
 
-// newRunTel returns the run's telemetry bundle, or nil when telemetry is
-// disabled and no recorder is attached.
-func (e *Engine) newRunTel(policy string) *runTel {
+// startTel returns the run's telemetry bundle, kept in the round, or nil
+// when telemetry is disabled and no recorder is attached.
+func (r *round) startTel(policy string) *runTel {
+	e := r.e
 	if !telemetry.On() && e.Telemetry == nil {
 		return nil
 	}
-	return &runTel{rec: e.Telemetry, start: time.Now(), telHandles: e.telHandlesFor(policy)}
+	r.tel = runTel{rec: e.Telemetry, start: time.Now(), telHandles: e.telHandlesFor(policy)}
+	return &r.tel
 }
 
 // now returns wall seconds on the run's telemetry timeline (the recorder's

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"shmt/internal/breaker"
@@ -12,6 +13,8 @@ import (
 	"shmt/internal/parallel"
 	"shmt/internal/sched"
 	"shmt/internal/telemetry"
+	"shmt/internal/tensor"
+	"shmt/internal/vop"
 )
 
 // This file is the per-HLOP step the pick loop (runDeterministic in
@@ -54,13 +57,18 @@ func (d *devState) pushFront(h *hlop.HLOP) {
 
 // round is one execution round: the pooled HLOPs of a batch running over the
 // device set. Everything up to computeErr belongs to the pick loop alone.
+//
+// A round is also the engine's reusable round scratch: RunBatch takes the
+// engine's spare (takeRound) and gives it back on every exit (putRound), so
+// a warm round allocates only what it hands back to the caller. Everything
+// below computeErrAt is storage kept from one round to the next.
 type round struct {
 	e    *Engine
-	ctx  *sched.Context
+	ctx  sched.Context
 	pol  sched.Policy
-	pf   *prefetcher
-	rt   *runTel
-	fx   *faultState
+	pf   *prefetcher // &r.cache when the round keeps shared operands resident
+	rt   *runTel     // &r.tel when telemetry is on
+	fx   faultState
 	devs []devState
 
 	outstanding int // HLOPs not yet admitted; a split adds one
@@ -79,6 +87,29 @@ type round struct {
 	mu           sync.Mutex
 	computeErr   error
 	computeErrAt int
+
+	cache prefetcher
+	tel   runTel
+	slab  []*hlop.HLOP // backing of every device queue
+	key   []byte       // the plan key being looked up
+
+	// RunBatch's per-VOP bookkeeping: each VOP's batch position and HLOPs,
+	// the pooled HLOPs of a batch (interleaved), outputs, completion times,
+	// and the admitted HLOPs grouped by VOP (groupByVOP).
+	parentIdx map[*vop.VOP]int
+	perVOP    [][]*hlop.HLOP
+	pooled    []*hlop.HLOP
+	outs      []*tensor.Matrix
+	views     []tensor.Matrix // the outputs' views, one per halo-free HLOP
+	ends      []float64
+	grouped   []doneHLOP
+	groupAt   []int
+
+	scatter scatterPass
+
+	// The round's pool fan-outs, bound once per round object: a method value
+	// made per call is a heap object per call.
+	computeFn, warmFn, scatterFn func(lo, hi int)
 }
 
 // doneHLOP is an admitted HLOP — its device is h.ExecQueue, its virtual
@@ -88,23 +119,74 @@ type doneHLOP struct {
 	t device.Ticket
 }
 
-// newRound readies the device lanes at the scheduling overhead and stamps
-// every HLOP available from that instant. The pick loop fills the queues.
-func (e *Engine) newRound(ctx *sched.Context, pol sched.Policy, hs []*hlop.HLOP,
-	overhead float64, rt *runTel, fx *faultState) *round {
+// takeRound returns the engine's spare round, or a new one when another run
+// holds it (or none was ever returned), readied for a run over the engine's
+// devices: breakers read, lanes and queues empty.
+func (e *Engine) takeRound() *round {
+	r := e.spare.Swap(nil)
+	if r == nil {
+		r = newRound()
+	}
+	r.e = e
+	r.ctx.Reg, r.ctx.Seed, r.ctx.HostScale = e.Reg, e.Seed, max(e.HostScale, 1)
+	r.fx.rz, r.fx.brs = e.resilience.withDefaults(), e.breakerSet()
+	r.devs = sized(r.devs, e.Reg.Len())
+	return r
+}
 
-	r := &round{e: e, ctx: ctx, pol: pol, pf: e.newPrefetcher(hs), rt: rt, fx: fx,
-		devs: make([]devState, e.Reg.Len()), done: make([]doneHLOP, 0, len(hs)),
-		outstanding: len(hs), nextID: len(hs)}
+// newRound returns an empty round with its fan-outs bound.
+func newRound() *round {
+	r := new(round)
+	r.ctx.Quarantined = r.fx.quarantined
+	r.computeFn, r.warmFn, r.scatterFn = r.computeRange, r.warmRange, r.scatter.chunk
+	return r
+}
+
+// putRound clears every slot of r that points into the run — HLOPs, VOPs,
+// tensors, errors — and keeps r as the engine's spare: nothing of a request
+// stays reachable from the engine once RunBatch has returned.
+func (e *Engine) putRound(r *round) {
+	r.e, r.pf, r.rt = nil, nil, nil
+	r.pol = sched.Policy{}
+	r.fx.brs = nil
+	r.fx.deg.reset()
+	clear(r.devs)
+	r.outstanding, r.nextID, r.maxStaging = 0, 0, 0
+	clear(r.retries)
+	clear(r.done)
+	r.done = r.done[:0]
+	r.comm = interconnect.Tracker{}
+	r.computeErr, r.computeErrAt = nil, 0
+	r.cache.reset()
+	r.tel = runTel{}
+	clear(r.slab)
+	clear(r.parentIdx)
+	clear(r.perVOP)
+	clear(r.pooled)
+	clear(r.outs)
+	clear(r.views)
+	clear(r.grouped)
+	e.spare.Store(r)
+}
+
+// start readies the round for hs, planned with overhead seconds of
+// scheduling: every lane starts at the overhead, every HLOP is available from
+// that instant. The pick loop fills the queues.
+func (r *round) start(pol sched.Policy, hs []*hlop.HLOP, overhead float64, rt *runTel) {
+	r.pol, r.rt = pol, rt
+	if r.e.Prefetch {
+		r.pf = r.cache.census(hs)
+	}
+	r.outstanding, r.nextID = len(hs), len(hs)
+	r.done = slices.Grow(r.done[:0], len(hs))
 	for i := range r.devs {
 		d := &r.devs[i]
-		d.qi, d.dev, d.br = i, e.Reg.Get(i), fx.brs[i]
+		*d = devState{qi: i, dev: r.e.Reg.Get(i), br: r.fx.brs[i]}
 		d.lane.Reset(overhead)
 	}
 	for _, h := range hs {
 		h.ReadyAt = overhead
 	}
-	return r
 }
 
 // admit offers h to d's device and, if the device takes it, books its
@@ -166,19 +248,22 @@ func (r *round) compute(d doneHLOP) error {
 // they share have been cast once per device. Of several failures the one
 // admitted first is reported, whichever worker reached it first.
 func (r *round) computeAdmitted() error {
-	r.pf.warm(r)
-	parallel.For(len(r.done), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := r.compute(r.done[i]); err != nil {
-				r.mu.Lock()
-				if r.computeErr == nil || i < r.computeErrAt {
-					r.computeErr, r.computeErrAt = err, i
-				}
-				r.mu.Unlock()
-			}
-		}
-	})
+	r.warm()
+	parallel.For(len(r.done), 1, r.computeFn)
 	return r.computeErr
+}
+
+// computeRange is computeAdmitted's pool task over r.done[lo:hi].
+func (r *round) computeRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if err := r.compute(r.done[i]); err != nil {
+			r.mu.Lock()
+			if r.computeErr == nil || i < r.computeErrAt {
+				r.computeErr, r.computeErrAt = err, i
+			}
+			r.mu.Unlock()
+		}
+	}
 }
 
 // release returns to the arena what a failed round computed before it
@@ -213,7 +298,7 @@ func (r *round) split(d *devState, h *hlop.HLOP) error {
 // its backlog is redistributed — and its next own-queue HLOP after the
 // cooldown runs as the re-admission probe.
 func (r *round) fault(d *devState, h *hlop.HLOP, execErr error, wasProbe bool) error {
-	e, dev, deg := r.e, d.dev, r.fx.deg
+	e, dev, deg := r.e, d.dev, &r.fx.deg
 	if r.retries == nil {
 		r.retries = make(map[*hlop.HLOP]int)
 	}
@@ -239,7 +324,7 @@ func (r *round) fault(d *devState, h *hlop.HLOP, execErr error, wasProbe bool) e
 				d.q = append(d.q, b)
 				continue
 			}
-			alt := e.fallbackQueue(r.ctx, d.qi, b)
+			alt := e.fallbackQueue(&r.ctx, d.qi, b)
 			if alt < 0 {
 				d.q = append(d.q, b) // probe fodder
 				kept++
@@ -252,7 +337,7 @@ func (r *round) fault(d *devState, h *hlop.HLOP, execErr error, wasProbe bool) e
 	}
 	// With no healthy fallback h stays at the front of the owner's queue and
 	// the retry bound decides between recovery and surfacing the error.
-	if alt := e.fallbackQueue(r.ctx, d.qi, h); alt >= 0 {
+	if alt := e.fallbackQueue(&r.ctx, d.qi, h); alt >= 0 {
 		r.reroute(d, h, alt, d.lane.Compute)
 	} else {
 		h.ReadyAt = d.lane.Compute

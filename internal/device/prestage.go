@@ -1,8 +1,6 @@
 package device
 
 import (
-	"sync"
-
 	"shmt/internal/kernels"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -31,12 +29,15 @@ type Staged struct {
 
 // stagedSets recycles the staged sets Release is done with: an HLOP's
 // staging costs no allocation of its own.
-var stagedSets = sync.Pool{New: func() any { return new(Staged) }}
+var stagedSets tensor.Spares[Staged]
 
 // NewStaged returns an empty staged set for n operands, none of them marked
 // Keep. It belongs to the caller until its Release.
 func NewStaged(n int) *Staged {
-	s := stagedSets.Get().(*Staged)
+	s := stagedSets.Get()
+	if s == nil {
+		s = new(Staged)
+	}
 	if n <= len(s.in) {
 		s.Inputs, s.Keep = s.in[:n], s.keep[:n]
 	} else {

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"shmt/internal/telemetry"
+	"shmt/internal/tensor"
 )
 
 // workers is the fan-out width For reads on every call: GOMAXPROCS, or the
@@ -117,10 +118,10 @@ func (f funcBody) run(lo, hi int) { f(lo, hi) }
 
 // Pooled is one fan-out site whose chunks read their operands from an A
 // instead of a closure: For copies the operands into a loop body drawn from
-// the site's pool and runs fn(&args, lo, hi) per chunk, so a warm call
+// the site's free list and runs fn(&args, lo, hi) per chunk, so a warm call
 // allocates nothing. Declare one package-level Pooled per operand type; fn
 // should be a top-level function, which as a func value is static.
-type Pooled[A any] struct{ pool sync.Pool }
+type Pooled[A any] struct{ bodies tensor.Spares[pooledBody[A]] }
 
 // pooledBody is a Pooled site's loop body: the operands and the function
 // that reads them.
@@ -132,17 +133,17 @@ type pooledBody[A any] struct {
 func (b *pooledBody[A]) run(lo, hi int) { b.fn(&b.args, lo, hi) }
 
 // For runs fn(&args, lo, hi) over [0, n) in exactly the chunks For(n, grain,
-// …) would. The body goes back to the pool once every chunk has run; one
-// whose chunk panicked is dropped.
+// …) would. The body goes back to the free list once every chunk has run;
+// one whose chunk panicked is dropped.
 func (p *Pooled[A]) For(n, grain int, args A, fn func(a *A, lo, hi int)) {
-	b, _ := p.pool.Get().(*pooledBody[A])
+	b := p.bodies.Get()
 	if b == nil {
 		b = new(pooledBody[A])
 	}
 	b.args, b.fn = args, fn
 	forBody(n, grain, b)
-	*b = pooledBody[A]{} // drop the operands: the pool must not pin tensors
-	p.pool.Put(b)
+	*b = pooledBody[A]{} // drop the operands: the list must not pin tensors
+	p.bodies.Put(b)
 }
 
 func forBody(n, grain int, b body) {
@@ -169,10 +170,14 @@ func forBody(n, grain int, b body) {
 		return
 	}
 
-	// The call's shared state comes from a pool, with its helper method value
-	// bound once when the job was made, so a warm parallel call allocates
-	// nothing however wide it fans out.
-	j := jobs.Get().(*forJob)
+	// The call's shared state comes from a free list, with its helper method
+	// value bound once when the job was made, so a warm parallel call
+	// allocates nothing however wide it fans out.
+	j := jobs.Get()
+	if j == nil {
+		j = new(forJob)
+		j.help = j.runHelper
+	}
 	j.n, j.grain, j.chunks, j.body = n, grain, chunks, b
 	j.next.Store(0)
 	for i := 1; i < w; i++ {
@@ -212,11 +217,7 @@ func forBody(n, grain int, b body) {
 }
 
 // jobs recycles forJobs across parallel calls.
-var jobs = sync.Pool{New: func() any {
-	j := new(forJob)
-	j.help = j.runHelper
-	return j
-}}
+var jobs tensor.Spares[forJob]
 
 // forJob is the state one parallel For call shares with its helpers.
 type forJob struct {

@@ -42,8 +42,8 @@ var (
 // floatHeaders and complexHeaders hold the slice headers a Get has emptied,
 // for the next Put.
 var (
-	floatHeaders   = sync.Pool{New: func() any { return new([]float64) }}
-	complexHeaders = sync.Pool{New: func() any { return new([]complex128) }}
+	floatHeaders   Spares[[]float64]
+	complexHeaders Spares[[]complex128]
 )
 
 // Arena hit/miss accounting. The label pointers are resolved once here so the
@@ -104,7 +104,10 @@ func PutFloats(s []float64) {
 		return
 	}
 	if b := bucketFloor(c); b < arenaBuckets {
-		p := floatHeaders.Get().(*[]float64)
+		p := floatHeaders.Get()
+		if p == nil {
+			p = new([]float64)
+		}
 		*p = s[:0:c]
 		floatPools[b].Put(p)
 	}
@@ -140,7 +143,10 @@ func PutComplex(s []complex128) {
 		return
 	}
 	if b := bucketFloor(c); b < arenaBuckets {
-		p := complexHeaders.Get().(*[]complex128)
+		p := complexHeaders.Get()
+		if p == nil {
+			p = new([]complex128)
+		}
 		*p = s[:0:c]
 		complexPools[b].Put(p)
 	}
@@ -284,6 +290,40 @@ func (f *FreeList[T]) Put(x *T, capacity int) bool {
 	default:
 		return false
 	}
+}
+
+// Spares is a bounded free list of small fixed-size objects — a fan-out job,
+// a loop body, a slice header — for what a sync.Pool would otherwise hold:
+// a collection empties a sync.Pool, and refilling it re-grows its per-P
+// chains, a few allocations per pool after every collection. Spares keeps at
+// most len(free) objects for the life of the process; a Put beyond that
+// leaves its object to the collector. The zero value is empty and ready.
+type Spares[T any] struct {
+	mu   sync.Mutex
+	n    int
+	free [64]*T
+}
+
+// Get returns a kept object, or nil when none is kept.
+func (s *Spares[T]) Get() *T {
+	s.mu.Lock()
+	var x *T
+	if s.n > 0 {
+		s.n--
+		x, s.free[s.n] = s.free[s.n], nil
+	}
+	s.mu.Unlock()
+	return x
+}
+
+// Put keeps x if the list has room.
+func (s *Spares[T]) Put(x *T) {
+	s.mu.Lock()
+	if s.n < len(s.free) {
+		s.free[s.n] = x
+		s.n++
+	}
+	s.mu.Unlock()
 }
 
 var recycled = NewFreeList[Matrix]()
