@@ -136,8 +136,8 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 
 	// Pre-allocate each output and hand every halo-free partition a strided
 	// view into it. Shared-memory devices write results through the view, so
-	// aggregation has nothing left to scatter for them. base sums the VOPs'
-	// long-lived buffers, the floor of the Fig. 11 footprint.
+	// theirs land without a copy. base sums the VOPs' long-lived buffers, the
+	// floor of the Fig. 11 footprint.
 	r.outs = sized(r.outs, len(vops))
 	outs := r.outs
 	nViews := 0
@@ -197,9 +197,8 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	// device completion is exposed. Results that aliased the output through a
 	// view have no copy to charge. A VOP is complete at its last HLOP's
 	// finish or, if anything of it was copied, when its last copy ends.
-	// (Computed before aggregate, which releases the per-HLOP buffers the
-	// aliased-output check reads. Splits inherit their parent pointer, so
-	// ownership resolves through Parent.)
+	// (Each compute task recorded whether its result aliased. Splits inherit
+	// their parent pointer, so ownership resolves through Parent.)
 	copyBw := interconnect.HostDRAM.BandwidthBps
 	r.ends = sized(r.ends, len(vops))
 	ends := r.ends
@@ -207,7 +206,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	for _, d := range r.done {
 		i := r.parentIdx[d.h.Parent]
 		aggT = max(aggT, d.h.Finish)
-		if d.h.Out == nil || d.h.Result != d.h.Out {
+		if !d.aliased {
 			aggT += float64(d.h.OutputBytes(tensor.ElemSize)) / copyBw
 			ends[i] = aggT
 		} else {
@@ -222,7 +221,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	var aggBytes int64
 	for i, v := range vops {
 		done := r.grouped[r.groupAt[i]:r.groupAt[i+1]]
-		out, n, err := r.aggregate(v, done, outs[i])
+		out, n, err := aggregate(v, done, outs[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: vop %d: %w", i, err)
 		}

@@ -67,7 +67,6 @@ func benchDatapath(b *testing.B, op vop.Opcode, side int, forceCopy bool) {
 	aliased0 := telemetry.DatapathBytesAliased.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
-	r := newRound()
 	for i := 0; i < b.N; i++ {
 		hs, err := hlop.Partition(v, spec)
 		if err != nil {
@@ -97,8 +96,11 @@ func benchDatapath(b *testing.B, op vop.Opcode, side int, forceCopy bool) {
 				h.Result = tensor.GetMatrixUninit(h.Region.Height, h.Region.Width)
 			}
 			done[j] = doneHLOP{h: h}
+			if err := done[j].land(out); err != nil {
+				b.Fatal(err)
+			}
 		}
-		res, _, err := r.aggregate(v, done, out)
+		res, _, err := aggregate(v, done, out)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -276,17 +276,19 @@ func TestAggregateAliasedZeroAllocs(t *testing.T) {
 		saved[i] = h.Inputs
 	}
 	var aggErr error
-	r := newRound()
 	allocs := testing.AllocsPerRun(50, func() {
-		// aggregate releases per-HLOP state; restore it so every iteration
+		// Landing releases per-HLOP state; restore it so every iteration
 		// measures the same aliased fast path (restores are plain stores).
 		for i, h := range hs {
 			h.Out = views[i]
 			h.Result = views[i]
 			h.Inputs = saved[i]
+			if aggErr = done[i].land(out); aggErr != nil || !done[i].aliased {
+				panic("an aliased result did not land in place")
+			}
 		}
 		var bytes int64
-		_, bytes, aggErr = r.aggregate(v, done, out)
+		_, bytes, aggErr = aggregate(v, done, out)
 		if bytes != 0 {
 			panic("aliased aggregation copied bytes")
 		}

@@ -10,8 +10,8 @@
 // two halves (step.go). admit decides: the device's admission, split, fault
 // handling, lane admission, accounting — all from shapes, the cost model and
 // the fault schedule, never from tensor values. compute is the arithmetic,
-// whose only output is the HLOP's result. Virtual time is each device's
-// interconnect.Lane.
+// whose only output is the HLOP's result, and lands that result in the VOP's
+// output. Virtual time is each device's interconnect.Lane.
 //
 // One pick loop drives the step. runDeterministic (this file) is a
 // sequential discrete-event choice: the device with the earliest lane clock

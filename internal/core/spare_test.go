@@ -25,7 +25,7 @@ import (
 // TestRoundKeepsNothingOfARequest: once RunBatch has returned, nothing of
 // the request is reachable from the engine's spare round — after a round
 // that succeeds, one that fails on a kernel error and one whose retries run
-// out. Finalizers on every VOP, its inputs and its output (a reduction's is
+// out, also once some private results have landed. Finalizers on every VOP, its inputs and its output (a reduction's is
 // the engine's own), and on the storage of each matrix, must all run once the
 // caller has dropped the result, while the engine, and so its spare, stays
 // alive.
@@ -43,6 +43,9 @@ func TestRoundKeepsNothingOfARequest(t *testing.T) {
 		{"kernel error", func() []device.Device {
 			return []device.Device{cpu.New(1), &badKernelDevice{Device: gpu.New(gpu.Config{}), failAt: 3}}
 		}, "gpu-baseline", errKernel},
+		{"kernel error after private results landed", func() []device.Device {
+			return []device.Device{cpu.New(1), &badKernelDevice{Device: tpu.New(tpu.Config{}), failAt: 5}}
+		}, "tpu-only", errKernel},
 		{"retries exhausted", func() []device.Device {
 			return []device.Device{chaos.Wrap(gpu.New(gpu.Config{}), chaos.Config{FailFirstOps: 1 << 20})}
 		}, "gpu-baseline", chaos.ErrTransient},
@@ -244,5 +247,87 @@ func TestSpareRoundUnderContention(t *testing.T) {
 	if poisoned.Load() == 0 || failed.Load() == poisoned.Load() || int(failed.Load()) == goroutines*calls {
 		t.Fatalf("%d of %d rounds failed, %d of them mid-round: the mix must hold both kinds of failure and successes",
 			failed.Load(), goroutines*calls, poisoned.Load())
+	}
+}
+
+// TestFailedRoundReleasesEachBufferOnce: a round in which one HLOP fails
+// after others have landed their private results. The landed HLOPs released
+// their buffers in their own compute tasks and hold none; release returns
+// what the failed HLOP holds, its halo blocks, and skips the landed ones, so
+// no buffer reaches the arena twice: draining the arena afterwards never
+// returns one matrix twice.
+func TestFailedRoundReleasesEachBufferOnce(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d workers", w), func(t *testing.T) {
+			withWorkers(w, func() {
+				bad := &badKernelDevice{Device: tpu.New(tpu.Config{}), failAt: 5}
+				reg, err := device.NewRegistry(cpu.New(1), bad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pol := row("tpu-only").Policy
+				e := &Engine{Reg: reg, Policy: pol, DoubleBuffer: true, Prefetch: true,
+					Spec: hlop.Spec{TargetPartitions: 8, MinTile: 8}}
+				r := e.takeRound()
+				defer e.putRound(r)
+				v := sobelVOP(t, 128, 61) // halo blocks: every HLOP owns its inputs
+				hs, overhead, _, err := r.planVOP(pol, v, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var owned []*tensor.Matrix
+				for _, h := range hs {
+					owned = append(owned, h.Inputs...)
+				}
+				rows, cols := v.OutputShape()
+				r.parentIdx = map[*vop.VOP]int{v: 0}
+				r.outs = []*tensor.Matrix{tensor.NewMatrix(rows, cols)}
+				r.start(pol, hs, overhead, nil)
+				err = r.runDeterministic(hs)
+				r.pf.drain()
+				if !errors.Is(err, errKernel) {
+					t.Fatalf("err = %v, want the kernel error", err)
+				}
+				// The pass computes every HLOP of the round whatever fails:
+				// all but the failed one land, at one worker the first four
+				// before it fails.
+				landed := 0
+				for _, d := range r.done {
+					if !d.landed {
+						continue
+					}
+					landed++
+					if d.h.Result != nil || d.h.Inputs != nil {
+						t.Fatalf("HLOP %d landed but still holds buffers", d.h.ID)
+					}
+				}
+				if landed != len(r.done)-1 {
+					t.Fatalf("%d of %d HLOPs landed, want all but the failed one", landed, len(r.done))
+				}
+				r.release()
+				// PutMatrix resets what it takes back: every result and every
+				// halo block went back.
+				for i, m := range append(owned, bad.results...) {
+					if m.Rows != 0 || len(m.Data) != 0 {
+						t.Fatalf("buffer %d of %d was not returned to the arena", i, len(owned)+len(bad.results))
+					}
+				}
+				// A buffer put twice comes out of the arena twice.
+				classes := map[int]bool{}
+				for _, m := range append(owned, bad.results...) {
+					classes[cap(m.Data)] = true
+				}
+				seen := map[*tensor.Matrix]bool{}
+				for c := range classes {
+					for range 2 * (len(owned) + len(bad.results)) {
+						got := tensor.GetMatrixUninit(1, c)
+						if seen[got] {
+							t.Fatalf("the arena handed out one %d-element matrix twice: it was put twice", c)
+						}
+						seen[got] = true
+					}
+				}
+			})
+		})
 	}
 }

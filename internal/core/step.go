@@ -27,9 +27,10 @@ import (
 // and the fault schedule — never of tensor values — and it runs on one
 // goroutine, one HLOP after another.
 //
-// compute is the arithmetic of an admitted HLOP (executeHLOP); h.Result is
-// its only output. Once a round is admitted, computeAdmitted runs every
-// admitted HLOP's compute half as a task of its own on the host pool.
+// compute is the arithmetic of an admitted HLOP (executeHLOP), whose only
+// output is h.Result, and the landing of that result in the VOP's output.
+// Once a round is admitted, computeAdmitted runs every admitted HLOP's
+// compute half as a task of its own on the host pool.
 
 // splitCost is the host-side cost of re-partitioning an HLOP that
 // overflowed a device's memory.
@@ -105,18 +106,20 @@ type round struct {
 	grouped   []doneHLOP
 	groupAt   []int
 
-	scatter scatterPass
-
 	// The round's pool fan-outs, bound once per round object: a method value
 	// made per call is a heap object per call.
-	computeFn, warmFn, scatterFn func(lo, hi int)
+	computeFn, warmFn func(lo, hi int)
 }
 
 // doneHLOP is an admitted HLOP — its device is h.ExecQueue, its virtual
 // completion time h.Finish — and the ticket its compute half runs under.
+// Its compute task records how the result landed: through the output view
+// (aliased) or copied, and that the HLOP's buffers are released (landed).
 type doneHLOP struct {
-	h *hlop.HLOP
-	t device.Ticket
+	h       *hlop.HLOP
+	t       device.Ticket
+	aliased bool
+	landed  bool
 }
 
 // takeRound returns the engine's spare round, or a new one when another run
@@ -138,7 +141,7 @@ func (e *Engine) takeRound() *round {
 func newRound() *round {
 	r := new(round)
 	r.ctx.Quarantined = r.fx.quarantined
-	r.computeFn, r.warmFn, r.scatterFn = r.computeRange, r.warmRange, r.scatter.chunk
+	r.computeFn, r.warmFn = r.computeRange, r.warmRange
 	return r
 }
 
@@ -228,18 +231,22 @@ func (r *round) admit(d *devState, victim int, h *hlop.HLOP) error {
 	return nil
 }
 
-// compute runs an admitted HLOP's arithmetic on the device that admitted it.
-// An error here is the HLOP's own (a kernel shape error): no other device
-// would compute it differently, so it fails the round instead of being
-// retried.
-func (r *round) compute(d doneHLOP) error {
-	dev := r.devs[d.h.ExecQueue].dev
-	res, err := r.e.executeHLOP(r.pf, d.h.ExecQueue, dev, d.h, d.t)
+// compute runs an admitted HLOP's arithmetic on the device that admitted it
+// and lands the result in its VOP's output (land). An error here is the
+// HLOP's own (a kernel shape error): no other device would compute it
+// differently, so it fails the round instead of being retried.
+func (r *round) compute(d *doneHLOP) error {
+	h := d.h
+	dev := r.devs[h.ExecQueue].dev
+	res, err := r.e.executeHLOP(r.pf, h.ExecQueue, dev, h, d.t)
 	if err != nil {
-		return fmt.Errorf("core: HLOP %d failed on %s: %w", d.h.ID, dev.Name(), err)
+		return fmt.Errorf("core: HLOP %d failed on %s: %w", h.ID, dev.Name(), err)
 	}
-	d.h.Result = res
-	return nil
+	h.Result = res
+	if h.Op.IsReduction() {
+		return nil // a partial: aggregate merges them in HLOP-ID order
+	}
+	return d.land(r.outs[r.parentIdx[h.Parent]])
 }
 
 // computeAdmitted is the round's compute pass: every HLOP the round
@@ -256,7 +263,7 @@ func (r *round) computeAdmitted() error {
 // computeRange is computeAdmitted's pool task over r.done[lo:hi].
 func (r *round) computeRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if err := r.compute(r.done[i]); err != nil {
+		if err := r.compute(&r.done[i]); err != nil {
 			r.mu.Lock()
 			if r.computeErr == nil || i < r.computeErrAt {
 				r.computeErr, r.computeErrAt = err, i
@@ -266,11 +273,14 @@ func (r *round) computeRange(lo, hi int) {
 	}
 }
 
-// release returns to the arena what a failed round computed before it
-// failed; a round that succeeds hands its buffers to aggregate instead.
+// release returns to the arena what a failed round still holds: the buffers
+// of every HLOP that did not land. A landed HLOP released its own in its
+// compute task.
 func (r *round) release() {
 	for _, d := range r.done {
-		releaseHLOPBuffers(d.h.Parent, d.h)
+		if !d.landed {
+			releaseHLOPBuffers(d.h.Parent, d.h)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ type Device interface {
 	// be strided views, and dst may be nil. When dst is non-nil, devices
 	// that execute out of shared host memory write the result through dst —
 	// typically a strided view into the VOP's output tensor — and return
-	// dst, eliminating the aggregate scatter copy. Devices with private
+	// dst, so the result needs no copy into the output. Devices with private
 	// memory or quantized output staging (the TPU) may ignore dst and return
 	// a fresh buffer; the caller detects that by result != dst and falls
 	// back to the copy path.

@@ -113,8 +113,8 @@ func (d *Device) Admit(op vop.Opcode, inputs []*tensor.Matrix) (device.Ticket, e
 
 // Compute implements device.Device. The TPU sits behind PCIe with private
 // memory and quantized staging, so it ignores dst and always returns a fresh
-// materialized buffer; the runtime detects result != dst and scatters it
-// into the VOP output on the copy path.
+// materialized buffer; the runtime detects result != dst and copies it into
+// the VOP output as soon as it is computed.
 //
 // Compute is staging followed by ExecuteStaged — the same path the resident
 // operand cache takes, which is what makes runs that use it bit-identical.

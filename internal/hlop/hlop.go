@@ -51,9 +51,9 @@ type HLOP struct {
 
 	// Out, when non-nil, is a strided view into the VOP's output tensor
 	// covering Region. Shared-memory devices write their result through it
-	// (ExecuteInto returns Out itself), letting aggregation skip the CopyIn
-	// scatter. Devices that ignore it return a fresh buffer instead, which
-	// aggregation detects by Result != Out.
+	// (ExecuteInto returns Out itself), so the result lands without a copy.
+	// Devices that ignore it return a fresh buffer instead, which the
+	// engine detects by Result != Out and copies into the output.
 	Out *tensor.Matrix
 	// Result holds the computed partition output after execution.
 	Result *tensor.Matrix

@@ -3,7 +3,9 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
+	"sync/atomic"
 
 	"shmt/internal/parallel"
 	"shmt/internal/tensor"
@@ -26,7 +28,7 @@ func execFFT(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Ma
 	}
 	re := tensor.GetMatrixUninit(in.Rows, in.Cols)
 	im := tensor.GetMatrixUninit(in.Rows, in.Cols)
-	fftSweeps.For(in.Rows, parallel.RowGrain(in.Cols), fftArgs{in: in, re: re, im: im}, fftRows)
+	fftSweeps.For(in.Rows, parallel.RowGrain(in.Cols), fftArgs{in: in, re: re, im: im, plan: planFFT(in.Cols)}, fftRows)
 	r.Round(re.Data) // stage 1: the complex spectrum leaves the butterflies
 	r.Round(im.Data)
 
@@ -43,24 +45,27 @@ func execFFT(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Ma
 	return out, nil
 }
 
-// fftArgs are the butterfly pass's operands: the input rows and the dense
-// real and imaginary planes of the spectrum.
-type fftArgs struct{ in, re, im *tensor.Matrix }
+// fftArgs are the butterfly pass's operands: the input rows, the dense real
+// and imaginary planes of the spectrum, and the plan for the row length.
+type fftArgs struct {
+	in, re, im *tensor.Matrix
+	plan       *fftPlan
+}
 
 var fftSweeps parallel.Pooled[fftArgs]
 
 func fftRows(a *fftArgs, lo, hi int) {
-	in, re, im := a.in, a.re, a.im
-	inS := in.RowStride()
-	buf := tensor.GetComplex(in.Cols)
+	in, re, im, p := a.in, a.re, a.im, a.plan
+	n := in.Cols
+	buf := tensor.GetComplex(n)
 	for row := lo; row < hi; row++ {
-		baseIn := row * inS
-		base := row * in.Cols
-		for j := 0; j < in.Cols; j++ {
-			buf[j] = complex(in.Data[baseIn+j], 0)
+		src := in.Row(row)
+		for j, k := range p.rev {
+			buf[j] = complex(src[k], 0)
 		}
-		FFTInPlace(buf)
-		for j := 0; j < in.Cols; j++ {
+		p.butterflies(buf)
+		base := row * n
+		for j := 0; j < n; j++ {
 			re.Data[base+j] = real(buf[j])
 			im.Data[base+j] = imag(buf[j])
 		}
@@ -74,35 +79,73 @@ func hypotSpan(_ float64, d, x, y []float64) {
 	}
 }
 
-// FFTInPlace computes the in-place iterative radix-2 Cooley-Tukey DFT of x;
-// len(x) must be a power of two.
-func FFTInPlace(x []complex128) {
-	n := len(x)
-	if n <= 1 {
-		return
+// fftPlan is the schedule of an iterative radix-2 Cooley-Tukey DFT of one
+// power-of-two size n: the bit-reversal permutation and every butterfly
+// stage's twiddles. It is built once per size and never written after, so
+// every row and every goroutine shares it.
+type fftPlan struct {
+	// rev[i] is i with its log2(n) bits reversed: the transform's input in
+	// bit-reversed order is x[rev[0]], x[rev[1]], …
+	rev []int32
+	// tw holds the stages' twiddles back to back: the stage of butterflies
+	// half apart reads tw[half-1 : 2*half-1].
+	tw []complex128
+}
+
+// fftPlans holds the plan of each size, indexed by log2 n.
+var fftPlans [bits.UintSize]atomic.Pointer[fftPlan]
+
+// planFFT returns the shared plan for n-point transforms (n a power of two),
+// building it on first use.
+func planFFT(n int) *fftPlan {
+	slot := &fftPlans[bits.TrailingZeros(uint(n))]
+	if p := slot.Load(); p != nil {
+		return p
 	}
-	// Bit-reversal permutation.
+	slot.CompareAndSwap(nil, newFFTPlan(n))
+	return slot.Load()
+}
+
+// newFFTPlan builds the plan for n-point transforms. The permutation is the
+// classic swap walk's, and a stage's twiddles are the values the w *= wl
+// recurrence steps through, made by that recurrence, so a planned transform
+// multiplies by the very bits the recurrence would.
+func newFFTPlan(n int) *fftPlan {
+	p := &fftPlan{rev: make([]int32, n), tw: make([]complex128, n-1)}
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
 			j ^= bit
 		}
 		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
+		p.rev[i] = int32(j)
 	}
 	for length := 2; length <= n; length <<= 1 {
 		ang := -2 * math.Pi / float64(length)
 		wl := cmplx.Exp(complex(0, ang))
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			for j := 0; j < length/2; j++ {
-				u := x[i+j]
-				v := x[i+j+length/2] * w
-				x[i+j] = u + v
-				x[i+j+length/2] = u - v
-				w *= wl
+		w := complex(1, 0)
+		stage := p.tw[length/2-1 : length-1]
+		for j := range stage {
+			stage[j] = w
+			w *= wl
+		}
+	}
+	return p
+}
+
+// butterflies runs the transform's stages in place over x, which holds the
+// input in bit-reversed order and is as long as the plan.
+func (p *fftPlan) butterflies(x []complex128) {
+	n := len(x)
+	for half := 1; half < n; half <<= 1 {
+		w := p.tw[half-1 : 2*half-1]
+		for i := 0; i < n; i += 2 * half {
+			lo, hi := x[i:i+half], x[i+half:i+2*half]
+			for j, wj := range w {
+				u := lo[j]
+				v := hi[j] * wj
+				lo[j] = u + v
+				hi[j] = u - v
 			}
 		}
 	}

@@ -176,7 +176,7 @@ func TestFFTInverseProperty(t *testing.T) {
 			x[i] = complex(r.NormFloat64(), r.NormFloat64())
 			orig[i] = x[i]
 		}
-		FFTInPlace(x)
+		fftPlanned(x)
 		IFFTInPlace(x)
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
@@ -199,7 +199,7 @@ func TestFFTParseval(t *testing.T) {
 		x[i] = complex(r.NormFloat64(), 0)
 		eTime += real(x[i]) * real(x[i])
 	}
-	FFTInPlace(x)
+	fftPlanned(x)
 	var eFreq float64
 	for i := range x {
 		eFreq += cmplx.Abs(x[i]) * cmplx.Abs(x[i])
@@ -258,7 +258,7 @@ func IFFTInPlace(x []complex128) {
 	for i := range x {
 		x[i] = cmplx.Conj(x[i])
 	}
-	FFTInPlace(x)
+	fftPlanned(x)
 	for i := range x {
 		x[i] = cmplx.Conj(x[i]) / complex(float64(n), 0)
 	}

@@ -88,7 +88,8 @@ var (
 	DatapathBytesAliased = Default.NewCounter("shmt_datapath_bytes_aliased_total",
 		"Partition/aggregate bytes aliased through strided views instead of copied.")
 	// DatapathBytesCopied accumulates bytes moved by materialized partition
-	// gathers and aggregate scatters (the cudaMemcpy2D-style path).
+	// gathers and by the copies that land private results in the output (the
+	// cudaMemcpy2D-style path), counted as each copy is made.
 	DatapathBytesCopied = Default.NewCounter("shmt_datapath_bytes_copied_total",
 		"Partition/aggregate bytes moved by strided staging copies.")
 	// DatapathCopiesAvoided counts individual staging copies (one gather or

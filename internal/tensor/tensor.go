@@ -246,7 +246,8 @@ func CopyOut(src *Matrix, r Region) (*Matrix, error) {
 }
 
 // CopyIn writes block into region r of dst. Block must be exactly
-// r.Height×r.Width. It is the scatter half used during aggregation.
+// r.Height×r.Width, which may be a view. The runtime lands a private HLOP
+// result in the VOP output with it.
 func CopyIn(dst *Matrix, r Region, block *Matrix) error {
 	if !r.In(dst.Rows, dst.Cols) {
 		return fmt.Errorf("%w: %v in %dx%d", ErrRegionBounds, r, dst.Rows, dst.Cols)
