@@ -40,14 +40,15 @@ TESTFLAGS ?=
 test:
 	$(GO) test $(TESTFLAGS) ./...
 
-# The second pass reruns the engine, the pool, the kernels and the devices at
-# 1, 2 and 4 procs: the deterministic loop computes admitted HLOPs as pool
-# tasks, kernels and device casts fan out inside those tasks on recycled jobs
-# and loop bodies, and the hangs and reuse races that nesting can produce need
-# at least two procs to show.
+# The second pass reruns the engine, the pool, the kernels, the devices and
+# the recycler at 1, 2 and 4 procs: the deterministic loop computes admitted
+# HLOPs as pool tasks, kernels and device casts fan out inside those tasks on
+# recycled jobs and loop bodies, every pool worker shares the recycler's
+# lists, and the hangs and reuse races that nesting can produce need at least
+# two procs to show.
 race:
 	$(GO) test -race $(TESTFLAGS) ./...
-	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/ ./internal/kernels/ ./internal/device/...
+	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/ ./internal/kernels/ ./internal/device/... ./internal/tensor/
 
 # fuzzsmoke gives each fuzz target ten seconds: the /v1/execute decoder
 # against encoding/json, the router's head read (FuzzPeekRequest) against the

@@ -456,7 +456,7 @@ func (p *Pool) checkHealth(b *Backend) (ok bool, status string) {
 
 // copyBuffers recycles the 32 KiB buffers the router copies bodies through, to
 // backends (copyConn) and back to clients (relayResponse).
-var copyBuffers = tensor.NewFreeList[[32 << 10]byte]()
+var copyBuffers tensor.FreeList[*[32 << 10]byte]
 
 // copyThrough is io.Copy through a recycled buffer, with dst's ReadFrom
 // hidden: net's and net/http's allocate a buffer per call.

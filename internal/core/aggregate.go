@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"shmt/internal/hlop"
 	"shmt/internal/kernels"
@@ -48,26 +48,28 @@ func (d *doneHLOP) land(out *tensor.Matrix) error {
 // counts the results that aliased their output view and returns out with the
 // bytes the rest copied, for the host-time accounting. Reduction partials, a
 // few values each, merge here semantically in HLOP-ID order and are released
-// with the HLOP's other buffers.
-func aggregate(v *vop.VOP, done []doneHLOP, out *tensor.Matrix) (*tensor.Matrix, int64, error) {
+// with the HLOP's other buffers; done, the VOP's part of the round's grouped
+// HLOPs, is sorted into that order in place, and the partials are listed in
+// the round's scratch.
+func (r *round) aggregate(v *vop.VOP, done []doneHLOP, out *tensor.Matrix) (*tensor.Matrix, int64, error) {
 	if len(done) == 0 {
 		return nil, 0, fmt.Errorf("core: no completed HLOPs to aggregate")
 	}
 	if v.Op.IsReduction() {
-		ordered := make([]doneHLOP, len(done))
-		copy(ordered, done)
-		sort.Slice(ordered, func(a, b int) bool { return ordered[a].h.ID < ordered[b].h.ID })
-		partials := make([]*tensor.Matrix, len(ordered))
+		slices.SortFunc(done, func(a, b doneHLOP) int { return a.h.ID - b.h.ID })
+		partials := r.partials[:0]
 		var bytes int64
-		for i, d := range ordered {
-			partials[i] = d.h.Result
+		for _, d := range done {
+			partials = append(partials, d.h.Result)
 			bytes += d.h.Result.Bytes(tensor.ElemSize)
 		}
 		merged, err := kernels.MergePartials(v.Op, partials, v.Inputs[0].Len())
+		clear(partials)
+		r.partials = partials
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, d := range ordered {
+		for _, d := range done {
 			releaseHLOPBuffers(v, d.h)
 		}
 		return merged, bytes, nil

@@ -221,7 +221,7 @@ func (e *Engine) RunBatch(vops []*vop.VOP) (*BatchResult, error) {
 	var aggBytes int64
 	for i, v := range vops {
 		done := r.grouped[r.groupAt[i]:r.groupAt[i+1]]
-		out, n, err := aggregate(v, done, outs[i])
+		out, n, err := r.aggregate(v, done, outs[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: vop %d: %w", i, err)
 		}

@@ -66,6 +66,7 @@ func benchDatapath(b *testing.B, op vop.Opcode, side int, forceCopy bool) {
 	copied0 := telemetry.DatapathBytesCopied.Value()
 	aliased0 := telemetry.DatapathBytesAliased.Value()
 	b.ReportAllocs()
+	r := newRound()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hs, err := hlop.Partition(v, spec)
@@ -100,7 +101,7 @@ func benchDatapath(b *testing.B, op vop.Opcode, side int, forceCopy bool) {
 				b.Fatal(err)
 			}
 		}
-		res, _, err := aggregate(v, done, out)
+		res, _, err := r.aggregate(v, done, out)
 		if err != nil {
 			b.Fatal(err)
 		}

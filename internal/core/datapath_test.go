@@ -275,6 +275,7 @@ func TestAggregateAliasedZeroAllocs(t *testing.T) {
 		views[i] = h.Out
 		saved[i] = h.Inputs
 	}
+	r := newRound()
 	var aggErr error
 	allocs := testing.AllocsPerRun(50, func() {
 		// Landing releases per-HLOP state; restore it so every iteration
@@ -288,7 +289,7 @@ func TestAggregateAliasedZeroAllocs(t *testing.T) {
 			}
 		}
 		var bytes int64
-		_, bytes, aggErr = aggregate(v, done, out)
+		_, bytes, aggErr = r.aggregate(v, done, out)
 		if bytes != 0 {
 			panic("aliased aggregation copied bytes")
 		}
@@ -298,5 +299,38 @@ func TestAggregateAliasedZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("aliased aggregation allocated %.1f times per run; want 0", allocs)
+	}
+
+	// A reduction's partials merge in HLOP-ID order from the round's
+	// scratch: a warm merge allocates only the 1×1 result it hands back.
+	sum, err := vop.New(vop.OpReduceSum, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err = hlop.Partition(sum, hlop.Spec{TargetPartitions: 8, MinVectorElems: 8})
+	if err != nil || len(hs) < 2 {
+		t.Fatalf("%d HLOPs: %v", len(hs), err)
+	}
+	done, saved = make([]doneHLOP, len(hs)), make([][]*tensor.Matrix, len(hs))
+	var want float64
+	for i, h := range hs {
+		done[len(hs)-1-i] = doneHLOP{h: h} // out of ID order, as completion leaves them
+		saved[i] = h.Inputs
+		want += float64(h.ID + 1)
+	}
+	var merged *tensor.Matrix
+	allocs = testing.AllocsPerRun(50, func() {
+		for i, h := range hs {
+			h.Inputs = saved[i]
+			h.Result = tensor.GetMatrixUninit(1, 1)
+			h.Result.Data[0] = float64(h.ID + 1)
+		}
+		merged, _, aggErr = r.aggregate(sum, done, nil)
+	})
+	if aggErr != nil || merged.Data[0] != want {
+		t.Fatalf("merged %v, want %v: %v", merged.Data, want, aggErr)
+	}
+	if allocs > 2 {
+		t.Fatalf("a warm reduction merge allocated %.1f times per run; want only its 1×1 result, 2", allocs)
 	}
 }

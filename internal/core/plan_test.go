@@ -394,9 +394,6 @@ func TestPlanCacheDisabledByDefault(t *testing.T) {
 // one partition at a time costs allocations per partition, and shows here at
 // once.
 func TestPlanReplayAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops Puts under the race detector")
-	}
 	reg := stdRegistry(t)
 	square := func() *tensor.Matrix { return workload.Uniform(512, 512, 0, 1, 3) }
 	for _, tc := range []struct {

@@ -105,6 +105,7 @@ type round struct {
 	ends      []float64
 	grouped   []doneHLOP
 	groupAt   []int
+	partials  []*tensor.Matrix // a reduction's partial results, for aggregate
 
 	// The round's pool fan-outs, bound once per round object: a method value
 	// made per call is a heap object per call.

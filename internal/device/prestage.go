@@ -29,7 +29,7 @@ type Staged struct {
 
 // stagedSets recycles the staged sets Release is done with: an HLOP's
 // staging costs no allocation of its own.
-var stagedSets tensor.Spares[Staged]
+var stagedSets tensor.Spares[*Staged]
 
 // NewStaged returns an empty staged set for n operands, none of them marked
 // Keep. It belongs to the caller until its Release.

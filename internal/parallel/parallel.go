@@ -121,7 +121,7 @@ func (f funcBody) run(lo, hi int) { f(lo, hi) }
 // the site's free list and runs fn(&args, lo, hi) per chunk, so a warm call
 // allocates nothing. Declare one package-level Pooled per operand type; fn
 // should be a top-level function, which as a func value is static.
-type Pooled[A any] struct{ bodies tensor.Spares[pooledBody[A]] }
+type Pooled[A any] struct{ bodies tensor.Spares[*pooledBody[A]] }
 
 // pooledBody is a Pooled site's loop body: the operands and the function
 // that reads them.
@@ -217,7 +217,7 @@ func forBody(n, grain int, b body) {
 }
 
 // jobs recycles forJobs across parallel calls.
-var jobs tensor.Spares[forJob]
+var jobs tensor.Spares[*forJob]
 
 // forJob is the state one parallel For call shares with its helpers.
 type forJob struct {

@@ -262,9 +262,6 @@ func (d *discard) Write(b []byte) (int, error) { d.n += len(b); return len(b), n
 // (2 MB decoded, one number encoded) — costs the process under 64 KB of
 // allocation.
 func TestWarmRequestAllocatesNoPayload(t *testing.T) {
-	if raceDetector {
-		t.Skip("the race detector makes sync.Pool drop Puts, so the engine's arena misses")
-	}
 	sess, err := shmt.NewSession(shmt.Config{})
 	if err != nil {
 		t.Fatal(err)

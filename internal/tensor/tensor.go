@@ -308,13 +308,6 @@ func CopyOutHalo(src *Matrix, r Region, halo int) (*Matrix, Region, error) {
 	return blk, Region{Row: top, Col: left, Height: r.Height, Width: r.Width}, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ToFloat32 converts the matrix payload to float32, the GPU's native
 // precision.
 func (m *Matrix) ToFloat32() []float32 {

@@ -318,24 +318,21 @@ func TestIndexReply(t *testing.T) {
 	}
 }
 
-// poisoned leaves the free list holding, for rows×cols tensors, exactly the
-// NaN-filled tensors it returns: whatever a decode takes from the list next,
-// it finds no zero in it that it did not write.
+// poisoned leaves the free list's next eight rows×cols tensors the NaN-filled
+// tensors it returns: whatever a decode takes from the list next, it finds no
+// zero in it that it did not write. A class is a stack, and at these sizes it
+// keeps far more than the eight plus a miss's seven spares, so the eight put
+// back are the eight on top.
 func poisoned(rows, cols int) []*tensor.Matrix {
-	// A class keeps eight. Taking eight from a list that had fewer can leave
-	// it a spare (FreeList.Miss), so the first pass fills the class and the
-	// second takes exactly what it holds.
 	ms := make([]*tensor.Matrix, 8)
-	for range 2 {
-		for i := range ms {
-			ms[i] = tensor.Recycled(rows, cols)
-			for k := range ms[i].Data {
-				ms[i].Data[k] = math.NaN()
-			}
+	for i := range ms {
+		ms[i] = tensor.Recycled(rows, cols)
+		for k := range ms[i].Data {
+			ms[i].Data[k] = math.NaN()
 		}
-		for _, m := range ms {
-			tensor.Recycle(m)
-		}
+	}
+	for _, m := range ms {
+		tensor.Recycle(m)
 	}
 	return ms
 }

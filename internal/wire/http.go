@@ -18,9 +18,9 @@ import (
 )
 
 // Body buffers are recycled through a bounded free list (tensor.FreeList, the
-// one that also holds a request's tensors), so a steady stream of tensors reads
-// and encodes without allocating. A sync.Pool was measured in its place
-// (DESIGN.md, "Wire format"): each buffer the collector drops from it is
+// type that also holds a request's tensors), so a steady stream of tensors
+// reads and encodes without allocating. A sync.Pool was measured in its place
+// (DESIGN.md §11, "One recycler"): each buffer the collector drops from it is
 // megabytes to allocate again, which cost 5 % more bytes per request on
 // serve_wire and cluster_mixed in ten of ten pairs and spread alloc_mb_per_op
 // wider from run to run than the 3 % the benchmark allows it to move. The
@@ -28,7 +28,7 @@ import (
 // class, none above maxPooledBytes, so one huge request pins nothing.
 const maxPooledBytes = tensor.MaxKeptBytes
 
-var buffers = tensor.NewFreeList[bytes.Buffer]()
+var buffers tensor.FreeList[*bytes.Buffer]
 
 // getBuffer returns an empty buffer with room for size bytes, or for
 // maxPooledBytes of them: a larger body grows its buffer as it arrives.

@@ -33,7 +33,7 @@ type Elements struct {
 }
 
 // offsetLists recycles index offsets (IndexedRequest.Release, Reply.Release).
-var offsetLists = tensor.NewFreeList[[]uint32]()
+var offsetLists tensor.FreeList[*[]uint32]
 
 // release returns e's offsets to the free list; e is dead afterwards.
 func (e Elements) release() {
