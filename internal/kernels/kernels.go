@@ -78,9 +78,11 @@ func (F32) Round(data []float64) {
 	roundSweeps.For(len(data), parGrain, roundArgs{data: data}, roundF32Chunk)
 }
 
+// roundF32 casts chunk to float32 and back: four lanes at a time on AVX
+// hosts (roundF32Lanes), the rest one at a time.
 func roundF32(chunk []float64) {
-	for i, v := range chunk {
-		chunk[i] = float64(float32(v))
+	for i := roundF32Lanes(chunk); i < len(chunk); i++ {
+		chunk[i] = float64(float32(chunk[i]))
 	}
 }
 

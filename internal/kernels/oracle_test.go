@@ -51,10 +51,20 @@ func (refInt8) Round(data []float64) { refInt8Round(data) }
 func (refInt8) Name() string         { return "int8" }
 
 func refInt8Round(data []float64) {
-	p := quant.CalibrateAffine(data)
+	p := refCalibrate(data)
 	for i := range data {
 		data[i] = p.DequantizeOne(p.QuantizeOne(data[i]))
 	}
+}
+
+// refCalibrate is quant.CalibrateAffine's scalar scan: Range.Add on every
+// element.
+func refCalibrate(data []float64) quant.AffineParams {
+	r := quant.EmptyRange()
+	for _, v := range data {
+		r.Add(v)
+	}
+	return quant.AffineFromRange(r.Lo, r.Hi)
 }
 
 func refGEMM(a, b *tensor.Matrix, r Rounder) *tensor.Matrix {
@@ -516,7 +526,10 @@ func TestSubGrainRoundAllocatesNothing(t *testing.T) {
 
 // FuzzInt8Round: the fused float-only round trip equals calibration followed
 // by QuantizeOne / DequantizeOne through the int8 codes, on arbitrary bit
-// patterns.
+// patterns. The patterns also fill a 19-element slice — two 8-lane
+// calibration blocks and four 4-lane cast blocks, each with a scalar tail —
+// that runs through both calibration paths, both INT8 paths and both FP32
+// paths.
 func FuzzInt8Round(f *testing.F) {
 	f.Add(math.Float64bits(1), math.Float64bits(2), math.Float64bits(-3), math.Float64bits(0.5))
 	f.Add(math.Float64bits(math.NaN()), math.Float64bits(1), math.Float64bits(2), math.Float64bits(3))
@@ -524,15 +537,35 @@ func FuzzInt8Round(f *testing.F) {
 	f.Add(math.Float64bits(math.Copysign(0, -1)), uint64(1), uint64(0x7ff0000000000001), math.Float64bits(127.5))
 	f.Fuzz(func(t *testing.T, a, b, c, d uint64) {
 		data := []float64{math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c), math.Float64frombits(d)}
-		got := append([]float64(nil), data...)
-		want := append([]float64(nil), data...)
-		Int8{}.Round(got)
-		refInt8Round(want)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%v: [%d] = %v (%#x), reference %v (%#x)", data, i,
-					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		long := make([]float64, 19)
+		for i := range long {
+			long[i] = data[(i+i/4)%4] // each pattern in every lane
+		}
+		check := func(what string, in, got, want []float64) {
+			t.Helper()
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %v: [%d] = %v (%#x), reference %v (%#x)", what, in, i,
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
+		}
+		for _, in := range [][]float64{data, long} {
+			got := append([]float64(nil), in...)
+			want := append([]float64(nil), in...)
+			Int8{}.Round(got)
+			refInt8Round(want)
+			check("int8", in, got, want)
+
+			if p, q := quant.CalibrateAffine(in), refCalibrate(in); math.Float64bits(p.Scale) != math.Float64bits(q.Scale) || p.ZeroPoint != q.ZeroPoint {
+				t.Fatalf("calibration %v: %+v, Range.Add gives %+v", in, p, q)
+			}
+
+			got = append(got[:0], in...)
+			want = append(want[:0], in...)
+			roundF32(got)
+			refF32{}.Round(want)
+			check("fp32", in, got, want)
 		}
 	})
 }

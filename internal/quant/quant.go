@@ -24,10 +24,12 @@ type AffineParams struct {
 
 // CalibrateAffine derives affine parameters covering [min,max] of the data's
 // finite values; NaN and ±Inf are skipped wherever they sit. No finite value
-// at all calibrates like an all-zero tensor (Scale 1).
+// at all calibrates like an all-zero tensor (Scale 1). On AVX hosts
+// finiteRangeLanes scans all but the last few elements, which Range.Add
+// folds in.
 func CalibrateAffine(data []float64) AffineParams {
-	r := EmptyRange()
-	for _, v := range data {
+	r, n := finiteRangeLanes(data)
+	for _, v := range data[n:] {
 		r.Add(v)
 	}
 	return AffineFromRange(r.Lo, r.Hi)
@@ -124,9 +126,10 @@ func (p AffineParams) RoundTripOne(v float64) float64 {
 	return p.Scale * (q - zp)
 }
 
-// RoundTripInPlace applies RoundTripOne to every element of data.
+// RoundTripInPlace applies RoundTripOne to every element of data: four
+// lanes at a time on AVX hosts (roundTripLanes), the rest one at a time.
 func (p AffineParams) RoundTripInPlace(data []float64) {
-	for i, v := range data {
-		data[i] = p.RoundTripOne(v)
+	for i := p.roundTripLanes(data); i < len(data); i++ {
+		data[i] = p.RoundTripOne(data[i])
 	}
 }

@@ -44,8 +44,9 @@ shmt/internal/quant.AffineParams.DequantizeOne per-element INT8 oracle of kernel
 n=0
 nm_main() { # $1 = main package import path, $2 = binary
 	# A main package's own symbols are named main.X; name them by its path.
+	# An assembly function's symbol carries its ABI: drop the .abi0.
 	"$GO" tool nm "$2" | sed -n "s|^ *[0-9a-f]* [Tt] ||p" |
-		sed -e "s|^main\.|$1.|" >"$tmp/syms"
+		sed -e "s|^main\.|$1.|" -e 's|\.abi0$||' >"$tmp/syms"
 	grep -E '^reflect\.(Value|\(\*rtype\))\.(Method|MethodByName)$' "$tmp/syms" |
 		sed "s|^|  $1 links |" >>"$tmp/reflect" || :
 	cat "$tmp/syms" >>"$tmp/linked"
