@@ -42,10 +42,10 @@ test:
 
 # The second pass reruns the engine, the pool, the kernels, the devices and
 # the recycler at 1, 2 and 4 procs: the deterministic loop computes admitted
-# HLOPs as pool tasks, kernels and device casts fan out inside those tasks on
-# recycled jobs and loop bodies, every pool worker shares the recycler's
-# lists, and the hangs and reuse races that nesting can produce need at least
-# two procs to show.
+# HLOPs as pool tasks on recycled jobs, each task's kernel and device casts
+# run as plain loops, every pool worker shares the recycler's lists, and the
+# hangs and reuse races that the pool's helping wait can produce need at
+# least two procs to show.
 race:
 	$(GO) test -race $(TESTFLAGS) ./...
 	$(GO) test -race -cpu 1,2,4 $(TESTFLAGS) ./internal/core/ ./internal/parallel/ ./internal/kernels/ ./internal/device/... ./internal/tensor/
@@ -87,7 +87,7 @@ fuzzsmoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# benchsmoke runs every benchmark once — the 1024² kernel suite,
+# benchsmoke runs every benchmark once — the 256² kernel suite,
 # BenchmarkKernelsHLOP (the same kernels at the shapes the engine runs them),
 # BenchmarkScatter (a scattered request through an in-process router and
 # two backends) and BenchmarkWriteResponse (the reply writer beside its
@@ -126,8 +126,10 @@ servesmoke:
 # concurrent volleys through the router, SIGKILLs one backend mid-volley and
 # asserts zero lost client requests, that the breaker/rehash counters moved,
 # that restarting the backend gets it re-admitted by a health probe, that a
-# new backend can self-register, that a large VOP scatter-gathers, and that
-# SIGTERM drains all three processes cleanly.
+# new backend can self-register, that it answers every request with 200 under
+# a seeded plan of transient GPU faults while its HLOP retry counter moves,
+# that a large VOP scatter-gathers, and that SIGTERM drains every process
+# cleanly.
 clustersmoke:
 	sh scripts/clustersmoke.sh
 
@@ -155,10 +157,12 @@ fmt-check:
 
 # The second pass type-checks the build without assembly (the amd64 AVX
 # loops have Go stubs elsewhere); vet's asmdecl pass checks the assembly's
-# frames against its Go declarations in the first.
+# frames against its Go declarations in the first. The third type-checks a
+# 32-bit build, where int is 32 bits wide and a constant beyond it overflows.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 
 # loc prints one number: lines of non-test Go and assembly outside
 # benchmarks/, the series ROADMAP quotes.

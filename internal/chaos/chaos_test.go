@@ -265,7 +265,7 @@ func FuzzParseSpec(f *testing.F) {
 			if c.TransientRate > 1 || c.SpikeRate > 1 || c.CorruptRate > 1 {
 				t.Fatalf("%q: %s: probability above 1 in %+v", spec, name, c)
 			}
-			if c.FailFirstOps < 0 || c.DieAfterOps < 0 || c.FailFirstOps >= 1<<31 || c.DieAfterOps >= 1<<31 {
+			if c.FailFirstOps < 0 || c.DieAfterOps < 0 || c.FailFirstOps > math.MaxInt32 || c.DieAfterOps > math.MaxInt32 {
 				t.Fatalf("%q: %s: count out of range in %+v", spec, name, c)
 			}
 			if (c.LatencyMultiplier != 0 && c.LatencyMultiplier < 1) || (c.SpikeMultiplier != 0 && c.SpikeMultiplier < 1) {

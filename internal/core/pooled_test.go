@@ -53,13 +53,13 @@ func bitEqual(a, b *tensor.Matrix) bool {
 	return true
 }
 
-// Property (ISSUE 15): for op × policy × fault plan, the whole BatchResult of
+// Property: for every opcode × policy × fault plan, the whole BatchResult of
 // the deterministic loop — outputs bit for bit, every virtual-time figure,
 // the degradation report, the virtual-clock spans in recording order — is the
 // same at 1, 2 and 8 pool workers, and every admitted HLOP is computed
-// exactly once.
+// exactly once. The pool's tasks are the admitted HLOPs, so this is the
+// worker-count contract of every kernel and rounder too.
 func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
-	ops := []vop.Opcode{vop.OpSobel, vop.OpSqrt, vop.OpGEMM, vop.OpReduceSum, vop.OpFFT, vop.OpConv}
 	policies := []sched.Policy{
 		row("work-stealing").Policy,
 		row("QAWS-TS").Tuned(0.02),
@@ -96,24 +96,30 @@ func TestPropertyPooledComputeMatchesOneWorker(t *testing.T) {
 	inputsFor := func(op vop.Opcode) []*tensor.Matrix {
 		a := workload.Mixed(96, 96, workload.Profile{TileSize: 16}, 21)
 		switch op {
-		case vop.OpGEMM:
-			return []*tensor.Matrix{a, workload.Uniform(96, 96, -1, 1, 22)}
 		case vop.OpConv:
 			return []*tensor.Matrix{a, workload.Uniform(3, 3, -1, 1, 23)}
-		case vop.OpSqrt:
+		case vop.OpLog, vop.OpSqrt, vop.OpRsqrt:
 			return []*tensor.Matrix{workload.Uniform(96, 96, 0.1, 2, 24)}
+		case vop.OpParabolicPDE: // spot and strike prices
+			return []*tensor.Matrix{workload.Uniform(96, 96, 0.5, 1.5, 24), workload.Uniform(96, 96, 0.5, 1.5, 22)}
 		case vop.OpFFT:
 			return []*tensor.Matrix{workload.Uniform(96, 64, -1, 1, 25)}
+		}
+		if op.NumInputs() == 2 {
+			return []*tensor.Matrix{a, workload.Uniform(96, 96, -1, 1, 22)}
 		}
 		return []*tensor.Matrix{a}
 	}
 
-	for _, op := range ops {
+	for _, op := range vop.All() {
 		inputs := inputsFor(op)
 		batch := func() []*vop.VOP {
 			v, err := vop.New(op, inputs...)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if op == vop.OpStencil {
+				v.SetAttr("steps", 3) // the grid swap and a three-ring halo
 			}
 			// A second, different VOP so the round interleaves two parents.
 			w, err := vop.New(vop.OpMeanFilter, inputs[0])
@@ -211,15 +217,14 @@ func virtualSpans(rec *telemetry.Recorder) []telemetry.Span {
 	return out
 }
 
-// TestPooledComputeNeverWaitsOnItsOwnPrestage is the regression for the
-// self-deadlock ISSUE 15 found on a prototype: had the pick loop issued
-// asynchronous prestage jobs, a pool worker running job J would enter
-// parallel.For's helping wait inside the staging kernel (the operands here are
-// large enough to fan out), pick up the compute task of the very HLOP J
-// stages, and wait forever on J's completion. Only warm's resident casts and
-// the compute tasks run on the pool now; this holds them to finishing with a
-// TPU and fan-out-sized operands, and to leaving the cache's gauge at zero.
-// Needs ≥ 2 procs to bite; CI runs it under -cpu 1,2,4.
+// TestPooledComputeNeverWaitsOnItsOwnPrestage is the regression for a
+// self-deadlock found on a prototype: had the pick loop issued asynchronous
+// prestage jobs, a pool worker running job J could enter a helping wait, pick
+// up the compute task of the very HLOP J stages, and wait forever on J's
+// completion. Only warm's resident casts and the compute tasks run on the
+// pool, each a plain loop; this holds them to finishing with a TPU and large
+// operands, and to leaving the cache's gauge at zero. Needs ≥ 2 procs to
+// bite; CI runs it under -cpu 1,2,4.
 func TestPooledComputeNeverWaitsOnItsOwnPrestage(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()

@@ -15,7 +15,6 @@ package dsp
 import (
 	"shmt/internal/device"
 	"shmt/internal/interconnect"
-	"shmt/internal/parallel"
 	"shmt/internal/quant"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -81,24 +80,12 @@ func (d *Device) Supports(op vop.Opcode) bool { return homeDomain[op] }
 // per stage — the DSP's kernels.Rounder.
 type Fixed24 struct{}
 
-// Round implements kernels.Rounder. Calibration is a sequential scan (its
-// result is order-independent); the per-element round-trip parallelizes.
+// Round implements kernels.Rounder: a calibration scan, then the
+// per-element round trip.
 func (Fixed24) Round(data []float64) {
-	fixedSweeps.For(len(data), 4096, fixedArgs{data: data, p: quant.CalibrateFixed24(data)}, roundFixed24)
-}
-
-// fixedArgs are a Fixed24 rounding sweep's operands.
-type fixedArgs struct {
-	data []float64
-	p    quant.Fixed24Params
-}
-
-var fixedSweeps parallel.Pooled[fixedArgs]
-
-func roundFixed24(a *fixedArgs, lo, hi int) {
-	data, p := a.data, a.p
-	for i := lo; i < hi; i++ {
-		data[i] = p.DequantizeOne(p.QuantizeOne(data[i]))
+	p := quant.CalibrateFixed24(data)
+	for i, v := range data {
+		data[i] = p.DequantizeOne(p.QuantizeOne(v))
 	}
 }
 

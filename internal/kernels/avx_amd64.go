@@ -22,7 +22,7 @@ func gemmLanes(a, b, out *tensor.Matrix, i int) int {
 	return n
 }
 
-// roundF32Lanes is roundF32 on AVX hosts: the first len(chunk)&^3 elements,
+// roundF32Lanes is F32.Round on AVX hosts: the first len(chunk)&^3 elements,
 // four lanes at a time, and how many it covered (none without AVX).
 // VCVTPD2PS and VCVTPS2PD are the four-wide CVTSD2SS and CVTSS2SD that
 // float64(float32(v)) compiles to, rounding by the default MXCSR, so a lane

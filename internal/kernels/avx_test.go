@@ -111,7 +111,7 @@ func TestRoundF32LanesMatchGoLoop(t *testing.T) {
 				}
 				want := append([]float64(nil), data...)
 				refF32{}.Round(want)
-				roundF32(data)
+				F32{}.Round(data)
 				for i := range data {
 					if math.Float64bits(data[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("n=%d off=%d: [%d] = %v (%#x), Go cast %v (%#x)", n, off, i,

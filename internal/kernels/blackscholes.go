@@ -3,7 +3,6 @@ package kernels
 import (
 	"math"
 
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -38,93 +37,45 @@ func execBlackScholes(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Ro
 	}
 
 	n := s.Len()
-	bs := bsArgs{s: s, k: k, rate: rate, sigma: sigma, t: t,
-		d1: tensor.GetFloats(n), d2: tensor.GetFloats(n),
-		volSqrtT: sigma * math.Sqrt(t)}
-	bsSweeps.For(n, parGrain, bs, bsD1)
-	r.Round(bs.d1) // stage 1
-
-	bsSweeps.For(n, parGrain, bs, bsD2)
-	r.Round(bs.d2) // stage 2
-
-	bs.nd1, bs.nd2 = tensor.GetFloats(n), tensor.GetFloats(n)
-	bsSweeps.For(n, parGrain, bs, bsCND)
-	r.Round(bs.nd1) // stage 3 (both CNDs evaluate in the same layer)
-	r.Round(bs.nd2)
-
-	out, err := outFor(dst, s.Rows, s.Cols)
-	if err != nil {
-		bs.release()
-		return nil, err
+	sd, kd, volSqrtT := s.Data[:n], k.Data[:n], sigma*math.Sqrt(t)
+	d1, d2 := tensor.GetFloats(n), tensor.GetFloats(n)
+	nd1, nd2 := tensor.GetFloats(n), tensor.GetFloats(n)
+	defer func() {
+		tensor.PutFloats(d1)
+		tensor.PutFloats(d2)
+		tensor.PutFloats(nd1)
+		tensor.PutFloats(nd2)
+	}()
+	for i := range d1 {
+		d1[i] = (math.Log(sd[i]/kd[i]) + (rate+0.5*sigma*sigma)*t) / volSqrtT
 	}
-	bs.out, bs.expRT = out, math.Exp(-rate*t)
-	if out.IsContiguous() {
-		bsSweeps.For(n, parGrain, bs, bsPriceFlat)
-	} else {
-		bsSweeps.For(out.Rows, parallel.RowGrain(out.Cols), bs, bsPriceRows)
-	}
-	RoundMatrix(r, out) // stage 4
-	bs.release()
-	return out, nil
-}
+	r.Round(d1) // stage 1
 
-// bsArgs are the Black-Scholes sweeps' operands: dense spot and strike
-// prices, the attributes, the stage buffers and the destination.
-type bsArgs struct {
-	s, k, out        *tensor.Matrix
-	rate, sigma, t   float64
-	volSqrtT, expRT  float64
-	d1, d2, nd1, nd2 []float64
-}
-
-var bsSweeps parallel.Pooled[bsArgs]
-
-func (a *bsArgs) release() {
-	tensor.PutFloats(a.d1)
-	tensor.PutFloats(a.d2)
-	tensor.PutFloats(a.nd1)
-	tensor.PutFloats(a.nd2)
-}
-
-func bsD1(a *bsArgs, lo, hi int) {
-	s, k, d1 := a.s.Data, a.k.Data, a.d1
-	rate, sigma, t, volSqrtT := a.rate, a.sigma, a.t, a.volSqrtT
-	for i := lo; i < hi; i++ {
-		d1[i] = (math.Log(s[i]/k[i]) + (rate+0.5*sigma*sigma)*t) / volSqrtT
-	}
-}
-
-func bsD2(a *bsArgs, lo, hi int) {
-	d1, d2, volSqrtT := a.d1, a.d2, a.volSqrtT
-	for i := lo; i < hi; i++ {
+	for i := range d2 {
 		d2[i] = d1[i] - volSqrtT
 	}
-}
+	r.Round(d2) // stage 2
 
-func bsCND(a *bsArgs, lo, hi int) {
-	d1, d2, nd1, nd2 := a.d1, a.d2, a.nd1, a.nd2
-	for i := lo; i < hi; i++ {
+	for i := range nd1 {
 		nd1[i] = cnd(d1[i])
 		nd2[i] = cnd(d2[i])
 	}
-}
+	r.Round(nd1) // stage 3 (both CNDs evaluate in the same layer)
+	r.Round(nd2)
 
-func bsPriceFlat(a *bsArgs, lo, hi int) {
-	s, k, nd1, nd2, out, expRT := a.s.Data, a.k.Data, a.nd1, a.nd2, a.out.Data, a.expRT
-	for i := lo; i < hi; i++ {
-		out[i] = s[i]*nd1[i] - k[i]*expRT*nd2[i]
+	out, err := outFor(dst, s.Rows, s.Cols)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func bsPriceRows(a *bsArgs, lo, hi int) {
-	s, k, nd1, nd2, expRT := a.s.Data, a.k.Data, a.nd1, a.nd2, a.expRT
-	for ri := lo; ri < hi; ri++ {
-		row := a.out.Row(ri)
-		off := ri * a.out.Cols
+	expRT := math.Exp(-rate * t)
+	for ri := 0; ri < out.Rows; ri++ {
+		row, off := out.Row(ri), ri*out.Cols
 		for j := range row {
-			row[j] = s[off+j]*nd1[off+j] - k[off+j]*expRT*nd2[off+j]
+			row[j] = sd[off+j]*nd1[off+j] - kd[off+j]*expRT*nd2[off+j]
 		}
 	}
+	RoundMatrix(r, out) // stage 4
+	return out, nil
 }
 
 // cnd is the cumulative normal distribution via the Abramowitz & Stegun

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -53,10 +52,9 @@ func execDCT8x8(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor
 		return nil, fmt.Errorf("kernels: DCT8x8 input %dx%d not a multiple of 8", in.Rows, in.Cols)
 	}
 	// Row pass: for each 8-wide strip of each row, tmp[k] = Σx basis[k][x]*v[x].
-	// Rows are independent, so the sweep parallelizes bit-identically. The
-	// input may be a strided tile view; tmp is always dense.
+	// The input may be a strided tile view; tmp is always dense.
 	tmp := tensor.GetMatrixUninit(in.Rows, in.Cols)
-	dctSweeps.For(in.Rows, parallel.RowGrain(in.Cols), dctArgs{in: in, tmp: tmp}, dctRowPass)
+	dctRowPass(in, tmp)
 	r.Round(tmp.Data) // stage 1
 
 	// Column pass within each 8-tall block; blocks are independent. Each
@@ -68,21 +66,15 @@ func execDCT8x8(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor
 		tensor.PutMatrix(tmp)
 		return nil, err
 	}
-	dctSweeps.For(in.Rows/8, parallel.RowGrain(8*in.Cols), dctArgs{tmp: tmp, out: out}, dctColPass)
+	dctColPass(tmp, out)
 	RoundMatrix(r, out) // stage 2
 	tensor.PutMatrix(tmp)
 	return out, nil
 }
 
-// dctArgs are the DCT8x8 passes' operands: the row pass reads in and writes
-// tmp, the column pass reads tmp and writes out.
-type dctArgs struct{ in, tmp, out *tensor.Matrix }
-
-var dctSweeps parallel.Pooled[dctArgs]
-
-func dctRowPass(a *dctArgs, lo, hi int) {
-	for row := lo; row < hi; row++ {
-		src, dst := a.in.Row(row), a.tmp.Row(row)
+func dctRowPass(in, tmp *tensor.Matrix) {
+	for row := 0; row < in.Rows; row++ {
+		src, dst := in.Row(row), tmp.Row(row)
 		for bc := 0; bc+8 <= len(src); bc += 8 {
 			v, o := src[bc:bc+8], dst[bc:bc+8]
 			for k := range o {
@@ -92,9 +84,8 @@ func dctRowPass(a *dctArgs, lo, hi int) {
 	}
 }
 
-func dctColPass(a *dctArgs, lo, hi int) {
-	tmp, out := a.tmp, a.out
-	for br := lo * 8; br < hi*8; br += 8 {
+func dctColPass(tmp, out *tensor.Matrix) {
+	for br := 0; br < tmp.Rows; br += 8 {
 		t0 := tmp.Row(br)
 		n := len(t0)
 		t1, t2, t3 := tmp.Row(br + 1)[:n], tmp.Row(br + 2)[:n], tmp.Row(br + 3)[:n]

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -58,47 +57,24 @@ func execFDWT97(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder)
 	return out, nil
 }
 
-// dwtLevel transforms the top-left rows×cols block of m in place. Rows
-// (then columns) are independent 1-D lifts, so each pass fans out over the
-// worker pool with per-chunk scratch; every row/column is produced by
-// exactly one worker in the sequential order, keeping results bit-identical.
+// dwtLevel transforms the top-left rows×cols block of m in place: a 1-D
+// lift of every row, then of every column, in scratch shared by the pass.
 func dwtLevel(m *tensor.Matrix, rows, cols int, r Rounder) {
-	args := dwtArgs{m: m, rows: rows, cols: cols}
 	// Horizontal pass.
-	dwtSweeps.For(rows, parallel.RowGrain(cols), args, dwtRows)
-	r.Round(m.Data) // stage 1
-
-	// Vertical pass.
-	dwtSweeps.For(cols, parallel.RowGrain(rows), args, dwtCols)
-	r.Round(m.Data) // stage 2
-}
-
-// dwtArgs are a DWT level's operands: the matrix transformed in place and
-// the extent of its top-left block this level covers.
-type dwtArgs struct {
-	m          *tensor.Matrix
-	rows, cols int
-}
-
-var dwtSweeps parallel.Pooled[dwtArgs]
-
-func dwtRows(a *dwtArgs, lo, hi int) {
-	m, cols := a.m, a.cols
 	scratch := tensor.GetFloats(2 * cols)
 	row, buf := scratch[:cols], scratch[cols:]
-	for i := lo; i < hi; i++ {
+	for i := 0; i < rows; i++ {
 		copy(row, m.Data[i*m.Cols:i*m.Cols+cols])
 		lift97Scratch(row, buf)
 		copy(m.Data[i*m.Cols:i*m.Cols+cols], row)
 	}
 	tensor.PutFloats(scratch)
-}
+	r.Round(m.Data) // stage 1
 
-func dwtCols(a *dwtArgs, lo, hi int) {
-	m, rows := a.m, a.rows
-	scratch := tensor.GetFloats(2 * rows)
+	// Vertical pass.
+	scratch = tensor.GetFloats(2 * rows)
 	col, buf := scratch[:rows], scratch[rows:]
-	for j := lo; j < hi; j++ {
+	for j := 0; j < cols; j++ {
 		for i := 0; i < rows; i++ {
 			col[i] = m.Data[i*m.Cols+j]
 		}
@@ -108,6 +84,7 @@ func dwtCols(a *dwtArgs, lo, hi int) {
 		}
 	}
 	tensor.PutFloats(scratch)
+	r.Round(m.Data) // stage 2
 }
 
 // lift97Scratch runs the forward 9/7 lifting steps in place and

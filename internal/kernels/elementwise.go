@@ -8,9 +8,7 @@ import (
 	"shmt/internal/vop"
 )
 
-// execBinary evaluates the element-wise two-operand vector VOPs. Spans are
-// disjoint index ranges, so the parallel sweep writes each element exactly
-// once and the result is bit-identical at any worker count.
+// execBinary evaluates the element-wise two-operand vector VOPs.
 func execBinary(op vop.Opcode, inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(op, inputs, 2); err != nil {
 		return nil, err

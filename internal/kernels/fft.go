@@ -7,7 +7,6 @@ import (
 	"math/cmplx"
 	"sync/atomic"
 
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -16,8 +15,8 @@ import (
 // must be a power of two) and returns the magnitude spectrum, matching how
 // the CUDA SDK sample post-processes batched 1-D FFTs for comparison. The
 // butterfly passes and the magnitude computation form the kernel's two stage
-// boundaries. Rows transform independently (each with its own scratch
-// buffer), so the parallel fan-out is bit-identical to the sequential loop.
+// boundaries. Rows transform independently, one at a time in one scratch
+// buffer.
 func execFFT(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(vop.OpFFT, inputs, 1); err != nil {
 		return nil, err
@@ -28,7 +27,7 @@ func execFFT(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Ma
 	}
 	re := tensor.GetMatrixUninit(in.Rows, in.Cols)
 	im := tensor.GetMatrixUninit(in.Rows, in.Cols)
-	fftSweeps.For(in.Rows, parallel.RowGrain(in.Cols), fftArgs{in: in, re: re, im: im, plan: planFFT(in.Cols)}, fftRows)
+	fftRows(in, re, im, planFFT(in.Cols))
 	r.Round(re.Data) // stage 1: the complex spectrum leaves the butterflies
 	r.Round(im.Data)
 
@@ -45,20 +44,12 @@ func execFFT(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.Ma
 	return out, nil
 }
 
-// fftArgs are the butterfly pass's operands: the input rows, the dense real
-// and imaginary planes of the spectrum, and the plan for the row length.
-type fftArgs struct {
-	in, re, im *tensor.Matrix
-	plan       *fftPlan
-}
-
-var fftSweeps parallel.Pooled[fftArgs]
-
-func fftRows(a *fftArgs, lo, hi int) {
-	in, re, im, p := a.in, a.re, a.im, a.plan
+// fftRows transforms every row of in with plan p into the dense real and
+// imaginary planes of the spectrum.
+func fftRows(in, re, im *tensor.Matrix, p *fftPlan) {
 	n := in.Cols
 	buf := tensor.GetComplex(n)
-	for row := lo; row < hi; row++ {
+	for row := 0; row < in.Rows; row++ {
 		src := in.Row(row)
 		for j, k := range p.rev {
 			buf[j] = complex(src[k], 0)

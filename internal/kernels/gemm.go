@@ -3,18 +3,17 @@ package kernels
 import (
 	"fmt"
 
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
 
-// execGEMM computes C = A·B, row-blocks fanned out over the host worker
-// pool. Every output element is accumulated from its value in C in ascending
-// k, whether a tile or the leftover-row loop computes it, so the product is bit-identical at any
-// worker count and to the scalar triple loop (oracle_test.go). The single
-// stage boundary is the completed product (Edge TPUs execute GEMM natively
-// in one systolic pass, so the INT8 path quantizes inputs and the final
-// accumulator only — accumulation itself is wide, as in real TPUs).
+// execGEMM computes C = A·B. Every output element is accumulated from its
+// value in C in ascending k, whether a tile or the leftover-row loop computes
+// it, so the product is bit-identical to the scalar triple loop
+// (oracle_test.go). The single stage boundary is the completed product (Edge
+// TPUs execute GEMM natively in one systolic pass, so the INT8 path quantizes
+// inputs and the final accumulator only — accumulation itself is wide, as in
+// real TPUs).
 //
 // Every element of A is multiplied, zeros included: for finite B a ±0
 // product leaves the accumulator (never −0) unchanged, and 0 × Inf or
@@ -45,27 +44,19 @@ func execGEMM(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 			}
 		}
 	}
-	gemmSweeps.For((a.Rows+gemmBlock-1)/gemmBlock, 1, gemmArgs{a: a, b: b, out: out}, gemmRows)
+	gemmRows(a, b, out)
 	RoundMatrix(r, out)
 	return out, nil
 }
 
-// gemmBlock is the rows of A per pool task; a multiple of the 4-row tile.
-const gemmBlock = 64
-
-// gemmArgs are the GEMM sweep's operands: C = A·B accumulates into out.
-type gemmArgs struct{ a, b, out *tensor.Matrix }
-
-var gemmSweeps parallel.Pooled[gemmArgs]
-
-// gemmRows accumulates the row blocks [lo, hi) of out.
-func gemmRows(g *gemmArgs, lo, hi int) {
-	a, b, out := g.a, g.b, g.out
-	i, iMax := lo*gemmBlock, min(hi*gemmBlock, a.Rows)
-	for ; i+4 <= iMax; i += 4 {
+// gemmRows accumulates every row of out = A·B: four rows at a time through
+// the register tile, the leftover rows one at a time.
+func gemmRows(a, b, out *tensor.Matrix) {
+	i := 0
+	for ; i+4 <= a.Rows; i += 4 {
 		gemmTile4(a, b, out, i, gemmLanes(a, b, out, i))
 	}
-	for ; i < iMax; i++ { // leftover rows, one at a time
+	for ; i < a.Rows; i++ {
 		c := out.Row(i)
 		for k, v := range a.Row(i) {
 			for j, p := range b.Row(k)[:len(c)] {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -25,8 +24,7 @@ import (
 //
 // Stage boundaries: per step, the neighbour-delta accumulation and the
 // update (2 stages). Within a step both sweeps read only the previous
-// stage's grids, so the row-parallel fan-out is bit-identical to the
-// sequential loops.
+// stage's grids.
 func execHotspot(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(vop.OpStencil, inputs, 2); err != nil {
 		return nil, err
@@ -47,24 +45,22 @@ func execHotspot(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder
 
 	rows, cols := temp.Rows, temp.Cols
 	cur := temp
-	ha := hotspotArgs{power: power, delta: tensor.GetMatrixUninit(rows, cols),
-		rx: rx, ry: ry, rz: rz, tamb: tamb}
+	delta := tensor.GetMatrixUninit(rows, cols)
 	for s := 0; s < steps; s++ {
-		ha.src = cur
-		hotspotSweeps.For(rows, parallel.RowGrain(cols), ha, hotspotDelta)
-		r.Round(ha.delta.Data) // stage 1
+		hotspotDelta(cur, power, delta, rx, ry, rz, tamb)
+		r.Round(delta.Data) // stage 1
 
 		next := tensor.GetMatrixUninit(rows, cols)
 		// cur may be a strided view on the first step; forSpans2 falls back
 		// to whole-row runs in that case.
-		forSpans2(next, cur, ha.delta, dtCap, hotspotUpdate)
+		forSpans2(next, cur, delta, dtCap, hotspotUpdate)
 		r.Round(next.Data) // stage 2
 		if cur != temp {
 			tensor.PutMatrix(cur)
 		}
 		cur = next
 	}
-	tensor.PutMatrix(ha.delta)
+	tensor.PutMatrix(delta)
 	if dst == nil {
 		return cur, nil
 	}
@@ -73,20 +69,12 @@ func execHotspot(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder
 	return dst, nil
 }
 
-// hotspotArgs are a Hotspot step's operands: the step's source grid, the
-// power grid, the neighbour-delta grid and the thermal constants.
-type hotspotArgs struct {
-	src, power, delta *tensor.Matrix
-	rx, ry, rz, tamb  float64
-}
-
-var hotspotSweeps parallel.Pooled[hotspotArgs]
-
-func hotspotDelta(a *hotspotArgs, lo, hi int) {
-	rx, ry, rz, tamb := a.rx, a.ry, a.rz, a.tamb
-	for i := lo; i < hi; i++ {
-		up, mid, dn := rows3(a.src, i)
-		pRow, dRow := a.power.Row(i)[:len(mid)], a.delta.Row(i)[:len(mid)]
+// hotspotDelta writes every cell's power plus its heat exchange with its
+// neighbours and the ambient, from the step's source grid src.
+func hotspotDelta(src, power, delta *tensor.Matrix, rx, ry, rz, tamb float64) {
+	for i := 0; i < src.Rows; i++ {
+		up, mid, dn := rows3(src, i)
+		pRow, dRow := power.Row(i)[:len(mid)], delta.Row(i)[:len(mid)]
 		for j, t := range mid {
 			l, r := cols3(j, len(mid))
 			dRow[j] = pRow[j] +

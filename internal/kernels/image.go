@@ -3,16 +3,13 @@ package kernels
 import (
 	"math"
 
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
 
 // Image kernels (Laplacian, Sobel, Mean Filter) use replicate boundary
 // handling, matching OpenCV's BORDER_REPLICATE default in the paper's
-// baselines. Each has a single stage boundary. Rows are independent (inputs
-// are read-only, each output row written by exactly one chunk), so the
-// row-parallel sweeps are bit-identical to the sequential loops.
+// baselines. Each has a single stage boundary.
 //
 // Every stencil sweep takes its neighbour rows as slices once per output row
 // (rows3) and clamps the two neighbour columns per pixel, instead of
@@ -46,21 +43,15 @@ func execLaplacian(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*ten
 	if err != nil {
 		return nil, err
 	}
-	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out}, laplacianRows)
+	laplacianRows(in, out)
 	RoundMatrix(r, out)
 	return out, nil
 }
 
-// stencilArgs are an image stencil sweep's operands: the input, the
-// destination and, for conv, the kernel.
-type stencilArgs struct{ in, out, k *tensor.Matrix }
-
-var stencilSweeps parallel.Pooled[stencilArgs]
-
-func laplacianRows(a *stencilArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		up, mid, dn := rows3(a.in, i)
-		o := a.out.Row(i)[:len(mid)]
+func laplacianRows(in, out *tensor.Matrix) {
+	for i := 0; i < in.Rows; i++ {
+		up, mid, dn := rows3(in, i)
+		o := out.Row(i)[:len(mid)]
 		for j, c := range mid {
 			l, r := cols3(j, len(mid))
 			o[j] = up[j] + dn[j] + mid[l] + mid[r] - 4*c
@@ -77,15 +68,15 @@ func execSobel(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.
 	if err != nil {
 		return nil, err
 	}
-	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out}, sobelRows)
+	sobelRows(in, out)
 	RoundMatrix(r, out)
 	return out, nil
 }
 
-func sobelRows(a *stencilArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		up, mid, dn := rows3(a.in, i)
-		o := a.out.Row(i)[:len(mid)]
+func sobelRows(in, out *tensor.Matrix) {
+	for i := 0; i < in.Rows; i++ {
+		up, mid, dn := rows3(in, i)
+		o := out.Row(i)[:len(mid)]
 		for j := range mid {
 			l, r := cols3(j, len(mid))
 			gx := -up[l] + up[r] +
@@ -107,15 +98,15 @@ func execMeanFilter(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*te
 	if err != nil {
 		return nil, err
 	}
-	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out}, meanRows)
+	meanRows(in, out)
 	RoundMatrix(r, out)
 	return out, nil
 }
 
-func meanRows(a *stencilArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		up, mid, dn := rows3(a.in, i)
-		o := a.out.Row(i)[:len(mid)]
+func meanRows(in, out *tensor.Matrix) {
+	for i := 0; i < in.Rows; i++ {
+		up, mid, dn := rows3(in, i)
+		o := out.Row(i)[:len(mid)]
 		for j := range mid {
 			l, r := cols3(j, len(mid))
 			var s float64
@@ -144,17 +135,16 @@ func execConv(inputs []*tensor.Matrix, dst *tensor.Matrix, r Rounder) (*tensor.M
 	if err != nil {
 		return nil, err
 	}
-	stencilSweeps.For(in.Rows, parallel.RowGrain(in.Cols), stencilArgs{in: in, out: out, k: k}, convRows)
+	convRows(in, k, out)
 	RoundMatrix(r, out)
 	return out, nil
 }
 
-func convRows(a *stencilArgs, lo, hi int) {
-	in, out, k := a.in, a.out, a.k
+func convRows(in, k, out *tensor.Matrix) {
 	rad := k.Rows / 2
 	// The window's input rows, clamped, taken once per output row.
 	win := make([][]float64, 2*rad+1)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < in.Rows; i++ {
 		for d := range win {
 			win[d] = clampRow(in, i+d-rad)
 		}

@@ -13,16 +13,10 @@ package kernels
 import (
 	"fmt"
 
-	"shmt/internal/parallel"
 	"shmt/internal/quant"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
-
-// parGrain is the elements-per-chunk grain for parallel element-wise
-// sweeps. Chunk boundaries derive only from the data length, so outputs are
-// bit-identical at every worker count (see internal/parallel).
-const parGrain = 4096
 
 // Rounder degrades a stage's intermediate values to a device's native
 // precision, in place.
@@ -69,33 +63,13 @@ func (Exact) Name() string { return "fp64" }
 // F32 rounds every value to float32, the GPU's native precision.
 type F32 struct{}
 
-// Round implements Rounder.
+// Round implements Rounder: it casts data to float32 and back, four lanes at
+// a time on AVX hosts (roundF32Lanes), the rest one at a time.
 func (F32) Round(data []float64) {
-	if len(data) <= parGrain { // one chunk, rounded here: DCT8x8 rounds per 8×8 block
-		roundF32(data)
-		return
-	}
-	roundSweeps.For(len(data), parGrain, roundArgs{data: data}, roundF32Chunk)
-}
-
-// roundF32 casts chunk to float32 and back: four lanes at a time on AVX
-// hosts (roundF32Lanes), the rest one at a time.
-func roundF32(chunk []float64) {
-	for i := roundF32Lanes(chunk); i < len(chunk); i++ {
-		chunk[i] = float64(float32(chunk[i]))
+	for i := roundF32Lanes(data); i < len(data); i++ {
+		data[i] = float64(float32(data[i]))
 	}
 }
-
-func roundF32Chunk(a *roundArgs, lo, hi int) { roundF32(a.data[lo:hi]) }
-
-// roundArgs are a rounding sweep's operands, for its parGrain chunks on the
-// host pool.
-type roundArgs struct {
-	data []float64
-	p    quant.AffineParams // Int8's calibration
-}
-
-var roundSweeps parallel.Pooled[roundArgs]
 
 // Name implements Rounder.
 func (F32) Name() string { return "fp32" }
@@ -105,19 +79,11 @@ func (F32) Name() string { return "fp32" }
 // a TFLite-compiled Edge TPU model performs between operators.
 type Int8 struct{}
 
-// Round implements Rounder.
+// Round implements Rounder: a min/max calibration scan, then the
+// per-element round trip.
 func (Int8) Round(data []float64) {
-	// Calibration is a sequential min/max scan (its result is
-	// order-independent); the per-element round-trip parallelizes.
-	p := quant.CalibrateAffine(data)
-	if len(data) <= parGrain {
-		p.RoundTripInPlace(data)
-		return
-	}
-	roundSweeps.For(len(data), parGrain, roundArgs{data: data, p: p}, roundInt8Chunk)
+	quant.CalibrateAffine(data).RoundTripInPlace(data)
 }
-
-func roundInt8Chunk(a *roundArgs, lo, hi int) { a.p.RoundTripInPlace(a.data[lo:hi]) }
 
 // Name implements Rounder.
 func (Int8) Name() string { return "int8" }
@@ -204,64 +170,29 @@ func outFor(dst *tensor.Matrix, rows, cols int) (*tensor.Matrix, error) {
 	return dst, nil
 }
 
-// forSpans1 applies fn over disjoint row-major spans of two equally shaped
-// matrices. When both are gap-free the spans are parGrain-element chunks of
-// the flat payload (the historical layout); strided views fall back to
-// whole-row spans. Span boundaries derive only from the shape and all
-// callers apply element-independent math, so results are bit-identical at
-// any worker count and on either span layout.
+// forSpans1 applies fn over the rows of two equally shaped matrices, or over
+// their whole flat payloads in one call when both are gap-free. Every caller
+// applies element-independent math, so both layouts give the same bits.
 func forSpans1(out, a *tensor.Matrix, fn func(dst, x []float64)) {
-	args := spans1{out: out, a: a, fn: fn}
 	if out.IsContiguous() && a.IsContiguous() {
-		spans1Sweeps.For(out.Len(), parGrain, args, spans1Flat)
+		fn(out.Data[:out.Len()], a.Data[:out.Len()])
 		return
 	}
-	spans1Sweeps.For(out.Rows, parallel.RowGrain(out.Cols), args, spans1Rows)
-}
-
-// spans1 are forSpans1's operands.
-type spans1 struct {
-	out, a *tensor.Matrix
-	fn     func(dst, x []float64)
-}
-
-var spans1Sweeps parallel.Pooled[spans1]
-
-func spans1Flat(s *spans1, lo, hi int) { s.fn(s.out.Data[lo:hi], s.a.Data[lo:hi]) }
-
-func spans1Rows(s *spans1, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s.fn(s.out.Row(i), s.a.Row(i))
+	for i := 0; i < out.Rows; i++ {
+		fn(out.Row(i), a.Row(i))
 	}
 }
 
 // forSpans2 is forSpans1 over three equally shaped matrices; c is a scalar
 // operand handed to every span (0 where fn reads none).
 func forSpans2(out, a, b *tensor.Matrix, c float64, fn func(c float64, dst, x, y []float64)) {
-	args := spans2{out: out, a: a, b: b, c: c, fn: fn}
 	if out.IsContiguous() && a.IsContiguous() && b.IsContiguous() {
-		spans2Sweeps.For(out.Len(), parGrain, args, spans2Flat)
+		n := out.Len()
+		fn(c, out.Data[:n], a.Data[:n], b.Data[:n])
 		return
 	}
-	spans2Sweeps.For(out.Rows, parallel.RowGrain(out.Cols), args, spans2Rows)
-}
-
-// spans2 are forSpans2's operands.
-type spans2 struct {
-	out, a, b *tensor.Matrix
-	c         float64
-	fn        func(c float64, dst, x, y []float64)
-}
-
-var spans2Sweeps parallel.Pooled[spans2]
-
-func spans2Flat(s *spans2, lo, hi int) {
-	s.fn(s.c, s.out.Data[lo:hi], s.a.Data[lo:hi], s.b.Data[lo:hi])
-}
-
-func spans2Rows(s *spans2, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s.fn(s.c, s.out.Row(i), s.a.Row(i), s.b.Row(i))
+	for i := 0; i < out.Rows; i++ {
+		fn(c, out.Row(i), a.Row(i), b.Row(i))
 	}
 }
 

@@ -66,9 +66,9 @@ func BenchmarkGEMM(b *testing.B) {
 
 // BenchmarkKernelsHLOP measures the kernels at the shapes the engine runs
 // them: one HLOP of the benchmark's lib_compute mix (a few thousand
-// elements, halo included), at each device precision. BenchmarkKernelsParallel
-// is the 1024² view; tile, unroll and grain choices are judged here, where
-// loop overheads and edge handling are not amortised away.
+// elements, halo included), at each device precision. BenchmarkKernels is
+// the 256² view; tile and unroll choices are judged here, where loop
+// overheads and edge handling are not amortised away.
 func BenchmarkKernelsHLOP(b *testing.B) {
 	cases := []struct {
 		name   string

@@ -438,7 +438,7 @@ func TestDCT8x8MatchesScalarOracle(t *testing.T) {
 
 // gemmShapes are m, k, n: every remainder of the 4-row × 4-k register tile in both
 // directions, degenerate vectors, the shape the engine's row bands run
-// (4×256 · 256×256) and the parallel-identity suite's 96×80 · 80×64.
+// (4×256 · 256×256) and 96×80 · 80×64.
 var gemmShapes = [][3]int{
 	{1, 7, 1}, {1, 1, 9}, {9, 1, 1}, {1, 9, 6}, {6, 9, 1},
 	{2, 2, 2}, {3, 5, 5}, {5, 7, 3}, {4, 3, 2}, {7, 4, 7}, {67, 70, 129},
@@ -512,9 +512,8 @@ func TestRoundersMatchScalarOracle(t *testing.T) {
 	}
 }
 
-// TestSubGrainRoundAllocatesNothing: a slice of one chunk is rounded where it
-// is — DCT8x8 rounds each 8×8 block, and parallel.For's closure was an
-// allocation per block.
+// TestSubGrainRoundAllocatesNothing: a rounder allocates nothing — DCT8x8
+// rounds each 8×8 block, so an allocation would be one per block.
 func TestSubGrainRoundAllocatesNothing(t *testing.T) {
 	data := make([]float64, 64)
 	for _, r := range []Rounder{F32{}, Int8{}} {
@@ -563,7 +562,7 @@ func FuzzInt8Round(f *testing.F) {
 
 			got = append(got[:0], in...)
 			want = append(want[:0], in...)
-			roundF32(got)
+			F32{}.Round(got)
 			refF32{}.Round(want)
 			check("fp32", in, got, want)
 		}

@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"math"
 
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
 
-// reduceChunk is the fixed leaf size of the deterministic reduction tree:
-// the input is cut into ⌈n/reduceChunk⌉ chunks, each reduced sequentially,
-// and the per-chunk partials are merged in chunk order. The tree's shape
-// depends only on n — never on the worker count — so reductions are
-// bit-identical at any parallelism, and inputs at or below one chunk take
-// exactly the legacy sequential path.
+// reduceChunk is the fixed leaf size of the sums' reduction tree: the input
+// is cut into ⌈n/reduceChunk⌉ chunks, each summed in turn, and the per-chunk
+// sums are merged in chunk order. The tree's shape depends only on n, and
+// inputs at or below one chunk take exactly the plain sequential path.
 const reduceChunk = 1 << 16
 
 // Reduction kernels produce canonical partial results so that per-partition
@@ -54,12 +51,12 @@ func execReduce(op vop.Opcode, inputs []*tensor.Matrix, a attrs, r Rounder) (*te
 		return out, nil
 	case vop.OpReduceMax:
 		out := tensor.GetMatrixUninit(1, 1)
-		out.Data[0] = chunkedExtreme(in.Data, math.Inf(-1), func(a, b float64) bool { return a > b })
+		out.Data[0] = extreme(in.Data, math.Inf(-1), func(a, b float64) bool { return a > b })
 		r.Round(out.Data)
 		return out, nil
 	case vop.OpReduceMin:
 		out := tensor.GetMatrixUninit(1, 1)
-		out.Data[0] = chunkedExtreme(in.Data, math.Inf(1), func(a, b float64) bool { return a < b })
+		out.Data[0] = extreme(in.Data, math.Inf(1), func(a, b float64) bool { return a < b })
 		r.Round(out.Data)
 		return out, nil
 	case vop.OpReduceHist256:
@@ -79,27 +76,9 @@ func execReduce(op vop.Opcode, inputs []*tensor.Matrix, a attrs, r Rounder) (*te
 			r.Round(scratch)
 			data = scratch
 		}
-		scale := 256 / (hi - lo)
-		chunks := (len(data) + reduceChunk - 1) / reduceChunk
-		if chunks <= 1 {
-			histInto(out.Data, data, lo, scale)
-		} else {
-			// Bin counts are small-integer adds — exact in float64 and
-			// order-free — so per-chunk histograms merged in chunk order
-			// equal the sequential scan bit for bit.
-			partials := tensor.GetFloats(chunks * 256)
-			for i := range partials {
-				partials[i] = 0
-			}
-			reduceSweeps.For(len(data), reduceChunk,
-				reduceArgs{vals: data, partials: partials, lo: lo, scale: scale}, histChunk)
-			for c := 0; c < chunks; c++ {
-				for i, v := range partials[c*256 : (c+1)*256] {
-					out.Data[i] += v
-				}
-			}
-			tensor.PutFloats(partials)
-		}
+		// Bin counts are small-integer adds, exact in float64, so one scan
+		// gives the counts of any chunking.
+		histInto(out.Data, data, lo, 256/(hi-lo))
 		tensor.PutFloats(scratch)
 		return out, nil
 	default:
@@ -130,66 +109,25 @@ func chunkedKahanSum(vals []float64) float64 {
 		return kahanSum(vals)
 	}
 	partials := tensor.GetFloats(chunks)
-	reduceSweeps.For(len(vals), reduceChunk, reduceArgs{vals: vals, partials: partials}, kahanChunk)
+	for c := range partials {
+		partials[c] = kahanSum(vals[c*reduceChunk : min((c+1)*reduceChunk, len(vals))])
+	}
 	sum := kahanSum(partials)
 	tensor.PutFloats(partials)
 	return sum
 }
 
-// chunkedExtreme reduces vals with the better predicate (max or min) over
-// the same fixed chunk tree; comparison merge is exact at any order.
-func chunkedExtreme(vals []float64, id float64, better func(a, b float64) bool) float64 {
-	chunks := (len(vals) + reduceChunk - 1) / reduceChunk
-	if chunks <= 1 {
-		m := id
-		for _, v := range vals {
-			if better(v, m) {
-				m = v
-			}
-		}
-		return m
-	}
-	partials := tensor.GetFloats(chunks)
-	reduceSweeps.For(len(vals), reduceChunk,
-		reduceArgs{vals: vals, partials: partials, id: id, better: better}, extremeChunk)
+// extreme reduces vals with the better predicate (max or min). A comparison
+// merge is exact, so one scan needs no chunk tree: the first of the best
+// values wins however the input is cut.
+func extreme(vals []float64, id float64, better func(a, b float64) bool) float64 {
 	m := id
-	for _, v := range partials {
+	for _, v := range vals {
 		if better(v, m) {
 			m = v
 		}
 	}
-	tensor.PutFloats(partials)
 	return m
-}
-
-// reduceArgs are a multi-chunk reduction's operands: the values, one partial
-// per chunk (256 for the histogram), and what the chunk function reads of
-// the reduction — the histogram's range, the extreme's identity and order.
-type reduceArgs struct {
-	vals, partials []float64
-	lo, scale      float64
-	id             float64
-	better         func(a, b float64) bool
-}
-
-var reduceSweeps parallel.Pooled[reduceArgs]
-
-func histChunk(a *reduceArgs, lo, hi int) {
-	histInto(a.partials[(lo/reduceChunk)*256:][:256], a.vals[lo:hi], a.lo, a.scale)
-}
-
-func kahanChunk(a *reduceArgs, lo, hi int) {
-	a.partials[lo/reduceChunk] = kahanSum(a.vals[lo:hi])
-}
-
-func extremeChunk(a *reduceArgs, lo, hi int) {
-	m := a.id
-	for _, v := range a.vals[lo:hi] {
-		if a.better(v, m) {
-			m = v
-		}
-	}
-	a.partials[lo/reduceChunk] = m
 }
 
 // MergePartials combines per-partition reduction partials into the final VOP

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"shmt/internal/parallel"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -18,7 +17,7 @@ import (
 //
 // Stage boundaries: gradient/coefficient computation, coefficient smoothing,
 // and the diffusion update (3 stages). Each stage reads only earlier-stage
-// grids, so its row-parallel sweep is bit-identical to the sequential loop.
+// grids.
 func execSRAD(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(vop.OpSRAD, inputs, 1); err != nil {
 		return nil, err
@@ -29,53 +28,42 @@ func execSRAD(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder) (
 
 	rows, cols := in.Rows, in.Cols
 	// Stage 1: directional derivatives and the diffusion coefficient c.
-	sa := sradArgs{in: in, q0sqr: q0sqr,
-		c:  tensor.GetMatrixUninit(rows, cols),
-		dN: tensor.GetMatrixUninit(rows, cols),
-		dS: tensor.GetMatrixUninit(rows, cols),
-		dW: tensor.GetMatrixUninit(rows, cols),
-		dE: tensor.GetMatrixUninit(rows, cols)}
-	sradSweeps.For(rows, parallel.RowGrain(cols), sa, sradCoefficients)
-	r.Round(sa.c.Data) // stage 1
+	c := tensor.GetMatrixUninit(rows, cols)
+	dN, dS := tensor.GetMatrixUninit(rows, cols), tensor.GetMatrixUninit(rows, cols)
+	dW, dE := tensor.GetMatrixUninit(rows, cols), tensor.GetMatrixUninit(rows, cols)
+	sradCoefficients(in, c, dN, dS, dW, dE, q0sqr)
+	r.Round(c.Data) // stage 1
 
 	// Stage 2: divergence using the south/east neighbours' coefficients.
-	sa.div = tensor.GetMatrixUninit(rows, cols)
-	sradSweeps.For(rows, parallel.RowGrain(cols), sa, sradDivergence)
-	r.Round(sa.div.Data) // stage 2
-	tensor.PutMatrix(sa.dN)
-	tensor.PutMatrix(sa.dS)
-	tensor.PutMatrix(sa.dW)
-	tensor.PutMatrix(sa.dE)
-	tensor.PutMatrix(sa.c)
+	div := tensor.GetMatrixUninit(rows, cols)
+	sradDivergence(c, dN, dS, dW, dE, div)
+	r.Round(div.Data) // stage 2
+	tensor.PutMatrix(dN)
+	tensor.PutMatrix(dS)
+	tensor.PutMatrix(dW)
+	tensor.PutMatrix(dE)
+	tensor.PutMatrix(c)
 
 	// Stage 3: explicit update.
 	out, err := outFor(dst, rows, cols)
 	if err != nil {
-		tensor.PutMatrix(sa.div)
+		tensor.PutMatrix(div)
 		return nil, err
 	}
-	forSpans2(out, in, sa.div, lambda, sradUpdate)
+	forSpans2(out, in, div, lambda, sradUpdate)
 	RoundMatrix(r, out) // stage 3
-	tensor.PutMatrix(sa.div)
+	tensor.PutMatrix(div)
 	return out, nil
 }
 
-// sradArgs are the SRAD sweeps' operands: the input, the stage-1 grids
-// (coefficient and the four directional derivatives) and the divergence.
-type sradArgs struct {
-	in, c, dN, dS, dW, dE, div *tensor.Matrix
-	q0sqr                      float64
-}
-
-var sradSweeps parallel.Pooled[sradArgs]
-
-func sradCoefficients(a *sradArgs, lo, hi int) {
-	q0sqr := a.q0sqr
-	for i := lo; i < hi; i++ {
-		up, mid, dn := rows3(a.in, i)
-		cRow := a.c.Row(i)[:len(mid)]
-		nRow, sRow := a.dN.Row(i)[:len(mid)], a.dS.Row(i)[:len(mid)]
-		wRow, eRow := a.dW.Row(i)[:len(mid)], a.dE.Row(i)[:len(mid)]
+// sradCoefficients writes the four directional derivatives of in and the
+// diffusion coefficient c of every pixel.
+func sradCoefficients(in, c, dN, dS, dW, dE *tensor.Matrix, q0sqr float64) {
+	for i := 0; i < in.Rows; i++ {
+		up, mid, dn := rows3(in, i)
+		cRow := c.Row(i)[:len(mid)]
+		nRow, sRow := dN.Row(i)[:len(mid)], dS.Row(i)[:len(mid)]
+		wRow, eRow := dW.Row(i)[:len(mid)], dE.Row(i)[:len(mid)]
 		for j, jc := range mid {
 			if jc == 0 {
 				jc = 1e-12 // guard the division; SRAD inputs are positive intensities
@@ -105,13 +93,15 @@ func sradCoefficients(a *sradArgs, lo, hi int) {
 	}
 }
 
-func sradDivergence(a *sradArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		cMid := a.c.Row(i)
-		cDn := clampRow(a.c, i+1)[:len(cMid)]
-		nRow, sRow := a.dN.Row(i)[:len(cMid)], a.dS.Row(i)[:len(cMid)]
-		wRow, eRow := a.dW.Row(i)[:len(cMid)], a.dE.Row(i)[:len(cMid)]
-		dRow := a.div.Row(i)[:len(cMid)]
+// sradDivergence writes the divergence of every pixel from the stage-1
+// coefficients and derivatives.
+func sradDivergence(c, dN, dS, dW, dE, div *tensor.Matrix) {
+	for i := 0; i < c.Rows; i++ {
+		cMid := c.Row(i)
+		cDn := clampRow(c, i+1)[:len(cMid)]
+		nRow, sRow := dN.Row(i)[:len(cMid)], dS.Row(i)[:len(cMid)]
+		wRow, eRow := dW.Row(i)[:len(cMid)], dE.Row(i)[:len(cMid)]
+		dRow := div.Row(i)[:len(cMid)]
 		for j, cNW := range cMid { // the north and west coefficients are the pixel's own
 			cS := cDn[j]
 			cE := cMid[min(j+1, len(cMid)-1)]

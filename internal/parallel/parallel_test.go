@@ -98,18 +98,6 @@ func TestSetWorkersClampsAndRestores(t *testing.T) {
 	}
 }
 
-func TestRowGrain(t *testing.T) {
-	if g := RowGrain(1 << 20); g != 1 {
-		t.Fatalf("huge cols grain = %d, want 1", g)
-	}
-	if g := RowGrain(0); g < 1 {
-		t.Fatalf("zero cols grain = %d", g)
-	}
-	if g := RowGrain(1024); g != targetChunkElems/1024 {
-		t.Fatalf("1024-col grain = %d", g)
-	}
-}
-
 // TestPoolTaskCallingForDoesNotDeadlock reproduces the prefetch-path hang:
 // standalone pool tasks (submit) that themselves call For. Pre-fix, every pool
 // worker could end up parked in For's wait while that For's helpers sat
@@ -161,11 +149,11 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestWorkerBusyCountsEachGoroutineOnce: a For nested in another For's chunk
-// (a kernel fanning out inside a pooled HLOP) must not add its interval on top
-// of the chunk's own. Only GOMAXPROCS pool workers and the caller can be
-// inside For at once, so busy time over wall × (GOMAXPROCS + 1) is a share
-// that cannot exceed 1 unless some goroutine was counted twice.
+// TestWorkerBusyCountsEachGoroutineOnce: a goroutine draining a For's chunks
+// adds its interval once, not once per chunk. Only GOMAXPROCS pool workers
+// and the caller can be inside For at once, so busy time over
+// wall × (GOMAXPROCS + 1) is a share that cannot exceed 1 unless some
+// goroutine was counted twice.
 func TestWorkerBusyCountsEachGoroutineOnce(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
@@ -182,29 +170,26 @@ func TestWorkerBusyCountsEachGoroutineOnce(t *testing.T) {
 	}
 	busy0, chunks0 := telemetry.WorkerBusyNanos.Value(), telemetry.WorkerChunks.Value()
 	start := time.Now()
-	For(16, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			For(64, 8, spin)
-		}
-	})
+	for i := 0; i < 16; i++ {
+		For(64, 8, spin)
+	}
 	wall := time.Since(start)
 	busy := telemetry.WorkerBusyNanos.Value() - busy0
 	if busy == 0 {
 		t.Fatal("no busy time recorded on the parallel path")
 	}
 	if share := float64(busy) / (float64(wall.Nanoseconds()) * float64(runtime.GOMAXPROCS(0)+1)); share > 1 {
-		t.Fatalf("worker busy share = %.2f > 1: %v busy in %v wall on %d procs — nested For counted twice",
+		t.Fatalf("worker busy share = %.2f > 1: %v busy in %v wall on %d procs — a goroutine counted twice",
 			share, time.Duration(busy), wall, runtime.GOMAXPROCS(0))
 	}
-	// Chunks are work done, not time: nested ones still count, each once.
-	if got, want := telemetry.WorkerChunks.Value()-chunks0, int64(16+16*8); got != want {
+	// Chunks are work done, not time: each counts once.
+	if got, want := telemetry.WorkerChunks.Value()-chunks0, int64(16*8); got != want {
 		t.Fatalf("chunks = %d, want %d", got, want)
 	}
 }
 
-// TestParallelForAllocatesNothing: once its job and loop body have been made,
-// a parallel For — plain or through a Pooled site — allocates nothing,
-// however many helpers it fans out to.
+// TestParallelForAllocatesNothing: once its job has been made, a parallel For
+// of a function value allocates nothing, however many helpers it fans out to.
 func TestParallelForAllocatesNothing(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
@@ -213,32 +198,18 @@ func TestParallelForAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { For(4096, 64, fn) }); n != 0 {
 		t.Fatalf("For allocates %v times per call", n)
 	}
-	type args struct{ sink *atomic.Int64 }
-	var site Pooled[args]
-	count := func(a *args, lo, hi int) { a.sink.Add(int64(hi - lo)) }
-	if n := testing.AllocsPerRun(100, func() { site.For(4096, 64, args{&sink}, count) }); n != 0 {
-		t.Fatalf("Pooled.For allocates %v times per call", n)
-	}
-	if want := int64(2 * 101 * 4096); sink.Load() != want {
+	if want := int64(101 * 4096); sink.Load() != want {
 		t.Fatalf("covered %d elements, want %d", sink.Load(), want)
 	}
 }
 
-// TestPooledJobsUnderContention: jobs and loop bodies recycled across many
-// goroutines calling For at once, nested and through a Pooled site, still
-// run every index of every call exactly once; a chunk's panic reaches its own
+// TestPooledJobsUnderContention: jobs recycled across many goroutines calling
+// For at once, nested too, still run every index of every call exactly once; a chunk's panic reaches its own
 // caller and no other; and the job it panicked in is never handed to another
 // call (no job on the free list carries a panic).
 func TestPooledJobsUnderContention(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
-	type args struct{ hits []atomic.Int32 }
-	var site Pooled[args]
-	mark := func(a *args, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.hits[i].Add(1)
-		}
-	}
 	once := func(hits []atomic.Int32) error {
 		for i := range hits {
 			if h := hits[i].Load(); h != 1 {
@@ -262,10 +233,14 @@ func TestPooledJobsUnderContention(t *testing.T) {
 				For(n, 1+c%13, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						hits[i].Add(1)
-						if i%101 == 0 { // a kernel fanning out inside a pooled task
-							inner := args{hits: make([]atomic.Int32, 64)}
-							site.For(64, 5, inner, mark)
-							if err := once(inner.hits); err != nil {
+						if i%101 == 0 { // a For inside a pool task
+							inner := make([]atomic.Int32, 64)
+							For(64, 5, func(lo, hi int) {
+								for i := lo; i < hi; i++ {
+									inner[i].Add(1)
+								}
+							})
+							if err := once(inner); err != nil {
 								nestedErr.Store(err)
 							}
 						}
@@ -306,9 +281,9 @@ func TestPooledJobsUnderContention(t *testing.T) {
 	}
 	var held []*forJob
 	for j := jobs.Get(); j != nil; j = jobs.Get() {
-		if j.panicked.Load() || j.body != nil || j.pending.Load() != 0 {
-			t.Errorf("the free list holds a job that is not clean: panicked %v, body %v, pending %d",
-				j.panicked.Load(), j.body != nil, j.pending.Load())
+		if j.panicked.Load() || j.fn != nil || j.pending.Load() != 0 {
+			t.Errorf("the free list holds a job that is not clean: panicked %v, fn %v, pending %d",
+				j.panicked.Load(), j.fn != nil, j.pending.Load())
 		}
 		held = append(held, j)
 	}

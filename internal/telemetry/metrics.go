@@ -57,12 +57,13 @@ var (
 	// Host execution (internal/parallel).
 
 	// WorkerBusyNanos accumulates wall nanoseconds host workers spent running
-	// kernel chunks (utilization = rate over wall time × workers).
+	// pool tasks — admitted HLOPs and resident casts (utilization = rate over
+	// wall time × workers).
 	WorkerBusyNanos = Default.NewCounter("shmt_worker_busy_nanoseconds_total",
-		"Wall nanoseconds host pool workers spent executing kernel chunks.")
-	// WorkerChunks counts kernel chunks executed by the host pool.
+		"Wall nanoseconds host pool workers spent executing pool tasks.")
+	// WorkerChunks counts the tasks the host pool executed.
 	WorkerChunks = Default.NewCounter("shmt_worker_chunks_total",
-		"Kernel chunks executed by the host worker pool.")
+		"Tasks (admitted HLOPs, resident casts) executed by the host worker pool.")
 
 	// Tensor arena.
 

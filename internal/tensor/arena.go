@@ -13,8 +13,8 @@ import (
 // scratch and result (GetFloats, GetComplex, GetMatrix, PutMatrix …), a served
 // request's tensors (Recycled / Recycle), internal/wire's body buffers and
 // index offsets, the router's copy buffers — and Spares, its one-class case,
-// the small fixed-size objects a call would otherwise allocate (a fan-out
-// job, a loop body, a staged set). A collection empties no class that was
+// the small fixed-size objects a call would otherwise allocate (a pool job,
+// a staged set). A collection empties no class that was
 // asked for since the collection before, so what a warm request allocates
 // does not depend on when the collector last ran.
 //

@@ -47,7 +47,7 @@ func TestFromSlice(t *testing.T) {
 	if m, err := FromSlice(math.MinInt, 2, nil); err == nil {
 		t.Fatalf("accepted negative dimensions as %dx%d", m.Rows, m.Cols)
 	}
-	if m, err := FromSlice(1<<62, 4, nil); err == nil {
+	if m, err := FromSlice(math.MaxInt/2, 4, nil); err == nil {
 		t.Fatalf("accepted overflowing dimensions as %dx%d", m.Rows, m.Cols)
 	}
 	if _, err := FromSlice(0, 5, nil); err != nil {

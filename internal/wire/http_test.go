@@ -195,13 +195,13 @@ func TestEarlyReplyDoesNotFreeTheBody(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	const max = 30 * time.Second
 	for ms, want := range map[int]time.Duration{
-		0:             max,
-		-5:            max,
-		1:             time.Millisecond,
-		29999:         29999 * time.Millisecond,
-		30000:         max,
-		30001:         max,
-		math.MaxInt64: max, // times a million it would wrap to a negative duration
+		0:           max,
+		-5:          max,
+		1:           time.Millisecond,
+		29999:       29999 * time.Millisecond,
+		30000:       max,
+		30001:       max,
+		math.MaxInt: max, // on 64 bits, times a million it would wrap to a negative duration
 	} {
 		if got := Timeout(ms, max); got != want {
 			t.Errorf("Timeout(%d) = %v, want %v", ms, got, want)

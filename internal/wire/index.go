@@ -127,7 +127,7 @@ type IndexedRequest struct {
 // what a router runs, once, on a request it is about to scatter. The result
 // aliases body.
 func IndexRequest(body []byte) (*IndexedRequest, error) {
-	if len(body) > math.MaxUint32 {
+	if uint64(len(body)) > math.MaxUint32 {
 		return nil, fmt.Errorf("wire: a %d-byte body is beyond the index", len(body))
 	}
 	s := scanner{b: body, index: true}
@@ -203,7 +203,7 @@ func appendMatrixHead(dst []byte, rows, cols int) []byte {
 // a scattered reply's. The other accounting fields and the degraded and
 // trace annexes are validated as JSON and skipped.
 func indexReply(body []byte) (Reply, error) {
-	if len(body) > math.MaxUint32 {
+	if uint64(len(body)) > math.MaxUint32 {
 		return Reply{}, fmt.Errorf("wire: a %d-byte reply is beyond the index", len(body))
 	}
 	s := scanner{b: body, index: true}

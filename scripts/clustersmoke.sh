@@ -11,7 +11,10 @@
 #       shmt_router_breaker_opens_total advance, healthy-backend count drops,
 #   (4) restarting the dead backend on its original port re-admits it through
 #       a half-open health probe (shmt_router_readmissions_total > 0),
-#   (5) a fresh backend can join at runtime via -register (self-registration),
+#   (5) a fresh backend can join at runtime via -register (self-registration);
+#       it runs a seeded -chaos plan of transient GPU faults, and requests it
+#       serves still answer 200 while its shmt_hlop_retries_total advances
+#       (the engine's fault, retry and reroute path),
 #   (6) a large eligible VOP scatter-gathers across backends
 #       (X-SHMT-Scatter header, shmt_router_scatter_requests_total > 0) and
 #       reassembles the right answer,
@@ -96,21 +99,22 @@ curl -s "http://$ROUTER/healthz" | grep -q '"status":"ok"' || {
 
 BODY='{"op":"add","inputs":[{"rows":2,"cols":2,"data":[1,2,3,4]},{"rows":2,"cols":2,"data":[5,6,7,8]}]}'
 
-# fire_volley TAG: CONCURRENCY concurrent requests, distinct tenants so keys
-# spread over both backends. Each request may retry twice (covers the
-# in-flight instant of a SIGKILL); a request with no 200 after retries fails
+# fire_volley TAG [TENANT [TRIES]]: CONCURRENCY concurrent requests, distinct
+# tenants (TENANT-1 … TENANT-n, default tenant-…) so keys spread over the
+# backends. Each request may retry twice (covers the in-flight instant of a
+# SIGKILL; TRIES=1 allows no retry); a request with no 200 after retries fails
 # the smoke — that would be a lost client request, which failover forbids.
 fire_volley() {
-    tag=$1
+    tag=$1; tenant=${2:-tenant}; tries=${3:-3}
     i=0
     VPIDS=""
     while [ "$i" -lt "$CONCURRENCY" ]; do
         i=$((i + 1))
         (
             ok=""
-            for _try in 1 2 3; do
+            for _try in $(seq 1 "$tries"); do
                 code=$(curl -s -o "$WORKDIR/v-$tag-$i.json" -w '%{http_code}' \
-                    -H "X-SHMT-Tenant: tenant-$i" -d "$BODY" \
+                    -H "X-SHMT-Tenant: $tenant-$i" -d "$BODY" \
                     "http://$ROUTER/v1/execute" || echo 000)
                 if [ "$code" = "200" ] && grep -q '"output"' "$WORKDIR/v-$tag-$i.json"; then
                     ok=1; break
@@ -129,10 +133,11 @@ fire_volley() {
     fi
 }
 
-# metric NAME -> summed value of the family (labelled series add up).
-# Exact family match: "name value" or "name{...} value", never a prefix.
+# metric NAME [ADDR] -> summed value of the family (labelled series add up)
+# on the router, or on the daemon at ADDR. Exact family match: "name value"
+# or "name{...} value", never a prefix.
 metric() {
-    curl -s "http://$ROUTER/metrics" | awk -v m="$1" \
+    curl -s "http://${2:-$ROUTER}/metrics" | awk -v m="$1" \
         '$1 == m || index($1, m "{") == 1 { s += $2 } END { printf "%d\n", s }'
 }
 
@@ -256,8 +261,13 @@ fire_volley readmit
 echo "killed backend re-admitted after restart"
 
 # --- runtime self-registration of a brand-new backend ---------------------
-B3PID=$(start_backend "$WORKDIR/b3.log" -register "http://$ROUTER")
+# It is never killed, and it runs a seeded plan of transient GPU faults: a
+# failed dispatch is retried on a fallback device, so its clients still get
+# their 200s.
+B3PID=$(start_backend "$WORKDIR/b3.log" -register "http://$ROUTER" \
+    -chaos 'gpu:transient=0.3' -chaos-seed 7)
 PIDS="$PIDS $B3PID"
+B3=$(wait_listen "$WORKDIR/b3.log" shmtserved)
 for _ in $(seq 1 100); do
     [ "$(metric shmt_router_backends)" = "3" ] && break
     sleep 0.1
@@ -266,6 +276,19 @@ done
     echo "FAIL: self-registered backend never joined"; exit 1; }
 fire_volley grown
 echo "fresh backend self-registered; fleet of 3 serving"
+
+# --- fault path: volleys of fresh tenants until the chaos backend retried --
+# Each volley's keys are new, so about a third of them hash to the chaos
+# backend; every request of every volley must answer 200 at its first try.
+cv=0
+while [ "$(metric shmt_hlop_retries_total "$B3")" -lt 1 ] && [ "$cv" -lt 20 ]; do
+    cv=$((cv + 1))
+    fire_volley "chaos$cv" "chaos$cv" 1
+done
+RETRIES=$(metric shmt_hlop_retries_total "$B3")
+[ "$RETRIES" -ge 1 ] || {
+    echo "FAIL: the chaos backend retried no HLOP in $cv volleys"; exit 1; }
+echo "chaos backend retried $RETRIES HLOP dispatch(es); $cv volley(s) all 200"
 
 # Artifacts: router snapshots for CI upload.
 curl -s "http://$ROUTER/statusz" >"$ARTIFACT_DIR/clustersmoke-statusz.json"

@@ -34,7 +34,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 # ALLOW: symbol, then the reason it is linked into no binary.
 ALLOW='
-shmt/internal/parallel.SetWorkers              kernels TestParallelBitIdentity and telemetry TestGanttGolden pin the pool width
+shmt/internal/parallel.SetWorkers              core TestPropertyPooledComputeMatchesOneWorker and telemetry TestGanttGolden pin the pool width
 shmt/internal/telemetry.Disable                core TestEngineTelemetrySpansAndCounters, the cluster chaos tests and the root telemetry tests turn recording back off
 shmt/internal/quant.AffineParams.QuantizeOne   per-element INT8 oracle of kernels FuzzInt8Round and tpu TestRequantOutputMatchesGroupedReference
 shmt/internal/quant.AffineParams.DequantizeOne per-element INT8 oracle of kernels FuzzInt8Round and tpu TestRequantOutputMatchesGroupedReference'
