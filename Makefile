@@ -57,7 +57,8 @@ race:
 # raw bit patterns, the two header sanitisers (tenant, trace ID) both tiers
 # apply at admission, the fused INT8 round trip against calibration plus
 # QuantizeOne / DequantizeOne on arbitrary bit patterns, the FFT's shared
-# plans against the twiddle recurrence on arbitrary bit patterns, the -chaos fault
+# plans against the twiddle recurrence on arbitrary bit patterns, every vector
+# lane against its Go twin on arbitrary bit patterns, the -chaos fault
 # plan grammar (every accepted plan finite and in range), the -tenant /
 # -tenant-limit grammars of both daemons (every admitted tenant name, ':'
 # included, round-trips), the scheduler's top-K rule (every HLOP on an
@@ -77,6 +78,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSanitizeTraceID$$' -fuzztime=10s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzInt8Round$$' -fuzztime=10s ./internal/kernels/
 	$(GO) test -run='^$$' -fuzz='^FuzzFFTPlan$$' -fuzztime=10s ./internal/kernels/
+	$(GO) test -run='^$$' -fuzz='^FuzzLanes$$' -fuzztime=10s ./internal/lanes/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=10s ./internal/chaos/
 	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtserved/
 	$(GO) test -run='^$$' -fuzz='^FuzzTenantFlags$$' -fuzztime=10s ./cmd/shmtrouterd/

@@ -23,6 +23,7 @@ import (
 	"shmt/internal/device/gpu"
 	"shmt/internal/device/tpu"
 	"shmt/internal/energy"
+	"shmt/internal/lanes"
 	"shmt/internal/vop"
 )
 
@@ -70,8 +71,17 @@ func printDevices() {
 			d.DispatchOverhead()*1e6, d.Link().BandwidthBps/1e9, mem,
 			model.Devices[d.Name()].Active)
 	}
-	fmt.Printf("peak power: idle %.2f W, GPU baseline %.2f W, SHMT %.2f W (§5.5)\n\n",
+	fmt.Printf("peak power: idle %.2f W, GPU baseline %.2f W, SHMT %.2f W (§5.5)\n",
 		model.PeakPower(nil), model.PeakPower([]string{"gpu"}), model.PeakPower([]string{"gpu", "tpu"}))
+	fmt.Println("host vector lanes (each checked against its Go twin at start; off: the twin runs):")
+	for _, r := range lanes.Rows() {
+		state := "off"
+		if r.On {
+			state = "on"
+		}
+		fmt.Printf("  %-15s %-8s %s\n", r.Name, r.Needs, state)
+	}
+	fmt.Println()
 }
 
 func printCalibration() {

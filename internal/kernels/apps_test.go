@@ -6,11 +6,20 @@ import (
 	"testing"
 	"testing/quick"
 
+	"shmt/internal/lanes"
+
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
 
 // ---- Black-Scholes ----
+
+// cnd is the kernel's cumulative normal at one point.
+func cnd(d float64) float64 {
+	out := []float64{0}
+	lanes.CND(out, []float64{d})
+	return out[0]
+}
 
 func TestBlackScholesKnownValue(t *testing.T) {
 	// S=100, K=100, r=0.05, sigma=0.2, t=1 -> call ~ 10.4506 (textbook value).

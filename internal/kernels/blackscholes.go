@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 
+	"shmt/internal/lanes"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -15,7 +16,8 @@ import (
 //
 // The kernel has four stage boundaries (d1, d2, the two CND evaluations fold
 // into one stage, and the final combination), which is also the NPU model
-// depth used by the Edge TPU cost model.
+// depth used by the Edge TPU cost model. Each stage is a lanes routine; the
+// cumulative normal is lanes.CND.
 func execBlackScholes(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Rounder) (*tensor.Matrix, error) {
 	if err := checkInputs(vop.OpParabolicPDE, inputs, 2); err != nil {
 		return nil, err
@@ -37,7 +39,7 @@ func execBlackScholes(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Ro
 	}
 
 	n := s.Len()
-	sd, kd, volSqrtT := s.Data[:n], k.Data[:n], sigma*math.Sqrt(t)
+	sd, kd, volSqrtT := s.Data[:n], k.Data[:n], float64(sigma*math.Sqrt(t))
 	d1, d2 := tensor.GetFloats(n), tensor.GetFloats(n)
 	nd1, nd2 := tensor.GetFloats(n), tensor.GetFloats(n)
 	defer func() {
@@ -46,20 +48,14 @@ func execBlackScholes(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Ro
 		tensor.PutFloats(nd1)
 		tensor.PutFloats(nd2)
 	}()
-	for i := range d1 {
-		d1[i] = (math.Log(sd[i]/kd[i]) + (rate+0.5*sigma*sigma)*t) / volSqrtT
-	}
+	lanes.D1(d1, sd, kd, (rate+float64(0.5*sigma*sigma))*t, volSqrtT)
 	r.Round(d1) // stage 1
 
-	for i := range d2 {
-		d2[i] = d1[i] - volSqrtT
-	}
+	lanes.D2(d2, d1, volSqrtT)
 	r.Round(d2) // stage 2
 
-	for i := range nd1 {
-		nd1[i] = cnd(d1[i])
-		nd2[i] = cnd(d2[i])
-	}
+	lanes.CND(nd1, d1)
+	lanes.CND(nd2, d2)
 	r.Round(nd1) // stage 3 (both CNDs evaluate in the same layer)
 	r.Round(nd2)
 
@@ -69,30 +65,9 @@ func execBlackScholes(inputs []*tensor.Matrix, dst *tensor.Matrix, a attrs, r Ro
 	}
 	expRT := math.Exp(-rate * t)
 	for ri := 0; ri < out.Rows; ri++ {
-		row, off := out.Row(ri), ri*out.Cols
-		for j := range row {
-			row[j] = sd[off+j]*nd1[off+j] - kd[off+j]*expRT*nd2[off+j]
-		}
+		off := ri * out.Cols
+		lanes.Call(out.Row(ri), sd[off:], nd1[off:], kd[off:], nd2[off:], expRT)
 	}
 	RoundMatrix(r, out) // stage 4
 	return out, nil
-}
-
-// cnd is the cumulative normal distribution via the Abramowitz & Stegun
-// 5-term polynomial used by the CUDA sample.
-func cnd(d float64) float64 {
-	const (
-		a1 = 0.31938153
-		a2 = -0.356563782
-		a3 = 1.781477937
-		a4 = -1.821255978
-		a5 = 1.330274429
-	)
-	k := 1 / (1 + 0.2316419*math.Abs(d))
-	poly := k * (a1 + k*(a2+k*(a3+k*(a4+k*a5))))
-	c := (1 / math.Sqrt(2*math.Pi)) * math.Exp(-0.5*d*d) * poly
-	if d > 0 {
-		return 1 - c
-	}
-	return c
 }

@@ -7,6 +7,7 @@ import (
 	"math/cmplx"
 	"sync/atomic"
 
+	"shmt/internal/lanes"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
 )
@@ -50,25 +51,14 @@ func fftRows(in, re, im *tensor.Matrix, p *fftPlan) {
 	n := in.Cols
 	buf := tensor.GetComplex(n)
 	for row := 0; row < in.Rows; row++ {
-		src := in.Row(row)
-		for j, k := range p.rev {
-			buf[j] = complex(src[k], 0)
-		}
+		lanes.Gather(buf, in.Row(row), p.rev)
 		p.butterflies(buf)
-		base := row * n
-		for j := 0; j < n; j++ {
-			re.Data[base+j] = real(buf[j])
-			im.Data[base+j] = imag(buf[j])
-		}
+		lanes.Split(re.Data[row*n:][:n], im.Data[row*n:][:n], buf)
 	}
 	tensor.PutComplex(buf)
 }
 
-func hypotSpan(_ float64, d, x, y []float64) {
-	for i := range d {
-		d[i] = math.Hypot(x[i], y[i])
-	}
-}
+func hypotSpan(_ float64, d, x, y []float64) { lanes.Hypot(d, x, y) }
 
 // fftPlan is the schedule of an iterative radix-2 Cooley-Tukey DFT of one
 // power-of-two size n: the bit-reversal permutation and every butterfly
@@ -118,7 +108,9 @@ func newFFTPlan(n int) *fftPlan {
 		stage := p.tw[length/2-1 : length-1]
 		for j := range stage {
 			stage[j] = w
-			w *= wl
+			// w *= wl, each product rounded before the add
+			w = complex(float64(real(w)*real(wl))-float64(imag(w)*imag(wl)),
+				float64(real(w)*imag(wl))+float64(imag(w)*real(wl)))
 		}
 	}
 	return p
@@ -127,17 +119,7 @@ func newFFTPlan(n int) *fftPlan {
 // butterflies runs the transform's stages in place over x, which holds the
 // input in bit-reversed order and is as long as the plan.
 func (p *fftPlan) butterflies(x []complex128) {
-	n := len(x)
-	for half := 1; half < n; half <<= 1 {
-		w := p.tw[half-1 : 2*half-1]
-		for i := 0; i < n; i += 2 * half {
-			lo, hi := x[i:i+half], x[i+half:i+2*half]
-			for j, wj := range w {
-				u := lo[j]
-				v := hi[j] * wj
-				lo[j] = u + v
-				hi[j] = u - v
-			}
-		}
+	for half := 1; half < len(x); half <<= 1 {
+		lanes.Butterflies(x, p.tw[half-1:2*half-1])
 	}
 }

@@ -13,6 +13,7 @@ package kernels
 import (
 	"fmt"
 
+	"shmt/internal/lanes"
 	"shmt/internal/quant"
 	"shmt/internal/tensor"
 	"shmt/internal/vop"
@@ -63,13 +64,9 @@ func (Exact) Name() string { return "fp64" }
 // F32 rounds every value to float32, the GPU's native precision.
 type F32 struct{}
 
-// Round implements Rounder: it casts data to float32 and back, four lanes at
-// a time on AVX hosts (roundF32Lanes), the rest one at a time.
-func (F32) Round(data []float64) {
-	for i := roundF32Lanes(data); i < len(data); i++ {
-		data[i] = float64(float32(data[i]))
-	}
-}
+// Round implements Rounder: it casts data to float32 and back
+// (lanes.RoundF32).
+func (F32) Round(data []float64) { lanes.RoundF32(data) }
 
 // Name implements Rounder.
 func (F32) Name() string { return "fp32" }

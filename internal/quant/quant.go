@@ -12,6 +12,8 @@ package quant
 
 import (
 	"math"
+
+	"shmt/internal/lanes"
 )
 
 // AffineParams describes an asymmetric (affine) INT8 quantization:
@@ -24,15 +26,10 @@ type AffineParams struct {
 
 // CalibrateAffine derives affine parameters covering [min,max] of the data's
 // finite values; NaN and ±Inf are skipped wherever they sit. No finite value
-// at all calibrates like an all-zero tensor (Scale 1). On AVX hosts
-// finiteRangeLanes scans all but the last few elements, which Range.Add
-// folds in.
+// at all calibrates like an all-zero tensor (Scale 1). The scan is
+// lanes.FiniteRange, Range.Add over every element.
 func CalibrateAffine(data []float64) AffineParams {
-	r, n := finiteRangeLanes(data)
-	for _, v := range data[n:] {
-		r.Add(v)
-	}
-	return AffineFromRange(r.Lo, r.Hi)
+	return AffineFromRange(lanes.FiniteRange(data))
 }
 
 // Range is a running [Lo, Hi] over the finite values added to it. Callers
@@ -108,28 +105,13 @@ func (p AffineParams) DequantizeOne(q int8) float64 {
 }
 
 // RoundTripOne is DequantizeOne(QuantizeOne(v)), bit for bit, without
-// leaving float64: the code is kept as the integer-valued float it already is
-// after rounding and clamping, so there is no int8 conversion. The division
-// stays a division — multiplying by a precomputed 1/Scale rounds differently.
+// leaving float64 (lanes.RoundTripOne).
 func (p AffineParams) RoundTripOne(v float64) float64 {
-	zp := float64(p.ZeroPoint)
-	q := math.RoundToEven(v/p.Scale) + zp
-	if q > 127 {
-		q = 127
-	}
-	if q < -128 {
-		q = -128
-	}
-	if v != v {
-		q = zp // NaN takes the zero point's code, as in QuantizeOne
-	}
-	return p.Scale * (q - zp)
+	return lanes.RoundTripOne(v, p.Scale, float64(p.ZeroPoint))
 }
 
-// RoundTripInPlace applies RoundTripOne to every element of data: four
-// lanes at a time on AVX hosts (roundTripLanes), the rest one at a time.
+// RoundTripInPlace applies RoundTripOne to every element of data
+// (lanes.RoundTripInt8).
 func (p AffineParams) RoundTripInPlace(data []float64) {
-	for i := p.roundTripLanes(data); i < len(data); i++ {
-		data[i] = p.RoundTripOne(data[i])
-	}
+	lanes.RoundTripInt8(data, p.Scale, float64(p.ZeroPoint))
 }
